@@ -4,31 +4,32 @@ verify:
 	go build ./...
 	go test ./...
 
-# Concurrency tier: static checks plus the full suite under the race
-# detector. The scheduler tests deliberately hold >=2 runs in flight, so
-# this exercises the campaign/scope synchronization paths for real.
-.PHONY: race
-race:
-	go vet ./...
-	go test -race ./...
-
-# Fault-tolerance tier: the retry/quarantine/fault-injection paths under
-# the race detector — workers re-enqueueing failed runs, quarantine
-# draining, and the fault-injection hooks all synchronize across
-# goroutines, so -race is the honest way to run them. internal/sim covers
-# the sharded-timeline synchronizer (including the cross-shard mailbox
-# hammer), internal/workpool the shared work-stealing pool, and the
-# root-package differential tests hold both the parallel data plane and
-# the partitioned cross-shard chain to byte-identical results while
-# racing.
+# Concurrency tier: the whole suite under the race detector, not a
+# hand-picked subset — every package that starts a goroutine is covered the
+# day it does. The scheduler tests deliberately hold >=2 runs in flight, the
+# fault-injection, sharded-timeline, work-stealing and publish paths all
+# synchronize across goroutines, and the root-package differential tests
+# hold the parallel data plane and the partitioned cross-shard chain to
+# byte-identical results while racing.
 .PHONY: verify-race
 verify-race:
 	go build ./...
-	go test -race ./internal/sched/ ./internal/core/ ./internal/hosttools/ \
-		./internal/casestudy/ ./internal/vpos/ ./internal/api/ \
-		./internal/eventlog/ ./internal/sim/ ./internal/workpool/ \
-		./internal/partition/ ./internal/queue/ ./internal/health/
-	go test -race -run 'TestBatchedMatchesScalar|TestShardedSweepMatchesSequential|TestCrossShard|TestHealth' .
+	go test -race ./...
+
+.PHONY: race
+race: verify-race
+	go vet ./...
+
+# The repository's one end-to-end benchmark (BENCHMARK.json, bench/README.md):
+# bench-e2e runs all four workloads, end-to-end pass then traced pass;
+# bench-smoke is its own test suite (digests, step partition, metric names).
+.PHONY: bench-e2e
+bench-e2e:
+	bash bench/run.sh
+
+.PHONY: bench-smoke
+bench-smoke:
+	go test -C bench ./...
 
 # Performance tier: the speedup benchmarks added with the campaign
 # scheduler (sequential vs. 2-replica sweep, regexp vs. scanner parsing).

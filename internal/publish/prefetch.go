@@ -12,12 +12,11 @@ import (
 // writer; the window keeps the disk busy while bounding memory.
 const prefetchWindow = 8
 
-// dedupCacheMaxBytes caps the per-inode read cache to artifacts worth
-// holding; bigger files are re-read per reference.
-const dedupCacheMaxBytes = 8 << 20
-
+// fileData is one archive entry: a regular file with its content, or, when
+// link is set, a further path of an inode already archived under link.
 type fileData struct {
 	rel     string
+	link    string
 	data    []byte
 	modTime time.Time
 	err     error
@@ -25,89 +24,52 @@ type fileData struct {
 
 type inodeKey struct{ dev, ino uint64 }
 
-// inodeCache memoizes the content of hardlink-shared files so each
-// deduplicated artifact is read from disk once per bundle, not once per
-// run directory.
-type inodeCache struct {
-	mu      sync.Mutex
-	entries map[inodeKey][]byte
-}
-
-// prefetchFiles streams the named files of dir to out in order, reading up
-// to prefetchWindow of them concurrently. It closes out when done and
-// returns early when stop closes.
-func prefetchFiles(dir string, rels []string, out chan<- fileData, stop <-chan struct{}) {
+// prefetchFiles streams the named files of dir to out in order, each as a
+// one-shot channel its reader fills, with up to prefetchWindow reads in
+// flight. Files are stat'ed here, in order, so which path of a hardlinked
+// inode is the first — and carries the bytes — does not depend on read
+// timing; later paths are never read. It closes out once every reader has
+// finished, and stops early when stop closes.
+func prefetchFiles(dir string, rels []string, out chan<- chan fileData, stop <-chan struct{}) {
+	var readers sync.WaitGroup
 	defer close(out)
-	slots := make([]chan fileData, len(rels))
-	for i := range slots {
-		slots[i] = make(chan fileData, 1)
-	}
-	cache := &inodeCache{entries: make(map[inodeKey][]byte)}
-	sem := make(chan struct{}, prefetchWindow)
-	go func() {
-		for i, rel := range rels {
-			select {
-			case sem <- struct{}{}:
-			case <-stop:
-				return
-			}
-			go func(i int, rel string) {
-				defer func() { <-sem }()
-				slots[i] <- readArtifact(dir, rel, cache)
-			}(i, rel)
-		}
-	}()
-	for i := range slots {
+	defer readers.Wait()
+	first := make(map[inodeKey]string)
+	for _, rel := range rels {
+		slot := make(chan fileData, 1)
 		select {
-		case fd := <-slots[i]:
-			select {
-			case out <- fd:
-			case <-stop:
-				return
-			}
+		case out <- slot:
 		case <-stop:
 			return
 		}
-	}
-}
-
-func readArtifact(dir, rel string, cache *inodeCache) fileData {
-	full := filepath.Join(dir, filepath.FromSlash(rel))
-	fd := fileData{rel: rel}
-	info, err := os.Stat(full)
-	if err != nil {
-		fd.err = err
-		return fd
-	}
-	fd.modTime = info.ModTime()
-	key, shared := statIdentity(info)
-	if shared && info.Size() <= dedupCacheMaxBytes {
-		cache.mu.Lock()
-		data, ok := cache.entries[key]
-		cache.mu.Unlock()
-		if ok {
-			fd.data = data
-			return fd
+		full := filepath.Join(dir, filepath.FromSlash(rel))
+		fd := fileData{rel: rel}
+		info, err := os.Stat(full)
+		if err != nil {
+			fd.err = err
+			slot <- fd
+			continue
 		}
+		fd.modTime = info.ModTime()
+		if key, shared := statIdentity(info); shared {
+			if fd.link = first[key]; fd.link != "" {
+				slot <- fd
+				continue
+			}
+			first[key] = rel
+		}
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			fd.data, fd.err = os.ReadFile(full)
+			slot <- fd
+		}()
 	}
-	data, err := os.ReadFile(full)
-	if err != nil {
-		fd.err = err
-		return fd
-	}
-	fd.data = data
-	if shared && int64(len(data)) <= dedupCacheMaxBytes {
-		cache.mu.Lock()
-		cache.entries[key] = data
-		cache.mu.Unlock()
-	}
-	return fd
 }
 
 // statIdentity reports the file's (device, inode) identity and whether the
-// inode is shared between paths (hardlink count above one). Only shared
-// inodes go through the cache — they are the dedup store's doing and
-// guaranteed identical wherever they appear.
+// inode is shared between paths (hardlink count above one): only those can
+// turn up twice in one tree.
 func statIdentity(info os.FileInfo) (inodeKey, bool) {
 	if st, ok := info.Sys().(*syscall.Stat_t); ok {
 		return inodeKey{dev: uint64(st.Dev), ino: uint64(st.Ino)}, st.Nlink > 1

@@ -4,15 +4,26 @@ import (
 	"archive/tar"
 	"bytes"
 	"compress/gzip"
+	"errors"
+	"fmt"
 	"io"
+	"math/rand"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"pos/internal/compare"
 	"pos/internal/results"
 )
+
+// sharedCapture is above the store's 4 KiB dedup floor: the same bytes
+// under several runs are one inode.
+var sharedCapture = bytes.Repeat([]byte("0123456789abcdef"), 400)
 
 func sampleExperiment(t *testing.T) *results.Experiment {
 	t.Helper()
@@ -33,6 +44,9 @@ func sampleExperiment(t *testing.T) *results.Experiment {
 			t.Fatal(err)
 		}
 		if err := exp.AddRunArtifact(run, "loadgen", "moongen.log", []byte("log data")); err != nil {
+			t.Fatal(err)
+		}
+		if err := exp.AddRunArtifact(run, "dut", "capture.out", sharedCapture); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,20 +88,17 @@ func TestBuildManifest(t *testing.T) {
 	}
 }
 
-func TestArchiveRoundTrip(t *testing.T) {
-	exp := sampleExperiment(t)
-	var buf bytes.Buffer
-	m, err := Archive(exp, "linux-router", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gz, err := gzip.NewReader(&buf)
+// readArchive reads a release with the stdlib readers alone and returns the
+// entry names in order, every entry's content with hardlink entries resolved
+// to their target's, and the number of hardlink entries.
+func readArchive(t *testing.T, archive []byte) (names []string, contents map[string][]byte, links int) {
+	t.Helper()
+	gz, err := gzip.NewReader(bytes.NewReader(archive))
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr := tar.NewReader(gz)
-	var names []string
-	contents := map[string]string{}
+	contents = map[string][]byte{}
 	for {
 		hdr, err := tr.Next()
 		if err == io.EOF {
@@ -101,19 +112,157 @@ func TestArchiveRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		contents[hdr.Name] = string(data)
+		if hdr.Typeflag == tar.TypeLink {
+			links++
+			target, ok := contents[hdr.Linkname]
+			if !ok || len(data) != 0 {
+				t.Fatalf("link %s -> %s: target not archived before it, or link carries %d bytes", hdr.Name, hdr.Linkname, len(data))
+			}
+			data = target
+		}
+		contents[hdr.Name] = data
 	}
-	if len(names) != len(m.Files) {
-		t.Errorf("archive entries = %d, manifest = %d", len(names), len(m.Files))
+	return names, contents, links
+}
+
+func TestArchiveRoundTrip(t *testing.T) {
+	exp := sampleExperiment(t)
+	var buf bytes.Buffer
+	m, err := Archive(exp, "linux-router", &buf)
+	if err != nil {
+		t.Fatal(err)
 	}
+	names, contents, links := readArchive(t, buf.Bytes())
 	prefix := "linux-router-" + exp.ID() + "/"
-	for _, n := range names {
-		if !strings.HasPrefix(n, prefix) {
-			t.Errorf("entry %q not rooted at %q", n, prefix)
+	var want []string
+	for _, f := range m.Files {
+		want = append(want, prefix+f)
+	}
+	if !slices.Equal(names, want) {
+		t.Errorf("archive entries = %q, manifest = %q", names, want)
+	}
+	for _, f := range m.Files {
+		onDisk, err := os.ReadFile(filepath.Join(exp.Dir(), filepath.FromSlash(f)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(contents[prefix+f], onDisk) {
+			t.Errorf("%s: archived %d bytes differ from the store's %d", f, len(contents[prefix+f]), len(onDisk))
 		}
 	}
-	if got := contents[prefix+"experiment/measurement.sh"]; got != "moongen --rate $pkt_rate" {
-		t.Errorf("script content = %q", got)
+	// capture.out is one inode under three runs: bytes once, then links.
+	if links != 2 {
+		t.Errorf("hardlink entries = %d, want 2", links)
+	}
+}
+
+// sweepExperiment is a tree of several gzip members, shaped like a sweep's:
+// per run a unique ~16 KiB MoonGen log and ~16 KiB of latency samples (each
+// its own inode, though the blob pool gives it a second link), plus, when
+// shared, one capture repeated in every run.
+func sweepExperiment(t *testing.T, runs int, shared bool) *results.Experiment {
+	t.Helper()
+	store, err := results.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := store.CreateExperiment("user", "sweep", time.Date(2020, 10, 12, 11, 20, 32, 0, time.UTC))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { exp.Sync() })
+	rng := rand.New(rand.NewSource(7))
+	for run := 0; run < runs; run++ {
+		var log, latency bytes.Buffer
+		for log.Len() < 16<<10 {
+			tx := float64(rng.Intn(20000)) / 1e4
+			fmt.Fprintf(&log, "[Device: id=0] TX: %.4f Mpps, %.2f Mbit/s (%.2f Mbit/s with framing)\n", tx, tx*512, tx*672)
+		}
+		for latency.Len() < 16<<10 {
+			fmt.Fprintf(&latency, "%d\n", 9000+rng.Intn(30000))
+		}
+		err := exp.AddRunArtifact(run, "loadgen", "moongen.log", log.Bytes())
+		if err == nil {
+			err = exp.AddRunArtifact(run, "loadgen", "latency.csv", latency.Bytes())
+		}
+		if err == nil && shared {
+			err = exp.AddRunArtifact(run, "dut", "capture.out", sharedCapture)
+		}
+		if err == nil {
+			err = exp.WriteRunMeta(results.RunMeta{Run: run})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return exp
+}
+
+func TestArchiveDeterministic(t *testing.T) {
+	exp := sweepExperiment(t, 16, true)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var first []byte
+	for _, procs := range []int{1, 2, 8, 8} {
+		runtime.GOMAXPROCS(procs)
+		var buf bytes.Buffer
+		if _, err := Archive(exp, "sweep", &buf); err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = buf.Bytes()
+			if members := bytes.Count(first, []byte{0x1f, 0x8b, 8, 0, 0, 0, 0, 0}); members < 3 {
+				t.Fatalf("archive has about %d gzip members; the test needs several", members)
+			}
+		} else if !bytes.Equal(buf.Bytes(), first) {
+			t.Errorf("GOMAXPROCS %d: archive differs from the one written under GOMAXPROCS 1", procs)
+		}
+	}
+}
+
+func TestArchiveWithoutSharedInodes(t *testing.T) {
+	exp := sweepExperiment(t, 16, false)
+	var buf bytes.Buffer
+	if _, err := Archive(exp, "sweep", &buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, links := readArchive(t, buf.Bytes()); links != 0 {
+		t.Errorf("hardlink entries = %d in a tree without shared inodes", links)
+	}
+	gz, err := gzip.NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var single bytes.Buffer
+	zw := gzip.NewWriter(&single)
+	if _, err := io.Copy(zw, gz); err != nil {
+		t.Fatal(err)
+	}
+	zw.Close()
+	if got, limit := buf.Len(), single.Len()+single.Len()/50; got > limit {
+		t.Errorf("archive is %d bytes, a single-member gzip of the same tar %d: more than 2 %% apart", got, single.Len())
+	}
+}
+
+func TestReleaseExtractsWithTar(t *testing.T) {
+	tarBin, err := exec.LookPath("tar")
+	if err != nil {
+		t.Skip("no tar on PATH")
+	}
+	exp := sweepExperiment(t, 12, true)
+	dest := filepath.Join(t.TempDir(), "artifacts.tar.gz")
+	if _, err := Release(exp, "user", "sweep", dest); err != nil {
+		t.Fatal(err)
+	}
+	out := t.TempDir()
+	if msg, err := exec.Command(tarBin, "-xzf", dest, "-C", out).CombinedOutput(); err != nil {
+		t.Fatalf("tar -xzf: %v\n%s", err, msg)
+	}
+	diffs, err := compare.DiffExperiments(filepath.Join(out, "sweep-"+exp.ID()), exp.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diffs) != 0 {
+		t.Errorf("extracted tree differs from the experiment dir:\n%s", strings.Join(diffs, "\n"))
 	}
 }
 
@@ -167,5 +316,36 @@ func TestRelease(t *testing.T) {
 	fi, err := os.Stat(dest)
 	if err != nil || fi.Size() == 0 {
 		t.Errorf("archive missing or empty: %v", err)
+	}
+}
+
+// A release that fails part-way — here an artifact the manifest lists has
+// gone by the time it is read, after several members were compressed —
+// reports the error, leaves nothing at destPath or beside it, and every
+// goroutine it started (readers, compressors, emitter) has exited.
+func TestReleaseFailureLeavesNoArchive(t *testing.T) {
+	exp := sweepExperiment(t, 16, true)
+	if err := exp.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(exp.Dir(), "run_0015", "loadgen", "moongen.log")); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	dir := t.TempDir()
+	dest := filepath.Join(dir, "artifacts.tar.gz")
+	if _, err := Release(exp, "user", "sweep", dest); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Release error = %v, want the missing artifact's", err)
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Errorf("failed release left %q behind", left[0].Name())
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		stacks := make([]byte, 1<<16)
+		t.Errorf("%d goroutines before the release, %d after:\n%s", before, n, stacks[:runtime.Stack(stacks, true)])
 	}
 }
