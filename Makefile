@@ -7,10 +7,9 @@ verify:
 # Concurrency tier: the whole suite under the race detector, not a
 # hand-picked subset — every package that starts a goroutine is covered the
 # day it does. The scheduler tests deliberately hold >=2 runs in flight, the
-# fault-injection, sharded-timeline, work-stealing and publish paths all
-# synchronize across goroutines, and the root-package differential tests
-# hold the parallel data plane and the partitioned cross-shard chain to
-# byte-identical results while racing.
+# fault-injection, replica-sweep and publish paths all synchronize across
+# goroutines, and the root-package differential tests hold the parallel
+# replica sweep to its sequential twin, byte for byte, while racing.
 .PHONY: verify-race
 verify-race:
 	go build ./...
@@ -23,6 +22,9 @@ race: verify-race
 # The repository's one end-to-end benchmark (BENCHMARK.json, bench/README.md):
 # bench-e2e runs all four workloads, end-to-end pass then traced pass;
 # bench-smoke is its own test suite (digests, step partition, metric names).
+# bench/ is a module of its own that imports pos/internal/..., so `go test
+# ./...` never compiles it: bench-smoke rides in `make all` to catch a
+# root-module change that breaks it.
 .PHONY: bench-e2e
 bench-e2e:
 	bash bench/run.sh
@@ -49,24 +51,14 @@ bench-results:
 
 # Data-plane tier: the batched zero-alloc engine against the scalar
 # event-per-hop oracle — one plateau-rate run (allocs/op, allocs/train)
-# and the sharded sim-bound sweep (speedup_x, one shard per core).
+# and the sim-bound sweep dealt over one replica goroutine per core
+# (speedup_x).
 # Headline numbers are recorded next to the code in BENCH_dataplane.json.
 .PHONY: bench-dataplane
 bench-dataplane:
 	BENCH_RESULTS_OUT=$(CURDIR)/BENCH_dataplane.json \
 	go test -run NONE -bench 'BenchmarkDataPlane$$|BenchmarkDataPlaneSweep' \
 		-benchmem -benchtime 5x .
-
-# Cross-shard tier: the 8-router/4-cluster chain partitioned one cluster
-# per shard against its single-engine scalar oracle — speedup_x, the
-# batched-vs-sharded overhead ratio, and allocs/train across the lookahead
-# mailboxes. Headline numbers are recorded next to the code in
-# BENCH_xshard.json.
-.PHONY: bench-xshard
-bench-xshard:
-	BENCH_RESULTS_OUT=$(CURDIR)/BENCH_xshard.json \
-	go test -run NONE -bench BenchmarkCrossShardTopology \
-		-benchmem -benchtime 20x .
 
 # Queue tier: the multi-tenant campaign scheduler end to end — four
 # tenants flooding a four-node calendar with instant-launch campaigns, so
@@ -104,7 +96,7 @@ bench-eventlog:
 	go test -run NONE -bench BenchmarkEventlogOverhead -benchtime 3x .
 
 # Health-overhead tier: the 60-run vpos sweep with the full health stack
-# armed (runtime sampler, watchdog with the four standard probes) against
+# armed (runtime sampler, watchdog with the three standard probes) against
 # the same instrumented sweep bare. The median ratio is recorded in
 # BENCH_health.json; the budget is 5% — a supervisor that distorts the
 # experiment it supervises is worse than none.
@@ -151,4 +143,4 @@ lint:
 	@echo "lint clean"
 
 .PHONY: all
-all: verify race
+all: verify race bench-smoke

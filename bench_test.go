@@ -958,7 +958,7 @@ func BenchmarkDataPlaneSweep(b *testing.B) {
 			}
 		}()
 		start := time.Now()
-		if _, err := casestudy.ShardedSweep(topos, cfg, 0); err != nil {
+		if _, err := casestudy.ShardedSweep(topos, cfg); err != nil {
 			b.Fatal(err)
 		}
 		return time.Since(start)
@@ -1233,7 +1233,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 // instrumentation: the Appendix A sweep (60 measurement runs, vpos platform)
 // once bare — telemetry live, as every run ships — and once with the full
 // health stack armed on top: the runtime sampler polling runtime/metrics
-// every 100 ms, a watchdog ticking the four standard probes every 50 ms, and
+// every 100 ms, a watchdog ticking the three standard probes every 50 ms, and
 // per-run resources.json attribution (written on both sides, it is part of
 // the run path). Each timing covers several back-to-back sweeps so the
 // armed stack's tickers fire many times inside the measured window and
@@ -1250,7 +1250,6 @@ func BenchmarkHealthOverhead(b *testing.B) {
 			wd := pos.NewWatchdog(50 * time.Millisecond)
 			for _, p := range []pos.HealthProbe{
 				pos.CampaignProgressProbe(time.Minute),
-				pos.ShardProgressProbe(time.Minute),
 				pos.QueueStarvationProbe(10, time.Minute),
 				pos.EventDropProbe(1000, time.Minute),
 			} {

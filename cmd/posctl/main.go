@@ -189,9 +189,8 @@ func cmdRun(args []string) error {
 	quarantine := fs.Int("quarantine", 0, "quarantine a replica after this many consecutive failures (0: never)")
 	durable := fs.Bool("durable", false, "fsync result files and directories on every write")
 	chain := fs.Int("chain", 0, "router-chain topology: number of chained routers (0: the classic single-router case study)")
-	clusters := fs.Int("clusters", 0, "clusters the chain is split into by trunk links (default: one per shard)")
-	shards := fs.Int("shards", 0, "simulation shards the chain is partitioned across (default: clusters)")
-	scalarEngine := fs.Bool("scalar", false, "collapse the chain onto one scalar engine — the byte-identical oracle for -shards")
+	clusters := fs.Int("clusters", 0, "clusters the chain is split into by trunk links (default 2)")
+	scalarEngine := fs.Bool("scalar", false, "run the chain on the scalar event-per-hop engine — the byte-identical oracle for the batched default")
 	epoch := fs.String("epoch", "", "pin the workflow wall clock to this RFC3339 instant (and drop wall-time-dependent artifacts) so repeated runs publish byte-identical trees")
 	fs.Parse(args)
 
@@ -216,12 +215,12 @@ func cmdRun(args []string) error {
 	if *chain < 0 {
 		return fmt.Errorf("run: -chain must be >= 0, got %d", *chain)
 	}
-	if *chain == 0 && (*clusters > 0 || *shards > 0 || *scalarEngine) {
-		return fmt.Errorf("run: -clusters/-shards/-scalar require -chain")
+	if *chain == 0 && (*clusters > 0 || *scalarEngine) {
+		return fmt.Errorf("run: -clusters/-scalar require -chain")
 	}
 	if *chain > 0 && (*parallel > 1 || *retries > 1 || *quarantine > 0) {
-		// A partitioned chain already owns the shard group; campaign mode
-		// shards across replicas and cannot nest another group inside one.
+		// Campaign replicas are built by NewCaseStudyReplicas, which knows
+		// only the two-node rig: -chain would be silently ignored.
 		return fmt.Errorf("run: -chain is incompatible with -parallel/-retries/-quarantine")
 	}
 	var pinned time.Time
@@ -311,13 +310,15 @@ func cmdRun(args []string) error {
 		if *scalarEngine {
 			topoOpts = append(topoOpts, pos.WithScalarEngine())
 		}
+		if *clusters == 0 {
+			*clusters = 2 // ChainConfig's default, resolved here so it can be printed
+		}
 		topo, err = pos.NewCaseStudyChain(fl, pos.ChainConfig{
 			Routers:  *chain,
 			Clusters: *clusters,
-			Shards:   *shards,
 		}, topoOpts...)
 		if err == nil {
-			fmt.Printf("router chain: %d routers, partitioned across %d shard(s)\n", *chain, topo.Shards)
+			fmt.Printf("router chain: %d routers in %d cluster(s)\n", *chain, min(*clusters, *chain))
 		}
 	} else {
 		topo, err = pos.NewCaseStudy(fl, pos.WithSeed(*seed))
@@ -347,17 +348,12 @@ func cmdRun(args []string) error {
 		return err
 	}
 	fmt.Printf("%d runs complete (%d failed)\nresults: %s\n", sum.TotalRuns, sum.FailedRuns, sum.ResultsDir)
-	if topo.Group != nil {
-		fmt.Printf("cross-shard: %d injections carried, %d late (clamped), %d adaptive rounds\n",
-			topo.Group.CrossInjections(), topo.Group.LateInjections(), topo.Group.AdaptiveRounds())
-	}
 	return nil
 }
 
 // cmdDiff compares two experiment result trees byte for byte — the check
-// behind the cross-shard contract: the same experiment partitioned across
-// shards and collapsed onto one scalar engine must publish identical
-// artifacts.
+// behind the data-plane contract: the same experiment on the batched engine
+// and on the scalar oracle (-scalar) must publish identical artifacts.
 func cmdDiff(args []string) error {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
 	a := fs.String("a", "", "first experiment directory (required)")
@@ -653,7 +649,6 @@ func cmdServe(args []string) error {
 		dumpFlight("watchdog", ps.Name, ps.Detail)
 	})
 	wd.Register(pos.CampaignProgressProbe(2*time.Minute), nil)
-	wd.Register(pos.ShardProgressProbe(time.Minute), nil)
 	wd.Register(pos.QueueStarvationProbe(10, time.Minute), nil)
 	wd.Register(pos.EventDropProbe(1000, time.Minute), nil)
 	wd.Start()

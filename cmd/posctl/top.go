@@ -55,7 +55,6 @@ var topGauges = []string{
 	"pos_sched_inflight_runs",
 	"pos_sched_queue_depth",
 	"pos_queue_depth",
-	"pos_sim_shard_groups_active",
 	"pos_runtime_goroutines",
 	"pos_runtime_heap_bytes",
 	"pos_events_dropped_total",

@@ -1,7 +1,12 @@
 package pos_test
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
+	"runtime/pprof"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,8 +19,48 @@ import (
 // contract is byte-identical results against the scalar event-per-hop engine
 // it replaced. These differential tests hold it to that contract across the
 // paper's workloads — Fig. 3a (bare metal), Fig. 3b (seeded virtual), the
-// latency CDF samples, the full Appendix A workflow artifact tree, and the
-// sharded parallel sweep.
+// latency CDF samples, the full Appendix A workflow artifact tree — on the
+// two-node rig and on the multi-hop router chain, plus the parallel replica
+// sweep against its sequential twin.
+
+// builder constructs one topology; the differentials call it twice, once
+// plain (batched) and once with pos.WithScalarEngine appended.
+type builder func(opts ...pos.CaseStudyOption) (*pos.CaseStudy, error)
+
+func twoNode(flavor pos.Flavor, base ...pos.CaseStudyOption) builder {
+	return func(opts ...pos.CaseStudyOption) (*pos.CaseStudy, error) {
+		return pos.NewCaseStudy(flavor, append(base[:len(base):len(base)], opts...)...)
+	}
+}
+
+func chainOf(flavor pos.Flavor, cfg pos.ChainConfig, base ...pos.CaseStudyOption) builder {
+	return func(opts ...pos.CaseStudyOption) (*pos.CaseStudy, error) {
+		return pos.NewCaseStudyChain(flavor, cfg, append(base[:len(base):len(base)], opts...)...)
+	}
+}
+
+// The chains the differentials and the pinned digests run on: four clusters
+// of two bare-metal routers, and two clusters of two seeded virtual ones.
+var (
+	bareMetalChain = pos.ChainConfig{Routers: 8, Clusters: 4}
+	virtualChain   = pos.ChainConfig{Routers: 4, Clusters: 2}
+)
+
+// enginePair builds the batched topology and its scalar oracle.
+func enginePair(t *testing.T, build builder) (batched, scalar *pos.CaseStudy) {
+	t.Helper()
+	batched, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(batched.Close)
+	scalar, err = build(pos.WithScalarEngine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(scalar.Close)
+	return batched, scalar
+}
 
 // diffSweep runs the same measurement points on both topologies and fails on
 // the first field that differs.
@@ -38,58 +83,10 @@ func diffSweep(t *testing.T, batched, scalar *pos.CaseStudy, sizes []int, rates 
 	}
 }
 
-// TestBatchedMatchesScalarFigure3a sweeps the bare-metal router (Fig. 3a:
-// the 1.75 Mpps CPU plateau and the 1500 B line-rate ceiling) through both
-// engines.
-func TestBatchedMatchesScalarFigure3a(t *testing.T) {
-	batched, err := pos.NewCaseStudy(pos.BareMetal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer batched.Close()
-	scalar, err := pos.NewCaseStudy(pos.BareMetal, pos.WithScalarEngine())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer scalar.Close()
-	diffSweep(t, batched, scalar,
-		[]int{64, 1500},
-		[]float64{10_000, 150_000, 300_000, 1_000_000, 1_800_000, 2_200_000})
-}
-
-// TestBatchedMatchesScalarFigure3b sweeps the seeded virtual testbed
-// (Fig. 3b): jittered links keep the scalar delivery path, the software
-// clock adds timestamp noise, and overload sheds packets — all of it must
-// still agree bit for bit.
-func TestBatchedMatchesScalarFigure3b(t *testing.T) {
-	batched, err := pos.NewCaseStudy(pos.Virtual, pos.WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer batched.Close()
-	scalar, err := pos.NewCaseStudy(pos.Virtual, pos.WithSeed(7), pos.WithScalarEngine())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer scalar.Close()
-	diffSweep(t, batched, scalar,
-		[]int{64, 1500},
-		[]float64{20_000, 120_000, 250_000, 400_000})
-}
-
-// TestBatchedMatchesScalarLatencySamples compares the raw latency sample
-// streams — order and value — behind the paper's latency CDF.
-func TestBatchedMatchesScalarLatencySamples(t *testing.T) {
-	batched, err := pos.NewCaseStudy(pos.BareMetal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer batched.Close()
-	scalar, err := pos.NewCaseStudy(pos.BareMetal, pos.WithScalarEngine())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer scalar.Close()
+// diffLatencySamples compares the raw latency sample streams — order and
+// value — of one 64 B run and returns them.
+func diffLatencySamples(t *testing.T, batched, scalar *pos.CaseStudy) []float64 {
+	t.Helper()
 	got, err := batched.LatencySamples(64, 150_000, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +95,7 @@ func TestBatchedMatchesScalarLatencySamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
+	if len(got) != len(want) || len(got) == 0 {
 		t.Fatalf("sample counts differ: %d vs %d", len(got), len(want))
 	}
 	for i := range got {
@@ -106,19 +103,15 @@ func TestBatchedMatchesScalarLatencySamples(t *testing.T) {
 			t.Fatalf("sample %d differs: %v vs %v", i, got[i], want[i])
 		}
 	}
+	return got
 }
 
-// TestBatchedMatchesScalarWorkflowArtifacts executes the Appendix A workflow
-// end to end — control plane, measurement scripts, artifact uploads — on
-// both engines with a pinned wall clock, then diffs the two experiment
-// result trees byte for byte: metadata.json, moongen.log, router.stats,
-// every run directory.
-func TestBatchedMatchesScalarWorkflowArtifacts(t *testing.T) {
-	cfg := pos.SweepConfig{
-		Sizes:      []int{64, 1500},
-		RatesPPS:   []int{10_000, 300_000},
-		RuntimeSec: 1,
-	}
+// diffWorkflowArtifacts executes the full pos workflow — control plane,
+// measurement scripts, artifact uploads — on both engines with a pinned wall
+// clock, then diffs the two experiment result trees byte for byte:
+// metadata.json, moongen.log, router.stats, every run directory.
+func diffWorkflowArtifacts(t *testing.T, build builder, sweep pos.SweepConfig) {
+	t.Helper()
 	epoch := time.Date(2021, 10, 12, 11, 20, 32, 230471000, time.UTC)
 	// Span archiving is off for this test: spans.json records the order in
 	// which concurrent per-host goroutines opened spans — host scheduling,
@@ -126,7 +119,7 @@ func TestBatchedMatchesScalarWorkflowArtifacts(t *testing.T) {
 	telemetry.Default.SetEnabled(false)
 	defer telemetry.Default.SetEnabled(true)
 	runTree := func(opts ...pos.CaseStudyOption) string {
-		topo, err := pos.NewCaseStudy(pos.Virtual, append([]pos.CaseStudyOption{pos.WithSeed(3)}, opts...)...)
+		topo, err := build(opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +128,7 @@ func TestBatchedMatchesScalarWorkflowArtifacts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exp := topo.Experiment(cfg)
+		exp := topo.Experiment(sweep)
 		runner := topo.Testbed.Runner()
 		runner.Clock = func() time.Time { return epoch }
 		if _, err := runner.Run(context.Background(), exp, store); err != nil {
@@ -162,13 +155,145 @@ func TestBatchedMatchesScalarWorkflowArtifacts(t *testing.T) {
 	}
 }
 
+// TestBatchedMatchesScalarFigure3a sweeps the bare-metal router (Fig. 3a:
+// the 1.75 Mpps CPU plateau and the 1500 B line-rate ceiling) through both
+// engines.
+func TestBatchedMatchesScalarFigure3a(t *testing.T) {
+	batched, scalar := enginePair(t, twoNode(pos.BareMetal))
+	diffSweep(t, batched, scalar,
+		[]int{64, 1500},
+		[]float64{10_000, 150_000, 300_000, 1_000_000, 1_800_000, 2_200_000})
+}
+
+// TestBatchedMatchesScalarFigure3b sweeps the seeded virtual testbed
+// (Fig. 3b): jittered links keep the scalar delivery path, the software
+// clock adds timestamp noise, and overload sheds packets — all of it must
+// still agree bit for bit.
+func TestBatchedMatchesScalarFigure3b(t *testing.T) {
+	batched, scalar := enginePair(t, twoNode(pos.Virtual, pos.WithSeed(7)))
+	diffSweep(t, batched, scalar,
+		[]int{64, 1500},
+		[]float64{20_000, 120_000, 250_000, 400_000})
+}
+
+// TestBatchedMatchesScalarLatencySamples compares the raw latency sample
+// streams behind the paper's latency CDF.
+func TestBatchedMatchesScalarLatencySamples(t *testing.T) {
+	batched, scalar := enginePair(t, twoNode(pos.BareMetal))
+	diffLatencySamples(t, batched, scalar)
+}
+
+// TestBatchedMatchesScalarWorkflowArtifacts executes the Appendix A workflow
+// end to end on both engines and diffs the result trees.
+func TestBatchedMatchesScalarWorkflowArtifacts(t *testing.T) {
+	diffWorkflowArtifacts(t, twoNode(pos.Virtual, pos.WithSeed(3)), pos.SweepConfig{
+		Sizes:      []int{64, 1500},
+		RatesPPS:   []int{10_000, 300_000},
+		RuntimeSec: 1,
+	})
+}
+
+// TestChainBatchedMatchesScalar sweeps the eight-router bare-metal chain —
+// cut-through across nine links, four of them 2 ms trunks — and its scalar
+// oracle through identical measurement points.
+func TestChainBatchedMatchesScalar(t *testing.T) {
+	batched, scalar := enginePair(t, chainOf(pos.BareMetal, bareMetalChain))
+	diffSweep(t, batched, scalar,
+		[]int{64, 1500},
+		[]float64{10_000, 150_000, 300_000, 1_000_000, 1_800_000})
+}
+
+// TestChainBatchedMatchesScalarVirtual repeats the sweep on the seeded
+// virtual platform: every router's own jitter model must replay identically
+// on both engines.
+func TestChainBatchedMatchesScalarVirtual(t *testing.T) {
+	batched, scalar := enginePair(t, chainOf(pos.Virtual, virtualChain, pos.WithSeed(7)))
+	diffSweep(t, batched, scalar, []int{64}, []float64{20_000, 120_000, 250_000})
+}
+
+// TestChainBatchedMatchesScalarLatencySamples compares the raw latency
+// sample streams across the multi-hop path, and checks the trunks are really
+// on it: no packet can cross four 2 ms trunks in under 8 ms.
+func TestChainBatchedMatchesScalarLatencySamples(t *testing.T) {
+	batched, scalar := enginePair(t, chainOf(pos.BareMetal, bareMetalChain))
+	samples := diffLatencySamples(t, batched, scalar)
+	trunks := float64(4 * 2 * time.Millisecond)
+	for i, ns := range samples {
+		if ns < trunks {
+			t.Fatalf("sample %d is %v ns, below the %v ns the four trunks alone take", i, ns, trunks)
+		}
+	}
+}
+
+// TestChainBatchedMatchesScalarWorkflowArtifacts runs the full pos workflow
+// against the virtual chain on both engines and diffs the result trees.
+func TestChainBatchedMatchesScalarWorkflowArtifacts(t *testing.T) {
+	diffWorkflowArtifacts(t, chainOf(pos.Virtual, virtualChain, pos.WithSeed(3)), pos.SweepConfig{
+		Sizes:      []int{64},
+		RatesPPS:   []int{10_000, 300_000},
+		RuntimeSec: 1,
+	})
+}
+
+// TestChainPinnedDigests pins the chain's results to constants recorded at
+// commit fc33186, when the same chains ran partitioned across four (bare
+// metal) and two (virtual) engines under a shard synchronizer: SHA-256 over
+// fmt.Sprintf("%v") of the sweep points followed, on bare metal, by the raw
+// latency samples of one more run on the same topology. The single-timeline
+// chain must keep producing exactly those bytes.
+func TestChainPinnedDigests(t *testing.T) {
+	digest := func(build builder, sizes []int, rates []float64, latency bool) string {
+		topo, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer topo.Close()
+		var points []pos.RunPoint
+		for _, size := range sizes {
+			for _, rate := range rates {
+				pt, err := topo.DirectRun(size, rate, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				points = append(points, pt)
+			}
+		}
+		h := sha256.New()
+		fmt.Fprintf(h, "%v", points)
+		if latency {
+			samples, err := topo.LatencySamples(64, 150_000, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(samples) == 0 {
+				t.Fatal("no latency samples")
+			}
+			fmt.Fprintf(h, "%v", samples)
+		}
+		return fmt.Sprintf("%x", h.Sum(nil))
+	}
+	const (
+		bareMetalWant = "e7c3d17f6909e33475986e2ba6129f41ad840805f4b97ee869e4f7c7c407448d"
+		virtualWant   = "5d93d93e06cd9f6b5c880a83742b0ef4ae5be3db821df8fb9150c5dea3e680a8"
+	)
+	if got := digest(chainOf(pos.BareMetal, bareMetalChain),
+		[]int{64, 1500}, []float64{10_000, 150_000, 300_000, 1_000_000, 1_800_000}, true); got != bareMetalWant {
+		t.Errorf("bare-metal chain digest %s, pinned %s", got, bareMetalWant)
+	}
+	if got := digest(chainOf(pos.Virtual, virtualChain, pos.WithSeed(7)),
+		[]int{64}, []float64{20_000, 120_000, 250_000}, false); got != virtualWant {
+		t.Errorf("virtual chain digest %s, pinned %s", got, virtualWant)
+	}
+}
+
 // TestShardedSweepMatchesSequential runs the same sweep once through the
-// parallel sharded executor and once sequentially on identically built
-// replicas, asserting point-for-point equality in campaign order.
+// parallel executor and once sequentially on identically built replicas,
+// asserting point-for-point equality in campaign order. Eight points over
+// three replicas: the deal does not come out even.
 func TestShardedSweepMatchesSequential(t *testing.T) {
 	cfg := pos.SweepConfig{
 		Sizes:      []int{64, 1500},
-		RatesPPS:   []int{20_000, 120_000, 250_000},
+		RatesPPS:   []int{20_000, 120_000, 250_000, 400_000},
 		RuntimeSec: 1,
 	}
 	const n = 3
@@ -177,33 +302,31 @@ func TestShardedSweepMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() {
+			for _, topo := range topos {
+				topo.Close()
+			}
+		})
 		return topos
 	}
-	sharded := build()
-	got, err := pos.ShardedSweep(sharded, cfg, 0)
+	got, err := pos.ShardedSweep(build(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, topo := range sharded {
-		topo.Close()
-	}
 
 	// Sequential oracle: each replica runs its round-robin subsequence of
-	// the campaign-order point list, exactly as the shard driver does.
-	seq := build()
-	defer func() {
-		for _, topo := range seq {
-			topo.Close()
-		}
-	}()
+	// the campaign-order point list, exactly as ShardedSweep deals it.
 	var pts [][2]float64
 	for _, size := range cfg.Sizes {
 		for _, rate := range cfg.RatesPPS {
 			pts = append(pts, [2]float64{float64(size), float64(rate)})
 		}
 	}
+	if len(pts)%n == 0 {
+		t.Fatalf("%d points divide evenly over %d replicas; the test wants a remainder", len(pts), n)
+	}
 	want := make([]pos.RunPoint, len(pts))
-	for i, topo := range seq {
+	for i, topo := range build() {
 		for p := i; p < len(pts); p += n {
 			pt, err := topo.DirectRun(int(pts[p][0]), pts[p][1], cfg.RuntimeSec)
 			if err != nil {
@@ -218,6 +341,45 @@ func TestShardedSweepMatchesSequential(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("point %d differs: sharded %+v != sequential %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestShardedSweepReportsInvalidPoint: a sweep holding a frame size no
+// template can build (20 B is below the headers) comes back as that error —
+// no hang, no panic, and every replica goroutine gone by the time
+// ShardedSweep returns.
+func TestShardedSweepReportsInvalidPoint(t *testing.T) {
+	topos, err := pos.NewCaseStudyReplicas(pos.Virtual, 2, pos.WithSeed(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, topo := range topos {
+			topo.Close()
+		}
+	}()
+	points, err := pos.ShardedSweep(topos, pos.SweepConfig{
+		Sizes:      []int{64, 20},
+		RatesPPS:   []int{20_000, 120_000, 250_000},
+		RuntimeSec: 1,
+	})
+	if err == nil || !strings.Contains(err.Error(), "frame size 20") {
+		t.Fatalf("sweep with a 20 B frame returned %d points, err %v", len(points), err)
+	}
+	// The replica goroutines have all passed wg.Done; give their exit a
+	// moment to show in the profile.
+	var stacks bytes.Buffer
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		stacks.Reset()
+		if err := pprof.Lookup("goroutine").WriteTo(&stacks, 1); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(stacks.String(), "casestudy.ShardedSweep") {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("a sweep goroutine outlived ShardedSweep:\n%s", stacks.String())
 		}
 	}
 }

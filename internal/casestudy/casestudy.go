@@ -16,6 +16,7 @@ package casestudy
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 
@@ -46,31 +47,21 @@ const (
 )
 
 // Topology is the running rig: the classic two-node pair of the case study,
-// or a partitioned multi-hop chain (NewChain) whose devices spread across the
-// shards of a sim.ShardGroup.
+// or a multi-hop router chain (NewChain). Either way the whole data plane —
+// generator, links, every router — lives on one engine, one timeline.
 type Topology struct {
 	Flavor  Flavor
 	Testbed *testbed.Testbed
-	// Engine is the load generator's engine — the only engine of a
-	// single-shard topology, one of several in a partitioned one.
-	Engine *sim.Engine
-	// Group is the shard group driving a partitioned topology; nil when
-	// the whole data plane lives on one engine.
-	Group *sim.ShardGroup
-	Gen   *loadgen.Generator
+	Engine  *sim.Engine
+	Gen     *loadgen.Generator
 	// Router is the first hop (the DuT of the two-node rig); Routers holds
 	// every forwarding device, in path order.
-	Router  *router.Router
-	Routers []*router.Router
-	// Shards is how many engines the data plane was partitioned across.
-	Shards   int
+	Router   *router.Router
+	Routers  []*router.Router
 	LoadGen  string // node name playing the load generator
 	DuT      string // node name playing the device under test
 	template func(frameSize int) packet.UDPTemplate
 	expName  string // experiment definition name
-	// drive advances the data plane to quiescence: Engine.Run on a single
-	// shard, ShardGroup.Run plus clock alignment on a partitioned one.
-	drive func() error
 	// minGrace floors RunConfig.DrainGrace at the topology's end-to-end
 	// path delay so in-flight packets on long trunks are not misread as
 	// loss when the caller leaves the grace defaulted.
@@ -175,8 +166,66 @@ func newTopology(flavor Flavor, seedOffset uint64, opts ...Option) (*Topology, e
 		opt(&o)
 	}
 	o.seed += seedOffset
+	return newRig(flavor, o, func(topo *Topology) error {
+		engine, gen := topo.Engine, topo.Gen
+		hw := flavor == BareMetal
+		var model perfmodel.Model
+		if hw {
+			model = perfmodel.NewBareMetal()
+		} else {
+			model = perfmodel.NewVirtual(o.seed)
+		}
+		rt, err := router.New(engine, router.Config{
+			Name:               "dut",
+			Model:              model,
+			HardwareTimestamps: hw,
+		})
+		if err != nil {
+			return err
+		}
+		rt.SetForwarding(false) // setup script must enable routing
 
+		link := netem.LinkConfig{RateBitsPerSec: 10e9}
+		if o.switched {
+			// Each cable runs through its own 2-port cross-connect, the way
+			// an L1/L2 switch would patch the topology. A single shared L2
+			// switch would be wrong here: the emulated Linux router forwards
+			// frames without rewriting MACs, so one broadcast domain across
+			// both router ports would flood and loop.
+			swA := netem.NewSwitch(engine, "swA", 2, o.switchDelay)
+			swB := netem.NewSwitch(engine, "swB", 2, o.switchDelay)
+			netem.Wire(engine, gen.TxPort(), swA.Port(0), link)
+			netem.Wire(engine, swA.Port(1), rt.Port(0), link)
+			netem.Wire(engine, rt.Port(1), swB.Port(0), link)
+			netem.Wire(engine, swB.Port(1), gen.RxPort(), link)
+		} else {
+			// pos wiring: direct, non-switched connections (R2).
+			netem.Wire(engine, gen.TxPort(), rt.Port(0), link)
+			netem.Wire(engine, rt.Port(1), gen.RxPort(), link)
+		}
+
+		topo.Router = rt
+		topo.Routers = []*router.Router{rt}
+		topo.expName = "linux-router-" + string(flavor)
+		if o.faults != nil {
+			topo.Faults = sim.NewFaultInjector(o.faults)
+		}
+		return nil
+	})
+}
+
+// newRig builds what every topology starts from — testbed, OS image, the two
+// pos nodes, one engine, the load generator — and hands the half-built
+// topology to wire, which adds the routers and cabling and names the
+// experiment. Any failure after the testbed exists closes it, so a failed
+// build leaks no control-plane listener.
+func newRig(flavor Flavor, o options, wire func(*Topology) error) (topo *Topology, err error) {
 	tb := testbed.New()
+	defer func() {
+		if err != nil {
+			tb.Close()
+		}
+	}()
 	if err := tb.Images.Add(image.DefaultDebianBuster()); err != nil {
 		return nil, err
 	}
@@ -191,64 +240,24 @@ func newTopology(flavor Flavor, seedOffset uint64, opts ...Option) (*Topology, e
 
 	engine := sim.NewEngine()
 	engine.SetBatching(!o.scalar)
-	hw := flavor == BareMetal
-	var model perfmodel.Model
-	if hw {
-		model = perfmodel.NewBareMetal()
-	} else {
-		model = perfmodel.NewVirtual(o.seed)
-	}
-	rt, err := router.New(engine, router.Config{
-		Name:               "dut",
-		Model:              model,
-		HardwareTimestamps: hw,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rt.SetForwarding(false) // setup script must enable routing
 	var gen *loadgen.Generator
 	if o.profile != nil {
 		gen = loadgen.NewWithProfile(engine, "loadgen", *o.profile)
 	} else {
-		gen = loadgen.New(engine, "loadgen", hw)
+		gen = loadgen.New(engine, "loadgen", flavor == BareMetal)
 	}
 
-	link := netem.LinkConfig{RateBitsPerSec: 10e9}
-	if o.switched {
-		// Each cable runs through its own 2-port cross-connect, the way
-		// an L1/L2 switch would patch the topology. A single shared L2
-		// switch would be wrong here: the emulated Linux router forwards
-		// frames without rewriting MACs, so one broadcast domain across
-		// both router ports would flood and loop.
-		swA := netem.NewSwitch(engine, "swA", 2, o.switchDelay)
-		swB := netem.NewSwitch(engine, "swB", 2, o.switchDelay)
-		netem.Wire(engine, gen.TxPort(), swA.Port(0), link)
-		netem.Wire(engine, swA.Port(1), rt.Port(0), link)
-		netem.Wire(engine, rt.Port(1), swB.Port(0), link)
-		netem.Wire(engine, swB.Port(1), gen.RxPort(), link)
-	} else {
-		// pos wiring: direct, non-switched connections (R2).
-		netem.Wire(engine, gen.TxPort(), rt.Port(0), link)
-		netem.Wire(engine, rt.Port(1), gen.RxPort(), link)
-	}
-
-	topo := &Topology{
+	topo = &Topology{
 		Flavor:   flavor,
 		Testbed:  tb,
 		Engine:   engine,
 		Gen:      gen,
-		Router:   rt,
-		Routers:  []*router.Router{rt},
-		Shards:   1,
 		LoadGen:  "vriga",
 		DuT:      "vtartu",
-		expName:  "linux-router-" + string(flavor),
-		drive:    engine.Run,
 		template: defaultTemplate,
 	}
-	if o.faults != nil {
-		topo.Faults = sim.NewFaultInjector(o.faults)
+	if err := wire(topo); err != nil {
+		return nil, err
 	}
 	lgHandle.OnBoot(topo.installLoadGenTools)
 	dutHandle.OnBoot(topo.installDuTTools)
@@ -298,13 +307,12 @@ func (t *Topology) ResetRouterStats() {
 }
 
 // runMeasurement executes one measurement run against the data plane,
-// driving whichever engine arrangement the topology uses and flooring the
-// drain grace at the topology's path delay.
+// flooring the drain grace at the topology's path delay.
 func (t *Topology) runMeasurement(cfg loadgen.RunConfig) (loadgen.RunResult, error) {
 	if cfg.DrainGrace == 0 && t.minGrace > loadgen.DefaultDrainGrace {
 		cfg.DrainGrace = t.minGrace
 	}
-	return t.Gen.RunOn(cfg, t.drive)
+	return t.Gen.Run(cfg)
 }
 
 // SetFaults arms (or disarms, with nil) the topology's fault schedule after
@@ -398,6 +406,9 @@ type moonGenConfig struct {
 	frameSize int
 }
 
+// maxRunSeconds is the longest --time a sim.Duration can hold (~292 years).
+const maxRunSeconds = float64(math.MaxInt64 / int64(sim.Second))
+
 // parseMoonGenArgs understands the flags the measurement script passes:
 // --rate <pps> --size <frame bytes> --time <seconds>.
 func parseMoonGenArgs(args []string) (moonGenConfig, error) {
@@ -426,8 +437,10 @@ func parseMoonGenArgs(args []string) (moonGenConfig, error) {
 			cfg.frameSize = s
 		case "--time":
 			sec, err := strconv.ParseFloat(val, 64)
-			if err != nil || sec <= 0 {
-				return cfg, fmt.Errorf("moongen: bad time %q", val)
+			// Negated so NaN fails too; the upper bound keeps the
+			// nanosecond conversion below inside an int64.
+			if err != nil || !(sec > 0 && sec <= maxRunSeconds) {
+				return cfg, fmt.Errorf("moongen: bad --time %q", val)
 			}
 			seconds = sec
 		default:

@@ -3,7 +3,9 @@ package casestudy
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"net"
 	"sort"
 	"strings"
 	"testing"
@@ -370,6 +372,35 @@ func TestSwitchedTopologyAblation(t *testing.T) {
 
 func netemCutThrough() sim.Duration { return 300 * sim.Nanosecond }
 
+// TestFailedBuildClosesTestbed: a topology constructor that fails after its
+// nodes exist must take their control-plane listeners down with it.
+func TestFailedBuildClosesTestbed(t *testing.T) {
+	var addrs []string
+	wiring := errors.New("wiring failed")
+	topo, err := newRig(Virtual, options{seed: 1}, func(topo *Topology) error {
+		for _, name := range topo.Testbed.Nodes() {
+			h, err := topo.Testbed.Handle(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			addrs = append(addrs, h.BMCAddr(), h.ShellAddr())
+		}
+		return wiring
+	})
+	if topo != nil || !errors.Is(err, wiring) {
+		t.Fatalf("newRig = %v, %v; want the wiring error", topo, err)
+	}
+	if len(addrs) != 4 {
+		t.Fatalf("saw %d control-plane addresses, want 4", len(addrs))
+	}
+	for _, addr := range addrs {
+		if c, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+			c.Close()
+			t.Errorf("%s still accepts connections after the failed build", addr)
+		}
+	}
+}
+
 func TestMoonGenArgParsing(t *testing.T) {
 	cfg, err := parseMoonGenArgs([]string{"--rate", "10000", "--size", "1500", "--time", "2"})
 	if err != nil {
@@ -378,18 +409,46 @@ func TestMoonGenArgParsing(t *testing.T) {
 	if cfg.RatePPS != 10000 || cfg.frameSize != 1500 || cfg.Duration != 2*sim.Second {
 		t.Errorf("cfg = %+v", cfg)
 	}
+	// moongen is what the command does with its arguments: parse, then
+	// measure. Whichever half refuses, the invocation must fail — never
+	// come back as a successful run that transmitted nothing.
+	topo, err := New(BareMetal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer topo.Close()
+	moongen := func(args []string) error {
+		cfg, err := parseMoonGenArgs(args)
+		if err != nil {
+			return err
+		}
+		cfg.Template = topo.template(cfg.frameSize)
+		_, err = topo.runMeasurement(cfg.RunConfig)
+		return err
+	}
 	for _, bad := range [][]string{
-		{},                              // missing rate
-		{"--rate"},                      // missing value
-		{"--rate", "x"},                 // bad rate
-		{"--rate", "-5"},                // negative rate
-		{"--rate", "1", "--size", "x"},  // bad size
-		{"--rate", "1", "--time", "0"},  // bad time
-		{"--rate", "1", "--bogus", "2"}, // unknown flag
+		{},                                 // missing rate
+		{"--rate"},                         // missing value
+		{"--rate", "x"},                    // bad rate
+		{"--rate", "-5"},                   // negative rate
+		{"--rate", "NaN"},                  // not a rate
+		{"--rate", "Inf"},                  // infinite rate
+		{"--rate", "1e300"},                // per-tick train past int64
+		{"--rate", "1", "--size", "x"},     // bad size
+		{"--rate", "1", "--time", "0"},     // bad time
+		{"--rate", "1", "--time", "NaN"},   // not a time
+		{"--rate", "1", "--time", "Inf"},   // infinite time
+		{"--rate", "1", "--time", "1e300"}, // past what a sim.Duration holds
+		{"--rate", "1", "--bogus", "2"},    // unknown flag
 	} {
-		if _, err := parseMoonGenArgs(bad); err == nil {
+		if err := moongen(bad); err == nil {
 			t.Errorf("args %v accepted", bad)
 		}
+	}
+	// A bad --time is refused by name, not passed on to surface as a
+	// wrapped-around "non-positive duration".
+	if _, err := parseMoonGenArgs([]string{"--rate", "1", "--time", "NaN"}); err == nil || !strings.Contains(err.Error(), "--time") {
+		t.Errorf("--time NaN: err = %v, want one naming --time", err)
 	}
 }
 

@@ -3,39 +3,31 @@ package casestudy
 import (
 	"fmt"
 
-	"pos/internal/image"
 	"pos/internal/loadgen"
 	"pos/internal/netem"
-	"pos/internal/partition"
 	"pos/internal/perfmodel"
 	"pos/internal/router"
 	"pos/internal/sim"
-	"pos/internal/testbed"
 )
 
 // ChainConfig parameterizes the multi-hop router chain topology: the load
 // generator feeds router 1, each router forwards to the next, and the last
 // router returns traffic to the generator's RX port. Routers group into
-// contiguous clusters joined by slow trunk links; the trunks are the only
-// links the partitioner may cut, so their propagation delay becomes the
-// cross-shard lookahead.
+// contiguous clusters joined by slow trunk links. Clusters are topology —
+// where the long links sit — not placement: the whole chain runs on one
+// engine.
 type ChainConfig struct {
 	// Routers is the chain length (default 4).
 	Routers int
 	// Clusters is how many contiguous router groups the chain forms
-	// (default Shards, or 2 when Shards is unset). Trunk links sit at the
-	// cluster boundaries and on the return path.
+	// (default 2, at most Routers). Trunk links sit at the cluster
+	// boundaries and on the return path.
 	Clusters int
-	// Shards is the partition target (default Clusters). WithScalarEngine
-	// forces a single shard without changing any link delay, so the scalar
-	// run remains the byte-identical oracle for the partitioned one.
-	Shards int
 	// HopDelay is the propagation delay of intra-cluster links
 	// (default 5 µs — patch cables inside one rack).
 	HopDelay sim.Duration
 	// TrunkDelay is the propagation delay of cluster-boundary trunks and
-	// the return link (default 2 ms — the inter-site fibre whose latency
-	// buys the synchronizer its lookahead).
+	// the return link (default 2 ms — inter-site fibre).
 	TrunkDelay sim.Duration
 }
 
@@ -43,15 +35,8 @@ func (c *ChainConfig) setDefaults() {
 	if c.Routers <= 0 {
 		c.Routers = 4
 	}
-	if c.Shards <= 0 {
-		if c.Clusters > 0 {
-			c.Shards = c.Clusters
-		} else {
-			c.Shards = 2
-		}
-	}
 	if c.Clusters <= 0 {
-		c.Clusters = c.Shards
+		c.Clusters = 2
 	}
 	if c.Clusters > c.Routers {
 		c.Clusters = c.Routers
@@ -64,25 +49,19 @@ func (c *ChainConfig) setDefaults() {
 	}
 }
 
-// chainSeedStride derives per-router VM jitter seeds from the topology seed.
-// Seeds depend only on the router's position, never on shard placement, so a
-// partitioned run and the scalar oracle drive identical model sequences.
+// chainSeedStride derives per-router VM jitter seeds from the topology seed:
+// a router's seed depends only on its position in the chain.
 const chainSeedStride = 0x9E3779B97F4A7C15
 
-// NewChain builds the multi-hop chain topology, partitions it across shards
-// with the latency-aware partitioner, and wires cut links through cross-shard
-// mailboxes. With one shard (or WithScalarEngine) the identical chain runs on
-// a single engine — the differential-test oracle.
+// NewChain builds the multi-hop chain topology on one engine, cabled with
+// netem.Wire exactly like the two-node rig. WithScalarEngine runs the
+// identical chain event-per-hop — the differential-test oracle.
 func NewChain(flavor Flavor, cc ChainConfig, opts ...Option) (*Topology, error) {
 	o := options{seed: 1}
 	for _, opt := range opts {
 		opt(&o)
 	}
 	cc.setDefaults()
-	shardTarget := cc.Shards
-	if o.scalar {
-		shardTarget = 1
-	}
 
 	// Cluster assignment: contiguous blocks, sizes as even as possible.
 	clusterOf := make([]int, cc.Routers) // router index (0-based) -> cluster
@@ -98,141 +77,53 @@ func NewChain(flavor Flavor, cc ChainConfig, opts ...Option) (*Topology, error) 
 			c, fill = c+1, 0
 		}
 	}
-	rname := func(i int) string { return fmt.Sprintf("r%d", i+1) }
-
-	// The partition graph mirrors the wiring below edge for edge.
-	g := partition.Graph{Nodes: []partition.Node{{Name: "gen"}}}
-	for i := 0; i < cc.Routers; i++ {
-		g.Nodes = append(g.Nodes, partition.Node{Name: rname(i)})
-	}
 	linkDelay := func(a, b int) sim.Duration {
 		if clusterOf[a] != clusterOf[b] {
 			return cc.TrunkDelay
 		}
 		return cc.HopDelay
 	}
-	g.Edges = append(g.Edges, partition.Edge{A: "gen", B: rname(0), RateBitsPerSec: 10e9, Latency: cc.HopDelay})
-	for i := 0; i+1 < cc.Routers; i++ {
-		g.Edges = append(g.Edges, partition.Edge{A: rname(i), B: rname(i + 1), RateBitsPerSec: 10e9, Latency: linkDelay(i, i+1)})
-	}
-	g.Edges = append(g.Edges, partition.Edge{A: rname(cc.Routers - 1), B: "gen", RateBitsPerSec: 10e9, Latency: cc.TrunkDelay})
 
-	asg, err := partition.Partition(g, partition.Config{Shards: shardTarget, MinLookahead: cc.TrunkDelay})
-	if err != nil {
-		return nil, fmt.Errorf("casestudy: partitioning chain: %w", err)
-	}
-
-	tb := testbed.New()
-	if err := tb.Images.Add(image.DefaultDebianBuster()); err != nil {
-		return nil, err
-	}
-	lgHandle, err := tb.AddNode("vriga")
-	if err != nil {
-		return nil, err
-	}
-	dutHandle, err := tb.AddNode("vtartu")
-	if err != nil {
-		return nil, err
-	}
-
-	engines := make([]*sim.Engine, asg.Shards)
-	for i := range engines {
-		engines[i] = sim.NewEngine()
-		engines[i].SetBatching(!o.scalar)
-	}
-	var group *sim.ShardGroup
-	var shards []*sim.Shard
-	if asg.Shards > 1 {
-		group = sim.NewShardGroup(0)
-		for _, e := range engines {
-			shards = append(shards, group.AddEngine(e, nil))
-		}
-	}
-	engOf := func(name string) *sim.Engine { return engines[asg.Shard[name]] }
-
-	hw := flavor == BareMetal
-	routers := make([]*router.Router, cc.Routers)
-	for i := range routers {
-		var model perfmodel.Model
-		if hw {
-			model = perfmodel.NewBareMetal()
-		} else {
-			model = perfmodel.NewVirtual(o.seed + uint64(i)*chainSeedStride)
-		}
-		rt, err := router.New(engOf(rname(i)), router.Config{
-			Name:               rname(i),
-			Model:              model,
-			HardwareTimestamps: hw,
-		})
-		if err != nil {
-			return nil, err
-		}
-		rt.SetForwarding(false) // setup script must enable routing
-		routers[i] = rt
-	}
-	var gen *loadgen.Generator
-	if o.profile != nil {
-		gen = loadgen.NewWithProfile(engOf("gen"), "loadgen", *o.profile)
-	} else {
-		gen = loadgen.New(engOf("gen"), "loadgen", hw)
-	}
-
-	wire := func(a, b *netem.Port, na, nb string, delay sim.Duration) error {
-		cfg := netem.LinkConfig{RateBitsPerSec: 10e9, PropagationDelay: delay}
-		sa, sb := asg.Shard[na], asg.Shard[nb]
-		if group == nil || sa == sb {
-			netem.Wire(engines[sa], a, b, cfg)
-			return nil
-		}
-		_, err := netem.WireCross(a, b, shards[sa], shards[sb], cfg)
-		return err
-	}
-	if err := wire(gen.TxPort(), routers[0].Port(0), "gen", rname(0), cc.HopDelay); err != nil {
-		return nil, err
-	}
-	pathDelay := cc.HopDelay
-	for i := 0; i+1 < cc.Routers; i++ {
-		d := linkDelay(i, i+1)
-		if err := wire(routers[i].Port(1), routers[i+1].Port(0), rname(i), rname(i+1), d); err != nil {
-			return nil, err
-		}
-		pathDelay += d
-	}
-	if err := wire(routers[cc.Routers-1].Port(1), gen.RxPort(), rname(cc.Routers-1), "gen", cc.TrunkDelay); err != nil {
-		return nil, err
-	}
-	pathDelay += cc.TrunkDelay
-
-	drive := engines[asg.Shard["gen"]].Run
-	if group != nil {
-		drive = func() error {
-			if err := group.Run(); err != nil {
+	return newRig(flavor, o, func(topo *Topology) error {
+		engine, gen := topo.Engine, topo.Gen
+		hw := flavor == BareMetal
+		routers := make([]*router.Router, cc.Routers)
+		for i := range routers {
+			var model perfmodel.Model
+			if hw {
+				model = perfmodel.NewBareMetal()
+			} else {
+				model = perfmodel.NewVirtual(o.seed + uint64(i)*chainSeedStride)
+			}
+			rt, err := router.New(engine, router.Config{
+				Name:               fmt.Sprintf("r%d", i+1),
+				Model:              model,
+				HardwareTimestamps: hw,
+			})
+			if err != nil {
 				return err
 			}
-			// Realign the shard clocks so the next run starts where a
-			// single-engine run would have left its one clock.
-			group.AlignClocks()
-			return nil
+			rt.SetForwarding(false) // setup script must enable routing
+			routers[i] = rt
 		}
-	}
 
-	topo := &Topology{
-		Flavor:   flavor,
-		Testbed:  tb,
-		Engine:   engOf("gen"),
-		Group:    group,
-		Gen:      gen,
-		Router:   routers[0],
-		Routers:  routers,
-		Shards:   asg.Shards,
-		LoadGen:  "vriga",
-		DuT:      "vtartu",
-		expName:  "router-chain-" + string(flavor),
-		drive:    drive,
-		minGrace: pathDelay + loadgen.DefaultDrainGrace,
-		template: defaultTemplate,
-	}
-	lgHandle.OnBoot(topo.installLoadGenTools)
-	dutHandle.OnBoot(topo.installDuTTools)
-	return topo, nil
+		wire := func(a, b *netem.Port, delay sim.Duration) {
+			netem.Wire(engine, a, b, netem.LinkConfig{RateBitsPerSec: 10e9, PropagationDelay: delay})
+		}
+		wire(gen.TxPort(), routers[0].Port(0), cc.HopDelay)
+		pathDelay := cc.HopDelay
+		for i := 0; i+1 < cc.Routers; i++ {
+			d := linkDelay(i, i+1)
+			wire(routers[i].Port(1), routers[i+1].Port(0), d)
+			pathDelay += d
+		}
+		wire(routers[cc.Routers-1].Port(1), gen.RxPort(), cc.TrunkDelay)
+		pathDelay += cc.TrunkDelay
+
+		topo.Router = routers[0]
+		topo.Routers = routers
+		topo.expName = "router-chain-" + string(flavor)
+		topo.minGrace = pathDelay + loadgen.DefaultDrainGrace
+		return nil
+	})
 }

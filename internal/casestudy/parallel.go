@@ -3,9 +3,7 @@ package casestudy
 import (
 	"errors"
 	"fmt"
-
-	"pos/internal/loadgen"
-	"pos/internal/sim"
+	"sync"
 )
 
 // SweepPoints flattens a sweep into its (size, rate) measurement points in
@@ -21,25 +19,18 @@ func SweepPoints(cfg SweepConfig) [][2]float64 {
 	return pts
 }
 
-// ShardedSweep runs every point of the sweep, partitioned round-robin across
-// the replica topologies (built with NewReplicas) and executed in parallel
-// on a sim.ShardGroup — one shard per replica timeline. Results come back in
-// campaign order regardless of sharding.
+// ShardedSweep runs every point of the sweep, dealt round-robin across the
+// replica topologies (built with NewReplicas) and executed in parallel, one
+// goroutine per replica. Results come back in campaign order regardless of
+// the dealing.
 //
-// Each shard's subsequence is exactly what sequential DirectRun calls on
-// that replica would produce: the shard driver chains runs back-to-back on
-// the replica's own engine, so determinism is per-replica, independent of
-// GOMAXPROCS and scheduling. window > 0 selects conservative time-window
-// synchronization (useful when shards exchange traffic); 0 lets these
-// independent timelines free-run.
-func ShardedSweep(topos []*Topology, cfg SweepConfig, window sim.Duration) ([]RunPoint, error) {
+// Each replica's subsequence is exactly what sequential DirectRun calls on
+// that replica produce — it is those calls, back-to-back on the replica's
+// own engine — so determinism is per-replica, independent of GOMAXPROCS and
+// scheduling; independent timelines need no synchronizer.
+func ShardedSweep(topos []*Topology, cfg SweepConfig) ([]RunPoint, error) {
 	if len(topos) == 0 {
 		return nil, fmt.Errorf("casestudy: sharded sweep needs at least one topology")
-	}
-	for _, t := range topos {
-		if t.Group != nil {
-			return nil, fmt.Errorf("casestudy: replica %q is itself partitioned across shards; ShardedSweep cannot nest shard groups", t.expName)
-		}
 	}
 	runtime := cfg.RuntimeSec
 	if runtime <= 0 {
@@ -47,81 +38,25 @@ func ShardedSweep(topos []*Topology, cfg SweepConfig, window sim.Duration) ([]Ru
 	}
 	pts := SweepPoints(cfg)
 	out := make([]RunPoint, len(pts))
-	group := sim.NewShardGroup(window)
-	states := make([]*sweepShard, len(topos))
+	errs := make([]error, len(topos))
+	var wg sync.WaitGroup
 	for i, t := range topos {
-		st := &sweepShard{topo: t, out: out, runtime: runtime}
-		for p := i; p < len(pts); p += len(topos) {
-			st.points = append(st.points, p)
-			st.cfgs = append(st.cfgs, pts[p])
-		}
-		states[i] = st
-		group.AddEngine(t.Engine, st.drive)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for p := i; p < len(pts); p += len(topos) {
+				pt, err := t.DirectRun(int(pts[p][0]), pts[p][1], runtime)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				out[p] = pt
+			}
+		}()
 	}
-	if err := group.Run(); err != nil {
-		return nil, err
-	}
-	errs := make([]error, 0, len(states))
-	for _, st := range states {
-		if st.err != nil {
-			errs = append(errs, st.err)
-		}
-	}
+	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// sweepShard is one replica's slice of the sweep.
-type sweepShard struct {
-	topo    *Topology
-	points  []int        // indices into the campaign-order result slice
-	cfgs    [][2]float64 // (size, rate) per point
-	runtime float64
-	next    int
-	ar      *loadgen.ActiveRun
-	err     error
-	out     []RunPoint
-}
-
-// drive is the shard's idle callback: finalize the run that just drained,
-// then start the next point.
-func (st *sweepShard) drive(_ *sim.Shard, _ sim.Time) bool {
-	if st.ar != nil {
-		res, err := st.ar.Result()
-		st.ar = nil
-		if err != nil {
-			st.err = err
-			return false
-		}
-		idx := st.points[st.next-1]
-		size, rate := st.cfgs[st.next-1][0], st.cfgs[st.next-1][1]
-		st.out[idx] = RunPoint{
-			Flavor:     st.topo.Flavor,
-			FrameSize:  int(size),
-			OfferedPPS: rate,
-			TxMpps:     res.TxRatePPS / 1e6,
-			RxMpps:     res.RxRatePPS / 1e6,
-			LossRatio:  res.LossRatio(),
-			LatencyOK:  res.LatencyAvailable,
-		}
-	}
-	if st.next >= len(st.points) {
-		return false
-	}
-	size, rate := st.cfgs[st.next][0], st.cfgs[st.next][1]
-	st.next++
-	st.topo.Router.SetForwarding(true)
-	cfg := moonGenConfig{frameSize: int(size)}
-	cfg.RatePPS = rate
-	cfg.Duration = sim.Duration(st.runtime * float64(sim.Second))
-	cfg.Template = st.topo.template(int(size))
-	ar, err := st.topo.Gen.Start(cfg.RunConfig)
-	if err != nil {
-		st.err = err
-		return false
-	}
-	st.ar = ar
-	return true
 }

@@ -28,8 +28,7 @@ type Probe interface {
 // StallProbe trips when a monotonic progress signal stops advancing for
 // longer than its deadline while the watched activity is supposed to be
 // making progress. It is the shape of most "is it stuck?" questions:
-// campaign run completions, shard synchronization rounds, queue
-// admissions.
+// campaign run completions, queue admissions.
 type StallProbe struct {
 	name     string
 	value    func() float64
@@ -131,16 +130,6 @@ func CampaignProgress(reg *telemetry.Registry, deadline time.Duration) *StallPro
 	return NewStallProbe("campaign-progress",
 		totalOf(reg, "pos_runner_runs_total"),
 		func() bool { v, _ := reg.Total("pos_sched_inflight_runs"); return v > 0 },
-		deadline)
-}
-
-// ShardProgress watches the data plane's shard synchronization rounds
-// while shard groups are running: a deadlocked window barrier or a
-// livelocked lookahead round stops pos_sim_shard_windows_total cold.
-func ShardProgress(reg *telemetry.Registry, deadline time.Duration) *StallProbe {
-	return NewStallProbe("shard-progress",
-		totalOf(reg, "pos_sim_shard_windows_total"),
-		func() bool { v, _ := reg.Total("pos_sim_shard_groups_active"); return v > 0 },
 		deadline)
 }
 

@@ -59,7 +59,7 @@ type Generator struct {
 	sampleEvery   int
 
 	// batched-path state, all buffers reused across runs.
-	emit      []int64    // per-tick emission counts, precomputed at Start
+	emit      []int64    // per-tick emission counts, precomputed when the run starts
 	rotations []sim.Time // per-second rotation instants (tick times)
 	rxBuckets []int64    // RX counts per bucket, indexed by rxBucket walk
 	rxBucket  int
@@ -192,52 +192,30 @@ func (r RunResult) LatencyStats() (avg, min, max float64) {
 	return avg, min, max
 }
 
-// ActiveRun is a measurement run that has been scheduled on the engine but
-// not yet finalized. External drivers (sharded sweeps) start runs, advance
-// the engine themselves, and collect the result once the engine is idle.
-type ActiveRun struct {
-	g         *Generator
-	cfg       RunConfig
-	frameSize int
-	txBefore  netem.Counters
-	finalized bool
-}
+// maxRunPackets bounds RatePPS × Duration. Below 2^53 every train size,
+// counter and per-second sample is an exact integer in int64 and float64
+// alike, with three orders of magnitude to spare for burst jitter; above it
+// the per-tick float-to-int64 conversion overflows and the run would come
+// back "successful" with nothing transmitted.
+const maxRunPackets = 1 << 53
 
 // Run executes one measurement run to completion on the generator's engine
-// and returns the measured result. It drives the engine itself; the caller
-// must not be inside an engine callback.
+// and returns the measured result: it validates the configuration, schedules
+// the transmit activity, drives the engine to quiescence and assembles the
+// statistics. The caller must not be inside an engine callback.
 func (g *Generator) Run(cfg RunConfig) (RunResult, error) {
-	return g.RunOn(cfg, g.engine.Run)
-}
-
-// RunOn executes one measurement run, advancing the data plane with the
-// given drive function instead of the generator's own engine — the hook a
-// partitioned topology uses to run a whole sim.ShardGroup to quiescence
-// around the generator's schedule.
-func (g *Generator) RunOn(cfg RunConfig, drive func() error) (RunResult, error) {
-	ar, err := g.Start(cfg)
-	if err != nil {
-		return RunResult{}, err
-	}
-	if err := drive(); err != nil {
-		g.active = false
-		return RunResult{}, err
-	}
-	return ar.Result()
-}
-
-// Start validates the configuration and schedules the run's transmit
-// activity on the engine without driving it. The caller runs the engine to
-// quiescence (directly or through a sim.ShardGroup) and then calls Result.
-func (g *Generator) Start(cfg RunConfig) (*ActiveRun, error) {
 	if g.active {
-		return nil, fmt.Errorf("loadgen %s: run already active", g.Name)
+		return RunResult{}, fmt.Errorf("loadgen %s: run already active", g.Name)
 	}
-	if cfg.RatePPS <= 0 {
-		return nil, fmt.Errorf("loadgen %s: non-positive rate %v", g.Name, cfg.RatePPS)
+	// The rate checks are negated comparisons so that NaN fails them too.
+	if !(cfg.RatePPS > 0) {
+		return RunResult{}, fmt.Errorf("loadgen %s: rate %v is not a positive number", g.Name, cfg.RatePPS)
 	}
 	if cfg.Duration <= 0 {
-		return nil, fmt.Errorf("loadgen %s: non-positive duration %v", g.Name, cfg.Duration)
+		return RunResult{}, fmt.Errorf("loadgen %s: non-positive duration %v", g.Name, cfg.Duration)
+	}
+	if !(cfg.RatePPS*cfg.Duration.Seconds() < maxRunPackets) {
+		return RunResult{}, fmt.Errorf("loadgen %s: rate %v over %v exceeds %d packets per run", g.Name, cfg.RatePPS, cfg.Duration, int64(maxRunPackets))
 	}
 	tick := cfg.TickInterval
 	if tick <= 0 {
@@ -258,7 +236,7 @@ func (g *Generator) Start(cfg RunConfig) (*ActiveRun, error) {
 	} else {
 		data, err := cfg.Template.BuildReuse(g.frame)
 		if err != nil {
-			return nil, fmt.Errorf("loadgen %s: %w", g.Name, err)
+			return RunResult{}, fmt.Errorf("loadgen %s: %w", g.Name, err)
 		}
 		g.frame = data
 		g.frames = append(g.frames, data)
@@ -291,13 +269,18 @@ func (g *Generator) Start(cfg RunConfig) (*ActiveRun, error) {
 	g.sampleCounter = 0
 	g.frameIdx = 0
 
-	ar := &ActiveRun{g: g, cfg: cfg, frameSize: len(g.frames[0]), txBefore: g.tx.Stats()}
+	frameSize, txBefore := len(g.frames[0]), g.tx.Stats()
 	if g.batched {
 		g.startBatched(cfg, start, tick)
 	} else {
 		g.startScalar(cfg, start, tick)
 	}
-	return ar, nil
+	err := g.engine.Run()
+	g.active = false
+	if err != nil {
+		return RunResult{}, err
+	}
+	return g.result(cfg, frameSize, txBefore), nil
 }
 
 // startScalar pre-schedules one heap event per tick — the original emission
@@ -442,21 +425,9 @@ func (g *Generator) batchedTick(now sim.Time) {
 	})
 }
 
-// Result finalizes the run and assembles its statistics. The engine must
-// have gone quiescent (all scheduled ticks fired, all deliveries landed)
-// since Start.
-func (ar *ActiveRun) Result() (RunResult, error) {
-	g := ar.g
-	if ar.finalized {
-		return RunResult{}, fmt.Errorf("loadgen %s: run already finalized", g.Name)
-	}
-	if g.batched && g.tickIdx < len(g.emit) {
-		return RunResult{}, fmt.Errorf("loadgen %s: %d of %d ticks still pending; run the engine to quiescence before Result", g.Name, len(g.emit)-g.tickIdx, len(g.emit))
-	}
-	ar.finalized = true
-	g.active = false
-	cfg := ar.cfg
-
+// result assembles the statistics of the run that just drained: the engine
+// went quiescent, so every scheduled tick fired and every delivery landed.
+func (g *Generator) result(cfg RunConfig, frameSize int, txBefore netem.Counters) RunResult {
 	var perSecTx, perSecRx []float64
 	if g.batched {
 		perSecTx = append([]float64(nil), g.perSecondTx...)
@@ -473,12 +444,12 @@ func (ar *ActiveRun) Result() (RunResult, error) {
 
 	txAfter := g.tx.Stats()
 	res := RunResult{
-		FrameSize:        ar.frameSize,
+		FrameSize:        frameSize,
 		OfferedPPS:       cfg.RatePPS,
 		Duration:         cfg.Duration,
-		TxPackets:        txAfter.TxPackets - ar.txBefore.TxPackets,
-		TxBytes:          txAfter.TxBytes - ar.txBefore.TxBytes,
-		TxDropped:        txAfter.TxDropped - ar.txBefore.TxDropped,
+		TxPackets:        txAfter.TxPackets - txBefore.TxPackets,
+		TxBytes:          txAfter.TxBytes - txBefore.TxBytes,
+		TxDropped:        txAfter.TxDropped - txBefore.TxDropped,
 		RxPackets:        g.rxPackets,
 		RxBytes:          g.rxBytes,
 		PerSecondTx:      perSecTx,
@@ -493,7 +464,7 @@ func (ar *ActiveRun) Result() (RunResult, error) {
 	if !res.LatencyAvailable {
 		res.Latencies = nil
 	}
-	return res, nil
+	return res
 }
 
 func (g *Generator) rotateSecond() {

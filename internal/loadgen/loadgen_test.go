@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -93,14 +94,22 @@ func TestLowRateStillTransmits(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	e := sim.NewEngine()
 	g := loopback(e, true)
-	if _, err := g.Run(RunConfig{Template: template(64), RatePPS: 0, Duration: sim.Second}); err == nil {
-		t.Error("accepted zero rate")
+	for name, cfg := range map[string]RunConfig{
+		"zero rate":        {Template: template(64), RatePPS: 0, Duration: sim.Second},
+		"NaN rate":         {Template: template(64), RatePPS: math.NaN(), Duration: sim.Second},
+		"infinite rate":    {Template: template(64), RatePPS: math.Inf(1), Duration: sim.Second},
+		"rate past int64":  {Template: template(64), RatePPS: 1e300, Duration: sim.Second},
+		"zero duration":    {Template: template(64), RatePPS: 100, Duration: 0},
+		"invalid template": {Template: template(1), RatePPS: 100, Duration: sim.Second},
+	} {
+		if res, err := g.Run(cfg); err == nil {
+			t.Errorf("accepted %s: %+v", name, res)
+		}
 	}
-	if _, err := g.Run(RunConfig{Template: template(64), RatePPS: 100, Duration: 0}); err == nil {
-		t.Error("accepted zero duration")
-	}
-	if _, err := g.Run(RunConfig{Template: template(1), RatePPS: 100, Duration: sim.Second}); err == nil {
-		t.Error("accepted invalid template")
+	// A rejected configuration leaves the generator usable.
+	res, err := g.Run(RunConfig{Template: template(64), RatePPS: 1000, Duration: sim.Second})
+	if err != nil || res.TxPackets != 1000 {
+		t.Errorf("run after rejected configs: %d packets, %v", res.TxPackets, err)
 	}
 }
 

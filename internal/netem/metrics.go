@@ -11,9 +11,4 @@ var (
 		"Link delivery events drawn from the delivery pool.")
 	deliveryPoolMisses = telemetry.Default.Counter("pos_netem_delivery_pool_misses_total",
 		"Link delivery events that required a fresh allocation.")
-
-	crossTrains = telemetry.Default.Counter("pos_netem_cross_trains_total",
-		"Packet trains carried across shard boundaries through cross-link mailbox flushes.")
-	crossFlushes = telemetry.Default.Counter("pos_netem_cross_flushes_total",
-		"Round-boundary flushes of cross-shard link buffers (each flush is one batched injection).")
 )

@@ -132,7 +132,7 @@ func (p *Port) Send(now sim.Time, b Batch) {
 	// the engine clock (the caller computed it synchronously); witness it
 	// so the clock still ends the run at the scalar engine's final time.
 	if p.link != nil {
-		p.link.engines[p.side].Witness(now)
+		p.link.engine.Witness(now)
 	}
 	if p.link == nil {
 		p.txDropped.Add(b.Count)
@@ -198,19 +198,12 @@ func (c LinkConfig) withDefaults() LinkConfig {
 }
 
 // Link is a full-duplex point-to-point wire between exactly two ports —
-// pos' direct, non-switched cabling (requirement R2). A link usually lives
-// on one engine; a cross-shard link (WireCross) spans two, with per-side
-// engines and shard handles.
+// pos' direct, non-switched cabling (requirement R2). Both ports live on the
+// link's one engine.
 type Link struct {
-	engines [2]*sim.Engine
-	cfg     LinkConfig
-	ports   [2]*Port
-	// cross-shard state: the far shard per side, plus per-direction
-	// buffers of this round's deliveries, flushed as one batched
-	// injection at the shard's round boundary.
-	shards  [2]*sim.Shard
-	pending [2][]sim.PendingCall
-	cross   bool
+	engine *sim.Engine
+	cfg    LinkConfig
+	ports  [2]*Port
 	// busyUntil tracks, per direction, when the virtual transmitter
 	// finishes serializing everything accepted so far.
 	busyUntil [2]sim.Time
@@ -230,80 +223,13 @@ func Wire(e *sim.Engine, a, b *Port, cfg LinkConfig) *Link {
 	if a.link != nil || b.link != nil {
 		panic(fmt.Sprintf("netem: port already wired (%s/%s)", a.Name, b.Name))
 	}
-	l := &Link{engines: [2]*sim.Engine{e, e}, cfg: cfg.withDefaults(), ports: [2]*Port{a, b}}
+	l := &Link{engine: e, cfg: cfg.withDefaults(), ports: [2]*Port{a, b}}
 	if l.cfg.LossRatio > 0 || l.cfg.DelayJitterStd > 0 {
 		l.rng = sim.NewRand(l.cfg.Seed + 1)
 	}
 	a.link, a.side = l, 0
 	b.link, b.side = l, 1
 	return l
-}
-
-// WireCross connects two ports that live on different shards of a
-// sim.ShardGroup. Delivery times are computed on the sending side exactly as
-// for a local link (the fluid busyUntil model is sender-local state), but
-// instead of scheduling on the sender's engine, deliveries accumulate in a
-// per-direction buffer and cross as one batched, pooled injection per round
-// — flushed at the sending shard's boundary into the receiving shard's
-// mailbox.
-//
-// The link's propagation delay is registered as the shard pair's lookahead
-// in both directions, so the group's boundaries guarantee every delivery
-// lands in the receiver's future: results are byte-identical to running the
-// whole topology on one engine. That guarantee is why a cross link must have
-// positive propagation delay and cannot carry loss or jitter — a random
-// stream shared across shard goroutines would make outcomes depend on
-// interleaving.
-func WireCross(a, b *Port, sa, sb *sim.Shard, cfg LinkConfig) (*Link, error) {
-	if a.link != nil || b.link != nil {
-		return nil, fmt.Errorf("netem: port already wired (%s/%s)", a.Name, b.Name)
-	}
-	if sa == nil || sb == nil || sa == sb {
-		return nil, fmt.Errorf("netem: cross-shard link needs two distinct shards")
-	}
-	if sa.Group() != sb.Group() {
-		return nil, fmt.Errorf("netem: cross-shard link spans two shard groups")
-	}
-	cfg = cfg.withDefaults()
-	if cfg.LossRatio > 0 || cfg.DelayJitterStd > 0 {
-		return nil, fmt.Errorf("netem: cross-shard links cannot model loss or jitter (%s/%s)", a.Name, b.Name)
-	}
-	if cfg.PropagationDelay <= 0 {
-		return nil, fmt.Errorf("netem: cross-shard link %s/%s needs positive propagation delay (it becomes the shards' lookahead)", a.Name, b.Name)
-	}
-	l := &Link{
-		engines: [2]*sim.Engine{sa.Engine(), sb.Engine()},
-		cfg:     cfg,
-		ports:   [2]*Port{a, b},
-		shards:  [2]*sim.Shard{sa, sb},
-		cross:   true,
-	}
-	a.link, a.side = l, 0
-	b.link, b.side = l, 1
-	group := sa.Group()
-	group.SetLookahead(sa, sb, cfg.PropagationDelay)
-	group.SetLookahead(sb, sa, cfg.PropagationDelay)
-	sa.OnFlush(func() { l.flush(0) })
-	sb.OnFlush(func() { l.flush(1) })
-	return l, nil
-}
-
-// flush injects one direction's buffered deliveries into the far shard as a
-// single batched call and recycles the buffer. It runs at the sending
-// shard's round boundary (Shard.OnFlush), so a whole round of packet trains
-// crosses under one mailbox lock.
-func (l *Link) flush(side int) {
-	pend := l.pending[side]
-	if len(pend) == 0 {
-		return
-	}
-	l.shards[1-side].InjectCallsFrom(l.shards[side], pend)
-	crossTrains.Add(float64(len(pend)))
-	crossFlushes.Inc()
-	for i := range pend {
-		pend[i] = sim.PendingCall{} // the mailbox owns the pooled args now
-	}
-	l.pending[side] = pend[:0]
 }
 
 // Unwire disconnects the link from both ports.
@@ -371,17 +297,7 @@ func (l *Link) transmit(now sim.Time, side int, b Batch) (accepted, dropped int6
 		out.Delay += backlog + txTime/2 + extra
 		dst := l.ports[1-side]
 		deliverAt := l.busyUntil[side].Add(extra)
-		if l.cross {
-			// Cross-shard: buffer the delivery for the round-boundary
-			// flush. The timestamp is the same one a single-engine run
-			// would compute (busyUntil is sender-local state), and the
-			// group's lookahead guarantees it lands in the receiver's
-			// future, batched or scalar alike.
-			deliveryPoolGets.Inc()
-			d := deliveryPool.Get().(*delivery)
-			d.dst, d.b = dst, out
-			l.pending[side] = append(l.pending[side], sim.PendingCall{At: deliverAt, H: runDelivery, Arg: d})
-		} else if l.engines[side].Batching() && l.cfg.DelayJitterStd == 0 {
+		if l.engine.Batching() && l.cfg.DelayJitterStd == 0 {
 			// Cut-through: deliver synchronously with the future
 			// logical timestamp instead of scheduling a heap event.
 			// Valid because per-direction delivery times are monotone
@@ -389,13 +305,13 @@ func (l *Link) transmit(now sim.Time, side int, b Batch) (accepted, dropped int6
 			// jitter), so the receiver still observes batches in
 			// timestamp order. Jittered links fall back to events to
 			// preserve time-ordered delivery.
-			l.engines[side].Witness(deliverAt)
+			l.engine.Witness(deliverAt)
 			dst.deliver(deliverAt, out)
 		} else {
 			deliveryPoolGets.Inc()
 			d := deliveryPool.Get().(*delivery)
 			d.dst, d.b = dst, out
-			l.engines[side].AtArg(deliverAt, runDelivery, d)
+			l.engine.AtArg(deliverAt, runDelivery, d)
 		}
 	}
 	return accepted, dropped

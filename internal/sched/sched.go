@@ -42,7 +42,6 @@ import (
 	"pos/internal/results"
 	"pos/internal/telemetry"
 	"pos/internal/timeline"
-	"pos/internal/workpool"
 )
 
 // Replica is one testbed instance participating in a campaign: a runner over
@@ -862,16 +861,7 @@ func (c *Campaign) worker(runCtx context.Context, cancel context.CancelFunc, wi 
 		}
 
 		inflightRuns.Inc()
-		var rec core.RunRecord
-		var err error
-		// Dispatches execute on the process-wide workpool — the same
-		// bounded worker budget that runs shard rounds — so campaign
-		// parallelism and data-plane parallelism share one pool instead
-		// of stacking goroutines. Do runs inline when no worker is idle,
-		// so a dispatch never deadlocks behind its own pool.
-		workpool.Default().Do(func() {
-			rec, err = c.dispatch(runCtx, sess, st, wi, item, combos, dirty, backoff)
-		})
+		rec, err := c.dispatch(runCtx, sess, st, wi, item, combos, dirty, backoff)
 		inflightRuns.Dec()
 		st.progress.Add(1)
 		<-sem

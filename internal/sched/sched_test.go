@@ -323,8 +323,18 @@ func TestCampaignFailFast(t *testing.T) {
 	repA, hostA := newReplica("alpha", "nodeA", svc)
 	repB, hostB := newReplica("beta", "nodeB", svc)
 	fail := func(ctx context.Context, env map[string]string) error {
-		if env["RUN"] == "2" {
+		switch env["RUN"] {
+		case "2":
 			return errors.New("loadgen crashed")
+		case "3", "4", "5":
+			// Dispatched behind the failing run: hold until fail-fast
+			// cancels the campaign, so the verdict does not hang on the
+			// other replica losing a race against run 2's failure path.
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-time.After(10 * time.Second):
+			}
 		}
 		return nil
 	}

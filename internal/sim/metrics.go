@@ -2,27 +2,11 @@ package sim
 
 import "pos/internal/telemetry"
 
-// Data-plane telemetry for the batched engine: pool efficiency and shard
-// synchronizer behaviour, exposed at /metrics through the process-wide
-// registry.
+// Data-plane telemetry for the batched engine: event pool efficiency,
+// exposed at /metrics through the process-wide registry.
 var (
 	eventPoolHits = telemetry.Default.Counter("pos_sim_event_pool_hits_total",
 		"Scheduled events served from the engine's free list.")
 	eventPoolMisses = telemetry.Default.Counter("pos_sim_event_pool_misses_total",
 		"Scheduled events that required a fresh allocation.")
-
-	shardWindows = telemetry.Default.Counter("pos_sim_shard_windows_total",
-		"Synchronization windows executed across all shard groups.")
-	shardStallWindows = telemetry.Default.Counter("pos_sim_shard_stall_windows_total",
-		"Windows in which a shard executed zero events while the group kept running.")
-	shardLateInjections = telemetry.Default.Counter("pos_sim_shard_late_injections_total",
-		"Cross-shard injections that arrived with a timestamp already in the shard's past and were clamped to its current time.")
-	shardCrossInjections = telemetry.Default.Counter("pos_sim_shard_cross_injections_total",
-		"Shard-to-shard injections carried through group mailboxes (batched calls counted per element).")
-	shardAdaptiveRounds = telemetry.Default.Counter("pos_sim_shard_adaptive_rounds_total",
-		"Lookahead-mode rounds in which at least one shard ran unbounded because every upstream was quiescent (adaptive window widening).")
-	shardLookaheadMin = telemetry.Default.Gauge("pos_sim_shard_lookahead_min_ns",
-		"Smallest effective shard-pair lookahead of the most recently prepared shard group.")
-	shardGroupsActive = telemetry.Default.Gauge("pos_sim_shard_groups_active",
-		"Shard groups currently inside Run — the health watchdog's shard-progress probe is armed only while this is non-zero.")
 )

@@ -159,29 +159,3 @@ func TestWitnessAdvancesClockOnQuiescence(t *testing.T) {
 		t.Fatalf("clock at %v after RunUntil(50), want 50", e.Now())
 	}
 }
-
-func TestRunWindowReportsIdleWithoutPadding(t *testing.T) {
-	e := NewEngine()
-	e.At(10, func(Time) {})
-	idle, err := e.RunWindow(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !idle {
-		t.Fatal("engine should be idle after its only event")
-	}
-	if e.Now() != 10 {
-		t.Fatalf("clock padded to %v, want 10", e.Now())
-	}
-	e.At(500, func(Time) {})
-	idle, err = e.RunWindow(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idle {
-		t.Fatal("pending event beyond the window should report non-idle")
-	}
-	if e.Now() != 100 {
-		t.Fatalf("clock at %v, want window boundary 100", e.Now())
-	}
-}

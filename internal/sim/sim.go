@@ -171,21 +171,6 @@ func (e *Engine) Len() int {
 // Steps reports the total number of events executed so far.
 func (e *Engine) Steps() uint64 { return e.steps }
 
-// NextEventTime reports the timestamp of the earliest pending work — heap
-// event or ticker lane — or MaxTime when the engine is quiescent. Shard
-// synchronizers use it to derive lookahead-based window boundaries: a shard
-// cannot influence a neighbour before its own next event.
-func (e *Engine) NextEventTime() Time {
-	next := MaxTime
-	if len(e.queue) > 0 {
-		next = e.queue[0].at
-	}
-	if tk := e.nextTicker(); tk != nil && tk.next < next {
-		next = tk.next
-	}
-	return next
-}
-
 // SetBatching toggles cut-through mode. Data-plane components consult
 // Batching to decide between scheduling heap events (scalar oracle) and
 // synchronous delivery with logical timestamps. Flip it only while the
@@ -295,31 +280,21 @@ func (e *Engine) Stop() { e.stopped = true }
 // Run executes events in timestamp order until the queue is empty.
 // It returns ErrStopped if halted via Stop.
 func (e *Engine) Run() error {
-	_, err := e.run(MaxTime, false)
-	return err
+	return e.run(MaxTime)
 }
 
 // RunUntil executes events with timestamps <= deadline. The clock is left at
 // min(deadline, time of last event) — advancing to the deadline even when
 // the queue empties early, so that sequential phases compose predictably.
 func (e *Engine) RunUntil(deadline Time) error {
-	_, err := e.run(deadline, true)
-	return err
+	return e.run(deadline)
 }
 
-// RunWindow executes events with timestamps <= deadline and reports whether
-// the engine went idle before reaching it. Unlike RunUntil it does not pad
-// the clock to the deadline on idleness: the clock stops at the last event
-// (or the cut-through watermark), exactly where a free-running Run would
-// leave it. Shard synchronizers use this so an idle shard observes the same
-// quiescence time as a sequential run.
-func (e *Engine) RunWindow(deadline Time) (idle bool, err error) {
-	return e.run(deadline, false)
-}
-
-func (e *Engine) run(deadline Time, pad bool) (idle bool, err error) {
+// run is the event loop behind Run (deadline MaxTime: stop where the work
+// stops) and RunUntil (finite deadline: pad the clock up to it).
+func (e *Engine) run(deadline Time) error {
 	if e.running {
-		return false, errors.New("sim: Run called re-entrantly")
+		return errors.New("sim: Run called re-entrantly")
 	}
 	e.running = true
 	defer func() { e.running = false }()
@@ -344,7 +319,7 @@ func (e *Engine) run(deadline Time, pad bool) (idle bool, err error) {
 		}
 		if at > deadline {
 			e.now = deadline
-			return false, nil
+			return nil
 		}
 		e.now = at
 		e.steps++
@@ -360,19 +335,19 @@ func (e *Engine) run(deadline Time, pad bool) (idle bool, err error) {
 			e.recycle(ev)
 		}
 		if e.stopped {
-			return false, ErrStopped
+			return ErrStopped
 		}
 	}
 	if w := e.watermark; w > e.now {
-		if pad && deadline != MaxTime && w > deadline {
+		if w > deadline {
 			w = deadline
 		}
 		e.now = w
 	}
-	if pad && deadline != MaxTime && deadline > e.now {
+	if deadline != MaxTime && deadline > e.now {
 		e.now = deadline
 	}
-	return true, nil
+	return nil
 }
 
 // Step executes exactly one pending event (ticker lanes included) and

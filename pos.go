@@ -148,7 +148,7 @@ type (
 	RunPoint = casestudy.RunPoint
 	// CaseStudyOption tweaks the topology.
 	CaseStudyOption = casestudy.Option
-	// ChainConfig parameterizes the partitioned multi-hop router chain.
+	// ChainConfig parameterizes the multi-hop router chain.
 	ChainConfig = casestudy.ChainConfig
 )
 
@@ -165,11 +165,9 @@ func NewCaseStudy(flavor Flavor, opts ...CaseStudyOption) (*CaseStudy, error) {
 	return casestudy.New(flavor, opts...)
 }
 
-// NewCaseStudyChain builds a multi-hop router chain, partitions its devices
-// across shards with the latency-aware topology partitioner, and couples the
-// cut links through batched cross-shard mailboxes (Chandy–Misra lookahead
-// from the trunk delays). WithScalarEngine collapses the identical chain
-// onto one scalar engine — the byte-identical differential-test oracle.
+// NewCaseStudyChain builds a multi-hop router chain — clusters of routers
+// joined by slow trunks — on one engine. WithScalarEngine runs the identical
+// chain event-per-hop — the byte-identical differential-test oracle.
 func NewCaseStudyChain(flavor Flavor, cfg ChainConfig, opts ...CaseStudyOption) (*CaseStudy, error) {
 	return casestudy.NewChain(flavor, cfg, opts...)
 }
@@ -230,11 +228,10 @@ func CaseStudyReplicas(topos []*CaseStudy, cfg SweepConfig) []CampaignReplica {
 }
 
 // ShardedSweep executes a sweep's measurement points in parallel across the
-// replica topologies, one shard per replica timeline (internal/sim's
-// conservative time-window synchronizer). Results come back in campaign
-// order and are deterministic regardless of GOMAXPROCS.
-func ShardedSweep(topos []*CaseStudy, cfg SweepConfig, window sim.Duration) ([]RunPoint, error) {
-	return casestudy.ShardedSweep(topos, cfg, window)
+// replica topologies, one goroutine per replica timeline. Results come back
+// in campaign order and are deterministic regardless of GOMAXPROCS.
+func ShardedSweep(topos []*CaseStudy, cfg SweepConfig) ([]RunPoint, error) {
+	return casestudy.ShardedSweep(topos, cfg)
 }
 
 // Deterministic fault injection (internal/sim + internal/core): schedule
@@ -449,8 +446,8 @@ func WriteComparisonTable(w io.Writer) error { return compare.Write(w) }
 
 // DiffExperiments walks two experiment result directories and reports every
 // path whose presence or bytes differ — the reproducibility check behind the
-// partitioned-vs-scalar data-plane contract. An empty slice means the trees
-// are byte-identical.
+// batched-vs-scalar data-plane contract. An empty slice means the trees are
+// byte-identical.
 func DiffExperiments(dirA, dirB string) ([]string, error) { return compare.DiffExperiments(dirA, dirB) }
 
 // Traffic capture types (internal/pcap, internal/packet): libpcap files and
@@ -651,12 +648,6 @@ func NewRuntimeSampler(interval time.Duration) *RuntimeSampler {
 // still past deadline while campaign runs are in flight.
 func CampaignProgressProbe(deadline time.Duration) HealthProbe {
 	return health.CampaignProgress(telemetry.Default, deadline)
-}
-
-// ShardProgressProbe trips when shard synchronization rounds stall past
-// deadline while shard groups are running.
-func ShardProgressProbe(deadline time.Duration) HealthProbe {
-	return health.ShardProgress(telemetry.Default, deadline)
 }
 
 // QueueStarvationProbe trips when more than passes starved admission passes
