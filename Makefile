@@ -33,11 +33,25 @@ bench-e2e:
 bench-smoke:
 	go test -C bench ./...
 
-# Performance tier: the speedup benchmarks added with the campaign
-# scheduler (sequential vs. 2-replica sweep, regexp vs. scanner parsing).
+# Fuzz tier: every fuzz target in the tree, five seconds each. `go test`
+# alone runs only their seed corpora. Targets are found by grep, so a new one
+# cannot be forgotten; `go test -fuzz` takes one target of one package per
+# run, and -C keeps it working for a target under bench/ (its own module).
+.PHONY: fuzz-smoke
+fuzz-smoke:
+	@set -e; \
+	for file in $$(grep -rl --include='*_test.go' --exclude-dir=.bench_build '^func Fuzz' .); do \
+		for target in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$file); do \
+			echo "== $$target ($$(dirname $$file))"; \
+			go test -C $$(dirname $$file) -run '^$$' -fuzz "^$$target\$$" -fuzztime=5s .; \
+		done; \
+	done
+
+# Performance tier: the speedup benchmark added with the campaign
+# scheduler (sequential vs. 2-replica sweep).
 .PHONY: bench
 bench:
-	go test -run NONE -bench 'BenchmarkParallelSweep|BenchmarkMoonparse' -benchtime 3x .
+	go test -run NONE -bench BenchmarkParallelSweep -benchtime 3x .
 
 # Result-pipeline tier: store ingest (indexed/deduplicated vs. legacy
 # scan store), warm-cache evaluation, and the end-to-end appendix
@@ -142,5 +156,7 @@ lint:
 		echo "$$out"; exit 1; fi
 	@echo "lint clean"
 
+# fuzz-smoke is not part of all: like bench-smoke it guards code `go test
+# ./...` only half covers, but it costs five seconds per target.
 .PHONY: all
 all: verify race bench-smoke

@@ -29,7 +29,6 @@ import (
 	"pos/internal/eventlog"
 	"pos/internal/hosttools"
 	"pos/internal/loadgen"
-	"pos/internal/moonparse"
 	"pos/internal/netem"
 	"pos/internal/packet"
 	"pos/internal/perfmodel"
@@ -1096,53 +1095,6 @@ func syntheticMoonGenLog(seconds int) string {
 	sb.WriteString("[Device: id=1] RX: 0.9995 Mpps (StdDev 0.0005), total 59970000 packets, 3838080000 bytes\n")
 	sb.WriteString("[Latency] avg: 12345 ns, min: 9000 ns, max: 40000 ns, samples: 100000\n")
 	return sb.String()
-}
-
-// BenchmarkMoonparse compares the regexp reference parser against the
-// hand-rolled prefix scanner on a 60-second run log; the Speedup
-// sub-benchmark reports the ratio as a custom metric.
-func BenchmarkMoonparse(b *testing.B) {
-	log := syntheticMoonGenLog(60)
-	b.Run("Regexp", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(log)))
-		for i := 0; i < b.N; i++ {
-			if _, err := moonparse.ParseRegexp(strings.NewReader(log)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Scanner", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(log)))
-		for i := 0; i < b.N; i++ {
-			if _, err := moonparse.ParseString(log); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Speedup", func(b *testing.B) {
-		const rounds = 50
-		var tRe, tSc time.Duration
-		for i := 0; i < b.N; i++ {
-			start := time.Now()
-			for r := 0; r < rounds; r++ {
-				if _, err := moonparse.ParseRegexp(strings.NewReader(log)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			tRe += time.Since(start)
-			start = time.Now()
-			for r := 0; r < rounds; r++ {
-				if _, err := moonparse.ParseString(log); err != nil {
-					b.Fatal(err)
-				}
-			}
-			tSc += time.Since(start)
-		}
-		b.ReportMetric(tRe.Seconds()/tSc.Seconds(), "speedup_x")
-		b.ReportMetric(0, "ns/op")
-	})
 }
 
 // BenchmarkPublicAPIRun exercises the façade the way a downstream user does.

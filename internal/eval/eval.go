@@ -4,11 +4,17 @@
 // plotting — the role of the paper's plotting scripts' data layer. It also
 // provides the statistics the out-of-the-box plots need: histograms, CDFs,
 // HDR-style quantiles, and violin summaries.
+//
+// Artifacts are parsed in place: ParseLatencyCSV, like moonparse.ParseBytes
+// under LoadRuns, walks the bytes it is handed and retains none of them, so a
+// caller may reuse the buffer as soon as the call returns.
 package eval
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"runtime"
 	"sort"
@@ -44,7 +50,8 @@ func (r RunData) LoopFloat(name string) (float64, error) {
 
 // LoadRuns reads every run of an experiment, parsing the named MoonGen
 // artifact from the given node when present. Failed runs are included with
-// Failed=true so evaluations can decide how to treat them.
+// Failed=true so evaluations can decide how to treat them. A run without the
+// artifact carries no report; any other read failure fails the load.
 //
 // Runs are loaded and parsed by a worker pool bounded by GOMAXPROCS — the
 // evaluation phase of a large sweep is dominated by parsing per-run logs,
@@ -76,9 +83,13 @@ func LoadRuns(exp *results.Experiment, nodeName, artifact string) ([]RunData, er
 			return
 		}
 		rd := RunData{Run: run, LoopVars: meta.LoopVars, Failed: meta.Failed}
-		if data, err := exp.ReadRunArtifact(run, nodeName, artifact); err == nil {
-			rep, perr := moonparse.Parse(bytes.NewReader(data))
-			if perr == nil {
+		data, ok, err := readArtifact(exp, run, nodeName, artifact)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		if ok {
+			if rep, perr := moonparse.ParseBytes(data); perr == nil {
 				rd.Report = rep
 			}
 		}
@@ -98,6 +109,23 @@ func LoadRuns(exp *results.Experiment, nodeName, artifact string) ([]RunData, er
 		}
 	}
 	return out, nil
+}
+
+// readArtifact reads one run's artifact. ok is false with a nil error when
+// the run has none — the one read failure that is not an error: a missing
+// file is how a run says it produced no such artifact, anything else (a
+// permission, an I/O error, a directory in the file's place) is a result
+// tree evaluation must not silently plot around.
+func readArtifact(exp *results.Experiment, run int, nodeName, artifact string) (data []byte, ok bool, err error) {
+	data, err = exp.ReadRunArtifact(run, nodeName, artifact)
+	switch {
+	case err == nil:
+		return data, true, nil
+	case errors.Is(err, fs.ErrNotExist):
+		return nil, false, nil
+	default:
+		return nil, false, fmt.Errorf("eval: run %d: %w", run, err)
+	}
 }
 
 // forEachRun runs fn(i) for i in [0, n) on a worker pool bounded by
@@ -176,26 +204,56 @@ func ThroughputSeries(runs []RunData, groupBy, xVar string, xScale float64) ([]S
 }
 
 // ParseLatencyCSV reads MoonGen's histogram CSV convention: one latency
-// value (nanoseconds) per line.
+// value (nanoseconds) per line; blank lines and # comments are skipped. It
+// scans data in place and returns nil when the artifact holds no value.
 func ParseLatencyCSV(data []byte) ([]float64, error) {
-	var out []float64
-	for lineNo, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
+	out := make([]float64, 0, bytes.Count(data, newline)+1)
+	for lineNo := 1; len(data) > 0; lineNo++ {
+		var line []byte
+		line, data, _ = bytes.Cut(data, newline)
+		line = bytes.TrimSpace(line)
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		v, err := strconv.ParseFloat(line, 64)
-		if err != nil || v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("eval: latency CSV line %d: bad value %q", lineNo+1, line)
+		v, ok := parseNanos(line)
+		if !ok {
+			var err error
+			v, err = strconv.ParseFloat(string(line), 64)
+			if err != nil || v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("eval: latency CSV line %d: bad value %q", lineNo, line)
+			}
 		}
 		out = append(out, v)
+	}
+	if len(out) == 0 {
+		return nil, nil // no values is no series: LoadLatency skips the artifact
 	}
 	return out, nil
 }
 
+var newline = []byte{'\n'}
+
+// parseNanos is the exact fast path for what the artifact almost always
+// holds: an unsigned integer of at most 15 digits, which is below 2^53 and
+// so converts to the float64 strconv.ParseFloat returns for the same text.
+func parseNanos(line []byte) (float64, bool) {
+	if len(line) > 15 {
+		return 0, false
+	}
+	var n uint64
+	for _, c := range line {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + uint64(c-'0')
+	}
+	return float64(n), true
+}
+
 // LoadLatency reads a latency-CSV artifact from every run of an experiment,
 // keyed by the run's loop combination. Runs without the artifact are
-// skipped (e.g. the whole experiment on vpos). Parsing happens on the same
+// skipped (e.g. the whole experiment on vpos), as are artifacts without a
+// value; any other read failure fails the load. Parsing happens on the same
 // bounded worker pool as LoadRuns; samples are merged in run order, so the
 // result is identical to a sequential load. Like LoadRuns, unchanged
 // experiments are served from the warm cache.
@@ -224,9 +282,10 @@ func LoadLatency(exp *results.Experiment, nodeName, artifact string) (map[string
 			perRun[i].err = err
 			return
 		}
-		data, err := exp.ReadRunArtifact(run, nodeName, artifact)
-		if err != nil {
-			return // no artifact on this run: skipped
+		data, ok, err := readArtifact(exp, run, nodeName, artifact)
+		if !ok {
+			perRun[i].err = err // nil: no artifact on this run, skipped
+			return
 		}
 		samples, err := ParseLatencyCSV(data)
 		if err != nil {

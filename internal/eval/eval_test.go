@@ -3,7 +3,11 @@ package eval
 import (
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -354,6 +358,118 @@ func TestParseLatencyCSV(t *testing.T) {
 	for _, bad := range []string{"abc\n", "-1\n", "NaN\n"} {
 		if _, err := ParseLatencyCSV([]byte(bad)); err == nil {
 			t.Errorf("accepted %q", bad)
+		}
+	}
+}
+
+// parseLatencyCSVRef is the parser ParseLatencyCSV replaced — split, trim,
+// strconv on every line — kept as the specification of what is accepted,
+// what is rejected, and what the error says.
+func parseLatencyCSVRef(data []byte) ([]float64, error) {
+	var out []float64
+	for lineNo, line := range strings.Split(string(data), "\n") {
+		line = strings.TrimSpace(line)
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		v, err := strconv.ParseFloat(line, 64)
+		if err != nil || v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("eval: latency CSV line %d: bad value %q", lineNo+1, line)
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+// FuzzParseLatencyCSV holds the in-place parser to the reference: the same
+// values bit for bit (nil for an artifact without values), the same verdict,
+// the same error text. The corpus under testdata/fuzz pins the grammar's
+// corners: signs, exponents, hex floats, underscores, Inf/NaN, the 15-digit
+// edge of the integer fast path, CRLF, and the line number of a late error.
+func FuzzParseLatencyCSV(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		input := append([]byte(nil), data...)
+		got, gerr := ParseLatencyCSV(data)
+		want, werr := parseLatencyCSVRef(input)
+		if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+			t.Fatalf("err = %v, reference %v", gerr, werr)
+		}
+		if (got == nil) != (want == nil) || len(got) != len(want) {
+			t.Fatalf("values = %v, reference %v", got, want)
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("value %d = %v, reference %v", i, got[i], want[i])
+			}
+		}
+		if string(data) != string(input) {
+			t.Fatal("parser wrote to its input")
+		}
+	})
+}
+
+// latencyExp is a three-run experiment whose runs carry the given
+// latency.csv contents (none where the map has no entry) and a MoonGen log.
+func latencyExp(t *testing.T, artifacts map[int]string) *results.Experiment {
+	t.Helper()
+	ResetCache()
+	e := cacheExp(t)
+	for run := 0; run < 3; run++ {
+		if err := e.WriteRunMeta(results.RunMeta{Run: run, LoopVars: map[string]string{"rate": fmt.Sprint(run)}}); err != nil {
+			t.Fatal(err)
+		}
+		if data, ok := artifacts[run]; ok {
+			if err := e.AddRunArtifact(run, "lg", "latency.csv", []byte(data)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.AddRunArtifact(run, "lg", "moongen.log", []byte(moongenLog)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return e
+}
+
+// An artifact without a single value contributes no key, exactly like a run
+// without the artifact — pre-sizing the sample slice must not turn "nothing"
+// into "an empty series".
+func TestLoadLatencySkipsArtifactsWithoutValues(t *testing.T) {
+	e := latencyExp(t, map[int]string{0: "", 1: "# histogram\n\n  \n", 2: "100\n200\n"})
+	lat, err := LoadLatency(e, "lg", "latency.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lat) != 1 || len(lat["rate=2"]) != 2 {
+		t.Errorf("latency = %v, want only rate=2 with two samples", lat)
+	}
+}
+
+// Only "no such file" means a run has no artifact. Anything else the read
+// reports — here EISDIR, which root gets too — fails the load and names the
+// first affected run.
+func TestLoadReportsArtifactReadErrors(t *testing.T) {
+	for _, artifact := range []string{"moongen.log", "latency.csv"} {
+		e := latencyExp(t, map[int]string{0: "100\n"})
+		if err := e.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		for _, run := range []int{2, 1} {
+			path := filepath.Join(e.Dir(), fmt.Sprintf("run_%04d", run), "lg", artifact)
+			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+				t.Fatal(err)
+			}
+			if err := os.Mkdir(path, 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var err error
+		if artifact == "moongen.log" {
+			_, err = LoadRuns(e, "lg", artifact)
+		} else {
+			_, err = LoadLatency(e, "lg", artifact)
+		}
+		if err == nil || !strings.Contains(err.Error(), "run 1:") {
+			t.Errorf("%s as a directory in runs 1 and 2: err = %v, want one naming run 1", artifact, err)
 		}
 	}
 }

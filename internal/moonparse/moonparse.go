@@ -3,17 +3,17 @@
 // scripts consume ("We integrated a parser for MoonGen's output into our
 // plotting scripts"). It extracts per-second throughput samples, run totals,
 // and latency summaries, tolerating interleaved unrelated log lines the way
-// a real experiment log requires.
+// a real experiment log requires. The parser works in place on the log's
+// bytes and does not retain them.
 package moonparse
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
-	"regexp"
 	"strconv"
-	"strings"
 )
 
 // Direction distinguishes transmit and receive counters.
@@ -63,25 +63,26 @@ type Report struct {
 // certainly not a MoonGen log.
 var ErrNoTotals = errors.New("moonparse: no total lines found")
 
-// Parse reads a MoonGen log from r.
+// maxLineLen is the longest line a log may carry, terminator excluded —
+// the token limit of the line scanner this parser used to run on.
+const maxLineLen = 1<<20 - 1
+
+// ParseBytes parses a MoonGen log held in memory. It walks data in place —
+// no line is copied and nothing in the report refers to data afterwards —
+// so the evaluation phase can hand it each artifact exactly as read.
 //
-// The per-line hot path is a hand-rolled prefix scanner: evaluating a big
-// sweep parses thousands of log lines per run, and the regexp engine
-// (ParseRegexp, kept as the reference implementation) dominated that cost.
-// The scanner accepts exactly the lines the regexps accept — the
-// differential test and fuzzer in moonparse_test.go hold the two
-// implementations equal.
-func Parse(r io.Reader) (*Report, error) {
+// The per-line hot path is a hand-rolled prefix scanner that accepts exactly
+// the lines the original regexps accept; those live on in moonparse_test.go
+// as the reference the differential test and fuzzer hold it equal to.
+func ParseBytes(data []byte) (*Report, error) {
 	rep := &Report{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		scanLine(rep, strings.TrimSpace(sc.Text()))
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("moonparse: line %d: %w", lineNo, err)
+	for lineNo := 0; len(data) > 0; lineNo++ {
+		var line []byte
+		line, data, _ = bytes.Cut(data, newline)
+		if len(line) > maxLineLen {
+			return nil, fmt.Errorf("moonparse: line %d: %w", lineNo, bufio.ErrTooLong)
+		}
+		scanLine(rep, bytes.TrimSpace(line))
 	}
 	if len(rep.Totals) == 0 {
 		return nil, ErrNoTotals
@@ -89,14 +90,25 @@ func Parse(r io.Reader) (*Report, error) {
 	return rep, nil
 }
 
-// ParseString is Parse over an in-memory log.
-func ParseString(s string) (*Report, error) { return Parse(strings.NewReader(s)) }
+var newline = []byte{'\n'}
+
+// Parse reads a MoonGen log from r to its end and parses it with ParseBytes.
+func Parse(r io.Reader) (*Report, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("moonparse: read: %w", err)
+	}
+	return ParseBytes(data)
+}
+
+// ParseString is ParseBytes over a log held as a string.
+func ParseString(s string) (*Report, error) { return ParseBytes([]byte(s)) }
 
 // scanLine dispatches one trimmed line. Totals and samples share the head
 // "[Device: id=N] DIR: X Mpps"; what follows — " (StdDev" vs ", " — is
 // disjoint, so the regexp path's total-before-sample precedence is
 // preserved structurally.
-func scanLine(rep *Report, line string) {
+func scanLine(rep *Report, line []byte) {
 	if dev, dir, mpps, rest, ok := scanDeviceHead(line); ok {
 		if tail, ok := cutPrefix(rest, " (StdDev "); ok {
 			std, tail, ok := scanNumber(tail)
@@ -115,7 +127,7 @@ func scanLine(rep *Report, line string) {
 			if !ok {
 				return
 			}
-			bytes, tail, ok := scanDigits(tail)
+			octets, tail, ok := scanDigits(tail)
 			if !ok {
 				return
 			}
@@ -128,7 +140,7 @@ func scanLine(rep *Report, line string) {
 				Mpps:      atof(mpps),
 				StdDev:    atof(std),
 				Packets:   atoi64(pkts),
-				Bytes:     atoi64(bytes),
+				Bytes:     atoi64(octets),
 			})
 			return
 		}
@@ -198,134 +210,67 @@ func scanLine(rep *Report, line string) {
 
 // scanDeviceHead parses "[Device: id=N] DIR: X Mpps", the head shared by
 // total and sample lines, returning the unconsumed tail.
-func scanDeviceHead(line string) (dev int, dir Direction, mpps, rest string, ok bool) {
+func scanDeviceHead(line []byte) (dev int, dir Direction, mpps, rest []byte, ok bool) {
 	s, ok := cutPrefix(line, "[Device: id=")
 	if !ok {
-		return 0, "", "", "", false
+		return 0, "", nil, nil, false
 	}
 	d, s, ok := scanDigits(s)
 	if !ok {
-		return 0, "", "", "", false
+		return 0, "", nil, nil, false
 	}
 	s, ok = cutPrefix(s, "] ")
 	if !ok {
-		return 0, "", "", "", false
+		return 0, "", nil, nil, false
 	}
-	switch {
-	case strings.HasPrefix(s, "TX"):
+	if s, ok = cutPrefix(s, "TX"); ok {
 		dir = TX
-	case strings.HasPrefix(s, "RX"):
+	} else if s, ok = cutPrefix(s, "RX"); ok {
 		dir = RX
-	default:
-		return 0, "", "", "", false
+	} else {
+		return 0, "", nil, nil, false
 	}
-	s, ok = cutPrefix(s[2:], ": ")
+	s, ok = cutPrefix(s, ": ")
 	if !ok {
-		return 0, "", "", "", false
+		return 0, "", nil, nil, false
 	}
 	mpps, s, ok = scanNumber(s)
 	if !ok {
-		return 0, "", "", "", false
+		return 0, "", nil, nil, false
 	}
 	s, ok = cutPrefix(s, " Mpps")
 	if !ok {
-		return 0, "", "", "", false
+		return 0, "", nil, nil, false
 	}
 	return atoi(d), dir, mpps, s, true
 }
 
-// cutPrefix is strings.CutPrefix with the pre-1.20 return order the
-// scanners read naturally.
-func cutPrefix(s, prefix string) (string, bool) {
-	if strings.HasPrefix(s, prefix) {
+// cutPrefix is bytes.CutPrefix against a string literal.
+func cutPrefix(s []byte, prefix string) ([]byte, bool) {
+	if len(s) >= len(prefix) && string(s[:len(prefix)]) == prefix {
 		return s[len(prefix):], true
 	}
 	return s, false
 }
 
 // scanDigits consumes the maximal run of [0-9] — the regexps' (\d+).
-func scanDigits(s string) (string, string, bool) {
+func scanDigits(s []byte) (digits, rest []byte, ok bool) {
 	i := 0
 	for i < len(s) && s[i] >= '0' && s[i] <= '9' {
 		i++
 	}
-	if i == 0 {
-		return "", s, false
-	}
-	return s[:i], s[i:], true
+	return s[:i], s[i:], i > 0
 }
 
 // scanNumber consumes the maximal run of [0-9.] — the regexps' ([\d.]+),
 // including degenerate tokens like "." that atof then maps to 0 exactly as
 // the regexp path did.
-func scanNumber(s string) (string, string, bool) {
+func scanNumber(s []byte) (number, rest []byte, ok bool) {
 	i := 0
 	for i < len(s) && (s[i] == '.' || (s[i] >= '0' && s[i] <= '9')) {
 		i++
 	}
-	if i == 0 {
-		return "", s, false
-	}
-	return s[:i], s[i:], true
-}
-
-var (
-	sampleRe = regexp.MustCompile(`^\[Device: id=(\d+)\] (TX|RX): ([\d.]+) Mpps, ([\d.]+) Mbit/s \(([\d.]+) Mbit/s with framing\)`)
-	totalRe  = regexp.MustCompile(`^\[Device: id=(\d+)\] (TX|RX): ([\d.]+) Mpps \(StdDev ([\d.]+)\), total (\d+) packets, (\d+) bytes`)
-	latRe    = regexp.MustCompile(`^\[Latency\] avg: ([\d.]+) ns, min: ([\d.]+) ns, max: ([\d.]+) ns, samples: (\d+)`)
-)
-
-// ParseRegexp is the original regexp-based implementation of Parse. It is
-// retained as the executable specification of the line grammar: the
-// differential test asserts Parse ≡ ParseRegexp, and the benchmark in the
-// repository root measures the scanner's speedup against it.
-func ParseRegexp(r io.Reader) (*Report, error) {
-	rep := &Report{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case totalRe.MatchString(line):
-			m := totalRe.FindStringSubmatch(line)
-			t := Total{
-				Device:    atoi(m[1]),
-				Direction: Direction(m[2]),
-				Mpps:      atof(m[3]),
-				StdDev:    atof(m[4]),
-				Packets:   atoi64(m[5]),
-				Bytes:     atoi64(m[6]),
-			}
-			rep.Totals = append(rep.Totals, t)
-		case sampleRe.MatchString(line):
-			m := sampleRe.FindStringSubmatch(line)
-			s := Sample{
-				Device:     atoi(m[1]),
-				Direction:  Direction(m[2]),
-				Mpps:       atof(m[3]),
-				Mbps:       atof(m[4]),
-				MbpsFramed: atof(m[5]),
-			}
-			rep.Samples = append(rep.Samples, s)
-		case latRe.MatchString(line):
-			m := latRe.FindStringSubmatch(line)
-			rep.Latency = &Latency{
-				AvgNs:   atof(m[1]),
-				MinNs:   atof(m[2]),
-				MaxNs:   atof(m[3]),
-				Samples: atoi64(m[4]),
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("moonparse: line %d: %w", lineNo, err)
-	}
-	if len(rep.Totals) == 0 {
-		return nil, ErrNoTotals
-	}
-	return rep, nil
+	return s[:i], s[i:], i > 0
 }
 
 // Total returns the run total for a direction, preferring the conventional
@@ -383,17 +328,21 @@ func (r *Report) SampleSeries(dir Direction) []float64 {
 	return out
 }
 
-func atoi(s string) int {
-	v, _ := strconv.Atoi(s)
+// The conversions drop strconv's error on purpose: the grammar admits
+// tokens strconv rejects ("1.2.3", 30 digits), and they read as whatever
+// strconv returns beside the error, as they always have.
+
+func atoi(s []byte) int {
+	v, _ := strconv.Atoi(string(s))
 	return v
 }
 
-func atoi64(s string) int64 {
-	v, _ := strconv.ParseInt(s, 10, 64)
+func atoi64(s []byte) int64 {
+	v, _ := strconv.ParseInt(string(s), 10, 64)
 	return v
 }
 
-func atof(s string) float64 {
-	v, _ := strconv.ParseFloat(s, 64)
+func atof(s []byte) float64 {
+	v, _ := strconv.ParseFloat(string(s), 64)
 	return v
 }

@@ -1,9 +1,15 @@
 package moonparse
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"regexp"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 
 	"pos/internal/loadgen"
@@ -162,13 +168,111 @@ func TestParseLongLinesDoNotBreakScanner(t *testing.T) {
 	}
 }
 
+func TestParseReportsReadError(t *testing.T) {
+	boom := errors.New("boom")
+	if _, err := Parse(iotest.ErrReader(boom)); !errors.Is(err, boom) {
+		t.Errorf("err = %v, want it to wrap %v", err, boom)
+	}
+}
+
 func BenchmarkParse(b *testing.B) {
+	log := []byte(sampleLog)
 	b.ReportAllocs()
+	b.SetBytes(int64(len(log)))
 	for i := 0; i < b.N; i++ {
-		if _, err := ParseString(sampleLog); err != nil {
+		if _, err := ParseBytes(log); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+var (
+	sampleRe = regexp.MustCompile(`^\[Device: id=(\d+)\] (TX|RX): ([\d.]+) Mpps, ([\d.]+) Mbit/s \(([\d.]+) Mbit/s with framing\)`)
+	totalRe  = regexp.MustCompile(`^\[Device: id=(\d+)\] (TX|RX): ([\d.]+) Mpps \(StdDev ([\d.]+)\), total (\d+) packets, (\d+) bytes`)
+	latRe    = regexp.MustCompile(`^\[Latency\] avg: ([\d.]+) ns, min: ([\d.]+) ns, max: ([\d.]+) ns, samples: (\d+)`)
+)
+
+// parseRegexp is the original implementation of the parser — a line scanner
+// feeding three regexps — kept as the executable specification of the line
+// grammar, the 1 MiB line limit and the line-ending rules.
+func parseRegexp(r io.Reader) (*Report, error) {
+	rep := &Report{}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		switch {
+		case totalRe.MatchString(line):
+			m := totalRe.FindStringSubmatch(line)
+			t := Total{
+				Device:    atoi([]byte(m[1])),
+				Direction: Direction(m[2]),
+				Mpps:      atof([]byte(m[3])),
+				StdDev:    atof([]byte(m[4])),
+				Packets:   atoi64([]byte(m[5])),
+				Bytes:     atoi64([]byte(m[6])),
+			}
+			rep.Totals = append(rep.Totals, t)
+		case sampleRe.MatchString(line):
+			m := sampleRe.FindStringSubmatch(line)
+			s := Sample{
+				Device:     atoi([]byte(m[1])),
+				Direction:  Direction(m[2]),
+				Mpps:       atof([]byte(m[3])),
+				Mbps:       atof([]byte(m[4])),
+				MbpsFramed: atof([]byte(m[5])),
+			}
+			rep.Samples = append(rep.Samples, s)
+		case latRe.MatchString(line):
+			m := latRe.FindStringSubmatch(line)
+			rep.Latency = &Latency{
+				AvgNs:   atof([]byte(m[1])),
+				MinNs:   atof([]byte(m[2])),
+				MaxNs:   atof([]byte(m[3])),
+				Samples: atoi64([]byte(m[4])),
+			}
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("moonparse: line %d: %w", lineNo, err)
+	}
+	if len(rep.Totals) == 0 {
+		return nil, ErrNoTotals
+	}
+	return rep, nil
+}
+
+// matchesRegexp holds every entry point equal to the regexp reference on one
+// input — report, error text and error identity — and checks the in-place
+// contract: the report survives the caller scribbling over the log.
+func matchesRegexp(input string) error {
+	want, werr := parseRegexp(strings.NewReader(input))
+	data := []byte(input)
+	entries := []struct {
+		name string
+		run  func() (*Report, error)
+	}{
+		{"ParseBytes", func() (*Report, error) { return ParseBytes(data) }},
+		{"ParseString", func() (*Report, error) { return ParseString(input) }},
+		{"Parse", func() (*Report, error) { return Parse(iotest.OneByteReader(strings.NewReader(input))) }},
+	}
+	for _, e := range entries {
+		got, gerr := e.run()
+		if fmt.Sprint(gerr) != fmt.Sprint(werr) || errors.Is(gerr, bufio.ErrTooLong) != errors.Is(werr, bufio.ErrTooLong) {
+			return fmt.Errorf("%s err %v, regexp err %v", e.name, gerr, werr)
+		}
+		if e.name == "ParseBytes" {
+			for i := range data {
+				data[i] = 'x'
+			}
+		}
+		if !reportsEqual(got, want) {
+			return fmt.Errorf("%s: %+v\nregexp: %+v", e.name, got, want)
+		}
+	}
+	return nil
 }
 
 // reportsEqual compares two parses structurally.
@@ -223,50 +327,69 @@ func TestScannerMatchesRegexp(t *testing.T) {
 		" [Device: id=0] TX: 1 Mpps (StdDev 0), total 1 packets, 64 bytes", // leading space is trimmed
 		"Device: id=0] TX: 1 Mpps (StdDev 0), total 1 packets, 64 bytes",
 		"",
+		// Line endings: CRLF ends a line, a lone CR does not.
+		"[Device: id=0] TX: 1 Mpps (StdDev 0), total 1 packets, 64 bytes\r",
+		"noise\r[Device: id=0] TX: 1 Mpps (StdDev 0), total 1 packets, 64 bytes",
+		"[Device: id=0] TX: 1 Mpps (StdDev 0), total 1 packets, 64 bytes\rnoise",
+		"\r",
 	}
 	for _, line := range lines {
 		input := line + "\n[Device: id=9] TX: 1 Mpps (StdDev 0), total 1 packets, 64 bytes\n"
-		got, gerr := ParseString(input)
-		want, werr := ParseRegexp(strings.NewReader(input))
-		if (gerr == nil) != (werr == nil) {
-			t.Errorf("%q: scanner err %v, regexp err %v", line, gerr, werr)
-			continue
+		if err := matchesRegexp(input); err != nil {
+			t.Errorf("%q: %v", line, err)
 		}
-		if !reportsEqual(got, want) {
-			t.Errorf("%q:\nscanner: %+v\nregexp:  %+v", line, got, want)
+	}
+}
+
+// TestLineLimitMatchesRegexp walks the 1 MiB line limit: the longest line
+// that parses, the first that does not, with and without a terminator, and
+// the line number the error carries.
+func TestLineLimitMatchesRegexp(t *testing.T) {
+	const total = "[Device: id=9] TX: 1 Mpps (StdDev 0), total 1 packets, 64 bytes\n"
+	for _, n := range []int{maxLineLen - 1, maxLineLen, maxLineLen + 1, maxLineLen + 2, 3 * maxLineLen} {
+		long := strings.Repeat("x", n)
+		for name, input := range map[string]string{
+			"first line":    long + "\n" + total,
+			"third line":    total + "\n" + long + "\n" + total,
+			"crlf":          total + long[1:] + "\r\n",
+			"no terminator": total + long,
+		} {
+			if err := matchesRegexp(input); err != nil {
+				t.Errorf("%d bytes, %s: %.200v", n, name, err)
+			}
 		}
+	}
+	_, err := ParseBytes([]byte(total + strings.Repeat("x", maxLineLen+1)))
+	if !errors.Is(err, bufio.ErrTooLong) || !strings.Contains(err.Error(), "line 1:") {
+		t.Errorf("over-long second line: err = %v", err)
 	}
 }
 
 // Property: scanner and regexp reference agree on arbitrary input.
 func TestScannerMatchesRegexpProperty(t *testing.T) {
-	prop := func(input string) bool {
-		got, gerr := ParseString(input)
-		want, werr := ParseRegexp(strings.NewReader(input))
-		if (gerr == nil) != (werr == nil) {
-			return false
-		}
-		return gerr != nil || reportsEqual(got, want)
-	}
+	prop := func(input string) bool { return matchesRegexp(input) == nil }
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }
 
 // FuzzScannerMatchesRegexp drives the differential check from the fuzzer's
-// corpus; `go test` runs the seed corpus, `go test -fuzz` explores.
+// corpus; `go test` runs the seed corpus, `go test -fuzz` explores. pad
+// lengthens the input's last line by that many bytes (mod a little over the
+// line limit), so the limit is one integer away instead of a megabyte of
+// mutations.
 func FuzzScannerMatchesRegexp(f *testing.F) {
-	f.Add(sampleLog)
-	f.Add("[Device: id=0] TX: . Mpps (StdDev .), total 0 packets, 0 bytes\n")
-	f.Add("[Latency] avg: 0.1 ns, min: 0 ns, max: 9 ns, samples: 2\n")
-	f.Fuzz(func(t *testing.T, input string) {
-		got, gerr := ParseString(input)
-		want, werr := ParseRegexp(strings.NewReader(input))
-		if (gerr == nil) != (werr == nil) {
-			t.Fatalf("scanner err %v, regexp err %v", gerr, werr)
-		}
-		if gerr == nil && !reportsEqual(got, want) {
-			t.Fatalf("scanner %+v\nregexp %+v", got, want)
+	f.Add(sampleLog, uint32(0))
+	f.Add("[Device: id=0] TX: . Mpps (StdDev .), total 0 packets, 0 bytes\n", uint32(0))
+	f.Add("[Latency] avg: 0.1 ns, min: 0 ns, max: 9 ns, samples: 2\n", uint32(0))
+	f.Add(sampleLog, uint32(maxLineLen+1))
+	f.Add(sampleLog+"tail", uint32(maxLineLen-4))
+	f.Add("noise\r"+sampleLog+"\r", uint32(0))
+	f.Add(strings.ReplaceAll(sampleLog, "\n", "\r\n"), uint32(7))
+	f.Fuzz(func(t *testing.T, input string, pad uint32) {
+		input += strings.Repeat("x", int(pad%(maxLineLen+64)))
+		if err := matchesRegexp(input); err != nil {
+			t.Fatalf("%.300v", err)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package plot
 
 import (
-	"fmt"
 	"sort"
 
 	"pos/internal/eval"
@@ -138,9 +137,9 @@ func Stability(title string, perSecond map[string][]float64) *Figure {
 // plotting scripts perform.
 func Export(f *Figure) map[string][]byte {
 	return map[string][]byte{
-		"svg": []byte(f.SVG()),
-		"tex": []byte(f.TeX()),
-		"csv": []byte(f.CSV()),
+		"svg": f.svg(),
+		"tex": f.tex(),
+		"csv": f.csv(),
 	}
 }
 
@@ -148,7 +147,7 @@ func Export(f *Figure) map[string][]byte {
 func ExportNamed(base string, f *Figure) map[string][]byte {
 	out := make(map[string][]byte, 3)
 	for ext, data := range Export(f) {
-		out[fmt.Sprintf("%s.%s", base, ext)] = data
+		out[base+"."+ext] = data
 	}
 	return out
 }

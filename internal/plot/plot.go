@@ -6,9 +6,9 @@
 package plot
 
 import (
-	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"pos/internal/eval"
@@ -136,49 +136,122 @@ func fmtTick(v float64) string {
 	switch {
 	case v == 0:
 		return "0"
-	case av >= 1e6:
-		return fmt.Sprintf("%.3g", v)
-	case av >= 1:
-		return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%.2f", v), "0"), ".")
+	case av >= 1 && av < 1e6:
+		return strings.TrimRight(strings.TrimRight(strconv.FormatFloat(v, 'f', 2, 64), "0"), ".")
 	default:
-		return fmt.Sprintf("%.3g", v)
+		return strconv.FormatFloat(v, 'g', 3, 64)
 	}
 }
 
-func esc(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
+var (
+	svgEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+	texEscaper = strings.NewReplacer("_", "\\_", "%", "\\%", "&", "\\&", "#", "\\#")
+)
+
+// doc is the one byte slice a figure renders into. SVG pixels are written
+// with one decimal and data values in their shortest form — byte for byte
+// what fmt's %.1f and %g print, without fmt's per-call argument boxing and
+// verb parsing on every point.
+type doc []byte
+
+func (d *doc) str(s string) *doc    { *d = append(*d, s...); return d }
+func (d *doc) int(n int) *doc       { *d = strconv.AppendInt(*d, int64(n), 10); return d }
+func (d *doc) px(v float64) *doc    { *d = appendTenths(*d, v); return d }
+func (d *doc) num(v float64) *doc   { *d = strconv.AppendFloat(*d, v, 'g', -1, 64); return d }
+func (d *doc) esc(s string) *doc    { return d.str(svgEscaper.Replace(s)) }
+func (d *doc) texEsc(s string) *doc { return d.str(texEscaper.Replace(s)) }
+
+// appendTenths is strconv.AppendFloat(b, v, 'f', 1, 64). strconv has no fast
+// path for a fixed number of decimals and converts through multi-precision
+// decimal arithmetic, several hundred nanoseconds a coordinate; for a normal
+// number below 2^52 the same digits come out of one 64-bit multiply: with
+// v = m / 2^shift exactly, round-half-even(10m / 2^shift) is the tenths.
+func appendTenths(b []byte, v float64) []byte {
+	bits := math.Float64bits(v)
+	exp := int(bits >> 52 & 0x7ff)
+	if exp == 0 || exp >= 1023+52 {
+		return strconv.AppendFloat(b, v, 'f', 1, 64) // zero, subnormal, integral, Inf, NaN
+	}
+	var tenths uint64
+	// Past 57 bits of shift 10m is below half a tenth: it rounds to zero.
+	if shift := uint(1023 + 52 - exp); shift <= 57 {
+		scaled := 10 * (bits&(1<<52-1) | 1<<52) // 10m < 2^57
+		tenths = scaled >> shift
+		rest, half := scaled&(1<<shift-1), uint64(1)<<(shift-1)
+		if rest > half || rest == half && tenths&1 == 1 {
+			tenths++
+		}
+	}
+	if bits>>63 != 0 {
+		b = append(b, '-')
+	}
+	b = strconv.AppendUint(b, tenths/10, 10)
+	return append(b, '.', byte('0'+tenths%10))
+}
+
+// points counts the figure's series points, for sizing a document up front.
+func (f *Figure) points() int {
+	n := 0
+	for _, s := range f.Series {
+		n += len(s.Points)
+	}
+	return n
+}
+
+// hasYErr reports whether any point of s carries aggregation error.
+func hasYErr(s eval.Series) bool {
+	for _, p := range s.Points {
+		if p.YErr > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // SVG renders the figure as a standalone SVG document.
-func (f *Figure) SVG() string {
+func (f *Figure) SVG() string { return string(f.svg()) }
+
+func (f *Figure) svg() []byte {
 	w, h := f.dims()
 	xmin, xmax, ymin, ymax := f.bounds()
 	plotW, plotH := float64(w-padL-padR), float64(h-padT-padB)
 	xpos := func(x float64) float64 { return padL + (x-xmin)/(xmax-xmin)*plotW }
 	ypos := func(y float64) float64 { return float64(h-padB) - (y-ymin)/(ymax-ymin)*plotH }
 
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`+"\n", w, h, w, h)
-	b.WriteString(`<rect width="100%" height="100%" fill="white"/>` + "\n")
-	fmt.Fprintf(&b, `<text x="%d" y="22" font-family="sans-serif" font-size="15" text-anchor="middle">%s</text>`+"\n", w/2, esc(f.Title))
+	// A point costs a path segment and a marker, ~70 bytes.
+	b := make(doc, 0, 4096+72*f.points())
+	b.str(`<svg xmlns="http://www.w3.org/2000/svg" width="`).int(w).str(`" height="`).int(h).
+		str(`" viewBox="0 0 `).int(w).str(" ").int(h).str(`">` + "\n")
+	b.str(`<rect width="100%" height="100%" fill="white"/>` + "\n")
+	b.str(`<text x="`).int(w / 2).str(`" y="22" font-family="sans-serif" font-size="15" text-anchor="middle">`).
+		esc(f.Title).str("</text>\n")
 
 	// Axes.
-	fmt.Fprintf(&b, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>`+"\n", padL, h-padB, w-padR, h-padB)
-	fmt.Fprintf(&b, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>`+"\n", padL, padT, padL, h-padB)
+	b.str(`<line x1="`).int(padL).str(`" y1="`).int(h - padB).str(`" x2="`).int(w - padR).str(`" y2="`).int(h - padB).
+		str(`" stroke="black"/>` + "\n")
+	b.str(`<line x1="`).int(padL).str(`" y1="`).int(padT).str(`" x2="`).int(padL).str(`" y2="`).int(h - padB).
+		str(`" stroke="black"/>` + "\n")
 	for _, t := range ticks(xmin, xmax, 6) {
 		x := xpos(t)
-		fmt.Fprintf(&b, `<line x1="%.1f" y1="%d" x2="%.1f" y2="%d" stroke="black"/>`+"\n", x, h-padB, x, h-padB+5)
-		fmt.Fprintf(&b, `<text x="%.1f" y="%d" font-family="sans-serif" font-size="11" text-anchor="middle">%s</text>`+"\n", x, h-padB+18, fmtTick(t))
+		b.str(`<line x1="`).px(x).str(`" y1="`).int(h - padB).str(`" x2="`).px(x).str(`" y2="`).int(h - padB + 5).
+			str(`" stroke="black"/>` + "\n")
+		b.str(`<text x="`).px(x).str(`" y="`).int(h - padB + 18).
+			str(`" font-family="sans-serif" font-size="11" text-anchor="middle">`).str(fmtTick(t)).str("</text>\n")
 	}
 	for _, t := range ticks(ymin, ymax, 6) {
 		y := ypos(t)
-		fmt.Fprintf(&b, `<line x1="%d" y1="%.1f" x2="%d" y2="%.1f" stroke="black"/>`+"\n", padL-5, y, padL, y)
-		fmt.Fprintf(&b, `<text x="%d" y="%.1f" font-family="sans-serif" font-size="11" text-anchor="end">%s</text>`+"\n", padL-8, y+4, fmtTick(t))
-		fmt.Fprintf(&b, `<line x1="%d" y1="%.1f" x2="%d" y2="%.1f" stroke="#dddddd"/>`+"\n", padL, y, w-padR, y)
+		b.str(`<line x1="`).int(padL - 5).str(`" y1="`).px(y).str(`" x2="`).int(padL).str(`" y2="`).px(y).
+			str(`" stroke="black"/>` + "\n")
+		b.str(`<text x="`).int(padL - 8).str(`" y="`).px(y + 4).
+			str(`" font-family="sans-serif" font-size="11" text-anchor="end">`).str(fmtTick(t)).str("</text>\n")
+		b.str(`<line x1="`).int(padL).str(`" y1="`).px(y).str(`" x2="`).int(w - padR).str(`" y2="`).px(y).
+			str(`" stroke="#dddddd"/>` + "\n")
 	}
-	fmt.Fprintf(&b, `<text x="%d" y="%d" font-family="sans-serif" font-size="13" text-anchor="middle">%s</text>`+"\n", w/2, h-12, esc(f.XLabel))
-	fmt.Fprintf(&b, `<text x="16" y="%d" font-family="sans-serif" font-size="13" text-anchor="middle" transform="rotate(-90 16 %d)">%s</text>`+"\n", h/2, h/2, esc(f.YLabel))
+	b.str(`<text x="`).int(w / 2).str(`" y="`).int(h - 12).
+		str(`" font-family="sans-serif" font-size="13" text-anchor="middle">`).esc(f.XLabel).str("</text>\n")
+	b.str(`<text x="16" y="`).int(h / 2).
+		str(`" font-family="sans-serif" font-size="13" text-anchor="middle" transform="rotate(-90 16 `).int(h / 2).
+		str(`)">`).esc(f.YLabel).str("</text>\n")
 
 	switch f.Kind {
 	case Violin:
@@ -193,40 +266,50 @@ func (f *Figure) SVG() string {
 	ly := padT + 4
 	for i, s := range f.Series {
 		color := Palette[i%len(Palette)]
-		fmt.Fprintf(&b, `<rect x="%d" y="%d" width="12" height="12" fill="%s"/>`+"\n", w-padR-120, ly, color)
-		fmt.Fprintf(&b, `<text x="%d" y="%d" font-family="sans-serif" font-size="12">%s</text>`+"\n", w-padR-104, ly+10, esc(s.Name))
+		b.str(`<rect x="`).int(w - padR - 120).str(`" y="`).int(ly).str(`" width="12" height="12" fill="`).str(color).
+			str(`"/>` + "\n")
+		b.str(`<text x="`).int(w - padR - 104).str(`" y="`).int(ly + 10).
+			str(`" font-family="sans-serif" font-size="12">`).esc(s.Name).str("</text>\n")
 		ly += 18
 	}
-	b.WriteString("</svg>\n")
-	return b.String()
+	b.str("</svg>\n")
+	return b
 }
 
-func (f *Figure) renderLines(b *strings.Builder, xpos, ypos func(float64) float64) {
+// line appends one stroked segment in the series color.
+func (d *doc) line(x1, y1, x2, y2 float64, color string) {
+	d.str(`<line x1="`).px(x1).str(`" y1="`).px(y1).str(`" x2="`).px(x2).str(`" y2="`).px(y2).
+		str(`" stroke="`).str(color).str(`" stroke-width="1.2"/>` + "\n")
+}
+
+func (f *Figure) renderLines(b *doc, xpos, ypos func(float64) float64) {
 	for i, s := range f.Series {
 		color := Palette[i%len(Palette)]
-		var path strings.Builder
+		b.str(`<path d="`)
 		for j, p := range s.Points {
-			cmd := "L"
 			if j == 0 {
-				cmd = "M"
+				b.str("M")
+			} else {
+				b.str(" L")
 			}
-			fmt.Fprintf(&path, "%s%.1f %.1f ", cmd, xpos(p.X), ypos(p.Y))
+			b.px(xpos(p.X)).str(" ").px(ypos(p.Y))
 		}
-		fmt.Fprintf(b, `<path d="%s" fill="none" stroke="%s" stroke-width="1.8"/>`+"\n", strings.TrimSpace(path.String()), color)
+		b.str(`" fill="none" stroke="`).str(color).str(`" stroke-width="1.8"/>` + "\n")
 		for _, p := range s.Points {
+			x, y := xpos(p.X), ypos(p.Y)
 			// Error bars from aggregated repetitions.
 			if p.YErr > 0 {
-				x, lo, hi := xpos(p.X), ypos(p.Y-p.YErr), ypos(p.Y+p.YErr)
-				fmt.Fprintf(b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="1.2"/>`+"\n", x, lo, x, hi, color)
-				fmt.Fprintf(b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="1.2"/>`+"\n", x-3, lo, x+3, lo, color)
-				fmt.Fprintf(b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="1.2"/>`+"\n", x-3, hi, x+3, hi, color)
+				lo, hi := ypos(p.Y-p.YErr), ypos(p.Y+p.YErr)
+				b.line(x, lo, x, hi, color)
+				b.line(x-3, lo, x+3, lo, color)
+				b.line(x-3, hi, x+3, hi, color)
 			}
-			fmt.Fprintf(b, `<circle cx="%.1f" cy="%.1f" r="2.4" fill="%s"/>`+"\n", xpos(p.X), ypos(p.Y), color)
+			b.str(`<circle cx="`).px(x).str(`" cy="`).px(y).str(`" r="2.4" fill="`).str(color).str(`"/>` + "\n")
 		}
 	}
 }
 
-func (f *Figure) renderBars(b *strings.Builder, xpos, ypos func(float64) float64, h int) {
+func (f *Figure) renderBars(b *doc, xpos, ypos func(float64) float64, h int) {
 	for i, s := range f.Series {
 		color := Palette[i%len(Palette)]
 		width := 8.0
@@ -235,121 +318,113 @@ func (f *Figure) renderBars(b *strings.Builder, xpos, ypos func(float64) float64
 		}
 		for _, p := range s.Points {
 			y := ypos(p.Y)
-			fmt.Fprintf(b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="%s" fill-opacity="0.75"/>`+"\n",
-				xpos(p.X)-width/2, y, width, float64(h-padB)-y, color)
+			b.str(`<rect x="`).px(xpos(p.X) - width/2).str(`" y="`).px(y).str(`" width="`).px(width).
+				str(`" height="`).px(float64(h-padB) - y).str(`" fill="`).str(color).str(`" fill-opacity="0.75"/>` + "\n")
 		}
 	}
 }
 
-func (f *Figure) renderViolins(b *strings.Builder, xpos, ypos func(float64) float64) {
+func (f *Figure) renderViolins(b *doc, xpos, ypos func(float64) float64) {
 	halfWidth := 0.35
 	for i, nv := range f.Violins {
 		color := Palette[i%len(Palette)]
 		cx := float64(i)
-		if len(nv.Violin.Profile) > 1 {
-			var path strings.Builder
+		if profile := nv.Violin.Profile; len(profile) > 1 {
 			// Right side down, left side up.
-			for j, p := range nv.Violin.Profile {
-				cmd := "L"
+			b.str(`<path d="`)
+			for j, p := range profile {
 				if j == 0 {
-					cmd = "M"
+					b.str("M")
+				} else {
+					b.str(" L")
 				}
-				fmt.Fprintf(&path, "%s%.1f %.1f ", cmd, xpos(cx+p.Y*halfWidth), ypos(p.X))
+				b.px(xpos(cx + p.Y*halfWidth)).str(" ").px(ypos(p.X))
 			}
-			for j := len(nv.Violin.Profile) - 1; j >= 0; j-- {
-				p := nv.Violin.Profile[j]
-				fmt.Fprintf(&path, "L%.1f %.1f ", xpos(cx-p.Y*halfWidth), ypos(p.X))
+			for j := len(profile) - 1; j >= 0; j-- {
+				p := profile[j]
+				b.str(" L").px(xpos(cx - p.Y*halfWidth)).str(" ").px(ypos(p.X))
 			}
-			fmt.Fprintf(b, `<path d="%sZ" fill="%s" fill-opacity="0.5" stroke="%s"/>`+"\n", strings.TrimSpace(path.String()), color, color)
+			b.str(`Z" fill="`).str(color).str(`" fill-opacity="0.5" stroke="`).str(color).str(`"/>` + "\n")
 		}
 		// Quartile box and median tick.
-		fmt.Fprintf(b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="black" stroke-width="3"/>`+"\n",
-			xpos(cx), ypos(nv.Violin.Q1), xpos(cx), ypos(nv.Violin.Q3))
-		fmt.Fprintf(b, `<circle cx="%.1f" cy="%.1f" r="3" fill="white" stroke="black"/>`+"\n",
-			xpos(cx), ypos(nv.Violin.Summary.Median))
-		fmt.Fprintf(b, `<text x="%.1f" y="%.1f" font-family="sans-serif" font-size="11" text-anchor="middle">%s</text>`+"\n",
-			xpos(cx), ypos(0)+32, esc(nv.Name))
+		b.str(`<line x1="`).px(xpos(cx)).str(`" y1="`).px(ypos(nv.Violin.Q1)).str(`" x2="`).px(xpos(cx)).
+			str(`" y2="`).px(ypos(nv.Violin.Q3)).str(`" stroke="black" stroke-width="3"/>` + "\n")
+		b.str(`<circle cx="`).px(xpos(cx)).str(`" cy="`).px(ypos(nv.Violin.Summary.Median)).
+			str(`" r="3" fill="white" stroke="black"/>` + "\n")
+		b.str(`<text x="`).px(xpos(cx)).str(`" y="`).px(ypos(0) + 32).
+			str(`" font-family="sans-serif" font-size="11" text-anchor="middle">`).esc(nv.Name).str("</text>\n")
 	}
 }
 
 // CSV renders the figure's data as comma-separated values: one row per
 // point, with a series column. A yerr column appears when any point carries
 // aggregation error.
-func (f *Figure) CSV() string {
-	hasErr := false
+func (f *Figure) CSV() string { return string(f.csv()) }
+
+func (f *Figure) csv() []byte {
+	hasErr, size := false, 32+160*len(f.Violins)
 	for _, s := range f.Series {
-		for _, p := range s.Points {
-			if p.YErr > 0 {
-				hasErr = true
-			}
-		}
+		hasErr = hasErr || hasYErr(s)
+		size += len(s.Points) * (len(s.Name) + 20)
 	}
-	var b strings.Builder
+	b := make(doc, 0, size)
 	if hasErr {
-		b.WriteString("series,x,y,yerr\n")
+		b.str("series,x,y,yerr\n")
 	} else {
-		b.WriteString("series,x,y\n")
+		b.str("series,x,y\n")
 	}
 	for _, s := range f.Series {
 		for _, p := range s.Points {
+			b.str(s.Name).str(",").num(p.X).str(",").num(p.Y)
 			if hasErr {
-				fmt.Fprintf(&b, "%s,%g,%g,%g\n", s.Name, p.X, p.Y, p.YErr)
-			} else {
-				fmt.Fprintf(&b, "%s,%g,%g\n", s.Name, p.X, p.Y)
+				b.str(",").num(p.YErr)
 			}
+			b.str("\n")
 		}
 	}
 	for _, nv := range f.Violins {
 		v := nv.Violin
-		fmt.Fprintf(&b, "%s,min,%g\n", nv.Name, v.Summary.Min)
-		fmt.Fprintf(&b, "%s,q1,%g\n", nv.Name, v.Q1)
-		fmt.Fprintf(&b, "%s,median,%g\n", nv.Name, v.Summary.Median)
-		fmt.Fprintf(&b, "%s,q3,%g\n", nv.Name, v.Q3)
-		fmt.Fprintf(&b, "%s,max,%g\n", nv.Name, v.Summary.Max)
+		b.str(nv.Name).str(",min,").num(v.Summary.Min).str("\n")
+		b.str(nv.Name).str(",q1,").num(v.Q1).str("\n")
+		b.str(nv.Name).str(",median,").num(v.Summary.Median).str("\n")
+		b.str(nv.Name).str(",q3,").num(v.Q3).str("\n")
+		b.str(nv.Name).str(",max,").num(v.Summary.Max).str("\n")
 	}
-	return b.String()
+	return b
 }
 
 // TeX renders the figure as a pgfplots axis environment.
-func (f *Figure) TeX() string {
-	var b strings.Builder
-	b.WriteString("\\begin{tikzpicture}\n\\begin{axis}[\n")
-	fmt.Fprintf(&b, "  title={%s},\n  xlabel={%s},\n  ylabel={%s},\n", texEsc(f.Title), texEsc(f.XLabel), texEsc(f.YLabel))
-	b.WriteString("  legend pos=north west,\n]\n")
+func (f *Figure) TeX() string { return string(f.tex()) }
+
+func (f *Figure) tex() []byte {
+	b := make(doc, 0, 512+24*f.points())
+	b.str("\\begin{tikzpicture}\n\\begin{axis}[\n")
+	b.str("  title={").texEsc(f.Title).str("},\n  xlabel={").texEsc(f.XLabel).str("},\n  ylabel={").texEsc(f.YLabel).str("},\n")
+	b.str("  legend pos=north west,\n]\n")
 	for _, s := range f.Series {
-		hasErr := false
-		for _, p := range s.Points {
-			if p.YErr > 0 {
-				hasErr = true
-			}
-		}
+		hasErr := hasYErr(s)
 		switch {
 		case f.Kind == HistoKind:
-			b.WriteString("\\addplot+[ybar] coordinates {\n")
+			b.str("\\addplot+[ybar] coordinates {\n")
 		case f.Kind == CDFKind:
-			b.WriteString("\\addplot+[const plot] coordinates {\n")
+			b.str("\\addplot+[const plot] coordinates {\n")
 		case hasErr:
-			b.WriteString("\\addplot+[mark=*, error bars/.cd, y dir=both, y explicit] coordinates {\n")
+			b.str("\\addplot+[mark=*, error bars/.cd, y dir=both, y explicit] coordinates {\n")
 		default:
-			b.WriteString("\\addplot+[mark=*] coordinates {\n")
+			b.str("\\addplot+[mark=*] coordinates {\n")
 		}
 		for _, p := range s.Points {
+			b.str("  (").num(p.X).str(", ").num(p.Y).str(")")
 			if hasErr {
-				fmt.Fprintf(&b, "  (%g, %g) +- (0, %g)\n", p.X, p.Y, p.YErr)
-			} else {
-				fmt.Fprintf(&b, "  (%g, %g)\n", p.X, p.Y)
+				b.str(" +- (0, ").num(p.YErr).str(")")
 			}
+			b.str("\n")
 		}
-		b.WriteString("};\n")
-		fmt.Fprintf(&b, "\\addlegendentry{%s}\n", texEsc(s.Name))
+		b.str("};\n")
+		b.str("\\addlegendentry{").texEsc(s.Name).str("}\n")
 	}
-	b.WriteString("\\end{axis}\n\\end{tikzpicture}\n")
-	return b.String()
-}
-
-func texEsc(s string) string {
-	r := strings.NewReplacer("_", "\\_", "%", "\\%", "&", "\\&", "#", "\\#")
-	return r.Replace(s)
+	b.str("\\end{axis}\n\\end{tikzpicture}\n")
+	return b
 }
 
 // Sorted returns series names in render order, for tests and manifests.

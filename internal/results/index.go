@@ -33,7 +33,8 @@ const maxPendingMutations = 512
 
 // flushWindow is how long the flusher waits before each group commit so
 // back-to-back writers accumulate into one manifest write. Skipped when a
-// Sync is waiting or the queue is saturated.
+// Sync is waiting or the queue is saturated, and cut short when either
+// happens while it runs.
 const flushWindow = 2 * time.Millisecond
 
 // index is the in-memory manifest.
@@ -335,6 +336,7 @@ func (e *Experiment) mutateOp(path string, op func() error, apply func(*index)) 
 	}
 	// Backpressure: bound the unflushed mutation count.
 	for e.pending >= maxPendingMutations {
+		e.cutWindowLocked()
 		e.cond.Wait()
 	}
 	apply(e.idx)
@@ -366,9 +368,7 @@ func (e *Experiment) flushLoop() {
 	e.mu.Lock()
 	for e.pending > 0 || len(e.ops) > 0 {
 		if e.syncWaiters == 0 && e.pending < maxPendingMutations {
-			e.mu.Unlock()
-			time.Sleep(flushWindow)
-			e.mu.Lock()
+			e.waitWindowLocked()
 		}
 		ops := e.ops
 		e.ops = nil
@@ -405,6 +405,32 @@ func (e *Experiment) flushLoop() {
 	e.flushing = false
 	e.cond.Broadcast() // wake Sync waiters
 	e.mu.Unlock()
+}
+
+// waitWindowLocked releases e.mu for one flushWindow, or until
+// cutWindowLocked ends it. Caller holds e.mu and is the flusher.
+func (e *Experiment) waitWindowLocked() {
+	window := make(chan struct{})
+	e.window = window
+	e.mu.Unlock()
+	timer := time.NewTimer(flushWindow)
+	select {
+	case <-timer.C:
+	case <-window:
+		timer.Stop()
+	}
+	e.mu.Lock()
+	e.window = nil
+}
+
+// cutWindowLocked ends the flusher's current window, if it is in one: whoever
+// is about to block on the flush has nothing to gain from more accumulation.
+// Caller holds e.mu.
+func (e *Experiment) cutWindowLocked() {
+	if e.window != nil {
+		close(e.window)
+		e.window = nil
+	}
 }
 
 // drainOps executes one group commit's deferred writes. Every op targets a
@@ -463,6 +489,7 @@ func (e *Experiment) Sync() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.syncWaiters++
+	e.cutWindowLocked()
 	for e.flushing || e.pending > 0 || len(e.ops) > 0 {
 		e.cond.Wait()
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -622,5 +623,31 @@ func TestDotUserRejected(t *testing.T) {
 	}
 	if _, err := s.CreateExperiment("u", ".hidden", when); err == nil {
 		t.Error("accepted a dot experiment name")
+	}
+}
+
+// A Sync that arrives while the flusher waits out its group-commit window
+// must end the window, not sit through the rest of it. The deferred write
+// stamps the moment the flusher starts its commit, so the disk's speed stays
+// out of the measurement.
+func TestSyncCutsFlushWindowShort(t *testing.T) {
+	_, e := newExp(t)
+	waits := make([]time.Duration, 50)
+	for i := range waits {
+		var committing time.Time
+		stamp := func() error { committing = time.Now(); return nil }
+		if err := e.mutateOp("probe", stamp, func(*index) {}); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(flushWindow / 10) // the flusher is in its window by now
+		called := time.Now()
+		if err := e.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		waits[i] = committing.Sub(called)
+	}
+	sort.Slice(waits, func(i, j int) bool { return waits[i] < waits[j] })
+	if median := waits[len(waits)/2]; median >= flushWindow/2 {
+		t.Errorf("median wait from Sync to commit = %v, want < %v (window %v)", median, flushWindow/2, flushWindow)
 	}
 }

@@ -247,6 +247,7 @@ type Experiment struct {
 	flushing    bool           // a flusher goroutine is active
 	flushErr    error          // first flush failure, surfaced by Sync
 	syncWaiters int            // Sync callers blocked; makes the flusher skip its window
+	window      chan struct{}  // open while the flusher waits out a window; closing it ends the wait
 }
 
 func (s *Store) newExperiment(dir, user, name, id string) *Experiment {
