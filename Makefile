@@ -53,15 +53,22 @@ fuzz-smoke:
 bench:
 	go test -run NONE -bench BenchmarkParallelSweep -benchtime 3x .
 
-# Result-pipeline tier: store ingest (indexed/deduplicated vs. legacy
-# scan store), warm-cache evaluation, and the end-to-end appendix
-# workflow. Headline speedups are recorded next to the code in
-# BENCH_results.json via BENCH_RESULTS_OUT.
-.PHONY: bench-results
-bench-results:
-	BENCH_RESULTS_OUT=$(CURDIR)/BENCH_results.json \
-	go test -run NONE -bench 'BenchmarkStoreIngest|BenchmarkEvalWarmCache|BenchmarkAppendixWorkflow' \
-		-benchmem -benchtime 5x .
+# Campaign profile: where one Appendix-A campaign (60 runs through the real
+# TCP control plane into a fresh store) spends its CPU and its allocations.
+# 200 campaigns of the root BenchmarkAppendixWorkflow under both profilers,
+# then the top 25 by cumulative CPU time and by allocated objects. Stores go
+# to /dev/shm when it is writable, as bench/ puts them, so the profile shows
+# this code and not the host's disk. Binary and profiles stay in
+# .bench_build/ for `go tool pprof -list`.
+.PHONY: profile-campaign
+profile-campaign:
+	@mkdir -p .bench_build
+	TMPDIR=$$([ -w /dev/shm ] && echo /dev/shm || echo $${TMPDIR:-/tmp}) \
+	go test -run NONE -bench 'BenchmarkAppendixWorkflow$$' -benchtime 200x -benchmem \
+		-o .bench_build/campaign.test \
+		-cpuprofile .bench_build/campaign.cpu -memprofile .bench_build/campaign.mem .
+	@go tool pprof -top -cum .bench_build/campaign.test .bench_build/campaign.cpu 2>/dev/null | head -33
+	@go tool pprof -sample_index=alloc_objects -top .bench_build/campaign.test .bench_build/campaign.mem 2>/dev/null | head -32
 
 # Data-plane tier: the batched zero-alloc engine against the scalar
 # event-per-hop oracle — one plateau-rate run (allocs/op, allocs/train)

@@ -25,7 +25,6 @@ import (
 	"pos/internal/casestudy"
 	"pos/internal/compare"
 	"pos/internal/core"
-	"pos/internal/eval"
 	"pos/internal/eventlog"
 	"pos/internal/hosttools"
 	"pos/internal/loadgen"
@@ -41,8 +40,8 @@ import (
 
 // recordBenchResults appends one benchmark's headline metrics to the JSON
 // file named by BENCH_RESULTS_OUT (read-merge-write; benchmarks run
-// sequentially in one process). `make bench-results` sets the variable to
-// BENCH_results.json so the recorded speedups live next to the code that
+// sequentially in one process). The Makefile's bench-* tiers set the variable
+// to their BENCH_*.json so the recorded ratios live next to the code that
 // earned them.
 func recordBenchResults(b *testing.B, bench string, metrics map[string]float64) {
 	b.Helper()
@@ -158,7 +157,7 @@ func BenchmarkTable1Comparison(b *testing.B) {
 // BenchmarkAppendixWorkflow runs the full Appendix A experiment (60
 // measurement runs through the complete TCP control plane) once per
 // iteration — the end-to-end cost of the paper's 3-hour campaign in
-// emulation.
+// emulation. `make profile-campaign` profiles it.
 func BenchmarkAppendixWorkflow(b *testing.B) {
 	b.ReportAllocs()
 	var wall time.Duration
@@ -185,239 +184,7 @@ func BenchmarkAppendixWorkflow(b *testing.B) {
 		topo.Close()
 		b.ReportMetric(float64(sum.TotalRuns), "runs")
 	}
-	wallMs := wall.Seconds() * 1000 / float64(b.N)
-	b.ReportMetric(wallMs, "wall_ms/op")
-	recordBenchResults(b, "AppendixWorkflow", map[string]float64{"wall_ms_per_campaign": wallMs, "runs": 60})
-}
-
-// ingestCampaign writes a 60-run campaign the way the runner does: per-run
-// MoonGen log and latency CSV (identical across runs at the same size — the
-// dedup case), a per-run unique capture, and run metadata; then the
-// enumeration passes every consumer performs (results listing, eval,
-// publish, check): Runs, ReadRunMeta, RunArtifacts, ArtifactPaths.
-func ingestCampaign(b *testing.B, s *results.Store, moongenLog, latCSV, unique []byte) {
-	b.Helper()
-	e, err := s.CreateExperiment("user", "ingest", time.Now())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := e.AddExperimentArtifact("experiment/measurement.sh", moongenLog[:200]); err != nil {
-		b.Fatal(err)
-	}
-	for run := 0; run < 60; run++ {
-		if err := e.AddRunArtifact(run, "loadgen", "moongen.log", moongenLog); err != nil {
-			b.Fatal(err)
-		}
-		if err := e.AddRunArtifact(run, "loadgen", "latency.csv", latCSV); err != nil {
-			b.Fatal(err)
-		}
-		if err := e.AddRunArtifact(run, "dut", "capture.out", append(unique, byte(run))); err != nil {
-			b.Fatal(err)
-		}
-		if err := e.WriteRunMeta(results.RunMeta{Run: run, LoopVars: map[string]string{
-			"pkt_sz": fmt.Sprint(64 + run%2*1436), "pkt_rate": fmt.Sprint((run/2 + 1) * 10_000),
-		}}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := e.Sync(); err != nil {
-		b.Fatal(err)
-	}
-	// The post-campaign pipeline enumerates the tree once per consumer:
-	// artifact check, evaluation, publication, results inspection.
-	for pass := 0; pass < 4; pass++ {
-		runs, err := e.Runs()
-		if err != nil || len(runs) != 60 {
-			b.Fatalf("runs = %d, %v", len(runs), err)
-		}
-		for _, run := range runs {
-			if _, err := e.ReadRunMeta(run); err != nil {
-				b.Fatal(err)
-			}
-			arts, err := e.RunArtifacts(run)
-			if err != nil || len(arts) != 3 {
-				b.Fatalf("artifacts = %v, %v", arts, err)
-			}
-		}
-		paths, err := e.ArtifactPaths()
-		if err != nil || len(paths) != 60*4+1 {
-			b.Fatalf("paths = %d, %v", len(paths), err)
-		}
-	}
-}
-
-// BenchmarkStoreIngest measures recording-plus-enumerating a 60-run
-// campaign. Legacy is the pre-index store behavior (no manifest, no dedup:
-// every enumeration walks the tree and re-parses metadata); FastPath is the
-// default store (write-behind manifest, content-addressed dedup). The
-// Speedup sub-benchmark reports the throughput ratio.
-func BenchmarkStoreIngest(b *testing.B) {
-	logData := []byte(syntheticMoonGenLog(60))
-	var csv strings.Builder
-	for i := 0; i < 10000; i++ {
-		fmt.Fprintf(&csv, "%d\n", 9000+i%30000)
-	}
-	latCSV := []byte(csv.String())
-	unique := []byte("per-run capture data")
-	legacyStore := func(b *testing.B) *results.Store {
-		s, err := results.NewStore(b.TempDir(), results.NoIndex(), results.NoDedup())
-		if err != nil {
-			b.Fatal(err)
-		}
-		return s
-	}
-	fastStore := func(b *testing.B) *results.Store {
-		s, err := results.NewStore(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		return s
-	}
-	b.Run("Legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ingestCampaign(b, legacyStore(b), logData, latCSV, unique)
-		}
-	})
-	b.Run("FastPath", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ingestCampaign(b, fastStore(b), logData, latCSV, unique)
-		}
-	})
-	b.Run("Speedup", func(b *testing.B) {
-		// Paired rounds: each legacy campaign is timed back-to-back with a
-		// fast-path campaign and the median per-round ratio is reported, so
-		// noise spikes on a shared machine cancel instead of skewing one
-		// side's total.
-		const rounds = 5
-		var ratios []float64
-		var tLegacy, tFast time.Duration
-		for i := 0; i < b.N; i++ {
-			for r := 0; r < rounds; r++ {
-				start := time.Now()
-				ingestCampaign(b, legacyStore(b), logData, latCSV, unique)
-				tL := time.Since(start)
-				start = time.Now()
-				ingestCampaign(b, fastStore(b), logData, latCSV, unique)
-				tF := time.Since(start)
-				ratios = append(ratios, tL.Seconds()/tF.Seconds())
-				tLegacy += tL
-				tFast += tF
-			}
-		}
-		sort.Float64s(ratios)
-		speedup := ratios[len(ratios)/2]
-		b.ReportMetric(speedup, "speedup_x")
-		b.ReportMetric(0, "ns/op")
-		recordBenchResults(b, "StoreIngest", map[string]float64{
-			"speedup_x":      speedup,
-			"legacy_ms_op":   tLegacy.Seconds() * 1000 / float64(b.N*rounds),
-			"fastpath_ms_op": tFast.Seconds() * 1000 / float64(b.N*rounds),
-		})
-	})
-}
-
-// BenchmarkEvalWarmCache measures the evaluation load of a 60-run campaign:
-// Cold opens the tree through a store without a manifest (every load walks,
-// re-reads, and re-parses 60 MoonGen logs and latency CSVs), Warm hits the
-// generation-validated in-memory cache. The Speedup sub-benchmark reports
-// the ratio — the cost of every plot-iteration reload the cache removes.
-func BenchmarkEvalWarmCache(b *testing.B) {
-	root := b.TempDir()
-	seedStore, err := results.NewStore(root)
-	if err != nil {
-		b.Fatal(err)
-	}
-	logData := []byte(syntheticMoonGenLog(10))
-	var csv strings.Builder
-	for i := 0; i < 2000; i++ {
-		fmt.Fprintf(&csv, "%d\n", 9000+i%30000)
-	}
-	ingestCampaign(b, seedStore, logData, []byte(csv.String()), []byte("capture"))
-	ids, err := seedStore.ListExperiments("user", "ingest")
-	if err != nil || len(ids) != 1 {
-		b.Fatalf("ids = %v, %v", ids, err)
-	}
-	loadBoth := func(b *testing.B, e *results.Experiment) {
-		b.Helper()
-		runs, err := eval.LoadRuns(e, "loadgen", "moongen.log")
-		if err != nil || len(runs) != 60 {
-			b.Fatalf("runs = %d, %v", len(runs), err)
-		}
-		lat, err := eval.LoadLatency(e, "loadgen", "latency.csv")
-		if err != nil || len(lat) == 0 {
-			b.Fatalf("latency = %d combos, %v", len(lat), err)
-		}
-	}
-	b.Run("Cold", func(b *testing.B) {
-		b.ReportAllocs()
-		s, err := results.NewStore(root, results.NoIndex())
-		if err != nil {
-			b.Fatal(err)
-		}
-		e, err := s.OpenExperiment("user", "ingest", ids[0])
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N; i++ {
-			loadBoth(b, e)
-		}
-	})
-	b.Run("Warm", func(b *testing.B) {
-		b.ReportAllocs()
-		e, err := seedStore.OpenExperiment("user", "ingest", ids[0])
-		if err != nil {
-			b.Fatal(err)
-		}
-		eval.ResetCache()
-		loadBoth(b, e) // warm the cache once
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			loadBoth(b, e)
-		}
-	})
-	b.Run("Speedup", func(b *testing.B) {
-		const rounds = 3
-		coldStore, err := results.NewStore(root, results.NoIndex())
-		if err != nil {
-			b.Fatal(err)
-		}
-		coldExp, err := coldStore.OpenExperiment("user", "ingest", ids[0])
-		if err != nil {
-			b.Fatal(err)
-		}
-		warmExp, err := seedStore.OpenExperiment("user", "ingest", ids[0])
-		if err != nil {
-			b.Fatal(err)
-		}
-		eval.ResetCache()
-		loadBoth(b, warmExp)
-		var ratios []float64
-		var tCold, tWarm time.Duration
-		for i := 0; i < b.N; i++ {
-			for r := 0; r < rounds; r++ {
-				start := time.Now()
-				loadBoth(b, coldExp)
-				tC := time.Since(start)
-				start = time.Now()
-				loadBoth(b, warmExp)
-				tW := time.Since(start)
-				ratios = append(ratios, tC.Seconds()/tW.Seconds())
-				tCold += tC
-				tWarm += tW
-			}
-		}
-		sort.Float64s(ratios)
-		speedup := ratios[len(ratios)/2]
-		b.ReportMetric(speedup, "speedup_x")
-		b.ReportMetric(0, "ns/op")
-		recordBenchResults(b, "EvalWarmCache", map[string]float64{
-			"speedup_x":  speedup,
-			"cold_ms_op": tCold.Seconds() * 1000 / float64(b.N*rounds),
-			"warm_ms_op": tWarm.Seconds() * 1000 / float64(b.N*rounds),
-		})
-	})
+	b.ReportMetric(wall.Seconds()*1000/float64(b.N), "wall_ms/op")
 }
 
 // BenchmarkAblationSwitching quantifies the latency cost of switched vs.
@@ -1076,25 +843,6 @@ func BenchmarkSchedFaultRetry(b *testing.B) {
 			"retried_runs":    float64(retried),
 		})
 	})
-}
-
-// syntheticMoonGenLog renders a realistic large run log: per-second samples
-// for both devices, interleaved noise, then totals and the latency summary.
-func syntheticMoonGenLog(seconds int) string {
-	var sb strings.Builder
-	for i := 0; i < seconds; i++ {
-		fmt.Fprintf(&sb, "[Device: id=0] TX: %d.%04d Mpps, %d.%02d Mbit/s (%d.%02d Mbit/s with framing)\n",
-			1, i%10000, 512+i%100, i%100, 672+i%100, i%100)
-		fmt.Fprintf(&sb, "[Device: id=1] RX: %d.%04d Mpps, %d.%02d Mbit/s (%d.%02d Mbit/s with framing)\n",
-			1, (i+7)%10000, 511+i%100, i%100, 671+i%100, i%100)
-		if i%5 == 0 {
-			fmt.Fprintf(&sb, "app log: worker %d heartbeat ok\n", i)
-		}
-	}
-	sb.WriteString("[Device: id=0] TX: 1.0000 Mpps (StdDev 0.0002), total 60000000 packets, 3840000000 bytes\n")
-	sb.WriteString("[Device: id=1] RX: 0.9995 Mpps (StdDev 0.0005), total 59970000 packets, 3838080000 bytes\n")
-	sb.WriteString("[Latency] avg: 12345 ns, min: 9000 ns, max: 40000 ns, samples: 100000\n")
-	return sb.String()
 }
 
 // BenchmarkPublicAPIRun exercises the façade the way a downstream user does.

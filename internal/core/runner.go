@@ -515,7 +515,8 @@ func (s *Session) Close() {
 // have runs in flight concurrently without sharing any mutable state.
 func (s *Session) RunOne(ctx context.Context, runIdx, total int, combo Combination) (RunRecord, error) {
 	r := s.r
-	r.event(s.replica, ProgressEvent{Phase: PhaseMeasurement, Run: runIdx, TotalRuns: total, Host: s.replica, Message: combo.Key()})
+	comboKey, runNo := combo.Key(), strconv.Itoa(runIdx)
+	r.event(s.replica, ProgressEvent{Phase: PhaseMeasurement, Run: runIdx, TotalRuns: total, Host: s.replica, Message: comboKey})
 	rec := RunRecord{Run: runIdx, Combo: combo, Attempts: 1}
 	runStart := r.now()
 	// Host-condition attribution: sample the Go runtime at the run's edges
@@ -527,8 +528,8 @@ func (s *Session) RunOne(ctx context.Context, runIdx, total int, combo Combinati
 	if telemetry.Default.Enabled() {
 		startRes = telemetry.ReadRuntimeStats()
 	}
-	ctx, runSpan := telemetry.StartSpan(ctx, fmt.Sprintf("run %d", runIdx),
-		"combo", combo.Key(), "replica", s.replica)
+	ctx, runSpan := telemetry.StartSpan(ctx, "run "+runNo,
+		"combo", comboKey, "replica", s.replica)
 	defer runSpan.End()
 
 	// The per-run handle: loop variables and upload routing for exactly
@@ -544,7 +545,7 @@ func (s *Session) RunOne(ctx context.Context, runIdx, total int, combo Combinati
 		buffered = hosttools.NewBufferedUploader(sink, r.BatchUploads)
 		sink = buffered
 	}
-	scope := r.Service.NewScope(fmt.Sprintf("run%d", runIdx), sink)
+	scope := r.Service.NewScope("run"+runNo, sink)
 	for k, v := range combo {
 		scope.SetVar(k, v)
 	}
@@ -572,7 +573,7 @@ func (s *Session) RunOne(ctx context.Context, runIdx, total int, combo Combinati
 	runErr := r.forEachHostIndexed(s.hosts, func(i int, h Host) error {
 		spec := s.e.Hosts[i]
 		env := r.runEnv(s.e, spec, combo)
-		env["RUN"] = fmt.Sprintf("%d", runIdx)
+		env["RUN"] = runNo
 		_, es := telemetry.StartSpan(ctx, "exec:"+spec.Node, "phase", PhaseMeasurement)
 		out, err := h.Exec(ctx, spec.Measurement, env)
 		es.SetError(err)
@@ -619,10 +620,10 @@ func (s *Session) RunOne(ctx context.Context, runIdx, total int, combo Combinati
 		runsFailed.Inc()
 		runSpan.SetError(runErr)
 		r.event(s.replica, ProgressEvent{Phase: PhaseMeasurement, Run: runIdx, TotalRuns: total,
-			Host: s.replica, Message: "run failed: " + combo.Key(), Error: rec.Error})
+			Host: s.replica, Message: "run failed: " + comboKey, Error: rec.Error})
 		eventlog.Logger(ctx).Error("measurement run failed",
 			"replica", s.replica, "phase", PhaseMeasurement,
-			"run", runIdx, "combo", combo.Key(), "err", rec.Error)
+			"run", runIdx, "combo", comboKey, "err", rec.Error)
 	} else {
 		runsOK.Inc()
 	}
@@ -654,7 +655,7 @@ func (s *Session) writeResources(runIdx int, start telemetry.RuntimeStats) {
 		return
 	}
 	delta := start.DeltaTo(telemetry.ReadRuntimeStats())
-	data, err := json.MarshalIndent(delta, "", "  ")
+	data, err := delta.AppendIndentJSON(make([]byte, 0, 768))
 	if err != nil {
 		return
 	}

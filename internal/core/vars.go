@@ -54,16 +54,27 @@ type Combination map[string]string
 // Key returns a canonical "k=v,k=v" string, usable for deduplication and
 // stable metadata.
 func (c Combination) Key() string {
-	keys := make([]string, 0, len(c))
+	var stack [8]string
+	keys := stack[:0]
 	for k := range c {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = k + "=" + c[k]
+	n := 0
+	for _, k := range keys {
+		n += len(k) + len(c[k]) + 2
 	}
-	return strings.Join(parts, ",")
+	var b strings.Builder
+	b.Grow(n)
+	for i, k := range keys {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(k)
+		b.WriteByte('=')
+		b.WriteString(c[k])
+	}
+	return b.String()
 }
 
 // CrossProduct expands loop variables into every possible combination, in

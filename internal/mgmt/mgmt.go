@@ -65,9 +65,9 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Close stops the BMC.
 func (s *Server) Close() error { return s.ln.Close() }
 
-func (s *Server) handle(raw json.RawMessage) any {
+func (s *Server) handle(frame []byte) any {
 	var req Request
-	if err := json.Unmarshal(raw, &req); err != nil {
+	if err := json.Unmarshal(frame, &req); err != nil {
 		return Response{Error: "bad request: " + err.Error()}
 	}
 	resp := Response{OK: true}

@@ -27,8 +27,10 @@ func (n *Node) Exec(ctx context.Context, script string, extraEnv map[string]stri
 	env := n.snapshotEnv(extraEnv)
 	var out bytes.Buffer
 
-	lines := strings.Split(script, "\n")
-	for lineNo, raw := range lines {
+	// One pass over the script's lines, numbered as strings.Split would.
+	for lineNo, more := 0, true; more; lineNo++ {
+		var raw string
+		raw, script, more = strings.Cut(script, "\n")
 		if err := ctx.Err(); err != nil {
 			return out.String(), err
 		}
@@ -161,63 +163,97 @@ func (n *Node) builtin(ctx context.Context, name string, args []string, env map[
 
 // splitFields tokenizes a command line with quoting and $-substitution.
 func splitFields(line string, env map[string]string) ([]string, error) {
-	var fields []string
-	var cur strings.Builder
-	inField := false
-	i := 0
-	flush := func() {
-		if inField {
-			fields = append(fields, cur.String())
-			cur.Reset()
-			inField = false
+	fields := make([]string, 0, 8)
+	// A field is the concatenation of its pieces: runs of plain bytes, quoted
+	// strings, variable values. One made of a single piece — nearly all of
+	// them — is that piece, a substring of line or a value from env, and
+	// costs no allocation; only a second piece starts the builder.
+	var (
+		cur     strings.Builder
+		field   string
+		inField bool
+		built   bool
+	)
+	add := func(piece string) {
+		switch {
+		case !inField:
+			field, inField = piece, true
+		case !built:
+			cur.WriteString(field)
+			built = true
+			fallthrough
+		default:
+			cur.WriteString(piece)
 		}
 	}
-	for i < len(line) {
+	flush := func() {
+		if built {
+			field = cur.String()
+			cur.Reset()
+		}
+		if inField {
+			fields = append(fields, field)
+		}
+		inField, built = false, false
+	}
+	for i := 0; i < len(line); {
 		c := line[i]
 		switch {
 		case c == ' ' || c == '\t':
 			flush()
 			i++
 		case c == '\'':
-			inField = true
 			end := strings.IndexByte(line[i+1:], '\'')
 			if end < 0 {
 				return nil, fmt.Errorf("unterminated single quote")
 			}
-			cur.WriteString(line[i+1 : i+1+end])
+			add(line[i+1 : i+1+end])
 			i += end + 2
 		case c == '"':
-			inField = true
 			end := strings.IndexByte(line[i+1:], '"')
 			if end < 0 {
 				return nil, fmt.Errorf("unterminated double quote")
 			}
-			cur.WriteString(expand(line[i+1:i+1+end], env))
+			add(expand(line[i+1:i+1+end], env))
 			i += end + 2
 		case c == '$':
-			inField = true
 			name, consumed, err := parseVarRef(line[i:])
 			if err != nil {
 				return nil, err
 			}
-			cur.WriteString(env[name])
+			add(env[name])
 			i += consumed
 		case c == '#':
 			// Unquoted # starts a trailing comment.
 			flush()
 			return fields, nil
 		default:
-			inField = true
-			cur.WriteByte(c)
-			i++
+			start := i
+			for i < len(line) && isPlain(line[i]) {
+				i++
+			}
+			add(line[start:i])
 		}
 	}
 	flush()
 	return fields, nil
 }
 
+// isPlain reports whether c is an ordinary field byte: not a separator, a
+// quote, a variable reference or a comment marker.
+func isPlain(c byte) bool {
+	switch c {
+	case ' ', '\t', '\'', '"', '$', '#':
+		return false
+	}
+	return true
+}
+
 // expand substitutes $NAME and ${NAME} inside double-quoted text.
 func expand(s string, env map[string]string) string {
+	if strings.IndexByte(s, '$') < 0 {
+		return s
+	}
 	var out strings.Builder
 	for i := 0; i < len(s); {
 		if s[i] != '$' {

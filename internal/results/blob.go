@@ -7,7 +7,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"syscall"
 )
 
@@ -26,10 +25,6 @@ func (s *Store) blobPath(sum [sha256.Size]byte) string {
 	hexSum := hex.EncodeToString(sum[:])
 	return filepath.Join(s.root, blobDirName, "sha256", hexSum[:2], hexSum)
 }
-
-// linkSeq names the short-lived link staging files; they carry tmpPrefix so
-// the orphan sweeper reclaims them after a crash.
-var linkSeq atomic.Uint64
 
 // dedupMinBytes is the smallest artifact worth deduplicating. Below one
 // page the blob-pool bookkeeping (link probe, pool link, fan-out directory)
@@ -61,7 +56,7 @@ func (s *Store) writeFileDedup(path string, data []byte) error {
 	// move it into place. The blob gains its first link from the temp
 	// file, so the data hits the disk exactly once.
 	dedupMisses.Inc()
-	tmp, err := os.CreateTemp(filepath.Dir(path), tmpPrefix+"*")
+	tmp, err := createTmp(filepath.Dir(path))
 	if err != nil {
 		return fmt.Errorf("results: %w", err)
 	}
@@ -100,7 +95,8 @@ func (s *Store) linkInto(blob, path string) error {
 	if err == nil || !os.IsExist(err) {
 		return err
 	}
-	staged := filepath.Join(filepath.Dir(path), fmt.Sprintf("%slnk-%d", tmpPrefix, linkSeq.Add(1)))
+	// Staged under tmpPrefix, so the orphan sweeper reclaims it after a crash.
+	staged := filepath.Join(filepath.Dir(path), fmt.Sprintf("%slnk-%d", tmpPrefix, tmpSeq.Add(1)))
 	if err := os.Link(blob, staged); err != nil {
 		return err
 	}

@@ -6,8 +6,11 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"syscall"
 )
 
 // tmpPrefix names the store's in-flight temp files. Writers publish by
@@ -20,6 +23,26 @@ const tmpPrefix = ".tmp-"
 // each time.
 var bufWriterPool = sync.Pool{
 	New: func() any { return bufio.NewWriterSize(nil, 16<<10) },
+}
+
+// tmpSeq numbers the process's temp files and link staging names.
+var tmpSeq atomic.Uint64
+
+// createTmp opens a new temp file in dir, as os.CreateTemp does (exclusive
+// create, mode 0600), named from tmpSeq instead of a random source. A name
+// another process or a crashed writer left behind is skipped.
+func createTmp(dir string) (*os.File, error) {
+	var stack [192]byte
+	for {
+		name := append(stack[:0], dir...)
+		name = append(name, filepath.Separator)
+		name = append(name, tmpPrefix...)
+		name = strconv.AppendUint(name, tmpSeq.Add(1), 10)
+		f, err := os.OpenFile(string(name), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o600)
+		if !os.IsExist(err) {
+			return f, err
+		}
+	}
 }
 
 // writeFileAtomic writes via a temp file + rename so readers never observe
@@ -36,7 +59,7 @@ func (s *Store) writeFileAtomic(path string, data []byte) error {
 // pooled buffered writer — the ingest fast path for encoded JSON, which
 // avoids materializing an intermediate byte slice per record.
 func (s *Store) writeFileStream(path string, write func(w *bufio.Writer) error) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), tmpPrefix+"*")
+	tmp, err := createTmp(filepath.Dir(path))
 	if err != nil {
 		return fmt.Errorf("results: %w", err)
 	}
@@ -68,9 +91,16 @@ func (s *Store) writeFileStream(path string, write func(w *bufio.Writer) error) 
 // the parent directory in durable mode so the rename itself survives a
 // crash.
 func (s *Store) publish(tmpName, path string) error {
-	if err := os.Rename(tmpName, path); err != nil {
+	// rename(2) itself, not os.Rename, which first stats the target to turn
+	// "is a directory" into a friendlier error: the kernel refuses that
+	// rename anyway, and the stat would be one more syscall per result file.
+	err := syscall.Rename(tmpName, path)
+	for err == syscall.EINTR {
+		err = syscall.Rename(tmpName, path)
+	}
+	if err != nil {
 		os.Remove(tmpName)
-		return fmt.Errorf("results: %w", err)
+		return fmt.Errorf("results: %w", &os.LinkError{Op: "rename", Old: tmpName, New: path, Err: err})
 	}
 	if s.durable {
 		if err := syncDir(filepath.Dir(path)); err != nil {

@@ -5,11 +5,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"pos/internal/jsonenc"
 )
 
 // The run manifest is the experiment's index: which runs exist, each run's
@@ -42,12 +45,28 @@ type index struct {
 	gen  uint64
 	runs map[int]*indexRun
 	exp  map[string]struct{} // experiment-level artifacts, slash paths
+
+	// expFrag caches the encoded experiment_artifacts member the way
+	// indexRun.frag caches a run's; fragEncodes counts run fragments built,
+	// which is what a test holds against the number of runs touched.
+	expFrag     []byte
+	fragEncodes int
 }
 
 type indexRun struct {
+	key       string // the run number as the manifest's object key
 	hasMeta   bool
 	meta      RunMeta
 	artifacts map[string]struct{} // "<node>/<artifact>" slash paths
+
+	// frag caches this run's encoded member of the manifest's "runs" object
+	// (`"<key>":{...}`). A group commit re-encodes only the runs mutated since
+	// the last one and assembles the file by concatenation, so the flusher
+	// holds the experiment lock for a copy, not a walk over every run recorded
+	// so far. setMeta and addRunArtifact invalidate it; dropFragments releases
+	// all of them when the flusher goes idle, so a finished experiment's
+	// handle (the store keeps every one) holds no encoded bytes.
+	frag []byte
 }
 
 func newIndex() *index {
@@ -57,7 +76,7 @@ func newIndex() *index {
 func (idx *index) run(n int) *indexRun {
 	entry := idx.runs[n]
 	if entry == nil {
-		entry = &indexRun{artifacts: make(map[string]struct{})}
+		entry = &indexRun{key: strconv.Itoa(n), artifacts: make(map[string]struct{})}
 		idx.runs[n] = entry
 	}
 	return entry
@@ -67,17 +86,68 @@ func (idx *index) setMeta(meta RunMeta) {
 	entry := idx.run(meta.Run)
 	entry.hasMeta = true
 	entry.meta = meta
+	entry.frag = nil
 }
 
 func (idx *index) addRunArtifact(run int, rel string) {
-	idx.run(run).artifacts[rel] = struct{}{}
+	entry := idx.run(run)
+	entry.artifacts[rel] = struct{}{}
+	entry.frag = nil
 }
 
 func (idx *index) addExperimentArtifact(rel string) {
 	idx.exp[rel] = struct{}{}
+	idx.expFrag = nil
 }
 
-// manifestFile is the persisted form.
+// dropFragments releases every cached fragment.
+func (idx *index) dropFragments() {
+	idx.expFrag = nil
+	for _, entry := range idx.runs {
+		entry.frag = nil
+	}
+}
+
+// entry names one manifest record — a run's metadata, a run artifact or an
+// experiment artifact — so the write path can both record it and ask whether
+// it is recorded already.
+type entry struct {
+	run  int      // the run; unused for experiment artifacts
+	rel  string   // "<node>/<artifact>" or the experiment artifact's path
+	meta *RunMeta // non-nil: the record is run's metadata.json
+	exp  bool     // rel is an experiment artifact
+}
+
+func (en entry) record(idx *index) {
+	switch {
+	case en.meta != nil:
+		idx.setMeta(*en.meta)
+	case en.exp:
+		idx.addExperimentArtifact(en.rel)
+	default:
+		idx.addRunArtifact(en.run, en.rel)
+	}
+}
+
+func (en entry) recorded(idx *index) bool {
+	if en.exp {
+		_, ok := idx.exp[en.rel]
+		return ok
+	}
+	run := idx.runs[en.run]
+	if run == nil {
+		return false
+	}
+	if en.meta != nil {
+		return run.hasMeta
+	}
+	_, ok := run.artifacts[en.rel]
+	return ok
+}
+
+// manifestFile is the persisted form. Non-test code only decodes through it:
+// encode writes the same bytes json.Marshal(manifestFile) would, member by
+// member, and a test holds it to that.
 type manifestFile struct {
 	Version    int                     `json:"version"`
 	Generation uint64                  `json:"generation"`
@@ -92,22 +162,110 @@ type manifestRun struct {
 
 const manifestVersion = 1
 
-func (idx *index) encode() ([]byte, error) {
-	mf := manifestFile{
-		Version:    manifestVersion,
-		Generation: idx.gen,
-		Runs:       make(map[string]*manifestRun, len(idx.runs)),
-	}
-	mf.Experiment = sortedKeys(idx.exp)
-	for run, entry := range idx.runs {
-		mr := &manifestRun{Artifacts: sortedKeys(entry.artifacts)}
-		if entry.hasMeta {
-			meta := entry.meta.clone()
-			mr.Meta = &meta
+// encode appends the manifest file to dst: header, the cached
+// experiment_artifacts member, then the runs' cached fragments in the order
+// encoding/json sorts object keys (as strings, so "10" precedes "2").
+func (idx *index) encode(dst []byte) ([]byte, error) {
+	dst = append(dst, `{"version":`...)
+	dst = strconv.AppendInt(dst, manifestVersion, 10)
+	dst = append(dst, `,"generation":`...)
+	dst = strconv.AppendUint(dst, idx.gen, 10)
+	if len(idx.exp) > 0 {
+		if idx.expFrag == nil {
+			idx.expFrag = appendSortedSet(append([]byte(nil), `,"experiment_artifacts":`...), idx.exp)
 		}
-		mf.Runs[strconv.Itoa(run)] = mr
+		dst = append(dst, idx.expFrag...)
 	}
-	return json.Marshal(mf)
+	if len(idx.runs) > 0 {
+		order := make([]*indexRun, 0, len(idx.runs))
+		for _, entry := range idx.runs {
+			order = append(order, entry)
+		}
+		slices.SortFunc(order, func(a, b *indexRun) int { return strings.Compare(a.key, b.key) })
+		dst = append(dst, `,"runs":{`...)
+		for i, entry := range order {
+			if entry.frag == nil {
+				frag, err := entry.encode()
+				if err != nil {
+					return dst, fmt.Errorf("manifest run %s: %w", entry.key, err)
+				}
+				entry.frag = frag
+				idx.fragEncodes++
+			}
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, entry.frag...)
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, '}'), nil
+}
+
+// encode builds the run's member of the "runs" object.
+func (entry *indexRun) encode() ([]byte, error) {
+	frag := make([]byte, 0, 256)
+	frag = jsonenc.AppendString(frag, entry.key)
+	frag = append(frag, ':', '{')
+	if entry.hasMeta {
+		var err error
+		frag = append(frag, `"meta":`...)
+		if frag, err = entry.meta.appendJSON(frag); err != nil {
+			return nil, err
+		}
+	}
+	if len(entry.artifacts) > 0 {
+		if entry.hasMeta {
+			frag = append(frag, ',')
+		}
+		frag = append(frag, `"artifacts":`...)
+		frag = appendSortedSet(frag, entry.artifacts)
+	}
+	return append(frag, '}'), nil
+}
+
+// appendJSON appends the metadata as compact JSON, field for field what
+// json.Marshal(RunMeta) writes.
+func (m *RunMeta) appendJSON(dst []byte) ([]byte, error) {
+	var err error
+	dst = append(dst, `{"run":`...)
+	dst = strconv.AppendInt(dst, int64(m.Run), 10)
+	dst = append(dst, `,"loop_vars":`...)
+	dst = jsonenc.AppendStringMap(dst, m.LoopVars)
+	dst = append(dst, `,"started_at":`...)
+	if dst, err = jsonenc.AppendTime(dst, m.StartedAt); err != nil {
+		return dst, err
+	}
+	dst = append(dst, `,"finished_at":`...)
+	if dst, err = jsonenc.AppendTime(dst, m.FinishedAt); err != nil {
+		return dst, err
+	}
+	if m.Failed {
+		dst = append(dst, `,"failed":true`...)
+	}
+	if m.Error != "" {
+		dst = append(dst, `,"error":`...)
+		dst = jsonenc.AppendString(dst, m.Error)
+	}
+	return append(dst, '}'), nil
+}
+
+// appendSortedSet appends a non-empty path set as a sorted JSON array.
+func appendSortedSet(dst []byte, set map[string]struct{}) []byte {
+	var stack [16]string
+	keys := stack[:0]
+	for k := range set {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	dst = append(dst, '[')
+	for i, k := range keys {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = jsonenc.AppendString(dst, k)
+	}
+	return append(dst, ']')
 }
 
 func decodeIndex(data []byte) (*index, error) {
@@ -138,18 +296,6 @@ func decodeIndex(data []byte) (*index, error) {
 		}
 	}
 	return idx, nil
-}
-
-func sortedKeys(set map[string]struct{}) []string {
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func (s *Store) indexPath(user, name, id string) string {
@@ -310,9 +456,15 @@ func scanExperimentArtifacts(idx *index, dir, path string) error {
 	return nil
 }
 
-// mutate applies one manifest mutation and schedules a write-behind flush.
-// With the index disabled it is a no-op.
-func (e *Experiment) mutate(apply func(*index)) error { return e.mutateOp("", nil, apply) }
+// mutate records one manifest entry and schedules a write-behind flush. With
+// the index disabled it is a no-op.
+func (e *Experiment) mutate(en entry) error {
+	if e.store.noIndex {
+		return nil
+	}
+	_, err := e.mutateOp("", nil, en, false)
+	return err
+}
 
 // mutateOp is mutate with an optional deferred disk write riding the same
 // queue: the flusher executes op before committing the manifest snapshot
@@ -320,32 +472,38 @@ func (e *Experiment) mutate(apply func(*index)) error { return e.mutateOp("", ni
 // than one listing files that were never written. Re-queueing a path still
 // in the queue replaces its op (last write wins), which also guarantees
 // every queued op targets a distinct path — the invariant that lets the
-// flusher drain them in parallel. With the index disabled the op runs
-// synchronously — the legacy behavior.
-func (e *Experiment) mutateOp(path string, op func() error, apply func(*index)) error {
-	if e.store.noIndex {
-		if op != nil {
-			return op()
-		}
-		return nil
-	}
+// flusher drain them in parallel.
+//
+// authoritative says the manifest alone knows what is in path's directory
+// (this handle created it): then an entry already recorded whose write is
+// neither queued nor being drained is on disk, and overwriting it must not
+// wait for the next drain — a reader would be served the old bytes until
+// then. mutateOp reports false and changes nothing; the caller writes
+// synchronously and records with mutate.
+func (e *Experiment) mutateOp(path string, op func() error, en entry, authoritative bool) (queued bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.ensureIndexLocked(); err != nil {
-		return err
+		return false, err
 	}
 	// Backpressure: bound the unflushed mutation count.
 	for e.pending >= maxPendingMutations {
 		e.cutWindowLocked()
 		e.cond.Wait()
 	}
-	apply(e.idx)
+	slot, requeue := e.opIdx[path]
+	if op != nil && authoritative && !requeue {
+		if _, draining := e.draining[path]; !draining && en.recorded(e.idx) {
+			return false, nil
+		}
+	}
+	en.record(e.idx)
 	e.idx.gen++
 	e.pending++
 	manifestPending.Inc()
 	if op != nil {
-		if i, ok := e.opIdx[path]; ok {
-			e.ops[i] = op
+		if requeue {
+			e.ops[slot] = op
 		} else {
 			if e.opIdx == nil {
 				e.opIdx = make(map[string]int)
@@ -358,22 +516,34 @@ func (e *Experiment) mutateOp(path string, op func() error, apply func(*index)) 
 		e.flushing = true
 		go e.flushLoop()
 	}
-	return nil
+	return true, nil
 }
 
 // flushLoop group-commits the manifest: every iteration snapshots the
 // current state and writes it once, covering all mutations that accumulated
-// while the previous write was in flight. It exits when nothing is pending.
+// while the previous write was in flight. It exits, releasing the encode
+// buffer and the cached fragments, once a whole window has passed with
+// nothing to commit — or at once when a Sync is waiting for exactly that. A
+// campaign's runs arrive closer together than a window, so its flusher, and
+// with it the fragment cache, lives for the campaign.
 func (e *Experiment) flushLoop() {
+	// One encode buffer for the flusher's lifetime: the manifest is encoded
+	// under the lock and written outside it, and the next encode cannot start
+	// before that write returns.
+	var buf []byte
 	e.mu.Lock()
-	for e.pending > 0 || len(e.ops) > 0 {
+	for {
 		if e.syncWaiters == 0 && e.pending < maxPendingMutations {
 			e.waitWindowLocked()
 		}
+		if e.pending == 0 && len(e.ops) == 0 {
+			break
+		}
 		ops := e.ops
 		e.ops = nil
-		e.opIdx = nil
-		data, err := e.idx.encode()
+		e.draining, e.opIdx = e.opIdx, nil
+		data, err := e.idx.encode(buf[:0])
+		buf = data
 		manifestPending.Add(-float64(e.pending))
 		e.pending = 0
 		e.cond.Broadcast() // wake writers blocked on backpressure
@@ -398,11 +568,13 @@ func (e *Experiment) flushLoop() {
 				"experiment", e.user+"/"+e.name+"/"+e.id, "err", err.Error())
 		}
 		e.mu.Lock()
+		e.draining = nil
 		if err != nil && e.flushErr == nil {
 			e.flushErr = err
 		}
 	}
 	e.flushing = false
+	e.idx.dropFragments()
 	e.cond.Broadcast() // wake Sync waiters
 	e.mu.Unlock()
 }
@@ -473,7 +645,7 @@ func (e *Experiment) writeManifest(data []byte) error {
 		return nil
 	}
 	path := e.indexPath()
-	if err := e.store.ensureDir(filepath.Dir(path)); err != nil {
+	if _, err := e.store.ensureDir(filepath.Dir(path)); err != nil {
 		return fmt.Errorf("results: %w", err)
 	}
 	return e.store.writeFileAtomic(path, data)
@@ -488,13 +660,20 @@ func (e *Experiment) Sync() error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.waitIdleLocked()
+	return e.flushErr
+}
+
+// waitIdleLocked blocks until the flusher has committed everything and
+// exited. A waiter ends the flusher's current window, accumulating or
+// trailing: it has nothing to gain from either. Caller holds e.mu.
+func (e *Experiment) waitIdleLocked() {
 	e.syncWaiters++
 	e.cutWindowLocked()
 	for e.flushing || e.pending > 0 || len(e.ops) > 0 {
 		e.cond.Wait()
 	}
 	e.syncWaiters--
-	return e.flushErr
 }
 
 // Generation returns the experiment's manifest generation counter. It bumps
@@ -563,9 +742,7 @@ func (e *Experiment) RebuildIndex() error {
 		return err
 	}
 	e.mu.Lock()
-	for e.flushing || e.pending > 0 {
-		e.cond.Wait()
-	}
+	e.waitIdleLocked()
 	// Continue the persisted generation sequence — a rebuild must never
 	// regress the counter, or stale cache entries would re-validate.
 	if e.idx == nil {
@@ -577,7 +754,8 @@ func (e *Experiment) RebuildIndex() error {
 	}
 	idx.gen = oldGen + 1
 	e.idx = idx
-	data, err := idx.encode()
+	data, err := idx.encode(nil)
+	idx.dropFragments()
 	e.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("results: %w", err)

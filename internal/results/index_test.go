@@ -636,7 +636,7 @@ func TestSyncCutsFlushWindowShort(t *testing.T) {
 	for i := range waits {
 		var committing time.Time
 		stamp := func() error { committing = time.Now(); return nil }
-		if err := e.mutateOp("probe", stamp, func(*index) {}); err != nil {
+		if _, err := e.mutateOp("probe", stamp, entry{rel: "probe", exp: true}, false); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(flushWindow / 10) // the flusher is in its window by now

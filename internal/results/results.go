@@ -19,10 +19,32 @@
 // Both live outside the experiment directories (<root>/.posindex,
 // <root>/.posblob), so the on-disk experiment layout stays byte-identical
 // to the paper's artifacts.
+//
+// Two invariants hold the write path together.
+//
+// The fresh-directory invariant: a directory this handle created holds only
+// what this handle wrote; elsewhere the disk is asked. Small files are
+// written behind the manifest flusher, but an overwrite of a file already on
+// disk must be synchronous, or readers would be served the old bytes until
+// the next drain. Whether a path is on disk is answered from the manifest
+// entry and the flusher's queue when the store made the directory itself (a
+// Mkdir that succeeded — nothing else can have put a file there), and by an
+// Lstat when the directory was found there, which is what keeps files placed
+// out-of-band, and squatters on a reserved name, honest. A campaign into a
+// fresh experiment therefore records its runs without a single stat.
+//
+// The crash invariant, which the above does not change: deferred writes land
+// before the manifest that lists them. Every group commit first drains the
+// queued file writes (each a temp file renamed into place, so no reader or
+// crash ever sees a torn file) and only then renames the new manifest over
+// the old, so a crash leaves a manifest that is stale but consistent — never
+// one naming a file that was not written — and reopening detects staleness
+// and rebuilds from the tree.
 package results
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -95,36 +117,41 @@ func NoDedup() Option { return func(s *Store) { s.noDedup = true } }
 
 // NoIndex disables the fast path: no run manifest, no write-behind flusher,
 // no directory-creation memo. Enumeration and writes behave the way the
-// original store did. Used as the baseline in benchmarks.
+// original store did; tests hold the fast path to it.
 func NoIndex() Option { return func(s *Store) { s.noIndex = true } }
 
-// ensureDir creates dir unless this handle already has. Unlike os.MkdirAll
-// it never stat-walks the path: it tries a bare Mkdir and only recurses to
-// the parent on ENOENT, so the per-artifact cost is zero syscalls for a
-// memoized directory and one for a fresh leaf under an existing parent.
-// With the fast path disabled it degrades to a plain MkdirAll.
-func (s *Store) ensureDir(dir string) error {
+// ensureDir creates dir unless this handle already has, and reports whether
+// this handle is the one that created it (a Mkdir that succeeded, not one
+// that found the directory there). Unlike os.MkdirAll it never stat-walks the
+// path: it tries a bare Mkdir and only recurses to the parent on ENOENT, so
+// the per-artifact cost is zero syscalls for a memoized directory and one for
+// a fresh leaf under an existing parent. With the fast path disabled it
+// degrades to a plain MkdirAll.
+func (s *Store) ensureDir(dir string) (created bool, err error) {
 	if s.noIndex {
-		return os.MkdirAll(dir, 0o755)
+		return false, os.MkdirAll(dir, 0o755)
 	}
-	if _, ok := s.dirs.Load(dir); ok {
-		return nil
+	if created, ok := s.dirs.Load(dir); ok {
+		return created.(bool), nil
 	}
-	err := os.Mkdir(dir, 0o755)
-	switch {
-	case err == nil || os.IsExist(err):
-	case os.IsNotExist(err):
-		if perr := s.ensureDir(filepath.Dir(dir)); perr != nil {
-			return perr
+	err = os.Mkdir(dir, 0o755)
+	if os.IsNotExist(err) {
+		if _, perr := s.ensureDir(filepath.Dir(dir)); perr != nil {
+			return false, perr
 		}
-		if err = os.Mkdir(dir, 0o755); err != nil && !os.IsExist(err) {
-			return err
-		}
-	default:
-		return err
+		err = os.Mkdir(dir, 0o755)
 	}
-	s.dirs.Store(dir, struct{}{})
-	return nil
+	if err == nil {
+		s.dirs.Store(dir, true)
+		return true, nil
+	}
+	if !os.IsExist(err) {
+		return false, err
+	}
+	// Found there: by someone else, unless a concurrent call on this handle
+	// won the Mkdir and says otherwise.
+	s.dirs.LoadOrStore(dir, false)
+	return false, nil
 }
 
 // forgetTree drops memoized directories at or below dir after the tree was
@@ -139,36 +166,60 @@ func (s *Store) forgetTree(dir string) {
 	})
 }
 
-// deferSmallWrite returns a write-behind op for an artifact too small to
-// deduplicate: the bytes are copied (the caller may reuse its buffer) and
-// written by the background flusher, overlapped with foreground payload
-// writes. Only taken on the fast path — with the index disabled every write
-// is synchronous, and the queue's memory footprint stays bounded by
-// backpressure × dedupMinBytes.
-func (e *Experiment) deferSmallWrite(dir, base string, data []byte) (string, func() error, bool) {
-	if e.store.noIndex || len(data) >= dedupMinBytes {
-		return "", nil, false
+// lstatHook, when a test sets it, sees every path deferWrite asks the disk
+// about.
+var lstatHook func(path string)
+
+// deferWrite queues op, the write of a file too small to deduplicate, behind
+// the manifest flusher, overlapped with foreground payload writes, and
+// records en. It reports false, having done neither, when path may be on disk
+// already: overwrites of flushed files stay synchronous, because such a file
+// must never serve stale bytes to readers between the rewrite and the next
+// queue drain. (Re-queueing a path still in the queue is fine — mutateOp
+// replaces the queued op, so the last write wins.) Whether path is on disk is
+// the manifest's call in a directory this handle created, since nothing else
+// writes there; in a directory that was already there the disk is asked.
+func (e *Experiment) deferWrite(dir, path string, op func() error, en entry) (queued bool, err error) {
+	created, err := e.store.ensureDir(dir)
+	if err != nil {
+		return false, fmt.Errorf("results: %w", err)
 	}
-	path := filepath.Join(dir, base)
-	// Overwrites of flushed files stay synchronous: such a file must never
-	// serve stale bytes to readers between the rewrite and the next queue
-	// drain. Re-queueing a path still in the queue is fine — mutateOp
-	// replaces the queued op, so the last write wins.
-	if _, err := os.Lstat(path); err == nil || !errors.Is(err, fs.ErrNotExist) {
-		return "", nil, false
+	if !created {
+		if lstatHook != nil {
+			lstatHook(path)
+		}
+		if _, err := os.Lstat(path); err == nil || !errors.Is(err, fs.ErrNotExist) {
+			return false, nil
+		}
 	}
-	if err := e.store.ensureDir(dir); err != nil {
-		return path, func() error { return fmt.Errorf("results: %w", err) }, true
+	return e.mutateOp(path, op, en, created)
+}
+
+// putArtifact stores data at path, a file in dir, and records en:
+// write-behind when the artifact is too small to deduplicate (the bytes are
+// copied — the caller may reuse its buffer — and the queue's memory footprint
+// stays bounded by backpressure × dedupMinBytes), else synchronously through
+// the blob pool.
+func (e *Experiment) putArtifact(dir, path string, data []byte, en entry) error {
+	if !e.store.noIndex && len(data) < dedupMinBytes {
+		buf := append([]byte(nil), data...)
+		op := func() error { return e.store.writeFileAtomic(path, buf) }
+		if queued, err := e.deferWrite(dir, path, op, en); queued || err != nil {
+			return err
+		}
 	}
-	buf := append([]byte(nil), data...)
-	return path, func() error { return e.store.writeFileAtomic(path, buf) }, true
+	err := e.writeInDir(dir, func() error { return e.store.writeFileDedup(path, data) })
+	if err != nil {
+		return err
+	}
+	return e.mutate(en)
 }
 
 // writeInDir runs one artifact write inside dir, creating dir on demand. If
 // the memoized directory turns out to have been removed out-of-band, the
 // memo is dropped and the write retried once against a fresh directory.
 func (e *Experiment) writeInDir(dir string, write func() error) error {
-	if err := e.store.ensureDir(dir); err != nil {
+	if _, err := e.store.ensureDir(dir); err != nil {
 		return fmt.Errorf("results: %w", err)
 	}
 	err := write()
@@ -244,6 +295,7 @@ type Experiment struct {
 	pending     int            // manifest mutations not yet flushed to disk
 	ops         []func() error // deferred small-file writes, drained by the flusher
 	opIdx       map[string]int // queued op per target path; re-queue replaces (last wins)
+	draining    map[string]int // opIdx of the batch the flusher is writing right now
 	flushing    bool           // a flusher goroutine is active
 	flushErr    error          // first flush failure, surfaced by Sync
 	syncWaiters int            // Sync callers blocked; makes the flusher skip its window
@@ -268,7 +320,14 @@ func (s *Store) CreateExperiment(user, name string, at time.Time) (*Experiment, 
 	}
 	id := at.Format("2006-01-02_15-04-05") + fmt.Sprintf("_%06d", at.Nanosecond()/1000)
 	dir := filepath.Join(s.root, user, name, id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(dir), 0o755); err != nil {
+		return nil, fmt.Errorf("results: %w", err)
+	}
+	// The leaf through ensureDir, so the store knows whether it made the
+	// experiment's directory itself; a memo from an earlier handle on the
+	// same id proves nothing about the disk now.
+	s.dirs.Delete(dir)
+	if _, err := s.ensureDir(dir); err != nil {
 		return nil, fmt.Errorf("results: %w", err)
 	}
 	e := s.newExperiment(dir, user, name, id)
@@ -384,7 +443,50 @@ func (m RunMeta) clone() RunMeta {
 	return m
 }
 
-func runDirName(run int) string { return fmt.Sprintf("run_%04d", run) }
+// writeFile writes the metadata as its run's metadata.json: the manifest's
+// own encoding of it (appendJSON), indented by two spaces, and a newline.
+func (m *RunMeta) writeFile(w *bufio.Writer) error {
+	compact, err := m.appendJSON(make([]byte, 0, 256))
+	if err != nil {
+		return err
+	}
+	var out bytes.Buffer
+	if err := json.Indent(&out, compact, "", "  "); err != nil {
+		return err
+	}
+	out.WriteByte('\n')
+	_, err = w.Write(out.Bytes())
+	return err
+}
+
+func runDirName(run int) string { return string(appendRunDir(nil, run)) }
+
+// appendRunDir appends run_NNNN: the run number zero-padded to at least four
+// digits, fmt's %04d.
+func appendRunDir(dst []byte, run int) []byte {
+	if run < 0 {
+		return fmt.Appendf(dst, "run_%04d", run)
+	}
+	dst = append(dst, "run_"...)
+	for limit := 1000; limit > 1 && run < limit; limit /= 10 {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendInt(dst, int64(run), 10)
+}
+
+// runFile returns the path of a file of one run, rel being its slash path
+// below the run directory, and the directory that holds it. rel has passed
+// validateArtifactName (or is a reserved name), so joining needs no cleaning.
+func (e *Experiment) runFile(run int, rel string) (dir, path string) {
+	var stack [192]byte
+	buf := append(stack[:0], e.dir...)
+	buf = append(buf, filepath.Separator)
+	buf = appendRunDir(buf, run)
+	buf = append(buf, filepath.Separator)
+	buf = append(buf, filepath.FromSlash(rel)...)
+	path = string(buf)
+	return path[:len(path)-len(filepath.Base(path))-1], path
+}
 
 // parseRunDir strictly parses a run directory name. Only names that
 // round-trip through runDirName are accepted, so stragglers like
@@ -419,7 +521,9 @@ func validateArtifactName(name string, flat bool) error {
 	if flat && strings.ContainsRune(name, '/') {
 		return fmt.Errorf("results: artifact and node names must be flat (%q)", name)
 	}
-	for _, seg := range strings.Split(name, "/") {
+	for rest, more := name, true; more; {
+		var seg string
+		seg, rest, more = strings.Cut(rest, "/")
 		switch {
 		case seg == "" || seg == "." || seg == "..":
 			return fmt.Errorf("results: artifact path %q escapes the experiment", name)
@@ -434,33 +538,22 @@ func validateArtifactName(name string, flat bool) error {
 // disk and recorded in the manifest write-behind; rewriting a run's metadata
 // bumps the experiment generation, invalidating warm eval caches.
 func (e *Experiment) WriteRunMeta(meta RunMeta) error {
-	dir := filepath.Join(e.dir, runDirName(meta.Run))
+	dir, path := e.runFile(meta.Run, "metadata.json")
 	stored := meta.clone()
-	path := filepath.Join(dir, "metadata.json")
-	writeMeta := func() error {
-		return e.store.writeFileStream(path, func(w *bufio.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(stored)
-		})
-	}
+	writeMeta := func() error { return e.store.writeFileStream(path, stored.writeFile) }
 	if e.store.noIndex {
 		return e.writeInDir(dir, writeMeta)
 	}
-	record := func(idx *index) { idx.setMeta(stored) }
-	if err := e.store.ensureDir(dir); err != nil {
-		return fmt.Errorf("results: %w", err)
-	}
 	// Fast path: the metadata is authoritative in the manifest the moment
-	// mutateOp returns; the small disk file rides the write-behind queue.
-	// Rewrites of a flushed file stay synchronous, like deferSmallWrite.
-	if _, err := os.Lstat(path); errors.Is(err, fs.ErrNotExist) {
-		return e.mutateOp(path, writeMeta, record)
+	// deferWrite returns; the small disk file rides the write-behind queue.
+	en := entry{run: meta.Run, meta: &stored}
+	if queued, err := e.deferWrite(dir, path, writeMeta, en); queued || err != nil {
+		return err
 	}
 	if err := e.writeInDir(dir, writeMeta); err != nil {
 		return err
 	}
-	return e.mutate(record)
+	return e.mutate(en)
 }
 
 // ReadRunMeta loads one run's metadata, served from the manifest when the
@@ -507,18 +600,9 @@ func (e *Experiment) AddRunArtifact(run int, nodeName, artifact string, data []b
 	if err := validateArtifactName(artifact, true); err != nil {
 		return err
 	}
-	dir := filepath.Join(e.dir, runDirName(run), nodeName)
-	record := func(idx *index) { idx.addRunArtifact(run, nodeName+"/"+artifact) }
-	if path, op, ok := e.deferSmallWrite(dir, artifact, data); ok {
-		return e.mutateOp(path, op, record)
-	}
-	err := e.writeInDir(dir, func() error {
-		return e.store.writeFileDedup(filepath.Join(dir, artifact), data)
-	})
-	if err != nil {
-		return err
-	}
-	return e.mutate(record)
+	rel := nodeName + "/" + artifact
+	dir, path := e.runFile(run, rel)
+	return e.putArtifact(dir, path, data, entry{run: run, rel: rel})
 }
 
 // resourcesName is the run-level host-conditions record (telemetry
@@ -531,18 +615,8 @@ const resourcesName = "resources.json"
 // next to its metadata. The write rides the manifest write-behind like any
 // small artifact.
 func (e *Experiment) WriteRunResources(run int, data []byte) error {
-	dir := filepath.Join(e.dir, runDirName(run))
-	record := func(idx *index) { idx.addRunArtifact(run, resourcesName) }
-	if path, op, ok := e.deferSmallWrite(dir, resourcesName, data); ok {
-		return e.mutateOp(path, op, record)
-	}
-	err := e.writeInDir(dir, func() error {
-		return e.store.writeFileDedup(filepath.Join(dir, resourcesName), data)
-	})
-	if err != nil {
-		return err
-	}
-	return e.mutate(record)
+	dir, path := e.runFile(run, resourcesName)
+	return e.putArtifact(dir, path, data, entry{run: run, rel: resourcesName})
 }
 
 // ReadRunResources loads one run's host-conditions record back.
@@ -583,17 +657,7 @@ func (e *Experiment) AddExperimentArtifact(artifact string, data []byte) error {
 		return err
 	}
 	path := filepath.Join(e.dir, filepath.FromSlash(artifact))
-	record := func(idx *index) { idx.addExperimentArtifact(artifact) }
-	if opPath, op, ok := e.deferSmallWrite(filepath.Dir(path), filepath.Base(path), data); ok {
-		return e.mutateOp(opPath, op, record)
-	}
-	err := e.writeInDir(filepath.Dir(path), func() error {
-		return e.store.writeFileDedup(path, data)
-	})
-	if err != nil {
-		return err
-	}
-	return e.mutate(record)
+	return e.putArtifact(filepath.Dir(path), path, data, entry{rel: artifact, exp: true})
 }
 
 // ReadExperimentArtifact loads an experiment-wide artifact.

@@ -3,8 +3,11 @@ package telemetry
 import (
 	"math"
 	"runtime/metrics"
+	"strconv"
 	"sync"
 	"time"
+
+	"pos/internal/jsonenc"
 )
 
 // This file is the toolchain's only window onto the Go runtime's own
@@ -32,41 +35,43 @@ var runtimeSampleNames = []string{
 }
 
 // HistogramState is a raw runtime histogram reading: len(Buckets) ==
-// len(Counts)+1, boundaries may include infinities at either end.
+// len(Counts)+1, boundaries may include infinities at either end. Buckets is
+// the runtime's own slice — the bounds of a metric never change while the
+// process lives — and must not be written; Counts belongs to the reading.
 type HistogramState struct {
 	Buckets []float64
 	Counts  []uint64
 }
 
-func (h HistogramState) clone() HistogramState {
-	return HistogramState{
-		Buckets: append([]float64(nil), h.Buckets...),
-		Counts:  append([]uint64(nil), h.Counts...),
-	}
+// histDelta is the growth of a cumulative runtime histogram from one reading
+// to a later one, computed bucket by bucket as it is asked for.
+type histDelta struct {
+	start, end HistogramState
 }
 
-// sub returns the per-bucket count growth from start to h. Shape changes
-// (different runtime version mid-process cannot happen; defensive anyway)
-// yield h's counts unchanged.
-func (h HistogramState) sub(start HistogramState) HistogramState {
-	out := h.clone()
-	if len(start.Counts) != len(out.Counts) {
-		return out
-	}
-	for i := range out.Counts {
-		if start.Counts[i] <= out.Counts[i] {
-			out.Counts[i] -= start.Counts[i]
-		} else {
-			out.Counts[i] = 0
-		}
-	}
-	return out
+// sub returns the growth from start to h.
+func (h HistogramState) sub(start HistogramState) histDelta {
+	return histDelta{start: start, end: h}
 }
 
-func (h HistogramState) total() uint64 {
+// count is bucket i's growth. Shape changes (a different runtime version
+// mid-process cannot happen; defensive anyway) yield the later reading's
+// count unchanged.
+func (d histDelta) count(i int) uint64 {
+	c := d.end.Counts[i]
+	if len(d.start.Counts) != len(d.end.Counts) {
+		return c
+	}
+	if s := d.start.Counts[i]; s <= c {
+		return c - s
+	}
+	return 0
+}
+
+func (d histDelta) total() uint64 {
 	var n uint64
-	for _, c := range h.Counts {
-		n += c
+	for i := range d.end.Counts {
+		n += d.count(i)
 	}
 	return n
 }
@@ -74,8 +79,8 @@ func (h HistogramState) total() uint64 {
 // bucketValue picks the representative sample value for bucket i: the
 // midpoint of its boundaries, clamped to the finite edge when one side is
 // infinite.
-func (h HistogramState) bucketValue(i int) float64 {
-	lo, hi := h.Buckets[i], h.Buckets[i+1]
+func (d histDelta) bucketValue(i int) float64 {
+	lo, hi := d.end.Buckets[i], d.end.Buckets[i+1]
 	switch {
 	case isInf(lo) && isInf(hi):
 		return 0
@@ -92,11 +97,11 @@ func isInf(v float64) bool { return math.IsInf(v, 0) }
 
 // approxSum estimates the summed sample value (counts × representative
 // bucket values).
-func (h HistogramState) approxSum() float64 {
+func (d histDelta) approxSum() float64 {
 	var sum float64
-	for i, c := range h.Counts {
-		if c > 0 {
-			sum += float64(c) * h.bucketValue(i)
+	for i := range d.end.Counts {
+		if c := d.count(i); c > 0 {
+			sum += float64(c) * d.bucketValue(i)
 		}
 	}
 	return sum
@@ -104,12 +109,12 @@ func (h HistogramState) approxSum() float64 {
 
 // maxValue returns the upper edge of the highest non-empty bucket (clamped
 // finite), or zero when empty.
-func (h HistogramState) maxValue() float64 {
-	for i := len(h.Counts) - 1; i >= 0; i-- {
-		if h.Counts[i] > 0 {
-			hi := h.Buckets[i+1]
+func (d histDelta) maxValue() float64 {
+	for i := len(d.end.Counts) - 1; i >= 0; i-- {
+		if d.count(i) > 0 {
+			hi := d.end.Buckets[i+1]
 			if isInf(hi) {
-				return h.Buckets[i]
+				return d.end.Buckets[i]
 			}
 			return hi
 		}
@@ -117,10 +122,10 @@ func (h HistogramState) maxValue() float64 {
 	return 0
 }
 
-// quantile estimates the q-quantile over the histogram's counts, linearly
+// quantile estimates the q-quantile over the delta's counts, linearly
 // interpolated inside the containing bucket.
-func (h HistogramState) quantile(q float64) float64 {
-	total := h.total()
+func (d histDelta) quantile(q float64) float64 {
+	total := d.total()
 	if total == 0 {
 		return 0
 	}
@@ -132,12 +137,13 @@ func (h HistogramState) quantile(q float64) float64 {
 	}
 	rank := q * float64(total)
 	var cum float64
-	for i, c := range h.Counts {
+	for i := range d.end.Counts {
+		c := d.count(i)
 		cum += float64(c)
 		if cum < rank || c == 0 {
 			continue
 		}
-		lo, hi := h.Buckets[i], h.Buckets[i+1]
+		lo, hi := d.end.Buckets[i], d.end.Buckets[i+1]
 		if isInf(hi) {
 			hi = lo
 		}
@@ -147,7 +153,7 @@ func (h HistogramState) quantile(q float64) float64 {
 		frac := 1 - (cum-rank)/float64(c)
 		return lo + (hi-lo)*frac
 	}
-	return h.maxValue()
+	return d.maxValue()
 }
 
 // RuntimeStats is one point-in-time reading of the Go runtime's own
@@ -162,12 +168,22 @@ type RuntimeStats struct {
 	SchedLat   HistogramState // cumulative goroutine scheduling latency
 }
 
-// ReadRuntimeStats samples the runtime now.
-func ReadRuntimeStats() RuntimeStats {
+// samplePool recycles the sample slices handed to metrics.Read. A recycled
+// slice still carries its histograms, and the runtime refills their counts
+// in place instead of allocating new ones.
+var samplePool = sync.Pool{New: func() any {
 	samples := make([]metrics.Sample, len(runtimeSampleNames))
 	for i, n := range runtimeSampleNames {
 		samples[i].Name = n
 	}
+	return &samples
+}}
+
+// ReadRuntimeStats samples the runtime now.
+func ReadRuntimeStats() RuntimeStats {
+	pooled := samplePool.Get().(*[]metrics.Sample)
+	defer samplePool.Put(pooled)
+	samples := *pooled
 	metrics.Read(samples)
 	st := RuntimeStats{At: time.Now()}
 	for _, s := range samples {
@@ -186,10 +202,7 @@ func ReadRuntimeStats() RuntimeStats {
 			}
 		case metrics.KindFloat64Histogram:
 			h := s.Value.Float64Histogram()
-			hs := HistogramState{
-				Buckets: append([]float64(nil), h.Buckets...),
-				Counts:  append([]uint64(nil), h.Counts...),
-			}
+			hs := HistogramState{Buckets: h.Buckets, Counts: append([]uint64(nil), h.Counts...)}
 			switch s.Name {
 			case rmGCPauses:
 				st.GCPauses = hs
@@ -219,6 +232,58 @@ type RuntimeDelta struct {
 	GoroutinesEnd     uint64    `json:"goroutines_end"`
 	SchedLatencyP50   float64   `json:"sched_latency_p50_seconds"`
 	SchedLatencyP99   float64   `json:"sched_latency_p99_seconds"`
+}
+
+// AppendIndentJSON appends the record as resources.json holds it: the bytes
+// json.MarshalIndent(d, "", "  ") produces, written field by field. It fails
+// where MarshalIndent fails — a float that is not finite, a timestamp RFC 3339
+// cannot carry.
+func (d RuntimeDelta) AppendIndentJSON(dst []byte) ([]byte, error) {
+	var err error
+	field := func(name string) {
+		if dst[len(dst)-1] != '{' {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, "\n  \""...)
+		dst = append(dst, name...)
+		dst = append(dst, "\": "...)
+	}
+	timeField := func(name string, v time.Time) {
+		if err == nil {
+			field(name)
+			dst, err = jsonenc.AppendTime(dst, v)
+		}
+	}
+	floatField := func(name string, v float64) {
+		if err == nil {
+			field(name)
+			dst, err = jsonenc.AppendFloat(dst, v)
+		}
+	}
+	uintField := func(name string, v uint64) {
+		if err == nil {
+			field(name)
+			dst = strconv.AppendUint(dst, v, 10)
+		}
+	}
+	dst = append(dst, '{')
+	timeField("started_at", d.StartedAt)
+	timeField("finished_at", d.FinishedAt)
+	floatField("wall_seconds", d.WallSeconds)
+	uintField("heap_bytes_start", d.HeapBytesStart)
+	uintField("heap_bytes_end", d.HeapBytesEnd)
+	uintField("alloc_bytes", d.AllocBytes)
+	uintField("gc_cycles", d.GCCycles)
+	floatField("gc_pause_seconds", d.GCPauseSeconds)
+	floatField("gc_pause_max_seconds", d.GCPauseMaxSeconds)
+	uintField("goroutines_start", d.GoroutinesStart)
+	uintField("goroutines_end", d.GoroutinesEnd)
+	floatField("sched_latency_p50_seconds", d.SchedLatencyP50)
+	floatField("sched_latency_p99_seconds", d.SchedLatencyP99)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, "\n}"...), nil
 }
 
 // DeltaTo computes the runtime activity between s and end.
@@ -335,9 +400,9 @@ func (s *RuntimeSampler) Sample() {
 
 // observeHist bulk-replays a runtime histogram delta into a registry
 // histogram, one ObserveN per non-empty bucket at its representative value.
-func observeHist(h *Histogram, delta HistogramState) {
-	for i, c := range delta.Counts {
-		if c > 0 {
+func observeHist(h *Histogram, delta histDelta) {
+	for i := range delta.end.Counts {
+		if c := delta.count(i); c > 0 {
 			h.ObserveN(delta.bucketValue(i), c)
 		}
 	}

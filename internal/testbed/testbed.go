@@ -199,9 +199,16 @@ func (t *tcpHost) DeployTools() error {
 }
 
 func (t *tcpHost) Exec(ctx context.Context, script string, env map[string]string) (string, error) {
+	if err := ctx.Err(); err != nil {
+		return "", err
+	}
 	var timeout time.Duration
 	if dl, ok := ctx.Deadline(); ok {
-		timeout = time.Until(dl)
+		// Zero means "no limit" to the daemon, so a deadline that has just
+		// passed must not be sent as one.
+		if timeout = time.Until(dl); timeout <= 0 {
+			return "", context.DeadlineExceeded
+		}
 	}
 	res, err := t.h.sh.ExecTimeout(script, env, timeout)
 	return res.Output, err

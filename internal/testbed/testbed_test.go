@@ -226,3 +226,33 @@ func TestRecoverabilityDuringExperiment(t *testing.T) {
 		t.Errorf("state after recovery = %s", h.Node.State())
 	}
 }
+
+// A context with less than a millisecond left used to reach the daemon as
+// timeout_ms 0 — "no limit" — and an expired one as a negative value the
+// daemon ignored: the nearly-dead context got an unbounded exec.
+func TestExecHonoursSubMillisecondDeadline(t *testing.T) {
+	tb := newTB(t)
+	if _, err := tb.AddNode("vriga"); err != nil {
+		t.Fatal(err)
+	}
+	h := tb.Runner().Hosts["vriga"]
+	if err := h.SetBoot("debian-buster", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Reboot(); err != nil {
+		t.Fatal(err)
+	}
+	for _, left := range []time.Duration{500 * time.Microsecond, -time.Second} {
+		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(left))
+		start := time.Now()
+		_, err := h.Exec(ctx, "sleep_ms 200", nil)
+		took := time.Since(start)
+		cancel()
+		if err == nil || !strings.Contains(err.Error(), "deadline exceeded") {
+			t.Errorf("%v left: err = %v, want a deadline error", left, err)
+		}
+		if took > 100*time.Millisecond {
+			t.Errorf("%v left: exec ran %v, the script's full 200 ms sleep", left, took)
+		}
+	}
+}
