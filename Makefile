@@ -70,6 +70,21 @@ profile-campaign:
 	@go tool pprof -top -cum .bench_build/campaign.test .bench_build/campaign.cpu 2>/dev/null | head -33
 	@go tool pprof -sample_index=alloc_objects -top .bench_build/campaign.test .bench_build/campaign.mem 2>/dev/null | head -32
 
+# Queue profile: what a long-lived controller pays per admitted campaign and
+# what each one leaves behind. 2000 campaigns of the root BenchmarkQueueLaunch
+# (two fresh vpos replicas, 2 sizes x 4 rates, sched.Campaign.Run) into one
+# store that outlives them all, then the top 25 by cumulative CPU time and the
+# top 20 by bytes still in use when the last campaign finished.
+.PHONY: profile-queue
+profile-queue:
+	@mkdir -p .bench_build
+	TMPDIR=$$([ -w /dev/shm ] && echo /dev/shm || echo $${TMPDIR:-/tmp}) \
+	go test -run NONE -bench 'BenchmarkQueueLaunch$$' -benchtime 2000x -benchmem \
+		-o .bench_build/queue.test \
+		-cpuprofile .bench_build/queue.cpu -memprofile .bench_build/queue.mem .
+	@go tool pprof -top -cum .bench_build/queue.test .bench_build/queue.cpu 2>/dev/null | head -33
+	@go tool pprof -sample_index=inuse_space -top .bench_build/queue.test .bench_build/queue.mem 2>/dev/null | head -27
+
 # Data-plane tier: the batched zero-alloc engine against the scalar
 # event-per-hop oracle — one plateau-rate run (allocs/op, allocs/train)
 # and the sim-bound sweep dealt over one replica goroutine per core
@@ -80,17 +95,6 @@ bench-dataplane:
 	BENCH_RESULTS_OUT=$(CURDIR)/BENCH_dataplane.json \
 	go test -run NONE -bench 'BenchmarkDataPlane$$|BenchmarkDataPlaneSweep' \
 		-benchmem -benchtime 5x .
-
-# Queue tier: the multi-tenant campaign scheduler end to end — four
-# tenants flooding a four-node calendar with instant-launch campaigns, so
-# the measured wall clock is pure queue machinery (journal appends,
-# admission passes, allocation grant/release). Throughput and mean
-# submit→admit latency are recorded in BENCH_queue.json.
-.PHONY: bench-queue
-bench-queue:
-	BENCH_RESULTS_OUT=$(CURDIR)/BENCH_queue.json \
-	go test -run NONE -bench BenchmarkQueueAdmission -benchtime 200x \
-		./internal/queue/
 
 # Retry-overhead tier: fault-free vs. faulty campaign wall clock. The
 # overhead ratio is recorded next to the code in BENCH_sched.json.

@@ -187,6 +187,50 @@ func BenchmarkAppendixWorkflow(b *testing.B) {
 	b.ReportMetric(wall.Seconds()*1000/float64(b.N), "wall_ms/op")
 }
 
+// BenchmarkQueueLaunch is what the queue's launcher does per admitted
+// campaign, again and again against one store, the way a controller that
+// stays up does it: two fresh vpos replicas, a 2 sizes × 4 rates sweep through
+// sched.Campaign.Run, every campaign under a name of its own. `make
+// profile-queue` runs it under both profilers. The store stays reachable
+// (queueLaunchStore) until the heap profile is written at exit, so that
+// profile's inuse_space is what the campaigns left behind in it.
+func BenchmarkQueueLaunch(b *testing.B) {
+	b.ReportAllocs()
+	store, err := results.NewStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	queueLaunchStore = store
+	cfg := casestudy.SweepConfig{
+		Sizes:      []int{64, 1500},
+		RatesPPS:   []int{10_000, 20_000, 30_000, 40_000},
+		RuntimeSec: 1,
+		User:       "tenant",
+	}
+	for i := 0; i < b.N; i++ {
+		topos, err := casestudy.NewReplicas(casestudy.Virtual, 2, casestudy.WithSeed(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		reps := casestudy.Replicas(topos, cfg)
+		for r := range reps {
+			reps[r].Experiment.Name = fmt.Sprintf("c%06d", i)
+		}
+		sum, err := (&sched.Campaign{Replicas: reps}).Run(context.Background(), store)
+		for _, t := range topos {
+			t.Close()
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		if sum.TotalRuns != 8 || sum.FailedRuns != 0 {
+			b.Fatalf("summary = %+v", sum)
+		}
+	}
+}
+
+var queueLaunchStore *results.Store
+
 // BenchmarkAblationSwitching quantifies the latency cost of switched vs.
 // direct topologies (Sec. 7): direct wiring, an optical L1 cross-connect
 // (~15 ns), and an L2 cut-through switch (~300 ns).

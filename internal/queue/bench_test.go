@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -12,92 +13,105 @@ import (
 	"pos/internal/eventlog"
 )
 
-// recordBenchResults appends one benchmark's headline metrics to the JSON
-// file named by BENCH_RESULTS_OUT (read-merge-write, same contract as the
-// root bench harness). `make bench-queue` points it at BENCH_queue.json.
-func recordBenchResults(b *testing.B, bench string, metrics map[string]float64) {
-	b.Helper()
-	path := os.Getenv("BENCH_RESULTS_OUT")
-	if path == "" {
-		return
-	}
-	doc := make(map[string]map[string]float64)
-	if data, err := os.ReadFile(path); err == nil {
-		json.Unmarshal(data, &doc)
-	}
-	doc[bench] = metrics
-	data, err := json.MarshalIndent(doc, "", "  ")
+// writeHistory journals n campaigns that ran to completion under dir, as a
+// controller that has been up for a long time leaves them: ids 1..n, two
+// tenants, submit + admit + done each.
+func writeHistory(tb testing.TB, dir string, n int) {
+	tb.Helper()
+	f, err := os.Create(journalPath(dir))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
+	w := bufio.NewWriter(f)
+	enc := json.NewEncoder(w)
+	at := time.Date(2021, 10, 12, 11, 20, 32, 0, time.UTC)
+	for id := 1; id <= n; id++ {
+		sub := Submission{ID: id, User: fmt.Sprintf("tenant%d", id%2), Name: "past", Nodes: []string{"n1"}, Minutes: 1, Submitted: at}
+		for _, r := range []record{{At: at, Op: opSubmit, Sub: &sub}, {At: at, Op: opAdmit, ID: id}, {At: at, Op: opDone, ID: id}} {
+			if err := enc.Encode(r); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	if err := w.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		tb.Fatal(err)
 	}
 }
 
-// BenchmarkQueueAdmission measures the scheduler end to end: 4 tenants
-// flooding a 4-node calendar with single-node campaigns whose launch is
-// instant, so the wall clock is pure queue machinery — journal appends,
-// admission passes, allocation grant/release. Reported metrics: scheduler
-// throughput (campaigns/s) and mean submit→admit latency.
-func BenchmarkQueueAdmission(b *testing.B) {
-	nodes := []string{"n1", "n2", "n3", "n4"}
-	cal := calendar.New(nodes)
-	launch := func(ctx context.Context, sub Submission, ev *eventlog.Pipeline) error { return nil }
-	c, err := Open(Config{
-		Dir:           b.TempDir(),
-		Calendar:      cal,
-		Launch:        launch,
-		SweepInterval: time.Millisecond,
-	})
+// holdNode keeps n1 out of the queue's reach, so submissions stay queued.
+func holdNode(tb testing.TB, cal *calendar.Calendar) calendar.Allocation {
+	tb.Helper()
+	now := time.Now()
+	alloc, err := cal.Allocate("holder", []string{"n1"}, now, now.Add(time.Hour))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer c.Close()
+	return alloc
+}
 
-	b.ResetTimer()
-	start := time.Now()
-	ids := make([]int, 0, b.N)
-	for i := 0; i < b.N; i++ {
-		st, err := c.Submit(Submission{
-			User:    fmt.Sprintf("user%d", i%4),
-			Nodes:   []string{nodes[i%len(nodes)]},
-			Minutes: 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ids = append(ids, st.ID)
-	}
-	var totalWait time.Duration
-	for _, id := range ids {
-		for {
-			st, err := c.Get(id)
+// BenchmarkQueueAtLength prices what a tenant and the admission loop pay on a
+// controller with history: eight campaigns wait on a held node behind 0, 10 k
+// or 100 k finished ones, and each iteration submits a ninth, polls it, runs
+// one admission pass (every head conflicts) and withdraws it. Submit, Get and
+// the pass scan the live queue only, so their columns should read the same at
+// every length; open_ms, the journal replay, is the one cost that follows
+// history until the journal is compacted.
+func BenchmarkQueueAtLength(b *testing.B) {
+	for _, history := range []int{0, 10_000, 100_000} {
+		b.Run(fmt.Sprintf("history=%d", history), func(b *testing.B) {
+			dir := b.TempDir()
+			writeHistory(b, dir, history)
+			cal := calendar.New([]string{"n1"})
+			holdNode(b, cal)
+			start := time.Now()
+			c, err := Open(Config{
+				Dir:           dir,
+				Calendar:      cal,
+				Launch:        func(context.Context, Submission, *eventlog.Pipeline) error { return nil },
+				SweepInterval: time.Hour,
+			})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if st.State == StateDone {
-				totalWait += st.Admitted.Sub(st.Submitted)
-				break
+			openTime := time.Since(start)
+			defer c.Close()
+			waiting := Submission{Nodes: []string{"n1"}, Minutes: 1}
+			for i := 0; i < 8; i++ {
+				waiting.User = fmt.Sprintf("tenant%d", i%2)
+				if _, err := c.Submit(waiting); err != nil {
+					b.Fatal(err)
+				}
 			}
-			if st.State == StateFailed || st.State == StateCancelled {
-				b.Fatalf("campaign %d ended %s: %s", id, st.State, st.Error)
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-	elapsed := time.Since(start)
-	b.StopTimer()
 
-	throughput := float64(b.N) / elapsed.Seconds()
-	meanWaitMS := totalWait.Seconds() * 1000 / float64(b.N)
-	b.ReportMetric(throughput, "campaigns/s")
-	b.ReportMetric(meanWaitMS, "ms_submit_to_admit")
-	recordBenchResults(b, "QueueAdmission", map[string]float64{
-		"campaigns":        float64(b.N),
-		"throughput_per_s": throughput,
-		"mean_wait_ms":     meanWaitMS,
-		"nodes":            float64(len(nodes)),
-		"tenants":          4,
-	})
+			var submit, get, pass time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				st, err := c.Submit(waiting)
+				t1 := time.Now()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if st, err = c.Get(st.ID); err != nil || st.Position != 9 {
+					b.Fatalf("Get = %+v, %v", st, err)
+				}
+				t2 := time.Now()
+				c.pass()
+				t3 := time.Now()
+				if _, err := c.Cancel("", st.ID); err != nil {
+					b.Fatal(err)
+				}
+				submit, get, pass = submit+t1.Sub(t0), get+t2.Sub(t1), pass+t3.Sub(t2)
+			}
+			b.StopTimer()
+			perOp := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(b.N) }
+			b.ReportMetric(perOp(submit), "submit_ns")
+			b.ReportMetric(perOp(get), "get_ns")
+			b.ReportMetric(perOp(pass), "pass_ns")
+			b.ReportMetric(float64(openTime.Microseconds())/1000, "open_ms")
+		})
+	}
 }

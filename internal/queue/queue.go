@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -141,9 +142,15 @@ type Controller struct {
 	cfg Config
 	jl  *journal
 
-	mu        sync.Mutex
-	entries   map[int]*entry
-	order     []int // submission order, all states
+	mu      sync.Mutex
+	entries map[int]*entry
+	order   []int // submission order, all states
+	// queued is the live window: the queued entries in submission order, and
+	// the only thing Submit, Get and an admission pass ever scan, so their
+	// cost follows what is waiting, not what the controller has ever seen.
+	// entries and order keep the history, for Get, List and recovery.
+	queued    []*entry
+	running   int // entries holding an allocation
 	nextID    int
 	admitSeq  uint64
 	lastAdmit map[string]uint64 // user -> admitSeq of their latest admission
@@ -239,7 +246,6 @@ func (c *Controller) recover(recs []record) error {
 	}
 	// Admitted-but-unfinished submissions: the campaign died with its
 	// controller. Journal the requeue so the next recovery agrees.
-	queued := 0
 	for _, id := range c.order {
 		e := c.entries[id]
 		if e.state == StateRunning {
@@ -251,11 +257,25 @@ func (c *Controller) recover(recs []record) error {
 			requeuesTotal.Inc()
 		}
 		if e.state == StateQueued {
-			queued++
+			c.enqueueLocked(e)
 		}
 	}
-	queueDepth.Add(float64(queued))
 	return nil
+}
+
+// enqueueLocked puts e at the tail of the live queue. c.mu must be held (or
+// the controller not yet shared).
+func (c *Controller) enqueueLocked(e *entry) {
+	c.queued = append(c.queued, e)
+	queueDepth.Inc()
+}
+
+// dequeueLocked takes e, which has just left StateQueued, out of the live
+// queue. c.mu must be held.
+func (c *Controller) dequeueLocked(e *entry) {
+	i := slices.Index(c.queued, e)
+	c.queued = slices.Delete(c.queued, i, i+1)
+	queueDepth.Dec()
 }
 
 func (c *Controller) now() time.Time {
@@ -305,10 +325,10 @@ func (c *Controller) Submit(sub Submission) (Status, error) {
 	}
 	c.entries[sub.ID] = e
 	c.order = append(c.order, sub.ID)
+	c.enqueueLocked(e)
 	st := c.statusLocked(e)
 	c.mu.Unlock()
 
-	queueDepth.Inc()
 	submissionsTotal.Inc()
 	c.event(sub, StateQueued, "submitted", "")
 	c.kick()
@@ -332,13 +352,14 @@ func (c *Controller) Cancel(user string, id int) (Status, error) {
 	}
 	switch e.state {
 	case StateQueued:
-		e.state = StateCancelled
-		e.finished = c.now()
-		if err := c.jl.append(record{At: e.finished, Op: opCancel, ID: id}); err != nil {
+		now := c.now()
+		if err := c.jl.append(record{At: now, Op: opCancel, ID: id}); err != nil {
 			c.mu.Unlock()
 			return Status{}, err
 		}
-		queueDepth.Dec()
+		e.state = StateCancelled
+		e.finished = now
+		c.dequeueLocked(e)
 		completions("cancelled").Inc()
 		st := c.statusLocked(e)
 		sub := e.sub
@@ -397,16 +418,7 @@ func (c *Controller) statusLocked(e *entry) Status {
 		Error:        e.err,
 	}
 	if e.state == StateQueued {
-		pos := 0
-		for _, id := range c.order {
-			if c.entries[id].state == StateQueued {
-				pos++
-			}
-			if id == e.sub.ID {
-				break
-			}
-		}
-		st.Position = pos
+		st.Position = slices.Index(c.queued, e) + 1
 	}
 	return st
 }
@@ -457,19 +469,8 @@ func (c *Controller) pass() {
 	// campaign held an allocation is a starvation symptom — capacity is
 	// free but the calendar still refuses every head. The health layer's
 	// queue-starvation probe trips when these accumulate.
-	if admitted == 0 {
-		queued, running := 0, 0
-		for _, e := range c.entries {
-			switch e.state {
-			case StateQueued:
-				queued++
-			case StateRunning:
-				running++
-			}
-		}
-		if queued > 0 && running == 0 {
-			starvedPasses.Inc()
-		}
+	if admitted == 0 && len(c.queued) > 0 && c.running == 0 {
+		starvedPasses.Inc()
 	}
 }
 
@@ -479,9 +480,8 @@ func (c *Controller) pass() {
 // least-recently-admitted user (fair share), then submission order.
 func (c *Controller) nextCandidateLocked(blocked map[string]bool) *entry {
 	heads := make(map[string]*entry)
-	for _, id := range c.order {
-		e := c.entries[id]
-		if e.state != StateQueued || blocked[e.sub.User] {
+	for _, e := range c.queued {
+		if blocked[e.sub.User] {
 			continue
 		}
 		h, ok := heads[e.sub.User]
@@ -529,7 +529,7 @@ func (c *Controller) admitLocked(e *entry, blocked map[string]bool, now time.Tim
 		e.err = err.Error()
 		e.finished = now
 		c.jl.append(record{At: now, Op: opFail, ID: sub.ID, Error: e.err})
-		queueDepth.Dec()
+		c.dequeueLocked(e)
 		admissions("rejected").Inc()
 		c.event(sub, StateFailed, "admission rejected", e.err)
 		return false
@@ -541,7 +541,8 @@ func (c *Controller) admitLocked(e *entry, blocked map[string]bool, now time.Tim
 	c.admitSeq++
 	c.lastAdmit[sub.User] = c.admitSeq
 	c.jl.append(record{At: now, Op: opAdmit, ID: sub.ID})
-	queueDepth.Dec()
+	c.dequeueLocked(e)
+	c.running++
 	admissions("admitted").Inc()
 	waitSeconds.Observe(now.Sub(sub.Submitted).Seconds())
 	runningPerUser(sub.User).Inc()
@@ -614,6 +615,7 @@ func (c *Controller) finish(e *entry, ctx context.Context, err error) {
 		}
 		e.allocID = 0
 	}
+	c.running--
 	runningPerUser(e.sub.User).Dec()
 	if c.closing && !e.userCancel && ctx.Err() != nil {
 		// Preempted by shutdown: still owed. Leave the admit record as the
@@ -666,13 +668,9 @@ func (c *Controller) Close() error {
 	alreadyClosing := c.closing
 	c.closing = true
 	var cancels []context.CancelFunc
-	queued := 0
 	for _, e := range c.entries {
 		if e.cancel != nil {
 			cancels = append(cancels, e.cancel)
-		}
-		if e.state == StateQueued {
-			queued++
 		}
 	}
 	c.mu.Unlock()
@@ -685,7 +683,11 @@ func (c *Controller) Close() error {
 		cancel()
 	}
 	c.runs.Wait()
-	queueDepth.Add(-float64(queued))
+	// What is still queued stays owed in the journal; this controller just
+	// stops counting it.
+	c.mu.Lock()
+	queueDepth.Add(-float64(len(c.queued)))
+	c.mu.Unlock()
 	if err := c.jl.Sync(); err != nil {
 		c.jl.Close()
 		return err

@@ -500,3 +500,126 @@ func TestSubmitAfterCloseRefused(t *testing.T) {
 		t.Errorf("Submit after Close = %v, want ErrClosed", err)
 	}
 }
+
+// stopLoop retires the controller's admission goroutine so a test drives
+// passes by hand; Close still works afterwards.
+func stopLoop(c *Controller) {
+	c.stopOnce.Do(func() { close(c.stop) })
+	<-c.loopDone
+}
+
+// admissionTrace plays one fixed scenario — six submissions from two tenants
+// wait on a held node, survive a restart, then drain one admission at a time —
+// on a controller that has history finished campaigns behind it, and writes
+// down everything a tenant or the health layer can see of the ordering:
+// positions, starved passes, who runs next.
+func admissionTrace(t *testing.T, history int) []string {
+	t.Helper()
+	dir := t.TempDir()
+	writeHistory(t, dir, history)
+	cal := calendar.New([]string{"n1"})
+	held := holdNode(t, cal)
+	var mu sync.Mutex
+	var trace []string
+	note := func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		trace = append(trace, fmt.Sprintf(format, args...))
+	}
+	launch := func(ctx context.Context, sub Submission, ev *eventlog.Pipeline) error {
+		note("launch %s", sub.Name)
+		return nil
+	}
+	starved := starvedPasses.Value()
+	noteStarved := func() {
+		note("starved +%v", starvedPasses.Value()-starved)
+		starved = starvedPasses.Value()
+	}
+
+	c := open(t, dir, cal, launch, nil)
+	stopLoop(c)
+	ids := make(map[string]int)
+	for _, s := range []struct {
+		user, name string
+		priority   int
+	}{{"alice", "a0", 0}, {"alice", "a1", 0}, {"bob", "b0", 0}, {"alice", "a2", 0}, {"bob", "b1", 5}, {"bob", "b2", 0}} {
+		st, err := c.Submit(Submission{User: s.user, Name: s.name, Nodes: []string{"n1"}, Minutes: 5, Priority: s.priority})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.ID != history+len(ids)+1 {
+			t.Fatalf("%s got id %d behind %d finished campaigns", s.name, st.ID, history)
+		}
+		ids[s.name] = st.ID
+		note("submit %s position %d", s.name, st.Position)
+	}
+	names := []string{"a0", "a1", "a2", "b0", "b1", "b2"}
+	notePositions := func() {
+		for _, name := range names {
+			st, err := c.Get(ids[name])
+			if err != nil {
+				t.Fatal(err)
+			}
+			note("%s %s position %d", name, st.State, st.Position)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		c.pass() // the node is held: every head conflicts, nothing runs
+	}
+	noteStarved()
+	notePositions()
+
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c = open(t, dir, cal, launch, nil)
+	defer c.Close()
+	stopLoop(c)
+	note("reopened")
+	notePositions()
+	if got := len(c.List()); got != history+len(names) {
+		t.Fatalf("List has %d entries, want %d", got, history+len(names))
+	}
+
+	if err := cal.Release("holder", held.ID); err != nil {
+		t.Fatal(err)
+	}
+	for range names {
+		c.pass() // one node: admits exactly the next in line
+		for _, name := range names {
+			if st, _ := c.Get(ids[name]); st.State == StateRunning {
+				waitState(t, c, ids[name], StateDone)
+			}
+		}
+		notePositions()
+	}
+	noteStarved()
+	mu.Lock()
+	defer mu.Unlock()
+	return trace
+}
+
+// Fair-share order, Position and the starvation signal are functions of the
+// live queue alone: ten thousand finished campaigns ahead of it change none
+// of them, before or after a restart.
+func TestAdmissionOrderIgnoresHistory(t *testing.T) {
+	bare := admissionTrace(t, 0)
+	long := admissionTrace(t, 10_000)
+	if strings.Join(bare, "\n") != strings.Join(long, "\n") {
+		t.Fatalf("behind 10 000 finished campaigns:\n%s\n\nwith no history:\n%s",
+			strings.Join(long, "\n"), strings.Join(bare, "\n"))
+	}
+	// The scenario itself: b1's priority first, then the tenants alternate.
+	var launched []string
+	for _, line := range bare {
+		if name, ok := strings.CutPrefix(line, "launch "); ok {
+			launched = append(launched, name)
+		}
+	}
+	if got, want := strings.Join(launched, " "), "b1 a0 b0 a1 b2 a2"; got != want {
+		t.Errorf("admission order %q, want %q", got, want)
+	}
+	if bare[6] != "starved +3" {
+		t.Errorf("three passes against a held node noted %q", bare[6])
+	}
+}

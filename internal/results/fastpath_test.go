@@ -348,7 +348,7 @@ func (e *Experiment) drainingPaths() int {
 func TestRewriteDuringDrainStaysOrdered(t *testing.T) {
 	_, e := newExp(t)
 	_, path := e.runFile(0, "vriga/measurement.out")
-	if _, err := e.store.ensureDir(filepath.Dir(path)); err != nil {
+	if _, err := e.ensureDir(filepath.Dir(path)); err != nil {
 		t.Fatal(err)
 	}
 	en := entry{run: 0, rel: "vriga/measurement.out"}

@@ -64,8 +64,9 @@ type indexRun struct {
 	// the last one and assembles the file by concatenation, so the flusher
 	// holds the experiment lock for a copy, not a walk over every run recorded
 	// so far. setMeta and addRunArtifact invalidate it; dropFragments releases
-	// all of them when the flusher goes idle, so a finished experiment's
-	// handle (the store keeps every one) holds no encoded bytes.
+	// all of them when the flusher goes idle, so a handle that outlives its
+	// campaign — held by a reader, or pinned in the store's recent ring —
+	// holds the manifest once, not once more as encoded bytes.
 	frag []byte
 }
 
@@ -526,6 +527,12 @@ func (e *Experiment) mutateOp(path string, op func() error, en entry, authoritat
 // nothing to commit — or at once when a Sync is waiting for exactly that. A
 // campaign's runs arrive closer together than a window, so its flusher, and
 // with it the fragment cache, lives for the campaign.
+//
+// The goroutine is also what keeps a handle its writer has dropped alive, and
+// so registered (see registry.go), while it still owes the disk anything: the
+// collector can take the handle only after this function has returned, which
+// it does with the manifest clean on disk — exactly what the next open of the
+// experiment needs to find.
 func (e *Experiment) flushLoop() {
 	// One encode buffer for the flusher's lifetime: the manifest is encoded
 	// under the lock and written outside it, and the next encode cannot start
@@ -645,7 +652,7 @@ func (e *Experiment) writeManifest(data []byte) error {
 		return nil
 	}
 	path := e.indexPath()
-	if _, err := e.store.ensureDir(filepath.Dir(path)); err != nil {
+	if _, err := e.ensureDir(filepath.Dir(path)); err != nil {
 		return fmt.Errorf("results: %w", err)
 	}
 	return e.store.writeFileAtomic(path, data)

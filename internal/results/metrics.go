@@ -9,6 +9,8 @@ var (
 		"Manifest group commits written by the write-behind flusher.")
 	manifestPending = telemetry.Default.Gauge("pos_results_manifest_pending",
 		"Manifest mutations applied in memory but not yet flushed to disk.")
+	openHandles = telemetry.Default.Gauge("pos_results_open_handles",
+		"Experiment handles alive in the process: held by a caller, a flusher or a store's recent ring.")
 	dedupHits = telemetry.Default.Counter("pos_results_dedup_hits_total",
 		"Artifact writes satisfied by linking an existing content blob.")
 	dedupMisses = telemetry.Default.Counter("pos_results_dedup_misses_total",

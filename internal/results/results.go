@@ -7,9 +7,9 @@
 //
 // On top of the paper layout the store maintains a fast path:
 //
-//   - a per-experiment run manifest (see index.go) kept in memory and
-//     flushed write-behind, so enumerating runs and artifacts never walks
-//     the tree again;
+//   - a per-experiment run manifest (see index.go) kept in memory by the
+//     experiment's handle and flushed write-behind, so enumerating runs and
+//     artifacts never walks the tree again;
 //   - content-addressed blob storage (see blob.go) that deduplicates
 //     identical artifacts — a 60-run sweep writes each repeated script or
 //     variable file once and hardlinks it into every run;
@@ -20,18 +20,29 @@
 // <root>/.posblob), so the on-disk experiment layout stays byte-identical
 // to the paper's artifacts.
 //
-// Two invariants hold the write path together.
+// Three invariants hold it together.
+//
+// The one-handle invariant: while anything can still use an experiment's
+// handle, every open of that experiment through the same store returns that
+// handle, so a manifest has one writer and readers see its in-memory state.
+// The store registers handles weakly (see registry.go): a handle is pinned by
+// whoever holds it, by its flusher until the manifest is clean on disk, and by
+// the store's fixed ring of recently used handles; past that it is garbage,
+// manifest and all, and the next open reloads it from .posindex. A store that
+// runs for months holds the experiments in use, not its history.
 //
 // The fresh-directory invariant: a directory this handle created holds only
 // what this handle wrote; elsewhere the disk is asked. Small files are
 // written behind the manifest flusher, but an overwrite of a file already on
 // disk must be synchronous, or readers would be served the old bytes until
 // the next drain. Whether a path is on disk is answered from the manifest
-// entry and the flusher's queue when the store made the directory itself (a
+// entry and the flusher's queue when the handle made the directory itself (a
 // Mkdir that succeeded — nothing else can have put a file there), and by an
 // Lstat when the directory was found there, which is what keeps files placed
 // out-of-band, and squatters on a reserved name, honest. A campaign into a
-// fresh experiment therefore records its runs without a single stat.
+// fresh experiment therefore records its runs without a single stat. The memo
+// of directories made lives and dies with the handle: a reopened handle knows
+// nothing, so it asks the disk.
 //
 // The crash invariant, which the above does not change: deferred writes land
 // before the manifest that lists them. Every group commit first drains the
@@ -70,15 +81,8 @@ type Store struct {
 	noDedup bool
 	noIndex bool
 
-	// dirs memoizes directories this handle has created. Artifact ingest
-	// otherwise pays an os.MkdirAll stat-walk for every single file.
-	dirs sync.Map
-
-	// exps registers live experiment handles by "user/name/id" so every
-	// consumer sharing this store sees one manifest: a reader opened while
-	// a writer's queue is still draining gets the writer's in-memory state,
-	// not a stale disk scan.
-	exps sync.Map
+	// handles registers the live experiment handles, weakly.
+	handles registry
 
 	// logger receives operational warnings (background flush failures,
 	// which otherwise only surface at the next Sync); discard by default.
@@ -127,43 +131,47 @@ func NoIndex() Option { return func(s *Store) { s.noIndex = true } }
 // the per-artifact cost is zero syscalls for a memoized directory and one for
 // a fresh leaf under an existing parent. With the fast path disabled it
 // degrades to a plain MkdirAll.
-func (s *Store) ensureDir(dir string) (created bool, err error) {
-	if s.noIndex {
+func (e *Experiment) ensureDir(dir string) (created bool, err error) {
+	if e.store.noIndex {
 		return false, os.MkdirAll(dir, 0o755)
 	}
-	if created, ok := s.dirs.Load(dir); ok {
-		return created.(bool), nil
+	e.dirMu.Lock()
+	defer e.dirMu.Unlock()
+	return e.ensureDirLocked(dir)
+}
+
+func (e *Experiment) ensureDirLocked(dir string) (created bool, err error) {
+	if created, ok := e.dirs[dir]; ok {
+		return created, nil
 	}
 	err = os.Mkdir(dir, 0o755)
 	if os.IsNotExist(err) {
-		if _, perr := s.ensureDir(filepath.Dir(dir)); perr != nil {
+		if _, perr := e.ensureDirLocked(filepath.Dir(dir)); perr != nil {
 			return false, perr
 		}
 		err = os.Mkdir(dir, 0o755)
 	}
-	if err == nil {
-		s.dirs.Store(dir, true)
-		return true, nil
-	}
-	if !os.IsExist(err) {
+	if err != nil && !os.IsExist(err) {
 		return false, err
 	}
-	// Found there: by someone else, unless a concurrent call on this handle
-	// won the Mkdir and says otherwise.
-	s.dirs.LoadOrStore(dir, false)
-	return false, nil
+	if e.dirs == nil {
+		e.dirs = make(map[string]bool)
+	}
+	e.dirs[dir] = err == nil // else found there: by someone else
+	return err == nil, nil
 }
 
 // forgetTree drops memoized directories at or below dir after the tree was
 // removed, so a later write recreates them instead of failing.
-func (s *Store) forgetTree(dir string) {
+func (e *Experiment) forgetTree(dir string) {
 	prefix := dir + string(filepath.Separator)
-	s.dirs.Range(func(k, _ any) bool {
-		if d := k.(string); d == dir || strings.HasPrefix(d, prefix) {
-			s.dirs.Delete(k)
+	e.dirMu.Lock()
+	defer e.dirMu.Unlock()
+	for d := range e.dirs {
+		if d == dir || strings.HasPrefix(d, prefix) {
+			delete(e.dirs, d)
 		}
-		return true
-	})
+	}
 }
 
 // lstatHook, when a test sets it, sees every path deferWrite asks the disk
@@ -180,7 +188,7 @@ var lstatHook func(path string)
 // the manifest's call in a directory this handle created, since nothing else
 // writes there; in a directory that was already there the disk is asked.
 func (e *Experiment) deferWrite(dir, path string, op func() error, en entry) (queued bool, err error) {
-	created, err := e.store.ensureDir(dir)
+	created, err := e.ensureDir(dir)
 	if err != nil {
 		return false, fmt.Errorf("results: %w", err)
 	}
@@ -219,12 +227,12 @@ func (e *Experiment) putArtifact(dir, path string, data []byte, en entry) error 
 // the memoized directory turns out to have been removed out-of-band, the
 // memo is dropped and the write retried once against a fresh directory.
 func (e *Experiment) writeInDir(dir string, write func() error) error {
-	if _, err := e.store.ensureDir(dir); err != nil {
+	if _, err := e.ensureDir(dir); err != nil {
 		return fmt.Errorf("results: %w", err)
 	}
 	err := write()
 	if err != nil && errors.Is(err, fs.ErrNotExist) {
-		e.store.forgetTree(dir)
+		e.forgetTree(dir)
 		if mkErr := os.MkdirAll(dir, 0o755); mkErr == nil {
 			err = write()
 		}
@@ -300,6 +308,12 @@ type Experiment struct {
 	flushErr    error          // first flush failure, surfaced by Sync
 	syncWaiters int            // Sync callers blocked; makes the flusher skip its window
 	window      chan struct{}  // open while the flusher waits out a window; closing it ends the wait
+
+	// dirs memoizes the directories this handle has asked for, and whether it
+	// made them. Artifact ingest otherwise pays an os.MkdirAll stat-walk for
+	// every single file.
+	dirMu sync.Mutex
+	dirs  map[string]bool
 }
 
 func (s *Store) newExperiment(dir, user, name, id string) *Experiment {
@@ -323,17 +337,15 @@ func (s *Store) CreateExperiment(user, name string, at time.Time) (*Experiment, 
 	if err := os.MkdirAll(filepath.Dir(dir), 0o755); err != nil {
 		return nil, fmt.Errorf("results: %w", err)
 	}
-	// The leaf through ensureDir, so the store knows whether it made the
-	// experiment's directory itself; a memo from an earlier handle on the
-	// same id proves nothing about the disk now.
-	s.dirs.Delete(dir)
-	if _, err := s.ensureDir(dir); err != nil {
+	// The leaf through ensureDir, so the handle knows whether it made the
+	// experiment's directory itself.
+	e := s.newExperiment(dir, user, name, id)
+	if _, err := e.ensureDir(dir); err != nil {
 		return nil, fmt.Errorf("results: %w", err)
 	}
-	e := s.newExperiment(dir, user, name, id)
 	if !s.noIndex {
 		e.idx = newIndex()
-		s.exps.Store(user+"/"+name+"/"+id, e)
+		s.register(handleKey(user, name, id), e, true)
 	}
 	return e, nil
 }
@@ -342,10 +354,10 @@ func (s *Store) CreateExperiment(user, name string, at time.Time) (*Experiment, 
 // manifest is loaded (or rebuilt from a tree scan) on first use; orphaned
 // temp files from a crashed writer are swept.
 func (s *Store) OpenExperiment(user, name, id string) (*Experiment, error) {
-	key := user + "/" + name + "/" + id
+	key := handleKey(user, name, id)
 	if !s.noIndex {
-		if live, ok := s.exps.Load(key); ok {
-			return live.(*Experiment), nil
+		if live := s.liveHandle(key); live != nil {
+			return live, nil
 		}
 	}
 	dir := filepath.Join(s.root, user, name, id)
@@ -355,9 +367,7 @@ func (s *Store) OpenExperiment(user, name, id string) (*Experiment, error) {
 	sweepTmp(dir, true)
 	e := s.newExperiment(dir, user, name, id)
 	if !s.noIndex {
-		if prior, loaded := s.exps.LoadOrStore(key, e); loaded {
-			return prior.(*Experiment), nil
-		}
+		return s.register(key, e, false), nil
 	}
 	return e, nil
 }
@@ -401,11 +411,18 @@ func (s *Store) Prune(user, name string, keep int) ([]string, error) {
 	victims := ids[:len(ids)-keep]
 	for _, id := range victims {
 		dir := filepath.Join(s.root, user, name, id)
+		key := handleKey(user, name, id)
+		// A live handle first drains what it still owes the tree, so nothing
+		// is written, or a manifest published, behind the removal.
+		if live := s.liveHandle(key); live != nil {
+			_ = live.Sync() // a failed flush leaves nothing worth keeping here
+		}
 		if err := os.RemoveAll(dir); err != nil {
 			return nil, fmt.Errorf("results: pruning %s: %w", id, err)
 		}
-		s.forgetTree(dir)
-		s.exps.Delete(user + "/" + name + "/" + id)
+		if live := s.dropHandle(key); live != nil {
+			live.forgetTree(dir)
+		}
 		os.Remove(s.indexPath(user, name, id))
 	}
 	return append([]string(nil), victims...), nil
