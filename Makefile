@@ -85,16 +85,19 @@ profile-queue:
 	@go tool pprof -top -cum .bench_build/queue.test .bench_build/queue.cpu 2>/dev/null | head -33
 	@go tool pprof -sample_index=inuse_space -top .bench_build/queue.test .bench_build/queue.mem 2>/dev/null | head -27
 
-# Data-plane tier: the batched zero-alloc engine against the scalar
-# event-per-hop oracle — one plateau-rate run (allocs/op, allocs/train)
-# and the sim-bound sweep dealt over one replica goroutine per core
-# (speedup_x).
-# Headline numbers are recorded next to the code in BENCH_dataplane.json.
-.PHONY: bench-dataplane
-bench-dataplane:
-	BENCH_RESULTS_OUT=$(CURDIR)/BENCH_dataplane.json \
-	go test -run NONE -bench 'BenchmarkDataPlane$$|BenchmarkDataPlaneSweep' \
-		-benchmem -benchtime 5x .
+# Data-plane profile: where the emulated data plane spends its CPU with no
+# control plane or store around it. 300 iterations each of the root
+# BenchmarkFigure3bVirtual (vpos: seeded VM jitter, overload drops) and
+# BenchmarkFigure3aBareMetal (the cut-through single timeline) under
+# -cpuprofile, then the top 25 by flat and by cumulative CPU time. Binary
+# and profile stay in .bench_build/ for `go tool pprof -list`.
+.PHONY: profile-dataplane
+profile-dataplane:
+	@mkdir -p .bench_build
+	go test -run NONE -bench 'BenchmarkFigure3(bVirtual|aBareMetal)$$' -benchtime 300x \
+		-o .bench_build/dataplane.test -cpuprofile .bench_build/dataplane.cpu .
+	@go tool pprof -top .bench_build/dataplane.test .bench_build/dataplane.cpu 2>/dev/null | head -33
+	@go tool pprof -top -cum .bench_build/dataplane.test .bench_build/dataplane.cpu 2>/dev/null | head -33
 
 # Retry-overhead tier: fault-free vs. faulty campaign wall clock. The
 # overhead ratio is recorded next to the code in BENCH_sched.json.
@@ -142,8 +145,9 @@ bench-trace:
 # Static hygiene: vet, a clean gofmt tree, no raw log/print logging in
 # library code — internal/ packages log through the structured eventlog
 # spine (log/slog into the event pipeline), never stdout/stderr directly —
-# and no runtime introspection outside internal/telemetry, so resource
-# attribution has exactly one owner.
+# no runtime introspection outside internal/telemetry, so resource
+# attribution has exactly one owner, and no internal/ package that only
+# tests import: code nothing ships is deleted, not kept.
 .PHONY: lint
 lint:
 	go vet ./...
@@ -164,6 +168,14 @@ lint:
 		| grep -vE '"GET /metrics|"GET /api/v1/metrics|"GET /api/v1/events|"GET /debug/pprof'; true); \
 	if [ -n "$$out" ]; then \
 		echo "internal/api endpoint registered without a request span (route it through handle(), which wraps s.instrument; streaming/scrape endpoints join the allowlist in the Makefile):"; \
+		echo "$$out"; exit 1; fi
+	@out=$$(for dir in internal/*/; do \
+		pkg=pos/$${dir%/}; \
+		grep -rq --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build "\"$$pkg\"" . \
+			|| echo "$$pkg"; \
+	done); \
+	if [ -n "$$out" ]; then \
+		echo "internal/ packages with no non-test importer:"; \
 		echo "$$out"; exit 1; fi
 	@echo "lint clean"
 

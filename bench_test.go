@@ -665,7 +665,7 @@ func dataplaneSweep() casestudy.SweepConfig {
 // records, so its per-run allocations stay flat regardless of packet count.
 // One run is 1000 one-millisecond ticks, i.e. 1000 packet trains.
 func BenchmarkDataPlane(b *testing.B) {
-	run := func(b *testing.B, record bool, opts ...casestudy.Option) {
+	run := func(b *testing.B, opts ...casestudy.Option) {
 		topo, err := casestudy.New(casestudy.BareMetal, opts...)
 		if err != nil {
 			b.Fatal(err)
@@ -675,35 +675,30 @@ func BenchmarkDataPlane(b *testing.B) {
 		var before runtime.MemStats
 		runtime.ReadMemStats(&before)
 		b.ResetTimer()
-		start := time.Now()
 		for i := 0; i < b.N; i++ {
 			if _, err := topo.DirectRun(64, 1_800_000, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
-		elapsed := time.Since(start)
 		b.StopTimer()
 		var after runtime.MemStats
 		runtime.ReadMemStats(&after)
 		allocsPerRun := float64(after.Mallocs-before.Mallocs) / float64(b.N)
 		const trainsPerRun = 1000
 		b.ReportMetric(allocsPerRun/trainsPerRun, "allocs/train")
-		if record {
-			recordBenchResults(b, "BenchmarkDataPlane", map[string]float64{
-				"allocs_per_run":   allocsPerRun,
-				"allocs_per_train": allocsPerRun / trainsPerRun,
-				"ns_per_run":       float64(elapsed.Nanoseconds()) / float64(b.N),
-			})
-		}
 	}
-	b.Run("Scalar", func(b *testing.B) { run(b, false, casestudy.WithScalarEngine()) })
-	b.Run("Batched", func(b *testing.B) { run(b, true) })
+	b.Run("Scalar", func(b *testing.B) { run(b, casestudy.WithScalarEngine()) })
+	b.Run("Batched", func(b *testing.B) { run(b) })
 }
 
-// TestDataPlaneAllocations pins the pooling guarantee as a test: a warmed
-// batched topology completes a full 1000-train measurement run in well under
-// the budget of 2 allocations per packet train (the steady state is ~20
-// allocations per run, dominated by result assembly, not per-train work).
+// dataPlaneAllocsPerRun is the allocation budget of one warmed batched
+// measurement run (1000 packet trains): 15 measured with go1.24.0 on the
+// commit after 0418213, plus 15 %. Every one of them is spent starting the
+// run and assembling its result; none scales with the trains.
+const dataPlaneAllocsPerRun = 17
+
+// TestDataPlaneAllocations holds a warmed batched topology to
+// dataPlaneAllocsPerRun.
 func TestDataPlaneAllocations(t *testing.T) {
 	topo, err := casestudy.New(casestudy.BareMetal)
 	if err != nil {
@@ -714,40 +709,33 @@ func TestDataPlaneAllocations(t *testing.T) {
 	if _, err := topo.DirectRun(64, 1_800_000, 1); err != nil {
 		t.Fatal(err)
 	}
-	const trains = 1000
 	perRun := testing.AllocsPerRun(5, func() {
 		if _, err := topo.DirectRun(64, 1_800_000, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if perTrain := perRun / trains; perTrain > 2 {
-		t.Fatalf("batched run allocates %.0f times (%.2f allocs/train), budget is 2 allocs/train", perRun, perTrain)
+	if perRun > dataPlaneAllocsPerRun {
+		t.Fatalf("batched run allocates %.0f times, budget is %d", perRun, dataPlaneAllocsPerRun)
 	}
 }
 
-// BenchmarkDataPlaneSweep is the tentpole comparison: the same sim-bound
-// sweep executed three ways — sequentially on the scalar engine (the pre-PR
-// data plane), sequentially on the batched engine, and sharded across
-// replica timelines with the batched engine. The Speedup sub-benchmark
-// reports batched+sharded over scalar-sequential; `make bench-dataplane`
-// records it into BENCH_dataplane.json.
+// BenchmarkDataPlaneSweep runs the same sim-bound sweep two ways:
+// sequentially on the scalar event-per-hop engine, and dealt over one
+// batched replica timeline per core with casestudy.ShardedSweep.
 func BenchmarkDataPlaneSweep(b *testing.B) {
 	cfg := dataplaneSweep()
-	// One shard per available core: on a multicore box the sharded run
-	// splits the replicas across cores; on a single core it degenerates to
-	// the batched engine alone, so the recorded speedup never claims
-	// parallelism the host cannot deliver.
+	// One replica per available core; on a single core the sweep runs on
+	// one batched timeline.
 	shards := runtime.GOMAXPROCS(0)
 	if shards < 1 {
 		shards = 1
 	}
-	runScalar := func(b *testing.B) time.Duration {
+	runScalar := func(b *testing.B) {
 		topo, err := casestudy.New(casestudy.BareMetal, casestudy.WithScalarEngine())
 		if err != nil {
 			b.Fatal(err)
 		}
 		defer topo.Close()
-		start := time.Now()
 		for _, size := range cfg.Sizes {
 			for _, rate := range cfg.RatesPPS {
 				if _, err := topo.DirectRun(size, float64(rate), cfg.RuntimeSec); err != nil {
@@ -755,9 +743,8 @@ func BenchmarkDataPlaneSweep(b *testing.B) {
 				}
 			}
 		}
-		return time.Since(start)
 	}
-	runSharded := func(b *testing.B) time.Duration {
+	runSharded := func(b *testing.B) {
 		topos, err := casestudy.NewReplicas(casestudy.BareMetal, shards)
 		if err != nil {
 			b.Fatal(err)
@@ -767,11 +754,9 @@ func BenchmarkDataPlaneSweep(b *testing.B) {
 				t.Close()
 			}
 		}()
-		start := time.Now()
 		if _, err := casestudy.ShardedSweep(topos, cfg); err != nil {
 			b.Fatal(err)
 		}
-		return time.Since(start)
 	}
 	b.Run("ScalarSequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -782,24 +767,6 @@ func BenchmarkDataPlaneSweep(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			runSharded(b)
 		}
-	})
-	b.Run("Speedup", func(b *testing.B) {
-		var seq, par time.Duration
-		for i := 0; i < b.N; i++ {
-			seq += runScalar(b)
-			par += runSharded(b)
-		}
-		speedup := seq.Seconds() / par.Seconds()
-		b.ReportMetric(speedup, "speedup_x")
-		b.ReportMetric(float64(shards), "shards")
-		b.ReportMetric(0, "ns/op")
-		recordBenchResults(b, "BenchmarkDataPlaneSweep", map[string]float64{
-			"speedup_x":         speedup,
-			"shards":            float64(shards),
-			"gomaxprocs":        float64(runtime.GOMAXPROCS(0)),
-			"scalar_seq_sec":    seq.Seconds() / float64(b.N),
-			"batched_shard_sec": par.Seconds() / float64(b.N),
-		})
 	})
 }
 

@@ -15,6 +15,7 @@ import (
 	"pos/internal/eval"
 	"pos/internal/moonparse"
 	"pos/internal/packet"
+	"pos/internal/pcap"
 	"pos/internal/results"
 	"pos/internal/sched"
 	"pos/internal/sim"
@@ -371,6 +372,43 @@ func TestSwitchedTopologyAblation(t *testing.T) {
 }
 
 func netemCutThrough() sim.Duration { return 300 * sim.Nanosecond }
+
+// TestReplayRunEmptyRecord: pcap.NewReader accepts a zero-length record.
+// Replayed after a good frame, it must count as a bad packet at the router,
+// not crash the run.
+func TestReplayRunEmptyRecord(t *testing.T) {
+	frame, err := defaultTemplate(64).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var capture bytes.Buffer
+	w := pcap.NewWriter(&capture, 65535)
+	for _, data := range [][]byte{frame, {}} {
+		if err := w.WritePacket(pcap.Packet{Timestamp: time.Unix(0, 0), Data: data}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := pcap.NewReader(&capture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts, err := r.ReadAll()
+	if err != nil || len(pkts) != 2 || len(pkts[1].Data) != 0 {
+		t.Fatalf("capture read back as %d records, %v", len(pkts), err)
+	}
+	topo, err := New(BareMetal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer topo.Close()
+	// 10 packets per 1 ms tick, the two records alternating tick by tick.
+	if _, err := topo.ReplayRun(pkts, 10_000, 1); err != nil {
+		t.Fatal(err)
+	}
+	if st := topo.RouterStats(); st.Forwarded != 5000 || st.BadPacket != 5000 {
+		t.Errorf("router stats = %+v, want 5000 forwarded and 5000 bad", st)
+	}
+}
 
 // TestFailedBuildClosesTestbed: a topology constructor that fails after its
 // nodes exist must take their control-plane listeners down with it.

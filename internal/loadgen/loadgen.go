@@ -18,7 +18,7 @@ package loadgen
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"pos/internal/netem"
 	"pos/internal/packet"
@@ -59,7 +59,7 @@ type Generator struct {
 	sampleEvery   int
 
 	// batched-path state, all buffers reused across runs.
-	emit      []int64    // per-tick emission counts, precomputed when the run starts
+	emit      []int64    // per-tick emission counts, precomputed when the run starts; sorted once it ends
 	rotations []sim.Time // per-second rotation instants (tick times)
 	rxBuckets []int64    // RX counts per bucket, indexed by rxBucket walk
 	rxBucket  int
@@ -280,6 +280,9 @@ func (g *Generator) Run(cfg RunConfig) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
+	if g.batched {
+		g.observeTrains()
+	}
 	return g.result(cfg, frameSize, txBefore), nil
 }
 
@@ -320,7 +323,6 @@ func (g *Generator) startScalar(cfg RunConfig, start sim.Time, tick sim.Duration
 				Data:        frame,
 				FrameSize:   len(frame),
 				Count:       n,
-				SentAt:      now,
 				Timestamped: true,
 			})
 			g.curSecTx += n
@@ -380,28 +382,30 @@ func (g *Generator) startBatched(cfg RunConfig, start sim.Time, tick sim.Duratio
 	}
 	g.rxBucket = 0
 	g.tickIdx = 0
-	// Train telemetry flushes here, once per run: the schedule is known in
-	// full, so a single aggregation pass replaces three atomics per tick in
-	// the emission hot path. Distinct train sizes are few (carry keeps them
-	// within one packet of each other; jitter widens the set a little).
-	sizes := make(map[int64]uint64, 4)
-	var trains uint64
-	for _, n := range g.emit {
-		if n > 0 {
-			sizes[n]++
-			trains++
+	g.engine.Ticks(start, tick, nTicks, g.batchedTick)
+}
+
+// observeTrains flushes a finished batched run's train telemetry: one
+// ObserveN per distinct train size, in ascending order, and the train count.
+// A single pass per run replaces three atomics per tick in the emission hot
+// path. It sorts the spent schedule in place, so it allocates nothing; the
+// next startBatched rebuilds g.emit.
+func (g *Generator) observeTrains() {
+	sizes := g.emit
+	slices.Sort(sizes)
+	trains := 0
+	for i := 0; i < len(sizes); {
+		j := i + 1
+		for j < len(sizes) && sizes[j] == sizes[i] {
+			j++
 		}
-	}
-	order := make([]int64, 0, len(sizes))
-	for v := range sizes {
-		order = append(order, v)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	for _, v := range order {
-		trainPackets.ObserveN(float64(v), sizes[v])
+		if sizes[i] > 0 {
+			trainPackets.ObserveN(float64(sizes[i]), uint64(j-i))
+			trains += j - i
+		}
+		i = j
 	}
 	trainsTotal.Add(float64(trains))
-	g.engine.Ticks(start, tick, nTicks, g.batchedTick)
 }
 
 // batchedTick emits one precomputed packet train. No RNG, no heap events,
@@ -420,7 +424,6 @@ func (g *Generator) batchedTick(now sim.Time) {
 		Data:        frame,
 		FrameSize:   len(frame),
 		Count:       n,
-		SentAt:      now,
 		Timestamped: true,
 	})
 }

@@ -13,6 +13,7 @@ import (
 	"pos/internal/perfmodel"
 	"pos/internal/router"
 	"pos/internal/sim"
+	"pos/internal/telemetry"
 )
 
 func template(size int) packet.UDPTemplate {
@@ -291,6 +292,89 @@ func TestStddev(t *testing.T) {
 	got := stddev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if got < 2.13 || got > 2.15 {
 		t.Errorf("stddev = %v, want ~2.14", got)
+	}
+}
+
+// trainTelemetry reads the train counter and the train-size histogram from
+// the default registry.
+func trainTelemetry() (trains float64, sizes telemetry.ValueSnapshot) {
+	for _, m := range telemetry.Default.Snapshot().Metrics {
+		switch m.Name {
+		case "pos_loadgen_trains_total":
+			trains = m.Values[0].Value
+		case "pos_loadgen_train_packets":
+			sizes = m.Values[0]
+		}
+	}
+	return trains, sizes
+}
+
+// trainRecorder records the packet count of every batch delivered to it.
+type trainRecorder struct{ counts []int64 }
+
+func (r *trainRecorder) HandleBatch(_ sim.Time, b netem.Batch, _ *netem.Port) {
+	r.counts = append(r.counts, b.Count)
+}
+
+// TestTrainTelemetryMatchesSchedule holds the once-per-run flush of a
+// jittered batched run to the per-train observations it replaces: the
+// histogram grows by one sample per train and by the run's packets in sum,
+// and bucket by bucket like a histogram fed each train as it reached the
+// wire.
+func TestTrainTelemetryMatchesSchedule(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		profile Profile
+		rate    float64
+	}{
+		{"moongen", MoonGenProfile(), 100_000},
+		{"iperf", IPerfProfile(), 2_000_000},
+		{"sparse", IPerfProfile(), 50}, // most ticks emit nothing
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := sim.NewEngine()
+			e.SetBatching(true)
+			g := NewWithProfile(e, "lg", tc.profile)
+			rec := &trainRecorder{}
+			netem.Wire(e, g.TxPort(), netem.NewPort("rec", rec), netem.LinkConfig{})
+			trainsBefore, before := trainTelemetry()
+			res, err := g.Run(RunConfig{Template: template(64), RatePPS: tc.rate, Duration: sim.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			trainsAfter, after := trainTelemetry()
+			if res.TxDropped != 0 {
+				t.Fatalf("%d packets dropped: the recorded trains are not the schedule", res.TxDropped)
+			}
+
+			// The reference: the same bounds, one Observe per train.
+			var bounds []float64
+			for _, b := range after.Buckets[:len(after.Buckets)-1] {
+				bounds = append(bounds, b.LE)
+			}
+			reg := telemetry.NewRegistry()
+			ref := reg.Histogram("ref", "", bounds)
+			for _, n := range rec.counts {
+				ref.Observe(float64(n))
+			}
+			trains := len(rec.counts)
+
+			if got := after.Count - before.Count; got != uint64(trains) {
+				t.Errorf("histogram count +%d, want %d trains", got, trains)
+			}
+			if got := trainsAfter - trainsBefore; got != float64(trains) {
+				t.Errorf("trains counter +%v, want %d", got, trains)
+			}
+			if got, want := after.Sum-before.Sum, float64(res.TxPackets+res.TxDropped); got != want {
+				t.Errorf("histogram sum +%v, want %v packets", got, want)
+			}
+			want := reg.Snapshot().Metrics[0].Values[0].Buckets
+			for i, b := range after.Buckets {
+				if got := b.Count - before.Buckets[i].Count; got != want[i].Count {
+					t.Errorf("bucket le=%v: +%d, want %d", b.LE, got, want[i].Count)
+				}
+			}
+		})
 	}
 }
 

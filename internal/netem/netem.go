@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"pos/internal/packet"
 	"pos/internal/sim"
@@ -35,8 +34,6 @@ type Batch struct {
 	// Delay is the accumulated one-way delay experienced so far by the
 	// batch's representative (median) packet.
 	Delay sim.Duration
-	// SentAt is the virtual time the batch left the original source.
-	SentAt sim.Time
 	// Timestamped reports whether the path so far preserves hardware
 	// timestamping capability; latency measurements require it end to
 	// end (the paper's virtual testbed cannot measure latency).
@@ -62,6 +59,11 @@ type Counters struct {
 }
 
 // Port is a network interface attached to a Device.
+//
+// Its counters are plain fields the data plane updates on the engine
+// goroutine. Only that goroutine may read them, or another goroutine after
+// the engine's Run has returned: the contract router.Stats has. A topology
+// runs on one engine, so no hop pays for a lock or an atomic add.
 type Port struct {
 	Name string
 	// HardwareTimestamps marks ports whose NIC can timestamp packets in
@@ -69,18 +71,10 @@ type Port struct {
 	// paravirtualized NICs of vpos).
 	HardwareTimestamps bool
 
-	dev  Device
-	link *Link
-	side int
-
-	// Counters are lock-free: the data plane increments them on the
-	// engine goroutine every tick, while management agents (SNMP, HTTP)
-	// read them from their own goroutines. Atomics make the hot path a
-	// handful of uncontended adds instead of mutex round-trips.
-	txPackets, txBytes atomic.Int64
-	rxPackets, rxBytes atomic.Int64
-	txDropped          atomic.Int64
-	rxDropped          atomic.Int64
+	dev   Device
+	link  *Link
+	side  int
+	stats Counters
 }
 
 // NewPort returns a port owned by dev.
@@ -88,31 +82,15 @@ func NewPort(name string, dev Device) *Port {
 	return &Port{Name: name, dev: dev}
 }
 
-// Stats returns a snapshot of the port's counters.
-func (p *Port) Stats() Counters {
-	return Counters{
-		TxPackets: p.txPackets.Load(),
-		TxBytes:   p.txBytes.Load(),
-		RxPackets: p.rxPackets.Load(),
-		RxBytes:   p.rxBytes.Load(),
-		TxDropped: p.txDropped.Load(),
-		RxDropped: p.rxDropped.Load(),
-	}
-}
+// Stats returns a copy of the port's counters.
+func (p *Port) Stats() Counters { return p.stats }
 
 // ResetStats zeroes the port's counters.
-func (p *Port) ResetStats() {
-	p.txPackets.Store(0)
-	p.txBytes.Store(0)
-	p.rxPackets.Store(0)
-	p.rxBytes.Store(0)
-	p.txDropped.Store(0)
-	p.rxDropped.Store(0)
-}
+func (p *Port) ResetStats() { p.stats = Counters{} }
 
 // DropRx accounts packets discarded on ingress (bad frames, disabled
 // ports).
-func (p *Port) DropRx(n int64) { p.rxDropped.Add(n) }
+func (p *Port) DropRx(n int64) { p.stats.RxDropped += n }
 
 // Connected reports whether the port is wired to a link.
 func (p *Port) Connected() bool { return p.link != nil }
@@ -128,32 +106,30 @@ func (p *Port) Peer() *Port {
 // Send transmits a batch out of this port. Packets that do not fit in the
 // link's queue are dropped and accounted as TxDropped.
 func (p *Port) Send(now sim.Time, b Batch) {
+	if p.link == nil {
+		p.stats.TxDropped += b.Count
+		return
+	}
 	// In cut-through mode a Send may carry a logical timestamp ahead of
 	// the engine clock (the caller computed it synchronously); witness it
 	// so the clock still ends the run at the scalar engine's final time.
-	if p.link != nil {
-		p.link.engine.Witness(now)
-	}
-	if p.link == nil {
-		p.txDropped.Add(b.Count)
-		return
-	}
+	p.link.engine.Witness(now)
 	if !p.HardwareTimestamps {
 		b.Timestamped = false
 	}
-	sent, dropped := p.link.transmit(now, p.side, b)
-	p.txPackets.Add(sent)
-	p.txBytes.Add(sent * int64(b.FrameSize))
-	if dropped != 0 {
-		p.txDropped.Add(dropped)
-	}
+	sent, dropped := p.link.transmit(now, p.side, &b)
+	p.stats.TxPackets += sent
+	p.stats.TxBytes += sent * int64(b.FrameSize)
+	p.stats.TxDropped += dropped
 }
 
-func (p *Port) deliver(now sim.Time, b Batch) {
-	p.rxPackets.Add(b.Count)
-	p.rxBytes.Add(b.Bytes())
+// deliver hands b to the port's device. The device gets its own copy, so no
+// device keeps a pointer into a sender's frame or a pooled delivery record.
+func (p *Port) deliver(now sim.Time, b *Batch) {
+	p.stats.RxPackets += b.Count
+	p.stats.RxBytes += b.Bytes()
 	if p.dev != nil {
-		p.dev.HandleBatch(now, b, p)
+		p.dev.HandleBatch(now, *b, p)
 	}
 }
 
@@ -243,7 +219,9 @@ func (l *Link) Unwire() {
 
 // transmit applies the fluid egress model for one direction and schedules
 // delivery at the far port. It returns accepted and dropped packet counts.
-func (l *Link) transmit(now sim.Time, side int, b Batch) (accepted, dropped int64) {
+// b is the sending port's own copy: transmit rewrites its Count and Delay
+// into what arrives at the far end, leaving FrameSize as it was.
+func (l *Link) transmit(now sim.Time, side int, b *Batch) (accepted, dropped int64) {
 	if b.Count <= 0 {
 		return 0, 0
 	}
@@ -284,8 +262,7 @@ func (l *Link) transmit(now sim.Time, side int, b Batch) (accepted, dropped int6
 		// The representative packet sits mid-batch: it waits for the
 		// existing backlog plus half of its own batch's serialization
 		// time.
-		out := b
-		out.Count = delivered
+		b.Count = delivered
 		extra := l.cfg.PropagationDelay
 		if l.rng != nil && l.cfg.DelayJitterStd > 0 {
 			j := sim.Duration(float64(l.cfg.DelayJitterStd) * l.rng.NormFloat64())
@@ -294,7 +271,7 @@ func (l *Link) transmit(now sim.Time, side int, b Batch) (accepted, dropped int6
 			}
 			extra += j
 		}
-		out.Delay += backlog + txTime/2 + extra
+		b.Delay += backlog + txTime/2 + extra
 		dst := l.ports[1-side]
 		deliverAt := l.busyUntil[side].Add(extra)
 		if l.engine.Batching() && l.cfg.DelayJitterStd == 0 {
@@ -306,11 +283,11 @@ func (l *Link) transmit(now sim.Time, side int, b Batch) (accepted, dropped int6
 			// timestamp order. Jittered links fall back to events to
 			// preserve time-ordered delivery.
 			l.engine.Witness(deliverAt)
-			dst.deliver(deliverAt, out)
+			dst.deliver(deliverAt, b)
 		} else {
 			deliveryPoolGets.Inc()
 			d := deliveryPool.Get().(*delivery)
-			d.dst, d.b = dst, out
+			d.dst, d.b = dst, *b
 			l.engine.AtArg(deliverAt, runDelivery, d)
 		}
 	}
@@ -329,13 +306,14 @@ var deliveryPool = sync.Pool{New: func() any {
 	return new(delivery)
 }}
 
-// runDelivery is the shared ArgHandler for link deliveries.
+// runDelivery is the shared ArgHandler for link deliveries. The record goes
+// back to the pool only after the delivery returns, so a hop the delivery
+// sets off cannot draw it while its batch is still being read.
 func runDelivery(now sim.Time, arg any) {
 	d := arg.(*delivery)
-	dst, b := d.dst, d.b
+	d.dst.deliver(now, &d.b)
 	d.dst, d.b = nil, Batch{}
 	deliveryPool.Put(d)
-	dst.deliver(now, b)
 }
 
 // thin draws the binomial survival of count packets under the loss ratio.

@@ -7,13 +7,12 @@ import (
 	"pos/internal/sim"
 )
 
-// Switch is a store-and-forward L2 switch with MAC learning and per-port
-// administrative state. The pos testbed deliberately avoids switches between
-// experiment hosts (requirement R2 — isolation); this device exists for the
-// ablation benchmarks that quantify exactly what a switched topology would
-// add (~300 ns for an L2 cut-through switch versus ~15 ns for an optical L1
-// cross-connect, Sec. 7) and as the testbed's example of a heterogeneous,
-// SNMP-managed device (R1).
+// Switch is a store-and-forward L2 switch with MAC learning. The pos testbed
+// deliberately avoids switches between experiment hosts (requirement R2 —
+// isolation); this device exists for the ablation benchmarks that quantify
+// exactly what a switched topology would add (~300 ns for an L2 cut-through
+// switch versus ~15 ns for an optical L1 cross-connect, Sec. 7). Like a
+// Port's counters, its learning table belongs to the engine goroutine.
 type Switch struct {
 	Name string
 	// ForwardingDelay is added to every forwarded packet.
@@ -21,13 +20,7 @@ type Switch struct {
 
 	engine *sim.Engine
 	ports  []*Port
-
-	// mu guards the learning table and administrative state, which
-	// management agents access from their own goroutines.
-	mu      sync.Mutex
-	fdb     map[packet.MAC]*Port
-	enabled []bool
-	flooded int64
+	fdb    map[packet.MAC]*Port
 }
 
 // Typical forwarding delays from the paper's limitations section.
@@ -38,15 +31,13 @@ const (
 	OpticalSwitchDelay = 15 * sim.Nanosecond
 )
 
-// NewSwitch returns a switch with n ports named name.0 … name.(n-1), all
-// administratively up.
+// NewSwitch returns a switch with n ports named name.0 … name.(n-1).
 func NewSwitch(e *sim.Engine, name string, n int, delay sim.Duration) *Switch {
 	s := &Switch{
 		Name:            name,
 		ForwardingDelay: delay,
 		engine:          e,
 		fdb:             make(map[packet.MAC]*Port),
-		enabled:         make([]bool, n),
 	}
 	for i := 0; i < n; i++ {
 		p := NewPort(name+portSuffix(i), s)
@@ -55,7 +46,6 @@ func NewSwitch(e *sim.Engine, name string, n int, delay sim.Duration) *Switch {
 		// through a switch must not clear the capability.
 		p.HardwareTimestamps = true
 		s.ports = append(s.ports, p)
-		s.enabled[i] = true
 	}
 	return s
 }
@@ -70,53 +60,6 @@ func (s *Switch) Port(i int) *Port { return s.ports[i] }
 // NumPorts reports the port count.
 func (s *Switch) NumPorts() int { return len(s.ports) }
 
-// SetPortEnabled changes a port's administrative status; a disabled port
-// neither receives nor transmits.
-func (s *Switch) SetPortEnabled(i int, up bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if i >= 0 && i < len(s.enabled) {
-		s.enabled[i] = up
-	}
-}
-
-// PortEnabled reports a port's administrative status.
-func (s *Switch) PortEnabled(i int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return i >= 0 && i < len(s.enabled) && s.enabled[i]
-}
-
-// FDBSize reports the number of learned MAC addresses.
-func (s *Switch) FDBSize() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.fdb)
-}
-
-// FlushFDB clears the learning table.
-func (s *Switch) FlushFDB() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.fdb = make(map[packet.MAC]*Port)
-}
-
-// Flooded counts packets flooded due to unknown destinations.
-func (s *Switch) Flooded() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.flooded
-}
-
-func (s *Switch) portIndex(p *Port) int {
-	for i, q := range s.ports {
-		if q == p {
-			return i
-		}
-	}
-	return -1
-}
-
 // HandleBatch implements Device: learn the source MAC, then forward to the
 // learned destination port or flood.
 func (s *Switch) HandleBatch(now sim.Time, in Batch, rx *Port) {
@@ -125,29 +68,18 @@ func (s *Switch) HandleBatch(now sim.Time, in Batch, rx *Port) {
 		rx.DropRx(in.Count)
 		return
 	}
-	s.mu.Lock()
-	if idx := s.portIndex(rx); idx >= 0 && !s.enabled[idx] {
-		s.mu.Unlock()
-		rx.DropRx(in.Count)
-		return
-	}
 	s.fdb[eth.Src] = rx
 	dst, known := s.fdb[eth.Dst]
 	var targets []*Port
 	if known && dst != rx {
-		if idx := s.portIndex(dst); idx >= 0 && s.enabled[idx] {
-			targets = append(targets, dst)
-		}
+		targets = append(targets, dst)
 	} else if !known {
-		s.flooded += in.Count
-		for i, p := range s.ports {
-			if p != rx && p.Connected() && s.enabled[i] {
+		for _, p := range s.ports {
+			if p != rx && p.Connected() {
 				targets = append(targets, p)
 			}
 		}
 	}
-	s.mu.Unlock()
-
 	out := in
 	out.Delay += s.ForwardingDelay
 	for _, p := range targets {

@@ -111,6 +111,7 @@ func (r *Router) Utilization(now sim.Time) float64 {
 func (r *Router) SetForwarding(on bool) { r.forwarding = on }
 
 // HandleBatch implements netem.Device: forward from one port to the other.
+// in is this hop's own copy, rewritten in place into what leaves egress.
 func (r *Router) HandleBatch(now sim.Time, in Batch, rx *netem.Port) {
 	if !r.forwarding {
 		r.stats.NotRouting += in.Count
@@ -121,8 +122,7 @@ func (r *Router) HandleBatch(now sim.Time, in Batch, rx *netem.Port) {
 		r.stats.BadPacket += in.Count
 		return
 	}
-	fwd := in
-	if !r.rewrite(&fwd) {
+	if !r.rewrite(&in) {
 		return
 	}
 	// CPU admission: the model's capacity for this interval sets the
@@ -131,7 +131,7 @@ func (r *Router) HandleBatch(now sim.Time, in Batch, rx *netem.Port) {
 	capacity := r.cfg.Model.CapacityPPS(now, in.FrameSize)
 	r.lastCapacity = capacity
 	if capacity <= 0 {
-		r.stats.Dropped += fwd.Count
+		r.stats.Dropped += in.Count
 		return
 	}
 	perPacket := sim.Duration(float64(sim.Second) / capacity)
@@ -144,31 +144,30 @@ func (r *Router) HandleBatch(now sim.Time, in Batch, rx *netem.Port) {
 	}
 	backlog := busy.Sub(now)
 	room := r.cfg.QueueDelayLimit - backlog
-	accepted := fwd.Count
+	accepted := in.Count
 	if room <= 0 {
 		accepted = 0
-	} else if need := sim.Duration(fwd.Count) * perPacket; need > room {
+	} else if need := sim.Duration(in.Count) * perPacket; need > room {
 		accepted = int64(room / perPacket)
 	}
-	r.stats.Dropped += fwd.Count - accepted
+	r.stats.Dropped += in.Count - accepted
 	if accepted == 0 {
 		return
 	}
 	svcTime := sim.Duration(accepted) * perPacket
 	r.busyUntil = busy.Add(svcTime)
-	done := fwd
-	done.Count = accepted
-	done.Delay += backlog + svcTime/2 + r.cfg.Model.SampleLatency(r.Utilization(now))
+	in.Count = accepted
+	in.Delay += backlog + svcTime/2 + r.cfg.Model.SampleLatency(r.Utilization(now))
 	r.stats.Forwarded += accepted
 	if r.engine.Batching() {
 		// Cut-through: hand the batch straight to the egress port with
 		// its logical completion time. busyUntil is monotone, so the
 		// downstream link still sees sends in timestamp order.
-		out.Send(r.busyUntil, done)
+		out.Send(r.busyUntil, in)
 		return
 	}
 	d := sendPool.Get().(*egressSend)
-	d.out, d.b = out, done
+	d.out, d.b = out, in
 	r.engine.AtArg(r.busyUntil, runEgressSend, d)
 }
 
@@ -212,7 +211,9 @@ func (r *Router) rewrite(b *Batch) bool {
 	// Memo hit: these exact bytes (same backing array, shared read-only)
 	// already passed validation when the memo was filled — skip the decode
 	// entirely. This keeps the steady-state forwarding path allocation-free.
-	if r.rewriteIn != nil && &r.rewriteIn[0] == &b.Data[0] && len(r.rewriteIn) == len(b.Data) {
+	// The lengths are compared first: an empty frame has no first byte to
+	// take the address of, and falls through to the decoder as BadPacket.
+	if r.rewriteIn != nil && len(r.rewriteIn) == len(b.Data) && &r.rewriteIn[0] == &b.Data[0] {
 		b.Data = r.rewriteOut
 		return true
 	}

@@ -57,9 +57,7 @@ func (r *rig) offer(data []byte, size int, pps float64, dur sim.Duration) {
 	for at := sim.Duration(0); at < dur; at += tick {
 		batch := netem.Batch{Data: data, FrameSize: size, Count: perTick, Timestamped: true}
 		r.engine.At(sim.Time(at), func(now sim.Time) {
-			b := batch
-			b.SentAt = now
-			r.tx.Send(now, b)
+			r.tx.Send(now, batch)
 		})
 	}
 }
@@ -193,6 +191,23 @@ func TestBadPacketsCounted(t *testing.T) {
 	}
 	if got := r.router.Stats().BadPacket; got != 4 {
 		t.Errorf("BadPacket = %d, want 4", got)
+	}
+}
+
+// TestEmptyFrameAfterMemo: once a forwarded frame has filled the rewrite
+// memo, an empty frame is a bad packet, not an index-out-of-range panic.
+func TestEmptyFrameAfterMemo(t *testing.T) {
+	r := newRig(t, perfmodel.NewBareMetal())
+	r.tx.Send(0, netem.Batch{Data: testFrame(t, 64, 64), FrameSize: 64, Count: 3})
+	r.tx.Send(sim.Time(sim.Millisecond), netem.Batch{Data: []byte{}, FrameSize: 64, Count: 4})
+	if err := r.engine.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.router.Stats(); st.Forwarded != 3 || st.BadPacket != 4 {
+		t.Errorf("stats = %+v, want 3 forwarded and 4 bad", st)
+	}
+	if r.sink.Packets != 3 {
+		t.Errorf("sink received %d packets, want 3", r.sink.Packets)
 	}
 }
 
