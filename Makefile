@@ -47,12 +47,6 @@ fuzz-smoke:
 		done; \
 	done
 
-# Performance tier: the speedup benchmark added with the campaign
-# scheduler (sequential vs. 2-replica sweep).
-.PHONY: bench
-bench:
-	go test -run NONE -bench BenchmarkParallelSweep -benchtime 3x .
-
 # Campaign profile: where one Appendix-A campaign (60 runs through the real
 # TCP control plane into a fresh store) spends its CPU and its allocations.
 # 200 campaigns of the root BenchmarkAppendixWorkflow under both profilers,
@@ -98,49 +92,6 @@ profile-dataplane:
 		-o .bench_build/dataplane.test -cpuprofile .bench_build/dataplane.cpu .
 	@go tool pprof -top .bench_build/dataplane.test .bench_build/dataplane.cpu 2>/dev/null | head -33
 	@go tool pprof -top -cum .bench_build/dataplane.test .bench_build/dataplane.cpu 2>/dev/null | head -33
-
-# Retry-overhead tier: fault-free vs. faulty campaign wall clock. The
-# overhead ratio is recorded next to the code in BENCH_sched.json.
-.PHONY: bench-sched-faults
-bench-sched-faults:
-	BENCH_RESULTS_OUT=$(CURDIR)/BENCH_sched.json \
-	go test -run NONE -bench BenchmarkSchedFaultRetry -benchtime 3x .
-
-# Telemetry-overhead tier: the instrumented 60-run vpos sweep against the
-# same sweep with the registry disabled. The median ratio is recorded in
-# BENCH_telemetry.json; the budget for always-on instrumentation is 5%.
-.PHONY: bench-telemetry
-bench-telemetry:
-	BENCH_RESULTS_OUT=$(CURDIR)/BENCH_telemetry.json \
-	go test -run NONE -bench BenchmarkTelemetryOverhead -benchtime 3x .
-
-# Eventlog-overhead tier: the 60-run vpos sweep with the full event
-# pipeline armed (publish + JSONL journal + one live subscriber) against
-# the same sweep bare. The median ratio is recorded in BENCH_eventlog.json;
-# the budget is 5% — watching an experiment must not change the experiment.
-.PHONY: bench-eventlog
-bench-eventlog:
-	BENCH_RESULTS_OUT=$(CURDIR)/BENCH_eventlog.json \
-	go test -run NONE -bench BenchmarkEventlogOverhead -benchtime 3x .
-
-# Health-overhead tier: the 60-run vpos sweep with the full health stack
-# armed (runtime sampler, watchdog with the three standard probes) against
-# the same instrumented sweep bare. The median ratio is recorded in
-# BENCH_health.json; the budget is 5% — a supervisor that distorts the
-# experiment it supervises is worse than none.
-.PHONY: bench-health
-bench-health:
-	BENCH_RESULTS_OUT=$(CURDIR)/BENCH_health.json \
-	go test -run NONE -bench BenchmarkHealthOverhead -benchtime 3x .
-
-# Trace tier: the causal-tracing layer — W3C identity generation per span
-# and the analyze-time critical-path stitching — priced against the 60-run
-# vpos sweep's wall clock. Recorded in BENCH_trace.json; the budget is 5%
-# (the bench fails past 1.05x).
-.PHONY: bench-trace
-bench-trace:
-	BENCH_RESULTS_OUT=$(CURDIR)/BENCH_trace.json \
-	go test -run NONE -bench BenchmarkTraceOverhead -benchtime 3x .
 
 # Static hygiene: vet, a clean gofmt tree, no raw log/print logging in
 # library code — internal/ packages log through the structured eventlog

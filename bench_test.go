@@ -9,13 +9,10 @@ package pos_test
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -25,7 +22,6 @@ import (
 	"pos/internal/casestudy"
 	"pos/internal/compare"
 	"pos/internal/core"
-	"pos/internal/eventlog"
 	"pos/internal/hosttools"
 	"pos/internal/loadgen"
 	"pos/internal/netem"
@@ -35,33 +31,7 @@ import (
 	"pos/internal/router"
 	"pos/internal/sched"
 	"pos/internal/sim"
-	"pos/internal/telemetry"
 )
-
-// recordBenchResults appends one benchmark's headline metrics to the JSON
-// file named by BENCH_RESULTS_OUT (read-merge-write; benchmarks run
-// sequentially in one process). The Makefile's bench-* tiers set the variable
-// to their BENCH_*.json so the recorded ratios live next to the code that
-// earned them.
-func recordBenchResults(b *testing.B, bench string, metrics map[string]float64) {
-	b.Helper()
-	path := os.Getenv("BENCH_RESULTS_OUT")
-	if path == "" {
-		return
-	}
-	doc := make(map[string]map[string]float64)
-	if data, err := os.ReadFile(path); err == nil {
-		json.Unmarshal(data, &doc)
-	}
-	doc[bench] = metrics
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
 
 // BenchmarkFigure3aBareMetal regenerates Fig. 3a: bare-metal Linux-router
 // throughput over the extended rate axis for 64 B and 1500 B frames.
@@ -590,63 +560,6 @@ func benchReplica(name, node string, delay time.Duration) sched.Replica {
 	}
 }
 
-// BenchmarkParallelSweep compares the sequential runner against a 2-replica
-// campaign on the same 8-run sweep with wall-clock-bound measurements (100 ms
-// each, the controller's view of a real run). The Speedup sub-benchmark
-// reports the wall-clock ratio as a custom metric — the sweep halves on two
-// replicas (≈2×, the ideal for two-way sharding).
-func BenchmarkParallelSweep(b *testing.B) {
-	const delay = 100 * time.Millisecond
-	runSequential := func(b *testing.B) time.Duration {
-		rep := benchReplica("solo", "n0", delay)
-		store, err := results.NewStore(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		start := time.Now()
-		sum, err := rep.Runner.Run(context.Background(), rep.Experiment, store)
-		if err != nil || sum.FailedRuns != 0 {
-			b.Fatalf("sum=%+v err=%v", sum, err)
-		}
-		return time.Since(start)
-	}
-	runParallel := func(b *testing.B) time.Duration {
-		c := &sched.Campaign{Replicas: []sched.Replica{
-			benchReplica("alpha", "n0", delay),
-			benchReplica("beta", "n1", delay),
-		}}
-		store, err := results.NewStore(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		start := time.Now()
-		sum, err := c.Run(context.Background(), store)
-		if err != nil || sum.FailedRuns != 0 {
-			b.Fatalf("sum=%+v err=%v", sum, err)
-		}
-		return time.Since(start)
-	}
-	b.Run("Sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			runSequential(b)
-		}
-	})
-	b.Run("TwoReplicas", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			runParallel(b)
-		}
-	})
-	b.Run("Speedup", func(b *testing.B) {
-		var seq, par time.Duration
-		for i := 0; i < b.N; i++ {
-			seq += runSequential(b)
-			par += runParallel(b)
-		}
-		b.ReportMetric(seq.Seconds()/par.Seconds(), "speedup_x")
-		b.ReportMetric(0, "ns/op")
-	})
-}
-
 // dataplaneSweep is the sim-bound workload behind the data-plane benches: a
 // bare-metal throughput sweep whose highest rates sit on the 1.75 Mpps CPU
 // plateau, so the engine moves millions of simulated packets per measurement
@@ -770,92 +683,6 @@ func BenchmarkDataPlaneSweep(b *testing.B) {
 	})
 }
 
-// BenchmarkSchedFaultRetry measures what the fault-tolerance layer costs: the
-// same 2-replica, 8-run campaign runs fault-free and with a deterministic
-// plan that hangs two of one replica's measurement execs (each fault burns
-// the run timeout, then costs a backoff, a clean-slate re-setup, and a
-// re-run of the measurement wait).
-// The Overhead sub-benchmark reports the wall-clock ratio — `make
-// bench-sched-faults` records it into BENCH_sched.json.
-func BenchmarkSchedFaultRetry(b *testing.B) {
-	const delay = 50 * time.Millisecond
-	newCampaign := func(faulty bool) *sched.Campaign {
-		alpha := benchReplica("alpha", "n0", delay)
-		beta := benchReplica("beta", "n1", delay)
-		if faulty {
-			// Exec occurrences on n1: 1 is the session setup, then one
-			// per measurement, with a re-setup consuming the occurrence
-			// after each failure. Occurrence 3 always hangs (beta's
-			// second measurement); 5 hangs too if the shared queue hands
-			// beta another run before alpha drains it. Hangs (not
-			// instant failures) so each fault burns the run timeout,
-			// like a wedged host in a real campaign.
-			beta.Runner.InjectFaults(sim.NewFaultInjector(map[string]sim.FaultPlan{
-				"n1": {HangExecs: []int{3, 5}},
-			}))
-		}
-		return &sched.Campaign{
-			Replicas:        []sched.Replica{alpha, beta},
-			MaxAttempts:     3,
-			RetryBackoff:    time.Millisecond,
-			QuarantineAfter: 4,
-			RunTimeout:      100 * time.Millisecond,
-		}
-	}
-	run := func(b *testing.B, faulty bool) (time.Duration, int) {
-		store, err := results.NewStore(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		start := time.Now()
-		sum, err := newCampaign(faulty).Run(context.Background(), store)
-		wall := time.Since(start)
-		if err != nil || sum.FailedRuns != 0 {
-			b.Fatalf("sum=%+v err=%v", sum, err)
-		}
-		retried := 0
-		for _, rec := range sum.Records {
-			if rec.Attempts > 1 {
-				retried++
-			}
-		}
-		if faulty && retried == 0 {
-			b.Fatal("fault plan injected no retries")
-		}
-		return wall, retried
-	}
-	b.Run("FaultFree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			run(b, false)
-		}
-	})
-	b.Run("TwoFaults", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			run(b, true)
-		}
-	})
-	b.Run("Overhead", func(b *testing.B) {
-		var clean, faulty time.Duration
-		retried := 0
-		for i := 0; i < b.N; i++ {
-			c, _ := run(b, false)
-			f, r := run(b, true)
-			clean += c
-			faulty += f
-			retried = r
-		}
-		overhead := faulty.Seconds() / clean.Seconds()
-		b.ReportMetric(overhead, "overhead_x")
-		b.ReportMetric(0, "ns/op")
-		recordBenchResults(b, "SchedFaultRetry", map[string]float64{
-			"overhead_x":      overhead,
-			"faultfree_ms_op": clean.Seconds() * 1000 / float64(b.N),
-			"faulty_ms_op":    faulty.Seconds() * 1000 / float64(b.N),
-			"retried_runs":    float64(retried),
-		})
-	})
-}
-
 // BenchmarkPublicAPIRun exercises the façade the way a downstream user does.
 func BenchmarkPublicAPIRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -872,372 +699,4 @@ func BenchmarkPublicAPIRun(b *testing.B) {
 		}
 		topo.Close()
 	}
-}
-
-// BenchmarkTelemetryOverhead prices the observability layer: the full
-// Appendix A sweep (60 measurement runs) on the vpos platform, once with
-// telemetry live (metric atomics on every hot path, the span tree built and
-// archived as spans.json) and once with the registry disabled (metrics
-// no-op, no trace is even created). Paired rounds with a median ratio, like
-// the other overhead benches; `make bench-telemetry` records the ratio into
-// BENCH_telemetry.json. The budget is 5% — instrumentation that costs more
-// than that does not belong on by default.
-func BenchmarkTelemetryOverhead(b *testing.B) {
-	runSweep := func(b *testing.B) time.Duration {
-		topo, err := casestudy.New(casestudy.Virtual, casestudy.WithSeed(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		store, err := results.NewStore(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		sweep := casestudy.PaperSweep()
-		sweep.RuntimeSec = 1
-		start := time.Now()
-		sum, err := topo.Testbed.Runner().Run(context.Background(), topo.Experiment(sweep), store)
-		wall := time.Since(start)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if sum.TotalRuns != 60 || sum.FailedRuns != 0 {
-			b.Fatalf("summary = %+v", sum)
-		}
-		topo.Close()
-		return wall
-	}
-	defer pos.SetTelemetryEnabled(true)
-	// One unrecorded warm-up pair so first-use costs (page faults, metric
-	// family registration) do not land on either side of round one.
-	pos.SetTelemetryEnabled(true)
-	runSweep(b)
-	pos.SetTelemetryEnabled(false)
-	runSweep(b)
-	const rounds = 3
-	var ratios []float64
-	var tInstrumented, tBare time.Duration
-	for i := 0; i < b.N; i++ {
-		for r := 0; r < rounds; r++ {
-			pos.SetTelemetryEnabled(true)
-			tI := runSweep(b)
-			pos.SetTelemetryEnabled(false)
-			tB := runSweep(b)
-			ratios = append(ratios, tI.Seconds()/tB.Seconds())
-			tInstrumented += tI
-			tBare += tB
-		}
-	}
-	pos.SetTelemetryEnabled(true)
-	sort.Float64s(ratios)
-	overhead := ratios[len(ratios)/2]
-	b.ReportMetric(overhead, "overhead_x")
-	b.ReportMetric(0, "ns/op")
-	recordBenchResults(b, "TelemetryOverhead", map[string]float64{
-		"overhead_x":         overhead,
-		"instrumented_ms_op": tInstrumented.Seconds() * 1000 / float64(b.N*rounds),
-		"bare_ms_op":         tBare.Seconds() * 1000 / float64(b.N*rounds),
-		"runs":               60,
-	})
-}
-
-// BenchmarkHealthOverhead prices the health layer on top of the always-on
-// instrumentation: the Appendix A sweep (60 measurement runs, vpos platform)
-// once bare — telemetry live, as every run ships — and once with the full
-// health stack armed on top: the runtime sampler polling runtime/metrics
-// every 100 ms, a watchdog ticking the three standard probes every 50 ms, and
-// per-run resources.json attribution (written on both sides, it is part of
-// the run path). Each timing covers several back-to-back sweeps so the
-// armed stack's tickers fire many times inside the measured window and
-// scheduling noise amortizes out. Paired rounds with a median ratio; `make
-// bench-health` records the ratio into BENCH_health.json. The budget is 5%:
-// a supervisor that distorts the experiment it supervises is worse than none.
-func BenchmarkHealthOverhead(b *testing.B) {
-	const sweepsPerTiming = 5
-	runSweeps := func(b *testing.B, withHealth bool) time.Duration {
-		var stopHealth func()
-		if withHealth {
-			sampler := pos.NewRuntimeSampler(100 * time.Millisecond)
-			sampler.Start()
-			wd := pos.NewWatchdog(50 * time.Millisecond)
-			for _, p := range []pos.HealthProbe{
-				pos.CampaignProgressProbe(time.Minute),
-				pos.QueueStarvationProbe(10, time.Minute),
-				pos.EventDropProbe(1000, time.Minute),
-			} {
-				wd.Register(p, nil)
-			}
-			wd.Start()
-			stopHealth = func() { wd.Stop(); sampler.Stop() }
-		}
-		sweep := casestudy.PaperSweep()
-		sweep.RuntimeSec = 1
-		var wall time.Duration
-		for s := 0; s < sweepsPerTiming; s++ {
-			topo, err := casestudy.New(casestudy.Virtual, casestudy.WithSeed(1))
-			if err != nil {
-				b.Fatal(err)
-			}
-			store, err := results.NewStore(b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			start := time.Now()
-			sum, err := topo.Testbed.Runner().Run(context.Background(), topo.Experiment(sweep), store)
-			wall += time.Since(start)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if sum.TotalRuns != 60 || sum.FailedRuns != 0 {
-				b.Fatalf("summary = %+v", sum)
-			}
-			topo.Close()
-		}
-		if stopHealth != nil {
-			stopHealth()
-		}
-		return wall
-	}
-	// One unrecorded warm-up pair so first-use costs land on neither side.
-	runSweeps(b, true)
-	runSweeps(b, false)
-	const rounds = 3
-	var ratios []float64
-	var tHealth, tBare time.Duration
-	for i := 0; i < b.N; i++ {
-		for r := 0; r < rounds; r++ {
-			tH := runSweeps(b, true)
-			tB := runSweeps(b, false)
-			ratios = append(ratios, tH.Seconds()/tB.Seconds())
-			tHealth += tH
-			tBare += tB
-		}
-	}
-	sort.Float64s(ratios)
-	overhead := ratios[len(ratios)/2]
-	b.ReportMetric(overhead, "overhead_x")
-	b.ReportMetric(0, "ns/op")
-	recordBenchResults(b, "HealthOverhead", map[string]float64{
-		"overhead_x":   overhead,
-		"health_ms_op": tHealth.Seconds() * 1000 / float64(b.N*rounds*sweepsPerTiming),
-		"bare_ms_op":   tBare.Seconds() * 1000 / float64(b.N*rounds*sweepsPerTiming),
-		"runs":         60,
-	})
-}
-
-// BenchmarkEventlogOverhead prices live observability: the Appendix A sweep
-// (60 measurement runs, vpos platform) once bare and once with the full
-// event pipeline armed — every progress/exec event stamped and published,
-// appended to an on-disk JSONL journal, and drained by one live subscriber.
-// Paired rounds with a median ratio, like BenchmarkTelemetryOverhead;
-// `make bench-eventlog` records the ratio into BENCH_eventlog.json. The
-// budget is 5%: watching an experiment must not change the experiment.
-func BenchmarkEventlogOverhead(b *testing.B) {
-	runSweep := func(b *testing.B, withEvents bool) time.Duration {
-		topo, err := casestudy.New(casestudy.Virtual, casestudy.WithSeed(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		store, err := results.NewStore(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		runner := topo.Testbed.Runner()
-		var drained chan struct{}
-		var sub *eventlog.Subscription
-		var p *eventlog.Pipeline
-		var j *eventlog.Journal
-		if withEvents {
-			p = eventlog.NewPipeline()
-			if j, err = eventlog.OpenJournal(b.TempDir(), 0); err != nil {
-				b.Fatal(err)
-			}
-			p.AttachJournal(j)
-			sub = p.Subscribe(0)
-			drained = make(chan struct{})
-			go func() {
-				defer close(drained)
-				for {
-					if _, ok := sub.Next(context.Background()); !ok {
-						return
-					}
-				}
-			}()
-			runner.Events = p
-		}
-		sweep := casestudy.PaperSweep()
-		sweep.RuntimeSec = 1
-		start := time.Now()
-		sum, err := runner.Run(context.Background(), topo.Experiment(sweep), store)
-		wall := time.Since(start)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if sum.TotalRuns != 60 || sum.FailedRuns != 0 {
-			b.Fatalf("summary = %+v", sum)
-		}
-		if withEvents {
-			sub.Close()
-			<-drained
-			if sub.Dropped() != 0 {
-				b.Fatalf("live subscriber dropped %d events", sub.Dropped())
-			}
-			p.DetachJournal()
-			j.Close()
-		}
-		topo.Close()
-		return wall
-	}
-	// Unrecorded warm-up pair: first-use costs stay off round one.
-	runSweep(b, true)
-	runSweep(b, false)
-	const rounds = 5
-	var ratios []float64
-	var tEvents, tBare time.Duration
-	pair := 0
-	for i := 0; i < b.N; i++ {
-		for r := 0; r < rounds; r++ {
-			// Alternate which side runs first and collect garbage between
-			// sides: otherwise whichever sweep runs second pays the first
-			// one's GC debt and the ratio measures allocator drift, not
-			// event cost.
-			var tE, tB time.Duration
-			if pair%2 == 0 {
-				runtime.GC()
-				tE = runSweep(b, true)
-				runtime.GC()
-				tB = runSweep(b, false)
-			} else {
-				runtime.GC()
-				tB = runSweep(b, false)
-				runtime.GC()
-				tE = runSweep(b, true)
-			}
-			pair++
-			ratios = append(ratios, tE.Seconds()/tB.Seconds())
-			tEvents += tE
-			tBare += tB
-		}
-	}
-	sort.Float64s(ratios)
-	overhead := ratios[len(ratios)/2]
-	b.ReportMetric(overhead, "overhead_x")
-	b.ReportMetric(0, "ns/op")
-	recordBenchResults(b, "EventlogOverhead", map[string]float64{
-		"overhead_x":   overhead,
-		"events_ms_op": tEvents.Seconds() * 1000 / float64(b.N*rounds),
-		"bare_ms_op":   tBare.Seconds() * 1000 / float64(b.N*rounds),
-		"runs":         60,
-	})
-}
-
-// BenchmarkTraceOverhead prices the causal-tracing layer added on top of the
-// span tree: W3C trace/span identity generation on every span and the
-// analysis-time stitching that posctl analyze runs. A paired on/off wall
-// clock cannot resolve this layer — its cost hides under full-telemetry
-// variance — so the bench measures the added work directly and reports it
-// against the campaign wall clock: overhead_x = (wall + identity cost +
-// stitching cost) / wall for the Appendix A sweep (60 vpos runs). `make
-// bench-trace` records the numbers into BENCH_trace.json; the budget is 5% —
-// identities that cost more would have to be sampled, and sampled traces
-// cannot stitch a complete campaign tree.
-func BenchmarkTraceOverhead(b *testing.B) {
-	defer pos.SetTelemetryEnabled(true)
-	pos.SetTelemetryEnabled(true)
-	runSweep := func(b *testing.B) (time.Duration, []pos.SpanRecord) {
-		tr := pos.NewSpanTrace("campaign:bench")
-		tr.SetProcess("controller")
-		ctx := pos.TraceContext(context.Background(), tr)
-		topo, err := casestudy.New(casestudy.Virtual, casestudy.WithSeed(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		store, err := results.NewStore(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		sweep := casestudy.PaperSweep()
-		sweep.RuntimeSec = 1
-		start := time.Now()
-		sum, err := topo.Testbed.Runner().Run(ctx, topo.Experiment(sweep), store)
-		wall := time.Since(start)
-		if err != nil || sum.TotalRuns != 60 || sum.FailedRuns != 0 {
-			b.Fatalf("sum=%+v err=%v", sum, err)
-		}
-		topo.Close()
-		tr.Finish()
-		return wall, tr.Records()
-	}
-	runSweep(b) // warm-up: first-use costs stay out of the measured rounds
-
-	// ID generation in isolation: one trace-ID + span-ID pair per span is
-	// the marginal cost the identities add to StartSpan.
-	const pairs = 100_000
-	idStart := time.Now()
-	for i := 0; i < pairs; i++ {
-		telemetry.NewTraceID()
-		telemetry.NewSpanID()
-	}
-	idNS := float64(time.Since(idStart).Nanoseconds()) / pairs
-
-	const rounds = 3
-	var ratios []float64
-	var wallTotal time.Duration
-	var spans int
-	for i := 0; i < b.N; i++ {
-		for r := 0; r < rounds; r++ {
-			runtime.GC()
-			wall, recs := runSweep(b)
-			// The layer's cost on this campaign: an ID pair per span plus
-			// the assembler's critical-path pass over the archive.
-			stitchStart := time.Now()
-			sum := pos.SummarizeSpans(recs)
-			stitch := time.Since(stitchStart)
-			if len(sum.CriticalPath) == 0 {
-				b.Fatal("stitching produced no critical path")
-			}
-			idCost := time.Duration(float64(len(recs)) * idNS * float64(time.Nanosecond))
-			ratios = append(ratios, (wall+idCost+stitch).Seconds()/wall.Seconds())
-			wallTotal += wall
-			spans = len(recs)
-		}
-	}
-	sort.Float64s(ratios)
-	overhead := ratios[len(ratios)/2]
-	if overhead > 1.05 {
-		b.Fatalf("trace identity + stitching overhead = %.4fx, budget 1.05x", overhead)
-	}
-
-	// Stitching at scale: the critical-path pass over a 10k-span archive —
-	// the cost of `posctl analyze` on a very large campaign.
-	big := pos.NewSpanTrace("campaign:big")
-	big.SetProcess("controller")
-	for lane := 0; lane < 10; lane++ {
-		ls := big.Root().StartChild(fmt.Sprintf("replica:l%d", lane))
-		for run := 0; run < 500; run++ {
-			rs := ls.StartChild(fmt.Sprintf("run %d", lane*500+run))
-			rs.StartChild("exec:n0").End()
-			rs.End()
-		}
-		ls.End()
-	}
-	big.Finish()
-	bigRecs := big.Records()
-	stitchStart := time.Now()
-	if sum := pos.SummarizeSpans(bigRecs); len(sum.CriticalPath) == 0 {
-		b.Fatal("10k-span stitching produced no critical path")
-	}
-	stitch10kMS := float64(time.Since(stitchStart).Nanoseconds()) / 1e6
-
-	b.ReportMetric(overhead, "overhead_x")
-	b.ReportMetric(idNS, "id_pair_ns")
-	b.ReportMetric(stitch10kMS, "stitch10k_ms")
-	b.ReportMetric(0, "ns/op")
-	recordBenchResults(b, "TraceOverhead", map[string]float64{
-		"overhead_x":   overhead,
-		"id_pair_ns":   idNS,
-		"stitch10k_ms": stitch10kMS,
-		"spans":        float64(spans),
-		"wall_ms_op":   wallTotal.Seconds() * 1000 / float64(b.N*rounds),
-		"budget_x":     1.05,
-	})
 }

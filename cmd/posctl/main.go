@@ -258,6 +258,13 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
+	// The event pipeline is the run's one execution record: the console
+	// watches it, and the experiment journals it under events/ — every
+	// step, retry and quarantine with its error text, on every outcome.
+	events := pos.NewEventPipeline()
+	if !pinned.IsZero() {
+		events.SetClock(func() time.Time { return pinned })
+	}
 
 	if *parallel > 1 || *retries > 1 || *quarantine > 0 {
 		// Campaign mode: shard the sweep across independent replica
@@ -271,25 +278,15 @@ func cmdRun(args []string) error {
 		for _, t := range topos {
 			defer t.Close()
 		}
-		// The recorder sits between the campaign and the console printer:
-		// every event (including retries and quarantines, with their error
-		// text) lands in the archived execution trace.
-		rec := pos.NewTraceRecorder()
-		rec.Forward = func(ev pos.ProgressEvent) {
-			fmt.Printf("run %d/%d on %s: %s\n", ev.Run+1, ev.TotalRuns, ev.Host, ev.Message)
-		}
 		c := &pos.Campaign{
 			Replicas:        pos.CaseStudyReplicas(topos, cfg),
 			MaxAttempts:     *retries,
 			QuarantineAfter: *quarantine,
-			Progress:        rec.Observe,
+			Events:          events,
 		}
+		stop := events.Watch(0, printProgress)
 		sum, err := c.Run(context.Background(), store)
-		// Archive the execution trace on EVERY outcome — an aborted
-		// campaign's timeline is the one worth reading.
-		if sum != nil {
-			archiveTrace(rec, store, sum.ResultsDir)
-		}
+		stop()
 		if err != nil {
 			return err
 		}
@@ -298,9 +295,7 @@ func cmdRun(args []string) error {
 		if len(sum.Quarantined) > 0 {
 			fmt.Printf("quarantined replicas: %s\n", strings.Join(sum.Quarantined, ", "))
 		}
-		fmt.Printf("results: %s\n", sum.ResultsDir)
-		fmt.Printf("event journal: %s (replay with posctl events -dir %s)\n",
-			filepath.Join(sum.ResultsDir, "events"), sum.ResultsDir)
+		printResults(sum)
 		return nil
 	}
 
@@ -327,28 +322,40 @@ func cmdRun(args []string) error {
 		return err
 	}
 	defer topo.Close()
-	exp := topo.Experiment(cfg)
 	runner := topo.Testbed.Runner()
-	rec := pos.NewTraceRecorder()
 	if !pinned.IsZero() {
 		runner.Clock = func() time.Time { return pinned }
-		rec.Clock = func() time.Time { return pinned }
 	}
-	rec.Forward = func(ev pos.ProgressEvent) {
-		if ev.Phase == "measurement" {
-			fmt.Printf("run %d/%d: %s\n", ev.Run+1, ev.TotalRuns, ev.Message)
-		}
-	}
-	runner.Progress = rec.Observe
+	return runWatched(runner, topo.Experiment(cfg), store, events)
+}
+
+// runWatched executes one single-testbed experiment with the console
+// watching its event pipeline, which the experiment journals under events/.
+func runWatched(runner *pos.Runner, exp *pos.Experiment, store *pos.ResultsStore, events *pos.EventPipeline) error {
+	runner.Events = events
+	stop := events.Watch(0, printProgress)
 	sum, err := runner.Run(context.Background(), exp, store)
-	if sum != nil {
-		archiveTrace(rec, store, sum.ResultsDir)
-	}
+	stop()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%d runs complete (%d failed)\nresults: %s\n", sum.TotalRuns, sum.FailedRuns, sum.ResultsDir)
+	fmt.Printf("%d runs complete (%d failed)\n", sum.TotalRuns, sum.FailedRuns)
+	printResults(sum)
 	return nil
+}
+
+// printProgress is the console's view of a local run: every workflow step,
+// rendered exactly as posctl events replays it from the journal.
+func printProgress(ev pos.ExperimentEvent) {
+	if ev.Typ == "progress" {
+		fmt.Println(renderEvent(ev))
+	}
+}
+
+func printResults(sum *pos.Summary) {
+	fmt.Printf("results: %s\n", sum.ResultsDir)
+	fmt.Printf("event journal: %s (replay with posctl events -dir %s)\n",
+		filepath.Join(sum.ResultsDir, "events"), sum.ResultsDir)
 }
 
 // cmdDiff compares two experiment result trees byte for byte — the check
@@ -374,25 +381,6 @@ func cmdDiff(args []string) error {
 		fmt.Println(d)
 	}
 	return fmt.Errorf("diff: %d path(s) differ", len(diffs))
-}
-
-// archiveTrace writes the recorder's timeline into the finished experiment.
-// The results dir is <root>/<user>/<exp>/<id>; best effort — a missing tree
-// only costs the trace artifact, never the run.
-func archiveTrace(rec *pos.TraceRecorder, store *pos.ResultsStore, resultsDir string) {
-	if resultsDir == "" {
-		return
-	}
-	id := filepath.Base(resultsDir)
-	name := filepath.Base(filepath.Dir(resultsDir))
-	user := filepath.Base(filepath.Dir(filepath.Dir(resultsDir)))
-	exp, err := store.OpenExperiment(user, name, id)
-	if err != nil {
-		return
-	}
-	if rec.Archive(exp) == nil {
-		exp.Sync()
-	}
 }
 
 func parseInts(csv string) ([]int, error) {
@@ -454,18 +442,7 @@ func cmdRunFile(args []string) error {
 		return err
 	}
 	defer topo.Close()
-	runner := topo.Testbed.Runner()
-	runner.Progress = func(ev pos.ProgressEvent) {
-		if ev.Phase == "measurement" {
-			fmt.Printf("run %d/%d: %s\n", ev.Run+1, ev.TotalRuns, ev.Message)
-		}
-	}
-	sum, err := runner.Run(context.Background(), exp, store)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%d runs complete (%d failed)\nresults: %s\n", sum.TotalRuns, sum.FailedRuns, sum.ResultsDir)
-	return nil
+	return runWatched(topo.Testbed.Runner(), exp, store, pos.NewEventPipeline())
 }
 
 func cmdNDR(args []string) error {

@@ -1,0 +1,91 @@
+package main
+
+import (
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"pos"
+)
+
+// captureStdout runs fn with os.Stdout redirected to a file and returns what
+// it printed.
+func captureStdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	orig := os.Stdout
+	os.Stdout = f
+	runErr := fn()
+	os.Stdout = orig
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	out, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), runErr
+}
+
+// runPinned performs `posctl run` for a two-run vpos sweep with the wall
+// clock pinned and returns the experiment directory it wrote.
+func runPinned(t *testing.T) string {
+	t.Helper()
+	root := t.TempDir()
+	out, err := captureStdout(t, func() error {
+		return cmdRun([]string{"-flavor", "vpos", "-sizes", "64", "-rates", "10000,20000",
+			"-seed", "3", "-epoch", "2021-10-12T11:20:32Z", "-results", root})
+	})
+	if err != nil {
+		t.Fatalf("posctl run: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, "run   2/2") {
+		t.Errorf("console progress lacks the last run counted from 1:\n%s", out)
+	}
+	dirs, err := filepath.Glob(filepath.Join(root, "user", "linux-router-vpos", "*"))
+	if err != nil || len(dirs) != 1 {
+		t.Fatalf("experiment dirs = %v, %v", dirs, err)
+	}
+	return dirs[0]
+}
+
+// TestRunRecordsOneReproducibleJournal drives posctl the way a user checks a
+// rerun: the same pinned single-testbed run twice, then diff and events.
+func TestRunRecordsOneReproducibleJournal(t *testing.T) {
+	t.Cleanup(func() { pos.SetTelemetryEnabled(true) })
+	a, b := runPinned(t), runPinned(t)
+
+	if out, err := captureStdout(t, func() error { return cmdDiff([]string{"-a", a, "-b", b}) }); err != nil {
+		t.Fatalf("posctl diff: %v\n%s", err, out)
+	}
+	if _, err := os.Stat(filepath.Join(a, "events", "events-00000.jsonl")); err != nil {
+		t.Fatalf("no event journal: %v", err)
+	}
+	for _, gone := range []string{"experiment.log", "experiment-trace.json"} {
+		if _, err := os.Stat(filepath.Join(a, gone)); !os.IsNotExist(err) {
+			t.Errorf("%s written beside the journal: %v", gone, err)
+		}
+	}
+
+	out, err := captureStdout(t, func() error { return cmdEvents([]string{"-dir", a}) })
+	if err != nil {
+		t.Fatalf("posctl events: %v", err)
+	}
+	for _, want := range []string{
+		"setup        booting hosts",
+		"setup        [vriga] running setup script",
+		"setup        [vtartu] running setup script",
+		"measurement  run   1/2  pkt_rate=10000,pkt_sz=64",
+		"measurement  run   2/2  pkt_rate=20000,pkt_sz=64",
+	} {
+		if strings.Count(out, want) != 1 {
+			t.Errorf("posctl events lists %q %d times, want once:\n%s", want, strings.Count(out, want), out)
+		}
+	}
+}

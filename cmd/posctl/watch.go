@@ -58,7 +58,8 @@ func applyEvent(states map[string]*replicaState, ev pos.ExperimentEvent) {
 	}
 }
 
-// renderEvent formats one event as a log line for humans.
+// renderEvent formats one event as a log line for humans. Runs count from 1,
+// so the last run of a 60-run sweep reads 60/60.
 func renderEvent(ev pos.ExperimentEvent) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s  ", ev.At.Format("15:04:05.000"))
@@ -69,7 +70,10 @@ func renderEvent(ev pos.ExperimentEvent) string {
 		fmt.Fprintf(&b, "%-12s ", ev.Phase)
 	}
 	if ev.TotalRuns > 0 {
-		fmt.Fprintf(&b, "run %3d/%d  ", ev.Run, ev.TotalRuns)
+		fmt.Fprintf(&b, "run %3d/%d  ", ev.Run+1, ev.TotalRuns)
+	}
+	if ev.Node != "" {
+		fmt.Fprintf(&b, "[%s] ", ev.Node)
 	}
 	switch ev.Typ {
 	case "exec":
@@ -113,7 +117,7 @@ func renderBoard(states map[string]*replicaState) string {
 		st := states[name]
 		run := "-"
 		if st.total > 0 {
-			run = fmt.Sprintf("%d/%d", st.run, st.total)
+			run = fmt.Sprintf("%d/%d", st.run+1, st.total)
 		}
 		fmt.Fprintf(&b, "%-11s %-13s %-8s %-8d %-12v %-6v %d\n",
 			name, st.phase, run, st.retries, st.quarantined, st.alive, st.events)

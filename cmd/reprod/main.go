@@ -198,13 +198,14 @@ func runAppendix(dir string, seed uint64) error {
 		}
 		exp := topo.Experiment(pos.PaperSweep())
 		runner := topo.Testbed.Runner()
-		total := pos.NumRuns(exp.LoopVars)
-		runner.Progress = func(ev pos.ProgressEvent) {
-			if ev.Phase == "measurement" {
-				fmt.Printf("\r  run %2d/%d (%s)          ", ev.Run+1, total, ev.Message)
+		runner.Events = pos.NewEventPipeline()
+		stop := runner.Events.Watch(0, func(ev pos.ExperimentEvent) {
+			if ev.Typ == "progress" && ev.TotalRuns > 0 {
+				fmt.Printf("\r  run %2d/%d (%s)          ", ev.Run+1, ev.TotalRuns, ev.Message)
 			}
-		}
+		})
 		sum, err := runner.Run(context.Background(), exp, store)
+		stop()
 		if err != nil {
 			topo.Close()
 			return err

@@ -71,17 +71,18 @@ pos_run latency.csv moongen_hist
 pos_sync run_done 2
 `
 	}
+	// The event pipeline is the execution record: the progress bar watches
+	// it, and the experiment journals it under events/.
 	runner := topo.Testbed.Runner()
-	trace := pos.NewTraceRecorder()
-	total := pos.NumRuns(exp.LoopVars)
-	trace.Forward = func(ev pos.ProgressEvent) {
-		if ev.Phase == "measurement" {
+	runner.Events = pos.NewEventPipeline()
+	stop := runner.Events.Watch(0, func(ev pos.ExperimentEvent) {
+		if ev.Typ == "progress" && ev.TotalRuns > 0 {
 			// The paper's progress bar, in spirit.
-			fmt.Printf("\r  [%-30s] %d/%d", bar(ev.Run+1, total, 30), ev.Run+1, total)
+			fmt.Printf("\r  [%-30s] %d/%d", bar(ev.Run+1, ev.TotalRuns, 30), ev.Run+1, ev.TotalRuns)
 		}
-	}
-	runner.Progress = trace.Observe
+	})
 	sum, err := runner.Run(context.Background(), exp, store)
+	stop()
 	if err != nil {
 		return err
 	}
@@ -121,10 +122,6 @@ pos_sync run_done 2
 			}
 		}
 		fmt.Printf("  wrote latency CDFs for %d combinations\n", len(lat))
-	}
-	// The execution trace becomes part of the artifact.
-	if err := trace.Archive(rec); err != nil {
-		return err
 	}
 	// Artifact evaluation before release.
 	check, err := pos.CheckArtifact(rec)

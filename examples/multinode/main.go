@@ -74,12 +74,14 @@ pos_sync round_done ` + fmt.Sprint(parties) + `
 		log.Fatal(err)
 	}
 	runner := tb.Runner()
-	runner.Progress = func(ev pos.ProgressEvent) {
-		if ev.Phase == "measurement" {
+	runner.Events = pos.NewEventPipeline()
+	stop := runner.Events.Watch(0, func(ev pos.ExperimentEvent) {
+		if ev.Typ == "progress" && ev.TotalRuns > 0 {
 			fmt.Printf("run %d/%d: %s\n", ev.Run+1, ev.TotalRuns, ev.Message)
 		}
-	}
+	})
 	sum, err := runner.Run(context.Background(), exp, store)
+	stop()
 	if err != nil {
 		log.Fatal(err)
 	}

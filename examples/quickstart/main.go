@@ -42,19 +42,24 @@ func main() {
 	fmt.Printf("experiment %q: %d runs over hosts %v\n",
 		exp.Name, pos.NumRuns(exp.LoopVars), exp.NodeNames())
 
+	// The event pipeline is the run's execution record: watch it live, and
+	// find it journaled under the experiment's events/ afterwards.
 	runner := topo.Testbed.Runner()
-	runner.Progress = func(ev pos.ProgressEvent) {
-		if ev.Phase == "measurement" {
+	runner.Events = pos.NewEventPipeline()
+	stop := runner.Events.Watch(0, func(ev pos.ExperimentEvent) {
+		if ev.Typ == "progress" && ev.TotalRuns > 0 {
 			fmt.Printf("  run %2d/%d  %s\n", ev.Run+1, ev.TotalRuns, ev.Message)
 		}
-	}
+	})
 	sum, err := runner.Run(context.Background(), exp, store)
+	stop()
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("\ncompleted %d runs (%d failed)\n", sum.TotalRuns, sum.FailedRuns)
 	fmt.Println("artifacts:", sum.ResultsDir)
+	fmt.Println("execution record: posctl events -dir", sum.ResultsDir)
 
 	// Evaluation: parse the uploaded MoonGen logs and print the series.
 	ids, err := store.ListExperiments(exp.User, exp.Name)

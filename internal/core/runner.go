@@ -40,21 +40,6 @@ const (
 	PhaseEvaluation  = "evaluation"
 )
 
-// ProgressEvent is emitted as the workflow advances — the paper's progress
-// bar during the measurement phase.
-type ProgressEvent struct {
-	Phase string
-	// Run and TotalRuns are set during the measurement phase.
-	Run, TotalRuns int
-	// Host is set for per-host events.
-	Host string
-	// Message is a human-readable note.
-	Message string
-	// Error carries the failure text on failure and retry events, so trace
-	// artifacts record why a run misbehaved, not just that it did.
-	Error string
-}
-
 // RunRecord summarizes one measurement run.
 type RunRecord struct {
 	Run      int
@@ -107,8 +92,6 @@ type Runner struct {
 	// Calendar, when non-nil, enforces allocation before any node is
 	// touched.
 	Calendar *calendar.Calendar
-	// Progress, when non-nil, observes workflow events.
-	Progress func(ProgressEvent)
 	// ContinueOnRunFailure keeps sweeping after a failed measurement run
 	// (the run is recorded as failed either way).
 	ContinueOnRunFailure bool
@@ -130,15 +113,16 @@ type Runner struct {
 	BatchUploads int
 	// Clock supplies timestamps (defaults to time.Now); tests pin it.
 	Clock func() time.Time
-	// Events, when non-nil, receives the live event stream: every progress
-	// event as a typed eventlog event plus captured host command output.
-	// Publication never blocks on consumers (see eventlog.Broker), so the
-	// measurement hot path is indifferent to stalled observers.
+	// Events, when non-nil, receives the run's execution record: every
+	// workflow step as a progress event plus captured host command output.
+	// Observers subscribe to it (eventlog.Pipeline.Watch); publication never
+	// blocks on them, so the measurement hot path is indifferent to stalled
+	// observers. A fresh experiment (Run, Prepare) journals the pipeline
+	// under its events/ directory while the session lasts, so the pipeline
+	// must belong to this execution: to feed a shared stream, forward a
+	// private pipeline into it with ForwardTo. Without a pipeline nothing is
+	// published or journaled.
 	Events *eventlog.Pipeline
-
-	// progressMu serializes Progress callbacks: per-host events fire
-	// from concurrent goroutines, but observers see a serial stream.
-	progressMu sync.Mutex
 }
 
 func (r *Runner) now() time.Time {
@@ -148,37 +132,18 @@ func (r *Runner) now() time.Time {
 	return time.Now()
 }
 
-func (r *Runner) progress(ev ProgressEvent) {
-	if r.Progress != nil {
-		r.progressMu.Lock()
-		defer r.progressMu.Unlock()
-		r.Progress(ev)
-	}
-}
-
-// event reports one workflow event to the Progress observer and, when an
-// event pipeline is attached, publishes it on the live stream. replica is
-// the executing replica's name ("" outside campaigns); ProgressEvent.Host
-// stays whatever the observer historically saw (node or replica name).
-func (r *Runner) event(replica string, ev ProgressEvent) {
-	r.progress(ev)
+// event publishes one workflow step as a progress event; a no-op without a
+// pipeline. Replica names the executing replica ("" outside campaigns) and
+// Node the host of a per-host step.
+func (r *Runner) event(ev eventlog.Event) {
 	if r.Events == nil {
 		return
 	}
-	node := ev.Host
-	if node == replica {
-		node = ""
+	ev.Typ = eventlog.TypeProgress
+	if ev.TotalRuns == 0 {
+		ev.Run = eventlog.NoRun
 	}
-	run := eventlog.NoRun
-	if ev.TotalRuns > 0 {
-		run = ev.Run
-	}
-	r.Events.Publish(eventlog.Event{
-		Typ: eventlog.TypeProgress, Phase: ev.Phase,
-		Run: run, TotalRuns: ev.TotalRuns,
-		Replica: replica, Node: node,
-		Message: ev.Message, Error: ev.Error,
-	})
+	r.Events.Publish(ev)
 }
 
 // execEventLimit bounds how much captured command output is inlined into one
@@ -225,7 +190,7 @@ func (r *Runner) ensureTrace(ctx context.Context, name string) (context.Context,
 }
 
 // archiveSpans finishes an owned trace and records it as the experiment's
-// spans.json artifact, next to experiment-trace.json. Best effort: a failed
+// spans.json artifact, next to the events/ journal. Best effort: a failed
 // span archive never fails the experiment that produced it.
 func archiveSpans(tr *telemetry.Trace, exp *results.Experiment) {
 	tr.Finish()
@@ -311,8 +276,9 @@ type Session struct {
 
 // Prepare performs the setup phase of the workflow against a fresh results
 // experiment: allocation, variable loading, boot, tool deployment, and the
-// setup scripts. The caller must Close the session to release the calendar
-// allocation.
+// setup scripts. With an Events pipeline attached, the experiment journals
+// it under events/ from before the boot until Close. The caller must Close
+// the session to release the calendar allocation.
 func (r *Runner) Prepare(ctx context.Context, e *Experiment, store *results.Store) (*Session, error) {
 	if err := e.Validate(); err != nil {
 		return nil, err
@@ -333,6 +299,13 @@ func (r *Runner) Prepare(ctx context.Context, e *Experiment, store *results.Stor
 		exp.Sync()
 		release()
 		return nil, err
+	}
+	if r.Events != nil {
+		// The session owns the journal: release stops it after the
+		// allocation is returned, on Close or a failed setup alike.
+		stopJournal := r.Events.RecordUnder(exp.Dir())
+		unjournaled := release
+		release = func() { unjournaled(); stopJournal() }
 	}
 	sess, err := r.prepare(ctx, e, exp, "", release, true)
 	if err != nil {
@@ -434,7 +407,7 @@ func (r *Runner) prepare(ctx context.Context, e *Experiment, exp *results.Experi
 	}
 
 	// Boot all hosts in parallel, then deploy the utility tools.
-	r.event(replica, ProgressEvent{Phase: PhaseSetup, Host: replica, Message: "booting hosts"})
+	r.event(eventlog.Event{Phase: PhaseSetup, Replica: replica, Message: "booting hosts"})
 	bootStart := r.now()
 	bctx, bootSpan := telemetry.StartSpan(ctx, "boot", "replica", replica)
 	if err := r.forEachHost(hosts, func(h Host) error {
@@ -459,13 +432,17 @@ func (r *Runner) prepare(ctx context.Context, e *Experiment, exp *results.Experi
 		"hosts", len(hosts), "elapsed", r.now().Sub(bootStart).String())
 
 	// Execute setup scripts in parallel; pos waits for every host to
-	// finish its setup before the first measurement run starts.
+	// finish its setup before the first measurement run starts. The steps
+	// are announced in host order before the fan-out, so the record of a
+	// rerun is byte-identical.
 	setupStart := r.now()
 	sctx, setupSpan := telemetry.StartSpan(ctx, "setup", "replica", replica)
+	for _, spec := range e.Hosts {
+		r.event(eventlog.Event{Phase: PhaseSetup, Replica: replica, Node: spec.Node, Message: "running setup script"})
+	}
 	setupOutputs := make([]string, len(hosts))
 	if err := r.forEachHostIndexed(hosts, func(i int, h Host) error {
 		spec := e.Hosts[i]
-		r.event(replica, ProgressEvent{Phase: PhaseSetup, Host: spec.Node, Message: "running setup script"})
 		env := r.runEnv(e, spec, nil)
 		_, hs := telemetry.StartSpan(sctx, "setup:"+spec.Node)
 		out, err := h.Exec(sctx, spec.Setup, env)
@@ -516,7 +493,7 @@ func (s *Session) Close() {
 func (s *Session) RunOne(ctx context.Context, runIdx, total int, combo Combination) (RunRecord, error) {
 	r := s.r
 	comboKey, runNo := combo.Key(), strconv.Itoa(runIdx)
-	r.event(s.replica, ProgressEvent{Phase: PhaseMeasurement, Run: runIdx, TotalRuns: total, Host: s.replica, Message: comboKey})
+	r.event(eventlog.Event{Phase: PhaseMeasurement, Run: runIdx, TotalRuns: total, Replica: s.replica, Message: comboKey})
 	rec := RunRecord{Run: runIdx, Combo: combo, Attempts: 1}
 	runStart := r.now()
 	// Host-condition attribution: sample the Go runtime at the run's edges
@@ -619,8 +596,8 @@ func (s *Session) RunOne(ctx context.Context, runIdx, total int, combo Combinati
 	if runErr != nil {
 		runsFailed.Inc()
 		runSpan.SetError(runErr)
-		r.event(s.replica, ProgressEvent{Phase: PhaseMeasurement, Run: runIdx, TotalRuns: total,
-			Host: s.replica, Message: "run failed: " + comboKey, Error: rec.Error})
+		r.event(eventlog.Event{Phase: PhaseMeasurement, Run: runIdx, TotalRuns: total,
+			Replica: s.replica, Message: "run failed: " + comboKey, Error: rec.Error})
 		eventlog.Logger(ctx).Error("measurement run failed",
 			"replica", s.replica, "phase", PhaseMeasurement,
 			"run", runIdx, "combo", comboKey, "err", rec.Error)
@@ -636,7 +613,7 @@ func (s *Session) RunOne(ctx context.Context, runIdx, total int, combo Combinati
 // campaign scheduler calls it before re-dispatching a failed run, so a retry
 // executes on exactly the state a fresh experiment would see.
 func (s *Session) Recover(ctx context.Context) error {
-	s.r.event(s.replica, ProgressEvent{Phase: PhaseSetup, Host: s.replica, Message: "clean-slate re-setup"})
+	s.r.event(eventlog.Event{Phase: PhaseSetup, Replica: s.replica, Message: "clean-slate re-setup"})
 	start := s.r.now()
 	ctx, span := telemetry.StartSpan(ctx, "re-setup", "replica", s.replica)
 	err := s.r.rebootAndResetup(ctx, s.e, s.hosts)

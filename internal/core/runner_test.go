@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"pos/internal/calendar"
+	"pos/internal/eventlog"
 	"pos/internal/hosttools"
 	"pos/internal/results"
 	"pos/internal/telemetry"
@@ -147,8 +148,7 @@ func TestFullWorkflow(t *testing.T) {
 	r, _ := newRunner(lg, dut)
 	store := storeAt(t)
 
-	var events []ProgressEvent
-	r.Progress = func(ev ProgressEvent) { events = append(events, ev) }
+	r.Events = eventlog.NewPipeline()
 
 	sum, err := r.Run(context.Background(), caseStudyExperiment(), store)
 	if err != nil {
@@ -181,18 +181,46 @@ func TestFullWorkflow(t *testing.T) {
 	if dut.execs[1]["port"] != "eno2" {
 		t.Errorf("dut env = %v", dut.execs[1])
 	}
-	// Progress includes measurement events with run counters.
+	// The journal under events/ records the boot, every host's setup step
+	// in host order, and every measurement run with its counters.
+	events, err := eventlog.Replay(filepath.Join(sum.ResultsDir, eventlog.JournalDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var steps []string
 	var measured int
 	for _, ev := range events {
+		if ev.Typ != eventlog.TypeProgress {
+			continue
+		}
+		if ev.Phase == PhaseSetup {
+			steps = append(steps, ev.Node+":"+ev.Message)
+		}
 		if ev.Phase == PhaseMeasurement {
 			measured++
-			if ev.TotalRuns != 6 {
+			if ev.TotalRuns != 6 || ev.Run != measured-1 {
 				t.Errorf("event = %+v", ev)
 			}
 		}
 	}
+	if want := ":booting hosts vriga:running setup script vtartu:running setup script"; strings.Join(steps, " ") != want {
+		t.Errorf("setup steps = %q, want %q", steps, want)
+	}
 	if measured != 6 {
 		t.Errorf("measurement events = %d", measured)
+	}
+}
+
+// TestRunWithoutPipelineJournalsNothing: a runner with no Events pipeline
+// publishes nothing, so its experiment has no events/ journal.
+func TestRunWithoutPipelineJournalsNothing(t *testing.T) {
+	r, _ := newRunner(&fakeHost{name: "vriga"}, &fakeHost{name: "vtartu"})
+	sum, err := r.Run(context.Background(), caseStudyExperiment(), storeAt(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(sum.ResultsDir, eventlog.JournalDir)); !os.IsNotExist(err) {
+		t.Errorf("events/ journal without a pipeline: %v", err)
 	}
 }
 

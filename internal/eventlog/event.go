@@ -6,11 +6,11 @@
 //
 // The paper's workflow (Fig. 2) runs long unattended sweeps; MACI's lesson
 // (PAPERS.md) is that such campaigns are only operable when their progress is
-// observable live. This package turns core.ProgressEvent/trace.Recorder-style
-// after-the-fact recording into a streamable event spine: the runner and
-// campaign scheduler publish here, the api serves it as Server-Sent Events,
-// and the journal makes the stream replayable after the fact with the exact
-// sequence a live observer saw.
+// observable live. This package is the run's one execution record: the
+// runner and campaign scheduler publish here, every observer (a console
+// printer, the api's Server-Sent Events, the flight recorder) subscribes, and
+// the journal under the experiment's events/ directory makes the stream
+// replayable after the fact with the exact sequence a live observer saw.
 package eventlog
 
 import (
@@ -23,7 +23,8 @@ import (
 type Type string
 
 const (
-	// TypeProgress mirrors a core.ProgressEvent: the workflow advanced.
+	// TypeProgress marks a workflow step: boot, setup, a measurement run
+	// starting or failing, a retry or quarantine decision.
 	TypeProgress Type = "progress"
 	// TypeLog is a structured log record teed in through the slog handler.
 	TypeLog Type = "log"

@@ -379,6 +379,36 @@ func TestPublishConcurrentSequenceUnique(t *testing.T) {
 	}
 }
 
+// TestPublishConcurrentDeliversInSeqOrder: with several goroutines publishing
+// at once, a subscriber receives every event in strictly increasing Seq order
+// with none missing. Seq doubles as the SSE resume cursor, so a subscriber
+// that saw 6 before 5 would skip 5 for good.
+func TestPublishConcurrentDeliversInSeqOrder(t *testing.T) {
+	const publishers, each = 4, 200
+	for iter := 0; iter < 50; iter++ {
+		p := NewPipeline()
+		sub := p.Subscribe(publishers * each)
+		var wg sync.WaitGroup
+		for g := 0; g < publishers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < each; i++ {
+					p.Publish(Event{Typ: TypeLog, Run: NoRun})
+				}
+			}()
+		}
+		wg.Wait()
+		sub.Close()
+		for want := uint64(1); want <= publishers*each; want++ {
+			ev, ok := sub.Next(context.Background())
+			if !ok || ev.Seq != want {
+				t.Fatalf("iteration %d: delivered seq %d (ok=%v), want %d", iter, ev.Seq, ok, want)
+			}
+		}
+	}
+}
+
 // TestDroppedNoticeOncePerGap: the synthetic overflow notice reports each
 // gap exactly once, carries no sequence number (it must not advance a resume
 // cursor), and a further overflow produces a fresh notice for the new gap.

@@ -51,9 +51,8 @@ func OpenJournal(dir string, segLimit int64) (*Journal, error) {
 		return nil, err
 	}
 	if len(segs) > 0 {
-		last := segs[len(segs)-1]
-		j.segIdx = last
-		if err := j.recoverTail(j.segPath(last)); err != nil {
+		j.segIdx = segs[len(segs)-1]
+		if err := j.recoverTail(j.segPath(j.segIdx)); err != nil {
 			return nil, err
 		}
 	}
@@ -63,11 +62,16 @@ func OpenJournal(dir string, segLimit int64) (*Journal, error) {
 	return j, nil
 }
 
-func (j *Journal) segPath(idx int) string {
-	return filepath.Join(j.dir, fmt.Sprintf("%s%05d%s", segmentPrefix, idx, segmentSuffix))
+func (j *Journal) segPath(idx int) string { return filepath.Join(j.dir, segmentName(idx)) }
+
+func segmentName(idx int) string {
+	return fmt.Sprintf("%s%05d%s", segmentPrefix, idx, segmentSuffix)
 }
 
-// segments lists the existing segment indices in ascending order.
+// segments lists the existing segment indices in ascending order. Only the
+// canonical names the journal itself writes count: a stray events-0.jsonl or
+// events-+7.jsonl beside the real segments is not part of the journal, so
+// every listed index names exactly the file segmentName rebuilds.
 func segments(dir string) ([]int, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -76,11 +80,8 @@ func segments(dir string) ([]int, error) {
 	var idxs []int
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, segmentPrefix) || !strings.HasSuffix(name, segmentSuffix) {
-			continue
-		}
 		n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, segmentPrefix), segmentSuffix))
-		if err != nil {
+		if err != nil || n < 0 || segmentName(n) != name || e.IsDir() {
 			continue
 		}
 		idxs = append(idxs, n)
@@ -174,19 +175,6 @@ func (j *Journal) LastSeq() uint64 {
 // Dir returns the journal's root directory.
 func (j *Journal) Dir() string { return j.dir }
 
-// Sync forces the current segment to stable storage.
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("eventlog: journal: %w", err)
-	}
-	return nil
-}
-
 // Close closes the active segment. Further appends fail.
 func (j *Journal) Close() error {
 	j.mu.Lock()
@@ -203,9 +191,10 @@ func (j *Journal) Close() error {
 }
 
 // Replay reads every event recorded under dir in sequence order. A torn
-// trailing line in the newest segment (crash mid-append) is skipped; a torn
-// or corrupt line anywhere else is an error — the journal's contract is that
-// only the very tail can be damaged.
+// trailing line in the newest segment (crash mid-append: no final newline)
+// is skipped, exactly as OpenJournal truncates it; a torn or corrupt line
+// anywhere else is an error — the journal's contract is that only the very
+// tail can be damaged.
 func Replay(dir string) ([]Event, error) {
 	return ReplaySince(dir, 0)
 }
@@ -220,10 +209,12 @@ func ReplaySince(dir string, after uint64) ([]Event, error) {
 	}
 	var events []Event
 	for si, idx := range idxs {
-		path := filepath.Join(dir, fmt.Sprintf("%s%05d%s", segmentPrefix, idx, segmentSuffix))
-		data, err := os.ReadFile(path)
+		data, err := os.ReadFile(filepath.Join(dir, segmentName(idx)))
 		if err != nil {
 			return nil, fmt.Errorf("eventlog: journal: %w", err)
+		}
+		if si == len(idxs)-1 {
+			data = data[:bytes.LastIndexByte(data, '\n')+1]
 		}
 		lines := bytes.Split(data, []byte{'\n'})
 		for li, line := range lines {
@@ -232,10 +223,6 @@ func ReplaySince(dir string, after uint64) ([]Event, error) {
 			}
 			ev, err := Decode(line)
 			if err != nil {
-				// Only the newest segment's final line may be torn.
-				if si == len(idxs)-1 && li == len(lines)-1 {
-					continue
-				}
 				return nil, fmt.Errorf("eventlog: journal: segment %d line %d: %w", idx, li+1, err)
 			}
 			if ev.Seq > after {

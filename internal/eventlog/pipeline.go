@@ -1,6 +1,7 @@
 package eventlog
 
 import (
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,11 +13,13 @@ import (
 // use and never blocks on a slow consumer; the journal write is the only
 // synchronous cost on the hot path.
 type Pipeline struct {
-	seq    atomic.Uint64
 	broker *Broker
 	clock  atomic.Pointer[func() time.Time]
 
-	mu      sync.Mutex // orders journal appends with attach/detach
+	// mu makes sequence assignment, the journal append and the broadcast
+	// one step, so every subscriber and the journal see events in Seq order.
+	mu      sync.Mutex
+	seq     uint64
 	journal *Journal
 }
 
@@ -47,15 +50,8 @@ func (p *Pipeline) AttachJournal(j *Journal) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.journal = j
-	if j == nil {
-		return
-	}
-	last := j.LastSeq()
-	for {
-		cur := p.seq.Load()
-		if cur >= last || p.seq.CompareAndSwap(cur, last) {
-			return
-		}
+	if j != nil {
+		p.seq = max(p.seq, j.LastSeq())
 	}
 }
 
@@ -69,12 +65,33 @@ func (p *Pipeline) DetachJournal() *Journal {
 	return j
 }
 
+// JournalDir is the directory under an experiment that holds its journal.
+const JournalDir = "events"
+
+// RecordUnder journals every event published on p from now on under
+// <expDir>/events/ and returns the function that detaches and closes the
+// journal. It is how a runner and a campaign persist their execution record;
+// p must belong to that one execution, because the journal takes whatever p
+// publishes. A journal that cannot be opened leaves p unjournaled:
+// observability never fails the experiment it observes.
+func (p *Pipeline) RecordUnder(expDir string) (stop func()) {
+	j, err := OpenJournal(filepath.Join(expDir, JournalDir), 0)
+	if err != nil {
+		journalErrors.Inc()
+		return func() {}
+	}
+	p.AttachJournal(j)
+	return func() {
+		p.DetachJournal()
+		j.Close()
+	}
+}
+
 // Publish stamps ev with the next sequence number and the current time, then
 // journals and broadcasts it. The stamped event is returned. Journal append
 // failures are counted, not propagated — observability must never fail the
 // experiment it observes.
 func (p *Pipeline) Publish(ev Event) Event {
-	ev.Seq = p.seq.Add(1)
 	if ev.At.IsZero() {
 		ev.At = p.now()
 	}
@@ -82,13 +99,15 @@ func (p *Pipeline) Publish(ev Event) Event {
 		ev.Typ = TypeLog
 	}
 	p.mu.Lock()
+	p.seq++
+	ev.Seq = p.seq
 	if p.journal != nil {
 		if err := p.journal.Append(ev); err != nil {
 			journalErrors.Inc()
 		}
 	}
-	p.mu.Unlock()
 	p.broker.Publish(ev)
+	p.mu.Unlock()
 	eventsPublished.Inc()
 	return ev
 }
@@ -99,7 +118,11 @@ func (p *Pipeline) Subscribe(buffer int) *Subscription {
 }
 
 // LastSeq returns the sequence number of the most recently published event.
-func (p *Pipeline) LastSeq() uint64 { return p.seq.Load() }
+func (p *Pipeline) LastSeq() uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.seq
+}
 
 // ReplaySince reads journaled events with Seq > after. It returns nil
 // without error when no journal is attached — the stream then has no

@@ -1,7 +1,6 @@
 package health
 
 import (
-	"context"
 	"encoding/json"
 	"os"
 	"runtime"
@@ -74,31 +73,10 @@ func (r *Recorder) Events() []eventlog.Event {
 	return out
 }
 
-// Attach subscribes the recorder to a pipeline and feeds every published
-// event into the ring until the returned detach function is called. Detach
-// waits for the feed goroutine to exit.
+// Attach feeds every event published on p into the ring until the returned
+// detach function is called. Detach waits for the feed to stop.
 func (r *Recorder) Attach(p *eventlog.Pipeline) (detach func()) {
-	sub := p.Subscribe(len(r.buf))
-	done := make(chan struct{})
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		defer close(done)
-		for {
-			ev, ok := sub.Next(ctx)
-			if !ok {
-				return
-			}
-			r.Record(ev)
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			sub.Close()
-			cancel()
-			<-done
-		})
-	}
+	return p.Watch(len(r.buf), r.Record)
 }
 
 // FlightRecord is one captured incident: what tripped, what the system was

@@ -17,6 +17,7 @@ import (
 	"sort"
 	"strings"
 
+	"pos/internal/eventlog"
 	"pos/internal/results"
 )
 
@@ -47,6 +48,15 @@ func BuildManifest(exp *results.Experiment, user, name string) (Manifest, error)
 	files, err := exp.ArtifactPaths()
 	if err != nil {
 		return Manifest{}, fmt.Errorf("publish: %w", err)
+	}
+	// The execution record travels with the results: the event journal is
+	// controller state outside the artifact manifest, so its segments are
+	// listed here.
+	if journal, _ := filepath.Glob(filepath.Join(exp.Dir(), eventlog.JournalDir, "events-*.jsonl")); len(journal) > 0 {
+		for _, seg := range journal {
+			files = append(files, eventlog.JournalDir+"/"+filepath.Base(seg))
+		}
+		sort.Strings(files)
 	}
 	m := Manifest{
 		Experiment: name,

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"pos/internal/compare"
+	"pos/internal/eventlog"
 	"pos/internal/results"
 )
 
@@ -85,6 +86,23 @@ func TestBuildManifest(t *testing.T) {
 		if m.Files[i] < m.Files[i-1] {
 			t.Error("files not sorted")
 		}
+	}
+}
+
+// TestManifestCarriesEventJournal: the execution record under events/ is
+// published with the results it explains.
+func TestManifestCarriesEventJournal(t *testing.T) {
+	exp := sampleExperiment(t)
+	p := eventlog.NewPipeline()
+	stop := p.RecordUnder(exp.Dir())
+	p.Publish(eventlog.Event{Typ: eventlog.TypeProgress, Phase: "setup", Run: eventlog.NoRun, Message: "booting hosts"})
+	stop()
+	m, err := BuildManifest(exp, "user", "linux-router")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(m.Files, "events/events-00000.jsonl") || !slices.IsSorted(m.Files) {
+		t.Errorf("manifest files = %q, want the sorted list with the journal segment", m.Files)
 	}
 }
 

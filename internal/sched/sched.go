@@ -27,7 +27,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -90,15 +89,11 @@ type Campaign struct {
 	// sweep on one broken testbed. Zero disables quarantine. When every
 	// replica is quarantined the campaign aborts.
 	QuarantineAfter int
-	// Progress, when non-nil, observes campaign-level measurement events
-	// (Host carries the executing replica's name) plus every replica
-	// runner's own workflow events. All callbacks — campaign-level and
-	// runner-level from concurrently dispatching replicas — are serialized
-	// through one mutex, so the observer never needs its own locking.
-	Progress func(core.ProgressEvent)
-	// Events, when non-nil, receives the campaign's live event stream. The
-	// campaign journals it under <results>/events/ for replay, forwards it
-	// to the replicas' runners, and publishes replica heartbeats on it.
+	// Events, when non-nil, receives the campaign's execution record: its
+	// own dispatch decisions, every replica runner's workflow events, and
+	// replica heartbeats. Observers subscribe to it. The campaign journals
+	// it under <results>/events/ while it runs, so the pipeline must belong
+	// to this campaign; without one, the campaign journals a private one.
 	Events *eventlog.Pipeline
 	// HeartbeatInterval is the period of per-replica liveness events on
 	// the Events pipeline (and the pos_replica_up gauge). Zero disables
@@ -117,8 +112,6 @@ type Campaign struct {
 	// before its watchdog probe trips. Zero derives 2×RunTimeout, falling
 	// back to 5 minutes when no run timeout is configured.
 	StallDeadline time.Duration
-
-	progressMu sync.Mutex
 }
 
 func (c *Campaign) sleep(ctx context.Context, d time.Duration) {
@@ -150,64 +143,31 @@ func (c *Campaign) backoffFor(attempt int) time.Duration {
 	return c.RetryBackoff << shift
 }
 
-func (c *Campaign) progress(ev core.ProgressEvent) {
-	if c.Progress != nil {
-		c.progressMu.Lock()
-		defer c.progressMu.Unlock()
-		c.Progress(ev)
-	}
-}
-
-// event reports one campaign-level event to the Progress observer and, when
-// an event pipeline is attached, publishes it on the live stream with the
-// dispatch attempt recorded (0 for events outside the retry machinery).
-func (c *Campaign) event(ev core.ProgressEvent, attempt int) {
-	c.progress(ev)
-	if c.Events == nil {
-		return
-	}
-	run := eventlog.NoRun
-	if ev.TotalRuns > 0 {
-		run = ev.Run
-	}
+// event publishes one campaign-level measurement decision on a replica, with
+// the dispatch attempt recorded.
+func (c *Campaign) event(phase, replica string, item workItem, total int, msg, errText string) {
 	c.Events.Publish(eventlog.Event{
-		Typ: eventlog.TypeProgress, Phase: ev.Phase,
-		Run: run, TotalRuns: ev.TotalRuns, Attempt: attempt,
-		Replica: ev.Host, Message: ev.Message, Error: ev.Error,
+		Typ: eventlog.TypeProgress, Phase: phase,
+		Run: item.run, TotalRuns: total, Attempt: item.attempt,
+		Replica: replica, Message: msg, Error: errText,
 	})
 }
 
-// wireReplicas funnels every replica runner's workflow events through the
-// campaign: runner-level Progress callbacks (boot, setup, per-run events,
-// fired from concurrently dispatching replicas) are forwarded to
-// c.Progress under the campaign's single progress mutex, and runners
-// without their own pipeline inherit c.Events. The returned function
-// restores the runners' original wiring.
+// wireReplicas hands c.Events to every replica runner without a pipeline of
+// its own, so the runners' workflow events join the campaign's record. The
+// returned function restores the runners' original wiring.
 func (c *Campaign) wireReplicas() func() {
-	prevProgress := make([]func(core.ProgressEvent), len(c.Replicas))
-	prevEvents := make([]*eventlog.Pipeline, len(c.Replicas))
+	prev := make([]*eventlog.Pipeline, len(c.Replicas))
 	for i := range c.Replicas {
 		r := c.Replicas[i].Runner
-		prevProgress[i], prevEvents[i] = r.Progress, r.Events
-		prev := r.Progress
-		r.Progress = func(ev core.ProgressEvent) {
-			c.progressMu.Lock()
-			defer c.progressMu.Unlock()
-			if prev != nil {
-				prev(ev)
-			}
-			if c.Progress != nil {
-				c.Progress(ev)
-			}
-		}
+		prev[i] = r.Events
 		if r.Events == nil {
 			r.Events = c.Events
 		}
 	}
 	return func() {
 		for i := range c.Replicas {
-			c.Replicas[i].Runner.Progress = prevProgress[i]
-			c.Replicas[i].Runner.Events = prevEvents[i]
+			c.Replicas[i].Runner.Events = prev[i]
 		}
 	}
 }
@@ -508,51 +468,43 @@ func (c *Campaign) Run(ctx context.Context, store *results.Store) (sum *core.Sum
 		c.Events = eventlog.NewPipeline()
 		defer func() { c.Events = nil }()
 	}
-	{
-		if j, jerr := eventlog.OpenJournal(filepath.Join(exp.Dir(), "events"), 0); jerr == nil {
-			c.Events.AttachJournal(j)
-			defer func() {
-				c.Events.DetachJournal()
-				j.Close()
-			}()
+	defer c.Events.RecordUnder(exp.Dir())()
+	c.Events.Publish(eventlog.Event{
+		Typ: eventlog.TypeLog, Level: "INFO", Run: eventlog.NoRun,
+		Message: fmt.Sprintf("campaign started: %s, %d replicas", logical.Name, len(c.Replicas)),
+	})
+	// A queue-dispatched campaign journals its own admission record here,
+	// after the journal attached: the queue controller's events predate
+	// the journal and never reach the archive, and without this record
+	// the timeline assembler cannot attribute queue wait.
+	if adm, ok := eventlog.AdmissionFromContext(ctx); ok {
+		attrs := map[string]string{
+			"submission_id": adm.SubmissionID,
+			"submitted":     adm.Submitted.UTC().Format(time.RFC3339Nano),
+			"admitted":      adm.Admitted.UTC().Format(time.RFC3339Nano),
+			"wait_ms":       strconv.FormatInt(adm.Wait().Milliseconds(), 10),
+		}
+		if adm.User != "" {
+			attrs["queue_user"] = adm.User
+		}
+		c.Events.Publish(eventlog.Event{
+			Typ: eventlog.TypeQueue, Level: "INFO", Run: eventlog.NoRun,
+			Message: "queue admission", Attrs: attrs,
+		})
+	}
+	defer func() {
+		// A preempted campaign (queue cancel, controller shutdown) must
+		// not journal itself as "finished" — the journal is the record
+		// an operator replays to see what actually happened.
+		msg := "campaign finished: " + logical.Name
+		if ctx.Err() != nil {
+			msg = "campaign cancelled: " + logical.Name
 		}
 		c.Events.Publish(eventlog.Event{
 			Typ: eventlog.TypeLog, Level: "INFO", Run: eventlog.NoRun,
-			Message: fmt.Sprintf("campaign started: %s, %d replicas", logical.Name, len(c.Replicas)),
+			Message: msg,
 		})
-		// A queue-dispatched campaign journals its own admission record here,
-		// after the journal attached: the queue controller's events predate
-		// the journal and never reach the archive, and without this record
-		// the timeline assembler cannot attribute queue wait.
-		if adm, ok := eventlog.AdmissionFromContext(ctx); ok {
-			attrs := map[string]string{
-				"submission_id": adm.SubmissionID,
-				"submitted":     adm.Submitted.UTC().Format(time.RFC3339Nano),
-				"admitted":      adm.Admitted.UTC().Format(time.RFC3339Nano),
-				"wait_ms":       strconv.FormatInt(adm.Wait().Milliseconds(), 10),
-			}
-			if adm.User != "" {
-				attrs["queue_user"] = adm.User
-			}
-			c.Events.Publish(eventlog.Event{
-				Typ: eventlog.TypeQueue, Level: "INFO", Run: eventlog.NoRun,
-				Message: "queue admission", Attrs: attrs,
-			})
-		}
-		defer func() {
-			// A preempted campaign (queue cancel, controller shutdown) must
-			// not journal itself as "finished" — the journal is the record
-			// an operator replays to see what actually happened.
-			msg := "campaign finished: " + logical.Name
-			if ctx.Err() != nil {
-				msg = "campaign cancelled: " + logical.Name
-			}
-			c.Events.Publish(eventlog.Event{
-				Typ: eventlog.TypeLog, Level: "INFO", Run: eventlog.NoRun,
-				Message: msg,
-			})
-		}()
-	}
+	}()
 	// Flight recorder: tail the campaign's own event stream into a warm
 	// ring so a watchdog trip or failure can dump the last thing the
 	// campaign did without consulting the journal. First evidence wins —
@@ -587,8 +539,8 @@ func (c *Campaign) Run(ctx context.Context, store *results.Store) (sum *core.Sum
 		}
 	}()
 
-	// Serialize runner-level events from all replicas through the campaign
-	// progress mutex before any replica starts booting.
+	// Every replica's runner publishes into the campaign's record before
+	// any replica starts booting.
 	defer c.wireReplicas()()
 	if err := core.ArchiveDefinition(logical, exp); err != nil {
 		return nil, err
@@ -848,10 +800,8 @@ func (c *Campaign) worker(runCtx context.Context, cancel context.CancelFunc, wi 
 		// bound: a waiting run must not block a healthy replica's slot.
 		backoff := c.backoffFor(item.attempt)
 		if backoff > 0 {
-			c.event(core.ProgressEvent{
-				Phase: core.PhaseMeasurement, Run: item.run, TotalRuns: len(combos),
-				Host: name, Message: fmt.Sprintf("backing off %v before attempt %d", backoff, item.attempt),
-			}, item.attempt)
+			c.event(core.PhaseMeasurement, name, item, len(combos),
+				fmt.Sprintf("backing off %v before attempt %d", backoff, item.attempt), "")
 			c.sleep(runCtx, backoff)
 		}
 		select {
@@ -897,11 +847,8 @@ func (c *Campaign) worker(runCtx context.Context, cancel context.CancelFunc, wi 
 		consec++
 		terminal := item.attempt >= maxAttempts
 		if !terminal {
-			c.event(core.ProgressEvent{
-				Phase: core.PhaseMeasurement, Run: item.run, TotalRuns: len(combos),
-				Host: name, Message: fmt.Sprintf("attempt %d failed, requeueing: %s", item.attempt, rec.Error),
-				Error: rec.Error,
-			}, item.attempt)
+			c.event(core.PhaseMeasurement, name, item, len(combos),
+				fmt.Sprintf("attempt %d failed, requeueing: %s", item.attempt, rec.Error), rec.Error)
 			retriesTotal.Inc()
 			st.queue <- workItem{run: item.run, attempt: item.attempt + 1}
 			queueDepth.Inc()
@@ -910,11 +857,8 @@ func (c *Campaign) worker(runCtx context.Context, cancel context.CancelFunc, wi 
 		}
 
 		if c.QuarantineAfter > 0 && consec >= c.QuarantineAfter {
-			c.event(core.ProgressEvent{
-				Phase: core.PhaseMeasurement, Run: item.run, TotalRuns: len(combos),
-				Host: name, Message: fmt.Sprintf("replica quarantined after %d consecutive failures", consec),
-				Error: rec.Error,
-			}, item.attempt)
+			c.event(core.PhaseMeasurement, name, item, len(combos),
+				fmt.Sprintf("replica quarantined after %d consecutive failures", consec), rec.Error)
 			quarantinesTotal.Inc()
 			lane.SetAttr("quarantined", "true")
 			st.mu.Lock()
@@ -967,17 +911,14 @@ func (c *Campaign) dispatch(runCtx context.Context, sess *core.Session, st *camp
 				Attempt: item.attempt, Replica: name, Phase: phaseResetup,
 				Failed: true, Error: err.Error(), BackoffMS: backoff.Milliseconds(),
 			})
-			c.event(core.ProgressEvent{
-				Phase: core.PhaseSetup, Run: item.run, TotalRuns: len(combos),
-				Host: name, Message: "clean-slate re-setup failed", Error: err.Error(),
-			}, item.attempt)
+			c.event(core.PhaseSetup, name, item, len(combos),
+				"clean-slate re-setup failed", err.Error())
 			return rec, err
 		}
 	}
 
-	// The run-start event is emitted by RunOne itself and forwarded through
-	// the campaign's serialized progress wiring (wireReplicas), so dispatch
-	// does not duplicate it.
+	// The run-start event is published by RunOne itself on the campaign's
+	// pipeline (wireReplicas), so dispatch does not duplicate it.
 	rec, err := sess.RunOne(rctx, item.run, len(combos), combos[item.run])
 	if err != nil && !rec.Failed {
 		// Recording errors (artifact or metadata writes) that RunOne

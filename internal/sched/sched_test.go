@@ -641,16 +641,13 @@ func TestCampaignQuarantinesFailingReplica(t *testing.T) {
 	hostC.onMeasure = wait
 
 	store := storeAt(t)
-	var once sync.Once
+	events := eventlog.NewPipeline()
+	defer events.Watch(0, closeOnQuarantine(quarantined))()
 	c := &Campaign{
 		Replicas:        []Replica{repA, repB, repC},
 		MaxAttempts:     4,
 		QuarantineAfter: 2,
-		Progress: func(ev core.ProgressEvent) {
-			if strings.Contains(ev.Message, "quarantined") {
-				once.Do(func() { close(quarantined) })
-			}
-		},
+		Events:          events,
 	}
 	sum, err := c.Run(context.Background(), store)
 	if err != nil {
@@ -786,16 +783,13 @@ func TestCampaignFaultInjectionMetadataByteIdentical(t *testing.T) {
 	hostC.onMeasure = wait
 
 	parStore := storeAt(t)
-	var once sync.Once
+	events := eventlog.NewPipeline()
+	defer events.Watch(0, closeOnQuarantine(quarantined))()
 	c := &Campaign{
 		Replicas:        []Replica{repA, repB, repC},
 		MaxAttempts:     4,
 		QuarantineAfter: 2,
-		Progress: func(ev core.ProgressEvent) {
-			if strings.Contains(ev.Message, "quarantined") {
-				once.Do(func() { close(quarantined) })
-			}
-		},
+		Events:          events,
 	}
 	parSum, err := c.Run(context.Background(), parStore)
 	if err != nil {
@@ -956,19 +950,7 @@ func TestCampaignRetryEventsCarryError(t *testing.T) {
 		return nil
 	}
 	store := storeAt(t)
-	var mu sync.Mutex
-	var withError []core.ProgressEvent
-	c := &Campaign{
-		Replicas:    []Replica{rep},
-		MaxAttempts: 2,
-		Progress: func(ev core.ProgressEvent) {
-			mu.Lock()
-			defer mu.Unlock()
-			if ev.Error != "" {
-				withError = append(withError, ev)
-			}
-		},
-	}
+	c := &Campaign{Replicas: []Replica{rep}, MaxAttempts: 2}
 	sum, err := c.Run(context.Background(), store)
 	if err != nil {
 		t.Fatal(err)
@@ -976,8 +958,16 @@ func TestCampaignRetryEventsCarryError(t *testing.T) {
 	if sum.FailedRuns != 0 {
 		t.Fatalf("summary = %+v", sum)
 	}
-	mu.Lock()
-	defer mu.Unlock()
+	evs, err := eventlog.Replay(filepath.Join(sum.ResultsDir, eventlog.JournalDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var withError []eventlog.Event
+	for _, ev := range evs {
+		if ev.Typ == eventlog.TypeProgress && ev.Error != "" {
+			withError = append(withError, ev)
+		}
+	}
 	if len(withError) == 0 {
 		t.Fatal("no progress events carried the failure error")
 	}
@@ -992,36 +982,6 @@ func TestCampaignRetryEventsCarryError(t *testing.T) {
 	}
 	if !requeued {
 		t.Error("retry event with Error not observed")
-	}
-}
-
-// TestCampaignProgressSerialized: the Progress contract says callbacks are
-// serialized through one mutex, including runner-level events forwarded from
-// concurrently executing replicas. The callback therefore mutates shared
-// state WITHOUT its own lock — under -race this fails if any event path
-// bypasses the campaign mutex.
-func TestCampaignProgressSerialized(t *testing.T) {
-	svc := hosttools.NewService(nil)
-	repA, _ := newReplica("alpha", "nodeA", svc)
-	repB, _ := newReplica("beta", "nodeB", svc)
-	store := storeAt(t)
-	counts := map[string]int{} // deliberately unsynchronized
-	var total int
-	c := &Campaign{
-		Replicas: []Replica{repA, repB},
-		Progress: func(ev core.ProgressEvent) {
-			counts[ev.Host]++
-			total++
-		},
-	}
-	if _, err := c.Run(context.Background(), store); err != nil {
-		t.Fatal(err)
-	}
-	if total == 0 {
-		t.Fatal("no progress events observed")
-	}
-	if counts["nodeA"] == 0 || counts["nodeB"] == 0 {
-		t.Errorf("runner-level events not forwarded from both replicas: %v", counts)
 	}
 }
 
@@ -1112,5 +1072,16 @@ func TestCampaignJournalsEvents(t *testing.T) {
 	}
 	if len(runs) != 6 {
 		t.Errorf("journaled run starts = %d, want 6 (%v)", len(runs), runs)
+	}
+}
+
+// closeOnQuarantine returns an event watcher that closes ch once the
+// campaign announces a quarantine.
+func closeOnQuarantine(ch chan struct{}) func(eventlog.Event) {
+	var once sync.Once
+	return func(ev eventlog.Event) {
+		if strings.Contains(ev.Message, "quarantined") {
+			once.Do(func() { close(ch) })
+		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // Trace is one hierarchical span tree — a campaign or experiment execution.
-// It is exported per experiment as a spans.json artifact next to
-// experiment-trace.json, and convertible to Chrome trace-event format.
+// It is exported per experiment as a spans.json artifact next to the
+// events/ journal, and convertible to Chrome trace-event format.
 type Trace struct {
 	mu           sync.Mutex
 	clock        func() time.Time

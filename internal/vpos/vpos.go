@@ -23,7 +23,6 @@ import (
 	"pos/internal/eventlog"
 	"pos/internal/results"
 	"pos/internal/sim"
-	"pos/internal/trace"
 )
 
 // Status of an instance.
@@ -96,7 +95,7 @@ type Manager struct {
 }
 
 // SetEvents attaches the live event pipeline: every instance execution's
-// runner publishes its workflow events there, so a vposd operator can watch
+// workflow events are forwarded there, so a vposd operator can watch
 // instance experiments the same way campaign observers do.
 func (m *Manager) SetEvents(p *eventlog.Pipeline) {
 	m.mu.Lock()
@@ -260,14 +259,17 @@ func (m *Manager) Run(ctx context.Context, id string, cfg RunConfig) (*RunInfo, 
 	if len(cfg.Faults) > 0 {
 		runner.InjectFaults(sim.NewFaultInjector(cfg.Faults))
 	}
-	// Every instance execution archives its workflow timeline: the service
-	// hands researchers results that carry their own execution log.
-	rec := trace.NewRecorder()
-	rec.Clock = m.clock
-	rec.Forward = runner.Progress
-	runner.Progress = rec.Observe
+	// Every instance execution journals its own event stream under the
+	// experiment's events/: the service hands researchers results that
+	// carry their own execution log. The manager's pipeline is shared by all
+	// instances, so the runner gets a private one forwarded into it.
+	events := eventlog.NewPipeline()
+	events.SetClock(m.clock)
+	runner.Events = events
 	m.mu.Lock()
-	runner.Events = m.events
+	if m.events != nil {
+		defer events.ForwardTo(m.events, nil)()
+	}
 	lg := m.logger
 	m.mu.Unlock()
 	if lg != nil {
@@ -280,11 +282,6 @@ func (m *Manager) Run(ctx context.Context, id string, cfg RunConfig) (*RunInfo, 
 		info.TotalRuns = sum.TotalRuns
 		info.FailedRuns = sum.FailedRuns
 		info.ResultsDir = sum.ResultsDir
-		if rexp, err := store.OpenExperiment(exp.User, exp.Name, filepath.Base(sum.ResultsDir)); err == nil {
-			if rec.Archive(rexp) == nil {
-				rexp.Sync()
-			}
-		}
 	}
 	if runErr != nil {
 		info.Error = runErr.Error()

@@ -2,14 +2,15 @@ package vpos
 
 import (
 	"context"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"pos/internal/trace"
-
 	"pos/internal/casestudy"
 	"pos/internal/eval"
+	"pos/internal/eventlog"
 	"pos/internal/sim"
 )
 
@@ -240,53 +241,65 @@ func TestRunWithFaultSchedule(t *testing.T) {
 }
 
 // TestRunArchivesExecutionTrace: every instance execution ships its workflow
-// timeline (experiment-trace.json / experiment.log) and its span tree
-// (spans.json) next to the measurement results.
+// record (the events/ journal) and its span tree (spans.json) next to the
+// measurement results, and forwards the same events to the manager's shared
+// pipeline without journaling anything else into it.
 func TestRunArchivesExecutionTrace(t *testing.T) {
 	m := newManager(t)
+	shared := eventlog.NewPipeline()
+	var mu sync.Mutex
+	forwarded := 0
+	stop := shared.Watch(0, func(eventlog.Event) {
+		mu.Lock()
+		forwarded++
+		mu.Unlock()
+	})
+	m.SetEvents(shared)
 	inst, err := m.Create()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(context.Background(), inst.ID, RunConfig{Sweep: quickSweep()}); err != nil {
+	info, err := m.Run(context.Background(), inst.ID, RunConfig{Sweep: quickSweep()})
+	if err != nil {
 		t.Fatal(err)
+	}
+	stop()
+	events, err := eventlog.Replay(filepath.Join(info.ResultsDir, eventlog.JournalDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var booted, measured int
+	for _, ev := range events {
+		switch {
+		case ev.Typ != eventlog.TypeProgress:
+		case ev.Message == "booting hosts":
+			booted++
+		case ev.Phase == "measurement":
+			measured++
+		}
+	}
+	if booted != 1 || measured != 2 {
+		t.Errorf("journal: %d boot and %d measurement events of %d, want 1 and 2", booted, measured, len(events))
+	}
+	if forwarded != len(events) {
+		t.Errorf("shared pipeline saw %d events, the journal holds %d", forwarded, len(events))
 	}
 	store, err := m.Results(inst.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, err := store.ListExperiments("user", "linux-router-vpos")
-	if err != nil || len(ids) != 1 {
-		t.Fatalf("experiments = %v, %v", ids, err)
-	}
-	exp, err := store.OpenExperiment("user", "linux-router-vpos", ids[0])
+	exp, err := store.OpenExperiment("user", "linux-router-vpos", filepath.Base(info.ResultsDir))
 	if err != nil {
 		t.Fatal(err)
-	}
-	data, err := exp.ReadExperimentArtifact("experiment-trace.json")
-	if err != nil {
-		t.Fatalf("experiment-trace.json: %v", err)
-	}
-	events, err := trace.ParseJSON(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var measured int
-	for _, ev := range events {
-		if ev.Phase == "measurement" {
-			measured++
-		}
-	}
-	if measured == 0 {
-		t.Errorf("no measurement events in archived trace (%d events)", len(events))
-	}
-	logData, err := exp.ReadExperimentArtifact("experiment.log")
-	if err != nil || len(logData) == 0 {
-		t.Errorf("experiment.log: %d bytes, %v", len(logData), err)
 	}
 	spans, err := exp.ReadExperimentArtifact("spans.json")
 	if err != nil || len(spans) == 0 {
 		t.Errorf("spans.json: %d bytes, %v", len(spans), err)
+	}
+	for _, gone := range []string{"experiment.log", "experiment-trace.json"} {
+		if _, err := exp.ReadExperimentArtifact(gone); err == nil {
+			t.Errorf("%s written beside the journal", gone)
+		}
 	}
 }
 

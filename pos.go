@@ -38,7 +38,6 @@ import (
 	"pos/internal/testbed"
 	"pos/internal/timeline"
 	"pos/internal/topo"
-	"pos/internal/trace"
 	"pos/internal/vpos"
 )
 
@@ -63,8 +62,6 @@ type (
 	Summary = core.Summary
 	// RunRecord summarizes one measurement run.
 	RunRecord = core.RunRecord
-	// ProgressEvent is emitted as the workflow advances.
-	ProgressEvent = core.ProgressEvent
 )
 
 // CrossProduct expands loop variables into every combination, in
@@ -514,24 +511,12 @@ type (
 // ParseTopology reads a topology description (devices + direct links).
 func ParseTopology(data []byte) (*TopologySpec, error) { return topo.Parse(data) }
 
-// Experiment tracing (internal/trace).
-type (
-	// TraceRecorder records workflow events as a publishable artifact.
-	TraceRecorder = trace.Recorder
-	// TraceEvent is one timestamped workflow event.
-	TraceEvent = trace.Event
-)
-
-// NewTraceRecorder returns an empty execution-trace recorder; plug its
-// Observe method into Runner.Progress or Campaign.Progress and Archive it
-// into the results.
-func NewTraceRecorder() *TraceRecorder { return trace.NewRecorder() }
-
 // Live observability (internal/eventlog): the structured event journal and
-// in-process broker behind GET /api/v1/events and `posctl watch`. Runners
-// and campaigns publish typed events into a pipeline; the pipeline appends
-// them to a crash-safe JSONL journal and fans them out to subscribers whose
-// ring buffers never block the publisher.
+// in-process broker behind GET /api/v1/events and `posctl watch` — a run's
+// one execution record. Runners and campaigns publish typed events into a
+// pipeline; the pipeline appends them to a crash-safe JSONL journal under the
+// experiment's events/ directory and fans them out to subscribers whose ring
+// buffers never block the publisher. Observe a run with Pipeline.Watch.
 type (
 	// EventPipeline stamps, journals, and broadcasts experiment events.
 	EventPipeline = eventlog.Pipeline
@@ -539,21 +524,14 @@ type (
 	ExperimentEvent = eventlog.Event
 	// EventSubscription is a live, non-blocking event feed.
 	EventSubscription = eventlog.Subscription
-	// EventJournal is the append-only on-disk event log.
-	EventJournal = eventlog.Journal
 	// EventStreamOptions selects what an APIClient event stream receives.
 	EventStreamOptions = api.EventStreamOptions
 )
 
 // NewEventPipeline returns an empty pipeline; assign it to Runner.Events or
-// Campaign.Events and hand it to APIServer.SetEvents to stream it.
+// Campaign.Events, observe it with Watch, and hand it to APIServer.SetEvents
+// to stream it.
 func NewEventPipeline() *EventPipeline { return eventlog.NewPipeline() }
-
-// OpenEventJournal opens (or creates) an event journal rooted at dir,
-// recovering from a torn final write.
-func OpenEventJournal(dir string) (*EventJournal, error) {
-	return eventlog.OpenJournal(dir, 0)
-}
 
 // ReplayEvents reads every event a finished experiment journaled under
 // dir (the experiment's events/ directory), in sequence order.
