@@ -3,8 +3,8 @@
 //	posctl images                         list the built-in live images
 //	posctl table                          print Table 1 (testbed comparison)
 //	posctl expand -vars "a=1,2;b=x,y"     show the cross-product of loop vars
-//	posctl run [flags]                    run the case-study sweep end to end
-//	posctl submit -addr HOST:PORT [flags] queue a campaign on a controller
+//	posctl run -f campaign.yml            run a campaign spec end to end
+//	posctl submit -addr HOST:PORT -f FILE queue a campaign on a controller
 //	posctl queue -addr HOST:PORT          show a controller's campaign queue
 //	posctl cancel -addr HOST:PORT -id N   cancel a queued or running campaign
 //	posctl watch -addr HOST:PORT          stream a controller's live events
@@ -12,6 +12,10 @@
 //	posctl results -dir DIR [flags]       inspect a results tree
 //	posctl publish -dir DIR [flags]       bundle an experiment for release
 //
+// A campaign.yml holds everything about a campaign but its scripts: the
+// platform and seed, the case-study sweep, replicas, retries and quarantine,
+// the router chain and a pinned epoch. run, runfile, ndr, repeat and submit
+// take it as -f, serve as -campaign; without one the spec's defaults apply.
 // Run `posctl <command> -h` for per-command flags.
 package main
 
@@ -24,7 +28,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -108,7 +111,7 @@ commands:
   images     list the built-in live images
   table      print Table 1 (testbed/methodology comparison)
   expand     show the measurement runs a loop-variable spec expands into
-  run        execute the Linux-router case study end to end
+  run        execute a campaign spec (-f campaign.yml) end to end
   runfile    execute an experiment loaded from a directory (published layout)
   ndr        binary-search the device's non-drop rate (RFC 2544 style)
   repeat     run an experiment repeatedly and report the deviation
@@ -178,169 +181,91 @@ func parseLoopVars(spec string) ([]pos.LoopVar, error) {
 
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	flavor := fs.String("flavor", "pos", "platform: pos (bare metal) or vpos (virtual)")
-	sizes := fs.String("sizes", "64,1500", "frame sizes in bytes")
-	rates := fs.String("rates", "10000,100000,300000", "offered rates in pps")
-	runtime := fs.Float64("runtime", 1, "per-run measurement window in virtual seconds")
+	spec := specFlag(fs)
 	dir := fs.String("results", "", "results root (default: temp dir)")
-	seed := fs.Uint64("seed", 1, "vpos jitter seed")
-	parallel := fs.Int("parallel", 1, "replica testbeds to shard the sweep across")
-	retries := fs.Int("retries", 1, "attempts per run (>1 enables retry with clean-slate re-setup)")
-	quarantine := fs.Int("quarantine", 0, "quarantine a replica after this many consecutive failures (0: never)")
 	durable := fs.Bool("durable", false, "fsync result files and directories on every write")
-	chain := fs.Int("chain", 0, "router-chain topology: number of chained routers (0: the classic single-router case study)")
-	clusters := fs.Int("clusters", 0, "clusters the chain is split into by trunk links (default 2)")
 	scalarEngine := fs.Bool("scalar", false, "run the chain on the scalar event-per-hop engine — the byte-identical oracle for the batched default")
-	epoch := fs.String("epoch", "", "pin the workflow wall clock to this RFC3339 instant (and drop wall-time-dependent artifacts) so repeated runs publish byte-identical trees")
 	fs.Parse(args)
-
-	var fl pos.Flavor
-	switch *flavor {
-	case "pos":
-		fl = pos.BareMetal
-	case "vpos":
-		fl = pos.Virtual
-	default:
-		return fmt.Errorf("run: unknown flavor %q", *flavor)
+	s, err := spec()
+	if err != nil {
+		return fmt.Errorf("run: %w", err)
 	}
-	if *parallel < 1 {
-		return fmt.Errorf("run: -parallel must be >= 1, got %d", *parallel)
-	}
-	if *retries < 1 {
-		return fmt.Errorf("run: -retries must be >= 1, got %d", *retries)
-	}
-	if *quarantine < 0 {
-		return fmt.Errorf("run: -quarantine must be >= 0, got %d", *quarantine)
-	}
-	if *chain < 0 {
-		return fmt.Errorf("run: -chain must be >= 0, got %d", *chain)
-	}
-	if *chain == 0 && (*clusters > 0 || *scalarEngine) {
-		return fmt.Errorf("run: -clusters/-scalar require -chain")
-	}
-	if *chain > 0 && (*parallel > 1 || *retries > 1 || *quarantine > 0) {
-		// Campaign replicas are built by NewCaseStudyReplicas, which knows
-		// only the two-node rig: -chain would be silently ignored.
-		return fmt.Errorf("run: -chain is incompatible with -parallel/-retries/-quarantine")
-	}
-	var pinned time.Time
-	if *epoch != "" {
-		if *parallel > 1 || *retries > 1 || *quarantine > 0 {
-			return fmt.Errorf("run: -epoch applies to single-testbed runs only")
+	var topoOpts []pos.CaseStudyOption
+	if *scalarEngine {
+		if s.Chain == 0 {
+			return fmt.Errorf("run: -scalar requires a chain in the spec")
 		}
-		var err error
-		if pinned, err = time.Parse(time.RFC3339, *epoch); err != nil {
-			return fmt.Errorf("run: bad -epoch: %v", err)
-		}
-		// Span durations measure real elapsed time; with the clock pinned
-		// they are the one artifact that cannot reproduce, so drop them.
-		pos.SetTelemetryEnabled(false)
-	}
-	cfg := pos.SweepConfig{RuntimeSec: *runtime}
-	var err error
-	if cfg.Sizes, err = parseInts(*sizes); err != nil {
-		return err
-	}
-	if cfg.RatesPPS, err = parseInts(*rates); err != nil {
-		return err
-	}
-	root := *dir
-	if root == "" {
-		if root, err = os.MkdirTemp("", "posctl-run-*"); err != nil {
-			return err
-		}
+		topoOpts = append(topoOpts, pos.WithScalarEngine())
 	}
 	var storeOpts []pos.ResultsOption
 	if *durable {
 		storeOpts = append(storeOpts, pos.Durable())
 	}
-	store, err := pos.NewResultsStore(root, storeOpts...)
+	store, err := openStore(*dir, "posctl-run-*", storeOpts...)
 	if err != nil {
 		return err
 	}
-	// The event pipeline is the run's one execution record: the console
-	// watches it, and the experiment journals it under events/ — every
-	// step, retry and quarantine with its error text, on every outcome.
-	events := pos.NewEventPipeline()
-	if !pinned.IsZero() {
-		events.SetClock(func() time.Time { return pinned })
-	}
-
-	if *parallel > 1 || *retries > 1 || *quarantine > 0 {
-		// Campaign mode: shard the sweep across independent replica
-		// testbeds (same images, same variables — the condition for the
-		// shards to be one reproducible experiment). Retry and quarantine
-		// are campaign features, so either flag opts into this path too.
-		topos, err := pos.NewCaseStudyReplicas(fl, *parallel, pos.WithSeed(*seed))
-		if err != nil {
-			return err
-		}
-		for _, t := range topos {
-			defer t.Close()
-		}
-		c := &pos.Campaign{
-			Replicas:        pos.CaseStudyReplicas(topos, cfg),
-			MaxAttempts:     *retries,
-			QuarantineAfter: *quarantine,
-			Events:          events,
-		}
-		stop := events.Watch(0, printProgress)
-		sum, err := c.Run(context.Background(), store)
-		stop()
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%d runs complete (%d failed, %d cancelled) across %d replicas\n",
-			sum.TotalRuns, sum.FailedRuns, sum.CancelledRuns, *parallel)
-		if len(sum.Quarantined) > 0 {
-			fmt.Printf("quarantined replicas: %s\n", strings.Join(sum.Quarantined, ", "))
-		}
-		printResults(sum)
-		return nil
-	}
-
-	var topo *pos.CaseStudy
-	if *chain > 0 {
-		topoOpts := []pos.CaseStudyOption{pos.WithSeed(*seed)}
-		if *scalarEngine {
-			topoOpts = append(topoOpts, pos.WithScalarEngine())
-		}
-		if *clusters == 0 {
-			*clusters = 2 // ChainConfig's default, resolved here so it can be printed
-		}
-		topo, err = pos.NewCaseStudyChain(fl, pos.ChainConfig{
-			Routers:  *chain,
-			Clusters: *clusters,
-		}, topoOpts...)
-		if err == nil {
-			fmt.Printf("router chain: %d routers in %d cluster(s)\n", *chain, min(*clusters, *chain))
-		}
-	} else {
-		topo, err = pos.NewCaseStudy(fl, pos.WithSeed(*seed))
-	}
-	if err != nil {
-		return err
-	}
-	defer topo.Close()
-	runner := topo.Testbed.Runner()
-	if !pinned.IsZero() {
-		runner.Clock = func() time.Time { return pinned }
-	}
-	return runWatched(runner, topo.Experiment(cfg), store, events)
+	return launch(s, nil, store, topoOpts...)
 }
 
-// runWatched executes one single-testbed experiment with the console
-// watching its event pipeline, which the experiment journals under events/.
-func runWatched(runner *pos.Runner, exp *pos.Experiment, store *pos.ResultsStore, events *pos.EventPipeline) error {
-	runner.Events = events
+// specFlag declares -f, the campaign.yml a command runs, and returns its
+// loader: without -f the spec's defaults apply.
+func specFlag(fs *flag.FlagSet) func() (pos.CampaignSpec, error) {
+	path := fs.String("f", "", "campaign spec file (campaign.yml; default: the spec's defaults)")
+	return func() (pos.CampaignSpec, error) { return loadSpec(*path) }
+}
+
+// loadSpec reads and validates a campaign.yml; "" means the defaults.
+func loadSpec(path string) (pos.CampaignSpec, error) {
+	if path == "" {
+		return pos.DefaultCampaignSpec(), nil
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return pos.CampaignSpec{}, err
+	}
+	return pos.ParseCampaignSpec(data)
+}
+
+// openStore opens the results store at root, or at a fresh temp directory
+// named after pattern when root is empty.
+func openStore(root, pattern string, opts ...pos.ResultsOption) (*pos.ResultsStore, error) {
+	if root == "" {
+		var err error
+		if root, err = os.MkdirTemp("", pattern); err != nil {
+			return nil, err
+		}
+	}
+	return pos.NewResultsStore(root, opts...)
+}
+
+// launch runs the spec — on exp when given, else its case-study sweep —
+// with the console watching the event pipeline the experiment journals
+// under events/.
+func launch(spec pos.CampaignSpec, exp *pos.Experiment, store *pos.ResultsStore, opts ...pos.CaseStudyOption) error {
+	if spec.Epoch != "" {
+		// Span durations measure real elapsed time; with the clock pinned
+		// they are the one artifact that cannot reproduce, so drop them.
+		pos.SetTelemetryEnabled(false)
+	}
+	if spec.Chain > 0 {
+		fmt.Printf("router chain: %d routers in %d cluster(s)\n", spec.Chain, spec.Clusters)
+	}
+	events := pos.NewEventPipeline()
 	stop := events.Watch(0, printProgress)
-	sum, err := runner.Run(context.Background(), exp, store)
+	sum, err := pos.LaunchCampaign(context.Background(), spec, exp, store, events, opts...)
 	stop()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%d runs complete (%d failed)\n", sum.TotalRuns, sum.FailedRuns)
-	printResults(sum)
+	fmt.Printf("%d runs complete (%d failed, %d cancelled) across %d replica(s)\n",
+		sum.TotalRuns, sum.FailedRuns, sum.CancelledRuns, spec.Replicas)
+	if len(sum.Quarantined) > 0 {
+		fmt.Printf("quarantined replicas: %s\n", strings.Join(sum.Quarantined, ", "))
+	}
+	fmt.Printf("results: %s\n", sum.ResultsDir)
+	fmt.Printf("event journal: %s (replay with posctl events -dir %s)\n",
+		filepath.Join(sum.ResultsDir, "events"), sum.ResultsDir)
 	return nil
 }
 
@@ -350,12 +275,6 @@ func printProgress(ev pos.ExperimentEvent) {
 	if ev.Typ == "progress" {
 		fmt.Println(renderEvent(ev))
 	}
-}
-
-func printResults(sum *pos.Summary) {
-	fmt.Printf("results: %s\n", sum.ResultsDir)
-	fmt.Printf("event journal: %s (replay with posctl events -dir %s)\n",
-		filepath.Join(sum.ResultsDir, "events"), sum.ResultsDir)
 }
 
 // cmdDiff compares two experiment result trees byte for byte — the check
@@ -383,38 +302,20 @@ func cmdDiff(args []string) error {
 	return fmt.Errorf("diff: %d path(s) differ", len(diffs))
 }
 
-func parseInts(csv string) ([]int, error) {
-	var out []int
-	for _, s := range strings.Split(csv, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil {
-			return nil, fmt.Errorf("bad integer %q", s)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
 func cmdRunFile(args []string) error {
 	fs := flag.NewFlagSet("runfile", flag.ExitOnError)
 	dir := fs.String("dir", "", "experiment directory (required)")
-	flavor := fs.String("flavor", "pos", "platform: pos or vpos")
+	spec := specFlag(fs)
 	loadgenNode := fs.String("loadgen", "", "node to bind the loadgen role (default: host.yml)")
 	dutNode := fs.String("dut", "", "node to bind the dut role (default: host.yml)")
 	resultsRoot := fs.String("results", "", "results root (default: temp dir)")
-	seed := fs.Uint64("seed", 1, "vpos jitter seed")
 	fs.Parse(args)
 	if *dir == "" {
 		return fmt.Errorf("runfile: -dir required")
 	}
-	var fl pos.Flavor
-	switch *flavor {
-	case "pos":
-		fl = pos.BareMetal
-	case "vpos":
-		fl = pos.Virtual
-	default:
-		return fmt.Errorf("runfile: unknown flavor %q", *flavor)
+	s, err := spec()
+	if err != nil {
+		return fmt.Errorf("runfile: %w", err)
 	}
 	bindings := map[string]string{}
 	if *loadgenNode != "" {
@@ -427,43 +328,26 @@ func cmdRunFile(args []string) error {
 	if err != nil {
 		return err
 	}
-	root := *resultsRoot
-	if root == "" {
-		if root, err = os.MkdirTemp("", "posctl-runfile-*"); err != nil {
-			return err
-		}
-	}
-	store, err := pos.NewResultsStore(root)
+	store, err := openStore(*resultsRoot, "posctl-runfile-*")
 	if err != nil {
 		return err
 	}
-	topo, err := pos.NewCaseStudy(fl, pos.WithSeed(*seed))
-	if err != nil {
-		return err
-	}
-	defer topo.Close()
-	return runWatched(topo.Testbed.Runner(), exp, store, pos.NewEventPipeline())
+	return launch(s, exp, store)
 }
 
 func cmdNDR(args []string) error {
 	fs := flag.NewFlagSet("ndr", flag.ExitOnError)
-	flavor := fs.String("flavor", "pos", "platform: pos or vpos")
+	spec := specFlag(fs)
 	size := fs.Int("size", 64, "frame size in bytes")
 	minRate := fs.Float64("min", 10_000, "bracket floor in pps")
 	maxRate := fs.Float64("max", 2_500_000, "bracket ceiling in pps")
 	acceptLoss := fs.Float64("accept-loss", 0, "acceptable loss ratio")
-	seed := fs.Uint64("seed", 1, "vpos jitter seed")
 	fs.Parse(args)
-	var fl pos.Flavor
-	switch *flavor {
-	case "pos":
-		fl = pos.BareMetal
-	case "vpos":
-		fl = pos.Virtual
-	default:
-		return fmt.Errorf("ndr: unknown flavor %q", *flavor)
+	s, err := spec()
+	if err != nil {
+		return fmt.Errorf("ndr: %w", err)
 	}
-	topo, err := pos.NewCaseStudy(fl, pos.WithSeed(*seed))
+	topo, err := s.Build()
 	if err != nil {
 		return err
 	}
@@ -487,43 +371,23 @@ func cmdNDR(args []string) error {
 
 func cmdRepeat(args []string) error {
 	fs := flag.NewFlagSet("repeat", flag.ExitOnError)
-	flavor := fs.String("flavor", "pos", "platform: pos or vpos")
+	spec := specFlag(fs)
 	reps := fs.Int("n", 3, "number of repetitions")
-	rates := fs.String("rates", "10000,100000", "offered rates in pps")
-	sizes := fs.String("sizes", "64", "frame sizes in bytes")
-	seed := fs.Uint64("seed", 1, "vpos jitter seed")
 	fs.Parse(args)
-	var fl pos.Flavor
-	switch *flavor {
-	case "pos":
-		fl = pos.BareMetal
-	case "vpos":
-		fl = pos.Virtual
-	default:
-		return fmt.Errorf("repeat: unknown flavor %q", *flavor)
+	s, err := spec()
+	if err != nil {
+		return fmt.Errorf("repeat: %w", err)
 	}
-	cfg := pos.SweepConfig{RuntimeSec: 1}
-	var err error
-	if cfg.Sizes, err = parseInts(*sizes); err != nil {
-		return err
-	}
-	if cfg.RatesPPS, err = parseInts(*rates); err != nil {
-		return err
-	}
-	topo, err := pos.NewCaseStudy(fl, pos.WithSeed(*seed))
+	topo, err := s.Build()
 	if err != nil {
 		return err
 	}
 	defer topo.Close()
-	dir, err := os.MkdirTemp("", "posctl-repeat-*")
+	store, err := openStore("", "posctl-repeat-*")
 	if err != nil {
 		return err
 	}
-	store, err := pos.NewResultsStore(dir)
-	if err != nil {
-		return err
-	}
-	rep, err := pos.VerifyRepeatability(context.Background(), topo.Testbed.Runner(), topo.Experiment(cfg), store,
+	rep, err := pos.VerifyRepeatability(context.Background(), topo.Runner(), s.Experiment(), store,
 		pos.RepeatConfig{Repetitions: *reps, Node: topo.LoadGen, Artifact: "moongen.log"})
 	if err != nil {
 		return err
@@ -576,11 +440,14 @@ func cmdServe(args []string) error {
 	resultsDir := fs.String("results", "", "results root to expose read-only (optional)")
 	debug := fs.Bool("debug", false, "mount net/http/pprof under /debug/pprof/")
 	queueOn := fs.Bool("queue", true, "run the multi-tenant campaign queue (posctl submit/queue/cancel)")
-	campaign := fs.Int("campaign", 0, "also run a demo campaign across this many vpos replicas, streaming its events")
-	seed := fs.Uint64("seed", 1, "vpos jitter seed for the demo campaign")
+	campaign := fs.String("campaign", "", "also run the campaign this spec file (campaign.yml) describes, streaming its events")
 	fs.Parse(args)
-	if *campaign < 0 {
-		return fmt.Errorf("serve: -campaign must be >= 0, got %d", *campaign)
+	var spec pos.CampaignSpec
+	if *campaign != "" {
+		var err error
+		if spec, err = loadSpec(*campaign); err != nil {
+			return fmt.Errorf("serve: %w", err)
+		}
 	}
 	tb := pos.NewTestbed()
 	defer tb.Close()
@@ -648,13 +515,14 @@ func cmdServe(args []string) error {
 		srv.SetResults(store)
 		fmt.Println("results endpoints enabled for", *resultsDir)
 	}
-	if *queueOn {
-		if store == nil {
-			if store, err = queueControlStore(); err != nil {
-				return err
-			}
-			srv.SetResults(store)
+	if store == nil && (*queueOn || *campaign != "") {
+		if store, err = openStore("", "posctl-serve-*"); err != nil {
+			return err
 		}
+		srv.SetResults(store)
+		fmt.Println("campaign results under", store.Root())
+	}
+	if *queueOn {
 		qdir, err := store.ControlDir("queue")
 		if err != nil {
 			return err
@@ -663,7 +531,7 @@ func cmdServe(args []string) error {
 			Dir:      qdir,
 			Calendar: tb.Calendar,
 			Events:   events,
-			Launch:   demoQueueLaunch(store),
+			Launch:   queueLaunch(store),
 		})
 		if err != nil {
 			return err
@@ -673,42 +541,17 @@ func cmdServe(args []string) error {
 		fmt.Printf("campaign queue on /api/v1/campaigns — posctl submit -addr %s -user alice -nodes %s\n",
 			srv.Addr(), *nodes)
 	}
-	if *campaign > 0 {
-		if store == nil {
-			root, err := os.MkdirTemp("", "posctl-serve-*")
-			if err != nil {
-				return err
-			}
-			if store, err = pos.NewResultsStore(root); err != nil {
-				return err
-			}
-			fmt.Println("demo campaign results under", root)
-		}
-		topos, err := pos.NewCaseStudyReplicas(pos.Virtual, *campaign, pos.WithSeed(*seed))
-		if err != nil {
-			return err
-		}
+	if *campaign != "" {
 		go func() {
-			defer func() {
-				for _, t := range topos {
-					t.Close()
-				}
-			}()
-			c := &pos.Campaign{
-				Replicas:          pos.CaseStudyReplicas(topos, pos.PaperSweep()),
-				Events:            events,
-				HeartbeatInterval: 2 * time.Second,
-				Watchdog:          wd,
-			}
-			sum, err := c.Run(context.Background(), store)
+			sum, err := pos.LaunchCampaign(context.Background(), spec, nil, store, events)
 			if err != nil {
-				fmt.Println("demo campaign failed:", err)
+				fmt.Println("campaign failed:", err)
 				return
 			}
-			fmt.Printf("demo campaign done: %d runs (%d failed), results %s\n",
+			fmt.Printf("campaign done: %d runs (%d failed), results %s\n",
 				sum.TotalRuns, sum.FailedRuns, sum.ResultsDir)
 		}()
-		fmt.Printf("demo campaign: %d vpos replicas sweeping the paper's 60 runs\n", *campaign)
+		fmt.Printf("campaign %s: %s, %d replica(s)\n", *campaign, spec.Flavor, spec.Replicas)
 	}
 	fmt.Printf("pos controller API on http://%s/api/v1/ (nodes: %s)\n", srv.Addr(), *nodes)
 	fmt.Println("telemetry on /metrics (Prometheus) and /api/v1/metrics (JSON)")
@@ -905,29 +748,11 @@ func cmdResults(args []string) error {
 
 func cmdIndex(args []string) error {
 	fs := flag.NewFlagSet("index", flag.ExitOnError)
-	dir := fs.String("dir", "", "results root (required)")
-	user := fs.String("user", "user", "experiment owner")
-	name := fs.String("exp", "", "experiment name (required)")
-	id := fs.String("id", "", "experiment id (default: latest)")
+	ref := experimentFlags(fs)
 	rebuild := fs.Bool("rebuild", false, "rebuild the manifest from the on-disk tree")
 	gc := fs.Bool("gc", false, "remove unreferenced blobs from the dedup pool")
 	fs.Parse(args)
-	if *dir == "" || *name == "" {
-		return fmt.Errorf("index: -dir and -exp required")
-	}
-	store, err := pos.NewResultsStore(*dir)
-	if err != nil {
-		return err
-	}
-	eid := *id
-	if eid == "" {
-		ids, err := store.ListExperiments(*user, *name)
-		if err != nil || len(ids) == 0 {
-			return fmt.Errorf("index: no executions of %s/%s found", *user, *name)
-		}
-		eid = ids[len(ids)-1]
-	}
-	exp, err := store.OpenExperiment(*user, *name, eid)
+	store, exp, err := ref.openExperiment()
 	if err != nil {
 		return err
 	}
@@ -941,7 +766,7 @@ func cmdIndex(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("experiment %s/%s/%s\n", *user, *name, eid)
+	fmt.Printf("experiment %s/%s/%s\n", ref.user, ref.name, exp.ID())
 	fmt.Printf("  manifest generation  %d\n", info.Generation)
 	fmt.Printf("  runs                 %d\n", info.Runs)
 	fmt.Printf("  run artifacts        %d\n", info.RunArtifacts)
@@ -963,27 +788,9 @@ func cmdIndex(args []string) error {
 
 func cmdCheck(args []string) error {
 	fs := flag.NewFlagSet("check", flag.ExitOnError)
-	dir := fs.String("dir", "", "results root (required)")
-	user := fs.String("user", "user", "experiment owner")
-	name := fs.String("exp", "", "experiment name (required)")
-	id := fs.String("id", "", "experiment id (default: latest)")
+	ref := experimentFlags(fs)
 	fs.Parse(args)
-	if *dir == "" || *name == "" {
-		return fmt.Errorf("check: -dir and -exp required")
-	}
-	store, err := pos.NewResultsStore(*dir)
-	if err != nil {
-		return err
-	}
-	eid := *id
-	if eid == "" {
-		ids, err := store.ListExperiments(*user, *name)
-		if err != nil || len(ids) == 0 {
-			return fmt.Errorf("check: no executions of %s/%s found", *user, *name)
-		}
-		eid = ids[len(ids)-1]
-	}
-	exp, err := store.OpenExperiment(*user, *name, eid)
+	_, exp, err := ref.openExperiment()
 	if err != nil {
 		return err
 	}
@@ -1038,32 +845,14 @@ func metaKey(meta pos.RunMeta) string {
 
 func cmdPlot(args []string) error {
 	fs := flag.NewFlagSet("plot", flag.ExitOnError)
-	dir := fs.String("dir", "", "results root (required)")
-	user := fs.String("user", "user", "experiment owner")
-	name := fs.String("exp", "", "experiment name (required)")
-	id := fs.String("id", "", "experiment id (default: latest)")
+	ref := experimentFlags(fs)
 	node := fs.String("node", "vriga", "node whose MoonGen logs to parse")
 	artifact := fs.String("artifact", "moongen.log", "per-run artifact to parse")
 	groupBy := fs.String("group-by", "pkt_sz", "loop variable for series grouping")
 	xVar := fs.String("x", "pkt_rate", "loop variable for the x axis")
 	title := fs.String("title", "", "figure title (default: experiment name)")
 	fs.Parse(args)
-	if *dir == "" || *name == "" {
-		return fmt.Errorf("plot: -dir and -exp required")
-	}
-	store, err := pos.NewResultsStore(*dir)
-	if err != nil {
-		return err
-	}
-	eid := *id
-	if eid == "" {
-		ids, err := store.ListExperiments(*user, *name)
-		if err != nil || len(ids) == 0 {
-			return fmt.Errorf("plot: no executions of %s/%s found", *user, *name)
-		}
-		eid = ids[len(ids)-1]
-	}
-	exp, err := store.OpenExperiment(*user, *name, eid)
+	_, exp, err := ref.openExperiment()
 	if err != nil {
 		return err
 	}
@@ -1080,7 +869,7 @@ func cmdPlot(args []string) error {
 	}
 	figTitle := *title
 	if figTitle == "" {
-		figTitle = *name
+		figTitle = ref.name
 	}
 	fig := pos.ThroughputFigure(figTitle, series)
 	for fname, data := range pos.ExportFigure("figures/throughput", fig) {
@@ -1094,39 +883,59 @@ func cmdPlot(args []string) error {
 
 func cmdPublish(args []string) error {
 	fs := flag.NewFlagSet("publish", flag.ExitOnError)
-	dir := fs.String("dir", "", "results root (required)")
-	user := fs.String("user", "user", "experiment owner")
-	name := fs.String("exp", "", "experiment name (required)")
-	id := fs.String("id", "", "experiment id (default: latest)")
+	ref := experimentFlags(fs)
 	out := fs.String("out", "", "archive path (default: <exp>-<id>.tar.gz)")
 	fs.Parse(args)
-	if *dir == "" || *name == "" {
-		return fmt.Errorf("publish: -dir and -exp required")
-	}
-	store, err := pos.NewResultsStore(*dir)
-	if err != nil {
-		return err
-	}
-	eid := *id
-	if eid == "" {
-		ids, err := store.ListExperiments(*user, *name)
-		if err != nil || len(ids) == 0 {
-			return fmt.Errorf("publish: no executions of %s/%s found", *user, *name)
-		}
-		eid = ids[len(ids)-1]
-	}
-	exp, err := store.OpenExperiment(*user, *name, eid)
+	_, exp, err := ref.openExperiment()
 	if err != nil {
 		return err
 	}
 	dest := *out
 	if dest == "" {
-		dest = *name + "-" + eid + ".tar.gz"
+		dest = ref.name + "-" + exp.ID() + ".tar.gz"
 	}
-	m, err := pos.Release(exp, *user, *name, dest)
+	m, err := pos.Release(exp, ref.user, ref.name, dest)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("published %d files (%d runs, %d failed) -> %s\n", len(m.Files), m.Runs, m.FailedRuns, dest)
 	return nil
+}
+
+// experimentRef names one recorded experiment: the -dir/-user/-exp/-id flag
+// group of the commands that read a results tree.
+type experimentRef struct {
+	cmd, dir, user, name, id string
+}
+
+// experimentFlags declares the experiment flag group on fs.
+func experimentFlags(fs *flag.FlagSet) *experimentRef {
+	r := &experimentRef{cmd: fs.Name()}
+	fs.StringVar(&r.dir, "dir", "", "results root (required)")
+	fs.StringVar(&r.user, "user", "user", "experiment owner")
+	fs.StringVar(&r.name, "exp", "", "experiment name (required)")
+	fs.StringVar(&r.id, "id", "", "experiment id (default: latest)")
+	return r
+}
+
+// openExperiment opens the named experiment — its latest execution when -id
+// is unset — and the store holding it.
+func (r *experimentRef) openExperiment() (*pos.ResultsStore, *pos.ExperimentResults, error) {
+	if r.dir == "" || r.name == "" {
+		return nil, nil, fmt.Errorf("%s: -dir and -exp required", r.cmd)
+	}
+	store, err := pos.NewResultsStore(r.dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	id := r.id
+	if id == "" {
+		ids, err := store.ListExperiments(r.user, r.name)
+		if err != nil || len(ids) == 0 {
+			return nil, nil, fmt.Errorf("%s: no executions of %s/%s found", r.cmd, r.user, r.name)
+		}
+		id = ids[len(ids)-1]
+	}
+	exp, err := store.OpenExperiment(r.user, r.name, id)
+	return store, exp, err
 }

@@ -4,6 +4,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -33,14 +34,33 @@ func captureStdout(t *testing.T, fn func() error) (string, error) {
 	return string(out), runErr
 }
 
-// runPinned performs `posctl run` for a two-run vpos sweep with the wall
-// clock pinned and returns the experiment directory it wrote.
+// pinnedSpec is a two-run vpos sweep with the wall clock pinned.
+const pinnedSpec = `# two runs, byte-identical on every rerun
+flavor: vpos
+sizes: [64]
+rates: [10000, 20000]
+seed: 3
+epoch: 2021-10-12T11:20:32Z
+`
+
+// writeSpec writes a campaign.yml into a fresh directory and returns its path.
+func writeSpec(t *testing.T, spec string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "campaign.yml")
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// runPinned performs `posctl run -f` on pinnedSpec and returns the
+// experiment directory it wrote.
 func runPinned(t *testing.T) string {
 	t.Helper()
 	root := t.TempDir()
+	spec := writeSpec(t, pinnedSpec)
 	out, err := captureStdout(t, func() error {
-		return cmdRun([]string{"-flavor", "vpos", "-sizes", "64", "-rates", "10000,20000",
-			"-seed", "3", "-epoch", "2021-10-12T11:20:32Z", "-results", root})
+		return cmdRun([]string{"-f", spec, "-results", root})
 	})
 	if err != nil {
 		t.Fatalf("posctl run: %v\n%s", err, out)
@@ -66,6 +86,19 @@ func TestRunRecordsOneReproducibleJournal(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(a, "events", "events-00000.jsonl")); err != nil {
 		t.Fatalf("no event journal: %v", err)
+	}
+	// The tree names the spec it ran: archived resolved, it parses back to
+	// the file the run was given.
+	archived, err := os.ReadFile(filepath.Join(a, "experiment", "campaign.yml"))
+	if err != nil {
+		t.Fatalf("no archived spec: %v", err)
+	}
+	got, err := pos.ParseCampaignSpec(archived)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := pos.ParseCampaignSpec([]byte(pinnedSpec)); !reflect.DeepEqual(got, want) {
+		t.Errorf("archived spec = %+v, ran %+v", got, want)
 	}
 	for _, gone := range []string{"experiment.log", "experiment-trace.json"} {
 		if _, err := os.Stat(filepath.Join(a, gone)); !os.IsNotExist(err) {

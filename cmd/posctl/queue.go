@@ -7,7 +7,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"pos"
 )
@@ -26,16 +25,24 @@ func cmdSubmit(args []string) error {
 	nodes := fs.String("nodes", "", "comma-separated node set to allocate (required)")
 	minutes := fs.Int("minutes", 10, "allocation length in minutes")
 	priority := fs.Int("priority", 0, "admission priority (higher admits first)")
-	expDir := fs.String("expdir", "", "experiment directory to run (optional; default demo sweep)")
-	spec := fs.String("spec", "", "launcher parameters k=v[,k=v...] (sizes, rates, replicas, seed)")
+	expDir := fs.String("expdir", "", "experiment directory to run (optional; default: the spec's case-study sweep)")
+	specFile := fs.String("f", "", "campaign spec file (campaign.yml; default: the spec's defaults)")
 	spansOut := fs.String("spans", "", "archive this invocation's own span lane to the given file (drop it next to the campaign's spans.json to stitch a posctl lane into posctl analyze)")
 	fs.Parse(args)
 	if *addr == "" || *user == "" || *nodes == "" {
 		return fmt.Errorf("submit: -addr, -user, and -nodes are required")
 	}
-	specMap, err := parseSpec(*spec)
-	if err != nil {
-		return fmt.Errorf("submit: %w", err)
+	// The spec travels as the file's text; it is checked here so a typo
+	// fails at the terminal, not later in the queue.
+	var spec []byte
+	if *specFile != "" {
+		var err error
+		if spec, err = os.ReadFile(*specFile); err != nil {
+			return fmt.Errorf("submit: %w", err)
+		}
+		if _, err := pos.ParseCampaignSpec(spec); err != nil {
+			return fmt.Errorf("submit: %s: %w", *specFile, err)
+		}
 	}
 	// The submission is the root of the campaign's causal tree: the request
 	// carries this span's traceparent, the queue journals it, and the
@@ -52,7 +59,7 @@ func cmdSubmit(args []string) error {
 		Minutes:  *minutes,
 		Priority: *priority,
 		ExpDir:   *expDir,
-		Spec:     specMap,
+		Spec:     string(spec),
 	})
 	if err != nil {
 		return err
@@ -150,22 +157,6 @@ func cmdCancel(args []string) error {
 	return nil
 }
 
-// parseSpec parses "k=v,k=v" launcher parameters.
-func parseSpec(s string) (map[string]string, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	out := make(map[string]string)
-	for _, kv := range strings.Split(s, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok || k == "" {
-			return nil, fmt.Errorf("bad spec entry %q (want k=v)", kv)
-		}
-		out[k] = v
-	}
-	return out, nil
-}
-
 func splitCSV(s string) []string {
 	var out []string
 	for _, f := range strings.Split(s, ",") {
@@ -176,110 +167,40 @@ func splitCSV(s string) []string {
 	return out
 }
 
-// specInt reads an integer launcher parameter with a default.
-func specInt(spec map[string]string, key string, def int) int {
-	if v, ok := spec[key]; ok {
-		if n, err := strconv.Atoi(strings.TrimSpace(v)); err == nil {
-			return n
-		}
-	}
-	return def
-}
+// maxQueueReplicas bounds the replica testbeds one queued campaign may
+// build on the controller.
+const maxQueueReplicas = 4
 
-// specIntList reads a "/"-separated integer list ("64/1500"); commas are the
-// spec's own field separator, so lists nest with slashes.
-func specIntList(spec map[string]string, key string, def []int) []int {
-	v, ok := spec[key]
-	if !ok {
-		return def
-	}
-	var out []int
-	for _, f := range strings.Split(v, "/") {
-		if n, err := strconv.Atoi(strings.TrimSpace(f)); err == nil {
-			out = append(out, n)
-		}
-	}
-	if len(out) == 0 {
-		return def
-	}
-	return out
-}
-
-// demoQueueLaunch returns the serve command's campaign launcher: each
-// admitted submission runs a vpos case-study sweep sized by its Spec
-// (replicas, sizes, rates, seed, runtime), results filed under the
-// submitting user's tree in the shared store. A submission naming an
-// -expdir runs that experiment directory instead, bound to a fresh virtual
-// topology.
-func demoQueueLaunch(store *pos.ResultsStore) pos.QueueLaunch {
+// queueLaunch returns the serve command's campaign launcher: each admitted
+// submission's spec goes through the one campaign launcher, results filed
+// under the submitting user's tree in the shared store. The spec's
+// case-study sweep is named after the submission; a submission naming an
+// -expdir runs that experiment directory instead, its roles bound to the
+// spec's topology. A spec that does not parse fails the submission with an
+// error naming the key.
+func queueLaunch(store *pos.ResultsStore) pos.QueueLaunch {
 	return func(ctx context.Context, sub pos.QueueSubmission, events *pos.EventPipeline) error {
-		seed := uint64(specInt(sub.Spec, "seed", 1))
-		if sub.ExpDir != "" {
-			topo, err := pos.NewCaseStudy(pos.Virtual, pos.WithSeed(seed))
-			if err != nil {
-				return err
-			}
-			defer topo.Close()
-			exp, err := pos.LoadExperimentDir(sub.ExpDir, map[string]string{
-				"loadgen": topo.LoadGen, "dut": topo.DuT,
-			})
-			if err != nil {
-				return err
-			}
-			exp.User = sub.User
-			runner := topo.Testbed.Runner()
-			runner.Events = events
-			_, err = runner.Run(ctx, exp, store)
-			return err
-		}
-		replicas := specInt(sub.Spec, "replicas", 1)
-		if replicas < 1 {
-			replicas = 1
-		}
-		if replicas > 4 {
-			replicas = 4
-		}
-		cfg := pos.SweepConfig{
-			Sizes:      specIntList(sub.Spec, "sizes", []int{64}),
-			RatesPPS:   specIntList(sub.Spec, "rates", []int{10_000, 20_000}),
-			RuntimeSec: float64(specInt(sub.Spec, "runtime", 1)),
-			User:       sub.User,
-		}
-		topos, err := pos.NewCaseStudyReplicas(pos.Virtual, replicas, pos.WithSeed(seed))
+		spec, err := pos.ParseCampaignSpec([]byte(sub.Spec))
 		if err != nil {
 			return err
 		}
-		defer func() {
-			for _, t := range topos {
-				t.Close()
+		if spec.Replicas > maxQueueReplicas {
+			return fmt.Errorf("campaign: replicas: %d exceeds the queue's limit of %d", spec.Replicas, maxQueueReplicas)
+		}
+		exp := spec.Experiment()
+		if sub.ExpDir != "" {
+			bindings := make(map[string]string, len(exp.Hosts))
+			for _, h := range exp.Hosts {
+				bindings[h.Role] = h.Node
 			}
-		}()
-		reps := pos.CaseStudyReplicas(topos, cfg)
-		for i := range reps {
-			reps[i].Experiment.Name = sub.Name
+			if exp, err = pos.LoadExperimentDir(sub.ExpDir, bindings); err != nil {
+				return err
+			}
+		} else {
+			exp.Name = sub.Name
 		}
-		c := &pos.Campaign{
-			Replicas:          reps,
-			Events:            events,
-			HeartbeatInterval: 2 * time.Second,
-		}
-		_, err = c.Run(ctx, store)
+		exp.User = sub.User
+		_, err = pos.LaunchCampaign(ctx, spec, exp, store, events)
 		return err
 	}
-}
-
-// queueControlStore opens (or creates) the store backing queue state for
-// cmdServe when no -results root was given: a temp tree, announced so the
-// operator can find the tenants' results.
-func queueControlStore() (*pos.ResultsStore, error) {
-	root, err := os.MkdirTemp("", "posctl-queue-*")
-	if err != nil {
-		return nil, err
-	}
-	store, err := pos.NewResultsStore(root)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Println("campaign results under", root)
-	return store, nil
 }

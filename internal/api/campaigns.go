@@ -14,31 +14,32 @@ import (
 
 // CampaignRequest submits one campaign to the controller's queue.
 type CampaignRequest struct {
-	User     string            `json:"user"`
-	Name     string            `json:"name,omitempty"`
-	Nodes    []string          `json:"nodes"`
-	Minutes  int               `json:"minutes"`
-	Priority int               `json:"priority,omitempty"`
-	ExpDir   string            `json:"exp_dir,omitempty"`
-	Spec     map[string]string `json:"spec,omitempty"`
+	User     string   `json:"user"`
+	Name     string   `json:"name,omitempty"`
+	Nodes    []string `json:"nodes"`
+	Minutes  int      `json:"minutes"`
+	Priority int      `json:"priority,omitempty"`
+	ExpDir   string   `json:"exp_dir,omitempty"`
+	// Spec is the campaign spec, passed to the queue's launcher as is.
+	Spec string `json:"spec,omitempty"`
 }
 
 // CampaignView is one queued/running/finished campaign as the API reports it.
 type CampaignView struct {
-	ID           int               `json:"id"`
-	User         string            `json:"user"`
-	Name         string            `json:"name"`
-	State        string            `json:"state"`
-	Nodes        []string          `json:"nodes"`
-	Minutes      int               `json:"minutes"`
-	Priority     int               `json:"priority,omitempty"`
-	Spec         map[string]string `json:"spec,omitempty"`
-	Position     int               `json:"position,omitempty"`
-	AllocationID int               `json:"allocation_id,omitempty"`
-	Submitted    time.Time         `json:"submitted"`
-	Admitted     time.Time         `json:"admitted"`
-	Finished     time.Time         `json:"finished"`
-	Error        string            `json:"error,omitempty"`
+	ID           int       `json:"id"`
+	User         string    `json:"user"`
+	Name         string    `json:"name"`
+	State        string    `json:"state"`
+	Nodes        []string  `json:"nodes"`
+	Minutes      int       `json:"minutes"`
+	Priority     int       `json:"priority,omitempty"`
+	Spec         string    `json:"spec,omitempty"`
+	Position     int       `json:"position,omitempty"`
+	AllocationID int       `json:"allocation_id,omitempty"`
+	Submitted    time.Time `json:"submitted"`
+	Admitted     time.Time `json:"admitted"`
+	Finished     time.Time `json:"finished"`
+	Error        string    `json:"error,omitempty"`
 }
 
 // SetQueue attaches the campaign queue, enabling the campaign endpoints.

@@ -138,7 +138,8 @@ func TestExpiredAllocationsSwept(t *testing.T) {
 }
 
 // queueSetup wires a campaign queue into a served testbed. Submissions with
-// Spec["block"]=="1" hold their node until cancelled.
+// Spec "block" hold their node until cancelled; the spec reaches the launcher
+// as sent.
 func queueSetup(t *testing.T) (*testbed.Testbed, *Client, *queue.Controller) {
 	t.Helper()
 	tb := testbed.New()
@@ -154,7 +155,7 @@ func queueSetup(t *testing.T) (*testbed.Testbed, *Client, *queue.Controller) {
 	}
 	t.Cleanup(func() { srv.Close() })
 	launch := func(ctx context.Context, sub queue.Submission, ev *eventlog.Pipeline) error {
-		if sub.Spec["block"] == "1" {
+		if sub.Spec == "block" {
 			<-ctx.Done()
 			return ctx.Err()
 		}
@@ -198,7 +199,7 @@ func TestCampaignQueueOverHTTP(t *testing.T) {
 	// Two tenants contending for one node: the first runs, the second queues.
 	first, err := c.SubmitCampaign(CampaignRequest{
 		User: "alice", Name: "hold", Nodes: []string{"vriga"}, Minutes: 30,
-		Spec: map[string]string{"block": "1"},
+		Spec: "block",
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -206,12 +206,27 @@ func newTopology(flavor Flavor, seedOffset uint64, opts ...Option) (*Topology, e
 
 		topo.Router = rt
 		topo.Routers = []*router.Router{rt}
-		topo.expName = "linux-router-" + string(flavor)
+		topo.expName = experimentName(flavor, false)
 		if o.faults != nil {
 			topo.Faults = sim.NewFaultInjector(o.faults)
 		}
 		return nil
 	})
+}
+
+// The rig's two pos nodes, named after the paper's virtual testbed.
+const (
+	loadGenNode = "vriga"
+	dutNode     = "vtartu"
+)
+
+// experimentName names the case study's experiment definition on a platform:
+// the two-node rig's, or the router chain's.
+func experimentName(flavor Flavor, chain bool) string {
+	if chain {
+		return "router-chain-" + string(flavor)
+	}
+	return "linux-router-" + string(flavor)
 }
 
 // newRig builds what every topology starts from — testbed, OS image, the two
@@ -229,11 +244,11 @@ func newRig(flavor Flavor, o options, wire func(*Topology) error) (topo *Topolog
 	if err := tb.Images.Add(image.DefaultDebianBuster()); err != nil {
 		return nil, err
 	}
-	lgHandle, err := tb.AddNode("vriga")
+	lgHandle, err := tb.AddNode(loadGenNode)
 	if err != nil {
 		return nil, err
 	}
-	dutHandle, err := tb.AddNode("vtartu")
+	dutHandle, err := tb.AddNode(dutNode)
 	if err != nil {
 		return nil, err
 	}
@@ -252,8 +267,8 @@ func newRig(flavor Flavor, o options, wire func(*Topology) error) (topo *Topolog
 		Testbed:  tb,
 		Engine:   engine,
 		Gen:      gen,
-		LoadGen:  "vriga",
-		DuT:      "vtartu",
+		LoadGen:  loadGenNode,
+		DuT:      dutNode,
 		template: defaultTemplate,
 	}
 	if err := wire(topo); err != nil {

@@ -122,7 +122,7 @@ func NewChain(flavor Flavor, cc ChainConfig, opts ...Option) (*Topology, error) 
 
 		topo.Router = routers[0]
 		topo.Routers = routers
-		topo.expName = "router-chain-" + string(flavor)
+		topo.expName = experimentName(flavor, true)
 		topo.minGrace = pathDelay + loadgen.DefaultDrainGrace
 		return nil
 	})

@@ -76,6 +76,12 @@ func ExtendedSweep() SweepConfig {
 // Experiment renders the sweep as a pos experiment bound to the topology's
 // nodes. The returned definition is pure data — scripts and variables.
 func (t *Topology) Experiment(cfg SweepConfig) *core.Experiment {
+	return sweepExperiment(t.expName, t.Flavor, t.LoadGen, t.DuT, cfg)
+}
+
+// sweepExperiment renders a sweep as the case study's experiment definition
+// named name, its roles bound to the given load-generator and DuT nodes.
+func sweepExperiment(name string, flavor Flavor, loadGen, dut string, cfg SweepConfig) *core.Experiment {
 	user := cfg.User
 	if user == "" {
 		user = "user"
@@ -92,11 +98,11 @@ func (t *Topology) Experiment(cfg SweepConfig) *core.Experiment {
 		rates = append(rates, fmt.Sprint(r))
 	}
 	return &core.Experiment{
-		Name: t.expName,
+		Name: name,
 		User: user,
 		GlobalVars: core.Vars{
 			"runtime": fmt.Sprintf("%g", runtime),
-			"flavor":  string(t.Flavor),
+			"flavor":  string(flavor),
 		},
 		LoopVars: []core.LoopVar{
 			{Name: "pkt_sz", Values: sizes},
@@ -105,7 +111,7 @@ func (t *Topology) Experiment(cfg SweepConfig) *core.Experiment {
 		Hosts: []core.HostSpec{
 			{
 				Role:        "loadgen",
-				Node:        t.LoadGen,
+				Node:        loadGen,
 				Image:       "debian-buster@20201012T110000Z",
 				LocalVars:   core.Vars{"port_tx": "eno1", "port_rx": "eno2"},
 				Setup:       LoadGenSetup,
@@ -113,7 +119,7 @@ func (t *Topology) Experiment(cfg SweepConfig) *core.Experiment {
 			},
 			{
 				Role:        "dut",
-				Node:        t.DuT,
+				Node:        dut,
 				Image:       "debian-buster@20201012T110000Z",
 				LocalVars:   core.Vars{"port_in": "eno1", "port_out": "eno2"},
 				Setup:       DuTSetup,

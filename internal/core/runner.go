@@ -105,12 +105,6 @@ type Runner struct {
 	// whole campaign; recoverability (R3) handles the wedged host.
 	// Zero means no limit.
 	RunTimeout time.Duration
-	// BatchUploads, when positive, queues up to that many in-flight host
-	// uploads per run behind a background writer instead of blocking
-	// each pos_upload on the results store. The queue is flushed before
-	// the run's metadata is written, so the recorded state is identical
-	// to synchronous uploads. Zero keeps uploads synchronous.
-	BatchUploads int
 	// Clock supplies timestamps (defaults to time.Now); tests pin it.
 	Clock func() time.Time
 	// Events, when non-nil, receives the run's execution record: every
@@ -514,14 +508,9 @@ func (s *Session) RunOne(ctx context.Context, runIdx, total int, combo Combinati
 	// host upload arriving after the run (a straggler past the timeout)
 	// hits the session scope and is refused — it can never land in a
 	// successor run's directory.
-	sink := hosttools.Uploader(hosttools.UploaderFunc(func(nodeName, artifact string, data []byte) error {
+	sink := hosttools.UploaderFunc(func(nodeName, artifact string, data []byte) error {
 		return s.exp.AddRunArtifact(runIdx, nodeName, artifact, data)
-	}))
-	var buffered *hosttools.BufferedUploader
-	if r.BatchUploads > 0 {
-		buffered = hosttools.NewBufferedUploader(sink, r.BatchUploads)
-		sink = buffered
-	}
+	})
 	scope := r.Service.NewScope("run"+runNo, sink)
 	for k, v := range combo {
 		scope.SetVar(k, v)
@@ -560,21 +549,13 @@ func (s *Session) RunOne(ctx context.Context, runIdx, total int, combo Combinati
 		mu.Unlock()
 		return err
 	})
-	// Recording failures (artifact writes, flushes) must not short-circuit:
-	// the buffered uploader still drains and the run still gets its
-	// metadata, marked failed — a run directory without metadata.json
-	// would be invisible to evaluation and unreproducible.
+	// Recording failures (artifact writes) must not short-circuit: the run
+	// still gets its metadata, marked failed — a run directory without
+	// metadata.json would be invisible to evaluation and unreproducible.
 	var recordErr error
 	for i, spec := range s.e.Hosts {
 		r.publishExec(s.replica, spec.Node, PhaseMeasurement, runIdx, total, outputs[i])
 		if err := s.exp.AddRunArtifact(runIdx, spec.Node, "measurement.out", []byte(outputs[i])); err != nil && recordErr == nil {
-			recordErr = err
-		}
-	}
-	// Every batched upload must be on disk before the run's metadata
-	// declares the run recorded.
-	if buffered != nil {
-		if err := buffered.Flush(); err != nil && recordErr == nil {
 			recordErr = err
 		}
 	}

@@ -13,8 +13,8 @@ import (
 // cached per (experiment dir, node, artifact, kind) and validated against
 // the store's manifest generation: any write through the results API bumps
 // the generation, so a rewritten metadata.json or a re-uploaded artifact
-// evicts the entry on the next load. Stores without an index (NoIndex) have
-// no generation and bypass the cache entirely.
+// evicts the entry on the next load. An experiment whose manifest cannot be
+// loaded or rebuilt has no generation and bypasses the cache entirely.
 //
 // Cached RunData shares Report pointers — reports are read-only by
 // convention throughout this package — but slices and LoopVars maps are

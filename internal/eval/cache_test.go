@@ -112,29 +112,6 @@ func TestWarmCacheInvalidatedByArtifactReupload(t *testing.T) {
 	}
 }
 
-func TestNoIndexStoreBypassesCache(t *testing.T) {
-	ResetCache()
-	s, err := results.NewStore(t.TempDir(), results.NoIndex())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := s.CreateExperiment("user", "cache", time.Date(2020, 10, 12, 11, 20, 32, 0, time.UTC))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.WriteRunMeta(results.RunMeta{Run: 0}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := LoadRuns(e, "lg", "moongen.log"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := Stats(); st.Entries != 0 || st.Hits != 0 {
-		t.Errorf("NoIndex store used the cache: %+v", st)
-	}
-}
-
 func TestCacheEvictsAtCapacity(t *testing.T) {
 	ResetCache()
 	e := cacheExp(t)

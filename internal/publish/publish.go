@@ -37,8 +37,7 @@ type Manifest struct {
 // BuildManifest inspects an experiment and reports what a bundle would
 // contain. The file list streams from the store's manifest — already
 // sorted, walk-parity by construction — so no directory tree traversal or
-// stat storm happens here; stores without an index fall back to a scan
-// inside ArtifactPaths.
+// stat storm happens here.
 func BuildManifest(exp *results.Experiment, user, name string) (Manifest, error) {
 	// The archive streams file contents straight from disk, so any
 	// write-behind artifacts still in the store's queue must land first.

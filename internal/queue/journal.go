@@ -41,6 +41,10 @@ type record struct {
 	Sub *Submission `json:"sub,omitempty"`
 	// Error carries the failure reason on fail records.
 	Error string `json:"error,omitempty"`
+
+	// legacySpec marks a submit record whose spec was a key=value map, the
+	// form journals had before the spec became opaque text.
+	legacySpec bool
 }
 
 // journal is the append side. Appends are serialized by the controller's
@@ -95,7 +99,14 @@ func replayJournal(path string) ([]record, error) {
 			continue
 		}
 		var r record
-		if err := json.Unmarshal(line, &r); err != nil {
+		err := json.Unmarshal(line, &r)
+		var te *json.UnmarshalTypeError
+		if errors.As(err, &te) && te.Field == "sub.spec" && r.Sub != nil {
+			// The rest of the line decoded; recovery fails the submission
+			// rather than launch it without the spec it was submitted with.
+			r.legacySpec, err = true, nil
+		}
+		if err != nil {
 			if i == len(lines)-2 { // last non-empty line before trailing ""
 				break
 			}

@@ -58,8 +58,9 @@ type Submission struct {
 	Name string `json:"name"`
 	// ExpDir optionally points the launcher at an experiment-file directory.
 	ExpDir string `json:"exp_dir,omitempty"`
-	// Spec carries launcher-interpreted parameters (sweep sizes, rates, ...).
-	Spec map[string]string `json:"spec,omitempty"`
+	// Spec is the campaign spec, opaque to the queue: the launcher decodes
+	// it (posctl's launcher reads a campaign.yml).
+	Spec string `json:"spec,omitempty"`
 	// Nodes is the node set the campaign needs, allocated atomically.
 	Nodes []string `json:"nodes"`
 	// Minutes is the requested allocation length.
@@ -204,9 +205,14 @@ func Open(cfg Config) (*Controller, error) {
 // journalPath is the queue journal location under a control dir.
 func journalPath(dir string) string { return filepath.Join(dir, "queue.jsonl") }
 
+// errLegacySpec fails a still-owed submission journaled with a key=value
+// spec map by an older controller: no launcher reads that form any more.
+var errLegacySpec = errors.New("queue: submitted with a key=value spec map by an older controller; resubmit it with a spec file")
+
 // recover rebuilds in-memory state from journal records and re-queues
 // submissions the previous controller had admitted but never finished.
 func (c *Controller) recover(recs []record) error {
+	legacy := make(map[int]bool)
 	for _, r := range recs {
 		switch r.Op {
 		case opSubmit:
@@ -214,6 +220,9 @@ func (c *Controller) recover(recs []record) error {
 				return fmt.Errorf("queue: submit record without submission")
 			}
 			sub := *r.Sub
+			if r.legacySpec {
+				legacy[sub.ID] = true
+			}
 			c.entries[sub.ID] = &entry{sub: sub, state: StateQueued}
 			c.order = append(c.order, sub.ID)
 			if sub.ID >= c.nextID {
@@ -248,6 +257,16 @@ func (c *Controller) recover(recs []record) error {
 	// controller. Journal the requeue so the next recovery agrees.
 	for _, id := range c.order {
 		e := c.entries[id]
+		if legacy[id] && !e.state.terminal() {
+			now := c.now()
+			if err := c.jl.append(record{At: now, Op: opFail, ID: id, Error: errLegacySpec.Error()}); err != nil {
+				return err
+			}
+			e.state, e.err, e.finished = StateFailed, errLegacySpec.Error(), now
+			completions("failed").Inc()
+			c.event(e.sub, StateFailed, "failed at recovery", e.err)
+			continue
+		}
 		if e.state == StateRunning {
 			e.state = StateQueued
 			e.admitted = time.Time{}

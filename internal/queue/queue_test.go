@@ -476,6 +476,66 @@ func TestJournalTornTailRecovered(t *testing.T) {
 	}
 }
 
+// TestLegacyMapSpecJournalReplays opens a journal whose submissions carry the
+// key=value spec map older controllers wrote: the history replays, a
+// finished campaign stays finished, and a still-owed one fails with an error
+// instead of blocking the restart or launching without its spec.
+func TestLegacyMapSpecJournalReplays(t *testing.T) {
+	dir := t.TempDir()
+	sub := func(id int, spec string) string {
+		return fmt.Sprintf(`{"at":"2026-01-01T00:00:00Z","op":"submit","sub":{"id":%d,"user":"alice","name":"c%d",%s"nodes":["n1"],"minutes":5,"submitted":"2026-01-01T00:00:00Z"}}`, id, id, spec)
+	}
+	op := func(op string, id int) string {
+		return fmt.Sprintf(`{"at":"2026-01-01T00:00:01Z","op":%q,"id":%d}`, op, id)
+	}
+	legacy := `"spec":{"replicas":"2","sizes":"64/1500"},`
+	lines := []string{
+		sub(1, legacy), op(opAdmit, 1), op(opDone, 1), // finished
+		sub(2, legacy), op(opAdmit, 2), // running when the controller died
+		sub(3, legacy), // queued
+		sub(4, `"spec":"replicas: 2\n",`),
+	}
+	if err := os.WriteFile(journalPath(dir), []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var launched []Submission
+	launch := func(ctx context.Context, sub Submission, ev *eventlog.Pipeline) error {
+		mu.Lock()
+		launched = append(launched, sub)
+		mu.Unlock()
+		return nil
+	}
+	c := open(t, dir, calendar.New([]string{"n1"}), launch, nil)
+	if st, err := c.Get(1); err != nil || st.State != StateDone {
+		t.Errorf("finished legacy campaign after replay: %+v, %v", st, err)
+	}
+	for _, id := range []int{2, 3} {
+		st, err := c.Get(id)
+		if err != nil || st.State != StateFailed || !strings.Contains(st.Error, "spec") {
+			t.Errorf("owed legacy campaign %d: %+v, %v", id, st, err)
+		}
+	}
+	waitState(t, c, 4, StateDone)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	if len(launched) != 1 || launched[0].ID != 4 || launched[0].Spec != "replicas: 2\n" {
+		t.Errorf("launched %+v, want only #4 with its spec text", launched)
+	}
+	mu.Unlock()
+
+	// The failures were journaled: the next controller agrees.
+	c2 := open(t, dir, calendar.New([]string{"n1"}), launch, nil)
+	defer c2.Close()
+	for id, want := range map[int]State{1: StateDone, 2: StateFailed, 3: StateFailed, 4: StateDone} {
+		if st, err := c2.Get(id); err != nil || st.State != want {
+			t.Errorf("campaign %d after second restart: %+v, %v; want %s", id, st, err, want)
+		}
+	}
+}
+
 func TestJournalSurvivesInDir(t *testing.T) {
 	dir := t.TempDir()
 	cal := calendar.New([]string{"n1"})

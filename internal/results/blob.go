@@ -34,7 +34,7 @@ const dedupMinBytes = 4096
 
 // writeFileDedup stores data at path, deduplicating against the blob pool.
 func (s *Store) writeFileDedup(path string, data []byte) error {
-	if s.noDedup || len(data) < dedupMinBytes {
+	if len(data) < dedupMinBytes {
 		return s.writeFileAtomic(path, data)
 	}
 	sum := sha256.Sum256(data)

@@ -457,12 +457,8 @@ func scanExperimentArtifacts(idx *index, dir, path string) error {
 	return nil
 }
 
-// mutate records one manifest entry and schedules a write-behind flush. With
-// the index disabled it is a no-op.
+// mutate records one manifest entry and schedules a write-behind flush.
 func (e *Experiment) mutate(en entry) error {
-	if e.store.noIndex {
-		return nil
-	}
 	_, err := e.mutateOp("", nil, en, false)
 	return err
 }
@@ -662,9 +658,6 @@ func (e *Experiment) writeManifest(data []byte) error {
 // returns the first flush error, if any. Runners call it when an experiment
 // execution completes; it is cheap when the manifest is already clean.
 func (e *Experiment) Sync() error {
-	if e.store.noIndex {
-		return nil
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.waitIdleLocked()
@@ -686,11 +679,8 @@ func (e *Experiment) waitIdleLocked() {
 // Generation returns the experiment's manifest generation counter. It bumps
 // on every recorded write — rewritten metadata, re-uploaded artifacts — and
 // is the invalidation key for warm evaluation caches. ok is false when the
-// manifest is disabled or unavailable; such experiments are uncacheable.
+// manifest cannot be loaded or rebuilt; such experiments are uncacheable.
 func (e *Experiment) Generation() (gen uint64, ok bool) {
-	if e.store.noIndex {
-		return 0, false
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.ensureIndexLocked(); err != nil {
@@ -704,13 +694,6 @@ func (e *Experiment) Generation() (gen uint64, ok bool) {
 // a tree walk would list, without the walk. The publication phase streams
 // from this list.
 func (e *Experiment) ArtifactPaths() ([]string, error) {
-	if e.store.noIndex {
-		idx, err := scanTree(e.dir)
-		if err != nil {
-			return nil, err
-		}
-		return idx.paths(), nil
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.ensureIndexLocked(); err != nil {
@@ -741,9 +724,6 @@ func (idx *index) paths() []string {
 // then flushes it synchronously. Use after out-of-band modifications to an
 // experiment directory.
 func (e *Experiment) RebuildIndex() error {
-	if e.store.noIndex {
-		return fmt.Errorf("results: store opened without an index")
-	}
 	idx, err := scanTree(e.dir)
 	if err != nil {
 		return err
@@ -780,9 +760,6 @@ type IndexInfo struct {
 
 // IndexInfo reports the manifest's current shape.
 func (e *Experiment) IndexInfo() (IndexInfo, error) {
-	if e.store.noIndex {
-		return IndexInfo{}, fmt.Errorf("results: store opened without an index")
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.ensureIndexLocked(); err != nil {

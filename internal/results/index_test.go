@@ -53,7 +53,7 @@ func TestRunsIgnoresDecoyDirectories(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Both the manifest-backed and the scanning path must agree.
+	// The manifest and a rebuild from the tree must agree.
 	runs, err := e.Runs()
 	if err != nil {
 		t.Fatal(err)
@@ -61,12 +61,15 @@ func TestRunsIgnoresDecoyDirectories(t *testing.T) {
 	if len(runs) != 2 || runs[0] != 0 || runs[1] != 1 {
 		t.Errorf("indexed runs = %v", runs)
 	}
-	scanned, err := e.scanRuns()
+	if err := e.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	scanned, err := scanTree(e.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(scanned) != 2 || scanned[0] != 0 || scanned[1] != 1 {
-		t.Errorf("scanned runs = %v", scanned)
+	if len(scanned.runs) != 2 || scanned.runs[0] == nil || scanned.runs[1] == nil {
+		t.Errorf("scanned runs = %v", scanned.runs)
 	}
 }
 
@@ -440,71 +443,6 @@ func TestSmallArtifactsBypassDedup(t *testing.T) {
 	}
 	if stats, _ := s.BlobStats(); stats.Blobs != 0 {
 		t.Errorf("blob pool grew for sub-threshold artifacts: %+v", stats)
-	}
-}
-
-func TestNoDedupStoreWritesPlainFiles(t *testing.T) {
-	s, err := NewStore(t.TempDir(), NoDedup())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := s.CreateExperiment("user", "default", when)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { e.Sync() })
-	payload := []byte("same bytes")
-	if err := e.AddRunArtifact(0, "n", "a", payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AddRunArtifact(1, "n", "a", payload); err != nil {
-		t.Fatal(err)
-	}
-	fi0, _ := os.Stat(filepath.Join(e.Dir(), "run_0000", "n", "a"))
-	fi1, _ := os.Stat(filepath.Join(e.Dir(), "run_0001", "n", "a"))
-	if os.SameFile(fi0, fi1) {
-		t.Error("NoDedup store hardlinked content")
-	}
-	if stats, _ := s.BlobStats(); stats.Blobs != 0 {
-		t.Errorf("NoDedup store grew a blob pool: %+v", stats)
-	}
-}
-
-func TestNoIndexStoreFallsBackToScans(t *testing.T) {
-	s, err := NewStore(t.TempDir(), NoIndex())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := s.CreateExperiment("user", "default", when)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.WriteRunMeta(RunMeta{Run: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AddRunArtifact(0, "n", "a.log", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := e.Generation(); ok {
-		t.Error("NoIndex store reported a generation")
-	}
-	runs, err := e.Runs()
-	if err != nil || len(runs) != 1 {
-		t.Fatalf("runs = %v, %v", runs, err)
-	}
-	arts, err := e.RunArtifacts(0)
-	if err != nil || len(arts) != 1 {
-		t.Fatalf("artifacts = %v, %v", arts, err)
-	}
-	paths, err := e.ArtifactPaths()
-	if err != nil || len(paths) != 2 {
-		t.Fatalf("paths = %v, %v", paths, err)
-	}
-	if err := e.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(s.Root(), indexDirName)); !os.IsNotExist(err) {
-		t.Error("NoIndex store wrote a manifest")
 	}
 }
 

@@ -78,8 +78,6 @@ import (
 type Store struct {
 	root    string
 	durable bool
-	noDedup bool
-	noIndex bool
 
 	// handles registers the live experiment handles, weakly.
 	handles registry
@@ -115,26 +113,13 @@ type Option func(*Store)
 // Off by default (and in tests).
 func Durable() Option { return func(s *Store) { s.durable = true } }
 
-// NoDedup disables content-addressed deduplication; every artifact is
-// written in full.
-func NoDedup() Option { return func(s *Store) { s.noDedup = true } }
-
-// NoIndex disables the fast path: no run manifest, no write-behind flusher,
-// no directory-creation memo. Enumeration and writes behave the way the
-// original store did; tests hold the fast path to it.
-func NoIndex() Option { return func(s *Store) { s.noIndex = true } }
-
 // ensureDir creates dir unless this handle already has, and reports whether
 // this handle is the one that created it (a Mkdir that succeeded, not one
 // that found the directory there). Unlike os.MkdirAll it never stat-walks the
 // path: it tries a bare Mkdir and only recurses to the parent on ENOENT, so
 // the per-artifact cost is zero syscalls for a memoized directory and one for
-// a fresh leaf under an existing parent. With the fast path disabled it
-// degrades to a plain MkdirAll.
+// a fresh leaf under an existing parent.
 func (e *Experiment) ensureDir(dir string) (created bool, err error) {
-	if e.store.noIndex {
-		return false, os.MkdirAll(dir, 0o755)
-	}
 	e.dirMu.Lock()
 	defer e.dirMu.Unlock()
 	return e.ensureDirLocked(dir)
@@ -209,7 +194,7 @@ func (e *Experiment) deferWrite(dir, path string, op func() error, en entry) (qu
 // stays bounded by backpressure × dedupMinBytes), else synchronously through
 // the blob pool.
 func (e *Experiment) putArtifact(dir, path string, data []byte, en entry) error {
-	if !e.store.noIndex && len(data) < dedupMinBytes {
+	if len(data) < dedupMinBytes {
 		buf := append([]byte(nil), data...)
 		op := func() error { return e.store.writeFileAtomic(path, buf) }
 		if queued, err := e.deferWrite(dir, path, op, en); queued || err != nil {
@@ -343,10 +328,8 @@ func (s *Store) CreateExperiment(user, name string, at time.Time) (*Experiment, 
 	if _, err := e.ensureDir(dir); err != nil {
 		return nil, fmt.Errorf("results: %w", err)
 	}
-	if !s.noIndex {
-		e.idx = newIndex()
-		s.register(handleKey(user, name, id), e, true)
-	}
+	e.idx = newIndex()
+	s.register(handleKey(user, name, id), e, true)
 	return e, nil
 }
 
@@ -355,21 +338,15 @@ func (s *Store) CreateExperiment(user, name string, at time.Time) (*Experiment, 
 // temp files from a crashed writer are swept.
 func (s *Store) OpenExperiment(user, name, id string) (*Experiment, error) {
 	key := handleKey(user, name, id)
-	if !s.noIndex {
-		if live := s.liveHandle(key); live != nil {
-			return live, nil
-		}
+	if live := s.liveHandle(key); live != nil {
+		return live, nil
 	}
 	dir := filepath.Join(s.root, user, name, id)
 	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
 		return nil, fmt.Errorf("results: experiment %s/%s/%s not found", user, name, id)
 	}
 	sweepTmp(dir, true)
-	e := s.newExperiment(dir, user, name, id)
-	if !s.noIndex {
-		return s.register(key, e, false), nil
-	}
-	return e, nil
+	return s.register(key, s.newExperiment(dir, user, name, id), false), nil
 }
 
 // ListExperiments returns the IDs recorded for user/name, sorted ascending
@@ -558,10 +535,7 @@ func (e *Experiment) WriteRunMeta(meta RunMeta) error {
 	dir, path := e.runFile(meta.Run, "metadata.json")
 	stored := meta.clone()
 	writeMeta := func() error { return e.store.writeFileStream(path, stored.writeFile) }
-	if e.store.noIndex {
-		return e.writeInDir(dir, writeMeta)
-	}
-	// Fast path: the metadata is authoritative in the manifest the moment
+	// The metadata is authoritative in the manifest the moment
 	// deferWrite returns; the small disk file rides the write-behind queue.
 	en := entry{run: meta.Run, meta: &stored}
 	if queued, err := e.deferWrite(dir, path, writeMeta, en); queued || err != nil {
@@ -591,9 +565,6 @@ func (e *Experiment) ReadRunMeta(run int) (RunMeta, error) {
 }
 
 func (e *Experiment) metaFromIndex(run int) (RunMeta, bool) {
-	if e.store.noIndex {
-		return RunMeta{}, false
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.ensureIndexLocked(); err != nil {
@@ -658,7 +629,7 @@ func (e *Experiment) ReadRunArtifact(run int, nodeName, artifact string) ([]byte
 // the file is not there yet — a handle must always see its own writes.
 func (e *Experiment) readBack(path string) ([]byte, error) {
 	data, err := os.ReadFile(path)
-	if err != nil && errors.Is(err, fs.ErrNotExist) && !e.store.noIndex {
+	if err != nil && errors.Is(err, fs.ErrNotExist) {
 		if serr := e.Sync(); serr == nil {
 			data, err = os.ReadFile(path)
 		}
@@ -686,13 +657,8 @@ func (e *Experiment) ReadExperimentArtifact(artifact string) ([]byte, error) {
 	return data, nil
 }
 
-// Runs lists the run indices present, sorted. With the manifest this is a
-// memory read; without it the directory is scanned with strict run-name
-// matching.
+// Runs lists the run indices present, sorted — a read of the manifest.
 func (e *Experiment) Runs() ([]int, error) {
-	if e.store.noIndex {
-		return e.scanRuns()
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.ensureIndexLocked(); err != nil {
@@ -709,29 +675,8 @@ func (e *Experiment) Runs() ([]int, error) {
 	return runs, nil
 }
 
-func (e *Experiment) scanRuns() ([]int, error) {
-	entries, err := os.ReadDir(e.dir)
-	if err != nil {
-		return nil, fmt.Errorf("results: %w", err)
-	}
-	var runs []int
-	for _, ent := range entries {
-		if !ent.IsDir() {
-			continue
-		}
-		if n, ok := parseRunDir(ent.Name()); ok {
-			runs = append(runs, n)
-		}
-	}
-	sort.Ints(runs)
-	return runs, nil
-}
-
 // RunArtifacts lists "<node>/<artifact>" paths for one run, sorted.
 func (e *Experiment) RunArtifacts(run int) ([]string, error) {
-	if e.store.noIndex {
-		return e.scanRunArtifacts(run)
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.ensureIndexLocked(); err != nil {
@@ -747,33 +692,6 @@ func (e *Experiment) RunArtifacts(run int) ([]string, error) {
 			continue
 		}
 		out = append(out, rel)
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-func (e *Experiment) scanRunArtifacts(run int) ([]string, error) {
-	base := filepath.Join(e.dir, runDirName(run))
-	var out []string
-	err := filepath.Walk(base, func(path string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		if info.IsDir() || info.Name() == "metadata.json" {
-			return nil
-		}
-		rel, err := filepath.Rel(base, path)
-		if err != nil {
-			return err
-		}
-		if rel == resourcesName {
-			return nil
-		}
-		out = append(out, filepath.ToSlash(rel))
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("results: %w", err)
 	}
 	sort.Strings(out)
 	return out, nil

@@ -115,18 +115,11 @@ type (
 	RunMeta = results.RunMeta
 )
 
-// ResultsOption configures a results store (Durable, NoDedup, NoIndex).
+// ResultsOption configures a results store.
 type ResultsOption = results.Option
 
-// Store options re-exported for facade users.
-var (
-	// Durable fsyncs files and directories around every publish rename.
-	Durable = results.Durable
-	// NoDedup disables content-addressed deduplication.
-	NoDedup = results.NoDedup
-	// NoIndex disables the run manifest; enumerations scan the tree.
-	NoIndex = results.NoIndex
-)
+// Durable fsyncs files and directories around every publish rename.
+var Durable = results.Durable
 
 // NewResultsStore opens (creating if needed) a results tree at dir.
 func NewResultsStore(dir string, opts ...ResultsOption) (*ResultsStore, error) {
@@ -351,6 +344,25 @@ func NewCampaignQueue(cfg QueueConfig) (*CampaignQueue, error) { return queue.Op
 
 // PaperSweep is the Appendix A parameter space: 2 sizes x 30 rates.
 func PaperSweep() SweepConfig { return casestudy.PaperSweep() }
+
+// CampaignSpec is a campaign.yml: platform, seed, sweep, scheduling and
+// fault policy of one case-study campaign, kept apart from the scripts.
+type CampaignSpec = casestudy.Spec
+
+// DefaultCampaignSpec is the spec of an empty campaign.yml.
+func DefaultCampaignSpec() CampaignSpec { return casestudy.DefaultSpec() }
+
+// ParseCampaignSpec decodes and validates a campaign.yml; unknown keys and
+// malformed values are errors naming the key.
+func ParseCampaignSpec(data []byte) (CampaignSpec, error) { return casestudy.ParseSpec(data) }
+
+// LaunchCampaign runs exp — or, when exp is nil, the case-study sweep the
+// spec describes — on testbeds built from the spec: one testbed through a
+// Runner, several through a Campaign. It archives the resolved spec as
+// experiment/campaign.yml.
+func LaunchCampaign(ctx context.Context, spec CampaignSpec, exp *Experiment, store *ResultsStore, events *EventPipeline, opts ...CaseStudyOption) (*Summary, error) {
+	return casestudy.Launch(ctx, spec, exp, store, events, opts...)
+}
 
 // ExtendedSweep widens the rate axis to expose both Fig. 3a plateaus.
 func ExtendedSweep() SweepConfig { return casestudy.ExtendedSweep() }
