@@ -17,13 +17,12 @@ import (
 	"testing"
 	"time"
 
-	"pos"
-
 	"pos/internal/casestudy"
 	"pos/internal/compare"
 	"pos/internal/core"
 	"pos/internal/hosttools"
 	"pos/internal/loadgen"
+	"pos/internal/ndr"
 	"pos/internal/netem"
 	"pos/internal/packet"
 	"pos/internal/perfmodel"
@@ -303,12 +302,12 @@ func BenchmarkCrossProduct(b *testing.B) {
 // iPerf): per-second rate stability and latency-sample spread at the same
 // offered load on the same bare-metal DuT.
 func BenchmarkMindTheGap(b *testing.B) {
-	profiles := []pos.GeneratorProfile{pos.MoonGenProfile(), pos.OSNTProfile(), pos.IPerfProfile()}
+	profiles := []loadgen.Profile{loadgen.MoonGenProfile(), loadgen.OSNTProfile(), loadgen.IPerfProfile()}
 	for _, p := range profiles {
 		p := p
 		b.Run(p.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				topo, err := pos.NewCaseStudy(pos.BareMetal, pos.WithGenerator(p))
+				topo, err := casestudy.New(casestudy.BareMetal, casestudy.WithGenerator(p))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -383,25 +382,25 @@ func relStddev(xs []float64) float64 {
 func BenchmarkNDRSearch(b *testing.B) {
 	cases := []struct {
 		name   string
-		flavor pos.Flavor
+		flavor casestudy.Flavor
 		max    float64
 	}{
-		{"BareMetal64B", pos.BareMetal, 2_500_000},
-		{"Virtual1500B", pos.Virtual, 300_000},
+		{"BareMetal64B", casestudy.BareMetal, 2_500_000},
+		{"Virtual1500B", casestudy.Virtual, 300_000},
 	}
 	for _, tc := range cases {
 		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				topo, err := pos.NewCaseStudy(tc.flavor, pos.WithSeed(1))
+				topo, err := casestudy.New(tc.flavor, casestudy.WithSeed(1))
 				if err != nil {
 					b.Fatal(err)
 				}
 				size := 64
-				if tc.flavor == pos.Virtual {
+				if tc.flavor == casestudy.Virtual {
 					size = 1500
 				}
-				res, err := pos.SearchNDR(pos.NDRConfig{MinPPS: 10_000, MaxPPS: tc.max, Precision: 0.005},
+				res, err := ndr.Search(ndr.Config{MinPPS: 10_000, MaxPPS: tc.max, Precision: 0.005},
 					func(rate float64) (float64, error) {
 						p, err := topo.DirectRun(size, rate, 1)
 						if err != nil {
@@ -479,7 +478,7 @@ func BenchmarkAblationImperfectCabling(b *testing.B) {
 				}
 				netem.Wire(engine, gen.TxPort(), rt.Port(0), netem.LinkConfig{LossRatio: tc.loss, Seed: 11})
 				netem.Wire(engine, rt.Port(1), gen.RxPort(), netem.LinkConfig{})
-				res, err := pos.SearchNDR(pos.NDRConfig{MinPPS: 10_000, MaxPPS: 2_500_000, Precision: 0.005, AcceptLoss: tc.acceptLoss},
+				res, err := ndr.Search(ndr.Config{MinPPS: 10_000, MaxPPS: 2_500_000, Precision: 0.005, AcceptLoss: tc.acceptLoss},
 					func(rate float64) (float64, error) {
 						r, err := gen.Run(loadgenRunConfig(rate, 1))
 						if err != nil {
@@ -681,22 +680,4 @@ func BenchmarkDataPlaneSweep(b *testing.B) {
 			runSharded(b)
 		}
 	})
-}
-
-// BenchmarkPublicAPIRun exercises the façade the way a downstream user does.
-func BenchmarkPublicAPIRun(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		topo, err := pos.NewCaseStudy(pos.BareMetal)
-		if err != nil {
-			b.Fatal(err)
-		}
-		p, err := topo.DirectRun(64, 100_000, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if p.RxMpps < 0.09 {
-			b.Fatalf("rx = %.4f", p.RxMpps)
-		}
-		topo.Close()
-	}
 }

@@ -8,7 +8,7 @@ import (
 	"strings"
 	"time"
 
-	"pos"
+	"pos/internal/timeline"
 )
 
 // cmdAnalyze answers "where did the time go" for a finished campaign: it
@@ -37,31 +37,31 @@ func cmdAnalyze(args []string) error {
 		}
 	}
 
-	tl, err := pos.AssembleTimeline(dir)
+	tl, err := timeline.Assemble(dir)
 	if err != nil {
 		return err
 	}
 	if !*noWrite {
-		if werr := pos.WriteTimeline(dir, tl); werr != nil {
+		if werr := timeline.Write(dir, tl); werr != nil {
 			fmt.Fprintf(os.Stderr, "analyze: warning: could not archive timeline.json: %v\n", werr)
 		}
 	}
 
-	var drift *pos.TimelineDrift
+	var drift *timeline.Drift
 	if *baseline != "" {
-		base, err := pos.AssembleTimeline(*baseline)
+		base, err := timeline.Assemble(*baseline)
 		if err != nil {
 			return fmt.Errorf("analyze: baseline: %w", err)
 		}
-		drift = pos.CompareTimelines(base, tl, *threshold)
+		drift = timeline.Compare(base, tl, *threshold)
 	}
 
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		out := struct {
-			Timeline *pos.CampaignTimeline `json:"timeline"`
-			Drift    *pos.TimelineDrift    `json:"drift,omitempty"`
+			Timeline *timeline.Timeline `json:"timeline"`
+			Drift    *timeline.Drift    `json:"drift,omitempty"`
 		}{tl, drift}
 		if err := enc.Encode(out); err != nil {
 			return err
@@ -91,7 +91,7 @@ func fmtMS(ms float64) string {
 	}
 }
 
-func printTimeline(tl *pos.CampaignTimeline) {
+func printTimeline(tl *timeline.Timeline) {
 	fmt.Printf("campaign: %s\n", tl.Root)
 	if tl.TraceID != "" {
 		fmt.Printf("trace:    %s\n", tl.TraceID)
@@ -137,7 +137,7 @@ func printTimeline(tl *pos.CampaignTimeline) {
 	}
 }
 
-func printDrift(d *pos.TimelineDrift) {
+func printDrift(d *timeline.Drift) {
 	fmt.Printf("\ndrift vs baseline (threshold %.0f%%):\n", d.Threshold*100)
 	fmt.Printf("  %-12s %10s %10s %10s\n", "phase", "baseline", "current", "delta")
 	for _, p := range d.Phases {

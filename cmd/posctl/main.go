@@ -1,4 +1,4 @@
-// Command posctl is the operator CLI for the pos testbed library:
+// Command posctl is the operator CLI of the pos toolchain:
 //
 //	posctl images                         list the built-in live images
 //	posctl table                          print Table 1 (testbed comparison)
@@ -32,7 +32,25 @@ import (
 	"syscall"
 	"time"
 
-	"pos"
+	"pos/internal/api"
+	"pos/internal/casestudy"
+	"pos/internal/compare"
+	"pos/internal/core"
+	"pos/internal/eval"
+	"pos/internal/eventlog"
+	"pos/internal/expfile"
+	"pos/internal/health"
+	"pos/internal/image"
+	"pos/internal/ndr"
+	"pos/internal/plot"
+	"pos/internal/publish"
+	"pos/internal/queue"
+	"pos/internal/repeat"
+	"pos/internal/results"
+	"pos/internal/telemetry"
+	"pos/internal/testbed"
+	"pos/internal/topo"
+	"pos/internal/vpos"
 )
 
 func main() {
@@ -46,7 +64,7 @@ func main() {
 	case "images":
 		err = cmdImages()
 	case "table":
-		err = pos.WriteComparisonTable(os.Stdout)
+		err = compare.Write(os.Stdout)
 	case "expand":
 		err = cmdExpand(os.Args[2:])
 	case "run":
@@ -137,7 +155,7 @@ commands:
 }
 
 func cmdImages() error {
-	img := pos.DebianBusterImage()
+	img := image.DefaultDebianBuster()
 	fmt.Printf("%s\n  kernel %s\n  packages:\n", img.Ref(), img.Kernel)
 	for name, ver := range img.Packages {
 		fmt.Printf("    %-24s %s\n", name, ver)
@@ -156,7 +174,7 @@ func cmdExpand(args []string) error {
 	if err != nil {
 		return err
 	}
-	combos, err := pos.CrossProduct(vars)
+	combos, err := core.CrossProduct(vars)
 	if err != nil {
 		return err
 	}
@@ -167,14 +185,14 @@ func cmdExpand(args []string) error {
 	return nil
 }
 
-func parseLoopVars(spec string) ([]pos.LoopVar, error) {
-	var vars []pos.LoopVar
+func parseLoopVars(spec string) ([]core.LoopVar, error) {
+	var vars []core.LoopVar
 	for _, part := range strings.Split(spec, ";") {
 		name, vals, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok {
 			return nil, fmt.Errorf("bad loop variable %q (want name=v1,v2)", part)
 		}
-		vars = append(vars, pos.LoopVar{Name: name, Values: strings.Split(vals, ",")})
+		vars = append(vars, core.LoopVar{Name: name, Values: strings.Split(vals, ",")})
 	}
 	return vars, nil
 }
@@ -190,16 +208,16 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return fmt.Errorf("run: %w", err)
 	}
-	var topoOpts []pos.CaseStudyOption
+	var topoOpts []casestudy.Option
 	if *scalarEngine {
 		if s.Chain == 0 {
 			return fmt.Errorf("run: -scalar requires a chain in the spec")
 		}
-		topoOpts = append(topoOpts, pos.WithScalarEngine())
+		topoOpts = append(topoOpts, casestudy.WithScalarEngine())
 	}
-	var storeOpts []pos.ResultsOption
+	var storeOpts []results.Option
 	if *durable {
-		storeOpts = append(storeOpts, pos.Durable())
+		storeOpts = append(storeOpts, results.Durable())
 	}
 	store, err := openStore(*dir, "posctl-run-*", storeOpts...)
 	if err != nil {
@@ -210,50 +228,50 @@ func cmdRun(args []string) error {
 
 // specFlag declares -f, the campaign.yml a command runs, and returns its
 // loader: without -f the spec's defaults apply.
-func specFlag(fs *flag.FlagSet) func() (pos.CampaignSpec, error) {
+func specFlag(fs *flag.FlagSet) func() (casestudy.Spec, error) {
 	path := fs.String("f", "", "campaign spec file (campaign.yml; default: the spec's defaults)")
-	return func() (pos.CampaignSpec, error) { return loadSpec(*path) }
+	return func() (casestudy.Spec, error) { return loadSpec(*path) }
 }
 
 // loadSpec reads and validates a campaign.yml; "" means the defaults.
-func loadSpec(path string) (pos.CampaignSpec, error) {
+func loadSpec(path string) (casestudy.Spec, error) {
 	if path == "" {
-		return pos.DefaultCampaignSpec(), nil
+		return casestudy.DefaultSpec(), nil
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return pos.CampaignSpec{}, err
+		return casestudy.Spec{}, err
 	}
-	return pos.ParseCampaignSpec(data)
+	return casestudy.ParseSpec(data)
 }
 
 // openStore opens the results store at root, or at a fresh temp directory
 // named after pattern when root is empty.
-func openStore(root, pattern string, opts ...pos.ResultsOption) (*pos.ResultsStore, error) {
+func openStore(root, pattern string, opts ...results.Option) (*results.Store, error) {
 	if root == "" {
 		var err error
 		if root, err = os.MkdirTemp("", pattern); err != nil {
 			return nil, err
 		}
 	}
-	return pos.NewResultsStore(root, opts...)
+	return results.NewStore(root, opts...)
 }
 
 // launch runs the spec — on exp when given, else its case-study sweep —
 // with the console watching the event pipeline the experiment journals
 // under events/.
-func launch(spec pos.CampaignSpec, exp *pos.Experiment, store *pos.ResultsStore, opts ...pos.CaseStudyOption) error {
+func launch(spec casestudy.Spec, exp *core.Experiment, store *results.Store, opts ...casestudy.Option) error {
 	if spec.Epoch != "" {
 		// Span durations measure real elapsed time; with the clock pinned
 		// they are the one artifact that cannot reproduce, so drop them.
-		pos.SetTelemetryEnabled(false)
+		telemetry.Default.SetEnabled(false)
 	}
 	if spec.Chain > 0 {
 		fmt.Printf("router chain: %d routers in %d cluster(s)\n", spec.Chain, spec.Clusters)
 	}
-	events := pos.NewEventPipeline()
+	events := eventlog.NewPipeline()
 	stop := events.Watch(0, printProgress)
-	sum, err := pos.LaunchCampaign(context.Background(), spec, exp, store, events, opts...)
+	sum, err := casestudy.Launch(context.Background(), spec, exp, store, events, opts...)
 	stop()
 	if err != nil {
 		return err
@@ -271,7 +289,7 @@ func launch(spec pos.CampaignSpec, exp *pos.Experiment, store *pos.ResultsStore,
 
 // printProgress is the console's view of a local run: every workflow step,
 // rendered exactly as posctl events replays it from the journal.
-func printProgress(ev pos.ExperimentEvent) {
+func printProgress(ev eventlog.Event) {
 	if ev.Typ == "progress" {
 		fmt.Println(renderEvent(ev))
 	}
@@ -288,7 +306,7 @@ func cmdDiff(args []string) error {
 	if *a == "" || *b == "" {
 		return fmt.Errorf("diff: -a and -b required")
 	}
-	diffs, err := pos.DiffExperiments(*a, *b)
+	diffs, err := compare.DiffExperiments(*a, *b)
 	if err != nil {
 		return err
 	}
@@ -324,7 +342,7 @@ func cmdRunFile(args []string) error {
 	if *dutNode != "" {
 		bindings["dut"] = *dutNode
 	}
-	exp, err := pos.LoadExperimentDir(*dir, bindings)
+	exp, err := expfile.Load(*dir, bindings)
 	if err != nil {
 		return err
 	}
@@ -352,7 +370,7 @@ func cmdNDR(args []string) error {
 		return err
 	}
 	defer topo.Close()
-	res, err := pos.SearchNDR(pos.NDRConfig{
+	res, err := ndr.Search(ndr.Config{
 		MinPPS: *minRate, MaxPPS: *maxRate, AcceptLoss: *acceptLoss, Precision: 0.005,
 	}, func(rate float64) (float64, error) {
 		p, err := topo.DirectRun(*size, rate, 1)
@@ -387,8 +405,8 @@ func cmdRepeat(args []string) error {
 	if err != nil {
 		return err
 	}
-	rep, err := pos.VerifyRepeatability(context.Background(), topo.Runner(), s.Experiment(), store,
-		pos.RepeatConfig{Repetitions: *reps, Node: topo.LoadGen, Artifact: "moongen.log"})
+	rep, err := repeat.Verify(context.Background(), topo.Runner(), s.Experiment(), store,
+		repeat.Config{Repetitions: *reps, Node: topo.LoadGen, Artifact: "moongen.log"})
 	if err != nil {
 		return err
 	}
@@ -421,11 +439,11 @@ func cmdVposd(args []string) error {
 			return err
 		}
 	}
-	mgr, err := pos.NewVposManager(root)
+	mgr, err := vpos.NewManager(root)
 	if err != nil {
 		return err
 	}
-	srv, err := pos.ServeVpos(mgr)
+	srv, err := vpos.Serve(mgr)
 	if err != nil {
 		return err
 	}
@@ -442,16 +460,16 @@ func cmdServe(args []string) error {
 	queueOn := fs.Bool("queue", true, "run the multi-tenant campaign queue (posctl submit/queue/cancel)")
 	campaign := fs.String("campaign", "", "also run the campaign this spec file (campaign.yml) describes, streaming its events")
 	fs.Parse(args)
-	var spec pos.CampaignSpec
+	var spec casestudy.Spec
 	if *campaign != "" {
 		var err error
 		if spec, err = loadSpec(*campaign); err != nil {
 			return fmt.Errorf("serve: %w", err)
 		}
 	}
-	tb := pos.NewTestbed()
+	tb := testbed.New()
 	defer tb.Close()
-	if err := tb.Images.Add(pos.DebianBusterImage()); err != nil {
+	if err := tb.Images.Add(image.DefaultDebianBuster()); err != nil {
 		return err
 	}
 	for _, n := range strings.Split(*nodes, ",") {
@@ -459,27 +477,27 @@ func cmdServe(args []string) error {
 			return err
 		}
 	}
-	var opts []pos.APIServerOption
+	var opts []api.ServerOption
 	if *debug {
-		opts = append(opts, pos.WithAPIDebug())
+		opts = append(opts, api.WithDebug())
 	}
-	srv, err := pos.ServeAPI(tb, opts...)
+	srv, err := api.Serve(tb, opts...)
 	if err != nil {
 		return err
 	}
-	events := pos.NewEventPipeline()
+	events := eventlog.NewPipeline()
 	srv.SetEvents(events)
 
 	// Health layer: runtime sampler feeding pos_runtime_* metrics, a flight
 	// recorder tailing the live event stream, and a watchdog over the
 	// standard probes. A trip (or SIGQUIT) dumps flightrec.json for
 	// post-mortem without a live debugger.
-	sampler := pos.NewRuntimeSampler(2 * time.Second)
+	sampler := telemetry.NewRuntimeSampler(telemetry.Default, 2*time.Second)
 	sampler.Start()
 	defer sampler.Stop()
-	flightRec := pos.NewFlightRecorder(0)
+	flightRec := health.NewRecorder(0, telemetry.Default)
 	defer flightRec.Attach(events)()
-	wd := pos.NewWatchdog(5 * time.Second)
+	wd := health.NewWatchdog(5 * time.Second)
 	wd.SetEvents(events)
 	dumpFlight := func(trigger, probe, detail string) {
 		path := flightRecordPath()
@@ -489,12 +507,12 @@ func cmdServe(args []string) error {
 		}
 		fmt.Println("flight record written to", path)
 	}
-	wd.SetOnTrip(func(ps pos.HealthProbeState) {
+	wd.SetOnTrip(func(ps health.ProbeState) {
 		dumpFlight("watchdog", ps.Name, ps.Detail)
 	})
-	wd.Register(pos.CampaignProgressProbe(2*time.Minute), nil)
-	wd.Register(pos.QueueStarvationProbe(10, time.Minute), nil)
-	wd.Register(pos.EventDropProbe(1000, time.Minute), nil)
+	wd.Register(health.CampaignProgress(telemetry.Default, 2*time.Minute), nil)
+	wd.Register(health.QueueStarvation(telemetry.Default, 10, time.Minute), nil)
+	wd.Register(health.EventDrops(telemetry.Default, 1000, time.Minute), nil)
 	wd.Start()
 	defer wd.Stop()
 	srv.SetHealth(wd)
@@ -507,9 +525,9 @@ func cmdServe(args []string) error {
 		}
 	}()
 
-	var store *pos.ResultsStore
+	var store *results.Store
 	if *resultsDir != "" {
-		if store, err = pos.NewResultsStore(*resultsDir); err != nil {
+		if store, err = results.NewStore(*resultsDir); err != nil {
 			return err
 		}
 		srv.SetResults(store)
@@ -527,7 +545,7 @@ func cmdServe(args []string) error {
 		if err != nil {
 			return err
 		}
-		q, err := pos.NewCampaignQueue(pos.QueueConfig{
+		q, err := queue.Open(queue.Config{
 			Dir:      qdir,
 			Calendar: tb.Calendar,
 			Events:   events,
@@ -543,7 +561,7 @@ func cmdServe(args []string) error {
 	}
 	if *campaign != "" {
 		go func() {
-			sum, err := pos.LaunchCampaign(context.Background(), spec, nil, store, events)
+			sum, err := casestudy.Launch(context.Background(), spec, nil, store, events)
 			if err != nil {
 				fmt.Println("campaign failed:", err)
 				return
@@ -579,7 +597,7 @@ func cmdMetrics(args []string) error {
 	if *addr == "" {
 		return fmt.Errorf("metrics: -addr required (the host:port printed by posctl serve)")
 	}
-	c := pos.NewAPIClient(*addr)
+	c := api.NewClient(*addr)
 	if *interval <= 0 {
 		return scrapeMetrics(c, *raw)
 	}
@@ -611,7 +629,7 @@ func cmdMetrics(args []string) error {
 }
 
 // scrapeMetrics fetches and prints one telemetry snapshot.
-func scrapeMetrics(c *pos.APIClient, raw bool) error {
+func scrapeMetrics(c *api.Client, raw bool) error {
 	if raw {
 		text, err := c.MetricsText()
 		if err != nil {
@@ -654,7 +672,7 @@ func scrapeMetrics(c *pos.APIClient, raw bool) error {
 	return nil
 }
 
-func sortedKeys(m map[string]string) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -675,11 +693,11 @@ func cmdSpans(args []string) error {
 	if err != nil {
 		return err
 	}
-	recs, err := pos.ParseSpans(data)
+	recs, err := telemetry.ParseSpans(data)
 	if err != nil {
 		return err
 	}
-	chrome, err := pos.ChromeTrace(recs)
+	chrome, err := telemetry.ChromeTrace(recs)
 	if err != nil {
 		return err
 	}
@@ -704,7 +722,7 @@ func cmdResults(args []string) error {
 	if *dir == "" {
 		return fmt.Errorf("results: -dir required")
 	}
-	store, err := pos.NewResultsStore(*dir)
+	store, err := results.NewStore(*dir)
 	if err != nil {
 		return err
 	}
@@ -794,7 +812,7 @@ func cmdCheck(args []string) error {
 	if err != nil {
 		return err
 	}
-	rep, err := pos.CheckArtifact(exp)
+	rep, err := publish.Check(exp)
 	if err != nil {
 		return err
 	}
@@ -817,7 +835,7 @@ func cmdTopo(args []string) error {
 	if err != nil {
 		return err
 	}
-	spec, err := pos.ParseTopology(data)
+	spec, err := topo.Parse(data)
 	if err != nil {
 		return err
 	}
@@ -838,8 +856,8 @@ func cmdTopo(args []string) error {
 	return nil
 }
 
-func metaKey(meta pos.RunMeta) string {
-	c := pos.Combination(meta.LoopVars)
+func metaKey(meta results.RunMeta) string {
+	c := core.Combination(meta.LoopVars)
 	return c.Key()
 }
 
@@ -856,11 +874,11 @@ func cmdPlot(args []string) error {
 	if err != nil {
 		return err
 	}
-	runs, err := pos.LoadRuns(exp, *node, *artifact)
+	runs, err := eval.LoadRuns(exp, *node, *artifact)
 	if err != nil {
 		return err
 	}
-	series, err := pos.ThroughputSeries(runs, *groupBy, *xVar, 1e-6)
+	series, err := eval.ThroughputSeries(runs, *groupBy, *xVar, 1e-6)
 	if err != nil {
 		return err
 	}
@@ -871,11 +889,19 @@ func cmdPlot(args []string) error {
 	if figTitle == "" {
 		figTitle = ref.name
 	}
-	fig := pos.ThroughputFigure(figTitle, series)
-	for fname, data := range pos.ExportFigure("figures/throughput", fig) {
-		if err := exp.AddExperimentArtifact(fname, data); err != nil {
+	files := plot.ExportNamed("figures/throughput", plot.Throughput(figTitle, series))
+	names := sortedKeys(files)
+	for _, fname := range names {
+		if err := exp.AddExperimentArtifact(fname, files[fname]); err != nil {
 			return err
 		}
+	}
+	// Small artifacts are written behind the manifest: land them before the
+	// process exits.
+	if err := exp.Sync(); err != nil {
+		return err
+	}
+	for _, fname := range names {
 		fmt.Println("wrote", exp.Dir()+"/"+fname)
 	}
 	return nil
@@ -894,7 +920,7 @@ func cmdPublish(args []string) error {
 	if dest == "" {
 		dest = ref.name + "-" + exp.ID() + ".tar.gz"
 	}
-	m, err := pos.Release(exp, ref.user, ref.name, dest)
+	m, err := publish.Release(exp, ref.user, ref.name, dest)
 	if err != nil {
 		return err
 	}
@@ -920,18 +946,21 @@ func experimentFlags(fs *flag.FlagSet) *experimentRef {
 
 // openExperiment opens the named experiment — its latest execution when -id
 // is unset — and the store holding it.
-func (r *experimentRef) openExperiment() (*pos.ResultsStore, *pos.ExperimentResults, error) {
+func (r *experimentRef) openExperiment() (*results.Store, *results.Experiment, error) {
 	if r.dir == "" || r.name == "" {
 		return nil, nil, fmt.Errorf("%s: -dir and -exp required", r.cmd)
 	}
-	store, err := pos.NewResultsStore(r.dir)
+	store, err := results.NewStore(r.dir)
 	if err != nil {
 		return nil, nil, err
 	}
 	id := r.id
 	if id == "" {
 		ids, err := store.ListExperiments(r.user, r.name)
-		if err != nil || len(ids) == 0 {
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", r.cmd, err)
+		}
+		if len(ids) == 0 {
 			return nil, nil, fmt.Errorf("%s: no executions of %s/%s found", r.cmd, r.user, r.name)
 		}
 		id = ids[len(ids)-1]

@@ -1,14 +1,18 @@
 package main
 
 import (
+	"errors"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
-	"pos"
+	"pos/internal/casestudy"
+	"pos/internal/telemetry"
 )
 
 // captureStdout runs fn with os.Stdout redirected to a file and returns what
@@ -78,7 +82,7 @@ func runPinned(t *testing.T) string {
 // TestRunRecordsOneReproducibleJournal drives posctl the way a user checks a
 // rerun: the same pinned single-testbed run twice, then diff and events.
 func TestRunRecordsOneReproducibleJournal(t *testing.T) {
-	t.Cleanup(func() { pos.SetTelemetryEnabled(true) })
+	t.Cleanup(func() { telemetry.Default.SetEnabled(true) })
 	a, b := runPinned(t), runPinned(t)
 
 	if out, err := captureStdout(t, func() error { return cmdDiff([]string{"-a", a, "-b", b}) }); err != nil {
@@ -93,11 +97,11 @@ func TestRunRecordsOneReproducibleJournal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("no archived spec: %v", err)
 	}
-	got, err := pos.ParseCampaignSpec(archived)
+	got, err := casestudy.ParseSpec(archived)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want, _ := pos.ParseCampaignSpec([]byte(pinnedSpec)); !reflect.DeepEqual(got, want) {
+	if want, _ := casestudy.ParseSpec([]byte(pinnedSpec)); !reflect.DeepEqual(got, want) {
 		t.Errorf("archived spec = %+v, ran %+v", got, want)
 	}
 	for _, gone := range []string{"experiment.log", "experiment-trace.json"} {
@@ -120,5 +124,39 @@ func TestRunRecordsOneReproducibleJournal(t *testing.T) {
 		if strings.Count(out, want) != 1 {
 			t.Errorf("posctl events lists %q %d times, want once:\n%s", want, strings.Count(out, want), out)
 		}
+	}
+}
+
+// TestPlotWritesInNameOrder: plot reports the figure files it wrote sorted by
+// name, the same on every invocation.
+func TestPlotWritesInNameOrder(t *testing.T) {
+	t.Cleanup(func() { telemetry.Default.SetEnabled(true) })
+	root := filepath.Dir(filepath.Dir(filepath.Dir(runPinned(t))))
+	for i := 0; i < 4; i++ {
+		out, err := captureStdout(t, func() error {
+			return cmdPlot([]string{"-dir", root, "-exp", "linux-router-vpos"})
+		})
+		if err != nil {
+			t.Fatalf("posctl plot: %v\n%s", err, out)
+		}
+		lines := strings.Split(strings.TrimSpace(out), "\n")
+		if len(lines) != 3 || !sort.StringsAreSorted(lines) {
+			t.Fatalf("plot output not three lines in name order:\n%s", out)
+		}
+		for _, line := range lines {
+			if _, err := os.Stat(strings.TrimPrefix(line, "wrote ")); err != nil {
+				t.Errorf("plot reported a file it did not write: %v", err)
+			}
+		}
+	}
+}
+
+// TestOpenExperimentReportsStoreError: a store that refuses the lookup is an
+// error worth reading, not "no executions found".
+func TestOpenExperimentReportsStoreError(t *testing.T) {
+	ref := &experimentRef{cmd: "plot", dir: t.TempDir(), user: "user", name: ".posblob"}
+	_, _, err := ref.openExperiment()
+	if !errors.Is(err, fs.ErrInvalid) || strings.Contains(err.Error(), "no executions") {
+		t.Errorf("openExperiment = %v, want the store's fs.ErrInvalid", err)
 	}
 }

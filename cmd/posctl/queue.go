@@ -8,7 +8,13 @@ import (
 	"strconv"
 	"strings"
 
-	"pos"
+	"pos/internal/api"
+	"pos/internal/casestudy"
+	"pos/internal/eventlog"
+	"pos/internal/expfile"
+	"pos/internal/queue"
+	"pos/internal/results"
+	"pos/internal/telemetry"
 )
 
 // The queue subcommands drive the controller's multi-tenant campaign queue
@@ -40,7 +46,7 @@ func cmdSubmit(args []string) error {
 		if spec, err = os.ReadFile(*specFile); err != nil {
 			return fmt.Errorf("submit: %w", err)
 		}
-		if _, err := pos.ParseCampaignSpec(spec); err != nil {
+		if _, err := casestudy.ParseSpec(spec); err != nil {
 			return fmt.Errorf("submit: %s: %w", *specFile, err)
 		}
 	}
@@ -48,11 +54,11 @@ func cmdSubmit(args []string) error {
 	// carries this span's traceparent, the queue journals it, and the
 	// launched campaign adopts the trace ID — one stitched trace from this
 	// terminal to every replica lane.
-	tr := pos.NewSpanTrace("posctl:submit")
+	tr := telemetry.NewTrace("posctl:submit")
 	tr.SetProcess("posctl")
-	ctx := pos.TraceContext(context.Background(), tr)
-	c := pos.NewAPIClient(*addr)
-	view, err := c.SubmitCampaignContext(ctx, pos.CampaignRequest{
+	ctx := telemetry.ContextWithTrace(context.Background(), tr)
+	c := api.NewClient(*addr)
+	view, err := c.SubmitCampaignContext(ctx, api.CampaignRequest{
 		User:     *user,
 		Name:     *name,
 		Nodes:    splitCSV(*nodes),
@@ -86,7 +92,7 @@ func cmdQueue(args []string) error {
 	if *addr == "" {
 		return fmt.Errorf("queue: -addr required")
 	}
-	c := pos.NewAPIClient(*addr)
+	c := api.NewClient(*addr)
 	views, err := c.Campaigns()
 	if err != nil {
 		return err
@@ -95,9 +101,9 @@ func cmdQueue(args []string) error {
 	fmt.Printf("%-4s %-10s %-14s %-10s %-4s %-5s %-20s %s\n",
 		"ID", "USER", "NAME", "STATE", "POS", "PRIO", "NODES", "INFO")
 	for _, v := range views {
-		if !*all && (v.State == string(pos.QueueStateDone) ||
-			v.State == string(pos.QueueStateFailed) ||
-			v.State == string(pos.QueueStateCancelled)) {
+		if !*all && (v.State == string(queue.StateDone) ||
+			v.State == string(queue.StateFailed) ||
+			v.State == string(queue.StateCancelled)) {
 			continue
 		}
 		fmt.Printf("%-4d %-10s %-14s %-10s %-4s %-5d %-20s %s\n",
@@ -111,21 +117,21 @@ func cmdQueue(args []string) error {
 	return nil
 }
 
-func posColumn(v pos.CampaignView) string {
+func posColumn(v api.CampaignView) string {
 	if v.Position > 0 {
 		return strconv.Itoa(v.Position)
 	}
 	return "-"
 }
 
-func infoColumn(v pos.CampaignView) string {
+func infoColumn(v api.CampaignView) string {
 	switch v.State {
-	case string(pos.QueueStateRunning):
+	case string(queue.StateRunning):
 		return fmt.Sprintf("allocation #%d since %s",
 			v.AllocationID, v.Admitted.Format("15:04:05"))
-	case string(pos.QueueStateFailed):
+	case string(queue.StateFailed):
 		return v.Error
-	case string(pos.QueueStateQueued):
+	case string(queue.StateQueued):
 		return "waiting since " + v.Submitted.Format("15:04:05")
 	default:
 		if !v.Finished.IsZero() {
@@ -144,12 +150,12 @@ func cmdCancel(args []string) error {
 	if *addr == "" || *user == "" || *id <= 0 {
 		return fmt.Errorf("cancel: -addr, -user, and -id are required")
 	}
-	c := pos.NewAPIClient(*addr)
+	c := api.NewClient(*addr)
 	view, err := c.CancelCampaign(*user, *id)
 	if err != nil {
 		return err
 	}
-	if view.State == string(pos.QueueStateRunning) {
+	if view.State == string(queue.StateRunning) {
 		fmt.Printf("campaign #%d preempting (will report cancelled once its runs stop)\n", view.ID)
 		return nil
 	}
@@ -178,9 +184,9 @@ const maxQueueReplicas = 4
 // -expdir runs that experiment directory instead, its roles bound to the
 // spec's topology. A spec that does not parse fails the submission with an
 // error naming the key.
-func queueLaunch(store *pos.ResultsStore) pos.QueueLaunch {
-	return func(ctx context.Context, sub pos.QueueSubmission, events *pos.EventPipeline) error {
-		spec, err := pos.ParseCampaignSpec([]byte(sub.Spec))
+func queueLaunch(store *results.Store) queue.Launch {
+	return func(ctx context.Context, sub queue.Submission, events *eventlog.Pipeline) error {
+		spec, err := casestudy.ParseSpec([]byte(sub.Spec))
 		if err != nil {
 			return err
 		}
@@ -193,14 +199,14 @@ func queueLaunch(store *pos.ResultsStore) pos.QueueLaunch {
 			for _, h := range exp.Hosts {
 				bindings[h.Role] = h.Node
 			}
-			if exp, err = pos.LoadExperimentDir(sub.ExpDir, bindings); err != nil {
+			if exp, err = expfile.Load(sub.ExpDir, bindings); err != nil {
 				return err
 			}
 		} else {
 			exp.Name = sub.Name
 		}
 		exp.User = sub.User
-		_, err = pos.LaunchCampaign(ctx, spec, exp, store, events)
+		_, err = casestudy.Launch(ctx, spec, exp, store, events)
 		return err
 	}
 }

@@ -7,33 +7,37 @@ import (
 	"testing"
 	"time"
 
-	"pos"
+	"pos/internal/api"
+	"pos/internal/casestudy"
+	"pos/internal/queue"
+	"pos/internal/results"
+	"pos/internal/testbed"
 )
 
 // queueStack serves a two-node controller with the campaign queue and
 // posctl's launcher, wired the way posctl serve wires them.
-func queueStack(t *testing.T) (addr string, store *pos.ResultsStore) {
+func queueStack(t *testing.T) (addr string, store *results.Store) {
 	t.Helper()
-	tb := pos.NewTestbed()
+	tb := testbed.New()
 	t.Cleanup(tb.Close)
 	for _, n := range []string{"vriga", "vtartu"} {
 		if _, err := tb.AddNode(n); err != nil {
 			t.Fatal(err)
 		}
 	}
-	srv, err := pos.ServeAPI(tb)
+	srv, err := api.Serve(tb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	if store, err = pos.NewResultsStore(t.TempDir()); err != nil {
+	if store, err = results.NewStore(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
 	qdir, err := store.ControlDir("queue")
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := pos.NewCampaignQueue(pos.QueueConfig{
+	q, err := queue.Open(queue.Config{
 		Dir:           qdir,
 		Calendar:      tb.Calendar,
 		Launch:        queueLaunch(store),
@@ -48,7 +52,7 @@ func queueStack(t *testing.T) (addr string, store *pos.ResultsStore) {
 }
 
 // waitFinished polls a campaign until it reaches a terminal state.
-func waitFinished(t *testing.T, c *pos.APIClient, id int) pos.CampaignView {
+func waitFinished(t *testing.T, c *api.Client, id int) api.CampaignView {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
@@ -57,13 +61,13 @@ func waitFinished(t *testing.T, c *pos.APIClient, id int) pos.CampaignView {
 			t.Fatal(err)
 		}
 		switch v.State {
-		case string(pos.QueueStateDone), string(pos.QueueStateFailed), string(pos.QueueStateCancelled):
+		case string(queue.StateDone), string(queue.StateFailed), string(queue.StateCancelled):
 			return v
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("campaign %d never finished", id)
-	return pos.CampaignView{}
+	return api.CampaignView{}
 }
 
 // TestQueueMalformedSpecFailsNamingKey: a spec the launcher cannot decode
@@ -71,7 +75,7 @@ func waitFinished(t *testing.T, c *pos.APIClient, id int) pos.CampaignView {
 // default in the bad value's place.
 func TestQueueMalformedSpecFailsNamingKey(t *testing.T) {
 	addr, store := queueStack(t)
-	c := pos.NewAPIClient(addr)
+	c := api.NewClient(addr)
 	for spec, key := range map[string]string{
 		"replicas: two\n":      "replicas",
 		"sizes: [64, abc]\n":   "sizes",
@@ -80,14 +84,14 @@ func TestQueueMalformedSpecFailsNamingKey(t *testing.T) {
 		"replica: 2\n":         "replica",
 		"replicas: 5\n":        "replicas",
 	} {
-		v, err := c.SubmitCampaign(pos.CampaignRequest{
+		v, err := c.SubmitCampaign(api.CampaignRequest{
 			User: "alice", Name: "bad", Nodes: []string{"vriga"}, Minutes: 5, Spec: spec,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		v = waitFinished(t, c, v.ID)
-		if v.State != string(pos.QueueStateFailed) || !strings.Contains(v.Error, key) {
+		if v.State != string(queue.StateFailed) || !strings.Contains(v.Error, key) {
 			t.Errorf("spec %q: %s %q, want failed naming %q", spec, v.State, v.Error, key)
 		}
 	}
@@ -100,7 +104,7 @@ func TestQueueMalformedSpecFailsNamingKey(t *testing.T) {
 // campaign's experiment/campaign.yml parses to the spec the file holds.
 func TestSubmittedSpecIsArchived(t *testing.T) {
 	addr, store := queueStack(t)
-	c := pos.NewAPIClient(addr)
+	c := api.NewClient(addr)
 	text := "flavor: vpos\nsizes: [64]\nrates: [10000, 20000]\nreplicas: 2\nseed: 5\n"
 	file := writeSpec(t, text)
 	if out, err := captureStdout(t, func() error {
@@ -113,7 +117,7 @@ func TestSubmittedSpecIsArchived(t *testing.T) {
 	if err != nil || len(views) != 1 {
 		t.Fatalf("campaigns = %v, %v", views, err)
 	}
-	if v := waitFinished(t, c, views[0].ID); v.State != string(pos.QueueStateDone) {
+	if v := waitFinished(t, c, views[0].ID); v.State != string(queue.StateDone) {
 		t.Fatalf("campaign %s: %s", v.State, v.Error)
 	}
 	ids, err := store.ListExperiments("alice", "sweep")
@@ -128,7 +132,7 @@ func TestSubmittedSpecIsArchived(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := pos.ParseCampaignSpec(archived)
+	got, err := casestudy.ParseSpec(archived)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +140,7 @@ func TestSubmittedSpecIsArchived(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := pos.ParseCampaignSpec(sent)
+	want, err := casestudy.ParseSpec(sent)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,20 +11,22 @@ import (
 	"syscall"
 	"time"
 
-	"pos"
+	"pos/internal/api"
+	"pos/internal/eventlog"
+	"pos/internal/telemetry"
 )
 
 // topState is what the dashboard has learned from the SSE tail: the most
 // recent events plus how many the stream admitted to dropping.
 type topState struct {
 	mu      sync.Mutex
-	tail    []pos.ExperimentEvent // ring, newest last
+	tail    []eventlog.Event // ring, newest last
 	lastID  uint64
 	dropped uint64
 	stream  string // "connected", "reconnecting", ...
 }
 
-func (t *topState) apply(ev pos.ExperimentEvent) {
+func (t *topState) apply(ev eventlog.Event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if ev.Typ == "events.dropped" {
@@ -84,7 +86,7 @@ func cmdTop(args []string) error {
 	if *interval < 100*time.Millisecond {
 		*interval = 100 * time.Millisecond
 	}
-	c := pos.NewAPIClient(*addr)
+	c := api.NewClient(*addr)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -105,7 +107,7 @@ func cmdTop(args []string) error {
 // tailEvents keeps one SSE subscription alive for the dashboard's lifetime,
 // reconnecting with backoff and resuming from the last seen sequence number
 // so a controller restart costs display continuity, not correctness.
-func tailEvents(ctx context.Context, c *pos.APIClient, st *topState) {
+func tailEvents(ctx context.Context, c *api.Client, st *topState) {
 	const maxBackoff = 30 * time.Second
 	backoff := time.Second
 	for ctx.Err() == nil {
@@ -115,7 +117,7 @@ func tailEvents(ctx context.Context, c *pos.APIClient, st *topState) {
 		// Optimistically connected: an immediate failure flips the status
 		// to reconnecting before the next repaint anyway.
 		st.setStream("connected")
-		err := c.StreamEvents(ctx, pos.EventStreamOptions{LastID: last}, func(ev pos.ExperimentEvent) error {
+		err := c.StreamEvents(ctx, api.EventStreamOptions{LastID: last}, func(ev eventlog.Event) error {
 			st.apply(ev)
 			return nil
 		})
@@ -137,7 +139,7 @@ func tailEvents(ctx context.Context, c *pos.APIClient, st *topState) {
 // render repaints the dashboard once. A failed poll renders the error in
 // place of the section — the dashboard never exits on a sick controller;
 // that is exactly when an operator needs it.
-func render(c *pos.APIClient, st *topState, addr string) {
+func render(c *api.Client, st *topState, addr string) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "pos top — %s — %s\n\n", addr, time.Now().Format("15:04:05"))
 
@@ -159,7 +161,7 @@ func render(c *pos.APIClient, st *topState, addr string) {
 	}
 
 	if snap, err := c.Metrics(); err == nil {
-		byName := map[string]pos.TelemetryMetricSnapshot{}
+		byName := map[string]telemetry.MetricSnapshot{}
 		for _, m := range snap.Metrics {
 			byName[m.Name] = m
 		}

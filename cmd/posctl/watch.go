@@ -12,7 +12,8 @@ import (
 	"strings"
 	"syscall"
 
-	"pos"
+	"pos/internal/api"
+	"pos/internal/eventlog"
 )
 
 // replicaState is what watch has learned about one replica from its events.
@@ -27,7 +28,7 @@ type replicaState struct {
 }
 
 // applyEvent folds one event into the per-replica status board.
-func applyEvent(states map[string]*replicaState, ev pos.ExperimentEvent) {
+func applyEvent(states map[string]*replicaState, ev eventlog.Event) {
 	if ev.Replica == "" {
 		return
 	}
@@ -60,7 +61,7 @@ func applyEvent(states map[string]*replicaState, ev pos.ExperimentEvent) {
 
 // renderEvent formats one event as a log line for humans. Runs count from 1,
 // so the last run of a 60-run sweep reads 60/60.
-func renderEvent(ev pos.ExperimentEvent) string {
+func renderEvent(ev eventlog.Event) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s  ", ev.At.Format("15:04:05.000"))
 	if ev.Replica != "" {
@@ -147,14 +148,14 @@ func cmdWatch(args []string) error {
 	if *addr == "" {
 		return fmt.Errorf("watch: -addr required (the host:port printed by posctl serve)")
 	}
-	c := pos.NewAPIClient(*addr)
+	c := api.NewClient(*addr)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	states := map[string]*replicaState{}
 	enc := json.NewEncoder(os.Stdout)
-	err := c.StreamEvents(ctx, pos.EventStreamOptions{
+	err := c.StreamEvents(ctx, api.EventStreamOptions{
 		LastID: *last, Replica: *replica, Phase: *phase,
-	}, func(ev pos.ExperimentEvent) error {
+	}, func(ev eventlog.Event) error {
 		if *jsonOut {
 			return enc.Encode(ev)
 		}
@@ -187,7 +188,7 @@ func cmdEvents(args []string) error {
 	if fi, err := os.Stat(filepath.Join(journalDir, "events")); err == nil && fi.IsDir() {
 		journalDir = filepath.Join(journalDir, "events")
 	}
-	evs, err := pos.ReplayEvents(journalDir)
+	evs, err := eventlog.Replay(journalDir)
 	if err != nil {
 		return err
 	}

@@ -10,8 +10,9 @@ import (
 	"testing"
 	"time"
 
-	"pos"
+	"pos/internal/casestudy"
 	"pos/internal/compare"
+	"pos/internal/results"
 	"pos/internal/telemetry"
 )
 
@@ -24,37 +25,37 @@ import (
 // sweep against its sequential twin.
 
 // builder constructs one topology; the differentials call it twice, once
-// plain (batched) and once with pos.WithScalarEngine appended.
-type builder func(opts ...pos.CaseStudyOption) (*pos.CaseStudy, error)
+// plain (batched) and once with casestudy.WithScalarEngine appended.
+type builder func(opts ...casestudy.Option) (*casestudy.Topology, error)
 
-func twoNode(flavor pos.Flavor, base ...pos.CaseStudyOption) builder {
-	return func(opts ...pos.CaseStudyOption) (*pos.CaseStudy, error) {
-		return pos.NewCaseStudy(flavor, append(base[:len(base):len(base)], opts...)...)
+func twoNode(flavor casestudy.Flavor, base ...casestudy.Option) builder {
+	return func(opts ...casestudy.Option) (*casestudy.Topology, error) {
+		return casestudy.New(flavor, append(base[:len(base):len(base)], opts...)...)
 	}
 }
 
-func chainOf(flavor pos.Flavor, cfg pos.ChainConfig, base ...pos.CaseStudyOption) builder {
-	return func(opts ...pos.CaseStudyOption) (*pos.CaseStudy, error) {
-		return pos.NewCaseStudyChain(flavor, cfg, append(base[:len(base):len(base)], opts...)...)
+func chainOf(flavor casestudy.Flavor, cfg casestudy.ChainConfig, base ...casestudy.Option) builder {
+	return func(opts ...casestudy.Option) (*casestudy.Topology, error) {
+		return casestudy.NewChain(flavor, cfg, append(base[:len(base):len(base)], opts...)...)
 	}
 }
 
 // The chains the differentials and the pinned digests run on: four clusters
 // of two bare-metal routers, and two clusters of two seeded virtual ones.
 var (
-	bareMetalChain = pos.ChainConfig{Routers: 8, Clusters: 4}
-	virtualChain   = pos.ChainConfig{Routers: 4, Clusters: 2}
+	bareMetalChain = casestudy.ChainConfig{Routers: 8, Clusters: 4}
+	virtualChain   = casestudy.ChainConfig{Routers: 4, Clusters: 2}
 )
 
 // enginePair builds the batched topology and its scalar oracle.
-func enginePair(t *testing.T, build builder) (batched, scalar *pos.CaseStudy) {
+func enginePair(t *testing.T, build builder) (batched, scalar *casestudy.Topology) {
 	t.Helper()
 	batched, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(batched.Close)
-	scalar, err = build(pos.WithScalarEngine())
+	scalar, err = build(casestudy.WithScalarEngine())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func enginePair(t *testing.T, build builder) (batched, scalar *pos.CaseStudy) {
 
 // diffSweep runs the same measurement points on both topologies and fails on
 // the first field that differs.
-func diffSweep(t *testing.T, batched, scalar *pos.CaseStudy, sizes []int, rates []float64) {
+func diffSweep(t *testing.T, batched, scalar *casestudy.Topology, sizes []int, rates []float64) {
 	t.Helper()
 	for _, size := range sizes {
 		for _, rate := range rates {
@@ -85,7 +86,7 @@ func diffSweep(t *testing.T, batched, scalar *pos.CaseStudy, sizes []int, rates 
 
 // diffLatencySamples compares the raw latency sample streams — order and
 // value — of one 64 B run and returns them.
-func diffLatencySamples(t *testing.T, batched, scalar *pos.CaseStudy) []float64 {
+func diffLatencySamples(t *testing.T, batched, scalar *casestudy.Topology) []float64 {
 	t.Helper()
 	got, err := batched.LatencySamples(64, 150_000, 1)
 	if err != nil {
@@ -110,7 +111,7 @@ func diffLatencySamples(t *testing.T, batched, scalar *pos.CaseStudy) []float64 
 // measurement scripts, artifact uploads — on both engines with a pinned wall
 // clock, then diffs the two experiment result trees byte for byte:
 // metadata.json, moongen.log, router.stats, every run directory.
-func diffWorkflowArtifacts(t *testing.T, build builder, sweep pos.SweepConfig) {
+func diffWorkflowArtifacts(t *testing.T, build builder, sweep casestudy.SweepConfig) {
 	t.Helper()
 	epoch := time.Date(2021, 10, 12, 11, 20, 32, 230471000, time.UTC)
 	// Span archiving is off for this test: spans.json records the order in
@@ -118,13 +119,13 @@ func diffWorkflowArtifacts(t *testing.T, build builder, sweep pos.SweepConfig) {
 	// not measurement results — so it is legitimately run-to-run volatile.
 	telemetry.Default.SetEnabled(false)
 	defer telemetry.Default.SetEnabled(true)
-	runTree := func(opts ...pos.CaseStudyOption) string {
+	runTree := func(opts ...casestudy.Option) string {
 		topo, err := build(opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer topo.Close()
-		store, err := pos.NewResultsStore(t.TempDir())
+		store, err := results.NewStore(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +146,7 @@ func diffWorkflowArtifacts(t *testing.T, build builder, sweep pos.SweepConfig) {
 		return rec.Dir()
 	}
 	batchedDir := runTree()
-	scalarDir := runTree(pos.WithScalarEngine())
+	scalarDir := runTree(casestudy.WithScalarEngine())
 	diffs, err := compare.DiffExperiments(batchedDir, scalarDir)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +160,7 @@ func diffWorkflowArtifacts(t *testing.T, build builder, sweep pos.SweepConfig) {
 // the 1.75 Mpps CPU plateau and the 1500 B line-rate ceiling) through both
 // engines.
 func TestBatchedMatchesScalarFigure3a(t *testing.T) {
-	batched, scalar := enginePair(t, twoNode(pos.BareMetal))
+	batched, scalar := enginePair(t, twoNode(casestudy.BareMetal))
 	diffSweep(t, batched, scalar,
 		[]int{64, 1500},
 		[]float64{10_000, 150_000, 300_000, 1_000_000, 1_800_000, 2_200_000})
@@ -170,7 +171,7 @@ func TestBatchedMatchesScalarFigure3a(t *testing.T) {
 // clock adds timestamp noise, and overload sheds packets — all of it must
 // still agree bit for bit.
 func TestBatchedMatchesScalarFigure3b(t *testing.T) {
-	batched, scalar := enginePair(t, twoNode(pos.Virtual, pos.WithSeed(7)))
+	batched, scalar := enginePair(t, twoNode(casestudy.Virtual, casestudy.WithSeed(7)))
 	diffSweep(t, batched, scalar,
 		[]int{64, 1500},
 		[]float64{20_000, 120_000, 250_000, 400_000})
@@ -179,14 +180,14 @@ func TestBatchedMatchesScalarFigure3b(t *testing.T) {
 // TestBatchedMatchesScalarLatencySamples compares the raw latency sample
 // streams behind the paper's latency CDF.
 func TestBatchedMatchesScalarLatencySamples(t *testing.T) {
-	batched, scalar := enginePair(t, twoNode(pos.BareMetal))
+	batched, scalar := enginePair(t, twoNode(casestudy.BareMetal))
 	diffLatencySamples(t, batched, scalar)
 }
 
 // TestBatchedMatchesScalarWorkflowArtifacts executes the Appendix A workflow
 // end to end on both engines and diffs the result trees.
 func TestBatchedMatchesScalarWorkflowArtifacts(t *testing.T) {
-	diffWorkflowArtifacts(t, twoNode(pos.Virtual, pos.WithSeed(3)), pos.SweepConfig{
+	diffWorkflowArtifacts(t, twoNode(casestudy.Virtual, casestudy.WithSeed(3)), casestudy.SweepConfig{
 		Sizes:      []int{64, 1500},
 		RatesPPS:   []int{10_000, 300_000},
 		RuntimeSec: 1,
@@ -197,7 +198,7 @@ func TestBatchedMatchesScalarWorkflowArtifacts(t *testing.T) {
 // cut-through across nine links, four of them 2 ms trunks — and its scalar
 // oracle through identical measurement points.
 func TestChainBatchedMatchesScalar(t *testing.T) {
-	batched, scalar := enginePair(t, chainOf(pos.BareMetal, bareMetalChain))
+	batched, scalar := enginePair(t, chainOf(casestudy.BareMetal, bareMetalChain))
 	diffSweep(t, batched, scalar,
 		[]int{64, 1500},
 		[]float64{10_000, 150_000, 300_000, 1_000_000, 1_800_000})
@@ -207,7 +208,7 @@ func TestChainBatchedMatchesScalar(t *testing.T) {
 // virtual platform: every router's own jitter model must replay identically
 // on both engines.
 func TestChainBatchedMatchesScalarVirtual(t *testing.T) {
-	batched, scalar := enginePair(t, chainOf(pos.Virtual, virtualChain, pos.WithSeed(7)))
+	batched, scalar := enginePair(t, chainOf(casestudy.Virtual, virtualChain, casestudy.WithSeed(7)))
 	diffSweep(t, batched, scalar, []int{64}, []float64{20_000, 120_000, 250_000})
 }
 
@@ -215,7 +216,7 @@ func TestChainBatchedMatchesScalarVirtual(t *testing.T) {
 // sample streams across the multi-hop path, and checks the trunks are really
 // on it: no packet can cross four 2 ms trunks in under 8 ms.
 func TestChainBatchedMatchesScalarLatencySamples(t *testing.T) {
-	batched, scalar := enginePair(t, chainOf(pos.BareMetal, bareMetalChain))
+	batched, scalar := enginePair(t, chainOf(casestudy.BareMetal, bareMetalChain))
 	samples := diffLatencySamples(t, batched, scalar)
 	trunks := float64(4 * 2 * time.Millisecond)
 	for i, ns := range samples {
@@ -228,7 +229,7 @@ func TestChainBatchedMatchesScalarLatencySamples(t *testing.T) {
 // TestChainBatchedMatchesScalarWorkflowArtifacts runs the full pos workflow
 // against the virtual chain on both engines and diffs the result trees.
 func TestChainBatchedMatchesScalarWorkflowArtifacts(t *testing.T) {
-	diffWorkflowArtifacts(t, chainOf(pos.Virtual, virtualChain, pos.WithSeed(3)), pos.SweepConfig{
+	diffWorkflowArtifacts(t, chainOf(casestudy.Virtual, virtualChain, casestudy.WithSeed(3)), casestudy.SweepConfig{
 		Sizes:      []int{64},
 		RatesPPS:   []int{10_000, 300_000},
 		RuntimeSec: 1,
@@ -248,7 +249,7 @@ func TestChainPinnedDigests(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer topo.Close()
-		var points []pos.RunPoint
+		var points []casestudy.RunPoint
 		for _, size := range sizes {
 			for _, rate := range rates {
 				pt, err := topo.DirectRun(size, rate, 1)
@@ -276,11 +277,11 @@ func TestChainPinnedDigests(t *testing.T) {
 		bareMetalWant = "e7c3d17f6909e33475986e2ba6129f41ad840805f4b97ee869e4f7c7c407448d"
 		virtualWant   = "5d93d93e06cd9f6b5c880a83742b0ef4ae5be3db821df8fb9150c5dea3e680a8"
 	)
-	if got := digest(chainOf(pos.BareMetal, bareMetalChain),
+	if got := digest(chainOf(casestudy.BareMetal, bareMetalChain),
 		[]int{64, 1500}, []float64{10_000, 150_000, 300_000, 1_000_000, 1_800_000}, true); got != bareMetalWant {
 		t.Errorf("bare-metal chain digest %s, pinned %s", got, bareMetalWant)
 	}
-	if got := digest(chainOf(pos.Virtual, virtualChain, pos.WithSeed(7)),
+	if got := digest(chainOf(casestudy.Virtual, virtualChain, casestudy.WithSeed(7)),
 		[]int{64}, []float64{20_000, 120_000, 250_000}, false); got != virtualWant {
 		t.Errorf("virtual chain digest %s, pinned %s", got, virtualWant)
 	}
@@ -291,14 +292,14 @@ func TestChainPinnedDigests(t *testing.T) {
 // asserting point-for-point equality in campaign order. Eight points over
 // three replicas: the deal does not come out even.
 func TestShardedSweepMatchesSequential(t *testing.T) {
-	cfg := pos.SweepConfig{
+	cfg := casestudy.SweepConfig{
 		Sizes:      []int{64, 1500},
 		RatesPPS:   []int{20_000, 120_000, 250_000, 400_000},
 		RuntimeSec: 1,
 	}
 	const n = 3
-	build := func() []*pos.CaseStudy {
-		topos, err := pos.NewCaseStudyReplicas(pos.Virtual, n, pos.WithSeed(11))
+	build := func() []*casestudy.Topology {
+		topos, err := casestudy.NewReplicas(casestudy.Virtual, n, casestudy.WithSeed(11))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +310,7 @@ func TestShardedSweepMatchesSequential(t *testing.T) {
 		})
 		return topos
 	}
-	got, err := pos.ShardedSweep(build(), cfg)
+	got, err := casestudy.ShardedSweep(build(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +326,7 @@ func TestShardedSweepMatchesSequential(t *testing.T) {
 	if len(pts)%n == 0 {
 		t.Fatalf("%d points divide evenly over %d replicas; the test wants a remainder", len(pts), n)
 	}
-	want := make([]pos.RunPoint, len(pts))
+	want := make([]casestudy.RunPoint, len(pts))
 	for i, topo := range build() {
 		for p := i; p < len(pts); p += n {
 			pt, err := topo.DirectRun(int(pts[p][0]), pts[p][1], cfg.RuntimeSec)
@@ -350,7 +351,7 @@ func TestShardedSweepMatchesSequential(t *testing.T) {
 // no hang, no panic, and every replica goroutine gone by the time
 // ShardedSweep returns.
 func TestShardedSweepReportsInvalidPoint(t *testing.T) {
-	topos, err := pos.NewCaseStudyReplicas(pos.Virtual, 2, pos.WithSeed(11))
+	topos, err := casestudy.NewReplicas(casestudy.Virtual, 2, casestudy.WithSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +360,7 @@ func TestShardedSweepReportsInvalidPoint(t *testing.T) {
 			topo.Close()
 		}
 	}()
-	points, err := pos.ShardedSweep(topos, pos.SweepConfig{
+	points, err := casestudy.ShardedSweep(topos, casestudy.SweepConfig{
 		Sizes:      []int{64, 20},
 		RatesPPS:   []int{20_000, 120_000, 250_000},
 		RuntimeSec: 1,

@@ -5,91 +5,14 @@ import (
 	"fmt"
 	"os"
 
-	"pos"
+	"pos/internal/casestudy"
+	"pos/internal/results"
 )
-
-// ExampleCrossProduct shows the loop-variable expansion at the heart of the
-// measurement phase: every combination becomes one run.
-func ExampleCrossProduct() {
-	combos, _ := pos.CrossProduct([]pos.LoopVar{
-		{Name: "pkt_sz", Values: []string{"64", "1500"}},
-		{Name: "pkt_rate", Values: []string{"10000", "20000"}},
-	})
-	for _, c := range combos {
-		fmt.Println(c.Key())
-	}
-	// Output:
-	// pkt_rate=10000,pkt_sz=64
-	// pkt_rate=20000,pkt_sz=64
-	// pkt_rate=10000,pkt_sz=1500
-	// pkt_rate=20000,pkt_sz=1500
-}
-
-// ExampleMergeVars shows pos variable precedence: global < local < loop.
-func ExampleMergeVars() {
-	global := pos.Vars{"port": "eno1", "runtime": "2"}
-	local := pos.Vars{"port": "eno2"}
-	loop := pos.Vars{"pkt_sz": "64"}
-	merged := pos.MergeVars(global, local, loop)
-	fmt.Println(merged["port"], merged["runtime"], merged["pkt_sz"])
-	// Output: eno2 2 64
-}
-
-// ExampleNewCaseStudy runs one measurement point of the paper's case study
-// on the bare-metal platform.
-func ExampleNewCaseStudy() {
-	topo, err := pos.NewCaseStudy(pos.BareMetal)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	defer topo.Close()
-	point, err := topo.DirectRun(64, 100_000, 1)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Printf("offered 0.100 Mpps, received %.3f Mpps, loss %.0f%%\n",
-		point.RxMpps, point.LossRatio*100)
-	// Output: offered 0.100 Mpps, received 0.100 Mpps, loss 0%
-}
-
-// ExampleSearchNDR finds the highest drop-free rate of the bare-metal DuT.
-func ExampleSearchNDR() {
-	topo, err := pos.NewCaseStudy(pos.BareMetal)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	defer topo.Close()
-	res, err := pos.SearchNDR(
-		pos.NDRConfig{MinPPS: 10_000, MaxPPS: 2_500_000, Precision: 0.01},
-		func(rate float64) (float64, error) {
-			p, err := topo.DirectRun(64, rate, 1)
-			if err != nil {
-				return 0, err
-			}
-			return p.LossRatio, nil
-		})
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Printf("NDR %.2f Mpps\n", res.NDRPPS/1e6)
-	// Output: NDR 1.74 Mpps
-}
-
-// ExampleWriteComparisonTable regenerates the paper's Table 1.
-func ExampleWriteComparisonTable() {
-	_ = pos.WriteComparisonTable(os.Stdout)
-	// The table lists Chameleon, CloudLab, Grid'5000, OMF, NEPI, SNDZoo,
-	// and pos against requirements R1-R5; only pos supports all five.
-}
 
 // Example_workflow runs a miniature experiment end to end — the programmatic
 // equivalent of the quickstart example.
 func Example_workflow() {
-	topo, err := pos.NewCaseStudy(pos.BareMetal)
+	topo, err := casestudy.New(casestudy.BareMetal)
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -101,12 +24,12 @@ func Example_workflow() {
 		return
 	}
 	defer os.RemoveAll(dir)
-	store, err := pos.NewResultsStore(dir)
+	store, err := results.NewStore(dir)
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	exp := topo.Experiment(pos.SweepConfig{
+	exp := topo.Experiment(casestudy.SweepConfig{
 		Sizes: []int{64}, RatesPPS: []int{10_000, 20_000}, RuntimeSec: 1,
 	})
 	sum, err := topo.Testbed.Runner().Run(context.Background(), exp, store)

@@ -13,7 +13,8 @@ import (
 	"path/filepath"
 	"sort"
 
-	"pos"
+	"pos/internal/casestudy"
+	"pos/internal/plot"
 )
 
 func main() {
@@ -23,7 +24,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	topo, err := pos.NewCaseStudy(pos.BareMetal)
+	topo, err := casestudy.New(casestudy.BareMetal)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,14 +53,14 @@ func main() {
 		samples[l.label] = ns
 	}
 
-	figures := map[string]*pos.Figure{
-		"latency-cdf":    pos.LatencyCDFFigure("Forwarding latency CDF", samples),
-		"latency-hdr":    pos.LatencyHDRFigure("Forwarding latency percentiles", samples),
-		"latency-violin": pos.LatencyViolinFigure("Forwarding latency by load", samples),
-		"latency-hist":   pos.LatencyHistogramFigure("Latency at 0.8 Mpps", samples["0.8 Mpps"], 30),
+	figures := map[string]*plot.Figure{
+		"latency-cdf":    plot.LatencyCDF("Forwarding latency CDF", samples),
+		"latency-hdr":    plot.LatencyHDR("Forwarding latency percentiles", samples),
+		"latency-violin": plot.LatencyViolin("Forwarding latency by load", samples),
+		"latency-hist":   plot.LatencyHistogram("Latency at 0.8 Mpps", samples["0.8 Mpps"], 30),
 	}
 	for base, fig := range figures {
-		for name, data := range pos.ExportFigure(base, fig) {
+		for name, data := range plot.ExportNamed(base, fig) {
 			path := filepath.Join(outDir, name)
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				log.Fatal(err)
@@ -70,7 +71,7 @@ func main() {
 
 	// The vpos counterpoint: latency measurements are unavailable, while
 	// throughput measurement still works.
-	vtopo, err := pos.NewCaseStudy(pos.Virtual)
+	vtopo, err := casestudy.New(casestudy.Virtual)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,7 +16,12 @@ import (
 	"os"
 	"path/filepath"
 
-	"pos"
+	"pos/internal/casestudy"
+	"pos/internal/eval"
+	"pos/internal/eventlog"
+	"pos/internal/plot"
+	"pos/internal/publish"
+	"pos/internal/results"
 )
 
 func main() {
@@ -33,18 +38,18 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	store, err := pos.NewResultsStore(dir)
+	store, err := results.NewStore(dir)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	sweep := pos.PaperSweep()
+	sweep := casestudy.PaperSweep()
 	if *quick {
 		sweep.RatesPPS = []int{10_000, 50_000, 100_000, 200_000, 300_000}
 		sweep.RuntimeSec = 1
 	}
 
-	for _, flavor := range []pos.Flavor{pos.BareMetal, pos.Virtual} {
+	for _, flavor := range []casestudy.Flavor{casestudy.BareMetal, casestudy.Virtual} {
 		if err := runPlatform(store, flavor, sweep); err != nil {
 			log.Fatalf("%s: %v", flavor, err)
 		}
@@ -52,16 +57,16 @@ func main() {
 	fmt.Println("\nall artifacts under", dir)
 }
 
-func runPlatform(store *pos.ResultsStore, flavor pos.Flavor, sweep pos.SweepConfig) error {
+func runPlatform(store *results.Store, flavor casestudy.Flavor, sweep casestudy.SweepConfig) error {
 	fmt.Printf("\n=== platform %s ===\n", flavor)
-	topo, err := pos.NewCaseStudy(flavor, pos.WithSeed(1))
+	topo, err := casestudy.New(flavor, casestudy.WithSeed(1))
 	if err != nil {
 		return err
 	}
 	defer topo.Close()
 
 	exp := topo.Experiment(sweep)
-	if flavor == pos.BareMetal {
+	if flavor == casestudy.BareMetal {
 		// On hardware, also collect MoonGen's latency histograms —
 		// vpos cannot (no hardware timestamps), so its scripts stay
 		// throughput-only, exactly like the paper's appendix.
@@ -74,8 +79,8 @@ pos_sync run_done 2
 	// The event pipeline is the execution record: the progress bar watches
 	// it, and the experiment journals it under events/.
 	runner := topo.Testbed.Runner()
-	runner.Events = pos.NewEventPipeline()
-	stop := runner.Events.Watch(0, func(ev pos.ExperimentEvent) {
+	runner.Events = eventlog.NewPipeline()
+	stop := runner.Events.Watch(0, func(ev eventlog.Event) {
 		if ev.Typ == "progress" && ev.TotalRuns > 0 {
 			// The paper's progress bar, in spirit.
 			fmt.Printf("\r  [%-30s] %d/%d", bar(ev.Run+1, ev.TotalRuns, 30), ev.Run+1, ev.TotalRuns)
@@ -97,26 +102,26 @@ pos_sync run_done 2
 	if err != nil {
 		return err
 	}
-	runs, err := pos.LoadRuns(rec, topo.LoadGen, "moongen.log")
+	runs, err := eval.LoadRuns(rec, topo.LoadGen, "moongen.log")
 	if err != nil {
 		return err
 	}
-	series, err := pos.ThroughputSeries(runs, "pkt_sz", "pkt_rate", 1e-6)
+	series, err := eval.ThroughputSeries(runs, "pkt_sz", "pkt_rate", 1e-6)
 	if err != nil {
 		return err
 	}
 	title := "Linux router forwarding (" + string(flavor) + ")"
-	fig := pos.ThroughputFigure(title, series)
-	for name, data := range pos.ExportFigure("figures/throughput", fig) {
+	fig := plot.Throughput(title, series)
+	for name, data := range plot.ExportNamed("figures/throughput", fig) {
 		if err := rec.AddExperimentArtifact(name, data); err != nil {
 			return err
 		}
 		fmt.Println("  wrote", filepath.Join(rec.Dir(), name))
 	}
 	// Latency plots on hardware (vpos has no latency artifacts).
-	if lat, err := pos.LoadLatency(rec, topo.LoadGen, "latency.csv"); err == nil && len(lat) > 0 {
-		cdf := pos.LatencyCDFFigure("Forwarding latency ("+string(flavor)+")", lat)
-		for name, data := range pos.ExportFigure("figures/latency-cdf", cdf) {
+	if lat, err := eval.LoadLatency(rec, topo.LoadGen, "latency.csv"); err == nil && len(lat) > 0 {
+		cdf := plot.LatencyCDF("Forwarding latency ("+string(flavor)+")", lat)
+		for name, data := range plot.ExportNamed("figures/latency-cdf", cdf) {
 			if err := rec.AddExperimentArtifact(name, data); err != nil {
 				return err
 			}
@@ -124,7 +129,7 @@ pos_sync run_done 2
 		fmt.Printf("  wrote latency CDFs for %d combinations\n", len(lat))
 	}
 	// Artifact evaluation before release.
-	check, err := pos.CheckArtifact(rec)
+	check, err := publish.Check(rec)
 	if err != nil {
 		return err
 	}
@@ -135,7 +140,7 @@ pos_sync run_done 2
 
 	// Publication phase: website + archive.
 	archive := filepath.Join(rec.Dir(), "..", exp.Name+"-"+rec.ID()+".tar.gz")
-	manifest, err := pos.Release(rec, exp.User, exp.Name, archive)
+	manifest, err := publish.Release(rec, exp.User, exp.Name, archive)
 	if err != nil {
 		return err
 	}

@@ -15,22 +15,27 @@ import (
 	"strconv"
 	"time"
 
-	"pos"
+	"pos/internal/core"
+	"pos/internal/eventlog"
+	"pos/internal/image"
+	"pos/internal/node"
+	"pos/internal/results"
+	"pos/internal/testbed"
 )
 
 const parties = 15
 
 func main() {
 	log.SetFlags(0)
-	tb := pos.NewTestbed()
+	tb := testbed.New()
 	defer tb.Close()
-	if err := tb.Images.Add(pos.DebianBusterImage()); err != nil {
+	if err := tb.Images.Add(image.DefaultDebianBuster()); err != nil {
 		log.Fatal(err)
 	}
 
 	// 15 peers: vnode00 … vnode14, each with the MPC workload deployed on
 	// boot (the analog of the binary the live image ships).
-	var hosts []pos.HostSpec
+	var hosts []core.HostSpec
 	for i := 0; i < parties; i++ {
 		name := fmt.Sprintf("vnode%02d", i)
 		h, err := tb.AddNode(name)
@@ -38,10 +43,10 @@ func main() {
 			log.Fatal(err)
 		}
 		idx := i
-		h.OnBoot(func(n *pos.Node) error {
+		h.OnBoot(func(n *node.Node) error {
 			return n.RegisterCommand("mpc_round", mpcRound(idx))
 		})
-		hosts = append(hosts, pos.HostSpec{
+		hosts = append(hosts, core.HostSpec{
 			Role:  fmt.Sprintf("party%02d", i),
 			Node:  name,
 			Image: "debian-buster",
@@ -55,10 +60,10 @@ pos_sync round_done ` + fmt.Sprint(parties) + `
 		})
 	}
 
-	exp := &pos.Experiment{
+	exp := &core.Experiment{
 		Name: "mpc-secret-sharing",
 		User: "user",
-		LoopVars: []pos.LoopVar{
+		LoopVars: []core.LoopVar{
 			{Name: "payload_bytes", Values: []string{"1024", "16384", "262144"}},
 		},
 		Hosts:    hosts,
@@ -69,13 +74,13 @@ pos_sync round_done ` + fmt.Sprint(parties) + `
 	if err != nil {
 		log.Fatal(err)
 	}
-	store, err := pos.NewResultsStore(dir)
+	store, err := results.NewStore(dir)
 	if err != nil {
 		log.Fatal(err)
 	}
 	runner := tb.Runner()
-	runner.Events = pos.NewEventPipeline()
-	stop := runner.Events.Watch(0, func(ev pos.ExperimentEvent) {
+	runner.Events = eventlog.NewPipeline()
+	stop := runner.Events.Watch(0, func(ev eventlog.Event) {
 		if ev.Typ == "progress" && ev.TotalRuns > 0 {
 			fmt.Printf("run %d/%d: %s\n", ev.Run+1, ev.TotalRuns, ev.Message)
 		}
@@ -126,8 +131,8 @@ pos_sync round_done ` + fmt.Sprint(parties) + `
 // mpcRound models one secret-sharing round: pairwise share exchange and
 // reconstruction, with cost growing in the payload size and the number of
 // parties. Deterministic per (party, payload) so the experiment reproduces.
-func mpcRound(party int) pos.NodeCommand {
-	return func(_ context.Context, n *pos.Node, args []string, stdout, _ pos.NodeWriter) error {
+func mpcRound(party int) node.Command {
+	return func(_ context.Context, n *node.Node, args []string, stdout, _ node.ErrWriter) error {
 		if len(args) != 1 {
 			return fmt.Errorf("usage: mpc_round <payload-bytes>")
 		}
@@ -147,6 +152,6 @@ func mpcRound(party int) pos.NodeCommand {
 	}
 }
 
-type writer struct{ w pos.NodeWriter }
+type writer struct{ w node.ErrWriter }
 
 func (w writer) Write(p []byte) (int, error) { return w.w.Write(p) }

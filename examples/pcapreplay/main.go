@@ -12,7 +12,9 @@ import (
 	"path/filepath"
 	"time"
 
-	"pos"
+	"pos/internal/casestudy"
+	"pos/internal/packet"
+	"pos/internal/pcap"
 )
 
 func main() {
@@ -33,7 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	r, err := pos.NewPcapReader(f)
+	r, err := pcap.NewReader(f)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,8 +48,8 @@ func main() {
 		capPath, len(packets), r.Nanoseconds())
 
 	// 3. Replay through the DuT on both platforms.
-	for _, flavor := range []pos.Flavor{pos.BareMetal, pos.Virtual} {
-		topo, err := pos.NewCaseStudy(flavor)
+	for _, flavor := range []casestudy.Flavor{casestudy.BareMetal, casestudy.Virtual} {
+		topo, err := casestudy.New(flavor)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -75,13 +77,13 @@ func record(path string) error {
 		return err
 	}
 	defer f.Close()
-	w := pos.NewPcapWriter(f, 0)
+	w := pcap.NewWriter(f, 0)
 	base := time.Date(2021, 12, 7, 9, 0, 0, 0, time.UTC)
 	sizes := []int{64, 576, 1500} // classic IMIX mix
 	for i := 0; i < 30; i++ {
-		tpl := pos.UDPTemplate{
-			SrcMAC: pos.MAC{0x02, 0, 0, 0, 0, 1}, DstMAC: pos.MAC{0x02, 0, 0, 0, 0, 2},
-			SrcIP: pos.IPv4Addr{10, 0, 0, 2}, DstIP: pos.IPv4Addr{10, 0, 1, 2},
+		tpl := packet.UDPTemplate{
+			SrcMAC: packet.MAC{0x02, 0, 0, 0, 0, 1}, DstMAC: packet.MAC{0x02, 0, 0, 0, 0, 2},
+			SrcIP: packet.IPv4Addr{10, 0, 0, 2}, DstIP: packet.IPv4Addr{10, 0, 1, 2},
 			SrcPort: uint16(10000 + i), DstPort: 4321,
 			FrameSize: sizes[i%len(sizes)],
 		}
@@ -89,7 +91,7 @@ func record(path string) error {
 		if err != nil {
 			return err
 		}
-		err = w.WritePacket(pos.PcapPacket{
+		err = w.WritePacket(pcap.Packet{
 			Timestamp: base.Add(time.Duration(i) * time.Millisecond),
 			Data:      frame,
 		})

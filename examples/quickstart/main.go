@@ -10,14 +10,18 @@ import (
 	"log"
 	"os"
 
-	"pos"
+	"pos/internal/casestudy"
+	"pos/internal/core"
+	"pos/internal/eval"
+	"pos/internal/eventlog"
+	"pos/internal/results"
 )
 
 func main() {
 	log.SetFlags(0)
 
 	// Build the paper's two-node topology on the bare-metal platform.
-	topo, err := pos.NewCaseStudy(pos.BareMetal)
+	topo, err := casestudy.New(casestudy.BareMetal)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -28,25 +32,25 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	store, err := pos.NewResultsStore(dir)
+	store, err := results.NewStore(dir)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// A small sweep: 2 packet sizes x 3 rates = 6 measurement runs.
-	exp := topo.Experiment(pos.SweepConfig{
+	exp := topo.Experiment(casestudy.SweepConfig{
 		Sizes:      []int{64, 1500},
 		RatesPPS:   []int{10_000, 100_000, 300_000},
 		RuntimeSec: 1,
 	})
 	fmt.Printf("experiment %q: %d runs over hosts %v\n",
-		exp.Name, pos.NumRuns(exp.LoopVars), exp.NodeNames())
+		exp.Name, core.NumRuns(exp.LoopVars), exp.NodeNames())
 
 	// The event pipeline is the run's execution record: watch it live, and
 	// find it journaled under the experiment's events/ afterwards.
 	runner := topo.Testbed.Runner()
-	runner.Events = pos.NewEventPipeline()
-	stop := runner.Events.Watch(0, func(ev pos.ExperimentEvent) {
+	runner.Events = eventlog.NewPipeline()
+	stop := runner.Events.Watch(0, func(ev eventlog.Event) {
 		if ev.Typ == "progress" && ev.TotalRuns > 0 {
 			fmt.Printf("  run %2d/%d  %s\n", ev.Run+1, ev.TotalRuns, ev.Message)
 		}
@@ -70,11 +74,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	runs, err := pos.LoadRuns(rec, topo.LoadGen, "moongen.log")
+	runs, err := eval.LoadRuns(rec, topo.LoadGen, "moongen.log")
 	if err != nil {
 		log.Fatal(err)
 	}
-	series, err := pos.ThroughputSeries(runs, "pkt_sz", "pkt_rate", 1e-6)
+	series, err := eval.ThroughputSeries(runs, "pkt_sz", "pkt_rate", 1e-6)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,7 +12,9 @@ import (
 	"os"
 	"path/filepath"
 
-	"pos"
+	"pos/internal/eval"
+	"pos/internal/publish"
+	"pos/internal/vpos"
 )
 
 func main() {
@@ -23,11 +25,11 @@ func main() {
 	}
 
 	// Operator side: run the service.
-	mgr, err := pos.NewVposManager(base)
+	mgr, err := vpos.NewManager(base)
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv, err := pos.ServeVpos(mgr)
+	srv, err := vpos.Serve(mgr)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,7 +37,7 @@ func main() {
 	fmt.Println("virtual testbed service at http://" + srv.Addr())
 
 	// Researcher side: everything below goes over HTTP.
-	c := pos.NewVposClient(srv.Addr())
+	c := vpos.NewClient(srv.Addr())
 	inst, err := c.Create()
 	if err != nil {
 		log.Fatal(err)
@@ -63,11 +65,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	runs, err := pos.LoadRuns(rec, "vriga", "moongen.log")
+	runs, err := eval.LoadRuns(rec, "vriga", "moongen.log")
 	if err != nil {
 		log.Fatal(err)
 	}
-	series, err := pos.ThroughputSeries(runs, "pkt_sz", "pkt_rate", 1e-6)
+	series, err := eval.ThroughputSeries(runs, "pkt_sz", "pkt_rate", 1e-6)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,7 +83,7 @@ func main() {
 	}
 
 	// Artifact evaluation before release.
-	check, err := pos.CheckArtifact(rec)
+	check, err := publish.Check(rec)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,7 +92,7 @@ func main() {
 		log.Fatal("artifact incomplete")
 	}
 	archive := filepath.Join(base, inst.ID+"-artifacts.tar.gz")
-	m, err := pos.Release(rec, "user", info.Experiment, archive)
+	m, err := publish.Release(rec, "user", info.Experiment, archive)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@ package pos_test
 
 import (
 	"context"
+	"encoding/json"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -14,11 +15,11 @@ import (
 	"testing"
 	"time"
 
-	"pos"
-
+	"pos/internal/health"
 	"pos/internal/results"
 	"pos/internal/sched"
 	"pos/internal/sim"
+	"pos/internal/telemetry"
 )
 
 // findArtifacts walks an experiment store root and returns every file with
@@ -50,13 +51,13 @@ func slowReplica(name, node string, delay time.Duration) sched.Replica {
 }
 
 func TestHealthWatchdogTripDumpsFlightRecord(t *testing.T) {
-	pos.SetTelemetryEnabled(true)
+	telemetry.Default.SetEnabled(true)
 	dir := t.TempDir()
 	store, err := results.NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wd := pos.NewWatchdog(10 * time.Millisecond)
+	wd := health.NewWatchdog(10 * time.Millisecond)
 	wd.Start()
 	defer wd.Stop()
 
@@ -99,7 +100,7 @@ func TestHealthWatchdogTripDumpsFlightRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, err := pos.DecodeFlightRecord(data)
+	fr, err := health.DecodeFlightRecord(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,13 +145,13 @@ func TestHealthWatchdogTripDumpsFlightRecord(t *testing.T) {
 }
 
 func TestHealthyCampaignArchivesResourcesWithoutTrips(t *testing.T) {
-	pos.SetTelemetryEnabled(true)
+	telemetry.Default.SetEnabled(true)
 	dir := t.TempDir()
 	store, err := results.NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wd := pos.NewWatchdog(10 * time.Millisecond)
+	wd := health.NewWatchdog(10 * time.Millisecond)
 	wd.Start()
 	defer wd.Stop()
 
@@ -185,8 +186,8 @@ func assertRunResources(t *testing.T, root string, want int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := pos.ReadRuntimeDelta(data)
-		if err != nil {
+		var d telemetry.RuntimeDelta
+		if err := json.Unmarshal(data, &d); err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
 		if d.WallSeconds <= 0 {

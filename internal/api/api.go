@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -483,6 +484,10 @@ func (s *Server) listResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ids, err := s.store.ListExperiments(r.PathValue("user"), r.PathValue("exp"))
+	if errors.Is(err, fs.ErrInvalid) {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -253,6 +255,54 @@ func TestResultsEndpoints(t *testing.T) {
 	}
 	if _, err := c.Runs("user", "exp", "nope"); err == nil {
 		t.Error("missing execution id succeeded")
+	}
+}
+
+// TestResultsPathsStayInsideStore: the mux decodes %2F inside {user}, so a
+// path segment can carry a traversal. The store refuses it: listing answers
+// 400, and no request lists, sweeps or reads anything outside the store root
+// or inside its dot directories.
+func TestResultsPathsStayInsideStore(t *testing.T) {
+	tb := testbed.New()
+	t.Cleanup(tb.Close)
+	srv, err := Serve(tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	parent := t.TempDir()
+	store, err := results.NewStore(filepath.Join(parent, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.SetResults(store)
+	victim := filepath.Join(parent, "outside", "exp", "id1", ".tmp-victim")
+	if err := os.MkdirAll(filepath.Dir(victim), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(victim, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(store.Root(), ".posblob", "sha256", "ab"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string]int{
+		"/api/v1/results/..%2Foutside/exp":          http.StatusBadRequest,
+		"/api/v1/results/.posblob/sha256":           http.StatusBadRequest,
+		"/api/v1/results/..%2Foutside/exp/id1/runs": http.StatusNotFound,
+	} {
+		resp, err := http.Get("http://" + srv.Addr() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET %s = %d %s, want %d", path, resp.StatusCode, body, want)
+		}
+	}
+	if _, err := os.Stat(victim); err != nil {
+		t.Errorf("a results request swept a file outside the store: %v", err)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"pos/internal/core"
 	"pos/internal/eval"
+	"pos/internal/loadgen"
 	"pos/internal/moonparse"
 	"pos/internal/packet"
 	"pos/internal/pcap"
@@ -372,6 +373,25 @@ func TestSwitchedTopologyAblation(t *testing.T) {
 }
 
 func netemCutThrough() sim.Duration { return 300 * sim.Nanosecond }
+
+// TestGeneratorProfiles: every fidelity profile plugs into the topology and
+// delivers a drop-free rate in full, whatever its burstiness.
+func TestGeneratorProfiles(t *testing.T) {
+	for _, p := range []loadgen.Profile{loadgen.MoonGenProfile(), loadgen.OSNTProfile(), loadgen.IPerfProfile()} {
+		topo, err := New(BareMetal, WithGenerator(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		point, err := topo.DirectRun(64, 20_000, 1)
+		topo.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		if point.RxMpps < 0.019 || point.RxMpps > 0.021 {
+			t.Errorf("%s: rx = %v", p.Name, point.RxMpps)
+		}
+	}
+}
 
 // TestReplayRunEmptyRecord: pcap.NewReader accepts a zero-length record.
 // Replayed after a good frame, it must count as a bad packet at the router,

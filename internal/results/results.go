@@ -307,15 +307,26 @@ func (s *Store) newExperiment(dir, user, name, id string) *Experiment {
 	return e
 }
 
+// checkSegments vets the user, experiment name and id that address an
+// experiment directory: each must be one non-empty path element that does
+// not start with a dot, so no request can reach outside the store root or
+// into its internals (.posindex, .posblob, control dirs). The error wraps
+// fs.ErrInvalid.
+func checkSegments(segs ...string) error {
+	for _, seg := range segs {
+		if seg == "" || strings.HasPrefix(seg, ".") || strings.ContainsAny(seg, `/\`) {
+			return fmt.Errorf("results: bad user, experiment or id %q: %w", seg, fs.ErrInvalid)
+		}
+	}
+	return nil
+}
+
 // CreateExperiment allocates a fresh timestamped experiment directory. The
 // timestamp format matches the paper's artifacts
 // (e.g. 2020-10-12_11-20-32_230471).
 func (s *Store) CreateExperiment(user, name string, at time.Time) (*Experiment, error) {
-	if user == "" || name == "" {
-		return nil, fmt.Errorf("results: user and experiment name required")
-	}
-	if strings.HasPrefix(user, ".") || strings.HasPrefix(name, ".") {
-		return nil, fmt.Errorf("results: user and experiment name must not start with a dot (reserved for store internals)")
+	if err := checkSegments(user, name); err != nil {
+		return nil, err
 	}
 	id := at.Format("2006-01-02_15-04-05") + fmt.Sprintf("_%06d", at.Nanosecond()/1000)
 	dir := filepath.Join(s.root, user, name, id)
@@ -337,6 +348,9 @@ func (s *Store) CreateExperiment(user, name string, at time.Time) (*Experiment, 
 // manifest is loaded (or rebuilt from a tree scan) on first use; orphaned
 // temp files from a crashed writer are swept.
 func (s *Store) OpenExperiment(user, name, id string) (*Experiment, error) {
+	if err := checkSegments(user, name, id); err != nil {
+		return nil, err
+	}
 	key := handleKey(user, name, id)
 	if live := s.liveHandle(key); live != nil {
 		return live, nil
@@ -352,6 +366,9 @@ func (s *Store) OpenExperiment(user, name, id string) (*Experiment, error) {
 // ListExperiments returns the IDs recorded for user/name, sorted ascending
 // (timestamps sort chronologically).
 func (s *Store) ListExperiments(user, name string) ([]string, error) {
+	if err := checkSegments(user, name); err != nil {
+		return nil, err
+	}
 	entries, err := os.ReadDir(filepath.Join(s.root, user, name))
 	if err != nil {
 		if os.IsNotExist(err) {

@@ -1,6 +1,10 @@
 package results
 
 import (
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -167,6 +171,47 @@ func TestCreateExperimentValidation(t *testing.T) {
 	}
 	if _, err := s.CreateExperiment("u", "", when); err == nil {
 		t.Error("accepted empty name")
+	}
+}
+
+// TestPathSegmentsStayInsideRoot: a user, experiment name or id is one path
+// element. A traversal, a separator or one of the store's own dot
+// directories is refused with fs.ErrInvalid before the store touches the
+// disk, so nothing outside the root is listed, created or swept.
+func TestPathSegmentsStayInsideRoot(t *testing.T) {
+	parent := t.TempDir()
+	s, err := NewStore(filepath.Join(parent, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	outside := filepath.Join(parent, "outside", "exp", "id1")
+	if err := os.MkdirAll(outside, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	victim := filepath.Join(outside, tmpPrefix+"victim")
+	if err := os.WriteFile(victim, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range []string{"", ".", "..", "../outside", "a/../../escape", `a\b`, ".posblob", ".posindex"} {
+		calls := map[string]error{}
+		_, calls["CreateExperiment user"] = s.CreateExperiment(seg, "exp", when)
+		_, calls["CreateExperiment name"] = s.CreateExperiment("u", seg, when)
+		_, calls["ListExperiments user"] = s.ListExperiments(seg, "exp")
+		_, calls["ListExperiments name"] = s.ListExperiments("outside", seg)
+		_, calls["OpenExperiment user"] = s.OpenExperiment(seg, "exp", "id1")
+		_, calls["OpenExperiment id"] = s.OpenExperiment("u", "exp", seg)
+		_, calls["Prune user"] = s.Prune(seg, "exp", 0)
+		for call, err := range calls {
+			if !errors.Is(err, fs.ErrInvalid) {
+				t.Errorf("%s %q: err = %v, want fs.ErrInvalid", call, seg, err)
+			}
+		}
+	}
+	if _, err := os.Stat(victim); err != nil {
+		t.Errorf("a store call swept a file outside the root: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(parent, "escape")); !os.IsNotExist(err) {
+		t.Errorf("a store call created a tree outside the root: %v", err)
 	}
 }
 

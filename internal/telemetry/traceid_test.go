@@ -3,8 +3,37 @@ package telemetry
 import (
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 )
+
+// FuzzParseTraceParent feeds the parser arbitrary header values. It must
+// never panic; what it accepts must be a lowercase-hex 32-character trace ID
+// and 16-character span ID, neither all zero; and formatting an accepted pair
+// must parse back to the same pair. The seeds live in testdata/fuzz.
+func FuzzParseTraceParent(f *testing.F) {
+	f.Fuzz(func(t *testing.T, header string) {
+		tid, sid, ok := ParseTraceParent(header)
+		if !ok {
+			return
+		}
+		for _, id := range []struct {
+			name, val string
+			n         int
+		}{{"trace", tid, 32}, {"span", sid, 16}} {
+			if len(id.val) != id.n || strings.Trim(id.val, "0123456789abcdef") != "" {
+				t.Fatalf("%q: %s ID %q is not %d lowercase hex characters", header, id.name, id.val, id.n)
+			}
+			if strings.Trim(id.val, "0") == "" {
+				t.Fatalf("%q: accepted an all-zero %s ID", header, id.name)
+			}
+		}
+		gotT, gotS, ok := ParseTraceParent(FormatTraceParent(tid, sid))
+		if !ok || gotT != tid || gotS != sid {
+			t.Fatalf("%q: reformatted pair parses to (%q, %q, %v), want (%q, %q, true)", header, gotT, gotS, ok, tid, sid)
+		}
+	})
+}
 
 func TestTraceParentRoundTrip(t *testing.T) {
 	tid, sid := NewTraceID(), NewSpanID()

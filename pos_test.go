@@ -1,27 +1,30 @@
 package pos_test
 
 import (
-	"bytes"
 	"context"
 	"strings"
 	"testing"
 
-	"pos"
+	"pos/internal/casestudy"
+	"pos/internal/eval"
+	"pos/internal/plot"
+	"pos/internal/publish"
+	"pos/internal/results"
 )
 
-// TestPublicAPIWorkflow drives the complete pipeline exactly as the README
-// documents it, using only the public façade.
+// TestPublicAPIWorkflow drives the complete pipeline a user of the toolchain
+// walks: run a sweep, load and plot its results, publish the experiment.
 func TestPublicAPIWorkflow(t *testing.T) {
-	topo, err := pos.NewCaseStudy(pos.BareMetal)
+	topo, err := casestudy.New(casestudy.BareMetal)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer topo.Close()
-	store, err := pos.NewResultsStore(t.TempDir())
+	store, err := results.NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp := topo.Experiment(pos.SweepConfig{
+	exp := topo.Experiment(casestudy.SweepConfig{
 		Sizes:      []int{64, 1500},
 		RatesPPS:   []int{10_000, 300_000},
 		RuntimeSec: 1,
@@ -42,19 +45,19 @@ func TestPublicAPIWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs, err := pos.LoadRuns(rec, topo.LoadGen, "moongen.log")
+	runs, err := eval.LoadRuns(rec, topo.LoadGen, "moongen.log")
 	if err != nil {
 		t.Fatal(err)
 	}
-	series, err := pos.ThroughputSeries(runs, "pkt_sz", "pkt_rate", 1e-6)
+	series, err := eval.ThroughputSeries(runs, "pkt_sz", "pkt_rate", 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(series) != 2 {
 		t.Fatalf("series = %+v", series)
 	}
-	fig := pos.ThroughputFigure("test", series)
-	files := pos.ExportFigure("fig", fig)
+	fig := plot.Throughput("test", series)
+	files := plot.ExportNamed("fig", fig)
 	if len(files) != 3 || !strings.Contains(string(files["fig.svg"]), "<svg") {
 		t.Errorf("export = %v", files)
 	}
@@ -63,7 +66,7 @@ func TestPublicAPIWorkflow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m, err := pos.Release(rec, exp.User, exp.Name, t.TempDir()+"/bundle.tar.gz")
+	m, err := publish.Release(rec, exp.User, exp.Name, t.TempDir()+"/bundle.tar.gz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +80,7 @@ func TestPublicAPIWorkflow(t *testing.T) {
 // testbeds yield identical measurement results.
 func TestReproducibility(t *testing.T) {
 	measure := func() []float64 {
-		topo, err := pos.NewCaseStudy(pos.Virtual, pos.WithSeed(99))
+		topo, err := casestudy.New(casestudy.Virtual, casestudy.WithSeed(99))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +110,7 @@ func TestReproducibility(t *testing.T) {
 // stay equal.
 func TestSeedChangesVirtualResults(t *testing.T) {
 	run := func(seed uint64, rate float64) float64 {
-		topo, err := pos.NewCaseStudy(pos.Virtual, pos.WithSeed(seed))
+		topo, err := casestudy.New(casestudy.Virtual, casestudy.WithSeed(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,134 +126,5 @@ func TestSeedChangesVirtualResults(t *testing.T) {
 	}
 	if run(1, 20_000) != run(2, 20_000) {
 		t.Error("drop-free vpos differs across seeds — determinism broken below capacity")
-	}
-}
-
-func TestComparisonTableFacade(t *testing.T) {
-	var buf bytes.Buffer
-	if err := pos.WriteComparisonTable(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "pos") {
-		t.Error("table missing pos row")
-	}
-}
-
-func TestMergeVarsFacade(t *testing.T) {
-	m := pos.MergeVars(pos.Vars{"a": "1"}, pos.Vars{"a": "2", "b": "3"})
-	if m["a"] != "2" || m["b"] != "3" {
-		t.Errorf("merge = %v", m)
-	}
-}
-
-func TestCrossProductFacade(t *testing.T) {
-	combos, err := pos.CrossProduct([]pos.LoopVar{
-		{Name: "x", Values: []string{"1", "2"}},
-		{Name: "y", Values: []string{"a", "b", "c"}},
-	})
-	if err != nil || len(combos) != 6 {
-		t.Fatalf("combos = %v, %v", combos, err)
-	}
-	if pos.NumRuns([]pos.LoopVar{{Name: "x", Values: []string{"1", "2"}}}) != 2 {
-		t.Error("NumRuns wrong")
-	}
-}
-
-func TestLineRateFacade(t *testing.T) {
-	got := pos.LineRatePPS(10e9, 1500)
-	if got < 0.82e6 || got > 0.83e6 {
-		t.Errorf("line rate = %v", got)
-	}
-}
-
-// TestExperimentDirRoundTripPublicAPI saves and reloads an experiment
-// definition through the façade.
-func TestExperimentDirRoundTripPublicAPI(t *testing.T) {
-	topo, err := pos.NewCaseStudy(pos.BareMetal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer topo.Close()
-	exp := topo.Experiment(pos.SweepConfig{Sizes: []int{64}, RatesPPS: []int{10_000}, RuntimeSec: 1})
-	dir := t.TempDir() + "/exp"
-	if err := pos.SaveExperimentDir(exp, dir); err != nil {
-		t.Fatal(err)
-	}
-	got, err := pos.LoadExperimentDir(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != exp.Name || len(got.Hosts) != len(exp.Hosts) {
-		t.Errorf("round trip = %+v", got)
-	}
-}
-
-func TestAggregateSeriesPublicAPI(t *testing.T) {
-	rep := func(y float64) []pos.Series {
-		return []pos.Series{{Name: "64", Points: []pos.Point{{X: 1, Y: y}}}}
-	}
-	agg, err := pos.AggregateSeries([][]pos.Series{rep(1), rep(3)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg[0].Points[0].Y != 2 || agg[0].Points[0].YErr == 0 {
-		t.Errorf("agg = %+v", agg[0].Points[0])
-	}
-}
-
-func TestArtifactCheckPublicAPI(t *testing.T) {
-	topo, err := pos.NewCaseStudy(pos.BareMetal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer topo.Close()
-	store, _ := pos.NewResultsStore(t.TempDir())
-	exp := topo.Experiment(pos.SweepConfig{Sizes: []int{64}, RatesPPS: []int{10_000}, RuntimeSec: 1})
-	if _, err := topo.Testbed.Runner().Run(context.Background(), exp, store); err != nil {
-		t.Fatal(err)
-	}
-	ids, _ := store.ListExperiments(exp.User, exp.Name)
-	rec, err := store.OpenExperiment(exp.User, exp.Name, ids[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := pos.CheckArtifact(rec)
-	if err != nil || !rep.OK() {
-		t.Errorf("check = %+v, %v", rep, err)
-	}
-}
-
-func TestVerifyRepeatabilityPublicAPI(t *testing.T) {
-	topo, err := pos.NewCaseStudy(pos.BareMetal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer topo.Close()
-	store, _ := pos.NewResultsStore(t.TempDir())
-	exp := topo.Experiment(pos.SweepConfig{Sizes: []int{64}, RatesPPS: []int{10_000}, RuntimeSec: 1})
-	rep, err := pos.VerifyRepeatability(context.Background(), topo.Testbed.Runner(), exp, store,
-		pos.RepeatConfig{Repetitions: 2, Node: topo.LoadGen, Artifact: "moongen.log"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Identical {
-		t.Errorf("bare metal not repeatable: %+v", rep)
-	}
-}
-
-func TestGeneratorProfilesPublicAPI(t *testing.T) {
-	for _, p := range []pos.GeneratorProfile{pos.MoonGenProfile(), pos.OSNTProfile(), pos.IPerfProfile()} {
-		topo, err := pos.NewCaseStudy(pos.BareMetal, pos.WithGenerator(p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		point, err := topo.DirectRun(64, 20_000, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", p.Name, err)
-		}
-		if point.RxMpps < 0.019 || point.RxMpps > 0.021 {
-			t.Errorf("%s: rx = %v", p.Name, point.RxMpps)
-		}
-		topo.Close()
 	}
 }

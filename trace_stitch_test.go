@@ -14,12 +14,11 @@ import (
 	"testing"
 	"time"
 
-	"pos"
-
 	"pos/internal/eventlog"
 	"pos/internal/results"
 	"pos/internal/sched"
 	"pos/internal/telemetry"
+	"pos/internal/timeline"
 )
 
 // runTracedCampaign dispatches a 2-replica campaign the way the queue does —
@@ -53,11 +52,11 @@ func runTracedCampaign(t *testing.T, tp string, submitted time.Time, delay time.
 }
 
 func TestQueueSubmittedCampaignStitchesOneTrace(t *testing.T) {
-	pos.SetTelemetryEnabled(true)
+	telemetry.Default.SetEnabled(true)
 	// The posctl side of the story: the submit command's own trace. The real
 	// CLI finishes it as soon as the submit RPC returns — BEFORE the campaign
 	// runs — so the posctl:submit span must not clamp the analysis interval.
-	submit := pos.NewSpanTrace("posctl:submit")
+	submit := telemetry.NewTrace("posctl:submit")
 	submit.SetProcess("posctl")
 	tp := submit.Root().TraceParent()
 	submit.Finish()
@@ -75,7 +74,7 @@ func TestQueueSubmittedCampaignStitchesOneTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tl, err := pos.AssembleTimeline(expdir)
+	tl, err := timeline.Assemble(expdir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +91,7 @@ func TestQueueSubmittedCampaignStitchesOneTrace(t *testing.T) {
 	if tl.Root != "campaign:parallel-bench" {
 		t.Fatalf("timeline root = %q, want the campaign span", tl.Root)
 	}
-	recs, err := pos.ReadSpanArchives(expdir)
+	recs, err := timeline.ReadSpans(expdir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,21 +141,21 @@ func TestQueueSubmittedCampaignStitchesOneTrace(t *testing.T) {
 
 	// Baseline check against the same archive: byte-identical inputs are
 	// quiet at any threshold.
-	again, err := pos.AssembleTimeline(expdir)
+	again, err := timeline.Assemble(expdir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := pos.CompareTimelines(tl, again, 0); d.Flagged {
+	if d := timeline.Compare(tl, again, 0); d.Flagged {
 		t.Errorf("drift flagged between identical assemblies: %+v", d)
 	}
 }
 
 func TestBaselineDriftFlagsInjectedSlowdown(t *testing.T) {
-	pos.SetTelemetryEnabled(true)
-	run := func(delay time.Duration) *pos.CampaignTimeline {
-		tr := pos.NewSpanTrace("posctl:submit")
+	telemetry.Default.SetEnabled(true)
+	run := func(delay time.Duration) *timeline.Timeline {
+		tr := telemetry.NewTrace("posctl:submit")
 		expdir := runTracedCampaign(t, tr.Root().TraceParent(), time.Now(), delay)
-		tl, err := pos.AssembleTimeline(expdir)
+		tl, err := timeline.Assemble(expdir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +166,7 @@ func TestBaselineDriftFlagsInjectedSlowdown(t *testing.T) {
 	// of a DuT misconfiguration that posctl analyze -baseline must catch.
 	slow := run(30 * time.Millisecond)
 
-	d := pos.CompareTimelines(base, slow, 0.25)
+	d := timeline.Compare(base, slow, 0.25)
 	if !d.Flagged {
 		t.Fatalf("15x measurement slowdown not flagged: %+v", d)
 	}
