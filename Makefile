@@ -97,8 +97,11 @@ profile-dataplane:
 # library code — internal/ packages log through the structured eventlog
 # spine (log/slog into the event pipeline), never stdout/stderr directly —
 # no runtime introspection outside internal/telemetry, so resource
-# attribution has exactly one owner, and no internal/ package that only
-# tests import: code nothing ships is deleted, not kept.
+# attribution has exactly one owner, no engine-mode switch outside the
+# engine and the topology builder — the scalar event-per-hop path is the
+# differential tests' oracle, reached only through Engine.SetBatching in a
+# test — and no internal/ package that only tests import: code nothing
+# ships is deleted, not kept.
 .PHONY: lint
 lint:
 	go vet ./...
@@ -119,6 +122,11 @@ lint:
 		| grep -vE '"GET /metrics|"GET /api/v1/metrics|"GET /api/v1/events|"GET /debug/pprof'; true); \
 	if [ -n "$$out" ]; then \
 		echo "internal/api endpoint registered without a request span (route it through handle(), which wraps s.instrument; streaming/scrape endpoints join the allowlist in the Makefile):"; \
+		echo "$$out"; exit 1; fi
+	@out=$$(grep -rn 'SetBatching(' --include='*.go' --exclude-dir=.bench_build . \
+		| grep -v _test.go | grep -vE '^\./internal/(sim|topo)/'; true); \
+	if [ -n "$$out" ]; then \
+		echo "SetBatching outside internal/sim and internal/topo (the scalar engine is a test-only oracle):"; \
 		echo "$$out"; exit 1; fi
 	@out=$$(for dir in internal/*/; do \
 		pkg=pos/$${dir%/}; \

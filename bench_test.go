@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -307,7 +306,7 @@ func BenchmarkMindTheGap(b *testing.B) {
 		p := p
 		b.Run(p.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				topo, err := casestudy.New(casestudy.BareMetal, casestudy.WithGenerator(p))
+				topo, err := casestudy.New(casestudy.BareMetal, casestudy.WithGenerator(p.Name))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -559,50 +558,6 @@ func benchReplica(name, node string, delay time.Duration) sched.Replica {
 	}
 }
 
-// dataplaneSweep is the sim-bound workload behind the data-plane benches: a
-// bare-metal throughput sweep whose highest rates sit on the 1.75 Mpps CPU
-// plateau, so the engine moves millions of simulated packets per measurement
-// second with no wall-clock sleeps involved.
-func dataplaneSweep() casestudy.SweepConfig {
-	return casestudy.SweepConfig{
-		Sizes:      []int{64, 1500},
-		RatesPPS:   []int{100_000, 600_000, 1_200_000, 1_800_000},
-		RuntimeSec: 1,
-	}
-}
-
-// BenchmarkDataPlane compares one plateau-rate measurement run through the
-// scalar event-per-hop engine and the batched cut-through engine. allocs/op
-// is the headline: the batched run recycles events, trains and delivery
-// records, so its per-run allocations stay flat regardless of packet count.
-// One run is 1000 one-millisecond ticks, i.e. 1000 packet trains.
-func BenchmarkDataPlane(b *testing.B) {
-	run := func(b *testing.B, opts ...casestudy.Option) {
-		topo, err := casestudy.New(casestudy.BareMetal, opts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer topo.Close()
-		b.ReportAllocs()
-		var before runtime.MemStats
-		runtime.ReadMemStats(&before)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := topo.DirectRun(64, 1_800_000, 1); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		var after runtime.MemStats
-		runtime.ReadMemStats(&after)
-		allocsPerRun := float64(after.Mallocs-before.Mallocs) / float64(b.N)
-		const trainsPerRun = 1000
-		b.ReportMetric(allocsPerRun/trainsPerRun, "allocs/train")
-	}
-	b.Run("Scalar", func(b *testing.B) { run(b, casestudy.WithScalarEngine()) })
-	b.Run("Batched", func(b *testing.B) { run(b) })
-}
-
 // dataPlaneAllocsPerRun is the allocation budget of one warmed batched
 // measurement run (1000 packet trains): 15 measured with go1.24.0 on the
 // commit after 0418213, plus 15 %. Every one of them is spent starting the
@@ -629,55 +584,4 @@ func TestDataPlaneAllocations(t *testing.T) {
 	if perRun > dataPlaneAllocsPerRun {
 		t.Fatalf("batched run allocates %.0f times, budget is %d", perRun, dataPlaneAllocsPerRun)
 	}
-}
-
-// BenchmarkDataPlaneSweep runs the same sim-bound sweep two ways:
-// sequentially on the scalar event-per-hop engine, and dealt over one
-// batched replica timeline per core with casestudy.ShardedSweep.
-func BenchmarkDataPlaneSweep(b *testing.B) {
-	cfg := dataplaneSweep()
-	// One replica per available core; on a single core the sweep runs on
-	// one batched timeline.
-	shards := runtime.GOMAXPROCS(0)
-	if shards < 1 {
-		shards = 1
-	}
-	runScalar := func(b *testing.B) {
-		topo, err := casestudy.New(casestudy.BareMetal, casestudy.WithScalarEngine())
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer topo.Close()
-		for _, size := range cfg.Sizes {
-			for _, rate := range cfg.RatesPPS {
-				if _, err := topo.DirectRun(size, float64(rate), cfg.RuntimeSec); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	runSharded := func(b *testing.B) {
-		topos, err := casestudy.NewReplicas(casestudy.BareMetal, shards)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer func() {
-			for _, t := range topos {
-				t.Close()
-			}
-		}()
-		if _, err := casestudy.ShardedSweep(topos, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("ScalarSequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			runScalar(b)
-		}
-	})
-	b.Run("BatchedSharded", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			runSharded(b)
-		}
-	})
 }

@@ -202,18 +202,10 @@ func cmdRun(args []string) error {
 	spec := specFlag(fs)
 	dir := fs.String("results", "", "results root (default: temp dir)")
 	durable := fs.Bool("durable", false, "fsync result files and directories on every write")
-	scalarEngine := fs.Bool("scalar", false, "run the chain on the scalar event-per-hop engine — the byte-identical oracle for the batched default")
 	fs.Parse(args)
 	s, err := spec()
 	if err != nil {
 		return fmt.Errorf("run: %w", err)
-	}
-	var topoOpts []casestudy.Option
-	if *scalarEngine {
-		if s.Chain == 0 {
-			return fmt.Errorf("run: -scalar requires a chain in the spec")
-		}
-		topoOpts = append(topoOpts, casestudy.WithScalarEngine())
 	}
 	var storeOpts []results.Option
 	if *durable {
@@ -223,7 +215,7 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	return launch(s, nil, store, topoOpts...)
+	return launch(s, nil, store)
 }
 
 // specFlag declares -f, the campaign.yml a command runs, and returns its
@@ -260,7 +252,7 @@ func openStore(root, pattern string, opts ...results.Option) (*results.Store, er
 // launch runs the spec — on exp when given, else its case-study sweep —
 // with the console watching the event pipeline the experiment journals
 // under events/.
-func launch(spec casestudy.Spec, exp *core.Experiment, store *results.Store, opts ...casestudy.Option) error {
+func launch(spec casestudy.Spec, exp *core.Experiment, store *results.Store) error {
 	if spec.Epoch != "" {
 		// Span durations measure real elapsed time; with the clock pinned
 		// they are the one artifact that cannot reproduce, so drop them.
@@ -271,7 +263,7 @@ func launch(spec casestudy.Spec, exp *core.Experiment, store *results.Store, opt
 	}
 	events := eventlog.NewPipeline()
 	stop := events.Watch(0, printProgress)
-	sum, err := casestudy.Launch(context.Background(), spec, exp, store, events, opts...)
+	sum, err := casestudy.Launch(context.Background(), spec, exp, store, events)
 	stop()
 	if err != nil {
 		return err
@@ -296,8 +288,8 @@ func printProgress(ev eventlog.Event) {
 }
 
 // cmdDiff compares two experiment result trees byte for byte — the check
-// behind the data-plane contract: the same experiment on the batched engine
-// and on the scalar oracle (-scalar) must publish identical artifacts.
+// behind reproducibility: the same spec with the same seed and epoch must
+// publish identical artifacts, run after run and build after build.
 func cmdDiff(args []string) error {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
 	a := fs.String("a", "", "first experiment directory (required)")
@@ -823,10 +815,11 @@ func cmdCheck(args []string) error {
 	return nil
 }
 
+// cmdTopo lints a topology description. topo.Parse makes every check
+// topo.Build makes, so an accepted file builds.
 func cmdTopo(args []string) error {
 	fs := flag.NewFlagSet("topo", flag.ExitOnError)
 	file := fs.String("file", "", "topology description (required)")
-	build := fs.Bool("build", false, "also instantiate the topology as a smoke test")
 	fs.Parse(args)
 	if *file == "" {
 		return fmt.Errorf("topo: -file required")
@@ -845,12 +838,6 @@ func cmdTopo(args []string) error {
 		fmt.Println("wiring: direct, non-switched (pos discipline, R2)")
 	} else {
 		fmt.Printf("wiring: switched via %v — experiment isolation is weakened (R2)\n", switches)
-	}
-	if *build {
-		if _, err := spec.Build(); err != nil {
-			return err
-		}
-		fmt.Println("build: ok")
 	}
 	fmt.Print("canonical form:\n" + string(spec.Render()))
 	return nil

@@ -24,20 +24,23 @@ import (
 // two-node rig and on the multi-hop router chain, plus the parallel replica
 // sweep against its sequential twin.
 
-// builder constructs one topology; the differentials call it twice, once
-// plain (batched) and once with casestudy.WithScalarEngine appended.
-type builder func(opts ...casestudy.Option) (*casestudy.Topology, error)
+// builder constructs one topology; the differentials call it twice and turn
+// the second copy into the scalar oracle with scalarOracle.
+type builder func() (*casestudy.Topology, error)
 
-func twoNode(flavor casestudy.Flavor, base ...casestudy.Option) builder {
-	return func(opts ...casestudy.Option) (*casestudy.Topology, error) {
-		return casestudy.New(flavor, append(base[:len(base):len(base)], opts...)...)
-	}
+func twoNode(flavor casestudy.Flavor, opts ...casestudy.Option) builder {
+	return func() (*casestudy.Topology, error) { return casestudy.New(flavor, opts...) }
 }
 
-func chainOf(flavor casestudy.Flavor, cfg casestudy.ChainConfig, base ...casestudy.Option) builder {
-	return func(opts ...casestudy.Option) (*casestudy.Topology, error) {
-		return casestudy.NewChain(flavor, cfg, append(base[:len(base):len(base)], opts...)...)
-	}
+func chainOf(flavor casestudy.Flavor, cfg casestudy.ChainConfig, opts ...casestudy.Option) builder {
+	return func() (*casestudy.Topology, error) { return casestudy.NewChain(flavor, cfg, opts...) }
+}
+
+// scalarOracle switches a freshly built topology — batched, like every rig
+// topo.Build hands back — to the scalar event-per-hop engine.
+func scalarOracle(topo *casestudy.Topology) *casestudy.Topology {
+	topo.Engine.SetBatching(false)
+	return topo
 }
 
 // The chains the differentials and the pinned digests run on: four clusters
@@ -55,12 +58,12 @@ func enginePair(t *testing.T, build builder) (batched, scalar *casestudy.Topolog
 		t.Fatal(err)
 	}
 	t.Cleanup(batched.Close)
-	scalar, err = build(casestudy.WithScalarEngine())
+	scalar, err = build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(scalar.Close)
-	return batched, scalar
+	return batched, scalarOracle(scalar)
 }
 
 // diffSweep runs the same measurement points on both topologies and fails on
@@ -81,6 +84,11 @@ func diffSweep(t *testing.T, batched, scalar *casestudy.Topology, sizes []int, r
 				t.Fatalf("size=%d rate=%g: batched %+v != scalar %+v", size, rate, got, want)
 			}
 		}
+	}
+	// Cut-through delivers synchronously what the oracle schedules hop by
+	// hop, so a real oracle executes more events.
+	if b, s := batched.Engine.Steps(), scalar.Engine.Steps(); s <= b {
+		t.Fatalf("scalar oracle executed %d events, batched engine %d: the oracle is not scalar", s, b)
 	}
 }
 
@@ -119,12 +127,15 @@ func diffWorkflowArtifacts(t *testing.T, build builder, sweep casestudy.SweepCon
 	// not measurement results — so it is legitimately run-to-run volatile.
 	telemetry.Default.SetEnabled(false)
 	defer telemetry.Default.SetEnabled(true)
-	runTree := func(opts ...casestudy.Option) string {
-		topo, err := build(opts...)
+	runTree := func(scalar bool) string {
+		topo, err := build()
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer topo.Close()
+		if scalar {
+			scalarOracle(topo)
+		}
 		store, err := results.NewStore(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
@@ -145,8 +156,8 @@ func diffWorkflowArtifacts(t *testing.T, build builder, sweep casestudy.SweepCon
 		}
 		return rec.Dir()
 	}
-	batchedDir := runTree()
-	scalarDir := runTree(casestudy.WithScalarEngine())
+	batchedDir := runTree(false)
+	scalarDir := runTree(true)
 	diffs, err := compare.DiffExperiments(batchedDir, scalarDir)
 	if err != nil {
 		t.Fatal(err)
@@ -236,54 +247,93 @@ func TestChainBatchedMatchesScalarWorkflowArtifacts(t *testing.T) {
 	})
 }
 
-// TestChainPinnedDigests pins the chain's results to constants recorded at
-// commit fc33186, when the same chains ran partitioned across four (bare
-// metal) and two (virtual) engines under a shard synchronizer: SHA-256 over
-// fmt.Sprintf("%v") of the sweep points followed, on bare metal, by the raw
-// latency samples of one more run on the same topology. The single-timeline
-// chain must keep producing exactly those bytes.
-func TestChainPinnedDigests(t *testing.T) {
-	digest := func(build builder, sizes []int, rates []float64, latency bool) string {
-		topo, err := build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer topo.Close()
-		var points []casestudy.RunPoint
-		for _, size := range sizes {
-			for _, rate := range rates {
-				pt, err := topo.DirectRun(size, rate, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				points = append(points, pt)
-			}
-		}
-		h := sha256.New()
-		fmt.Fprintf(h, "%v", points)
-		if latency {
-			samples, err := topo.LatencySamples(64, 150_000, 1)
+// pinnedDigest is SHA-256 over fmt.Sprintf("%v") of a DirectRun sweep of
+// one freshly built topology followed, with latency, by the raw latency
+// samples of one more 64 B run on it.
+func pinnedDigest(t *testing.T, build builder, sizes []int, rates []float64, latency bool) string {
+	t.Helper()
+	topo, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer topo.Close()
+	var points []casestudy.RunPoint
+	for _, size := range sizes {
+		for _, rate := range rates {
+			pt, err := topo.DirectRun(size, rate, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(samples) == 0 {
-				t.Fatal("no latency samples")
-			}
-			fmt.Fprintf(h, "%v", samples)
+			points = append(points, pt)
 		}
-		return fmt.Sprintf("%x", h.Sum(nil))
 	}
+	h := sha256.New()
+	fmt.Fprintf(h, "%v", points)
+	if latency {
+		samples, err := topo.LatencySamples(64, 150_000, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(samples) == 0 {
+			t.Fatal("no latency samples")
+		}
+		fmt.Fprintf(h, "%v", samples)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestChainPinnedDigests pins the chain's results to constants recorded at
+// commit fc33186, when the same chains ran partitioned across four (bare
+// metal) and two (virtual) engines under a shard synchronizer: the
+// pinnedDigest of a sweep with, on bare metal, latency samples. The
+// single-timeline chain must keep producing exactly those bytes.
+func TestChainPinnedDigests(t *testing.T) {
 	const (
 		bareMetalWant = "e7c3d17f6909e33475986e2ba6129f41ad840805f4b97ee869e4f7c7c407448d"
 		virtualWant   = "5d93d93e06cd9f6b5c880a83742b0ef4ae5be3db821df8fb9150c5dea3e680a8"
 	)
-	if got := digest(chainOf(casestudy.BareMetal, bareMetalChain),
+	if got := pinnedDigest(t, chainOf(casestudy.BareMetal, bareMetalChain),
 		[]int{64, 1500}, []float64{10_000, 150_000, 300_000, 1_000_000, 1_800_000}, true); got != bareMetalWant {
 		t.Errorf("bare-metal chain digest %s, pinned %s", got, bareMetalWant)
 	}
-	if got := digest(chainOf(casestudy.Virtual, virtualChain, casestudy.WithSeed(7)),
+	if got := pinnedDigest(t, chainOf(casestudy.Virtual, virtualChain, casestudy.WithSeed(7)),
 		[]int{64}, []float64{20_000, 120_000, 250_000}, false); got != virtualWant {
 		t.Errorf("virtual chain digest %s, pinned %s", got, virtualWant)
+	}
+}
+
+// TestRigPinnedDigests pins the two-node wirings the chain digests and the
+// benchmark's golden digests leave uncovered — the switched ablation at two
+// switch delays, the OSNT and iPerf generator profiles, the seeded virtual
+// rig — to pinnedDigest constants recorded at commit 19cb761, when
+// casestudy still cabled every rig by hand. The batched-vs-scalar
+// differentials build both sides with one builder, so only a pin catches a
+// wiring slip.
+func TestRigPinnedDigests(t *testing.T) {
+	sizes := []int{64, 1500}
+	bareMetal := []float64{10_000, 150_000, 1_000_000, 1_800_000}
+	virtual := []float64{20_000, 120_000, 250_000, 400_000}
+	for _, row := range []struct {
+		name    string
+		build   builder
+		rates   []float64
+		latency bool
+		want    string
+	}{
+		{"switch15ns", twoNode(casestudy.BareMetal, casestudy.WithSwitch(15*time.Nanosecond)), bareMetal, true,
+			"8a1783a24400bd1fec29711944d38c0e3ca430db6da14ea9eca2ee5ef99fb44e"},
+		{"switch300ns", twoNode(casestudy.BareMetal, casestudy.WithSwitch(300*time.Nanosecond)), bareMetal, true,
+			"982e17a73d7e24e23d571f9bae7bbc5a44c863946b98d219326c4915ea1f0c50"},
+		{"osnt", twoNode(casestudy.BareMetal, casestudy.WithGenerator("osnt")), bareMetal, true,
+			"85332c9677536874ab8337e30f025de678a81cfa3e28450f02c860daf3175d78"},
+		{"iperf", twoNode(casestudy.BareMetal, casestudy.WithGenerator("iperf")), bareMetal, false,
+			"9910e507d9ae383681aa7e1ceaf0b7d917d9e54222e61a7fc9e483ecbde4649c"},
+		{"virtual-seed7", twoNode(casestudy.Virtual, casestudy.WithSeed(7)), virtual, false,
+			"a3852012514c7e901ca4f61b4afe06e09f990c2f72e417cc5ca058ddb2a04639"},
+	} {
+		if got := pinnedDigest(t, row.build, sizes, row.rates, row.latency); got != row.want {
+			t.Errorf("%s digest %s, pinned %s", row.name, got, row.want)
+		}
 	}
 }
 

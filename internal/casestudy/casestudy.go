@@ -5,7 +5,8 @@
 //
 // It assembles a two-node testbed (LoadGen and DuT) with directly wired
 // 10 Gbit/s links, attaches the data plane (internal/loadgen,
-// internal/router over internal/netem on a shared internal/sim engine), and
+// internal/router over internal/netem on a shared internal/sim engine,
+// declared as an internal/topo spec and built by topo.Build), and
 // registers the domain commands the experiment scripts call: `moongen` on
 // the load generator, `router_enable`/`router_stats` on the DuT. The
 // experiment definition itself is pure pos methodology — scripts plus
@@ -23,13 +24,12 @@ import (
 	"pos/internal/core"
 	"pos/internal/image"
 	"pos/internal/loadgen"
-	"pos/internal/netem"
 	"pos/internal/node"
 	"pos/internal/packet"
-	"pos/internal/perfmodel"
 	"pos/internal/router"
 	"pos/internal/sim"
 	"pos/internal/testbed"
+	"pos/internal/topo"
 )
 
 // Flavor selects the platform of the case study.
@@ -66,6 +66,8 @@ type Topology struct {
 	// path delay so in-flight packets on long trunks are not misread as
 	// loss when the caller leaves the grace defaulted.
 	minGrace sim.Duration
+	// wiring is the spec the data plane was built from (see Wiring).
+	wiring topo.Spec
 
 	// Faults, when non-nil, is the deterministic fault injector every
 	// Runner() built from this topology is wrapped with. Occurrences
@@ -86,9 +88,8 @@ type options struct {
 	seed        uint64
 	switched    bool
 	switchDelay sim.Duration
-	profile     *loadgen.Profile
+	profile     string
 	faults      map[string]sim.FaultPlan
-	scalar      bool
 }
 
 // WithSeed pins the VM jitter seed (default 1).
@@ -102,21 +103,14 @@ func WithSwitch(delay sim.Duration) Option {
 	return func(o *options) { o.switched = true; o.switchDelay = delay }
 }
 
-// WithGenerator replaces the default load generator fidelity with the given
-// profile (MoonGen, OSNT hardware, or iPerf-class software). The profile's
-// timestamping capability overrides the platform default, so an OSNT card
-// measures latency even in vpos and an iPerf host never measures it in
-// hardware terms.
-func WithGenerator(p loadgen.Profile) Option {
-	return func(o *options) { o.profile = &p }
-}
-
-// WithScalarEngine disables the batched cut-through data plane and runs the
-// topology on the scalar event-per-hop engine. The scalar path is the
-// differential-test oracle: it produces byte-identical results to the
-// batched default and exists so tests (and suspicious users) can prove it.
-func WithScalarEngine() Option {
-	return func(o *options) { o.scalar = true }
+// WithGenerator replaces the default load generator fidelity with the named
+// profile, as topo's profile= parameter spells it: moongen, osnt (hardware)
+// or iperf (software-class). The profile's timestamping capability
+// overrides the platform default, so an OSNT card measures latency even in
+// vpos and an iPerf host never measures it in hardware terms. An unknown
+// name fails the build.
+func WithGenerator(profile string) Option {
+	return func(o *options) { o.profile = profile }
 }
 
 // WithFaults arms the topology with a deterministic fault schedule, keyed
@@ -127,6 +121,14 @@ func WithScalarEngine() Option {
 // quarantine) before trusting it on hardware.
 func WithFaults(plans map[string]sim.FaultPlan) Option {
 	return func(o *options) { o.faults = plans }
+}
+
+func buildOptions(opts []Option) options {
+	o := options{seed: 1}
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o
 }
 
 // New builds the two-node topology on fresh testbed infrastructure. The
@@ -160,58 +162,64 @@ func NewReplicas(flavor Flavor, n int, opts ...Option) ([]*Topology, error) {
 	return topos, nil
 }
 
+// tenGig is the parameter set of the rig's 10 Gbit/s cables.
+var tenGig = map[string]string{"rate": "10G"}
+
 func newTopology(flavor Flavor, seedOffset uint64, opts ...Option) (*Topology, error) {
-	o := options{seed: 1}
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := buildOptions(opts)
 	o.seed += seedOffset
-	return newRig(flavor, o, func(topo *Topology) error {
-		engine, gen := topo.Engine, topo.Gen
-		hw := flavor == BareMetal
-		var model perfmodel.Model
-		if hw {
-			model = perfmodel.NewBareMetal()
-		} else {
-			model = perfmodel.NewVirtual(o.seed)
-		}
-		rt, err := router.New(engine, router.Config{
-			Name:               "dut",
-			Model:              model,
-			HardwareTimestamps: hw,
-		})
-		if err != nil {
-			return err
-		}
-		rt.SetForwarding(false) // setup script must enable routing
+	spec := topo.Spec{Devices: []topo.DeviceSpec{o.generator(flavor), routerDevice(flavor, "dut", o.seed)}}
+	hops := []string{"dut"} // pos wiring: direct, non-switched connections (R2)
+	if o.switched {
+		// Each cable runs through its own 2-port cross-connect, the way
+		// an L1/L2 switch would patch the topology. A single shared L2
+		// switch would be wrong here: the emulated Linux router forwards
+		// frames without rewriting MACs, so one broadcast domain across
+		// both router ports would flood and loop.
+		sw := map[string]string{"ports": "2", "delay": o.switchDelay.String()}
+		spec.Devices = append(spec.Devices,
+			topo.DeviceSpec{Kind: topo.KindSwitch, Name: "swA", Params: sw},
+			topo.DeviceSpec{Kind: topo.KindSwitch, Name: "swB", Params: sw})
+		hops = []string{"swA", "dut", "swB"}
+	}
+	spec.Links = path(hops, func(int) map[string]string { return tenGig })
+	return newRig(flavor, o, spec, false)
+}
 
-		link := netem.LinkConfig{RateBitsPerSec: 10e9}
-		if o.switched {
-			// Each cable runs through its own 2-port cross-connect, the way
-			// an L1/L2 switch would patch the topology. A single shared L2
-			// switch would be wrong here: the emulated Linux router forwards
-			// frames without rewriting MACs, so one broadcast domain across
-			// both router ports would flood and loop.
-			swA := netem.NewSwitch(engine, "swA", 2, o.switchDelay)
-			swB := netem.NewSwitch(engine, "swB", 2, o.switchDelay)
-			netem.Wire(engine, gen.TxPort(), swA.Port(0), link)
-			netem.Wire(engine, swA.Port(1), rt.Port(0), link)
-			netem.Wire(engine, rt.Port(1), swB.Port(0), link)
-			netem.Wire(engine, swB.Port(1), gen.RxPort(), link)
-		} else {
-			// pos wiring: direct, non-switched connections (R2).
-			netem.Wire(engine, gen.TxPort(), rt.Port(0), link)
-			netem.Wire(engine, rt.Port(1), gen.RxPort(), link)
-		}
+// genName names the load generator device on the LoadGen node.
+const genName = "loadgen"
 
-		topo.Router = rt
-		topo.Routers = []*router.Router{rt}
-		topo.expName = experimentName(flavor, false)
-		if o.faults != nil {
-			topo.Faults = sim.NewFaultInjector(o.faults)
-		}
-		return nil
-	})
+// generator declares the load generator: the named profile, else MoonGen
+// with hardware timestamps on bare metal only.
+func (o options) generator(flavor Flavor) topo.DeviceSpec {
+	params := map[string]string{"hw": strconv.FormatBool(flavor == BareMetal)}
+	if o.profile != "" {
+		params = map[string]string{"profile": o.profile}
+	}
+	return topo.DeviceSpec{Kind: topo.KindGenerator, Name: genName, Params: params}
+}
+
+// routerDevice declares one Linux router: the bare-metal model with
+// hardware timestamps, or a seeded VM without them.
+func routerDevice(flavor Flavor, name string, seed uint64) topo.DeviceSpec {
+	params := map[string]string{"hw": "true", "model": "baremetal"}
+	if flavor != BareMetal {
+		params = map[string]string{"hw": "false", "model": "vm", "seed": strconv.FormatUint(seed, 10)}
+	}
+	return topo.DeviceSpec{Kind: topo.KindRouter, Name: name, Params: params}
+}
+
+// path cables the load generator's tx port through hops — each entered on
+// port 0 and left on port 1 — back to its rx port; link i has params(i).
+func path(hops []string, params func(i int) map[string]string) []topo.LinkSpec {
+	links := make([]topo.LinkSpec, len(hops)+1)
+	from := topo.Endpoint{Device: genName, Port: "tx"}
+	for i, hop := range hops {
+		links[i] = topo.LinkSpec{A: from, B: topo.Endpoint{Device: hop, Port: "0"}, Params: params(i)}
+		from = topo.Endpoint{Device: hop, Port: "1"}
+	}
+	links[len(hops)] = topo.LinkSpec{A: from, B: topo.Endpoint{Device: genName, Port: "rx"}, Params: params(len(hops))}
+	return links
 }
 
 // The rig's two pos nodes, named after the paper's virtual testbed.
@@ -229,12 +237,12 @@ func experimentName(flavor Flavor, chain bool) string {
 	return "linux-router-" + string(flavor)
 }
 
-// newRig builds what every topology starts from — testbed, OS image, the two
-// pos nodes, one engine, the load generator — and hands the half-built
-// topology to wire, which adds the routers and cabling and names the
-// experiment. Any failure after the testbed exists closes it, so a failed
-// build leaks no control-plane listener.
-func newRig(flavor Flavor, o options, wire func(*Topology) error) (topo *Topology, err error) {
+// newRig builds what every topology stands on — testbed, OS image, the two
+// pos nodes — and the data plane the spec declares, with every router's
+// forwarding off until a setup script enables it. Any failure after the
+// testbed exists closes it, so a failed build leaks no control-plane
+// listener.
+func newRig(flavor Flavor, o options, spec topo.Spec, chain bool) (t *Topology, err error) {
 	tb := testbed.New()
 	defer func() {
 		if err != nil {
@@ -252,32 +260,40 @@ func newRig(flavor Flavor, o options, wire func(*Topology) error) (topo *Topolog
 	if err != nil {
 		return nil, err
 	}
-
-	engine := sim.NewEngine()
-	engine.SetBatching(!o.scalar)
-	var gen *loadgen.Generator
-	if o.profile != nil {
-		gen = loadgen.NewWithProfile(engine, "loadgen", *o.profile)
-	} else {
-		gen = loadgen.New(engine, "loadgen", flavor == BareMetal)
+	dp, err := spec.Build()
+	if err != nil {
+		return nil, err
 	}
-
-	topo = &Topology{
+	t = &Topology{
 		Flavor:   flavor,
 		Testbed:  tb,
-		Engine:   engine,
-		Gen:      gen,
+		Engine:   dp.Engine,
+		Gen:      dp.Generators[genName],
+		Routers:  make([]*router.Router, 0, len(dp.Routers)),
 		LoadGen:  loadGenNode,
 		DuT:      dutNode,
 		template: defaultTemplate,
+		expName:  experimentName(flavor, chain),
+		wiring:   spec,
 	}
-	if err := wire(topo); err != nil {
-		return nil, err
+	for _, d := range spec.Devices {
+		if d.Kind == topo.KindRouter {
+			t.Routers = append(t.Routers, dp.Routers[d.Name])
+		}
 	}
-	lgHandle.OnBoot(topo.installLoadGenTools)
-	dutHandle.OnBoot(topo.installDuTTools)
-	return topo, nil
+	t.Router = t.Routers[0]
+	t.SetForwarding(false) // setup script must enable routing
+	if o.faults != nil {
+		t.Faults = sim.NewFaultInjector(o.faults)
+	}
+	lgHandle.OnBoot(t.installLoadGenTools)
+	dutHandle.OnBoot(t.installDuTTools)
+	return t, nil
 }
+
+// Wiring returns the data plane's canonical topology description: the
+// spec the rig was built from, rendered in topo's text format.
+func (t *Topology) Wiring() []byte { return t.wiring.Render() }
 
 // defaultTemplate is the synthetic frame prototype shared by every topology
 // flavor: the addresses of the paper's two-host rig.

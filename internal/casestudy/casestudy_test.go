@@ -3,9 +3,8 @@ package casestudy
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
-	"net"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"testing"
@@ -378,7 +377,7 @@ func netemCutThrough() sim.Duration { return 300 * sim.Nanosecond }
 // delivers a drop-free rate in full, whatever its burstiness.
 func TestGeneratorProfiles(t *testing.T) {
 	for _, p := range []loadgen.Profile{loadgen.MoonGenProfile(), loadgen.OSNTProfile(), loadgen.IPerfProfile()} {
-		topo, err := New(BareMetal, WithGenerator(p))
+		topo, err := New(BareMetal, WithGenerator(p.Name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -430,31 +429,26 @@ func TestReplayRunEmptyRecord(t *testing.T) {
 	}
 }
 
-// TestFailedBuildClosesTestbed: a topology constructor that fails after its
-// nodes exist must take their control-plane listeners down with it.
+// TestFailedBuildClosesTestbed: a topology whose data plane fails to build
+// after its nodes exist (here: an unknown generator profile) must take
+// their control-plane listeners down with it — every wire.Serve loop the
+// build started is gone once New returns its error.
 func TestFailedBuildClosesTestbed(t *testing.T) {
-	var addrs []string
-	wiring := errors.New("wiring failed")
-	topo, err := newRig(Virtual, options{seed: 1}, func(topo *Topology) error {
-		for _, name := range topo.Testbed.Nodes() {
-			h, err := topo.Testbed.Handle(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			addrs = append(addrs, h.BMCAddr(), h.ShellAddr())
+	serving := func() int {
+		var stacks bytes.Buffer
+		if err := pprof.Lookup("goroutine").WriteTo(&stacks, 2); err != nil {
+			t.Fatal(err)
 		}
-		return wiring
-	})
-	if topo != nil || !errors.Is(err, wiring) {
-		t.Fatalf("newRig = %v, %v; want the wiring error", topo, err)
+		return strings.Count(stacks.String(), "pos/internal/wire.Serve(")
 	}
-	if len(addrs) != 4 {
-		t.Fatalf("saw %d control-plane addresses, want 4", len(addrs))
+	before := serving()
+	topo, err := New(Virtual, WithGenerator("warp10"))
+	if topo != nil || err == nil || !strings.Contains(err.Error(), "warp10") {
+		t.Fatalf("New = %v, %v; want the unknown-profile error", topo, err)
 	}
-	for _, addr := range addrs {
-		if c, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
-			c.Close()
-			t.Errorf("%s still accepts connections after the failed build", addr)
+	for deadline := time.Now().Add(5 * time.Second); serving() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d control-plane listeners still serve after the failed build", serving()-before)
 		}
 	}
 }

@@ -1,13 +1,11 @@
 package casestudy
 
 import (
-	"fmt"
+	"strconv"
 
 	"pos/internal/loadgen"
-	"pos/internal/netem"
-	"pos/internal/perfmodel"
-	"pos/internal/router"
 	"pos/internal/sim"
+	"pos/internal/topo"
 )
 
 // ChainConfig parameterizes the multi-hop router chain topology: the load
@@ -53,77 +51,45 @@ func (c *ChainConfig) setDefaults() {
 // a router's seed depends only on its position in the chain.
 const chainSeedStride = 0x9E3779B97F4A7C15
 
-// NewChain builds the multi-hop chain topology on one engine, cabled with
-// netem.Wire exactly like the two-node rig. WithScalarEngine runs the
-// identical chain event-per-hop — the differential-test oracle.
+// NewChain builds the multi-hop chain topology on one engine, declared as a
+// topo.Spec and built by topo.Build exactly like the two-node rig.
 func NewChain(flavor Flavor, cc ChainConfig, opts ...Option) (*Topology, error) {
-	o := options{seed: 1}
-	for _, opt := range opts {
-		opt(&o)
-	}
+	o := buildOptions(opts)
 	cc.setDefaults()
 
-	// Cluster assignment: contiguous blocks, sizes as even as possible.
-	clusterOf := make([]int, cc.Routers) // router index (0-based) -> cluster
+	// Clusters are contiguous blocks, sizes as even as possible (larger
+	// first); a trunk follows the last router of each.
+	trunkAfter := make([]bool, cc.Routers)
 	base, extra := cc.Routers/cc.Clusters, cc.Routers%cc.Clusters
-	for i, c, fill := 0, 0, 0; i < cc.Routers; i++ {
-		clusterOf[i] = c
-		fill++
-		size := base
+	for c, end := 0, 0; c < cc.Clusters; c++ {
+		end += base
 		if c < extra {
-			size++
+			end++
 		}
-		if fill == size {
-			c, fill = c+1, 0
-		}
-	}
-	linkDelay := func(a, b int) sim.Duration {
-		if clusterOf[a] != clusterOf[b] {
-			return cc.TrunkDelay
-		}
-		return cc.HopDelay
+		trunkAfter[end-1] = true
 	}
 
-	return newRig(flavor, o, func(topo *Topology) error {
-		engine, gen := topo.Engine, topo.Gen
-		hw := flavor == BareMetal
-		routers := make([]*router.Router, cc.Routers)
-		for i := range routers {
-			var model perfmodel.Model
-			if hw {
-				model = perfmodel.NewBareMetal()
-			} else {
-				model = perfmodel.NewVirtual(o.seed + uint64(i)*chainSeedStride)
-			}
-			rt, err := router.New(engine, router.Config{
-				Name:               fmt.Sprintf("r%d", i+1),
-				Model:              model,
-				HardwareTimestamps: hw,
-			})
-			if err != nil {
-				return err
-			}
-			rt.SetForwarding(false) // setup script must enable routing
-			routers[i] = rt
+	spec := topo.Spec{Devices: []topo.DeviceSpec{o.generator(flavor)}}
+	names := make([]string, cc.Routers)
+	for i := range names {
+		names[i] = "r" + strconv.Itoa(i+1)
+		spec.Devices = append(spec.Devices, routerDevice(flavor, names[i], o.seed+uint64(i)*chainSeedStride))
+	}
+	hop := map[string]string{"rate": "10G", "prop": cc.HopDelay.String()}
+	trunk := map[string]string{"rate": "10G", "prop": cc.TrunkDelay.String()}
+	spec.Links = path(names, func(i int) map[string]string {
+		if i > 0 && trunkAfter[i-1] {
+			return trunk
 		}
-
-		wire := func(a, b *netem.Port, delay sim.Duration) {
-			netem.Wire(engine, a, b, netem.LinkConfig{RateBitsPerSec: 10e9, PropagationDelay: delay})
-		}
-		wire(gen.TxPort(), routers[0].Port(0), cc.HopDelay)
-		pathDelay := cc.HopDelay
-		for i := 0; i+1 < cc.Routers; i++ {
-			d := linkDelay(i, i+1)
-			wire(routers[i].Port(1), routers[i+1].Port(0), d)
-			pathDelay += d
-		}
-		wire(routers[cc.Routers-1].Port(1), gen.RxPort(), cc.TrunkDelay)
-		pathDelay += cc.TrunkDelay
-
-		topo.Router = routers[0]
-		topo.Routers = routers
-		topo.expName = experimentName(flavor, true)
-		topo.minGrace = pathDelay + loadgen.DefaultDrainGrace
-		return nil
+		return hop
 	})
+
+	t, err := newRig(flavor, o, spec, true)
+	if err != nil {
+		return nil, err
+	}
+	// One trunk ends each cluster, the last one being the return link.
+	trunks := sim.Duration(cc.Clusters)
+	t.minGrace = (sim.Duration(cc.Routers+1)-trunks)*cc.HopDelay + trunks*cc.TrunkDelay + loadgen.DefaultDrainGrace
+	return t, nil
 }

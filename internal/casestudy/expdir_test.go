@@ -108,7 +108,10 @@ func TestShippedExperimentRunsEndToEnd(t *testing.T) {
 	}
 }
 
-func TestShippedTopologyBuildsAndIsDirect(t *testing.T) {
+// TestShippedTopologyIsTheBareMetalRig: the shipped topology.txt is not a
+// drawing of the rig but the rig itself — its canonical form is the spec
+// New(BareMetal) builds — and it is directly wired (R2).
+func TestShippedTopologyIsTheBareMetalRig(t *testing.T) {
 	data, err := os.ReadFile(repoExperimentDir + "/topology.txt")
 	if err != nil {
 		t.Fatal(err)
@@ -117,18 +120,15 @@ func TestShippedTopologyBuildsAndIsDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, switches := spec.DirectlyWired()
-	if !direct {
+	if direct, switches := spec.DirectlyWired(); !direct {
 		t.Errorf("shipped topology uses switches: %v — violates R2", switches)
 	}
-	n, err := spec.Build()
+	rig, err := New(BareMetal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.Generator("lg"); err != nil {
-		t.Error(err)
-	}
-	if _, err := n.Router("dut"); err != nil {
-		t.Error(err)
+	defer rig.Close()
+	if got, want := string(spec.Render()), string(rig.Wiring()); got != want {
+		t.Errorf("shipped topology renders as\n%s\nNew(BareMetal) is wired as\n%s", got, want)
 	}
 }

@@ -270,14 +270,12 @@ func (s Spec) Marshal() []byte {
 }
 
 // Build builds the topology one testbed of the spec runs on: the router
-// chain when Chain is set, else the two-node rig, seeded with Seed. opts
-// apply after the seed.
-func (s Spec) Build(opts ...Option) (*Topology, error) {
-	opts = append([]Option{WithSeed(s.Seed)}, opts...)
+// chain when Chain is set, else the two-node rig, seeded with Seed.
+func (s Spec) Build() (*Topology, error) {
 	if s.Chain > 0 {
-		return NewChain(s.Flavor, ChainConfig{Routers: s.Chain, Clusters: s.Clusters}, opts...)
+		return NewChain(s.Flavor, ChainConfig{Routers: s.Chain, Clusters: s.Clusters}, WithSeed(s.Seed))
 	}
-	return New(s.Flavor, opts...)
+	return New(s.Flavor, WithSeed(s.Seed))
 }
 
 // Experiment is the case-study sweep the spec describes, bound to the rig's
@@ -299,9 +297,8 @@ const campaignHeartbeat = 2 * time.Second
 // receives the execution record and is journaled under the experiment's
 // events/. Whatever ran, the resolved spec is archived as
 // experiment/campaign.yml beside the definition, so the tree names the
-// platform, seed and policy that produced it. opts tweak every topology
-// built, after the spec's seed.
-func Launch(ctx context.Context, spec Spec, exp *core.Experiment, store *results.Store, events *eventlog.Pipeline, opts ...Option) (*core.Summary, error) {
+// platform, seed and policy that produced it.
+func Launch(ctx context.Context, spec Spec, exp *core.Experiment, store *results.Store, events *eventlog.Pipeline) (*core.Summary, error) {
 	spec.resolve()
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -312,9 +309,9 @@ func Launch(ctx context.Context, spec Spec, exp *core.Experiment, store *results
 	var sum *core.Summary
 	var err error
 	if spec.campaign() {
-		sum, err = spec.runCampaign(ctx, exp, store, events, opts)
+		sum, err = spec.runCampaign(ctx, exp, store, events)
 	} else {
-		sum, err = spec.runSingle(ctx, exp, store, events, opts)
+		sum, err = spec.runSingle(ctx, exp, store, events)
 	}
 	if sum != nil {
 		if aerr := archiveSpec(store, exp, sum.ResultsDir, spec.Marshal()); aerr != nil && err == nil {
@@ -324,13 +321,13 @@ func Launch(ctx context.Context, spec Spec, exp *core.Experiment, store *results
 	return sum, err
 }
 
-func (s Spec) runSingle(ctx context.Context, exp *core.Experiment, store *results.Store, events *eventlog.Pipeline, opts []Option) (*core.Summary, error) {
-	topo, err := s.Build(opts...)
+func (s Spec) runSingle(ctx context.Context, exp *core.Experiment, store *results.Store, events *eventlog.Pipeline) (*core.Summary, error) {
+	t, err := s.Build()
 	if err != nil {
 		return nil, err
 	}
-	defer topo.Close()
-	runner := topo.Runner()
+	defer t.Close()
+	runner := t.Runner()
 	runner.Events = events
 	if s.Epoch != "" {
 		pinned, _ := time.Parse(time.RFC3339, s.Epoch) // Validate parsed it
@@ -343,8 +340,8 @@ func (s Spec) runSingle(ctx context.Context, exp *core.Experiment, store *result
 	return runner.Run(ctx, exp, store)
 }
 
-func (s Spec) runCampaign(ctx context.Context, exp *core.Experiment, store *results.Store, events *eventlog.Pipeline, opts []Option) (*core.Summary, error) {
-	topos, err := NewReplicas(s.Flavor, s.Replicas, append([]Option{WithSeed(s.Seed)}, opts...)...)
+func (s Spec) runCampaign(ctx context.Context, exp *core.Experiment, store *results.Store, events *eventlog.Pipeline) (*core.Summary, error) {
+	topos, err := NewReplicas(s.Flavor, s.Replicas, WithSeed(s.Seed))
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,10 @@
 package topo
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -22,25 +25,10 @@ type Network struct {
 	Sinks      map[string]*netem.Sink
 }
 
-// Generator returns a named generator, or an error.
-func (n *Network) Generator(name string) (*loadgen.Generator, error) {
-	g, ok := n.Generators[name]
-	if !ok {
-		return nil, fmt.Errorf("topo: no generator %q", name)
-	}
-	return g, nil
-}
-
-// Router returns a named router, or an error.
-func (n *Network) Router(name string) (*router.Router, error) {
-	r, ok := n.Routers[name]
-	if !ok {
-		return nil, fmt.Errorf("topo: no router %q", name)
-	}
-	return r, nil
-}
-
-// Build instantiates the topology on a fresh discrete-event engine.
+// Build instantiates the topology on a fresh discrete-event engine in
+// batched (cut-through) mode. It first checks parameter values, device
+// names and port wiring as Parse does, so a Spec assembled in code fails
+// with the *ParseError its text form would.
 //
 // Device parameters:
 //   - generator: hw=true|false (hardware timestamps), profile=moongen|osnt|iperf
@@ -49,8 +37,13 @@ func (n *Network) Router(name string) (*router.Router, error) {
 //   - sink: none
 //
 // Link parameters: rate=BITS (10G, 1e9, 25000000000), prop=DUR, queue=DUR,
-// jitter=DUR (delay variation), loss=RATIO, seed=N.
+// jitter=DUR (delay variation), loss=RATIO, seed=N. Seeds are unsigned
+// 64-bit integers.
 func (s *Spec) Build() (*Network, error) {
+	devs, links, err := s.check()
+	if err != nil {
+		return nil, err
+	}
 	n := &Network{
 		Engine:     sim.NewEngine(),
 		Generators: map[string]*loadgen.Generator{},
@@ -58,133 +51,174 @@ func (s *Spec) Build() (*Network, error) {
 		Switches:   map[string]*netem.Switch{},
 		Sinks:      map[string]*netem.Sink{},
 	}
-	for _, d := range s.Devices {
+	n.Engine.SetBatching(true)
+	for _, d := range devs {
 		switch d.Kind {
 		case KindGenerator:
-			hw := boolParam(d.Params, "hw", true)
-			if profile, ok := d.Params["profile"]; ok {
-				p, err := profileByName(profile)
-				if err != nil {
-					return nil, perr(d.Line, "%v", err)
-				}
-				n.Generators[d.Name] = loadgen.NewWithProfile(n.Engine, d.Name, p)
+			if _, ok := d.Params["profile"]; ok {
+				n.Generators[d.Name] = loadgen.NewWithProfile(n.Engine, d.Name, d.profile)
 			} else {
-				n.Generators[d.Name] = loadgen.New(n.Engine, d.Name, hw)
+				n.Generators[d.Name] = loadgen.New(n.Engine, d.Name, d.hw)
 			}
 		case KindRouter:
-			model, err := modelByName(d.Params["model"], uint64(intParam(d.Params, "seed", 1)))
-			if err != nil {
-				return nil, perr(d.Line, "%v", err)
+			var model perfmodel.Model
+			if d.model == "vm" {
+				model = perfmodel.NewVirtual(d.seed)
+			} else {
+				model = perfmodel.NewBareMetal()
 			}
 			rt, err := router.New(n.Engine, router.Config{
 				Name:               d.Name,
 				Model:              model,
-				HardwareTimestamps: boolParam(d.Params, "hw", true),
+				HardwareTimestamps: d.hw,
 			})
 			if err != nil {
 				return nil, perr(d.Line, "%v", err)
 			}
-			rt.SetForwarding(boolParam(d.Params, "forwarding", true))
+			rt.SetForwarding(d.forwarding)
 			n.Routers[d.Name] = rt
 		case KindSwitch:
-			delay, err := durParam(d.Params, "delay", netem.CutThroughSwitchDelay)
-			if err != nil {
-				return nil, perr(d.Line, "%v", err)
-			}
-			n.Switches[d.Name] = netem.NewSwitch(n.Engine, d.Name, intParam(d.Params, "ports", 2), delay)
+			n.Switches[d.Name] = netem.NewSwitch(n.Engine, d.Name, d.ports, d.delay)
 		case KindSink:
 			n.Sinks[d.Name] = netem.NewSink(d.Name)
 		}
 	}
-	for _, l := range s.Links {
-		cfg, err := linkConfig(l)
-		if err != nil {
-			return nil, err
-		}
-		pa, err := n.port(s, l.A, l.Line)
-		if err != nil {
-			return nil, err
-		}
-		pb, err := n.port(s, l.B, l.Line)
-		if err != nil {
-			return nil, err
-		}
-		netem.Wire(n.Engine, pa, pb, cfg)
+	for i, l := range s.Links {
+		netem.Wire(n.Engine, n.port(l.A), n.port(l.B), links[i])
 	}
 	return n, nil
 }
 
-func (n *Network) port(s *Spec, e Endpoint, line int) (*netem.Port, error) {
+// port resolves a checked endpoint.
+func (n *Network) port(e Endpoint) *netem.Port {
 	if g, ok := n.Generators[e.Device]; ok {
 		if e.Port == "tx" {
-			return g.TxPort(), nil
+			return g.TxPort()
 		}
-		return g.RxPort(), nil
+		return g.RxPort()
 	}
+	idx, _ := strconv.Atoi(e.Port)
 	if r, ok := n.Routers[e.Device]; ok {
-		idx, _ := strconv.Atoi(e.Port)
-		return r.Port(idx), nil
+		return r.Port(idx)
 	}
 	if sw, ok := n.Switches[e.Device]; ok {
-		idx, _ := strconv.Atoi(e.Port)
-		return sw.Port(idx), nil
+		return sw.Port(idx)
 	}
-	if sk, ok := n.Sinks[e.Device]; ok {
-		return sk.Port, nil
-	}
-	return nil, perr(line, "unknown device %q", e.Device)
+	return n.Sinks[e.Device].Port
 }
 
-func linkConfig(l LinkSpec) (netem.LinkConfig, error) {
-	cfg := netem.LinkConfig{}
-	if v, ok := l.Params["rate"]; ok {
-		r, err := parseRate(v)
-		if err != nil {
-			return cfg, perr(l.Line, "%v", err)
-		}
-		cfg.RateBitsPerSec = r
+// maxSwitchPorts bounds the ports one switch declaration may ask for.
+const maxSwitchPorts = 1024
+
+// device is a declaration with its parameters parsed and defaulted.
+type device struct {
+	DeviceSpec
+	hw, forwarding bool
+	profile        loadgen.Profile
+	model          string
+	seed           uint64
+	ports          int
+	delay          sim.Duration
+}
+
+// parse reads every parameter of the declaration; each kind defines only
+// some of them (paramKeys), the rest keep their defaults.
+func (d DeviceSpec) parse() (device, error) {
+	dev := device{DeviceSpec: d, hw: true, forwarding: true, seed: 1, ports: 2, delay: netem.CutThroughSwitchDelay}
+	return dev, cmp.Or(
+		param(d.Line, d.Params, "hw", &dev.hw, parseBool),
+		param(d.Line, d.Params, "forwarding", &dev.forwarding, parseBool),
+		param(d.Line, d.Params, "profile", &dev.profile, profileByName),
+		param(d.Line, d.Params, "model", &dev.model, parseModel),
+		param(d.Line, d.Params, "seed", &dev.seed, parseUint),
+		param(d.Line, d.Params, "ports", &dev.ports, parsePorts),
+		param(d.Line, d.Params, "delay", &dev.delay, parseDuration))
+}
+
+// config reads the link's parameters.
+func (l LinkSpec) config() (netem.LinkConfig, error) {
+	var cfg netem.LinkConfig
+	return cfg, cmp.Or(
+		param(l.Line, l.Params, "rate", &cfg.RateBitsPerSec, parseRate),
+		param(l.Line, l.Params, "prop", &cfg.PropagationDelay, parseDuration),
+		param(l.Line, l.Params, "queue", &cfg.QueueDelayLimit, parseDuration),
+		param(l.Line, l.Params, "jitter", &cfg.DelayJitterStd, parseDuration),
+		param(l.Line, l.Params, "loss", &cfg.LossRatio, parseLoss),
+		param(l.Line, l.Params, "seed", &cfg.Seed, parseUint))
+}
+
+// param stores parse(params[key]) in *dst when the key is set; a value
+// parse rejects is a *ParseError naming the line and the key.
+func param[T any](line int, params map[string]string, key string, dst *T, parse func(string) (T, error)) error {
+	v, ok := params[key]
+	if !ok {
+		return nil
 	}
-	var err error
-	if cfg.PropagationDelay, err = durParam(l.Params, "prop", 0); err != nil {
-		return cfg, perr(l.Line, "%v", err)
+	x, err := parse(v)
+	if err != nil {
+		return perr(line, "bad %s=%q: %v", key, v, err)
 	}
-	if cfg.QueueDelayLimit, err = durParam(l.Params, "queue", 0); err != nil {
-		return cfg, perr(l.Line, "%v", err)
+	*dst = x
+	return nil
+}
+
+func parseBool(v string) (bool, error) {
+	if v != "true" && v != "false" {
+		return false, errors.New("want true or false")
 	}
-	if cfg.DelayJitterStd, err = durParam(l.Params, "jitter", 0); err != nil {
-		return cfg, perr(l.Line, "%v", err)
+	return v == "true", nil
+}
+
+func parseUint(v string) (uint64, error) {
+	n, err := strconv.ParseUint(v, 10, 64)
+	if err != nil {
+		return 0, errors.New("want an unsigned 64-bit integer")
 	}
-	if v, ok := l.Params["loss"]; ok {
-		loss, err := strconv.ParseFloat(v, 64)
-		if err != nil || loss < 0 || loss >= 1 {
-			return cfg, perr(l.Line, "bad loss ratio %q", v)
-		}
-		cfg.LossRatio = loss
+	return n, nil
+}
+
+func parsePorts(v string) (int, error) {
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 1 || n > maxSwitchPorts {
+		return 0, fmt.Errorf("want 1..%d", maxSwitchPorts)
 	}
-	cfg.Seed = uint64(intParam(l.Params, "seed", 0))
-	return cfg, nil
+	return n, nil
+}
+
+func parseDuration(v string) (sim.Duration, error) {
+	d, err := time.ParseDuration(v)
+	if err != nil || d < 0 {
+		return 0, errors.New("want a duration of 0s or more")
+	}
+	return d, nil
+}
+
+func parseLoss(v string) (float64, error) {
+	loss, err := strconv.ParseFloat(v, 64)
+	if err != nil || !(loss >= 0 && loss < 1) { // negated so NaN fails too
+		return 0, errors.New("want a ratio in [0, 1)")
+	}
+	return loss, nil
 }
 
 // parseRate accepts raw bit rates ("1e9", "10000000000") and suffixed forms
 // ("10G", "25g", "100M", "1T").
 func parseRate(s string) (float64, error) {
 	mult := 1.0
-	switch {
-	case strings.HasSuffix(strings.ToUpper(s), "K"):
-		mult, s = 1e3, s[:len(s)-1]
-	case strings.HasSuffix(strings.ToUpper(s), "M"):
-		mult, s = 1e6, s[:len(s)-1]
-	case strings.HasSuffix(strings.ToUpper(s), "G"):
-		mult, s = 1e9, s[:len(s)-1]
-	case strings.HasSuffix(strings.ToUpper(s), "T"):
-		mult, s = 1e12, s[:len(s)-1]
+	if n := len(s); n > 0 {
+		if m, ok := rateSuffixes[strings.ToUpper(s[n-1:])]; ok {
+			mult, s = m, s[:n-1]
+		}
 	}
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || v <= 0 {
-		return 0, fmt.Errorf("bad rate %q", s)
+	// Negated so NaN fails too; the product catches overflow to +Inf.
+	if err != nil || !(v > 0) || math.IsInf(v*mult, 0) {
+		return 0, errors.New("want a positive bit rate")
 	}
 	return v * mult, nil
 }
+
+var rateSuffixes = map[string]float64{"K": 1e3, "M": 1e6, "G": 1e9, "T": 1e12}
 
 func profileByName(name string) (loadgen.Profile, error) {
 	switch name {
@@ -195,49 +229,13 @@ func profileByName(name string) (loadgen.Profile, error) {
 	case "iperf":
 		return loadgen.IPerfProfile(), nil
 	default:
-		return loadgen.Profile{}, fmt.Errorf("unknown generator profile %q", name)
+		return loadgen.Profile{}, errors.New("want moongen, osnt or iperf")
 	}
 }
 
-func modelByName(name string, seed uint64) (perfmodel.Model, error) {
-	switch name {
-	case "", "baremetal":
-		return perfmodel.NewBareMetal(), nil
-	case "vm":
-		return perfmodel.NewVirtual(seed), nil
-	default:
-		return nil, fmt.Errorf("unknown router model %q", name)
+func parseModel(name string) (string, error) {
+	if name != "baremetal" && name != "vm" {
+		return "", errors.New("want baremetal or vm")
 	}
-}
-
-func boolParam(params map[string]string, key string, def bool) bool {
-	v, ok := params[key]
-	if !ok {
-		return def
-	}
-	return v == "true" || v == "1" || v == "yes"
-}
-
-func intParam(params map[string]string, key string, def int) int {
-	v, ok := params[key]
-	if !ok {
-		return def
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return def
-	}
-	return n
-}
-
-func durParam(params map[string]string, key string, def sim.Duration) (sim.Duration, error) {
-	v, ok := params[key]
-	if !ok {
-		return def, nil
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil || d < 0 {
-		return 0, fmt.Errorf("bad duration %s=%q", key, v)
-	}
-	return d, nil
+	return name, nil
 }

@@ -5,20 +5,24 @@
 // artifact: a small, line-oriented text format describing devices and
 // direct links, a parser, a builder that instantiates the emulated network,
 // and a linter enforcing the pos wiring discipline (R2: direct, non-switched
-// connections — switch hops are flagged).
+// connections — switch hops are flagged). The case study builds every rig
+// it runs from a Spec, so the description is the wiring, not a copy of it.
 //
 //	# linux-router case study, pos flavor
-//	generator lg hw=true
-//	router dut model=baremetal
-//	link lg.tx dut.0 rate=10G
-//	link dut.1 lg.rx rate=10G
+//	generator loadgen hw=true
+//	router dut hw=true model=baremetal
+//	link loadgen.tx dut.0 rate=10G
+//	link dut.1 loadgen.rx rate=10G
 package topo
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+
+	"pos/internal/netem"
 )
 
 // DeviceKind enumerates the device types of the format.
@@ -76,10 +80,19 @@ func perr(line int, format string, args ...any) error {
 	return &ParseError{Line: line, Msg: fmt.Sprintf(format, args...)}
 }
 
-// Parse reads a topology description.
+// paramKeys lists the parameters each directive defines (see Build); any
+// other key is an error, not a silently ignored typo.
+var paramKeys = map[string][]string{
+	string(KindGenerator): {"hw", "profile"},
+	string(KindRouter):    {"model", "seed", "hw", "forwarding"},
+	string(KindSwitch):    {"ports", "delay"},
+	string(KindSink):      nil,
+	"link":                {"rate", "prop", "queue", "jitter", "loss", "seed"},
+}
+
+// Parse reads a topology description and checks it as Build would.
 func Parse(data []byte) (*Spec, error) {
 	spec := &Spec{}
-	names := map[string]bool{}
 	for i, raw := range strings.Split(string(data), "\n") {
 		lineNo := i + 1
 		line := strings.TrimSpace(raw)
@@ -99,11 +112,7 @@ func Parse(data []byte) (*Spec, error) {
 			if strings.ContainsAny(name, ".=") {
 				return nil, perr(lineNo, "device name %q may not contain '.' or '='", name)
 			}
-			if names[name] {
-				return nil, perr(lineNo, "duplicate device %q", name)
-			}
-			names[name] = true
-			params, err := parseParams(fields[2:], lineNo)
+			params, err := parseParams(fields[0], fields[2:], lineNo)
 			if err != nil {
 				return nil, err
 			}
@@ -125,14 +134,15 @@ func Parse(data []byte) (*Spec, error) {
 			if err != nil {
 				return nil, err
 			}
-			params, err := parseParams(fields[3:], lineNo)
+			params, err := parseParams(fields[0], fields[3:], lineNo)
 			if err != nil {
 				return nil, err
 			}
 			spec.Links = append(spec.Links, LinkSpec{A: a, B: b, Params: params, Line: lineNo})
 		}
 	}
-	return spec, spec.validate()
+	_, _, err := spec.check()
+	return spec, err
 }
 
 func parseEndpoint(s string, line int) (Endpoint, error) {
@@ -143,7 +153,7 @@ func parseEndpoint(s string, line int) (Endpoint, error) {
 	return Endpoint{Device: dev, Port: port}, nil
 }
 
-func parseParams(fields []string, line int) (map[string]string, error) {
+func parseParams(directive string, fields []string, line int) (map[string]string, error) {
 	if len(fields) == 0 {
 		return nil, nil
 	}
@@ -153,6 +163,9 @@ func parseParams(fields []string, line int) (map[string]string, error) {
 		if !ok || k == "" {
 			return nil, perr(line, "parameter %q must be key=value", f)
 		}
+		if !slices.Contains(paramKeys[directive], k) {
+			return nil, perr(line, "%s has no parameter %q", directive, k)
+		}
 		if _, dup := out[k]; dup {
 			return nil, perr(line, "duplicate parameter %q", k)
 		}
@@ -161,55 +174,64 @@ func parseParams(fields []string, line int) (map[string]string, error) {
 	return out, nil
 }
 
-// validate checks referential integrity and port usage.
-func (s *Spec) validate() error {
-	devs := make(map[string]DeviceSpec, len(s.Devices))
-	for _, d := range s.Devices {
-		devs[d.Name] = d
-	}
-	used := map[string]int{}
-	for _, l := range s.Links {
-		for _, e := range []Endpoint{l.A, l.B} {
-			d, ok := devs[e.Device]
-			if !ok {
-				return perr(l.Line, "link references unknown device %q", e.Device)
-			}
-			if err := checkPort(d, e.Port, l.Line); err != nil {
-				return err
-			}
-			key := e.String()
-			if prev, dup := used[key]; dup {
-				return perr(l.Line, "port %s already wired at line %d", key, prev)
-			}
-			used[key] = l.Line
+// check parses every parameter, then checks referential integrity and port
+// usage. It returns the devices and link configurations Build instantiates,
+// in declaration order.
+func (s *Spec) check() ([]device, []netem.LinkConfig, error) {
+	devs := make([]device, len(s.Devices))
+	byName := make(map[string]*device, len(s.Devices))
+	for i, d := range s.Devices {
+		if byName[d.Name] != nil {
+			return nil, nil, perr(d.Line, "duplicate device %q", d.Name)
 		}
+		var err error
+		if devs[i], err = d.parse(); err != nil {
+			return nil, nil, err
+		}
+		byName[d.Name] = &devs[i]
+	}
+	links := make([]netem.LinkConfig, len(s.Links))
+	used := make(map[Endpoint]int, 2*len(s.Links))
+	for i, l := range s.Links {
 		if l.A == l.B {
-			return perr(l.Line, "link connects %s to itself", l.A)
+			return nil, nil, perr(l.Line, "link connects %s to itself", l.A)
+		}
+		for _, e := range [2]Endpoint{l.A, l.B} {
+			d := byName[e.Device]
+			if d == nil {
+				return nil, nil, perr(l.Line, "link references unknown device %q", e.Device)
+			}
+			if err := d.checkPort(e.Port, l.Line); err != nil {
+				return nil, nil, err
+			}
+			if prev, dup := used[e]; dup {
+				return nil, nil, perr(l.Line, "port %s already wired at line %d", e, prev)
+			}
+			used[e] = l.Line
+		}
+		var err error
+		if links[i], err = l.config(); err != nil {
+			return nil, nil, err
 		}
 	}
-	return nil
+	return devs, links, nil
 }
 
-func checkPort(d DeviceSpec, port string, line int) error {
+func (d *device) checkPort(port string, line int) error {
+	var ok bool
 	switch d.Kind {
 	case KindGenerator:
-		if port != "tx" && port != "rx" {
-			return perr(line, "generator %s has ports tx and rx, not %q", d.Name, port)
-		}
+		ok = port == "tx" || port == "rx"
 	case KindRouter:
-		if port != "0" && port != "1" {
-			return perr(line, "router %s has ports 0 and 1, not %q", d.Name, port)
-		}
+		ok = port == "0" || port == "1"
 	case KindSink:
-		if port != "0" {
-			return perr(line, "sink %s has port 0, not %q", d.Name, port)
-		}
+		ok = port == "0"
 	case KindSwitch:
-		n := intParam(d.Params, "ports", 2)
 		idx, err := strconv.Atoi(port)
-		if err != nil || idx < 0 || idx >= n {
-			return perr(line, "switch %s has ports 0..%d, not %q", d.Name, n-1, port)
-		}
+		ok = err == nil && idx >= 0 && idx < d.ports
+	}
+	if !ok {
+		return perr(line, "%s %s has no port %q", d.Kind, d.Name, port)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -56,6 +57,28 @@ func TestParseErrors(t *testing.T) {
 		"bad param":            "router r extra\n",
 		"duplicate param":      "router r a=1 a=2\n",
 		"missing link operand": "link a.0\n",
+		// Malformed values are errors, not defaults.
+		"non-numeric seed":       "router r model=vm seed=abc\n",
+		"negative router seed":   "router r model=vm seed=-1\n",
+		"seed beyond uint64":     "router r model=vm seed=18446744073709551616\n",
+		"bool other than true":   "generator g hw=maybe\n",
+		"bool spelled 1":         "generator g hw=1\n",
+		"forwarding spelled yes": "router r forwarding=yes\n",
+		"non-numeric ports":      "switch sw ports=x\n",
+		"negative ports":         "switch sw ports=-3\n",
+		"zero ports":             "switch sw ports=0\n",
+		"ports beyond the cap":   "switch sw ports=1000000000\n",
+		"negative link seed":     "generator g\nsink s\nlink g.tx s.0 seed=-1\n",
+		"NaN rate":               "generator g\nsink s\nlink g.tx s.0 rate=NaN\n",
+		"infinite rate":          "generator g\nsink s\nlink g.tx s.0 rate=Inf\n",
+		"NaN loss":               "generator g\nsink s\nlink g.tx s.0 loss=NaN\n",
+		// Keys the kind does not define are errors, not ignored typos.
+		"unknown router key":     "router r colour=red\n",
+		"router key on a sink":   "sink s hw=true\n",
+		"model on a generator":   "generator g model=vm\n",
+		"unknown link key":       "generator g\nsink s\nlink g.tx s.0 mtu=9000\n",
+		"switch key on a link":   "generator g\nsink s\nlink g.tx s.0 ports=2\n",
+		"unknown generator prof": "generator g profile=warp10\n",
 	}
 	for name, input := range cases {
 		if _, err := Parse([]byte(input)); err == nil {
@@ -106,12 +129,9 @@ func TestBuildCaseStudyAndMeasure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := n.Generator("lg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.Router("dut"); err != nil {
-		t.Fatal(err)
+	gen := n.Generators["lg"]
+	if gen == nil || n.Routers["dut"] == nil {
+		t.Fatalf("network = %+v, want generator lg and router dut", n)
 	}
 	res, err := gen.Run(loadgen.RunConfig{
 		Template: packet.UDPTemplate{
@@ -160,8 +180,7 @@ link sw.1 s.0
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, _ := n.Generator("g")
-	res, err := gen.Run(loadgen.RunConfig{
+	res, err := n.Generators["g"].Run(loadgen.RunConfig{
 		Template: packet.UDPTemplate{
 			SrcMAC: packet.MAC{2, 0, 0, 0, 0, 1}, DstMAC: packet.MAC{2, 0, 0, 0, 0, 2},
 			FrameSize: 64,
@@ -197,8 +216,7 @@ link r.1 g.rx
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, _ := n.Generator("g")
-	res, err := gen.Run(loadgen.RunConfig{
+	res, err := n.Generators["g"].Run(loadgen.RunConfig{
 		Template: packet.UDPTemplate{
 			SrcMAC: packet.MAC{2, 0, 0, 0, 0, 1}, DstMAC: packet.MAC{2, 0, 0, 0, 0, 2},
 			FrameSize: 64,
@@ -238,6 +256,63 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
+// TestBuildChecksTypedSpecs: a Spec assembled in code, never parsed, is held
+// to the text format's rules — Build returns the *ParseError Parse would.
+func TestBuildChecksTypedSpecs(t *testing.T) {
+	gen := DeviceSpec{Kind: KindGenerator, Name: "g"}
+	rtr := DeviceSpec{Kind: KindRouter, Name: "r"}
+	cases := map[string]Spec{
+		"bad seed":         {Devices: []DeviceSpec{{Kind: KindRouter, Name: "r", Params: map[string]string{"model": "vm", "seed": "abc"}}}},
+		"unknown profile":  {Devices: []DeviceSpec{{Kind: KindGenerator, Name: "g", Params: map[string]string{"profile": "warp10"}}}},
+		"duplicate device": {Devices: []DeviceSpec{rtr, rtr}},
+		"unknown device":   {Devices: []DeviceSpec{gen}, Links: []LinkSpec{{A: Endpoint{"g", "tx"}, B: Endpoint{"ghost", "0"}}}},
+		"bad router port":  {Devices: []DeviceSpec{gen, rtr}, Links: []LinkSpec{{A: Endpoint{"g", "tx"}, B: Endpoint{"r", "7"}}}},
+		"double wiring": {Devices: []DeviceSpec{gen, rtr}, Links: []LinkSpec{
+			{A: Endpoint{"g", "tx"}, B: Endpoint{"r", "0"}}, {A: Endpoint{"g", "rx"}, B: Endpoint{"r", "0"}},
+		}},
+		"bad link rate": {Devices: []DeviceSpec{gen, rtr}, Links: []LinkSpec{
+			{A: Endpoint{"g", "tx"}, B: Endpoint{"r", "0"}, Params: map[string]string{"rate": "fast"}},
+		}},
+	}
+	for name, spec := range cases {
+		_, err := spec.Build()
+		if _, ok := err.(*ParseError); !ok {
+			t.Errorf("%s: Build returned %v, want a *ParseError", name, err)
+		}
+	}
+}
+
+// TestBuildSeedsAreUint64: a seed above MaxInt64 — every chain router past
+// the first gets one — reaches the jitter model instead of falling back to
+// the default seed 1.
+func TestBuildSeedsAreUint64(t *testing.T) {
+	rx := func(seed string) int64 {
+		spec, err := Parse([]byte("generator g hw=false\nrouter r model=vm hw=false seed=" + seed + "\nlink g.tx r.0\nlink r.1 g.rx\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := n.Generators["g"].Run(loadgen.RunConfig{
+			Template: packet.UDPTemplate{
+				SrcMAC: packet.MAC{2, 0, 0, 0, 0, 1}, DstMAC: packet.MAC{2, 0, 0, 0, 0, 2},
+				FrameSize: 64,
+			},
+			RatePPS:  200_000,
+			Duration: sim.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.RxPackets
+	}
+	if max, one := rx("18446744073709551615"), rx("1"); max == one {
+		t.Errorf("seed=MaxUint64 and seed=1 both forward %d packets: the seed did not reach the model", max)
+	}
+}
+
 func TestParseRate(t *testing.T) {
 	cases := map[string]float64{
 		"10G": 10e9, "1g": 1e9, "100M": 100e6, "1T": 1e12, "25k": 25e3, "1e9": 1e9, "42": 42,
@@ -252,16 +327,6 @@ func TestParseRate(t *testing.T) {
 		if _, err := parseRate(bad); err == nil {
 			t.Errorf("parseRate(%q) succeeded", bad)
 		}
-	}
-}
-
-func TestNetworkLookupErrors(t *testing.T) {
-	n := &Network{Generators: map[string]*loadgen.Generator{}, Routers: nil}
-	if _, err := n.Generator("x"); err == nil {
-		t.Error("missing generator found")
-	}
-	if _, err := n.Router("x"); err == nil {
-		t.Error("missing router found")
 	}
 }
 
@@ -280,4 +345,29 @@ func TestParseNeverPanicsProperty(t *testing.T) {
 			_, _ = Parse([]byte(in))
 		}()
 	}
+}
+
+// FuzzParseTopology: no input panics Parse; every accepted spec's canonical
+// form re-parses to itself; and an accepted spec builds.
+func FuzzParseTopology(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := Parse(data)
+		if err != nil {
+			if _, ok := err.(*ParseError); !ok {
+				t.Fatalf("error type %T: %v", err, err)
+			}
+			return
+		}
+		canon := spec.Render()
+		again, err := Parse(canon)
+		if err != nil {
+			t.Fatalf("canonical form does not re-parse: %v\n%s", err, canon)
+		}
+		if round := again.Render(); !bytes.Equal(round, canon) {
+			t.Fatalf("canonical form is not a fixed point:\n%s\nre-renders as\n%s", canon, round)
+		}
+		if _, err := spec.Build(); err != nil {
+			t.Fatalf("accepted spec does not build: %v\n%s", err, canon)
+		}
+	})
 }
