@@ -100,8 +100,9 @@ profile-dataplane:
 # attribution has exactly one owner, no engine-mode switch outside the
 # engine and the topology builder — the scalar event-per-hop path is the
 # differential tests' oracle, reached only through Engine.SetBatching in a
-# test — and no internal/ package that only tests import: code nothing
-# ships is deleted, not kept.
+# test — no file writes in internal/timeline, so analysis stays a reader of
+# the experiment it explains — and no internal/ package that only tests
+# import: code nothing ships is deleted, not kept.
 .PHONY: lint
 lint:
 	go vet ./...
@@ -127,6 +128,11 @@ lint:
 		| grep -v _test.go | grep -vE '^\./internal/(sim|topo)/'; true); \
 	if [ -n "$$out" ]; then \
 		echo "SetBatching outside internal/sim and internal/topo (the scalar engine is a test-only oracle):"; \
+		echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE 'os\.(WriteFile|Create|OpenFile)' internal/timeline --include='*.go' \
+		| grep -v _test.go; true); \
+	if [ -n "$$out" ]; then \
+		echo "file write in internal/timeline (analysis is a reader: the timeline is a view, never a file in the experiment):"; \
 		echo "$$out"; exit 1; fi
 	@out=$$(for dir in internal/*/; do \
 		pkg=pos/$${dir%/}; \

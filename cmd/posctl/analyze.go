@@ -2,26 +2,31 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
+	"pos/internal/telemetry"
 	"pos/internal/timeline"
 )
 
 // cmdAnalyze answers "where did the time go" for a finished campaign: it
-// assembles the experiment directory's archives into a timeline, prints the
+// assembles the experiment directory's record into a timeline, prints the
 // critical-path phase attribution, stragglers, and replica utilization, and
 // — with -baseline — diffs the phase profile against another run of the same
-// experiment, failing (non-zero exit) when drift exceeds the threshold.
+// experiment, failing (non-zero exit) when drift exceeds the threshold. With
+// -chrome it also writes spans.json as a Chrome trace. It never writes into
+// the experiment: the timeline is a view, recomputed on every call.
 func cmdAnalyze(args []string) error {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
 	jsonOut := fs.Bool("json", false, "emit the assembled timeline (and drift) as JSON")
 	baseline := fs.String("baseline", "", "baseline experiment directory to diff phase-by-phase against")
 	threshold := fs.Float64("threshold", 0, "drift threshold as a fraction (default 0.25 = flag >25% growth)")
-	noWrite := fs.Bool("nowrite", false, "do not archive timeline.json into the experiment directory")
+	chrome := fs.String("chrome", "", "also write spans.json as a Chrome trace-event file here (outside the experiment)")
 	fs.Parse(args)
 	if fs.NArg() < 1 {
 		return fmt.Errorf("analyze: usage: posctl analyze <expdir> [flags]")
@@ -41,9 +46,9 @@ func cmdAnalyze(args []string) error {
 	if err != nil {
 		return err
 	}
-	if !*noWrite {
-		if werr := timeline.Write(dir, tl); werr != nil {
-			fmt.Fprintf(os.Stderr, "analyze: warning: could not archive timeline.json: %v\n", werr)
+	if *chrome != "" {
+		if err := writeChrome(dir, *chrome); err != nil {
+			return err
 		}
 	}
 
@@ -76,6 +81,32 @@ func cmdAnalyze(args []string) error {
 		return fmt.Errorf("analyze: performance drift past threshold (%.0f%%) against baseline %s",
 			drift.Threshold*100, *baseline)
 	}
+	return nil
+}
+
+// writeChrome converts the experiment's spans.json to Chrome trace-event
+// format at out, which must lie outside the experiment directory.
+func writeChrome(dir, out string) error {
+	absDir, errDir := filepath.Abs(dir)
+	absOut, errOut := filepath.Abs(out)
+	if err := errors.Join(errDir, errOut); err != nil {
+		return err
+	}
+	if strings.HasPrefix(absOut, absDir+string(filepath.Separator)) {
+		return fmt.Errorf("analyze: -chrome %s is inside the experiment; analyze never writes there", out)
+	}
+	recs, err := timeline.ReadSpans(dir)
+	if err != nil {
+		return err
+	}
+	data, err := telemetry.ChromeTrace(recs)
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(out, data, 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "wrote %s (%d spans) — load in chrome://tracing or https://ui.perfetto.dev\n", out, len(recs))
 	return nil
 }
 

@@ -8,7 +8,8 @@
 //	posctl queue -addr HOST:PORT          show a controller's campaign queue
 //	posctl cancel -addr HOST:PORT -id N   cancel a queued or running campaign
 //	posctl watch -addr HOST:PORT          stream a controller's live events
-//	posctl events -dir DIR                replay a finished experiment's journal
+//	posctl watch -dir DIR                 replay a finished experiment's journal
+//	posctl analyze DIR [-chrome OUT]      where a campaign's time went (read-only)
 //	posctl results -dir DIR [flags]       inspect a results tree
 //	posctl publish -dir DIR [flags]       bundle an experiment for release
 //
@@ -105,10 +106,6 @@ func main() {
 		err = cmdTop(os.Args[2:])
 	case "watch":
 		err = cmdWatch(os.Args[2:])
-	case "events":
-		err = cmdEvents(os.Args[2:])
-	case "spans":
-		err = cmdSpans(os.Args[2:])
 	case "analyze":
 		err = cmdAnalyze(os.Args[2:])
 	case "-h", "--help", "help":
@@ -138,13 +135,14 @@ commands:
   queue      show a controller's campaign queue (live state)
   cancel     cancel a queued campaign or preempt a running one
   vposd      run the virtual-testbed-as-a-service endpoint
-  metrics    scrape a controller's telemetry (/metrics or JSON snapshot)
+  metrics    scrape a controller's telemetry once (/metrics or JSON snapshot)
   top        live terminal dashboard: health probes, key metrics, event tail
-  watch      stream a controller's live experiment events (SSE)
-  events     replay a finished experiment's event journal
-  spans      convert an archived spans.json to Chrome trace-event format
+  watch      stream a controller's live events (-addr, SSE) or replay a
+             finished experiment's event journal (-dir)
   analyze    assemble a campaign timeline: critical path, phase attribution,
-             stragglers; -baseline diffs phase-by-phase and fails on drift
+             stragglers; -baseline diffs phase-by-phase and fails on drift;
+             -chrome writes spans.json as a Chrome trace. Never writes into
+             the experiment
   results    inspect a results tree
   index      inspect or rebuild an experiment's run manifest and dedup pool
   plot       generate throughput figures from an experiment's results
@@ -274,13 +272,13 @@ func launch(spec casestudy.Spec, exp *core.Experiment, store *results.Store) err
 		fmt.Printf("quarantined replicas: %s\n", strings.Join(sum.Quarantined, ", "))
 	}
 	fmt.Printf("results: %s\n", sum.ResultsDir)
-	fmt.Printf("event journal: %s (replay with posctl events -dir %s)\n",
+	fmt.Printf("event journal: %s (replay with posctl watch -dir %s)\n",
 		filepath.Join(sum.ResultsDir, "events"), sum.ResultsDir)
 	return nil
 }
 
 // printProgress is the console's view of a local run: every workflow step,
-// rendered exactly as posctl events replays it from the journal.
+// rendered exactly as posctl watch -dir replays it from the journal.
 func printProgress(ev eventlog.Event) {
 	if ev.Typ == "progress" {
 		fmt.Println(renderEvent(ev))
@@ -580,49 +578,17 @@ func flightRecordPath() string {
 	return fmt.Sprintf("flightrec-%s.json", time.Now().Format("20060102T150405"))
 }
 
+// cmdMetrics prints one telemetry snapshot; posctl top is the live view.
 func cmdMetrics(args []string) error {
 	fs := flag.NewFlagSet("metrics", flag.ExitOnError)
 	addr := fs.String("addr", "", "controller API address host:port (required)")
 	raw := fs.Bool("raw", false, "print the Prometheus text exposition verbatim")
-	interval := fs.Duration("interval", 0, "re-scrape every interval until interrupted (0: one-shot)")
 	fs.Parse(args)
 	if *addr == "" {
 		return fmt.Errorf("metrics: -addr required (the host:port printed by posctl serve)")
 	}
 	c := api.NewClient(*addr)
-	if *interval <= 0 {
-		return scrapeMetrics(c, *raw)
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	// A failed poll does not end the watch: the controller may be
-	// restarting. Retry with exponential backoff and resume the regular
-	// cadence on the first successful scrape.
-	const maxBackoff = 30 * time.Second
-	backoff := time.Second
-	for {
-		wait := *interval
-		fmt.Printf("--- %s\n", time.Now().Format(time.RFC3339))
-		if err := scrapeMetrics(c, *raw); err != nil {
-			fmt.Fprintf(os.Stderr, "metrics: %v — retrying in %s\n", err, backoff)
-			wait = backoff
-			if backoff *= 2; backoff > maxBackoff {
-				backoff = maxBackoff
-			}
-		} else {
-			backoff = time.Second
-		}
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-time.After(wait):
-		}
-	}
-}
-
-// scrapeMetrics fetches and prints one telemetry snapshot.
-func scrapeMetrics(c *api.Client, raw bool) error {
-	if raw {
+	if *raw {
 		text, err := c.MetricsText()
 		if err != nil {
 			return err
@@ -671,37 +637,6 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-func cmdSpans(args []string) error {
-	fs := flag.NewFlagSet("spans", flag.ExitOnError)
-	file := fs.String("file", "", "spans.json artifact (required)")
-	out := fs.String("out", "", "Chrome trace-event output path (default: stdout)")
-	fs.Parse(args)
-	if *file == "" {
-		return fmt.Errorf("spans: -file required (a spans.json archived next to experiment results)")
-	}
-	data, err := os.ReadFile(*file)
-	if err != nil {
-		return err
-	}
-	recs, err := telemetry.ParseSpans(data)
-	if err != nil {
-		return err
-	}
-	chrome, err := telemetry.ChromeTrace(recs)
-	if err != nil {
-		return err
-	}
-	if *out == "" {
-		os.Stdout.Write(chrome)
-		return nil
-	}
-	if err := os.WriteFile(*out, chrome, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d spans) — load in chrome://tracing or https://ui.perfetto.dev\n", *out, len(recs))
-	return nil
 }
 
 func cmdResults(args []string) error {

@@ -110,9 +110,9 @@ func TestRunRecordsOneReproducibleJournal(t *testing.T) {
 		}
 	}
 
-	out, err := captureStdout(t, func() error { return cmdEvents([]string{"-dir", a}) })
+	out, err := captureStdout(t, func() error { return cmdWatch([]string{"-dir", a}) })
 	if err != nil {
-		t.Fatalf("posctl events: %v", err)
+		t.Fatalf("posctl watch -dir: %v", err)
 	}
 	for _, want := range []string{
 		"setup        booting hosts",
@@ -122,7 +122,7 @@ func TestRunRecordsOneReproducibleJournal(t *testing.T) {
 		"measurement  run   2/2  pkt_rate=20000,pkt_sz=64",
 	} {
 		if strings.Count(out, want) != 1 {
-			t.Errorf("posctl events lists %q %d times, want once:\n%s", want, strings.Count(out, want), out)
+			t.Errorf("posctl watch -dir lists %q %d times, want once:\n%s", want, strings.Count(out, want), out)
 		}
 	}
 }

@@ -33,7 +33,6 @@ func cmdSubmit(args []string) error {
 	priority := fs.Int("priority", 0, "admission priority (higher admits first)")
 	expDir := fs.String("expdir", "", "experiment directory to run (optional; default: the spec's case-study sweep)")
 	specFile := fs.String("f", "", "campaign spec file (campaign.yml; default: the spec's defaults)")
-	spansOut := fs.String("spans", "", "archive this invocation's own span lane to the given file (drop it next to the campaign's spans.json to stitch a posctl lane into posctl analyze)")
 	fs.Parse(args)
 	if *addr == "" || *user == "" || *nodes == "" {
 		return fmt.Errorf("submit: -addr, -user, and -nodes are required")
@@ -52,10 +51,10 @@ func cmdSubmit(args []string) error {
 	}
 	// The submission is the root of the campaign's causal tree: the request
 	// carries this span's traceparent, the queue journals it, and the
-	// launched campaign adopts the trace ID — one stitched trace from this
-	// terminal to every replica lane.
+	// launched campaign adopts the trace ID — one trace from this terminal
+	// to every replica lane. The queue's admission stamp, journaled with the
+	// campaign, carries the time it waited.
 	tr := telemetry.NewTrace("posctl:submit")
-	tr.SetProcess("posctl")
 	ctx := telemetry.ContextWithTrace(context.Background(), tr)
 	c := api.NewClient(*addr)
 	view, err := c.SubmitCampaignContext(ctx, api.CampaignRequest{
@@ -69,15 +68,6 @@ func cmdSubmit(args []string) error {
 	})
 	if err != nil {
 		return err
-	}
-	tr.Root().SetAttr("campaign", strconv.Itoa(view.ID))
-	tr.Finish()
-	if *spansOut != "" {
-		if data, rerr := tr.RenderJSON(); rerr == nil {
-			if werr := os.WriteFile(*spansOut, data, 0o644); werr != nil {
-				return fmt.Errorf("submit: writing -spans archive: %w", werr)
-			}
-		}
 	}
 	fmt.Printf("campaign #%d submitted: %s/%s %s (position %d, trace %s)\n",
 		view.ID, view.User, view.Name, view.State, view.Position, tr.ID())

@@ -96,7 +96,7 @@ func renderEvent(ev eventlog.Event) string {
 	case "health":
 		fmt.Fprintf(&b, "[health] %s", ev.Message)
 	case "events.dropped":
-		fmt.Fprintf(&b, "WARNING: %s events dropped (consumer too slow) — resume from the journal with posctl watch -last or posctl events",
+		fmt.Fprintf(&b, "WARNING: %s events dropped (consumer too slow) — resume from the journal with posctl watch -last, or replay it with posctl watch -dir",
 			ev.Attrs["dropped"])
 	default:
 		b.WriteString(ev.Message)
@@ -135,86 +135,79 @@ func replicaNames(m map[string]*replicaState) []string {
 	return keys
 }
 
-// cmdWatch streams a controller's live experiment events over SSE and keeps
-// a per-replica status board, printed when the stream ends.
+// cmdWatch shows an event record: a controller's live stream over SSE
+// (-addr), or a finished experiment's journal replayed from disk (-dir) —
+// the same sequence a live watcher saw. Either way it keeps a per-replica
+// status board, printed when the stream ends.
 func cmdWatch(args []string) error {
 	fs := flag.NewFlagSet("watch", flag.ExitOnError)
-	addr := fs.String("addr", "", "controller API address host:port (required)")
+	addr := fs.String("addr", "", "controller API address host:port (the live stream)")
+	dir := fs.String("dir", "", "experiment directory whose journal to replay (the results dir printed by posctl run)")
 	replica := fs.String("replica", "", "only this replica's events")
 	phase := fs.String("phase", "", "only this phase's events (setup, measurement)")
+	traceID := fs.String("trace", "", "only events stamped with this trace id (prefix match)")
 	jsonOut := fs.Bool("json", false, "emit raw event JSON lines for piping")
-	last := fs.Uint64("last", 0, "resume after this sequence number (journal catch-up)")
+	last := fs.Uint64("last", 0, "live stream only: resume after this sequence number (journal catch-up)")
 	fs.Parse(args)
-	if *addr == "" {
-		return fmt.Errorf("watch: -addr required (the host:port printed by posctl serve)")
+	if (*addr == "") == (*dir == "") {
+		return fmt.Errorf("watch: one of -addr (the host:port printed by posctl serve) or -dir (an experiment directory) required")
 	}
-	c := api.NewClient(*addr)
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	if *dir != "" && *last != 0 {
+		return fmt.Errorf("watch: -last resumes a live stream; -dir replays the whole journal")
+	}
 	states := map[string]*replicaState{}
 	enc := json.NewEncoder(os.Stdout)
-	err := c.StreamEvents(ctx, api.EventStreamOptions{
-		LastID: *last, Replica: *replica, Phase: *phase,
-	}, func(ev eventlog.Event) error {
+	show := func(ev eventlog.Event) error {
+		if *traceID != "" && !strings.HasPrefix(ev.Attrs["trace_id"], *traceID) {
+			return nil
+		}
 		if *jsonOut {
 			return enc.Encode(ev)
 		}
 		applyEvent(states, ev)
 		fmt.Println(renderEvent(ev))
 		return nil
-	})
+	}
+	var err error
+	if *dir != "" {
+		err = replayJournal(*dir, *replica, *phase, show)
+	} else {
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		defer stop()
+		err = api.NewClient(*addr).StreamEvents(ctx, api.EventStreamOptions{
+			LastID: *last, Replica: *replica, Phase: *phase,
+		}, show)
+		if ctx.Err() != nil {
+			err = nil // Ctrl-C is the normal way to leave a watch
+		}
+	}
 	if !*jsonOut && len(states) > 0 {
 		fmt.Print(renderBoard(states))
-	}
-	if ctx.Err() != nil {
-		return nil // Ctrl-C is the normal way to leave a watch
 	}
 	return err
 }
 
-// cmdEvents replays a finished experiment's journal — the same sequence a
-// live watcher saw, reconstructed from disk.
-func cmdEvents(args []string) error {
-	fs := flag.NewFlagSet("events", flag.ExitOnError)
-	dir := fs.String("dir", "", "experiment directory (the results dir printed by posctl run)")
-	replica := fs.String("replica", "", "only this replica's events")
-	traceID := fs.String("trace", "", "only events stamped with this trace id (prefix match)")
-	jsonOut := fs.Bool("json", false, "emit raw event JSON lines for piping")
-	fs.Parse(args)
-	if *dir == "" {
-		return fmt.Errorf("events: -dir required (an experiment directory with an events/ journal)")
+// replayJournal feeds a finished experiment's journal to show, filtered the
+// way the controller filters its live stream. dir is the experiment
+// directory or its events/ journal.
+func replayJournal(dir, replica, phase string, show func(eventlog.Event) error) error {
+	if fi, err := os.Stat(filepath.Join(dir, "events")); err == nil && fi.IsDir() {
+		dir = filepath.Join(dir, "events")
 	}
-	journalDir := *dir
-	if fi, err := os.Stat(filepath.Join(journalDir, "events")); err == nil && fi.IsDir() {
-		journalDir = filepath.Join(journalDir, "events")
-	}
-	evs, err := eventlog.Replay(journalDir)
+	evs, err := eventlog.Replay(dir)
 	if err != nil {
 		return err
 	}
 	if len(evs) == 0 {
-		return fmt.Errorf("events: no journal under %s", journalDir)
+		return fmt.Errorf("watch: no journal under %s", dir)
 	}
-	states := map[string]*replicaState{}
-	enc := json.NewEncoder(os.Stdout)
 	for _, ev := range evs {
-		if *replica != "" && ev.Replica != *replica {
+		if (replica != "" && ev.Replica != replica) || (phase != "" && ev.Phase != phase) {
 			continue
 		}
-		if *traceID != "" && !strings.HasPrefix(ev.Attrs["trace_id"], *traceID) {
-			continue
+		if err := show(ev); err != nil {
+			return err
 		}
-		if *jsonOut {
-			if err := enc.Encode(ev); err != nil {
-				return err
-			}
-			continue
-		}
-		applyEvent(states, ev)
-		fmt.Println(renderEvent(ev))
-	}
-	if !*jsonOut && len(states) > 0 {
-		fmt.Print(renderBoard(states))
 	}
 	return nil
 }

@@ -63,7 +63,7 @@ func main() {
 
 	fmt.Printf("\ncompleted %d runs (%d failed)\n", sum.TotalRuns, sum.FailedRuns)
 	fmt.Println("artifacts:", sum.ResultsDir)
-	fmt.Println("execution record: posctl events -dir", sum.ResultsDir)
+	fmt.Println("execution record: posctl watch -dir", sum.ResultsDir)
 
 	// Evaluation: parse the uploaded MoonGen logs and print the series.
 	ids, err := store.ListExperiments(exp.User, exp.Name)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"path/filepath"
 	"runtime/pprof"
 	"sort"
 	"strings"
@@ -12,6 +13,7 @@ import (
 
 	"pos/internal/core"
 	"pos/internal/eval"
+	"pos/internal/eventlog"
 	"pos/internal/loadgen"
 	"pos/internal/moonparse"
 	"pos/internal/packet"
@@ -657,7 +659,7 @@ func TestArtifactsByteIdenticalAcrossExecutions(t *testing.T) {
 // SetFaults) to fail every exec after its initial setup — measurements and
 // clean-slate re-setups alike, on both of its nodes. The campaign retries
 // its runs on the healthy replicas and still completes the full sweep with
-// zero failed runs and a complete attempt history.
+// zero failed runs and a complete attempt history in the journal.
 func TestCampaignSurvivesFaultyReplica(t *testing.T) {
 	cfg := SweepConfig{
 		Sizes:      []int{64, 1500},
@@ -737,7 +739,21 @@ func TestCampaignSurvivesFaultyReplica(t *testing.T) {
 			t.Errorf("run %d: parse: %v", run, err)
 		}
 	}
-	if _, err := e.ReadExperimentArtifact("experiment/attempts.json"); err != nil {
-		t.Errorf("attempts.json missing: %v", err)
+	// The attempt history is the journal: each run's highest journaled
+	// attempt is the summary's attempt count.
+	evs, err := eventlog.Replay(filepath.Join(e.Dir(), "events"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	journaled := map[int]int{}
+	for _, ev := range evs {
+		if ev.Run != eventlog.NoRun {
+			journaled[ev.Run] = max(journaled[ev.Run], ev.Attempt, 1)
+		}
+	}
+	for _, rec := range sum.Records {
+		if journaled[rec.Run] != rec.Attempts {
+			t.Errorf("run %d: journal shows %d attempt(s), summary %d", rec.Run, journaled[rec.Run], rec.Attempts)
+		}
 	}
 }

@@ -350,19 +350,24 @@ func (s Spec) runCampaign(ctx context.Context, exp *core.Experiment, store *resu
 			t.Close()
 		}
 	}()
+	return s.newCampaign(topos, exp, events).Run(ctx, store)
+}
+
+// newCampaign wires a campaign over the replica topologies with the spec's
+// retry and quarantine policy.
+func (s Spec) newCampaign(topos []*Topology, exp *core.Experiment, events *eventlog.Pipeline) *sched.Campaign {
 	reps := make([]sched.Replica, len(topos))
 	for i, t := range topos {
 		e := *exp
 		reps[i] = sched.Replica{Name: fmt.Sprintf("replica%d", i), Runner: t.Runner(), Experiment: &e}
 	}
-	c := &sched.Campaign{
+	return &sched.Campaign{
 		Replicas:          reps,
 		MaxAttempts:       s.Retries,
 		QuarantineAfter:   s.Quarantine,
 		Events:            events,
 		HeartbeatInterval: campaignHeartbeat,
 	}
-	return c.Run(ctx, store)
 }
 
 // archiveSpec files the marshalled spec in the experiment tree Launch's run

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"pos/internal/compare"
+	"pos/internal/core"
 	"pos/internal/eventlog"
 	"pos/internal/results"
 	"pos/internal/sched"
@@ -260,43 +261,35 @@ func TestLaunchSingleMatchesRunner(t *testing.T) {
 
 // campaignRecord is what a campaign tree must share with any other campaign
 // of the same spec: the dispatcher's choice of replica aside, campaign.json,
-// attempts.json and every run's number, loop variables and outcome.
+// the journal's retry history and every run's number, loop variables and
+// outcome.
 type campaignRecord struct {
 	Campaign struct {
 		Replicas  []string `json:"replicas"`
 		Parallel  int      `json:"parallel"`
 		TotalRuns int      `json:"total_runs"`
 	}
-	Attempts struct {
-		MaxAttempts int `json:"max_attempts"`
-		Runs        []struct {
-			Run      int `json:"run"`
-			Attempts []struct {
-				Attempt int    `json:"attempt"`
-				Phase   string `json:"phase"`
-				Failed  bool   `json:"failed"`
-			} `json:"attempts"`
-		} `json:"runs"`
-	}
-	Runs []results.RunMeta
+	// Dispatched and Failed map each run to the attempts the journal shows
+	// it dispatched at and failed at, in order.
+	Dispatched, Failed map[int][]int
+	Runs               []results.RunMeta
 }
 
 func readCampaignRecord(t *testing.T, e *results.Experiment) campaignRecord {
 	t.Helper()
 	var rec campaignRecord
-	for name, dst := range map[string]any{"experiment/campaign.json": &rec.Campaign, "experiment/attempts.json": &rec.Attempts} {
-		data, err := e.ReadExperimentArtifact(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(data, dst); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+	data, err := e.ReadExperimentArtifact("experiment/campaign.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &rec.Campaign); err != nil {
+		t.Fatalf("campaign.json: %v", err)
 	}
 	runs, err := e.Runs()
 	if err != nil {
 		t.Fatal(err)
 	}
+	keys := make(map[int]string, len(runs))
 	for _, run := range runs {
 		m, err := e.ReadRunMeta(run)
 		if err != nil {
@@ -304,6 +297,23 @@ func readCampaignRecord(t *testing.T, e *results.Experiment) campaignRecord {
 		}
 		m.StartedAt, m.FinishedAt = time.Time{}, time.Time{}
 		rec.Runs = append(rec.Runs, m)
+		keys[run] = core.Combination(m.LoopVars).Key()
+	}
+	evs, err := eventlog.Replay(filepath.Join(e.Dir(), "events"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Dispatched, rec.Failed = map[int][]int{}, map[int][]int{}
+	for _, ev := range evs {
+		if ev.Typ != eventlog.TypeProgress || ev.Run == eventlog.NoRun {
+			continue
+		}
+		switch attempt := max(1, ev.Attempt); {
+		case ev.Message == keys[ev.Run]:
+			rec.Dispatched[ev.Run] = append(rec.Dispatched[ev.Run], attempt)
+		case strings.HasPrefix(ev.Message, "run failed: "):
+			rec.Failed[ev.Run] = append(rec.Failed[ev.Run], attempt)
+		}
 	}
 	return rec
 }
@@ -343,7 +353,31 @@ func TestLaunchCampaignMatchesHandBuilt(t *testing.T) {
 
 	got := readCampaignRecord(t, onlyExperiment(t, store, "user", "linux-router-vpos"))
 	want := readCampaignRecord(t, onlyExperiment(t, ref, "user", "linux-router-vpos"))
-	if len(got.Runs) != 4 || !reflect.DeepEqual(got, want) {
+	if len(got.Runs) != 4 || len(got.Dispatched) != 4 || !reflect.DeepEqual(got, want) {
 		t.Errorf("launched campaign\n%+v\nhand-built campaign\n%+v", got, want)
+	}
+}
+
+// TestSpecCampaignCarriesRetryPolicy: the campaign a spec launches retries
+// and quarantines as the spec's retries: and quarantine: keys say. A
+// fault-free sweep never exercises either, so the wiring is checked here.
+func TestSpecCampaignCarriesRetryPolicy(t *testing.T) {
+	spec, err := ParseSpec([]byte("flavor: vpos\nreplicas: 2\nretries: 3\nquarantine: 2\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	topos, err := NewReplicas(Virtual, 2, WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, topo := range topos {
+		defer topo.Close()
+	}
+	c := spec.newCampaign(topos, spec.Experiment(), nil)
+	if c.MaxAttempts != 3 || c.QuarantineAfter != 2 {
+		t.Errorf("campaign MaxAttempts = %d, QuarantineAfter = %d; spec says retries: 3, quarantine: 2", c.MaxAttempts, c.QuarantineAfter)
+	}
+	if len(c.Replicas) != 2 || c.Replicas[0].Name != "replica0" || c.Replicas[1].Name != "replica1" {
+		t.Errorf("campaign replicas = %+v", c.Replicas)
 	}
 }

@@ -72,7 +72,7 @@ func TestRunOneAllocationBudget(t *testing.T) {
 	const runs = 60
 	run := 0
 	perRun := testing.AllocsPerRun(runs-1, func() {
-		if _, err := sess.RunOne(ctx, run, runs, combos[run%len(combos)]); err != nil {
+		if _, err := sess.RunOne(ctx, run, runs, 1, combos[run%len(combos)]); err != nil {
 			t.Fatal(err)
 		}
 		if err := sess.Results().Sync(); err != nil {

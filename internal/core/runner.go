@@ -48,9 +48,9 @@ type RunRecord struct {
 	Error    string
 	Duration time.Duration
 	// Attempts counts how many times the run was dispatched (1 without
-	// retries). It lives in the summary and the campaign's attempts.json,
-	// never in the run's metadata.json — retries must not be observable
-	// in the per-run artifacts.
+	// retries). It lives in the summary and, for a retried run, on the run's
+	// events in the journal — never in the run's metadata.json: retries must
+	// not be observable in the per-run artifacts.
 	Attempts int
 	// Cancelled marks a run that failed only because the campaign was
 	// torn down around it (fail-fast or context cancellation), not
@@ -227,7 +227,7 @@ func (r *Runner) Run(ctx context.Context, e *Experiment, store *results.Store) (
 		if err := ctx.Err(); err != nil {
 			return sum, err
 		}
-		rec, err := sess.RunOne(ctx, runIdx, len(combos), combo)
+		rec, err := sess.RunOne(ctx, runIdx, len(combos), 1, combo)
 		if err != nil && !rec.Failed {
 			// Recording errors (artifact or metadata writes) fail the
 			// run even when the measurement itself succeeded — a run
@@ -480,15 +480,23 @@ func (s *Session) Close() {
 	})
 }
 
-// RunOne executes a single measurement run across the session's hosts. All
-// per-run state — loop variables, upload routing, barrier namespace — lives
-// in a run-scoped hosttools handle, so sessions over disjoint host-sets can
-// have runs in flight concurrently without sharing any mutable state.
-func (s *Session) RunOne(ctx context.Context, runIdx, total int, combo Combination) (RunRecord, error) {
+// RunOne executes a single measurement run across the session's hosts as
+// the given dispatch attempt (1 for the first). All per-run state — loop
+// variables, upload routing, barrier namespace — lives in a run-scoped
+// hosttools handle, so sessions over disjoint host-sets can have runs in
+// flight concurrently without sharing any mutable state.
+//
+// The run's events carry the attempt only when it is a retry, so the journal
+// of a first attempt reads the same with or without a retry policy.
+func (s *Session) RunOne(ctx context.Context, runIdx, total, attempt int, combo Combination) (RunRecord, error) {
 	r := s.r
 	comboKey, runNo := combo.Key(), strconv.Itoa(runIdx)
-	r.event(eventlog.Event{Phase: PhaseMeasurement, Run: runIdx, TotalRuns: total, Replica: s.replica, Message: comboKey})
-	rec := RunRecord{Run: runIdx, Combo: combo, Attempts: 1}
+	retry := 0
+	if attempt > 1 {
+		retry = attempt
+	}
+	r.event(eventlog.Event{Phase: PhaseMeasurement, Run: runIdx, TotalRuns: total, Attempt: retry, Replica: s.replica, Message: comboKey})
+	rec := RunRecord{Run: runIdx, Combo: combo, Attempts: attempt}
 	runStart := r.now()
 	// Host-condition attribution: sample the Go runtime at the run's edges
 	// and archive the delta as resources.json next to metadata.json. Gated
@@ -577,7 +585,7 @@ func (s *Session) RunOne(ctx context.Context, runIdx, total int, combo Combinati
 	if runErr != nil {
 		runsFailed.Inc()
 		runSpan.SetError(runErr)
-		r.event(eventlog.Event{Phase: PhaseMeasurement, Run: runIdx, TotalRuns: total,
+		r.event(eventlog.Event{Phase: PhaseMeasurement, Run: runIdx, TotalRuns: total, Attempt: retry,
 			Replica: s.replica, Message: "run failed: " + comboKey, Error: rec.Error})
 		eventlog.Logger(ctx).Error("measurement run failed",
 			"replica", s.replica, "phase", PhaseMeasurement,

@@ -563,7 +563,7 @@ func TestStragglerUploadRefusedAfterRun(t *testing.T) {
 	defer sess.Close()
 	combos, _ := CrossProduct(e.LoopVars)
 
-	rec, _ := sess.RunOne(context.Background(), 0, 2, combos[0])
+	rec, _ := sess.RunOne(context.Background(), 0, 2, 1, combos[0])
 	if !rec.Failed {
 		t.Fatal("timed-out run not recorded as failed")
 	}
@@ -571,7 +571,7 @@ func TestStragglerUploadRefusedAfterRun(t *testing.T) {
 	if err := r.Service.Upload("vriga", "moongen.log", []byte("stale")); err == nil {
 		t.Fatal("straggler upload accepted after run end")
 	}
-	if rec, err := sess.RunOne(context.Background(), 1, 2, combos[1]); err != nil || rec.Failed {
+	if rec, err := sess.RunOne(context.Background(), 1, 2, 1, combos[1]); err != nil || rec.Failed {
 		t.Fatalf("run 1 = %+v, %v", rec, err)
 	}
 	exp := sess.Results()
@@ -646,7 +646,7 @@ func TestRunOneRecordsMetadataDespiteRecordingFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := sess.RunOne(context.Background(), 0, len(combos), combos[0])
+	rec, err := sess.RunOne(context.Background(), 0, len(combos), 1, combos[0])
 	if err == nil || !rec.Failed {
 		t.Fatalf("recording failure not surfaced: rec = %+v, err = %v", rec, err)
 	}
@@ -687,7 +687,7 @@ func TestRunOneFailsWhenMetadataUnwritable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := sess.RunOne(context.Background(), 0, len(combos), combos[0])
+	rec, err := sess.RunOne(context.Background(), 0, len(combos), 1, combos[0])
 	if err == nil || !rec.Failed || rec.Error == "" {
 		t.Fatalf("unwritable metadata not surfaced: rec = %+v, err = %v", rec, err)
 	}

@@ -36,7 +36,7 @@ func WithLogger(ctx context.Context, lg *slog.Logger) context.Context {
 // Logger returns the context's logger, or a discard logger when none is
 // attached — callers log unconditionally and the spine decides whether the
 // records go anywhere. Inside a traced context every record is stamped with
-// trace_id/span_id attrs, so `posctl events` output greps by trace. The
+// trace_id/span_id attrs, so `posctl watch -trace` filters by trace. The
 // stamping happens here (not in Handle) because slog.Logger methods hand
 // context.Background to the handler, not the caller's context.
 func Logger(ctx context.Context) *slog.Logger {

@@ -329,42 +329,6 @@ type manifest struct {
 	Schedule  map[string]int `json:"runs_per_replica,omitempty"`
 }
 
-// Attempt phases recorded in the attempt history.
-const (
-	// phaseRun is a dispatched measurement run.
-	phaseRun = "run"
-	// phaseResetup is the clean-slate reboot-and-re-setup that precedes
-	// a retry (or follows a failure on the same replica).
-	phaseResetup = "re-setup"
-)
-
-// attempt is one entry of a run's dispatch history.
-type attempt struct {
-	Attempt   int    `json:"attempt"`
-	Replica   string `json:"replica"`
-	Phase     string `json:"phase"`
-	Failed    bool   `json:"failed,omitempty"`
-	Error     string `json:"error,omitempty"`
-	BackoffMS int64  `json:"backoff_ms,omitempty"`
-}
-
-// runAttempts groups one run's attempts for attempts.json.
-type runAttempts struct {
-	Run      int       `json:"run"`
-	Attempts []attempt `json:"attempts"`
-}
-
-// attemptsDoc is the experiment/attempts.json artifact: the campaign's
-// complete fault-tolerance history. It lives next to campaign.json at the
-// experiment level — per-run metadata.json never records attempts, so a
-// retried sweep stays byte-identical to a fault-free sequential one.
-type attemptsDoc struct {
-	MaxAttempts     int           `json:"max_attempts"`
-	QuarantineAfter int           `json:"quarantine_after,omitempty"`
-	Quarantined     []string      `json:"quarantined,omitempty"`
-	Runs            []runAttempts `json:"runs"`
-}
-
 // workItem is one dispatch of a run: the run index plus which attempt this
 // dispatch is.
 type workItem struct {
@@ -381,7 +345,6 @@ type campaignState struct {
 
 	mu          sync.Mutex
 	records     []*core.RunRecord
-	attempts    [][]attempt
 	perWorker   []int
 	outstanding int // runs not yet terminally resolved
 	firstFail   int // lowest run index that failed terminally (fail-fast)
@@ -401,13 +364,6 @@ func (st *campaignState) resolve(run int, rec *core.RunRecord) {
 	if st.outstanding == 0 {
 		close(st.queue)
 	}
-}
-
-// record appends one attempt to a run's history.
-func (st *campaignState) record(run int, a attempt) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.attempts[run] = append(st.attempts[run], a)
 }
 
 // Run executes the campaign: prepare every replica (boot + setup, in
@@ -461,7 +417,7 @@ func (c *Campaign) Run(ctx context.Context, store *results.Store) (sum *core.Sum
 	}
 	// The event journal lives directly under the experiment directory
 	// (like .posindex, it is controller state, not a run artifact): every
-	// published event is replayable after the campaign via posctl events.
+	// published event is replayable after the campaign via posctl watch -dir.
 	// A campaign without an attached pipeline still journals — a private
 	// pipeline with no subscribers costs only the appends.
 	if c.Events == nil {
@@ -597,7 +553,6 @@ func (c *Campaign) Run(ctx context.Context, store *results.Store) (sum *core.Sum
 	defer cancel()
 	st := &campaignState{
 		records:   make([]*core.RunRecord, len(combos)),
-		attempts:  make([][]attempt, len(combos)),
 		perWorker: make([]int, len(c.Replicas)),
 
 		outstanding: len(combos),
@@ -668,12 +623,6 @@ func (c *Campaign) Run(ctx context.Context, store *results.Store) (sum *core.Sum
 	sum.Quarantined = append([]string(nil), st.quarantined...)
 	allQuarantined := st.active == 0
 	failIdx := st.firstFail
-	history := make([]runAttempts, 0, len(combos))
-	for run, atts := range st.attempts {
-		if len(atts) > 0 {
-			history = append(history, runAttempts{Run: run, Attempts: atts})
-		}
-	}
 	for _, rec := range st.records {
 		if rec == nil {
 			continue // never dispatched (cancelled or failed-fast)
@@ -705,18 +654,6 @@ func (c *Campaign) Run(ctx context.Context, store *results.Store) (sum *core.Sum
 		return sum, fmt.Errorf("sched: %w", err)
 	}
 	if err := exp.AddExperimentArtifact("experiment/campaign.json", append(m, '\n')); err != nil {
-		return sum, err
-	}
-	hist, err := json.MarshalIndent(attemptsDoc{
-		MaxAttempts:     maxAttempts,
-		QuarantineAfter: c.QuarantineAfter,
-		Quarantined:     sum.Quarantined,
-		Runs:            history,
-	}, "", "  ")
-	if err != nil {
-		return sum, fmt.Errorf("sched: %w", err)
-	}
-	if err := exp.AddExperimentArtifact("experiment/attempts.json", append(hist, '\n')); err != nil {
 		return sum, err
 	}
 	// Drain the write-behind manifest: the campaign's results directory
@@ -798,20 +735,27 @@ func (c *Campaign) worker(runCtx context.Context, cancel context.CancelFunc, wi 
 
 		// Backoff before a retry happens outside the parallelism
 		// bound: a waiting run must not block a healthy replica's slot.
+		// A campaign torn down during the backoff dispatches nothing.
 		backoff := c.backoffFor(item.attempt)
-		if backoff > 0 {
-			c.event(core.PhaseMeasurement, name, item, len(combos),
-				fmt.Sprintf("backing off %v before attempt %d", backoff, item.attempt), "")
-			c.sleep(runCtx, backoff)
+		c.sleep(runCtx, backoff)
+		if runCtx.Err() != nil {
+			return
 		}
 		select {
 		case <-runCtx.Done():
 			return
 		case sem <- struct{}{}:
 		}
+		// The backoff is journaled once the dispatch is certain: an event
+		// carries an attempt only if the run was dispatched at it, which
+		// is how the journal counts attempts.
+		if backoff > 0 {
+			c.event(core.PhaseMeasurement, name, item, len(combos),
+				fmt.Sprintf("backed off %v before attempt %d", backoff, item.attempt), "")
+		}
 
 		inflightRuns.Inc()
-		rec, err := c.dispatch(runCtx, sess, st, wi, item, combos, dirty, backoff)
+		rec, err := c.dispatch(runCtx, sess, name, item, combos, dirty)
 		inflightRuns.Dec()
 		st.progress.Add(1)
 		<-sem
@@ -885,11 +829,11 @@ func (c *Campaign) worker(runCtx context.Context, cancel context.CancelFunc, wi 
 
 // dispatch executes one work item on a session: clean-slate re-setup when
 // the item is a retry (or the replica just failed), then the measurement
-// run. It returns the run record with the campaign-level bookkeeping
-// (attempt count, collateral-cancellation marker) filled in, plus the raw
-// error for cancellation analysis.
-func (c *Campaign) dispatch(runCtx context.Context, sess *core.Session, st *campaignState, wi int, item workItem, combos []core.Combination, dirty bool, backoff time.Duration) (core.RunRecord, error) {
-	name := c.Replicas[wi].Name
+// run. It returns the run record, stamped with the dispatch attempt, plus
+// the raw error for cancellation analysis. The journal is the retry record:
+// the run's events carry the attempt, and the sched events around them the
+// backoff, requeue and re-setup decisions.
+func (c *Campaign) dispatch(runCtx context.Context, sess *core.Session, name string, item workItem, combos []core.Combination, dirty bool) (core.RunRecord, error) {
 	rctx := runCtx
 	var rcancel context.CancelFunc
 	if c.RunTimeout > 0 {
@@ -902,34 +846,24 @@ func (c *Campaign) dispatch(runCtx context.Context, sess *core.Session, st *camp
 	// contaminated by whatever the failure left behind.
 	if item.attempt > 1 || dirty {
 		if err := sess.Recover(rctx); err != nil {
-			rec := core.RunRecord{
+			c.event(core.PhaseSetup, name, item, len(combos),
+				"clean-slate re-setup failed", err.Error())
+			return core.RunRecord{
 				Run: item.run, Combo: combos[item.run], Failed: true,
 				Error:    fmt.Sprintf("re-setup: %s", err),
 				Attempts: item.attempt,
-			}
-			st.record(item.run, attempt{
-				Attempt: item.attempt, Replica: name, Phase: phaseResetup,
-				Failed: true, Error: err.Error(), BackoffMS: backoff.Milliseconds(),
-			})
-			c.event(core.PhaseSetup, name, item, len(combos),
-				"clean-slate re-setup failed", err.Error())
-			return rec, err
+			}, err
 		}
 	}
 
 	// The run-start event is published by RunOne itself on the campaign's
 	// pipeline (wireReplicas), so dispatch does not duplicate it.
-	rec, err := sess.RunOne(rctx, item.run, len(combos), combos[item.run])
+	rec, err := sess.RunOne(rctx, item.run, len(combos), item.attempt, combos[item.run])
 	if err != nil && !rec.Failed {
 		// Recording errors (artifact or metadata writes) that RunOne
 		// reports without marking the record would otherwise count the
 		// run as successful with its results missing.
 		rec.Failed, rec.Error = true, err.Error()
 	}
-	rec.Attempts = item.attempt
-	st.record(item.run, attempt{
-		Attempt: item.attempt, Replica: name, Phase: phaseRun,
-		Failed: rec.Failed, Error: rec.Error, BackoffMS: backoff.Milliseconds(),
-	})
 	return rec, err
 }

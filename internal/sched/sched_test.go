@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,6 +21,7 @@ import (
 	"pos/internal/results"
 	"pos/internal/sim"
 	"pos/internal/telemetry"
+	"pos/internal/timeline"
 )
 
 // fakeHost is an in-memory core.Host; measurement behaviour is scripted per
@@ -508,18 +511,12 @@ func intsFrom(from, to int) []int {
 
 // TestCampaignRetriesWithCleanSlateResetup: a run that fails twice succeeds
 // on its third attempt, each retry preceded by a clean-slate reboot and
-// re-setup and by an exponentially growing backoff. The attempt history
-// lands in experiment/attempts.json; the summary reports no failed runs.
+// re-setup and by an exponentially growing backoff. The attempt history is
+// the event journal; the summary reports no failed runs.
 func TestCampaignRetriesWithCleanSlateResetup(t *testing.T) {
 	svc := hosttools.NewService(nil)
 	rep, host := newReplica("solo", "nodeA", svc)
-	var fails atomic.Int32
-	host.onMeasure = func(ctx context.Context, env map[string]string) error {
-		if env["RUN"] == "3" && fails.Add(1) <= 2 {
-			return errors.New("generator wedged")
-		}
-		return nil
-	}
+	wedgeRun3Twice(host)
 
 	var mu sync.Mutex
 	var sleeps []time.Duration
@@ -567,49 +564,150 @@ func TestCampaignRetriesWithCleanSlateResetup(t *testing.T) {
 		t.Errorf("backoff sleeps = %v", gotSleeps)
 	}
 
-	exp, err := store.OpenExperiment("user", "sweep", idFromDir(t, sum.ResultsDir))
+	// The journal is the attempt history: RunOne's events carry the attempt
+	// of a retry, and the campaign's backoff decisions sit between them.
+	dispatched, failed := map[int][]int{}, map[int][]int{}
+	var backoffs []string
+	for _, ev := range replayRuns(t, sum.ResultsDir) {
+		if ev.Replica != "solo" {
+			t.Errorf("event %+v off replica solo", ev)
+		}
+		attempt := max(1, ev.Attempt)
+		switch {
+		case ev.Message == sum.Records[ev.Run].Combo.Key():
+			dispatched[ev.Run] = append(dispatched[ev.Run], attempt)
+		case strings.HasPrefix(ev.Message, "run failed: "):
+			failed[ev.Run] = append(failed[ev.Run], attempt)
+			if !strings.Contains(ev.Error, "generator wedged") {
+				t.Errorf("run %d attempt %d error = %q", ev.Run, attempt, ev.Error)
+			}
+		case strings.HasPrefix(ev.Message, "backed off "):
+			backoffs = append(backoffs, ev.Message)
+		}
+	}
+	for run := 0; run < 6; run++ {
+		want := []int{1}
+		if run == 3 {
+			want = []int{1, 2, 3}
+		}
+		if fmt.Sprint(dispatched[run]) != fmt.Sprint(want) {
+			t.Errorf("run %d dispatched at attempts %v, want %v", run, dispatched[run], want)
+		}
+	}
+	if len(failed) != 1 || fmt.Sprint(failed[3]) != "[1 2]" {
+		t.Errorf("failed attempts = %v, want run 3 at [1 2]", failed)
+	}
+	if want := []string{"backed off 10ms before attempt 2", "backed off 20ms before attempt 3"}; fmt.Sprint(backoffs) != fmt.Sprint(want) {
+		t.Errorf("journaled backoffs = %q, want %q", backoffs, want)
+	}
+}
+
+// wedgeRun3Twice fails the first two measurements of run 3 on host.
+func wedgeRun3Twice(host *fakeHost) {
+	var fails atomic.Int32
+	host.onMeasure = func(ctx context.Context, env map[string]string) error {
+		if env["RUN"] == "3" && fails.Add(1) <= 2 {
+			return errors.New("generator wedged")
+		}
+		return nil
+	}
+}
+
+// TestTimelineCountsRetriesFromJournal: the analysis of a campaign whose run
+// 3 needed three attempts reads the attempts off the journal — 3 for run 3,
+// 1 for every other run — with no attempts file beside it.
+func TestTimelineCountsRetriesFromJournal(t *testing.T) {
+	rep, host := newReplica("solo", "nodeA", hosttools.NewService(nil))
+	wedgeRun3Twice(host)
+	c := &Campaign{Replicas: []Replica{rep}, MaxAttempts: 3}
+	sum, err := c.Run(context.Background(), storeAt(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := exp.ReadExperimentArtifact("experiment/attempts.json")
+	if _, err := os.Stat(filepath.Join(sum.ResultsDir, "experiment", "attempts.json")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("attempts.json beside the journal: %v", err)
+	}
+	tl, err := timeline.Assemble(sum.ResultsDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc attemptsDoc
-	if err := json.Unmarshal(raw, &doc); err != nil {
+	got := map[int]int{}
+	for _, r := range tl.Runs {
+		got[r.Run] = r.Attempts
+	}
+	want := map[int]int{0: 1, 1: 1, 2: 1, 3: 3, 4: 1, 5: 1}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("timeline attempts = %v, want %v", got, want)
+	}
+}
+
+// TestCampaignCancelledDuringBackoffDispatchesNothing: a campaign torn down
+// while a retry backs off never dispatches that retry, so nothing in the
+// journal carries its attempt and the analysis counts the run's one
+// dispatch.
+func TestCampaignCancelledDuringBackoffDispatchesNothing(t *testing.T) {
+	rep, host := newReplica("solo", "nodeA", hosttools.NewService(nil))
+	wedgeRun3Twice(host)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var sleeps atomic.Int32
+	c := &Campaign{
+		Replicas:     []Replica{rep},
+		MaxAttempts:  3,
+		RetryBackoff: 10 * time.Millisecond,
+		Sleep: func(context.Context, time.Duration) {
+			sleeps.Add(1)
+			cancel()
+		},
+	}
+	sum, err := c.Run(ctx, storeAt(t))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v, want the cancellation", err)
+	}
+	if n := sleeps.Load(); n != 1 {
+		t.Fatalf("backoffs slept = %d, want 1 (run 3 before attempt 2)", n)
+	}
+	host.mu.Lock()
+	var measured3 int
+	for _, env := range host.execs {
+		if env["RUN"] == "3" {
+			measured3++
+		}
+	}
+	host.mu.Unlock()
+	if measured3 != 1 {
+		t.Errorf("run 3 measured %d times, want once", measured3)
+	}
+	for _, ev := range replayRuns(t, sum.ResultsDir) {
+		if ev.Attempt > 1 {
+			t.Errorf("journal carries attempt %d of run %d, never dispatched: %+v", ev.Attempt, ev.Run, ev)
+		}
+	}
+	tl, err := timeline.Assemble(sum.ResultsDir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if doc.MaxAttempts != 3 || len(doc.Quarantined) != 0 {
-		t.Errorf("attempts doc = %+v", doc)
-	}
-	if len(doc.Runs) != 6 {
-		t.Fatalf("attempt history covers %d runs, want 6", len(doc.Runs))
-	}
-	for _, ra := range doc.Runs {
-		if ra.Run != 3 {
-			if len(ra.Attempts) != 1 || ra.Attempts[0].Failed {
-				t.Errorf("run %d history = %+v", ra.Run, ra.Attempts)
-			}
-			continue
-		}
-		if len(ra.Attempts) != 3 {
-			t.Fatalf("run 3 history = %+v", ra.Attempts)
-		}
-		for i, a := range ra.Attempts {
-			if a.Attempt != i+1 || a.Replica != "solo" || a.Phase != phaseRun {
-				t.Errorf("run 3 attempt %d = %+v", i, a)
-			}
-			if failed := i < 2; a.Failed != failed {
-				t.Errorf("run 3 attempt %d failed = %v", i, a.Failed)
-			}
-		}
-		if ra.Attempts[0].Error == "" || !strings.Contains(ra.Attempts[0].Error, "generator wedged") {
-			t.Errorf("attempt error = %q", ra.Attempts[0].Error)
-		}
-		if ra.Attempts[1].BackoffMS != 10 || ra.Attempts[2].BackoffMS != 20 {
-			t.Errorf("backoff history = %+v", ra.Attempts)
+	for _, r := range tl.Runs {
+		if r.Attempts != 1 {
+			t.Errorf("timeline: run %d attempts = %d, want 1", r.Run, r.Attempts)
 		}
 	}
+}
+
+// replayRuns returns a campaign journal's run-attached progress events.
+func replayRuns(t *testing.T, expDir string) []eventlog.Event {
+	t.Helper()
+	evs, err := eventlog.Replay(filepath.Join(expDir, "events"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []eventlog.Event
+	for _, ev := range evs {
+		if ev.Typ == eventlog.TypeProgress && ev.Run != eventlog.NoRun {
+			out = append(out, ev)
+		}
+	}
+	return out
 }
 
 // TestCampaignQuarantinesFailingReplica: one of three replicas fails every
@@ -680,16 +778,14 @@ func TestCampaignQuarantinesFailingReplica(t *testing.T) {
 			t.Errorf("run %d metadata: %v", run, err)
 		}
 	}
-	raw, err := exp.ReadExperimentArtifact("experiment/attempts.json")
-	if err != nil {
-		t.Fatal(err)
+	var drained []string
+	for _, ev := range replayRuns(t, sum.ResultsDir) {
+		if strings.Contains(ev.Message, "quarantined") {
+			drained = append(drained, ev.Replica+": "+ev.Message)
+		}
 	}
-	var doc attemptsDoc
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.Quarantined) != 1 || doc.Quarantined[0] != "beta" || doc.QuarantineAfter != 2 {
-		t.Errorf("attempts doc = %+v", doc)
+	if want := "beta: replica quarantined after 2 consecutive failures"; len(drained) != 1 || drained[0] != want {
+		t.Errorf("journaled quarantines = %q, want [%q]", drained, want)
 	}
 }
 

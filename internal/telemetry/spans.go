@@ -87,7 +87,7 @@ func (t *Trace) ID() string {
 }
 
 // SetProcess labels every span record of this trace with a process lane
-// ("posctl", "controller", ...). The stitched Chrome rendering maps each
+// ("controller", "runner", ...). The stitched Chrome rendering maps each
 // distinct process to its own pid row.
 func (t *Trace) SetProcess(proc string) {
 	t.mu.Lock()
@@ -320,16 +320,33 @@ func (t *Trace) RenderJSON() ([]byte, error) {
 	return buf, nil
 }
 
-// ParseSpans decodes a spans.json artifact produced by RenderJSON.
+// ParseSpans decodes a spans.json artifact produced by RenderJSON. Spans are
+// stamped with the wall clock, so a clock stepped back mid-span can end one
+// before it starts: such a span is clamped to zero length, as an open span
+// is. An archive whose spans together cover more time than a time.Duration
+// holds (about 292 years) is rejected: no analysis could measure it.
 func ParseSpans(data []byte) ([]SpanRecord, error) {
 	var out []SpanRecord
+	var first, last time.Time
 	dec := json.NewDecoder(bytes.NewReader(data))
 	for dec.More() {
 		var rec SpanRecord
 		if err := dec.Decode(&rec); err != nil {
 			return nil, fmt.Errorf("telemetry: parse spans: %w", err)
 		}
+		if rec.End.Before(rec.Start) {
+			rec.End = rec.Start
+		}
+		if len(out) == 0 || rec.Start.Before(first) {
+			first = rec.Start
+		}
+		if len(out) == 0 || rec.End.After(last) {
+			last = rec.End
+		}
 		out = append(out, rec)
+	}
+	if !first.Add(last.Sub(first)).Equal(last) {
+		return nil, fmt.Errorf("telemetry: parse spans: spans cover %s to %s, more than a time.Duration holds", first, last)
 	}
 	return out, nil
 }

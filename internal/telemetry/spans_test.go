@@ -121,6 +121,25 @@ func TestSpansJSONRoundTripThroughChrome(t *testing.T) {
 	}
 }
 
+// TestParseSpansClampsBackwardSpan: a wall clock stepped back mid-span can
+// archive a span that ends before it starts. The parser keeps the archive
+// and clamps the span to zero length instead of refusing the experiment.
+func TestParseSpansClampsBackwardSpan(t *testing.T) {
+	data := []byte(`{"id":1,"name":"campaign:x","start":"2021-10-12T11:20:32Z","end":"2021-10-12T11:20:42Z"}
+{"id":2,"parent":1,"name":"run 0","start":"2021-10-12T11:20:40Z","end":"2021-10-12T11:20:35Z"}
+`)
+	recs, err := ParseSpans(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || !recs[1].End.Equal(recs[1].Start) {
+		t.Fatalf("backward span parsed as %+v, want it clamped to its start", recs)
+	}
+	if !recs[0].End.Equal(time.Date(2021, 10, 12, 11, 20, 42, 0, time.UTC)) {
+		t.Errorf("forward span end = %v, want it untouched", recs[0].End)
+	}
+}
+
 func TestChromeTraceEmpty(t *testing.T) {
 	out, err := ChromeTrace(nil)
 	if err != nil || string(out) != "[]" {

@@ -1,8 +1,9 @@
-// Package timeline assembles a campaign's archived observability artifacts —
-// spans.json (one per process, stitched by trace ID), the event journal,
-// queue admission records, per-run metadata and resources — into one causal
-// timeline, and answers the question the raw artifacts cannot: where did the
-// time go, and did it go somewhere different than last time?
+// Package timeline assembles a campaign's archived record — spans.json, the
+// event journal (with its queue admission record and the attempt of every
+// retried run) and the per-run metadata — into one causal timeline, and
+// answers the question the raw artifacts cannot: where did the time go, and
+// did it go somewhere different than last time? It only reads: the timeline
+// is a view computed on demand, never a file in the experiment.
 //
 // The core computation is the campaign critical path: a walk over the span
 // tree that partitions the campaign's wall-clock interval into contiguous
@@ -14,6 +15,7 @@ package timeline
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -106,7 +108,7 @@ type Straggler struct {
 	Ratio    float64 `json:"ratio"`
 }
 
-// Timeline is the per-campaign timeline.json artifact.
+// Timeline is the assembled view of one campaign.
 type Timeline struct {
 	Summary
 	QueueWaitMS float64       `json:"queue_wait_ms,omitempty"`
@@ -118,9 +120,6 @@ type Timeline struct {
 	Replicas    []ReplicaStat `json:"replicas,omitempty"`
 	Stragglers  []Straggler   `json:"stragglers,omitempty"`
 }
-
-// ArtifactName is the assembled artifact written next to spans.json.
-const ArtifactName = "timeline.json"
 
 // classify maps a span name to its phase. Retries are handled by the tree
 // walk (duplicate "run N" spans and re-setup), not here.
@@ -276,11 +275,11 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 
 // pickAnchor chooses the node the analysis anchors on: a campaign span if
 // present anywhere in the forest, else an experiment span, else the longest
-// forest root. The scan covers ALL nodes, not just roots — in the documented
-// `posctl submit -spans` flow the campaign span is a child of a posctl:submit
-// span that ended at submission time, so anchoring on the forest root would
-// clamp the whole analysis to the submit RPC's interval and discard the
-// campaign entirely.
+// forest root. The scan covers ALL nodes, not just roots: Summarize takes
+// any record set, and in one where the campaign span hangs below a shorter
+// root (a caller that merges a submitter's span with the campaign's
+// archive), anchoring on the forest root would clamp the analysis to that
+// root's interval and discard the campaign.
 func pickAnchor(roots []*node) *node {
 	score := func(n *node) int {
 		switch {
@@ -379,30 +378,18 @@ func phaseTotals(segs []Segment, wallMS float64) []PhaseTotal {
 	return out
 }
 
-// ReadSpans loads and stitches every span archive in an experiment directory:
-// spans.json plus any spans-<proc>.json dropped by other processes (posctl,
-// a federated peer). Records keep their per-archive identities; the hex
-// parent linkage joins them.
+// ReadSpans loads an experiment directory's span archive, spans.json.
 func ReadSpans(dir string) ([]telemetry.SpanRecord, error) {
-	names, err := filepath.Glob(filepath.Join(dir, "spans*.json"))
+	data, err := os.ReadFile(filepath.Join(dir, "spans.json"))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("timeline: %w (was telemetry disabled?)", err)
 	}
-	sort.Strings(names)
-	var recs []telemetry.SpanRecord
-	for _, name := range names {
-		data, err := os.ReadFile(name)
-		if err != nil {
-			return nil, err
-		}
-		part, err := telemetry.ParseSpans(data)
-		if err != nil {
-			return nil, fmt.Errorf("timeline: %s: %w", filepath.Base(name), err)
-		}
-		recs = append(recs, part...)
+	recs, err := telemetry.ParseSpans(data)
+	if err == nil && len(recs) == 0 {
+		err = errors.New("no spans")
 	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("timeline: no span archives in %s (was telemetry disabled?)", dir)
+	if err != nil {
+		return nil, fmt.Errorf("timeline: spans.json: %w", err)
 	}
 	return recs, nil
 }
@@ -415,14 +402,6 @@ type runMeta struct {
 	StartedAt  time.Time `json:"started_at"`
 	FinishedAt time.Time `json:"finished_at"`
 	Failed     bool      `json:"failed"`
-}
-
-// attemptsDoc mirrors the campaign's experiment/attempts.json.
-type attemptsDoc struct {
-	Runs []struct {
-		Run      int               `json:"run"`
-		Attempts []json.RawMessage `json:"attempts"`
-	} `json:"runs"`
 }
 
 // Assemble merges an experiment directory's archives into a Timeline.
@@ -441,20 +420,19 @@ func Assemble(dir string) (*Timeline, error) {
 	}
 	sort.Strings(tl.Procs)
 
-	// Journal: campaign event count, and the queue admission record that
-	// extends the timeline leftward to submission time.
-	if events, err := eventlog.Replay(filepath.Join(dir, "events")); err == nil {
+	// Journal: campaign event count, the queue admission record that
+	// extends the timeline leftward to submission time, and the attempts.
+	events, err := eventlog.Replay(filepath.Join(dir, "events"))
+	if err == nil {
 		tl.Events = len(events)
 		applyAdmission(tl, events)
 	}
 
 	// Per-run statistics from the archived run directories.
 	tl.Runs = readRuns(dir, recs)
-	attempts := readAttempts(dir)
+	attempts := runAttempts(events)
 	for i := range tl.Runs {
-		if n := attempts[tl.Runs[i].Run]; n > 0 {
-			tl.Runs[i].Attempts = n
-		}
+		tl.Runs[i].Attempts = attempts[tl.Runs[i].Run]
 	}
 	tl.Replicas = replicaStats(recs)
 	tl.Stragglers = findStragglers(tl.Runs, tl.Replicas)
@@ -528,19 +506,16 @@ func readRuns(dir string, recs []telemetry.SpanRecord) []RunStat {
 	return out
 }
 
-// readAttempts maps run → attempt count from experiment/attempts.json.
-func readAttempts(dir string) map[int]int {
-	data, err := os.ReadFile(filepath.Join(dir, "experiment", "attempts.json"))
-	if err != nil {
-		return nil
-	}
-	var doc attemptsDoc
-	if json.Unmarshal(data, &doc) != nil {
-		return nil
-	}
-	out := make(map[int]int, len(doc.Runs))
-	for _, r := range doc.Runs {
-		out[r.Run] = len(r.Attempts)
+// runAttempts maps each run the journal mentions to its dispatch count:
+// max(1, highest Attempt on the run's events). A retried run's events carry
+// their attempt, and only once the run was dispatched at it; a first
+// attempt's carry none.
+func runAttempts(events []eventlog.Event) map[int]int {
+	out := make(map[int]int)
+	for _, ev := range events {
+		if ev.Run != eventlog.NoRun {
+			out[ev.Run] = max(out[ev.Run], ev.Attempt, 1)
+		}
 	}
 	return out
 }
@@ -660,27 +635,4 @@ func median(vals []float64) float64 {
 		return s[mid]
 	}
 	return (s[mid-1] + s[mid]) / 2
-}
-
-// Write archives the timeline as timeline.json in dir (indented, trailing
-// newline — the same diff-friendly convention as the other artifacts).
-func Write(dir string, tl *Timeline) error {
-	data, err := json.MarshalIndent(tl, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, ArtifactName), append(data, '\n'), 0o644)
-}
-
-// Load reads a previously written timeline.json.
-func Load(dir string) (*Timeline, error) {
-	data, err := os.ReadFile(filepath.Join(dir, ArtifactName))
-	if err != nil {
-		return nil, err
-	}
-	var tl Timeline
-	if err := json.Unmarshal(data, &tl); err != nil {
-		return nil, err
-	}
-	return &tl, nil
 }

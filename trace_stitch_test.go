@@ -1,15 +1,14 @@
 package pos_test
 
 // End-to-end causal tracing: a queue-dispatched 2-replica campaign must
-// stitch into ONE trace — the submitting posctl invocation, the controller's
-// campaign span, and both replica lanes all under the submitter's trace ID —
-// and the assembled timeline must attribute every wall-clock millisecond to a
-// phase. The -baseline drift check must flag an injected slowdown and stay
+// stitch into ONE trace — the controller's campaign span and both replica
+// lanes all under the submitting posctl invocation's trace ID, with the
+// journaled admission stamp as the queue wait — and the assembled timeline
+// must attribute every wall-clock millisecond to a phase. The -baseline drift check must flag an injected slowdown and stay
 // quiet against a re-assembly of the same archive.
 
 import (
 	"context"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -53,9 +52,9 @@ func runTracedCampaign(t *testing.T, tp string, submitted time.Time, delay time.
 
 func TestQueueSubmittedCampaignStitchesOneTrace(t *testing.T) {
 	telemetry.Default.SetEnabled(true)
-	// The posctl side of the story: the submit command's own trace. The real
-	// CLI finishes it as soon as the submit RPC returns — BEFORE the campaign
-	// runs — so the posctl:submit span must not clamp the analysis interval.
+	// The posctl side of the story: the submit command's own trace, finished
+	// as soon as the submit RPC returns — BEFORE the campaign runs. Only its
+	// traceparent and the admission stamp reach the campaign's record.
 	submit := telemetry.NewTrace("posctl:submit")
 	submit.SetProcess("posctl")
 	tp := submit.Root().TraceParent()
@@ -64,30 +63,18 @@ func TestQueueSubmittedCampaignStitchesOneTrace(t *testing.T) {
 
 	expdir := runTracedCampaign(t, tp, submitted, 2*time.Millisecond)
 
-	// Drop the posctl lane next to the controller's archive, the way
-	// `posctl submit -spans` documents it.
-	data, err := submit.RenderJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(expdir, "spans-posctl.json"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
 	tl, err := timeline.Assemble(expdir)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// ONE trace: the controller adopted the submitter's identity, and every
-	// archived span — posctl lane, campaign root, both replica lanes — is
-	// under it.
+	// archived span — campaign root, both replica lanes — is under it.
 	if tl.TraceID != submit.ID() {
 		t.Fatalf("timeline trace = %s, want submitter's %s", tl.TraceID, submit.ID())
 	}
-	// The analysis anchors on the campaign span even though it sits under the
-	// long-finished posctl:submit root — the campaign's wall clock, not the
-	// submit RPC's, is the analyzed interval.
+	// The analysis anchors on the campaign span: the campaign's wall clock,
+	// not the submit RPC's, is the analyzed interval.
 	if tl.Root != "campaign:parallel-bench" {
 		t.Fatalf("timeline root = %q, want the campaign span", tl.Root)
 	}
@@ -102,13 +89,13 @@ func TestQueueSubmittedCampaignStitchesOneTrace(t *testing.T) {
 		}
 		lanes[r.Name] = true
 	}
-	for _, want := range []string{"posctl:submit", "campaign:parallel-bench", "replica:alpha", "replica:beta"} {
+	for _, want := range []string{"campaign:parallel-bench", "replica:alpha", "replica:beta"} {
 		if !lanes[want] {
 			t.Errorf("stitched archive missing span %q", want)
 		}
 	}
-	if len(tl.Procs) != 2 || tl.Procs[0] != "controller" || tl.Procs[1] != "posctl" {
-		t.Errorf("procs = %v, want [controller posctl]", tl.Procs)
+	if len(tl.Procs) != 1 || tl.Procs[0] != "controller" {
+		t.Errorf("procs = %v, want [controller]", tl.Procs)
 	}
 
 	// Attribution that adds up: phase totals within 2% of wall clock (they
