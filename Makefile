@@ -94,9 +94,10 @@ profile-dataplane:
 	@go tool pprof -top -cum .bench_build/dataplane.test .bench_build/dataplane.cpu 2>/dev/null | head -33
 
 # Static hygiene: vet, a clean gofmt tree, no raw log/print logging in
-# library code — internal/ packages log through the structured eventlog
-# spine (log/slog into the event pipeline), never stdout/stderr directly —
-# no runtime introspection outside internal/telemetry, so resource
+# library code — an internal/ package that has something to report publishes
+# an event on the run's eventlog pipeline, never to stdout/stderr directly —
+# no log/slog in internal/ or cmd/, so no second logging path grows beside
+# the event pipeline, no runtime introspection outside internal/telemetry, so resource
 # attribution has exactly one owner, no engine-mode switch outside the
 # engine and the topology builder — the scalar event-per-hop path is the
 # differential tests' oracle, reached only through Engine.SetBatching in a
@@ -111,7 +112,11 @@ lint:
 	@out=$$(grep -rnE 'log\.(Print|Fatal|Panic)|fmt\.Print' internal \
 		--include='*.go' | grep -v _test.go; true); \
 	if [ -n "$$out" ]; then \
-		echo "raw logging in internal/ (use the eventlog slog spine):"; \
+		echo "raw logging in internal/ (publish an event on the eventlog pipeline):"; \
+		echo "$$out"; exit 1; fi
+	@out=$$(grep -rn '"log/slog"' internal cmd --include='*.go' | grep -v _test.go; true); \
+	if [ -n "$$out" ]; then \
+		echo "log/slog imported in internal/ or cmd/ (publish an event on the eventlog pipeline; the event journal is the one record):"; \
 		echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'runtime\.ReadMemStats|"runtime/metrics"' internal cmd \
 		--include='*.go' | grep -v '^internal/telemetry/'; true); \

@@ -22,8 +22,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"log"
 	"os"
 	"os/signal"
@@ -480,7 +482,7 @@ func cmdServe(args []string) error {
 
 	// Health layer: runtime sampler feeding pos_runtime_* metrics, a flight
 	// recorder tailing the live event stream, and a watchdog over the
-	// standard probes. A trip (or SIGQUIT) dumps flightrec.json for
+	// standard probes. A trip (or SIGQUIT) dumps flightrec-<ts>.json for
 	// post-mortem without a live debugger.
 	sampler := telemetry.NewRuntimeSampler(telemetry.Default, 2*time.Second)
 	sampler.Start()
@@ -490,19 +492,19 @@ func cmdServe(args []string) error {
 	wd := health.NewWatchdog(5 * time.Second)
 	wd.SetEvents(events)
 	dumpFlight := func(trigger, probe, detail string) {
-		path := flightRecordPath()
-		if err := flightRec.Capture(trigger, probe, detail).WriteFile(path); err != nil {
+		path, err := writeFlightRecord(".", time.Now(), flightRec.Capture(trigger, probe, detail))
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "flight record:", err)
 			return
 		}
 		fmt.Println("flight record written to", path)
 	}
 	wd.SetOnTrip(func(ps health.ProbeState) {
-		dumpFlight("watchdog", ps.Name, ps.Detail)
+		dumpFlight(health.TriggerWatchdog, ps.Name, ps.Detail)
 	})
-	wd.Register(health.CampaignProgress(telemetry.Default, 2*time.Minute), nil)
-	wd.Register(health.QueueStarvation(telemetry.Default, 10, time.Minute), nil)
-	wd.Register(health.EventDrops(telemetry.Default, 1000, time.Minute), nil)
+	wd.Register(health.CampaignProgress(telemetry.Default, 2*time.Minute))
+	wd.Register(health.QueueStarvation(telemetry.Default, 10, time.Minute))
+	wd.Register(health.EventDrops(telemetry.Default, 1000, time.Minute))
 	wd.Start()
 	defer wd.Stop()
 	srv.SetHealth(wd)
@@ -511,7 +513,7 @@ func cmdServe(args []string) error {
 	defer signal.Stop(sigquit)
 	go func() {
 		for range sigquit {
-			dumpFlight("sigquit", "", "operator-requested dump")
+			dumpFlight(health.TriggerSignal, "", "operator-requested dump")
 		}
 	}()
 
@@ -572,10 +574,34 @@ func cmdServe(args []string) error {
 	return awaitShutdown(srv.Shutdown)
 }
 
-// flightRecordPath names the next flight-record dump: timestamped in the
-// working directory so successive incidents never overwrite each other.
-func flightRecordPath() string {
-	return fmt.Sprintf("flightrec-%s.json", time.Now().Format("20060102T150405"))
+// writeFlightRecord dumps fr into dir as flightrec-<second>.json, named by
+// at. The file is created exclusively and a second dump in the same second
+// takes the first free -1, -2, ... suffix, so incidents never overwrite each
+// other: two probes tripping in one watchdog pass, or a trip and a SIGQUIT.
+func writeFlightRecord(dir string, at time.Time, fr health.FlightRecord) (string, error) {
+	data, err := fr.Encode()
+	if err != nil {
+		return "", err
+	}
+	base := filepath.Join(dir, "flightrec-"+at.Format("20060102T150405"))
+	for n := 0; ; n++ {
+		path := base + ".json"
+		if n > 0 {
+			path = fmt.Sprintf("%s-%d.json", base, n)
+		}
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		if errors.Is(err, fs.ErrExist) {
+			continue
+		}
+		if err != nil {
+			return "", err
+		}
+		_, err = f.Write(data)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		return path, err
+	}
 }
 
 // cmdMetrics prints one telemetry snapshot; posctl top is the live view.

@@ -145,7 +145,6 @@ func cmdWatch(args []string) error {
 	dir := fs.String("dir", "", "experiment directory whose journal to replay (the results dir printed by posctl run)")
 	replica := fs.String("replica", "", "only this replica's events")
 	phase := fs.String("phase", "", "only this phase's events (setup, measurement)")
-	traceID := fs.String("trace", "", "only events stamped with this trace id (prefix match)")
 	jsonOut := fs.Bool("json", false, "emit raw event JSON lines for piping")
 	last := fs.Uint64("last", 0, "live stream only: resume after this sequence number (journal catch-up)")
 	fs.Parse(args)
@@ -158,9 +157,6 @@ func cmdWatch(args []string) error {
 	states := map[string]*replicaState{}
 	enc := json.NewEncoder(os.Stdout)
 	show := func(ev eventlog.Event) error {
-		if *traceID != "" && !strings.HasPrefix(ev.Attrs["trace_id"], *traceID) {
-			return nil
-		}
 		if *jsonOut {
 			return enc.Encode(ev)
 		}

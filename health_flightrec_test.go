@@ -1,9 +1,12 @@
 package pos_test
 
-// End-to-end health-layer tests: a campaign whose measurements hang past the
-// stall deadline must trip the watchdog and leave a flightrec.json next to
-// the experiment's other artifacts, and every run — stalled campaign or
-// healthy one — must archive its resources.json runtime attribution.
+// End-to-end health-layer tests, wired the way posctl serve wires its
+// supervisor: a process-wide watchdog over the campaign-progress probe and a
+// flight recorder tailing the campaign's event pipeline. A campaign whose
+// measurement hangs past the stall deadline must trip the watchdog once and
+// yield a flight record; every run — stalled campaign or healthy one — must
+// archive its resources.json runtime attribution, and no flight record ever
+// lands in the experiment.
 
 import (
 	"context"
@@ -12,15 +15,54 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"pos/internal/eventlog"
 	"pos/internal/health"
 	"pos/internal/results"
 	"pos/internal/sched"
 	"pos/internal/sim"
 	"pos/internal/telemetry"
 )
+
+// supervisor is posctl serve's health wiring around one event pipeline: the
+// watchdog runs the campaign-progress probe over the process-wide metrics,
+// and each trip captures a flight record from the recorder tailing events.
+type supervisor struct {
+	events *eventlog.Pipeline
+	wd     *health.Watchdog
+
+	mu      sync.Mutex
+	records []health.FlightRecord
+}
+
+func startSupervisor(t *testing.T, stallDeadline time.Duration) *supervisor {
+	t.Helper()
+	s := &supervisor{events: eventlog.NewPipeline(), wd: health.NewWatchdog(10 * time.Millisecond)}
+	rec := health.NewRecorder(0, telemetry.Default)
+	t.Cleanup(rec.Attach(s.events))
+	s.wd.SetEvents(s.events)
+	s.wd.SetOnTrip(func(ps health.ProbeState) {
+		fr := rec.Capture(health.TriggerWatchdog, ps.Name, ps.Detail)
+		s.mu.Lock()
+		s.records = append(s.records, fr)
+		s.mu.Unlock()
+	})
+	s.wd.Register(health.CampaignProgress(telemetry.Default, stallDeadline))
+	s.wd.Start()
+	t.Cleanup(s.wd.Stop)
+	return s
+}
+
+// flightRecords stops the watchdog and returns every record it captured.
+func (s *supervisor) flightRecords() []health.FlightRecord {
+	s.wd.Stop()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]health.FlightRecord(nil), s.records...)
+}
 
 // findArtifacts walks an experiment store root and returns every file with
 // the given base name — run layout details stay out of the assertions.
@@ -57,26 +99,23 @@ func TestHealthWatchdogTripDumpsFlightRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wd := health.NewWatchdog(10 * time.Millisecond)
-	wd.Start()
-	defer wd.Stop()
+	sup := startSupervisor(t, 100*time.Millisecond)
 
 	// A deterministic fault plan wedges the replica's first measurement
-	// (exec occurrence 1 is the session setup) until the 600 ms run timeout
-	// cancels it. The campaign's dispatch counter freezes for far longer
-	// than the 100 ms stall deadline, so the probe must trip and dump the
-	// flight record while the hang is still in progress — and the campaign
-	// must still complete once the retry succeeds.
+	// (exec occurrence 1 is the session setup) until the runner's 600 ms run
+	// timeout cancels it. No run completes for far longer than the 100 ms
+	// stall deadline while one is in flight, so the probe must trip while
+	// the hang is still in progress — and the campaign must still complete
+	// once the retry succeeds.
 	rep := slowReplica("alpha", "n0", 2*time.Millisecond)
+	rep.Runner.RunTimeout = 600 * time.Millisecond
 	rep.Runner.InjectFaults(sim.NewFaultInjector(map[string]sim.FaultPlan{
 		"n0": {HangExecs: []int{2}},
 	}))
 	c := &sched.Campaign{
-		Replicas:      []sched.Replica{rep},
-		MaxAttempts:   2,
-		RunTimeout:    600 * time.Millisecond,
-		StallDeadline: 100 * time.Millisecond,
-		Watchdog:      wd,
+		Replicas:    []sched.Replica{rep},
+		MaxAttempts: 2,
+		Events:      sup.events,
 	}
 	sum, err := c.Run(context.Background(), store)
 	if err != nil || sum.FailedRuns != 0 {
@@ -92,11 +131,11 @@ func TestHealthWatchdogTripDumpsFlightRecord(t *testing.T) {
 		t.Fatal("fault plan injected no hang")
 	}
 
-	recs := findArtifacts(t, dir, "flightrec.json")
+	recs := sup.flightRecords()
 	if len(recs) != 1 {
-		t.Fatalf("flightrec.json files = %v, want exactly one", recs)
+		t.Fatalf("flight records = %d, want exactly one trip", len(recs))
 	}
-	data, err := os.ReadFile(recs[0])
+	data, err := recs[0].Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,17 +143,23 @@ func TestHealthWatchdogTripDumpsFlightRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fr.Trigger != "watchdog" {
-		t.Errorf("trigger = %q, want watchdog", fr.Trigger)
+	if fr.Trigger != health.TriggerWatchdog {
+		t.Errorf("trigger = %q, want %s", fr.Trigger, health.TriggerWatchdog)
 	}
-	if fr.Probe != "campaign:parallel-bench" {
+	if fr.Probe != "campaign-progress" {
 		t.Errorf("probe = %q", fr.Probe)
 	}
 	if fr.Detail == "" || fr.At.IsZero() {
 		t.Errorf("record header incomplete: %+v", fr)
 	}
-	if len(fr.Events) == 0 {
-		t.Error("flight record carries no recent events")
+	// The recorder tailed the campaign's own pipeline: the record holds
+	// what the campaign did up to the stall.
+	hung := false
+	for _, ev := range fr.Events {
+		hung = hung || (ev.Replica == "alpha" && ev.Run == 0)
+	}
+	if len(fr.Events) == 0 || !hung {
+		t.Errorf("flight record carries no event of the hung run: %+v", fr.Events)
 	}
 	if len(fr.Metrics.Metrics) == 0 {
 		t.Error("flight record carries no metrics snapshot")
@@ -122,22 +167,8 @@ func TestHealthWatchdogTripDumpsFlightRecord(t *testing.T) {
 	if !strings.Contains(fr.Goroutines, "goroutine ") {
 		t.Error("flight record carries no goroutine dump")
 	}
-	// The record leads with the answer: a mid-flight critical path and
-	// per-phase attribution computed from the still-open span tree.
-	analysis, ok := fr.Analysis.(map[string]any)
-	if !ok {
-		t.Fatalf("flight record analysis = %T, want timeline summary", fr.Analysis)
-	}
-	if phases, ok := analysis["phases"].([]any); !ok || len(phases) == 0 {
-		t.Errorf("flight record analysis has no phase attribution: %v", analysis["phases"])
-	}
-	if cp, ok := analysis["critical_path"].([]any); !ok || len(cp) == 0 {
-		t.Errorf("flight record analysis has no critical path: %v", analysis["critical_path"])
-	}
-
-	// The campaign probe is unregistered once the campaign ends.
-	if st := wd.Status(); len(st) != 0 {
-		t.Errorf("probes left registered after campaign: %+v", st)
+	if found := findArtifacts(t, dir, "flightrec.json"); len(found) != 0 {
+		t.Errorf("flight record written into the experiment: %v", found)
 	}
 
 	// Every run still archived its runtime attribution.
@@ -151,24 +182,21 @@ func TestHealthyCampaignArchivesResourcesWithoutTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wd := health.NewWatchdog(10 * time.Millisecond)
-	wd.Start()
-	defer wd.Stop()
+	sup := startSupervisor(t, 10*time.Second)
 
 	c := &sched.Campaign{
 		Replicas: []sched.Replica{
 			slowReplica("alpha", "n0", 2*time.Millisecond),
 			slowReplica("beta", "n1", 2*time.Millisecond),
 		},
-		Watchdog:      wd,
-		StallDeadline: 10 * time.Second,
+		Events: sup.events,
 	}
 	sum, err := c.Run(context.Background(), store)
 	if err != nil || sum.FailedRuns != 0 {
 		t.Fatalf("campaign: sum=%+v err=%v", sum, err)
 	}
-	if recs := findArtifacts(t, dir, "flightrec.json"); len(recs) != 0 {
-		t.Fatalf("healthy campaign dumped flight records: %v", recs)
+	if recs := sup.flightRecords(); len(recs) != 0 {
+		t.Fatalf("healthy campaign tripped the watchdog: %+v", recs)
 	}
 	assertRunResources(t, dir, sum.TotalRuns)
 }

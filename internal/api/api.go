@@ -105,7 +105,6 @@ type Server struct {
 	events *eventlog.Pipeline
 	queue  *queue.Controller
 	health *health.Watchdog
-	trace  *telemetry.Trace
 }
 
 // SetResults attaches a results store, enabling the read-only results
@@ -120,7 +119,6 @@ type ServerOption func(*serverConfig)
 
 type serverConfig struct {
 	debug bool
-	trace *telemetry.Trace
 }
 
 // WithDebug mounts net/http/pprof under /debug/pprof/ — profiling a live
@@ -128,15 +126,6 @@ type serverConfig struct {
 // stall the process and do not belong on an unattended testbed API.
 func WithDebug() ServerOption {
 	return func(c *serverConfig) { c.debug = true }
-}
-
-// WithTrace records a server-side span per instrumented request on tr.
-// Opt-in rather than always-on: a long-lived controller would otherwise
-// accumulate spans without bound. Regardless of this option, every
-// instrumented endpoint propagates an incoming traceparent header into the
-// handler's context, so submissions keep their submitter's trace identity.
-func WithTrace(tr *telemetry.Trace) ServerOption {
-	return func(c *serverConfig) { c.trace = tr }
 }
 
 // Serve starts the API on a loopback TCP port.
@@ -149,7 +138,7 @@ func Serve(tb *testbed.Testbed, opts ...ServerOption) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("api: %w", err)
 	}
-	s := &Server{tb: tb, ln: ln, trace: cfg.trace}
+	s := &Server{tb: tb, ln: ln}
 	mux := http.NewServeMux()
 	handle := func(pattern string, h http.HandlerFunc) {
 		mux.HandleFunc(pattern, s.instrument(pattern, h))
@@ -203,10 +192,10 @@ func (w *statusWriter) WriteHeader(code int) {
 // instrument wraps a handler with per-endpoint latency and status counting,
 // and is the single place trace context crosses the server boundary: an
 // incoming traceparent header is parsed into the request context (malformed
-// or absent values fall back to an untraced context, never an error), echoed
-// on the response, and — when WithTrace is installed — a request span opens
-// for the handler's duration. The histogram child is resolved once at mux
-// construction, off the hot path.
+// or absent values fall back to an untraced context, never an error) and
+// echoed on the response, so submissions keep their submitter's trace
+// identity. The histogram child is resolved once at mux construction, off
+// the hot path.
 func (s *Server) instrument(pattern string, h http.HandlerFunc) http.HandlerFunc {
 	latency := requestSeconds.With(pattern)
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -218,26 +207,11 @@ func (s *Server) instrument(pattern string, h http.HandlerFunc) http.HandlerFunc
 			ctx = telemetry.ContextWithTraceParent(ctx, tp)
 			w.Header().Set(telemetry.TraceParentHeader, tp)
 		}
-		var span *telemetry.Span
-		if s.trace != nil {
-			span = s.trace.Root().StartChild(pattern)
-			if tp != "" {
-				span.SetAttr("traceparent", tp)
-			}
-			ctx = telemetry.ContextWithSpan(ctx, span)
-		}
 		h(sw, r.WithContext(ctx))
-		if span != nil {
-			span.SetAttr("status", strconv.Itoa(sw.code))
-			span.End()
-		}
 		latency.Observe(time.Since(start).Seconds())
 		requestsTotal.With(pattern, strconv.Itoa(sw.code)).Inc()
 	}
 }
-
-// Trace returns the trace installed with WithTrace, or nil.
-func (s *Server) Trace() *telemetry.Trace { return s.trace }
 
 func (s *Server) metricsText(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -69,11 +69,11 @@ type Topology struct {
 	// wiring is the spec the data plane was built from (see Wiring).
 	wiring topo.Spec
 
-	// Faults, when non-nil, is the deterministic fault injector every
-	// Runner() built from this topology is wrapped with. Occurrences
-	// count over the topology's lifetime, like the condition of a
-	// physical node.
-	Faults *sim.FaultInjector
+	// faults, when non-nil, is the deterministic fault injector every
+	// Runner() built from this topology is wrapped with (see SetFaults).
+	// Occurrences count over the topology's lifetime, like the condition
+	// of a physical node.
+	faults *sim.FaultInjector
 
 	// mu guards lastRun, written by the moongen command (executed on the
 	// loadgen node) and read by moongen_hist.
@@ -89,7 +89,6 @@ type options struct {
 	switched    bool
 	switchDelay sim.Duration
 	profile     string
-	faults      map[string]sim.FaultPlan
 }
 
 // WithSeed pins the VM jitter seed (default 1).
@@ -111,16 +110,6 @@ func WithSwitch(delay sim.Duration) Option {
 // name fails the build.
 func WithGenerator(profile string) Option {
 	return func(o *options) { o.profile = profile }
-}
-
-// WithFaults arms the topology with a deterministic fault schedule, keyed
-// by node name (vriga, vtartu). Every runner built via Topology.Runner is
-// wrapped with the injector, so a campaign replica built from this topology
-// misbehaves on exactly the scheduled operations — the reproducible way to
-// rehearse the fault-tolerance path (retry, clean-slate re-setup,
-// quarantine) before trusting it on hardware.
-func WithFaults(plans map[string]sim.FaultPlan) Option {
-	return func(o *options) { o.faults = plans }
 }
 
 func buildOptions(opts []Option) options {
@@ -283,9 +272,6 @@ func newRig(flavor Flavor, o options, spec topo.Spec, chain bool) (t *Topology, 
 	}
 	t.Router = t.Routers[0]
 	t.SetForwarding(false) // setup script must enable routing
-	if o.faults != nil {
-		t.Faults = sim.NewFaultInjector(o.faults)
-	}
 	lgHandle.OnBoot(t.installLoadGenTools)
 	dutHandle.OnBoot(t.installDuTTools)
 	return t, nil
@@ -346,15 +332,19 @@ func (t *Topology) runMeasurement(cfg loadgen.RunConfig) (loadgen.RunResult, err
 	return t.Gen.Run(cfg)
 }
 
-// SetFaults arms (or disarms, with nil) the topology's fault schedule after
-// construction — the way to break a single replica out of a NewReplicas
-// batch, which applies identical options to every copy.
+// SetFaults arms (or disarms, with nil) the topology with a deterministic
+// fault schedule, keyed by node name (vriga, vtartu). Every runner built via
+// Topology.Runner is wrapped with the injector, so a campaign replica built
+// from this topology misbehaves on exactly the scheduled operations — the
+// reproducible way to rehearse the fault-tolerance path (retry, clean-slate
+// re-setup, quarantine) before trusting it on hardware. Arming one topology
+// of a NewReplicas batch breaks that single replica.
 func (t *Topology) SetFaults(plans map[string]sim.FaultPlan) {
 	if plans == nil {
-		t.Faults = nil
+		t.faults = nil
 		return
 	}
-	t.Faults = sim.NewFaultInjector(plans)
+	t.faults = sim.NewFaultInjector(plans)
 }
 
 // Runner builds the topology's workflow runner, wrapped with the fault
@@ -362,8 +352,8 @@ func (t *Topology) SetFaults(plans map[string]sim.FaultPlan) {
 // method (not Testbed.Runner directly) or scheduled faults never fire.
 func (t *Topology) Runner() *core.Runner {
 	r := t.Testbed.Runner()
-	if t.Faults != nil {
-		r.InjectFaults(t.Faults)
+	if t.faults != nil {
+		r.InjectFaults(t.faults)
 	}
 	return r
 }

@@ -421,9 +421,6 @@ func (r *Runner) prepare(ctx context.Context, e *Experiment, exp *results.Experi
 	}
 	bootSpan.End()
 	bootSeconds.Observe(r.now().Sub(bootStart).Seconds())
-	eventlog.Logger(ctx).Info("hosts booted",
-		"replica", replica, "phase", PhaseSetup,
-		"hosts", len(hosts), "elapsed", r.now().Sub(bootStart).String())
 
 	// Execute setup scripts in parallel; pos waits for every host to
 	// finish its setup before the first measurement run starts. The steps
@@ -453,9 +450,6 @@ func (r *Runner) prepare(ctx context.Context, e *Experiment, exp *results.Experi
 	}
 	setupSpan.End()
 	setupSeconds.Observe(r.now().Sub(setupStart).Seconds())
-	eventlog.Logger(ctx).Info("setup phase complete",
-		"replica", replica, "phase", PhaseSetup,
-		"elapsed", r.now().Sub(setupStart).String())
 	if err := sess.archiveSetupOutputs(setupOutputs); err != nil {
 		sess.scope.Close()
 		return nil, err
@@ -587,9 +581,6 @@ func (s *Session) RunOne(ctx context.Context, runIdx, total, attempt int, combo 
 		runSpan.SetError(runErr)
 		r.event(eventlog.Event{Phase: PhaseMeasurement, Run: runIdx, TotalRuns: total, Attempt: retry,
 			Replica: s.replica, Message: "run failed: " + comboKey, Error: rec.Error})
-		eventlog.Logger(ctx).Error("measurement run failed",
-			"replica", s.replica, "phase", PhaseMeasurement,
-			"run", runIdx, "combo", comboKey, "err", rec.Error)
 	} else {
 		runsOK.Inc()
 	}

@@ -26,7 +26,7 @@ const (
 	// TypeProgress marks a workflow step: boot, setup, a measurement run
 	// starting or failing, a retry or quarantine decision.
 	TypeProgress Type = "progress"
-	// TypeLog is a structured log record teed in through the slog handler.
+	// TypeLog is an informational record (the scheduler's campaign notes).
 	TypeLog Type = "log"
 	// TypeExec carries captured host command output (stdout+stderr) from a
 	// setup or measurement script.
@@ -59,7 +59,7 @@ type Event struct {
 	Seq uint64    `json:"seq"`
 	At  time.Time `json:"at"`
 	Typ Type      `json:"type"`
-	// Level is the slog level for log events ("INFO", "WARN", ...).
+	// Level is the severity of log events ("INFO", "WARN", ...).
 	Level string `json:"level,omitempty"`
 	// Replica names the executing replica testbed ("" outside campaigns).
 	Replica string `json:"replica,omitempty"`
@@ -75,7 +75,7 @@ type Event struct {
 	Attempt int    `json:"attempt,omitempty"`
 	Message string `json:"message,omitempty"`
 	Error   string `json:"error,omitempty"`
-	// Attrs carries structured key/value context (slog attrs, exec sizes).
+	// Attrs carries structured key/value context (exec sizes, queue state).
 	Attrs map[string]string `json:"attrs,omitempty"`
 }
 

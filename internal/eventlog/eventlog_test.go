@@ -3,7 +3,6 @@ package eventlog
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"os"
 	"path/filepath"
 	"sync"
@@ -287,61 +286,6 @@ func TestPipelineResumesSequenceFromJournal(t *testing.T) {
 	ev := p2.Publish(Event{Typ: TypeLog, Run: NoRun})
 	if ev.Seq != 4 {
 		t.Fatalf("resumed pipeline published seq %d, want 4", ev.Seq)
-	}
-}
-
-func TestSlogHandlerTeesIntoPipeline(t *testing.T) {
-	p := NewPipeline()
-	p.SetClock(testClock())
-	sub := p.Subscribe(16)
-	defer sub.Close()
-
-	lg := NewLogger(p, slog.LevelInfo)
-	lg.Debug("dropped below level")
-	lg.Info("boot complete", "replica", "replica1", "node", "vriga", "run", 7, "elapsed", "1.2s")
-	lg.With("phase", "setup").Warn("barrier timeout", "err", "deadline exceeded")
-
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	ev, ok := sub.Next(ctx)
-	if !ok {
-		t.Fatal("no event for Info record")
-	}
-	if ev.Typ != TypeLog || ev.Level != "INFO" || ev.Message != "boot complete" {
-		t.Fatalf("unexpected event %+v", ev)
-	}
-	if ev.Replica != "replica1" || ev.Node != "vriga" || ev.Run != 7 {
-		t.Fatalf("reserved keys not promoted: %+v", ev)
-	}
-	if ev.Attrs["elapsed"] != "1.2s" {
-		t.Fatalf("attrs not carried: %+v", ev.Attrs)
-	}
-	ev, ok = sub.Next(ctx)
-	if !ok {
-		t.Fatal("no event for Warn record")
-	}
-	if ev.Level != "WARN" || ev.Phase != "setup" || ev.Error != "deadline exceeded" {
-		t.Fatalf("unexpected event %+v", ev)
-	}
-	// Only the two >= Info records were published.
-	cctx, ccancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer ccancel()
-	if extra, ok := sub.Next(cctx); ok {
-		t.Fatalf("unexpected extra event %+v", extra)
-	}
-}
-
-func TestContextLoggerDefaultsToDiscard(t *testing.T) {
-	lg := Logger(context.Background())
-	if lg == nil {
-		t.Fatal("Logger returned nil")
-	}
-	lg.Info("goes nowhere") // must not panic
-	p := NewPipeline()
-	attached := NewLogger(p, slog.LevelInfo)
-	ctx := WithLogger(context.Background(), attached)
-	if Logger(ctx) != attached {
-		t.Fatal("WithLogger/Logger round trip failed")
 	}
 }
 

@@ -94,23 +94,17 @@ func TestWatchdogEdgeTriggeredTrips(t *testing.T) {
 	defer sub.Close()
 	w.SetEvents(events)
 
-	var probeTrips, globalTrips atomic.Int32
-	remove := w.Register(
-		NewStallProbe("stall", func() float64 { return float64(v.Load()) }, nil, 100*time.Millisecond),
-		func(ProbeState) { probeTrips.Add(1) })
-	defer remove()
-	w.SetOnTrip(func(ProbeState) { globalTrips.Add(1) })
+	var trips atomic.Int32
+	w.Register(NewStallProbe("stall", func() float64 { return float64(v.Load()) }, nil, 100*time.Millisecond))
+	w.SetOnTrip(func(ProbeState) { trips.Add(1) })
 
 	w.Tick() // prime
 	now = now.Add(time.Minute)
 	w.Tick() // frozen past deadline: trip
 	now = now.Add(time.Minute)
 	w.Tick() // still bad: edge-triggered, no second trip
-	if got := probeTrips.Load(); got != 1 {
-		t.Fatalf("probe trips = %d, want 1 (edge-triggered)", got)
-	}
-	if got := globalTrips.Load(); got != 1 {
-		t.Fatalf("global trips = %d, want 1", got)
+	if got := trips.Load(); got != 1 {
+		t.Fatalf("trips = %d, want 1 (edge-triggered)", got)
 	}
 	st := w.Status()
 	if len(st) != 1 || st[0].OK || st[0].Trips != 1 || st[0].LastTrip.IsZero() {
@@ -125,8 +119,8 @@ func TestWatchdogEdgeTriggeredTrips(t *testing.T) {
 	}
 	now = now.Add(time.Minute)
 	w.Tick()
-	if got := probeTrips.Load(); got != 2 {
-		t.Fatalf("probe trips after second stall = %d, want 2", got)
+	if got := trips.Load(); got != 2 {
+		t.Fatalf("trips after second stall = %d, want 2", got)
 	}
 
 	// The pipeline saw a trip ERROR, a recovery INFO, and a second trip.
@@ -156,11 +150,10 @@ func TestWatchdogHammer(t *testing.T) {
 	var progress atomic.Uint64
 	var trips atomic.Int32
 	w := NewWatchdog(2 * time.Millisecond)
-	w.Register(
-		NewStallProbe("hammer", func() float64 { return float64(progress.Load()) }, nil, 150*time.Millisecond),
-		func(ProbeState) { trips.Add(1) })
+	w.Register(NewStallProbe("hammer", func() float64 { return float64(progress.Load()) }, nil, 150*time.Millisecond))
 	tripped := make(chan struct{}, 1)
 	w.SetOnTrip(func(ProbeState) {
+		trips.Add(1)
 		select {
 		case tripped <- struct{}{}:
 		default:
@@ -199,21 +192,6 @@ func TestWatchdogHammer(t *testing.T) {
 	}
 	if got := trips.Load(); got != 1 {
 		t.Fatalf("trips = %d, want exactly 1", got)
-	}
-}
-
-func TestWatchdogRegisterRemove(t *testing.T) {
-	w := NewWatchdog(time.Hour)
-	now := time.Unix(4000, 0)
-	w.SetClock(func() time.Time { return now })
-	remove := w.Register(NewStallProbe("p", func() float64 { return 0 }, nil, time.Millisecond), nil)
-	if len(w.Status()) != 1 {
-		t.Fatal("probe not registered")
-	}
-	remove()
-	remove() // idempotent
-	if len(w.Status()) != 0 {
-		t.Fatal("probe not removed")
 	}
 }
 

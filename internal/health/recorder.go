@@ -2,7 +2,6 @@ package health
 
 import (
 	"encoding/json"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -13,9 +12,8 @@ import (
 
 // Flight-record trigger labels.
 const (
-	TriggerWatchdog        = "watchdog"
-	TriggerCampaignFailure = "campaign-failure"
-	TriggerSignal          = "sigquit"
+	TriggerWatchdog = "watchdog"
+	TriggerSignal   = "sigquit"
 )
 
 // DefaultRecorderCapacity is the ring size used when the caller does not
@@ -23,8 +21,7 @@ const (
 const DefaultRecorderCapacity = 256
 
 // Recorder keeps a bounded ring of the most recent events so that the
-// moment something goes wrong — a watchdog trip, a failed campaign, an
-// operator's SIGQUIT — the last thing the system did is already in memory,
+// moment something goes wrong — a watchdog trip or an operator's SIGQUIT — the last thing the system did is already in memory,
 // ready to be captured together with a metrics snapshot and a goroutine
 // stack dump. It is the post-mortem counterpart of the journal: small,
 // always warm, and dumped in one piece.
@@ -83,18 +80,13 @@ func (r *Recorder) Attach(p *eventlog.Pipeline) (detach func()) {
 // doing just before (recent events), what the metrics said, and what every
 // goroutine was doing at that instant.
 type FlightRecord struct {
-	Trigger    string             `json:"trigger"` // watchdog | campaign-failure | sigquit
+	Trigger    string             `json:"trigger"` // watchdog | sigquit
 	Probe      string             `json:"probe,omitempty"`
 	Detail     string             `json:"detail,omitempty"`
 	At         time.Time          `json:"at"`
 	Events     []eventlog.Event   `json:"events"`
 	Metrics    telemetry.Snapshot `json:"metrics"`
 	Goroutines string             `json:"goroutines"`
-	// Analysis, when present, is the campaign's critical path and per-phase
-	// attribution as computed at capture time (a timeline.Summary). Typed
-	// `any` so health stays below the timeline package in the import graph;
-	// readers decode it structurally from the JSON.
-	Analysis any `json:"analysis,omitempty"`
 }
 
 // Capture assembles a flight record now: the ring's events, a registry
@@ -122,22 +114,13 @@ func (r *Recorder) Capture(trigger, probe, detail string) FlightRecord {
 }
 
 // Encode renders the record as indented JSON with a trailing newline — the
-// exact bytes archived as flightrec.json.
+// exact bytes posctl serve dumps as flightrec-<ts>.json.
 func (fr FlightRecord) Encode() ([]byte, error) {
 	data, err := json.MarshalIndent(fr, "", "  ")
 	if err != nil {
 		return nil, err
 	}
 	return append(data, '\n'), nil
-}
-
-// WriteFile encodes the record and writes it to path.
-func (fr FlightRecord) WriteFile(path string) error {
-	data, err := fr.Encode()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
 }
 
 // DecodeFlightRecord parses bytes produced by Encode.

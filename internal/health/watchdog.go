@@ -8,7 +8,7 @@ import (
 )
 
 // ProbeState is one probe's current standing as the watchdog sees it —
-// what GET /api/v1/health serves and what trip callbacks receive.
+// what GET /api/v1/health serves and what the trip callback receives.
 type ProbeState struct {
 	Name   string    `json:"name"`
 	OK     bool      `json:"ok"`
@@ -20,14 +20,13 @@ type ProbeState struct {
 }
 
 type probeEntry struct {
-	probe  Probe
-	onTrip func(ProbeState)
-	state  ProbeState
+	probe Probe
+	state ProbeState
 }
 
 // Watchdog periodically runs its registered probes and turns unhealthy
-// transitions into typed eventlog events, pos_health_* metrics, and trip
-// callbacks. Trips are edge-triggered: a probe that stays bad fires once,
+// transitions into typed eventlog events, pos_health_* metrics, and the trip
+// callback. Trips are edge-triggered: a probe that stays bad fires once,
 // then again only after it has recovered — a stuck campaign produces one
 // flight record, not one per tick.
 type Watchdog struct {
@@ -72,36 +71,19 @@ func (w *Watchdog) SetEvents(p *eventlog.Pipeline) {
 	w.mu.Unlock()
 }
 
-// SetOnTrip installs a global trip callback, invoked after any probe's own
-// callback — the serve path uses it to dump a flight record to disk.
+// SetOnTrip installs the trip callback, invoked once per probe trip — the
+// serve path uses it to dump a flight record to disk.
 func (w *Watchdog) SetOnTrip(fn func(ProbeState)) {
 	w.mu.Lock()
 	w.onTrip = fn
 	w.mu.Unlock()
 }
 
-// Register adds a probe with an optional per-probe trip callback and
-// returns its removal function. Probes can come and go while the watchdog
-// runs — a campaign registers its progress probe for exactly its lifetime.
-func (w *Watchdog) Register(p Probe, onTrip func(ProbeState)) (remove func()) {
-	e := &probeEntry{probe: p, onTrip: onTrip}
+// Register adds a probe for the watchdog's lifetime.
+func (w *Watchdog) Register(p Probe) {
 	w.mu.Lock()
-	e.state = ProbeState{Name: p.Name(), OK: true, Since: w.now()}
-	w.probes = append(w.probes, e)
+	w.probes = append(w.probes, &probeEntry{probe: p, state: ProbeState{Name: p.Name(), OK: true, Since: w.now()}})
 	w.mu.Unlock()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			w.mu.Lock()
-			for i, cur := range w.probes {
-				if cur == e {
-					w.probes = append(w.probes[:i], w.probes[i+1:]...)
-					break
-				}
-			}
-			w.mu.Unlock()
-		})
-	}
 }
 
 // Tick runs one check pass over all probes. Start's loop calls it on the
@@ -116,11 +98,7 @@ func (w *Watchdog) Tick() {
 	entries := append([]*probeEntry(nil), w.probes...)
 	w.mu.Unlock()
 
-	type firing struct {
-		st ProbeState
-		fn func(ProbeState)
-	}
-	var trips, recoveries []firing
+	var trips, recoveries []ProbeState
 	bad := 0
 	for _, e := range entries {
 		ok, detail := e.probe.Check(now)
@@ -137,42 +115,39 @@ func (w *Watchdog) Tick() {
 		if !ok && prevOK {
 			e.state.Trips++
 			e.state.LastTrip = now
-			trips = append(trips, firing{e.state, e.onTrip})
+			trips = append(trips, e.state)
 		} else if ok && !prevOK {
-			recoveries = append(recoveries, firing{e.state, nil})
+			recoveries = append(recoveries, e.state)
 		}
 		w.mu.Unlock()
 	}
 
 	w.mu.Lock()
 	events := w.events
-	global := w.onTrip
+	onTrip := w.onTrip
 	w.lastRun = now
 	w.mu.Unlock()
 	probesBad.Set(float64(bad))
 
-	for _, f := range trips {
-		tripCounter(f.st.Name).Inc()
+	for _, st := range trips {
+		tripCounter(st.Name).Inc()
 		if events != nil {
 			events.Publish(eventlog.Event{
 				Typ: eventlog.TypeHealth, Level: "ERROR", Run: eventlog.NoRun,
-				Message: "watchdog tripped: " + f.st.Name + ": " + f.st.Detail,
-				Attrs:   map[string]string{"probe": f.st.Name, "state": "tripped"},
+				Message: "watchdog tripped: " + st.Name + ": " + st.Detail,
+				Attrs:   map[string]string{"probe": st.Name, "state": "tripped"},
 			})
 		}
-		if f.fn != nil {
-			f.fn(f.st)
-		}
-		if global != nil {
-			global(f.st)
+		if onTrip != nil {
+			onTrip(st)
 		}
 	}
-	for _, f := range recoveries {
+	for _, st := range recoveries {
 		if events != nil {
 			events.Publish(eventlog.Event{
 				Typ: eventlog.TypeHealth, Level: "INFO", Run: eventlog.NoRun,
-				Message: "watchdog probe recovered: " + f.st.Name,
-				Attrs:   map[string]string{"probe": f.st.Name, "state": "ok"},
+				Message: "watchdog probe recovered: " + st.Name,
+				Attrs:   map[string]string{"probe": st.Name, "state": "ok"},
 			})
 		}
 	}

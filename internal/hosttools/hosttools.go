@@ -10,13 +10,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"pos/internal/eventlog"
 	"pos/internal/node"
 )
 
@@ -57,29 +55,8 @@ type Service struct {
 	binding  map[string]*Scope
 	// uploadHook, when set, screens every upload before routing.
 	uploadHook func(nodeName, artifact string) error
-	// logger receives operational warnings (barrier timeouts, refused
-	// uploads); defaults to discard.
-	logger *slog.Logger
 	// BarrierTimeout overrides DefaultBarrierTimeout when positive.
 	BarrierTimeout time.Duration
-}
-
-// SetLogger installs the structured logger for operational warnings —
-// barrier timeouts and refused uploads are exactly the events an operator
-// watching a live campaign wants surfaced. nil restores the discard default.
-func (s *Service) SetLogger(lg *slog.Logger) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.logger = lg
-}
-
-func (s *Service) log() *slog.Logger {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.logger == nil {
-		return eventlog.Discard()
-	}
-	return s.logger
 }
 
 // NewService returns an empty service. uploader may be nil, in which case
@@ -101,15 +78,6 @@ func (s *Service) SetUploadHook(hook func(nodeName, artifact string) error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.uploadHook = hook
-}
-
-// SetUploader replaces the service-level upload sink. Nodes bound to a Scope
-// bypass it; it only catches uploads from unbound nodes (including stragglers
-// whose run scope has already closed).
-func (s *Service) SetUploader(u Uploader) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.uploader = u
 }
 
 // Scope is a per-run (or per-session) view of the service: its own loop
@@ -330,8 +298,6 @@ func (s *Service) Barrier(ctx context.Context, name string, parties int) error {
 	barrierWaitSeconds.Observe(time.Since(start).Seconds())
 	if err != nil {
 		barrierTimeouts.Inc()
-		s.log().Warn("barrier wait failed",
-			"barrier", name, "parties", parties, "err", err.Error())
 	}
 	return err
 }
@@ -355,8 +321,6 @@ func (s *Service) Upload(nodeName, artifact string, data []byte) error {
 	if hook != nil {
 		if err := hook(nodeName, artifact); err != nil {
 			uploadsRefused.Inc()
-			s.log().Warn("upload refused by hook",
-				"node", nodeName, "artifact", artifact, "err", err.Error())
 			return err
 		}
 	}
@@ -368,14 +332,10 @@ func (s *Service) Upload(nodeName, artifact string, data []byte) error {
 		} else {
 			err = fmt.Errorf("hosttools: no uploader configured (artifact %s from %s)", artifact, nodeName)
 		}
-		s.log().Warn("upload refused",
-			"node", nodeName, "artifact", artifact, "err", err.Error())
 		return err
 	}
 	if err := u.Upload(nodeName, artifact, data); err != nil {
 		uploadsRefused.Inc()
-		s.log().Warn("upload failed",
-			"node", nodeName, "artifact", artifact, "err", err.Error())
 		return err
 	}
 	uploadsTotal.Inc()

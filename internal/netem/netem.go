@@ -339,17 +339,3 @@ func (l *Link) thin(count int64) int64 {
 	}
 	return survived
 }
-
-// Backlog reports the current egress backlog of the given port's direction,
-// expressed as wire time.
-func (l *Link) Backlog(now sim.Time, p *Port) sim.Duration {
-	for side, q := range l.ports {
-		if q == p {
-			if l.busyUntil[side] <= now {
-				return 0
-			}
-			return l.busyUntil[side].Sub(now)
-		}
-	}
-	return 0
-}

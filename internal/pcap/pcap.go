@@ -179,9 +179,6 @@ func swap32(v uint32) uint32 {
 	return v<<24 | (v&0xff00)<<8 | (v>>8)&0xff00 | v>>24
 }
 
-// SnapLen returns the capture's snap length.
-func (r *Reader) SnapLen() uint32 { return r.snapLen }
-
 // LinkType returns the capture's data-link type.
 func (r *Reader) LinkType() uint32 { return r.linkType }
 

@@ -566,10 +566,6 @@ func (e *Experiment) flushLoop() {
 				manifestFlushes.Inc()
 			}
 		}
-		if err != nil {
-			e.store.log().Error("write-behind flush failed",
-				"experiment", e.user+"/"+e.name+"/"+e.id, "err", err.Error())
-		}
 		e.mu.Lock()
 		e.draining = nil
 		if err != nil && e.flushErr == nil {

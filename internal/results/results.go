@@ -60,17 +60,13 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"pos/internal/eventlog"
 )
 
 // Store is the root of the results tree, the emulated
@@ -81,28 +77,6 @@ type Store struct {
 
 	// handles registers the live experiment handles, weakly.
 	handles registry
-
-	// logger receives operational warnings (background flush failures,
-	// which otherwise only surface at the next Sync); discard by default.
-	logger atomic.Pointer[slog.Logger]
-}
-
-// SetLogger installs the structured logger for store-level warnings. The
-// write-behind flusher fails in the background; without a logger its first
-// error waits silently for the next Sync. nil restores the discard default.
-func (s *Store) SetLogger(lg *slog.Logger) {
-	if lg == nil {
-		s.logger.Store(nil)
-		return
-	}
-	s.logger.Store(lg)
-}
-
-func (s *Store) log() *slog.Logger {
-	if lg := s.logger.Load(); lg != nil {
-		return lg
-	}
-	return eventlog.Discard()
 }
 
 // Option configures a Store.
@@ -622,15 +596,6 @@ const resourcesName = "resources.json"
 func (e *Experiment) WriteRunResources(run int, data []byte) error {
 	dir, path := e.runFile(run, resourcesName)
 	return e.putArtifact(dir, path, data, entry{run: run, rel: resourcesName})
-}
-
-// ReadRunResources loads one run's host-conditions record back.
-func (e *Experiment) ReadRunResources(run int) ([]byte, error) {
-	data, err := e.readBack(filepath.Join(e.dir, runDirName(run), resourcesName))
-	if err != nil {
-		return nil, fmt.Errorf("results: %w", err)
-	}
-	return data, nil
 }
 
 // ReadRunArtifact loads one artifact back.

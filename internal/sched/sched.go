@@ -31,16 +31,13 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pos/internal/core"
 	"pos/internal/eventlog"
-	"pos/internal/health"
 	"pos/internal/hosttools"
 	"pos/internal/results"
 	"pos/internal/telemetry"
-	"pos/internal/timeline"
 )
 
 // Replica is one testbed instance participating in a campaign: a runner over
@@ -61,12 +58,6 @@ type Replica struct {
 type Campaign struct {
 	// Replicas are the participating testbed instances (at least one).
 	Replicas []Replica
-	// Parallel bounds the number of runs in flight at once. Zero or
-	// anything above len(Replicas) means one run per replica.
-	Parallel int
-	// RunTimeout, when positive, bounds each dispatched run in addition
-	// to any per-runner RunTimeout.
-	RunTimeout time.Duration
 	// ContinueOnRunFailure keeps the campaign sweeping after a failed
 	// run; the default is fail-fast — cancel everything in flight. With
 	// retries enabled, fail-fast only triggers once a run has exhausted
@@ -79,9 +70,6 @@ type Campaign struct {
 	// fresh experiment would see; a failed re-setup consumes the attempt
 	// like a failed run.
 	MaxAttempts int
-	// RetryBackoff is the pause before a run's second attempt; it
-	// doubles with each further attempt. Zero retries immediately.
-	RetryBackoff time.Duration
 	// QuarantineAfter drains a replica from the campaign after this many
 	// consecutive failed dispatches on it: the replica stops pulling
 	// work, its failed run is redistributed to the surviving replicas,
@@ -99,48 +87,6 @@ type Campaign struct {
 	// the Events pipeline (and the pos_replica_up gauge). Zero disables
 	// heartbeat probes; the gauge still tracks worker start/exit.
 	HeartbeatInterval time.Duration
-	// Sleep, when non-nil, replaces the context-aware timer wait used
-	// for retry backoff (tests pin it).
-	Sleep func(ctx context.Context, d time.Duration)
-	// Watchdog, when non-nil, supervises the campaign: a stall probe over
-	// the campaign's own dispatch-completion counter is registered for the
-	// campaign's duration, and a probe trip (or a campaign failure) dumps a
-	// flight record — recent events, metrics snapshot, goroutine stacks —
-	// as the experiment artifact flightrec.json.
-	Watchdog *health.Watchdog
-	// StallDeadline is how long the campaign may complete no dispatch
-	// before its watchdog probe trips. Zero derives 2×RunTimeout, falling
-	// back to 5 minutes when no run timeout is configured.
-	StallDeadline time.Duration
-}
-
-func (c *Campaign) sleep(ctx context.Context, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	if c.Sleep != nil {
-		c.Sleep(ctx, d)
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
-}
-
-// backoffFor returns the pause that precedes the given attempt (attempt 2
-// waits RetryBackoff, each further attempt doubles it).
-func (c *Campaign) backoffFor(attempt int) time.Duration {
-	if attempt <= 1 || c.RetryBackoff <= 0 {
-		return 0
-	}
-	shift := attempt - 2
-	if shift > 16 {
-		shift = 16 // cap: backoff growth, not overflow
-	}
-	return c.RetryBackoff << shift
 }
 
 // event publishes one campaign-level measurement decision on a replica, with
@@ -323,7 +269,8 @@ func (c *Campaign) validateDisjointHosts() error {
 // sharded. It complements — never alters — the per-run metadata, which stays
 // byte-identical to a sequential execution.
 type manifest struct {
-	Replicas  []string       `json:"replicas"`
+	Replicas []string `json:"replicas"`
+	// Parallel is the most runs in flight: one per replica.
 	Parallel  int            `json:"parallel"`
 	TotalRuns int            `json:"total_runs"`
 	Schedule  map[string]int `json:"runs_per_replica,omitempty"`
@@ -338,11 +285,6 @@ type workItem struct {
 
 // campaignState is the mutable bookkeeping shared by the campaign workers.
 type campaignState struct {
-	// progress counts completed dispatch attempts (success, failure, or
-	// cancellation alike) — the campaign's liveness signal. The watchdog's
-	// stall probe reads it from its own goroutine, hence atomic.
-	progress atomic.Uint64
-
 	mu          sync.Mutex
 	records     []*core.RunRecord
 	perWorker   []int
@@ -370,7 +312,7 @@ func (st *campaignState) resolve(run int, rec *core.RunRecord) {
 // parallel), then drain the run queue concurrently. It returns a summary
 // equivalent to the sequential runner's — deterministic run numbering, one
 // record per executed run in run order.
-func (c *Campaign) Run(ctx context.Context, store *results.Store) (sum *core.Summary, err error) {
+func (c *Campaign) Run(ctx context.Context, store *results.Store) (*core.Summary, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
@@ -378,10 +320,6 @@ func (c *Campaign) Run(ctx context.Context, store *results.Store) (sum *core.Sum
 	combos, err := core.CrossProduct(logical.LoopVars)
 	if err != nil {
 		return nil, err
-	}
-	parallel := c.Parallel
-	if parallel <= 0 || parallel > len(c.Replicas) {
-		parallel = len(c.Replicas)
 	}
 
 	started := c.now()
@@ -461,40 +399,6 @@ func (c *Campaign) Run(ctx context.Context, store *results.Store) (sum *core.Sum
 			Message: msg,
 		})
 	}()
-	// Flight recorder: tail the campaign's own event stream into a warm
-	// ring so a watchdog trip or failure can dump the last thing the
-	// campaign did without consulting the journal. First evidence wins —
-	// a watchdog trip mid-campaign must not be overwritten by the failure
-	// record of the abort it caused.
-	flightRec := health.NewRecorder(0, telemetry.Default)
-	defer flightRec.Attach(c.Events)()
-	var flightOnce sync.Once
-	dumpFlight := func(trigger, probe, detail string) {
-		flightOnce.Do(func() {
-			fr := flightRec.Capture(trigger, probe, detail)
-			// Post-mortems start with the answer, not raw events: snapshot
-			// the in-flight trace (open spans closed at "now") and attach
-			// its critical path and per-phase attribution to the record.
-			ftr := tr
-			if ftr == nil {
-				ftr = telemetry.TraceFromContext(ctx)
-			}
-			if ftr != nil {
-				fr.Analysis = timeline.Summarize(ftr.RecordsAt(c.now()))
-			}
-			if data, encErr := fr.Encode(); encErr == nil {
-				exp.AddExperimentArtifact("flightrec.json", data)
-			}
-		})
-	}
-	// A genuinely failed campaign (not a caller cancellation) leaves its
-	// post-mortem behind even when no watchdog is attached.
-	defer func() {
-		if err != nil && ctx.Err() == nil {
-			dumpFlight(health.TriggerCampaignFailure, "", err.Error())
-		}
-	}()
-
 	// Every replica's runner publishes into the campaign's record before
 	// any replica starts booting.
 	defer c.wireReplicas()()
@@ -532,7 +436,7 @@ func (c *Campaign) Run(ctx context.Context, store *results.Store) (sum *core.Sum
 		}
 	}
 
-	sum = &core.Summary{
+	sum := &core.Summary{
 		Experiment: logical.Name,
 		ResultsDir: exp.Dir(),
 		TotalRuns:  len(combos),
@@ -548,7 +452,7 @@ func (c *Campaign) Run(ctx context.Context, store *results.Store) (sum *core.Sum
 	// so a slow run on one replica never stalls the others. The queue is
 	// buffered for every possible dispatch (each run is enqueued at most
 	// MaxAttempts times), so re-enqueueing a retry never blocks a worker.
-	// The semaphore bounds runs in flight when Parallel < len(Replicas).
+	// Each replica's worker executes one run at a time.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	st := &campaignState{
@@ -564,26 +468,6 @@ func (c *Campaign) Run(ctx context.Context, store *results.Store) (sum *core.Sum
 		st.queue <- workItem{run: i, attempt: 1}
 	}
 	queueDepth.Add(float64(len(combos)))
-
-	// Watchdog supervision for exactly the campaign's lifetime: the stall
-	// probe watches this campaign's dispatch-completion counter, and a trip
-	// captures the flight record while the stall is still in progress.
-	if c.Watchdog != nil {
-		deadline := c.StallDeadline
-		if deadline <= 0 {
-			if c.RunTimeout > 0 {
-				deadline = 2 * c.RunTimeout
-			} else {
-				deadline = 5 * time.Minute
-			}
-		}
-		probe := health.NewStallProbe("campaign:"+logical.Name,
-			func() float64 { return float64(st.progress.Load()) }, nil, deadline)
-		unregister := c.Watchdog.Register(probe, func(ps health.ProbeState) {
-			dumpFlight(health.TriggerWatchdog, ps.Name, ps.Detail)
-		})
-		defer unregister()
-	}
 
 	// Liveness probes: one heartbeat goroutine per replica for the
 	// campaign's duration.
@@ -601,12 +485,11 @@ func (c *Campaign) Run(ctx context.Context, store *results.Store) (sum *core.Sum
 		}
 	}
 
-	sem := make(chan struct{}, parallel)
 	for wi, sess := range sessions {
 		wg.Add(1)
 		go func(wi int, sess *core.Session) {
 			defer wg.Done()
-			c.worker(runCtx, cancel, wi, sess, st, sem, combos, maxAttempts)
+			c.worker(runCtx, cancel, wi, sess, st, combos, maxAttempts)
 		}(wi, sess)
 	}
 	wg.Wait()
@@ -648,7 +531,7 @@ func (c *Campaign) Run(ctx context.Context, store *results.Store) (sum *core.Sum
 	queueDepth.Add(-float64(drainQueue(st)))
 
 	m, err := json.MarshalIndent(manifest{
-		Replicas: names, Parallel: parallel, TotalRuns: len(combos), Schedule: schedule,
+		Replicas: names, Parallel: len(c.Replicas), TotalRuns: len(combos), Schedule: schedule,
 	}, "", "  ")
 	if err != nil {
 		return sum, fmt.Errorf("sched: %w", err)
@@ -703,11 +586,11 @@ func countNil(recs []*core.RunRecord) int {
 	return n
 }
 
-// worker is one replica's dispatch loop: pull a run, back off if it is a
-// retry, re-establish the clean slate when needed, execute, and either
-// resolve the run or hand it back to the queue. A worker that fails
-// QuarantineAfter consecutive dispatches drains itself from the campaign.
-func (c *Campaign) worker(runCtx context.Context, cancel context.CancelFunc, wi int, sess *core.Session, st *campaignState, sem chan struct{}, combos []core.Combination, maxAttempts int) {
+// worker is one replica's dispatch loop: pull a run, re-establish the clean
+// slate when needed, execute, and either resolve the run or hand it back to
+// the queue. A worker that fails QuarantineAfter consecutive dispatches
+// drains itself from the campaign.
+func (c *Campaign) worker(runCtx context.Context, cancel context.CancelFunc, wi int, sess *core.Session, st *campaignState, combos []core.Combination, maxAttempts int) {
 	name := c.Replicas[wi].Name
 	// The worker's lane span groups everything this replica executes — one
 	// flamegraph row per replica in the Chrome trace rendering.
@@ -732,33 +615,16 @@ func (c *Campaign) worker(runCtx context.Context, cancel context.CancelFunc, wi 
 			}
 		}
 		queueDepth.Dec()
-
-		// Backoff before a retry happens outside the parallelism
-		// bound: a waiting run must not block a healthy replica's slot.
-		// A campaign torn down during the backoff dispatches nothing.
-		backoff := c.backoffFor(item.attempt)
-		c.sleep(runCtx, backoff)
+		// Both cases of the select can be ready at once: a campaign torn
+		// down while the item waited dispatches nothing, so no event
+		// carries an attempt that never ran.
 		if runCtx.Err() != nil {
 			return
-		}
-		select {
-		case <-runCtx.Done():
-			return
-		case sem <- struct{}{}:
-		}
-		// The backoff is journaled once the dispatch is certain: an event
-		// carries an attempt only if the run was dispatched at it, which
-		// is how the journal counts attempts.
-		if backoff > 0 {
-			c.event(core.PhaseMeasurement, name, item, len(combos),
-				fmt.Sprintf("backed off %v before attempt %d", backoff, item.attempt), "")
 		}
 
 		inflightRuns.Inc()
 		rec, err := c.dispatch(runCtx, sess, name, item, combos, dirty)
 		inflightRuns.Dec()
-		st.progress.Add(1)
-		<-sem
 
 		// Collateral damage: the run failed only because the campaign
 		// was being torn down around it. Resolve it as cancelled — it
@@ -832,20 +698,14 @@ func (c *Campaign) worker(runCtx context.Context, cancel context.CancelFunc, wi 
 // run. It returns the run record, stamped with the dispatch attempt, plus
 // the raw error for cancellation analysis. The journal is the retry record:
 // the run's events carry the attempt, and the sched events around them the
-// backoff, requeue and re-setup decisions.
+// requeue and re-setup decisions. The replica runner's RunTimeout bounds
+// the run.
 func (c *Campaign) dispatch(runCtx context.Context, sess *core.Session, name string, item workItem, combos []core.Combination, dirty bool) (core.RunRecord, error) {
-	rctx := runCtx
-	var rcancel context.CancelFunc
-	if c.RunTimeout > 0 {
-		rctx, rcancel = context.WithTimeout(runCtx, c.RunTimeout)
-		defer rcancel()
-	}
-
 	// The paper's recovery discipline: a run is only re-executed from a
 	// freshly booted, freshly set-up testbed, so the retry cannot be
 	// contaminated by whatever the failure left behind.
 	if item.attempt > 1 || dirty {
-		if err := sess.Recover(rctx); err != nil {
+		if err := sess.Recover(runCtx); err != nil {
 			c.event(core.PhaseSetup, name, item, len(combos),
 				"clean-slate re-setup failed", err.Error())
 			return core.RunRecord{
@@ -858,7 +718,7 @@ func (c *Campaign) dispatch(runCtx context.Context, sess *core.Session, name str
 
 	// The run-start event is published by RunOne itself on the campaign's
 	// pipeline (wireReplicas), so dispatch does not duplicate it.
-	rec, err := sess.RunOne(rctx, item.run, len(combos), item.attempt, combos[item.run])
+	rec, err := sess.RunOne(runCtx, item.run, len(combos), item.attempt, combos[item.run])
 	if err != nil && !rec.Failed {
 		// Recording errors (artifact or metadata writes) that RunOne
 		// reports without marking the record would otherwise count the

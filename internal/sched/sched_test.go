@@ -270,8 +270,8 @@ func TestCampaignMetadataMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestCampaignRunTimeoutContinues: a hung run is cut off by the campaign's
-// per-run timeout and recorded as failed; with ContinueOnRunFailure the
+// TestCampaignRunTimeoutContinues: a hung run is cut off by its replica
+// runner's RunTimeout and recorded as failed; with ContinueOnRunFailure the
 // sweep still completes every other run.
 func TestCampaignRunTimeoutContinues(t *testing.T) {
 	svc := hosttools.NewService(nil)
@@ -286,11 +286,12 @@ func TestCampaignRunTimeoutContinues(t *testing.T) {
 	}
 	hostA.onMeasure = hang
 	hostB.onMeasure = hang
+	repA.Runner.RunTimeout = 50 * time.Millisecond
+	repB.Runner.RunTimeout = 50 * time.Millisecond
 
 	store := storeAt(t)
 	c := &Campaign{
 		Replicas:             []Replica{repA, repB},
-		RunTimeout:           50 * time.Millisecond,
 		ContinueOnRunFailure: true,
 	}
 	start := time.Now()
@@ -299,7 +300,7 @@ func TestCampaignRunTimeoutContinues(t *testing.T) {
 		t.Fatalf("continue-on-failure returned error: %v", err)
 	}
 	if time.Since(start) > 10*time.Second {
-		t.Fatal("hung run not bounded by campaign timeout")
+		t.Fatal("hung run not bounded by the runner timeout")
 	}
 	if sum.FailedRuns != 1 || len(sum.Records) != 6 {
 		t.Fatalf("summary = %+v", sum)
@@ -412,33 +413,48 @@ func TestCampaignCancellation(t *testing.T) {
 	}
 }
 
+// TestCampaignParallelBound: the campaign's parallelism is its replica
+// count — each replica executes at most one run at a time, and the runs in
+// flight never outnumber the replicas.
 func TestCampaignParallelBound(t *testing.T) {
 	svc := hosttools.NewService(nil)
 	repA, hostA := newReplica("alpha", "nodeA", svc)
 	repB, hostB := newReplica("beta", "nodeB", svc)
-	var inFlight, maxInFlight atomic.Int32
-	track := func(ctx context.Context, env map[string]string) error {
-		n := inFlight.Add(1)
+	var total, maxTotal atomic.Int32
+	peak := func(cur, max *atomic.Int32) {
+		n := cur.Add(1)
 		for {
-			m := maxInFlight.Load()
-			if n <= m || maxInFlight.CompareAndSwap(m, n) {
-				break
+			m := max.Load()
+			if n <= m || max.CompareAndSwap(m, n) {
+				return
 			}
 		}
-		time.Sleep(time.Millisecond)
-		inFlight.Add(-1)
-		return nil
 	}
-	hostA.onMeasure = track
-	hostB.onMeasure = track
+	track := func() (func(context.Context, map[string]string) error, *atomic.Int32) {
+		var own, maxOwn atomic.Int32
+		return func(ctx context.Context, env map[string]string) error {
+			peak(&own, &maxOwn)
+			peak(&total, &maxTotal)
+			time.Sleep(time.Millisecond)
+			total.Add(-1)
+			own.Add(-1)
+			return nil
+		}, &maxOwn
+	}
+	var maxA, maxB *atomic.Int32
+	hostA.onMeasure, maxA = track()
+	hostB.onMeasure, maxB = track()
 
 	store := storeAt(t)
-	c := &Campaign{Replicas: []Replica{repA, repB}, Parallel: 1}
+	c := &Campaign{Replicas: []Replica{repA, repB}}
 	if _, err := c.Run(context.Background(), store); err != nil {
 		t.Fatal(err)
 	}
-	if got := maxInFlight.Load(); got > 1 {
-		t.Errorf("max concurrent runs = %d with Parallel=1", got)
+	if a, b := maxA.Load(), maxB.Load(); a != 1 || b != 1 {
+		t.Errorf("max runs in flight per replica = %d (alpha), %d (beta), want 1 each", a, b)
+	}
+	if got := maxTotal.Load(); got > 2 {
+		t.Errorf("max concurrent runs = %d with 2 replicas", got)
 	}
 }
 
@@ -511,26 +527,15 @@ func intsFrom(from, to int) []int {
 
 // TestCampaignRetriesWithCleanSlateResetup: a run that fails twice succeeds
 // on its third attempt, each retry preceded by a clean-slate reboot and
-// re-setup and by an exponentially growing backoff. The attempt history is
-// the event journal; the summary reports no failed runs.
+// re-setup. The attempt history is the event journal; the summary reports no
+// failed runs.
 func TestCampaignRetriesWithCleanSlateResetup(t *testing.T) {
 	svc := hosttools.NewService(nil)
 	rep, host := newReplica("solo", "nodeA", svc)
 	wedgeRun3Twice(host)
 
-	var mu sync.Mutex
-	var sleeps []time.Duration
 	store := storeAt(t)
-	c := &Campaign{
-		Replicas:     []Replica{rep},
-		MaxAttempts:  3,
-		RetryBackoff: 10 * time.Millisecond,
-		Sleep: func(ctx context.Context, d time.Duration) {
-			mu.Lock()
-			sleeps = append(sleeps, d)
-			mu.Unlock()
-		},
-	}
+	c := &Campaign{Replicas: []Replica{rep}, MaxAttempts: 3}
 	sum, err := c.Run(context.Background(), store)
 	if err != nil {
 		t.Fatal(err)
@@ -556,18 +561,10 @@ func TestCampaignRetriesWithCleanSlateResetup(t *testing.T) {
 	if reboots != 4 {
 		t.Errorf("reboots = %d, want 4 (prepare + 3 clean-slate re-setups)", reboots)
 	}
-	// Exponential backoff: 10ms before attempt 2, 20ms before attempt 3.
-	mu.Lock()
-	gotSleeps := append([]time.Duration(nil), sleeps...)
-	mu.Unlock()
-	if len(gotSleeps) != 2 || gotSleeps[0] != 10*time.Millisecond || gotSleeps[1] != 20*time.Millisecond {
-		t.Errorf("backoff sleeps = %v", gotSleeps)
-	}
-
 	// The journal is the attempt history: RunOne's events carry the attempt
-	// of a retry, and the campaign's backoff decisions sit between them.
+	// of a retry, and the campaign's requeue decisions sit between them.
 	dispatched, failed := map[int][]int{}, map[int][]int{}
-	var backoffs []string
+	var requeues []string
 	for _, ev := range replayRuns(t, sum.ResultsDir) {
 		if ev.Replica != "solo" {
 			t.Errorf("event %+v off replica solo", ev)
@@ -581,8 +578,8 @@ func TestCampaignRetriesWithCleanSlateResetup(t *testing.T) {
 			if !strings.Contains(ev.Error, "generator wedged") {
 				t.Errorf("run %d attempt %d error = %q", ev.Run, attempt, ev.Error)
 			}
-		case strings.HasPrefix(ev.Message, "backed off "):
-			backoffs = append(backoffs, ev.Message)
+		case strings.Contains(ev.Message, "requeueing"):
+			requeues = append(requeues, fmt.Sprintf("%d@%d", ev.Run, attempt))
 		}
 	}
 	for run := 0; run < 6; run++ {
@@ -597,8 +594,8 @@ func TestCampaignRetriesWithCleanSlateResetup(t *testing.T) {
 	if len(failed) != 1 || fmt.Sprint(failed[3]) != "[1 2]" {
 		t.Errorf("failed attempts = %v, want run 3 at [1 2]", failed)
 	}
-	if want := []string{"backed off 10ms before attempt 2", "backed off 20ms before attempt 3"}; fmt.Sprint(backoffs) != fmt.Sprint(want) {
-		t.Errorf("journaled backoffs = %q, want %q", backoffs, want)
+	if want := []string{"3@1", "3@2"}; fmt.Sprint(requeues) != fmt.Sprint(want) {
+		t.Errorf("journaled requeues (run@attempt) = %q, want %q", requeues, want)
 	}
 }
 
@@ -641,31 +638,27 @@ func TestTimelineCountsRetriesFromJournal(t *testing.T) {
 	}
 }
 
-// TestCampaignCancelledDuringBackoffDispatchesNothing: a campaign torn down
-// while a retry backs off never dispatches that retry, so nothing in the
-// journal carries its attempt and the analysis counts the run's one
-// dispatch.
-func TestCampaignCancelledDuringBackoffDispatchesNothing(t *testing.T) {
+// TestCampaignCancelledBeforeRetryDispatchesNothing: a campaign torn down
+// between a failed attempt and its requeued retry never dispatches that
+// retry, so nothing in the journal carries its attempt and the analysis
+// counts the run's one dispatch.
+func TestCampaignCancelledBeforeRetryDispatchesNothing(t *testing.T) {
 	rep, host := newReplica("solo", "nodeA", hosttools.NewService(nil))
-	wedgeRun3Twice(host)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var sleeps atomic.Int32
-	c := &Campaign{
-		Replicas:     []Replica{rep},
-		MaxAttempts:  3,
-		RetryBackoff: 10 * time.Millisecond,
-		Sleep: func(context.Context, time.Duration) {
-			sleeps.Add(1)
+	// Run 3's first attempt fails on its own account (not as collateral of
+	// the cancellation), so it is requeued while the campaign goes down.
+	host.onMeasure = func(_ context.Context, env map[string]string) error {
+		if env["RUN"] == "3" {
 			cancel()
-		},
+			return errors.New("generator wedged")
+		}
+		return nil
 	}
+	c := &Campaign{Replicas: []Replica{rep}, MaxAttempts: 3}
 	sum, err := c.Run(ctx, storeAt(t))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run = %v, want the cancellation", err)
-	}
-	if n := sleeps.Load(); n != 1 {
-		t.Fatalf("backoffs slept = %d, want 1 (run 3 before attempt 2)", n)
 	}
 	host.mu.Lock()
 	var measured3 int

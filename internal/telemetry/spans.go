@@ -259,9 +259,9 @@ func (t *Trace) Records() []SpanRecord {
 	return t.records(time.Time{})
 }
 
-// RecordsAt snapshots the trace with still-open spans closed at now — the
-// live view a flight record captures mid-campaign. The spans themselves are
-// not mutated; a later Finish still stamps the real end times.
+// RecordsAt snapshots the trace with still-open spans closed at now — a
+// live view of an unfinished trace. The spans themselves are not mutated; a
+// later Finish still stamps the real end times.
 func (t *Trace) RecordsAt(now time.Time) []SpanRecord {
 	return t.records(now)
 }

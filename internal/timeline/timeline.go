@@ -66,8 +66,7 @@ type PhaseTotal struct {
 }
 
 // Summary is the distilled answer — critical path plus per-phase
-// attribution. It stands alone so a flight record can embed it mid-campaign
-// without the run/replica statistics that need the finished archive.
+// attribution, computed from span records alone.
 type Summary struct {
 	TraceID      string       `json:"trace_id,omitempty"`
 	Root         string       `json:"root,omitempty"`
@@ -89,7 +88,7 @@ type RunStat struct {
 
 // ReplicaStat aggregates one replica lane: how long the lane existed, how
 // much of it was spent executing runs, and the idle remainder (dispatch
-// gaps, backoff, waiting for the shared queue to drain).
+// gaps, clean-slate re-setups, waiting for the shared queue to drain).
 type ReplicaStat struct {
 	Name         string  `json:"name"`
 	Runs         int     `json:"runs"`
@@ -337,8 +336,7 @@ func subtreeEnd(n *node) time.Time {
 }
 
 // Summarize computes the critical path and per-phase attribution from span
-// records alone — the form a flight recorder uses mid-campaign, when the
-// journal is still being written and run directories are incomplete.
+// records alone, without the journal or the run directories.
 func Summarize(recs []telemetry.SpanRecord) *Summary {
 	roots := buildTree(recs)
 	root := pickAnchor(roots)

@@ -11,7 +11,6 @@ package vpos
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -91,7 +90,6 @@ type Manager struct {
 	instances map[string]*Instance
 	clock     func() time.Time
 	events    *eventlog.Pipeline
-	logger    *slog.Logger
 }
 
 // SetEvents attaches the live event pipeline: every instance execution's
@@ -101,23 +99,6 @@ func (m *Manager) SetEvents(p *eventlog.Pipeline) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.events = p
-}
-
-// SetLogger installs the structured logger for instance lifecycle events;
-// nil restores the discard default.
-func (m *Manager) SetLogger(lg *slog.Logger) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.logger = lg
-}
-
-func (m *Manager) log() *slog.Logger {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.logger == nil {
-		return eventlog.Discard()
-	}
-	return m.logger
 }
 
 // NewManager returns a manager storing instance results under baseDir.
@@ -164,7 +145,6 @@ func (m *Manager) Create() (*Instance, error) {
 	m.mu.Lock()
 	m.instances[id] = inst
 	m.mu.Unlock()
-	m.log().Info("vpos instance created", "instance", id, "nodes", len(inst.Nodes))
 	return inst, nil
 }
 
@@ -215,7 +195,6 @@ func (m *Manager) Destroy(id string) error {
 	}
 	inst.status = StatusDestroyed
 	inst.topo.Close()
-	m.log().Info("vpos instance destroyed", "instance", id)
 	return nil
 }
 
@@ -270,12 +249,7 @@ func (m *Manager) Run(ctx context.Context, id string, cfg RunConfig) (*RunInfo, 
 	if m.events != nil {
 		defer events.ForwardTo(m.events, nil)()
 	}
-	lg := m.logger
 	m.mu.Unlock()
-	if lg != nil {
-		ctx = eventlog.WithLogger(ctx, lg)
-	}
-	m.log().Info("vpos experiment started", "instance", id, "experiment", exp.Name)
 	sum, runErr := runner.Run(ctx, exp, store)
 	info.FinishedAt = m.clock()
 	if sum != nil {
@@ -291,12 +265,8 @@ func (m *Manager) Run(ctx context.Context, id string, cfg RunConfig) (*RunInfo, 
 	inst.lastRun = info
 	inst.mu.Unlock()
 	if runErr != nil {
-		m.log().Error("vpos experiment failed", "instance", id,
-			"experiment", exp.Name, "err", runErr.Error())
 		return info, fmt.Errorf("vpos: %w", runErr)
 	}
-	m.log().Info("vpos experiment finished", "instance", id,
-		"experiment", exp.Name, "runs", info.TotalRuns)
 	return info, nil
 }
 

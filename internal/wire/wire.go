@@ -21,7 +21,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"time"
 )
 
 // MaxMessageBytes bounds a single framed message (16 MiB) so a corrupt peer
@@ -80,9 +79,6 @@ func NewConn(c net.Conn) *Conn {
 
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.raw.Close() }
-
-// SetDeadline bounds both directions.
-func (c *Conn) SetDeadline(t time.Time) error { return c.raw.SetDeadline(t) }
 
 // fail records the connection's first framing error, closes it, and returns
 // the error every later call will see.
