@@ -50,10 +50,11 @@ fuzz-smoke:
 # Campaign profile: where one Appendix-A campaign (60 runs through the real
 # TCP control plane into a fresh store) spends its CPU and its allocations.
 # 200 campaigns of the root BenchmarkAppendixWorkflow under both profilers,
-# then the top 25 by cumulative CPU time and by allocated objects. Stores go
-# to /dev/shm when it is writable, as bench/ puts them, so the profile shows
-# this code and not the host's disk. Binary and profiles stay in
-# .bench_build/ for `go tool pprof -list`.
+# then the top 25 by cumulative CPU time and by allocated objects, and the
+# top 20 by allocated bytes (buffers sized past their traffic show here, not
+# in the object count). Stores go to /dev/shm when it is writable, as bench/
+# puts them, so the profile shows this code and not the host's disk. Binary
+# and profiles stay in .bench_build/ for `go tool pprof -list`.
 .PHONY: profile-campaign
 profile-campaign:
 	@mkdir -p .bench_build
@@ -63,12 +64,14 @@ profile-campaign:
 		-cpuprofile .bench_build/campaign.cpu -memprofile .bench_build/campaign.mem .
 	@go tool pprof -top -cum .bench_build/campaign.test .bench_build/campaign.cpu 2>/dev/null | head -33
 	@go tool pprof -sample_index=alloc_objects -top .bench_build/campaign.test .bench_build/campaign.mem 2>/dev/null | head -32
+	@go tool pprof -sample_index=alloc_space -top .bench_build/campaign.test .bench_build/campaign.mem 2>/dev/null | head -27
 
 # Queue profile: what a long-lived controller pays per admitted campaign and
 # what each one leaves behind. 2000 campaigns of the root BenchmarkQueueLaunch
 # (two fresh vpos replicas, 2 sizes x 4 rates, sched.Campaign.Run) into one
-# store that outlives them all, then the top 25 by cumulative CPU time and the
-# top 20 by bytes still in use when the last campaign finished.
+# store that outlives them all, then the top 25 by cumulative CPU time, the
+# top 20 by bytes still in use when the last campaign finished, and the top 20
+# by bytes allocated over the whole profile (the garbage per campaign).
 .PHONY: profile-queue
 profile-queue:
 	@mkdir -p .bench_build
@@ -78,6 +81,7 @@ profile-queue:
 		-cpuprofile .bench_build/queue.cpu -memprofile .bench_build/queue.mem .
 	@go tool pprof -top -cum .bench_build/queue.test .bench_build/queue.cpu 2>/dev/null | head -33
 	@go tool pprof -sample_index=inuse_space -top .bench_build/queue.test .bench_build/queue.mem 2>/dev/null | head -27
+	@go tool pprof -sample_index=alloc_space -top .bench_build/queue.test .bench_build/queue.mem 2>/dev/null | head -27
 
 # Data-plane profile: where the emulated data plane spends its CPU with no
 # control plane or store around it. 300 iterations each of the root

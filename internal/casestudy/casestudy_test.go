@@ -655,6 +655,33 @@ func TestArtifactsByteIdenticalAcrossExecutions(t *testing.T) {
 	}
 }
 
+// TestOneSidedExecFaultDoesNotWaitOutBarrier: when only the load generator's
+// measurement exec fails, the DuT waiting for it at run_done is released at
+// once instead of after DefaultBarrierTimeout, and the run's error names the
+// injected fault.
+func TestOneSidedExecFaultDoesNotWaitOutBarrier(t *testing.T) {
+	topo, err := New(BareMetal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer topo.Close()
+	// Exec occurrence 1 is the setup script; 2 is the first measurement.
+	topo.SetFaults(map[string]sim.FaultPlan{topo.LoadGen: {FailExecs: []int{2}}})
+	store, err := results.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp := topo.Experiment(SweepConfig{Sizes: []int{64}, RatesPPS: []int{10_000, 20_000}, RuntimeSec: 1})
+	start := time.Now()
+	_, err = topo.Runner().Run(context.Background(), exp, store)
+	if took := time.Since(start); took >= 2*time.Second {
+		t.Errorf("faulted run took %v, want < 2s", took)
+	}
+	if err == nil || !strings.Contains(err.Error(), "injected exec fault") {
+		t.Fatalf("err = %v, want the injected exec fault", err)
+	}
+}
+
 // TestCampaignSurvivesFaultyReplica: one of three replicas is armed (via
 // SetFaults) to fail every exec after its initial setup — measurements and
 // clean-slate re-setups alike, on both of its nodes. The campaign retries
@@ -673,10 +700,11 @@ func TestCampaignSurvivesFaultyReplica(t *testing.T) {
 	for _, topo := range topos {
 		defer topo.Close()
 	}
-	// Both nodes fail so a faulted run dies instantly instead of leaving
-	// the partner waiting out the run_done barrier. Exec occurrence 1 is
-	// each node's initial setup script, which must succeed for the
-	// session to come up at all.
+	// Both nodes fail every measurement, as a replica whose testbed is
+	// broken as a whole would. (A fault on one node alone ends the run as
+	// quickly: the run aborts its barriers.) Exec occurrence 1 is each
+	// node's initial setup script, which must succeed for the session to
+	// come up at all.
 	failing := map[string]sim.FaultPlan{}
 	for _, node := range []string{topos[1].LoadGen, topos[1].DuT} {
 		var occ []int

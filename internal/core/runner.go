@@ -546,6 +546,11 @@ func (s *Session) RunOne(ctx context.Context, runIdx, total, attempt int, combo 
 		out, err := h.Exec(ctx, spec.Measurement, env)
 		es.SetError(err)
 		es.End()
+		if err != nil {
+			// The partners' barriers in this run can no longer fill:
+			// release them now rather than at the barrier timeout.
+			scope.Abort(fmt.Errorf("%s: %w", spec.Node, err))
+		}
 		mu.Lock()
 		outputs[i] = out
 		mu.Unlock()

@@ -11,6 +11,11 @@ import (
 // not choose their own.
 const DefaultSubscriberBuffer = 1024
 
+// minRing is the ring's first allocation. A ring grows by doubling from here
+// to its capacity only when its consumer lags, so a subscriber that keeps up
+// holds a few slots rather than its whole bound.
+const minRing = 16
+
 // Broker fans published events out to subscribers. Publication never blocks:
 // each subscriber owns a bounded ring buffer, and when a consumer falls
 // behind, its oldest buffered events are dropped and counted instead of the
@@ -27,15 +32,16 @@ func NewBroker() *Broker {
 }
 
 // Subscribe registers a consumer with a ring buffer of the given capacity
-// (DefaultSubscriberBuffer when <= 0). The caller must Close the
-// subscription when done.
+// (DefaultSubscriberBuffer when <= 0). The ring starts empty and grows on
+// demand up to that capacity. The caller must Close the subscription when
+// done.
 func (b *Broker) Subscribe(buffer int) *Subscription {
 	if buffer <= 0 {
 		buffer = DefaultSubscriberBuffer
 	}
 	s := &Subscription{
 		broker: b,
-		buf:    make([]Event, buffer),
+		limit:  buffer,
 		notify: make(chan struct{}, 1),
 	}
 	b.mu.Lock()
@@ -44,15 +50,13 @@ func (b *Broker) Subscribe(buffer int) *Subscription {
 	return s
 }
 
-// Publish delivers ev to every live subscriber without blocking.
+// Publish delivers ev to every live subscriber without blocking. It pushes
+// while holding b.mu; b.mu before s.mu is the only order the two are nested
+// in.
 func (b *Broker) Publish(ev Event) {
 	b.mu.Lock()
-	subs := make([]*Subscription, 0, len(b.subs))
+	defer b.mu.Unlock()
 	for s := range b.subs {
-		subs = append(subs, s)
-	}
-	b.mu.Unlock()
-	for _, s := range subs {
 		s.push(ev)
 	}
 }
@@ -68,7 +72,8 @@ type Subscription struct {
 	broker *Broker
 
 	mu      sync.Mutex
-	buf     []Event // ring
+	buf     []Event // ring, grown on demand up to limit
+	limit   int     // capacity at which the oldest event is dropped
 	head    int     // index of the oldest buffered event
 	n       int     // buffered count
 	dropped uint64
@@ -77,14 +82,22 @@ type Subscription struct {
 	notify  chan struct{}
 }
 
-// push appends ev, evicting the oldest buffered event when full.
+// push appends ev. A full ring below its limit doubles; at the limit the
+// oldest buffered event is evicted.
 func (s *Subscription) push(ev Event) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return
 	}
-	if s.n == len(s.buf) {
+	switch {
+	case s.n < len(s.buf): // room left
+	case s.n < s.limit:
+		grown := make([]Event, min(max(2*s.n, minRing), s.limit))
+		k := copy(grown, s.buf[s.head:])
+		copy(grown[k:], s.buf[:s.head])
+		s.buf, s.head = grown, 0
+	default:
 		s.head = (s.head + 1) % len(s.buf)
 		s.n--
 		s.dropped++
@@ -120,6 +133,9 @@ func (s *Subscription) Next(ctx context.Context) (Event, bool) {
 		}
 		if s.n > 0 {
 			ev := s.buf[s.head]
+			// Clear the slot so the ring does not keep the event's
+			// attributes alive after the consumer has it.
+			s.buf[s.head] = Event{}
 			s.head = (s.head + 1) % len(s.buf)
 			s.n--
 			s.mu.Unlock()

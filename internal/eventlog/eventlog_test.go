@@ -393,3 +393,119 @@ func TestDroppedNoticeOncePerGap(t *testing.T) {
 		t.Fatalf("second notice = %+v/%v, want dropped=2", notice, ok)
 	}
 }
+
+// TestRingGrowsAcrossWrappedHead: a consumer that lags while its ring grows
+// still receives every event once, in Seq order. The publish/consume rhythm
+// makes the ring fill while its oldest event sits past slot 0, so growing
+// has to unwrap it.
+func TestRingGrowsAcrossWrappedHead(t *testing.T) {
+	b := NewBroker()
+	sub := b.Subscribe(DefaultSubscriberBuffer)
+	defer sub.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	var seq, want uint64
+	wrappedGrowths := 0
+	for round := 1; round <= 12; round++ {
+		for i := 0; i < 3*round; i++ {
+			sub.mu.Lock()
+			full, wrapped := sub.n == len(sub.buf), sub.head > 0
+			sub.mu.Unlock()
+			if full && wrapped {
+				wrappedGrowths++
+			}
+			seq++
+			b.Publish(Event{Seq: seq, Typ: TypeLog, Run: NoRun})
+		}
+		for i := 0; i < round; i++ {
+			want++
+			if ev, ok := sub.Next(ctx); !ok || ev.Seq != want {
+				t.Fatalf("round %d: Next = seq %d/%v, want %d", round, ev.Seq, ok, want)
+			}
+		}
+	}
+	for want < seq {
+		want++
+		if ev, ok := sub.Next(ctx); !ok || ev.Seq != want {
+			t.Fatalf("drain: Next = seq %d/%v, want %d", ev.Seq, ok, want)
+		}
+	}
+	if wrappedGrowths == 0 {
+		t.Fatal("the ring never grew while its head was wrapped; the test no longer covers the unwrap")
+	}
+	if d := sub.Dropped(); d != 0 {
+		t.Errorf("dropped %d events below the cap", d)
+	}
+	if n := len(sub.buf); n > DefaultSubscriberBuffer {
+		t.Errorf("ring grew to %d slots past its cap %d", n, DefaultSubscriberBuffer)
+	}
+}
+
+// TestRingDropsPastCap: pushing cap+k events into an unread subscription
+// grows the ring to exactly its cap, drops exactly the k oldest, and tells
+// the consumer with one TypeDropped notice before the cap newest events.
+func TestRingDropsPastCap(t *testing.T) {
+	const limit, k = 100, 7 // a cap the doubling does not land on
+	b := NewBroker()
+	sub := b.Subscribe(limit)
+	defer sub.Close()
+	for i := 1; i <= limit+k; i++ {
+		b.Publish(Event{Seq: uint64(i), Typ: TypeLog, Run: NoRun})
+	}
+	if n := len(sub.buf); n != limit {
+		t.Errorf("ring holds %d slots, want its cap %d", n, limit)
+	}
+	if d := sub.Dropped(); d != k {
+		t.Fatalf("dropped %d, want %d", d, k)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	notice, ok := sub.Next(ctx)
+	if !ok || notice.Typ != TypeDropped || notice.Attrs["dropped"] != "7" {
+		t.Fatalf("first Next = %+v/%v, want one TypeDropped notice for 7 events", notice, ok)
+	}
+	for want := uint64(k + 1); want <= limit+k; want++ {
+		ev, ok := sub.Next(ctx)
+		if !ok || ev.Seq != want || ev.Typ == TypeDropped {
+			t.Fatalf("Next = %+v/%v, want seq %d", ev, ok, want)
+		}
+	}
+}
+
+// TestPublishToWarmSubscriberAllocatesNothing: once a subscriber's ring has
+// grown, publishing to it allocates nothing.
+func TestPublishToWarmSubscriberAllocatesNothing(t *testing.T) {
+	b := NewBroker()
+	sub := b.Subscribe(0)
+	defer sub.Close()
+	ev := Event{Typ: TypeLog, Run: NoRun, Message: "run 1/8", Attrs: map[string]string{"k": "v"}}
+	ctx := context.Background()
+	for i := 0; i < DefaultSubscriberBuffer; i++ {
+		b.Publish(ev)
+	}
+	for i := 0; i < DefaultSubscriberBuffer; i++ {
+		sub.Next(ctx)
+	}
+	// The warm ring has room for every publish the measurement makes.
+	if allocs := testing.AllocsPerRun(DefaultSubscriberBuffer/2, func() { b.Publish(ev) }); allocs != 0 {
+		t.Errorf("Publish allocates %.1f objects per event", allocs)
+	}
+}
+
+// TestNextClearsPoppedSlot: the ring does not keep an event the consumer
+// already has, so its attributes can be collected.
+func TestNextClearsPoppedSlot(t *testing.T) {
+	b := NewBroker()
+	sub := b.Subscribe(4)
+	defer sub.Close()
+	b.Publish(Event{Seq: 1, Typ: TypeLog, Run: NoRun, Message: "m", Attrs: map[string]string{"k": "v"}})
+	if _, ok := sub.Next(context.Background()); !ok {
+		t.Fatal("Next returned nothing")
+	}
+	for i, slot := range sub.buf {
+		if slot.Attrs != nil || slot.Message != "" {
+			t.Errorf("slot %d still holds %+v after Next", i, slot)
+		}
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"pos/internal/telemetry"
 )
 
 func TestForwardTo(t *testing.T) {
@@ -77,5 +79,37 @@ func TestForwardToStopDrains(t *testing.T) {
 	src.Publish(Event{Typ: TypeLog, Run: NoRun, Message: "late"})
 	if dst.LastSeq() != uint64(n) {
 		t.Errorf("dst LastSeq = %d after post-stop publish, want %d", dst.LastSeq(), n)
+	}
+}
+
+// forwardAllocBudget is 15 % above the 46 000 bytes per bridge measured when
+// the budget was set (go1.24, on 75e920f, GOMAXPROCS 1 and 2): the
+// subscription, the watcher's channels and closures, and the ring grown from
+// 16 to 128 slots, since the watcher mostly runs only once stop waits for it.
+// A ring allocated at forwardBuffer up front costs 4096 slots: 722 000 bytes.
+const forwardAllocBudget = 53_000
+
+// TestForwardAllocationBudget: a bridge costs what its traffic needs, not
+// what its cap allows. 85 events is what one queued campaign publishes.
+func TestForwardAllocationBudget(t *testing.T) {
+	src, dst := NewPipeline(), NewPipeline()
+	ev := Event{Typ: TypeLog, Run: NoRun, Phase: "measurement", Message: "run 1/8"}
+	forward := func() {
+		stop := src.ForwardTo(dst, nil)
+		for i := 0; i < 85; i++ {
+			src.Publish(ev)
+		}
+		stop()
+	}
+	forward()
+	const bridges = 50
+	before := telemetry.ReadRuntimeStats().AllocBytes
+	for i := 0; i < bridges; i++ {
+		forward()
+	}
+	perBridge := (telemetry.ReadRuntimeStats().AllocBytes - before) / bridges
+	t.Logf("ForwardTo 85 events and stop: %d bytes per bridge (budget %d)", perBridge, forwardAllocBudget)
+	if perBridge > forwardAllocBudget {
+		t.Errorf("a bridge allocates %d bytes, budget %d", perBridge, forwardAllocBudget)
 	}
 }

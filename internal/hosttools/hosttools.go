@@ -92,13 +92,30 @@ type Scope struct {
 	id       string
 	loop     map[string]string
 	uploader Uploader
+
+	abortOnce sync.Once
+	aborted   chan struct{} // closed by Abort
+	cause     error         // written before aborted is closed
 }
 
 // NewScope creates a scope. id namespaces the scope's barriers and appears
 // in error messages; uploader may be nil, in which case uploads from bound
 // nodes fail descriptively.
 func (s *Service) NewScope(id string, uploader Uploader) *Scope {
-	return &Scope{svc: s, id: id, loop: make(map[string]string), uploader: uploader}
+	return &Scope{svc: s, id: id, loop: make(map[string]string), uploader: uploader, aborted: make(chan struct{})}
+}
+
+// Abort fails the scope's barriers with cause: every node waiting in the
+// scope's namespace is woken with an error, and every later arrival fails at
+// once. A run aborts its scope when one host's measurement fails, so the
+// partners waiting for that host stop instead of waiting out the barrier
+// timeout. Other scopes' barriers are not touched. Only the first cause is
+// kept.
+func (sc *Scope) Abort(cause error) {
+	sc.abortOnce.Do(func() {
+		sc.cause = cause
+		close(sc.aborted)
+	})
 }
 
 // SetVar stores a loop variable visible only to nodes bound to this scope.
@@ -225,7 +242,16 @@ func newBarrier(need int) *barrier {
 	return &barrier{need: need, release: make(chan struct{})}
 }
 
-func (b *barrier) wait(ctx context.Context) error {
+// errAborted is what wait returns when its abort channel closes; BarrierAs
+// replaces it with the scope's cause.
+var errAborted = errors.New("hosttools: barrier aborted")
+
+func (b *barrier) wait(ctx context.Context, abort <-chan struct{}) error {
+	select {
+	case <-abort:
+		return errAborted
+	default:
+	}
 	b.mu.Lock()
 	b.arrived++
 	if b.arrived >= b.need {
@@ -239,41 +265,54 @@ func (b *barrier) wait(ctx context.Context) error {
 	gen := b.gen
 	ch := b.release
 	b.mu.Unlock()
+	var err error
 	select {
 	case <-ch:
 		return nil
 	case <-ctx.Done():
-		// Withdraw the arrival so the next wave is not released short:
-		// a timed-out waiter that stayed counted would be a ghost
-		// participant filling someone else's barrier. Generation-aware —
-		// if the barrier released between the timeout firing and the
-		// lock, the wait actually succeeded and there is nothing to
-		// withdraw.
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		if b.gen != gen {
-			return nil
-		}
-		b.arrived--
-		return ErrBarrierTimeout
+		err = ErrBarrierTimeout
+	case <-abort:
+		err = errAborted
 	}
+	// Withdraw the arrival so the next wave is not released short: a
+	// waiter that gave up but stayed counted would be a ghost participant
+	// filling someone else's barrier. Generation-aware — if the barrier
+	// released between the wake-up and the lock, the wait actually
+	// succeeded and there is nothing to withdraw.
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.gen != gen {
+		return nil
+	}
+	b.arrived--
+	return err
 }
 
 // BarrierAs is Barrier from a node's point of view: a node bound to a Scope
 // synchronizes within the scope's private namespace, so two concurrent runs
 // using the same barrier names (e.g. "run_done") cannot cross-release each
-// other.
+// other, and an aborted scope fails the wait with its cause.
 func (s *Service) BarrierAs(ctx context.Context, nodeName, name string, parties int) error {
-	if sc := s.scopeOf(nodeName); sc != nil {
-		name = sc.id + "\x00" + name
+	sc := s.scopeOf(nodeName)
+	if sc == nil {
+		return s.Barrier(ctx, name, parties)
 	}
-	return s.Barrier(ctx, name, parties)
+	err := s.await(ctx, sc.id+"\x00"+name, parties, sc.aborted)
+	if err == errAborted {
+		return fmt.Errorf("hosttools: barrier %q: scope %s aborted: %w", name, sc.id, sc.cause)
+	}
+	return err
 }
 
 // Barrier blocks until parties callers (including this one) have reached the
 // named barrier, or until the timeout elapses. All callers must agree on the
 // party count; a mismatch is reported as an error.
 func (s *Service) Barrier(ctx context.Context, name string, parties int) error {
+	return s.await(ctx, name, parties, nil)
+}
+
+// await is Barrier that also gives up when abort closes.
+func (s *Service) await(ctx context.Context, name string, parties int, abort <-chan struct{}) error {
 	if parties < 1 {
 		return fmt.Errorf("hosttools: barrier %q: parties must be >= 1", name)
 	}
@@ -294,9 +333,9 @@ func (s *Service) Barrier(ctx context.Context, name string, parties int) error {
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	start := time.Now()
-	err := b.wait(ctx)
+	err := b.wait(ctx, abort)
 	barrierWaitSeconds.Observe(time.Since(start).Seconds())
-	if err != nil {
+	if err == ErrBarrierTimeout {
 		barrierTimeouts.Inc()
 	}
 	return err

@@ -2,6 +2,8 @@ package hosttools
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -207,6 +209,72 @@ func TestBarrierTimeoutWithdrawsArrival(t *testing.T) {
 			t.Errorf("waiter %d: %v", i, err)
 		}
 	}
+}
+
+// TestScopeAbortReleasesWaiters: aborting a run scope wakes the node already
+// waiting in it and fails a later arrival at once, both with the cause. Other
+// scopes' barriers are untouched, and a fresh scope with the same id (a
+// retried run) synchronizes normally: the woken waiter left no ghost arrival.
+func TestScopeAbortReleasesWaiters(t *testing.T) {
+	svc := NewService(nil)
+	svc.BarrierTimeout = time.Minute
+	run := svc.NewScope("run1", nil)
+	run.Bind("a", "b")
+	other := svc.NewScope("run2", nil)
+	other.Bind("c", "d")
+
+	waited := make(chan error, 1)
+	go func() { waited <- svc.BarrierAs(context.Background(), "a", "run_done", 2) }()
+	// Abort only once the waiter is counted, so the wake-up is what is
+	// tested rather than the check on arrival.
+	for arrived := 0; arrived == 0; {
+		svc.mu.Lock()
+		b := svc.barriers["run1\x00run_done"]
+		svc.mu.Unlock()
+		if b != nil {
+			b.mu.Lock()
+			arrived = b.arrived
+			b.mu.Unlock()
+		}
+		runtime.Gosched()
+	}
+	cause := errors.New("b: injected exec fault")
+	run.Abort(cause)
+	run.Abort(errors.New("second cause is ignored"))
+	select {
+	case err := <-waited:
+		if !errors.Is(err, cause) {
+			t.Fatalf("woken waiter: err = %v, want %v", err, cause)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("abort did not wake the waiting node")
+	}
+	if err := svc.BarrierAs(context.Background(), "b", "run_done", 2); !errors.Is(err, cause) {
+		t.Fatalf("late arrival: err = %v, want %v", err, cause)
+	}
+
+	syncPair := func(x, y string) {
+		t.Helper()
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for i, n := range []string{x, y} {
+			wg.Add(1)
+			go func(i int, n string) {
+				defer wg.Done()
+				errs[i] = svc.BarrierAs(context.Background(), n, "run_done", 2)
+			}(i, n)
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Errorf("%s/%s waiter %d: %v", x, y, i, err)
+			}
+		}
+	}
+	syncPair("c", "d")
+	retry := svc.NewScope("run1", nil)
+	retry.Bind("a", "b")
+	syncPair("a", "b")
 }
 
 func TestUploadHookScreensUploads(t *testing.T) {

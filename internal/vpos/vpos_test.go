@@ -210,8 +210,9 @@ func TestRunWithFaultSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Each node's exec occurrence 1 is its setup script; occurrence 2 is
-	// the first measurement run. Both nodes fail it, so neither is left
-	// waiting out the run_done barrier for a partner that never comes.
+	// the first measurement run, and both nodes fail it. One faulted node
+	// would do as well: the run aborts its barriers, so the partner is not
+	// left waiting at run_done.
 	info, err := m.Run(context.Background(), inst.ID, RunConfig{
 		Sweep: quickSweep(),
 		Faults: map[string]sim.FaultPlan{

@@ -30,9 +30,13 @@ const MaxMessageBytes = 16 << 20
 // ErrMessageTooLarge is returned for frames exceeding MaxMessageBytes.
 var ErrMessageTooLarge = errors.New("wire: message exceeds size limit")
 
-// readBufferBytes is the connection's read buffer. A frame that fits is
-// decoded where it lies; a longer one is assembled in a pooled buffer.
-const readBufferBytes = 64 << 10
+// readBufferBytes is the connection's read buffer, bufio's default. A frame
+// that fits is decoded where it lies; a longer one is assembled in a pooled
+// buffer, up to MaxMessageBytes. The mgmt and shell frames of an Appendix-A
+// campaign and of a queued campaign are at most 488 B, so 4 KiB keeps every
+// one of them on the in-place path; each connection end holds this buffer
+// for its lifetime, and a campaign opens about sixteen.
+const readBufferBytes = 4 << 10
 
 // framePool recycles the buffers frames are encoded into and long frames are
 // assembled in. A buffer that grew past readBufferBytes is not returned, so
