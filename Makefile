@@ -105,9 +105,11 @@ profile-dataplane:
 # attribution has exactly one owner, no engine-mode switch outside the
 # engine and the topology builder — the scalar event-per-hop path is the
 # differential tests' oracle, reached only through Engine.SetBatching in a
-# test — no file writes in internal/timeline, so analysis stays a reader of
-# the experiment it explains — and no internal/ package that only tests
-# import: code nothing ships is deleted, not kept.
+# test — no encoding/json in internal/shell outside tests, so the shell's
+# frames keep their hand codecs and encoding/json stays their oracle — no
+# file writes in internal/timeline, so analysis stays a reader of the
+# experiment it explains — and no internal/ package that only tests import:
+# code nothing ships is deleted, not kept.
 .PHONY: lint
 lint:
 	go vet ./...
@@ -137,6 +139,10 @@ lint:
 		| grep -v _test.go | grep -vE '^\./internal/(sim|topo)/'; true); \
 	if [ -n "$$out" ]; then \
 		echo "SetBatching outside internal/sim and internal/topo (the scalar engine is a test-only oracle):"; \
+		echo "$$out"; exit 1; fi
+	@out=$$(grep -rn '"encoding/json"' internal/shell --include='*.go' | grep -v _test.go; true); \
+	if [ -n "$$out" ]; then \
+		echo "encoding/json imported in internal/shell (frames go through AppendJSON and DecodeJSON; encoding/json is the tests' oracle):"; \
 		echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'os\.(WriteFile|Create|OpenFile)' internal/timeline --include='*.go' \
 		| grep -v _test.go; true); \

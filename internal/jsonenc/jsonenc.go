@@ -2,8 +2,14 @@
 // scalars the per-run hot paths emit — strings, timestamps, floats, byte
 // slices. Each produces exactly the bytes encoding/json.Marshal produces for
 // the same value (HTML escaping on, as Marshal has it), without reflection
-// and without allocating beyond dst's growth. encoding/json stays the oracle:
-// the package's tests, and the tests of every caller, compare against it.
+// and without allocating beyond dst's growth.
+//
+// It is also a reader: Decoder pulls the members of one flat JSON object —
+// strings, base64 bytes, integers, booleans and string maps — and decodes
+// them to the values encoding/json.Unmarshal gives, accepting a strict
+// subset of what Unmarshal accepts. encoding/json stays the oracle both
+// ways: the package's tests, and the tests of every caller, compare against
+// it.
 package jsonenc
 
 import (

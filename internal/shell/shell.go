@@ -10,7 +10,6 @@ package shell
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -116,6 +115,62 @@ func (r *Response) AppendJSON(dst []byte) []byte {
 	return append(dst, '}')
 }
 
+// DecodeJSON reads one request from frame into r, replacing what r held:
+// the mirror of AppendJSON (wire.Decoder). It accepts a strict subset of what encoding/json accepts,
+// and decodes that to the same Request: keys spelt as AppendJSON spells
+// them, each at most once, none null.
+func (r *Request) DecodeJSON(frame []byte) error {
+	*r = Request{}
+	d := jsonenc.NewDecoder(frame)
+	for d.Next() {
+		switch string(d.Key()) {
+		case "op":
+			r.Op = d.ReadString()
+		case "script":
+			r.Script = d.ReadString()
+		case "env":
+			r.Env = d.ReadStringMap()
+		case "timeout_ms":
+			r.TimeoutMS = d.ReadInt()
+		case "path":
+			r.Path = d.ReadString()
+		case "data":
+			r.Data = d.ReadBytes()
+		case "key":
+			r.Key = d.ReadString()
+		case "value":
+			r.Value = d.ReadString()
+		default:
+			d.Unknown()
+		}
+	}
+	return d.Err()
+}
+
+// DecodeJSON reads one response from frame, the mirror of AppendJSON
+// (wire.Decoder), under the same rules as Request.DecodeJSON.
+func (r *Response) DecodeJSON(frame []byte) error {
+	*r = Response{}
+	d := jsonenc.NewDecoder(frame)
+	for d.Next() {
+		switch string(d.Key()) {
+		case "ok":
+			r.OK = d.ReadBool()
+		case "error":
+			r.Error = d.ReadString()
+		case "output":
+			r.Output = d.ReadString()
+		case "exit_code":
+			r.ExitCode = int(d.ReadInt())
+		case "data":
+			r.Data = d.ReadBytes()
+		default:
+			d.Unknown()
+		}
+	}
+	return d.Err()
+}
+
 // Server is the shell daemon for one node.
 type Server struct {
 	node *node.Node
@@ -141,7 +196,7 @@ func (s *Server) Close() error { return s.ln.Close() }
 
 func (s *Server) handle(frame []byte) any {
 	var req Request
-	if err := json.Unmarshal(frame, &req); err != nil {
+	if err := req.DecodeJSON(frame); err != nil {
 		return &Response{Error: "bad request: " + err.Error(), ExitCode: -1}
 	}
 	switch req.Op {

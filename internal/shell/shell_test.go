@@ -183,3 +183,28 @@ func TestTwoClientsSameNode(t *testing.T) {
 		t.Errorf("state not shared across connections: %q", res.Output)
 	}
 }
+
+// execRoundTripAllocBudget is 15 % above the 40 objects one exec round trip
+// allocated when the budget was set (go1.24, GOMAXPROCS 2, on top of
+// 7e9ddda). The count covers both goroutines, client and daemon, over
+// loopback TCP: a request with nine variables and its response. With both
+// frames decoded by encoding/json, as at 7e9ddda, the same exec costs 62.
+const execRoundTripAllocBudget = 46
+
+func TestExecRoundTripAllocations(t *testing.T) {
+	_, c := setup(t)
+	env := map[string]string{}
+	for _, k := range []string{"pkt_sz", "pkt_rate", "duration", "run", "port_a", "port_b", "dut", "mode", "seed"} {
+		env[k] = "value of " + k
+	}
+	script := "echo measured $pkt_sz\n"
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := c.Exec(script, env); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("one exec round trip: %.0f allocations (budget %d)", allocs, execRoundTripAllocBudget)
+	if allocs > execRoundTripAllocBudget {
+		t.Errorf("one exec round trip allocates %.0f objects, budget %d", allocs, execRoundTripAllocBudget)
+	}
+}

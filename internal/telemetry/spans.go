@@ -3,20 +3,26 @@ package telemetry
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
+
+	"pos/internal/jsonenc"
 )
 
 // Trace is one hierarchical span tree — a campaign or experiment execution.
 // It is exported per experiment as a spans.json artifact next to the
 // events/ journal, and convertible to Chrome trace-event format.
 type Trace struct {
-	mu           sync.Mutex
-	clock        func() time.Time
-	next         int
+	mu    sync.Mutex
+	clock func() time.Time
+	next  int
+	// spans[i] has id i+1: ids are handed out densely, in creation order.
 	spans        []*Span
 	root         *Span
 	traceID      string
@@ -31,13 +37,16 @@ type Span struct {
 
 	// The fields below are guarded by tr.mu.
 	id     int
-	spanID string // 16-hex distributed identity, stable across processes
-	parent int    // 0 for the root
+	spanID [8]byte // distributed identity, stable across processes
+	parent int     // 0 for the root
 	name   string
 	start  time.Time
 	end    time.Time
-	attrs  map[string]string
+	attrs  []attr // unique keys, sorted
 }
+
+// attr is one span attribute.
+type attr struct{ key, value string }
 
 // SpanRecord is the serialized form of a span in spans.json. The hex
 // TraceID/SpanID/ParentSpanID triple is the cross-process identity (W3C
@@ -110,16 +119,30 @@ func (t *Trace) Root() *Span { return t.root }
 func (t *Trace) start(parent int, name string, attrs []string) *Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := &Span{tr: t, id: t.next, spanID: NewSpanID(), parent: parent, name: name, start: t.clock()}
+	s := &Span{tr: t, id: t.next, spanID: newSpanID(), parent: parent, name: name, start: t.clock()}
 	t.next++
+	if len(attrs) >= 2 {
+		s.attrs = make([]attr, 0, len(attrs)/2)
+	}
 	for i := 0; i+1 < len(attrs); i += 2 {
-		if s.attrs == nil {
-			s.attrs = make(map[string]string)
-		}
-		s.attrs[attrs[i]] = attrs[i+1]
+		s.setAttr(attrs[i], attrs[i+1])
 	}
 	t.spans = append(t.spans, s)
 	return s
+}
+
+// setAttr sets key to value, keeping the keys unique and sorted: a later
+// value for a key replaces the earlier one. The caller holds tr.mu.
+func (s *Span) setAttr(key, value string) {
+	i := 0
+	for i < len(s.attrs) && s.attrs[i].key < key {
+		i++
+	}
+	if i < len(s.attrs) && s.attrs[i].key == key {
+		s.attrs[i].value = value
+		return
+	}
+	s.attrs = slices.Insert(s.attrs, i, attr{key, value})
 }
 
 // Finish ends the root span (and any spans still open, so a trace cut short
@@ -163,10 +186,7 @@ func (s *Span) SetAttr(key, value string) {
 	}
 	s.tr.mu.Lock()
 	defer s.tr.mu.Unlock()
-	if s.attrs == nil {
-		s.attrs = make(map[string]string)
-	}
-	s.attrs[key] = value
+	s.setAttr(key, value)
 }
 
 // SetError marks the span failed with the error's text. Nil-safe, nil-error-safe.
@@ -192,7 +212,7 @@ func (s *Span) SpanID() string {
 	if s == nil {
 		return ""
 	}
-	return s.spanID
+	return hex.EncodeToString(s.spanID[:])
 }
 
 // TraceParent renders the span's identity as a W3C traceparent header value
@@ -205,7 +225,7 @@ func (s *Span) TraceParent() string {
 	s.tr.mu.Lock()
 	tid := s.tr.traceID
 	s.tr.mu.Unlock()
-	return FormatTraceParent(tid, s.spanID)
+	return FormatTraceParent(tid, s.SpanID())
 }
 
 type spanCtxKey struct{}
@@ -269,55 +289,112 @@ func (t *Trace) RecordsAt(now time.Time) []SpanRecord {
 func (t *Trace) records(openEnd time.Time) []SpanRecord {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	byID := make(map[int]*Span, len(t.spans))
-	for _, s := range t.spans {
-		byID[s.id] = s
-	}
 	out := make([]SpanRecord, 0, len(t.spans))
 	for _, s := range t.spans {
-		end := s.end
-		if end.IsZero() {
-			if !openEnd.IsZero() && openEnd.After(s.start) {
-				end = openEnd
-			} else {
-				end = s.start
-			}
-		}
 		var attrs map[string]string
 		if len(s.attrs) > 0 {
 			attrs = make(map[string]string, len(s.attrs))
-			for k, v := range s.attrs {
-				attrs[k] = v
+			for _, a := range s.attrs {
+				attrs[a.key] = a.value
 			}
 		}
 		parentSpan := t.remoteParent
-		if p, ok := byID[s.parent]; ok {
-			parentSpan = p.spanID
+		if s.parent != 0 {
+			parentSpan = hex.EncodeToString(t.spans[s.parent-1].spanID[:])
 		}
 		out = append(out, SpanRecord{
 			ID: s.id, Parent: s.parent, Name: s.name,
-			TraceID: t.traceID, SpanID: s.spanID, ParentSpanID: parentSpan,
+			TraceID: t.traceID, SpanID: hex.EncodeToString(s.spanID[:]), ParentSpanID: parentSpan,
 			Proc:  t.proc,
-			Start: s.start, End: end, Attrs: attrs,
+			Start: s.start, End: s.endAt(openEnd), Attrs: attrs,
 		})
 	}
 	return out
 }
 
+// endAt is the end a record reports: an open span ends at openEnd when that
+// is after its start, else at its start. The caller holds tr.mu.
+func (s *Span) endAt(openEnd time.Time) time.Time {
+	switch {
+	case !s.end.IsZero():
+		return s.end
+	case !openEnd.IsZero() && openEnd.After(s.start):
+		return openEnd
+	}
+	return s.start
+}
+
 // RenderJSON serializes the trace for the spans.json artifact: one JSON
 // object per line, ordered by span id, diff-friendly like the other archived
-// artifacts.
+// artifacts. Each line is byte for byte what json.Marshal writes for the
+// span's Records entry.
 func (t *Trace) RenderJSON() ([]byte, error) {
-	var buf []byte
-	for _, rec := range t.Records() {
-		line, err := json.Marshal(rec)
-		if err != nil {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	buf := make([]byte, 0, 320*len(t.spans))
+	var err error
+	for _, s := range t.spans {
+		if buf, err = t.appendRecord(buf, s); err != nil {
 			return nil, err
 		}
-		buf = append(buf, line...)
 		buf = append(buf, '\n')
 	}
 	return buf, nil
+}
+
+// appendRecord appends s's SpanRecord as encoding/json writes it: fields in
+// declaration order, empty omitempty fields left out, attrs sorted by key.
+// The caller holds t.mu.
+func (t *Trace) appendRecord(dst []byte, s *Span) ([]byte, error) {
+	dst = append(dst, `{"id":`...)
+	dst = strconv.AppendInt(dst, int64(s.id), 10)
+	if s.parent != 0 {
+		dst = append(dst, `,"parent":`...)
+		dst = strconv.AppendInt(dst, int64(s.parent), 10)
+	}
+	if t.traceID != "" {
+		dst = append(dst, `,"trace_id":`...)
+		dst = jsonenc.AppendString(dst, t.traceID)
+	}
+	dst = append(dst, `,"span_id":"`...)
+	dst = hex.AppendEncode(dst, s.spanID[:])
+	dst = append(dst, '"')
+	if s.parent != 0 {
+		dst = append(dst, `,"parent_span_id":"`...)
+		dst = hex.AppendEncode(dst, t.spans[s.parent-1].spanID[:])
+		dst = append(dst, '"')
+	} else if t.remoteParent != "" {
+		dst = append(dst, `,"parent_span_id":`...)
+		dst = jsonenc.AppendString(dst, t.remoteParent)
+	}
+	if t.proc != "" {
+		dst = append(dst, `,"proc":`...)
+		dst = jsonenc.AppendString(dst, t.proc)
+	}
+	dst = append(dst, `,"name":`...)
+	dst = jsonenc.AppendString(dst, s.name)
+	dst = append(dst, `,"start":`...)
+	dst, err := jsonenc.AppendTime(dst, s.start)
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, `,"end":`...)
+	if dst, err = jsonenc.AppendTime(dst, s.endAt(time.Time{})); err != nil {
+		return dst, err
+	}
+	if len(s.attrs) > 0 {
+		dst = append(dst, `,"attrs":{`...)
+		for i, a := range s.attrs {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = jsonenc.AppendString(dst, a.key)
+			dst = append(dst, ':')
+			dst = jsonenc.AppendString(dst, a.value)
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, '}'), nil
 }
 
 // ParseSpans decodes a spans.json artifact produced by RenderJSON. Spans are

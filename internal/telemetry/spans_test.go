@@ -204,3 +204,66 @@ func TestTraceConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Span budgets are 15 % above what was measured when they were set (go1.24,
+// GOMAXPROCS 2, on top of 7e9ddda), rounded up. StartSpan and End of a span
+// with one attribute, as a run's span is opened, cost 3 objects: the span,
+// its attribute slice and the child context; with string ids and a map of
+// attributes they cost 7. Rendering an Appendix-A campaign's 187 spans costs
+// 1 object, the output; through json.Marshal of each record it cost 1 938.
+const (
+	startEndAllocBudget   = 4
+	renderJSONAllocBudget = 2
+)
+
+func TestSpanAllocations(t *testing.T) {
+	tr := NewTrace("campaign:appendix")
+	tr.SetClock(testClock())
+	ctx := ContextWithTrace(context.Background(), tr)
+	// Grow the span slice past the runs measured, so its doubling is not
+	// counted against a span.
+	for i := 0; i < 512; i++ {
+		tr.Root().StartChild("warm").End()
+	}
+	startEnd := testing.AllocsPerRun(100, func() {
+		_, run := StartSpan(ctx, "run", "combo", "pkt_sz=64")
+		run.End()
+	})
+	t.Logf("StartSpan+End: %.0f allocations (budget %d)", startEnd, startEndAllocBudget)
+	if startEnd > startEndAllocBudget {
+		t.Errorf("StartSpan+End allocates %.0f objects, budget %d", startEnd, startEndAllocBudget)
+	}
+
+	// An Appendix-A campaign: root, 2 replicas, 60 runs with a setup and a
+	// measurement exec each, and a few phase spans.
+	camp := NewTrace("campaign:appendix")
+	camp.SetProcess("controller")
+	camp.SetClock(testClock())
+	cctx := ContextWithTrace(context.Background(), camp)
+	for r := 0; r < 2; r++ {
+		rctx, replica := StartSpan(cctx, fmt.Sprintf("replica:%d", r), "replica", fmt.Sprint(r))
+		for i := 0; i < 30; i++ {
+			runCtx, run := StartSpan(rctx, fmt.Sprintf("run %d", i), "combo", "pkt_sz=64 pkt_rate=1000")
+			for _, host := range []string{"vriga", "vtartu"} {
+				_, ex := StartSpan(runCtx, "exec:"+host, "phase", "measurement")
+				ex.SetAttr("exit", "0")
+				ex.End()
+			}
+			run.End()
+		}
+		replica.End()
+	}
+	for len(camp.Records()) < 187 {
+		camp.Root().StartChild("phase", "phase", "setup").End()
+	}
+	camp.Finish()
+	render := testing.AllocsPerRun(20, func() {
+		if _, err := camp.RenderJSON(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("RenderJSON of %d spans: %.0f allocations (budget %d)", len(camp.Records()), render, renderJSONAllocBudget)
+	if render > renderJSONAllocBudget {
+		t.Errorf("RenderJSON allocates %.0f objects, budget %d", render, renderJSONAllocBudget)
+	}
+}

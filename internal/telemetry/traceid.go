@@ -63,11 +63,20 @@ func NewTraceID() string {
 
 // NewSpanID returns a fresh 16-hex-digit span ID (never all-zero).
 func NewSpanID() string {
-	for {
-		if id := randHex(8); id != zeroSpanID {
-			return id
-		}
+	id := newSpanID()
+	return hex.EncodeToString(id[:])
+}
+
+// newSpanID draws a span ID as randHex(8) would, kept in binary until it is
+// encoded or asked for.
+func newSpanID() [8]byte {
+	var id [8]byte
+	for id == [8]byte{} {
+		idMu.Lock()
+		binary.BigEndian.PutUint64(id[:], idRand.Uint64())
+		idMu.Unlock()
 	}
+	return id
 }
 
 const (

@@ -4,13 +4,19 @@
 // One JSON object per line, request/response in lockstep on a single TCP
 // connection.
 //
+// Both directions have two codecs. A message may encode itself (Appender)
+// or go through encoding/json, and may decode itself (Decoder) or go
+// through encoding/json. A hand decoder reads a strict subset of what
+// encoding/json reads, into the same value; the shell's frames take the
+// hand codecs both ways, the mgmt interface's few frames take
+// encoding/json.
+//
 // Two rules for code on either side of a connection. Frames handed to a
-// Handler are borrowed: the bytes are the connection's read buffer, valid
-// until the handler returns, so a daemon unmarshals what it needs and keeps
-// nothing. And the bytes on the socket are not an oracle: a message may
-// encode itself (AppendJSON) or go through encoding/json, key order and
-// escaping may differ between the two, and only the decoded values are the
-// protocol.
+// Handler or a Decoder are borrowed: the bytes are the connection's read
+// buffer, valid until the call returns, so a daemon decodes what it needs
+// and keeps nothing. And the bytes on the socket are not an oracle: key
+// order and escaping may differ between the two encoders, and only the
+// decoded values are the protocol.
 package wire
 
 import (
@@ -54,6 +60,15 @@ func putFrame(buf *[]byte, frame []byte) {
 // encoding/json would decode to the same value — without reflection.
 type Appender interface {
 	AppendJSON(dst []byte) []byte
+}
+
+// Decoder is a message that reads its own JSON encoding without reflection.
+// It accepts a subset of what encoding/json accepts — at least everything
+// its Appender and encoding/json write for it — and decodes that to the
+// value encoding/json would. The frame is borrowed: DecodeJSON copies what
+// it keeps.
+type Decoder interface {
+	DecodeJSON(frame []byte) error
 }
 
 // Conn wraps a stream with JSON-line framing. It is safe for one reader and
@@ -133,10 +148,17 @@ func (c *Conn) Send(v any) error {
 	return nil
 }
 
-// Recv reads one frame into v.
+// Recv reads one frame into v, through its DecodeJSON when v is a Decoder
+// and through encoding/json otherwise.
 func (c *Conn) Recv(v any) error {
 	return c.recv(func(frame []byte) error {
-		if err := json.Unmarshal(frame, v); err != nil {
+		var err error
+		if d, ok := v.(Decoder); ok {
+			err = d.DecodeJSON(frame)
+		} else {
+			err = json.Unmarshal(frame, v)
+		}
+		if err != nil {
 			return fmt.Errorf("wire: unmarshal: %w", err)
 		}
 		return nil
