@@ -107,9 +107,11 @@ profile-dataplane:
 # differential tests' oracle, reached only through Engine.SetBatching in a
 # test — no encoding/json in internal/shell outside tests, so the shell's
 # frames keep their hand codecs and encoding/json stays their oracle — no
-# file writes in internal/timeline, so analysis stays a reader of the
-# experiment it explains — and no internal/ package that only tests import:
-# code nothing ships is deleted, not kept.
+# html/template or text/template in internal/ or cmd/ outside tests, so the
+# published index page keeps its hand renderer and html/template stays its
+# oracle — no file writes in internal/timeline, so analysis stays a reader
+# of the experiment it explains — and no internal/ package that only tests
+# import: code nothing ships is deleted, not kept.
 .PHONY: lint
 lint:
 	go vet ./...
@@ -143,6 +145,10 @@ lint:
 	@out=$$(grep -rn '"encoding/json"' internal/shell --include='*.go' | grep -v _test.go; true); \
 	if [ -n "$$out" ]; then \
 		echo "encoding/json imported in internal/shell (frames go through AppendJSON and DecodeJSON; encoding/json is the tests' oracle):"; \
+		echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE '"(html|text)/template"' internal cmd --include='*.go' | grep -v _test.go; true); \
+	if [ -n "$$out" ]; then \
+		echo "html/template or text/template imported in internal/ or cmd/ (the index page is rendered by hand; html/template is the tests' oracle):"; \
 		echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE 'os\.(WriteFile|Create|OpenFile)' internal/timeline --include='*.go' \
 		| grep -v _test.go; true); \

@@ -9,8 +9,8 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
-	"strings"
+
+	"pos/internal/results"
 )
 
 // Vars is a set of experiment variables: plain name→value pairs, exactly as
@@ -52,30 +52,9 @@ type LoopVar struct {
 type Combination map[string]string
 
 // Key returns a canonical "k=v,k=v" string, usable for deduplication and
-// stable metadata.
-func (c Combination) Key() string {
-	var stack [8]string
-	keys := stack[:0]
-	for k := range c {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	n := 0
-	for _, k := range keys {
-		n += len(k) + len(c[k]) + 2
-	}
-	var b strings.Builder
-	b.Grow(n)
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(c[k])
-	}
-	return b.String()
-}
+// stable metadata: results.LoopKey, the spelling the evaluation and publish
+// phases read back.
+func (c Combination) Key() string { return results.LoopKey(c) }
 
 // CrossProduct expands loop variables into every possible combination, in
 // deterministic order: the first variable varies slowest, the last varies

@@ -18,7 +18,9 @@ import (
 //
 // Cached RunData shares Report pointers — reports are read-only by
 // convention throughout this package — but slices and LoopVars maps are
-// copied on the way out so callers can reorder and annotate freely.
+// copied on the way out so callers can reorder and annotate freely. A cold
+// load caches the result it built and hands the caller a copy, so every
+// load, cold or warm, copies the samples once.
 
 const maxCacheEntries = 64
 
@@ -118,11 +120,22 @@ func copyRuns(runs []RunData) []RunData {
 	return out
 }
 
-// copyLatency returns a caller-owned copy of a cached latency map.
+// copyLatency returns a caller-owned copy of a cached latency map: one
+// backing array for every sample, cut into subslices whose capacity ends
+// where they do, so a caller's append to one key reallocates instead of
+// overwriting the next.
 func copyLatency(lat map[string][]float64) map[string][]float64 {
+	n := 0
+	for _, v := range lat {
+		n += len(v)
+	}
+	flat := make([]float64, n)
 	out := make(map[string][]float64, len(lat))
+	i := 0
 	for k, v := range lat {
-		out[k] = append([]float64(nil), v...)
+		j := i + copy(flat[i:], v)
+		out[k] = flat[i:j:j]
+		i = j
 	}
 	return out
 }

@@ -19,7 +19,6 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"pos/internal/moonparse"
@@ -292,36 +291,29 @@ func LoadLatency(exp *results.Experiment, nodeName, artifact string) (map[string
 			perRun[i].err = fmt.Errorf("eval: run %d: %w", run, err)
 			return
 		}
-		perRun[i] = parsed{key: comboKey(meta.LoopVars), samples: samples}
+		perRun[i] = parsed{key: results.LoopKey(meta.LoopVars), samples: samples}
 	})
+	// The first run of a combination keeps its parsed slice; runs that
+	// repeat it append to it, in run order.
 	out := make(map[string][]float64)
 	for _, p := range perRun {
-		if p.err != nil {
+		switch {
+		case p.err != nil:
 			return nil, p.err
-		}
-		if p.samples != nil {
+		case p.samples == nil:
+		case out[p.key] == nil:
+			out[p.key] = p.samples
+		default:
 			out[p.key] = append(out[p.key], p.samples...)
 		}
 	}
 	if cacheable {
 		if now, ok := cacheGeneration(exp); ok && now == gen {
-			cacheStore(key, &cacheEntry{gen: gen, latency: copyLatency(out)})
+			cacheStore(key, &cacheEntry{gen: gen, latency: out})
+			return copyLatency(out), nil
 		}
 	}
 	return out, nil
-}
-
-func comboKey(vars map[string]string) string {
-	keys := make([]string, 0, len(vars))
-	for k := range vars {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = k + "=" + vars[k]
-	}
-	return strings.Join(parts, ",")
 }
 
 // AggregateSeries merges repeated measurements of the same series set into

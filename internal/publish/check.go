@@ -107,7 +107,7 @@ func Check(exp *results.Experiment) (CheckReport, error) {
 			addErr(prefix+"/metadata.json", "metadata missing or unreadable")
 			continue
 		}
-		key := combinationKey(meta.LoopVars)
+		key := results.LoopKey(meta.LoopVars)
 		if prev, dup := seenCombos[key]; dup {
 			addWarn(prefix, fmt.Sprintf("duplicate loop combination (also run %d)", prev))
 		}
@@ -126,17 +126,4 @@ func Check(exp *results.Experiment) (CheckReport, error) {
 		}
 	}
 	return rep, nil
-}
-
-func combinationKey(vars map[string]string) string {
-	keys := make([]string, 0, len(vars))
-	for k := range vars {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = k + "=" + vars[k]
-	}
-	return strings.Join(parts, ",")
 }

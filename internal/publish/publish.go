@@ -4,17 +4,22 @@
 // (index page) documenting the experimental structure, the way the paper's
 // publish.py prepares the pos-artifacts repository and its GitHub-pages
 // site.
+//
+// The index page is rendered by hand, appended into one buffer with every
+// value escaped as html/template would escape it in its context. The tests
+// keep the html/template original of the page and hold the renderer to it
+// byte for byte (FuzzWebsite).
 package publish
 
 import (
 	"archive/tar"
 	"fmt"
-	"html/template"
 	"io"
 	"os"
 	"path/filepath"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"pos/internal/eventlog"
@@ -119,43 +124,43 @@ func archive(dir string, m Manifest, w io.Writer) error {
 // exited when it returns.
 func writeTar(dir string, m Manifest, w io.Writer) error {
 	tw := tar.NewWriter(w)
-	prefix := fmt.Sprintf("%s-%s/", m.Experiment, m.ID)
-	files := make(chan chan fileData, prefetchWindow)
-	stop := make(chan struct{})
-	go prefetchFiles(dir, m.Files, files, stop)
-	defer func() {
-		close(stop)
-		for range files {
+	prefix := m.Experiment + "-" + m.ID + "/"
+	p := startPrefetch(dir, m.Files)
+	defer p.close()
+	hdr := tar.Header{Mode: 0o644}
+	for i := range m.Files {
+		s := p.next(i)
+		if s.err != nil {
+			return s.err
 		}
-	}()
-	for slot := range files {
-		fd := <-slot
-		if fd.err != nil {
-			return fd.err
-		}
-		hdr := &tar.Header{
-			Name:    prefix + fd.rel,
-			Mode:    0o644,
-			Size:    int64(len(fd.data)),
-			ModTime: fd.modTime,
-		}
-		if fd.link != "" {
+		hdr.Name = prefix + s.rel
+		hdr.Size = int64(len(s.data))
+		hdr.ModTime = s.modTime
+		hdr.Typeflag, hdr.Linkname = 0, ""
+		if s.link != "" {
 			hdr.Typeflag = tar.TypeLink
-			hdr.Linkname = prefix + fd.link
+			hdr.Linkname = prefix + s.link
 		}
-		if err := tw.WriteHeader(hdr); err != nil {
+		if err := tw.WriteHeader(&hdr); err != nil {
 			return err
 		}
-		if _, err := tw.Write(fd.data); err != nil {
+		// The gzip member writer copies what it is given, so the slot's
+		// buffer is free again as soon as Write returns.
+		if _, err := tw.Write(s.data); err != nil {
 			return err
 		}
+		p.release()
 	}
 	return tw.Close()
 }
 
-var indexTmpl = template.Must(template.New("index").Parse(`<!DOCTYPE html>
+// The page, cut at its values. Website appends these verbatim and each
+// value escaped for the context it sits in.
+const (
+	pageHead = `<!DOCTYPE html>
 <html lang="en">
-<head><meta charset="utf-8"><title>{{.Experiment}} — pos experiment artifacts</title>
+<head><meta charset="utf-8"><title>`
+	pageStyle = ` — pos experiment artifacts</title>
 <style>
 body { font-family: sans-serif; max-width: 60em; margin: 2em auto; }
 code { background: #f4f4f4; padding: 1px 4px; }
@@ -163,9 +168,12 @@ table { border-collapse: collapse; }
 td, th { border: 1px solid #999; padding: 4px 10px; text-align: left; }
 </style></head>
 <body>
-<h1>{{.Experiment}}</h1>
-<p>Experiment <code>{{.ID}}</code>{{if .User}} by <code>{{.User}}</code>{{end}},
-{{.Runs}} measurement runs ({{.FailedRuns}} failed).</p>
+<h1>`
+	pageID = `</h1>
+<p>Experiment <code>`
+	pageRuns = `,
+`
+	pageIntro = ` failed).</p>
 <p>This page was generated by the pos publication phase. It lists every
 artifact of the experiment: the scripts and variable files that define it,
 the per-run results and metadata the testbed collected, and the generated
@@ -173,44 +181,153 @@ plots.</p>
 <h2>Sections</h2>
 <table>
 <tr><th>Section</th><th>Files</th></tr>
-{{range .Sections}}<tr><td><code>{{.Name}}</code></td><td>{{.Count}}</td></tr>
-{{end}}</table>
+`
+	pageArtifacts = `</table>
 <h2>All artifacts</h2>
 <ul>
-{{range .Files}}<li><a href="{{.}}"><code>{{.}}</code></a></li>
-{{end}}</ul>
+`
+	pageTail = `</ul>
 </body></html>
-`))
+`
+)
 
-type section struct {
-	Name  string
-	Count int
+// Website renders the artifact index page. It is rendered by hand into one
+// buffer, escaping every value as html/template would in its context: text
+// and the title's RCDATA, and the double-quoted href of each artifact link.
+// The tests keep the html/template original of the page as the oracle the
+// output must equal byte for byte. Sections are the top-level entries of
+// m.Files, counted in one pass over the sorted list.
+func Website(m Manifest) []byte {
+	// Sized for unescaped values: each file is listed twice, and its share
+	// of a section row fits in the slack.
+	n := len(pageHead) + len(pageStyle) + len(pageID) + len(pageRuns) + len(pageIntro) + len(pageArtifacts) + len(pageTail) +
+		2*len(m.Experiment) + len(m.ID) + len(m.User) + 64
+	for _, f := range m.Files {
+		n += 2*len(f) + 56
+	}
+	b := make([]byte, 0, n)
+	b = append(b, pageHead...)
+	b = appendHTML(b, m.Experiment)
+	b = append(b, pageStyle...)
+	b = appendHTML(b, m.Experiment)
+	b = append(b, pageID...)
+	b = appendHTML(b, m.ID)
+	b = append(b, "</code>"...)
+	if m.User != "" {
+		b = append(b, " by <code>"...)
+		b = appendHTML(b, m.User)
+		b = append(b, "</code>"...)
+	}
+	b = append(b, pageRuns...)
+	b = strconv.AppendInt(b, int64(m.Runs), 10)
+	b = append(b, " measurement runs ("...)
+	b = strconv.AppendInt(b, int64(m.FailedRuns), 10)
+	b = append(b, pageIntro...)
+	// The sorted list keeps each section's files together, and in the order
+	// of the section names: a path's section is a prefix of it, cut at its
+	// first slash.
+	for i := 0; i < len(m.Files); {
+		name := sectionOf(m.Files[i])
+		j := i + 1
+		for j < len(m.Files) && sectionOf(m.Files[j]) == name {
+			j++
+		}
+		b = append(b, "<tr><td><code>"...)
+		b = appendHTML(b, name)
+		b = append(b, "</code></td><td>"...)
+		b = strconv.AppendInt(b, int64(j-i), 10)
+		b = append(b, "</td></tr>\n"...)
+		i = j
+	}
+	b = append(b, pageArtifacts...)
+	for _, f := range m.Files {
+		b = append(b, `<li><a href="`...)
+		b = appendHref(b, f)
+		b = append(b, `"><code>`...)
+		b = appendHTML(b, f)
+		b = append(b, "</code></a></li>\n"...)
+	}
+	return append(b, pageTail...)
 }
 
-// Website renders the artifact index page.
-func Website(m Manifest) ([]byte, error) {
-	counts := map[string]int{}
-	for _, f := range m.Files {
-		top := f
-		if i := strings.IndexByte(f, '/'); i >= 0 {
-			top = f[:i] + "/"
+// sectionOf is the top-level entry a manifest path belongs to: its first
+// directory with the trailing slash, or the path itself at the top.
+func sectionOf(f string) string {
+	if i := strings.IndexByte(f, '/'); i >= 0 {
+		return f[:i+1]
+	}
+	return f
+}
+
+// appendHTML appends s escaped for HTML text, RCDATA and quoted attribute
+// values, the way html/template's escapers treat a plain string: NUL becomes
+// U+FFFD, the five characters below become entities, and everything else
+// (invalid UTF-8 included) is copied.
+func appendHTML(b []byte, s string) []byte {
+	written := 0
+	for i := 0; i < len(s); i++ {
+		var repl string
+		switch s[i] {
+		case 0:
+			repl = "\uFFFD"
+		case '"':
+			repl = "&#34;"
+		case '&':
+			repl = "&amp;"
+		case '\'':
+			repl = "&#39;"
+		case '+':
+			repl = "&#43;"
+		case '<':
+			repl = "&lt;"
+		case '>':
+			repl = "&gt;"
+		default:
+			continue
 		}
-		counts[top]++
+		b = append(b, s[written:i]...)
+		b = append(b, repl...)
+		written = i + 1
 	}
-	var sections []section
-	for name, n := range counts {
-		sections = append(sections, section{Name: name, Count: n})
+	return append(b, s[written:]...)
+}
+
+// appendHref appends s as the value of a double-quoted href, the way
+// html/template filters, normalizes and then attribute-escapes it. A URL
+// whose scheme (text before a colon that precedes any slash) is not http,
+// https or mailto, in any case, becomes "#ZgotmplZ". Every byte outside
+// RFC 3986's unreserved and reserved sets, and a '%' that does not start
+// two hex digits, is percent-encoded in lowercase hex.
+func appendHref(b []byte, s string) []byte {
+	if scheme, _, ok := strings.Cut(s, ":"); ok && !strings.Contains(scheme, "/") &&
+		!strings.EqualFold(scheme, "http") && !strings.EqualFold(scheme, "https") && !strings.EqualFold(scheme, "mailto") {
+		return append(b, "#ZgotmplZ"...)
 	}
-	sort.Slice(sections, func(i, j int) bool { return sections[i].Name < sections[j].Name })
-	var b strings.Builder
-	err := indexTmpl.Execute(&b, struct {
-		Manifest
-		Sections []section
-	}{m, sections})
-	if err != nil {
-		return nil, fmt.Errorf("publish: %w", err)
+	const hex = "0123456789abcdef"
+	written := 0
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9':
+			continue
+		case strings.IndexByte("-._~!#$*,/:;=?@[]", c) >= 0:
+			continue
+		case c == '%' && i+2 < len(s) && isHex(s[i+1]) && isHex(s[i+2]):
+			continue
+		case c == '&' || c == '+':
+			// Kept by the normalizer, escaped as attribute text.
+			b = appendHTML(b, s[written:i+1])
+		default:
+			b = appendHTML(b, s[written:i])
+			b = append(b, '%', hex[c>>4], hex[c&15])
+		}
+		written = i + 1
 	}
-	return []byte(b.String()), nil
+	return appendHTML(b, s[written:])
+}
+
+func isHex(c byte) bool {
+	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
 }
 
 // Release performs the full publication step: generate the website into the
@@ -222,19 +339,17 @@ func Release(exp *results.Experiment, user, name, destPath string) (Manifest, er
 	if err != nil {
 		return m, err
 	}
-	site, err := Website(m)
-	if err != nil {
-		return m, err
+	// The page lists itself: it is in the bundle it indexes, on the first
+	// release as on every later one.
+	if i, found := slices.BinarySearch(m.Files, "index.html"); !found {
+		m.Files = slices.Insert(m.Files, i, "index.html")
 	}
-	if err := exp.AddExperimentArtifact("index.html", site); err != nil {
+	if err := exp.AddExperimentArtifact("index.html", Website(m)); err != nil {
 		return m, err
 	}
 	// The page is a write-behind artifact: it must land before it is read.
 	if err := exp.Sync(); err != nil {
 		return m, fmt.Errorf("publish: %w", err)
-	}
-	if i, found := slices.BinarySearch(m.Files, "index.html"); !found {
-		m.Files = slices.Insert(m.Files, i, "index.html")
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(destPath), ".tmp-*")
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"compress/gzip"
 	"errors"
 	"fmt"
+	"html/template"
 	"io"
 	"math/rand"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -290,11 +292,7 @@ func TestWebsite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	site, err := Website(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	html := string(site)
+	html := string(Website(m))
 	for _, want := range []string{
 		"<!DOCTYPE html>",
 		"linux-router",
@@ -305,6 +303,195 @@ func TestWebsite(t *testing.T) {
 		if !strings.Contains(html, want) {
 			t.Errorf("website missing %q", want)
 		}
+	}
+}
+
+// indexTmpl is the index page as html/template renders it, kept as the
+// oracle the hand renderer in Website must equal byte for byte.
+var indexTmpl = template.Must(template.New("index").Parse(`<!DOCTYPE html>
+<html lang="en">
+<head><meta charset="utf-8"><title>{{.Experiment}} — pos experiment artifacts</title>
+<style>
+body { font-family: sans-serif; max-width: 60em; margin: 2em auto; }
+code { background: #f4f4f4; padding: 1px 4px; }
+table { border-collapse: collapse; }
+td, th { border: 1px solid #999; padding: 4px 10px; text-align: left; }
+</style></head>
+<body>
+<h1>{{.Experiment}}</h1>
+<p>Experiment <code>{{.ID}}</code>{{if .User}} by <code>{{.User}}</code>{{end}},
+{{.Runs}} measurement runs ({{.FailedRuns}} failed).</p>
+<p>This page was generated by the pos publication phase. It lists every
+artifact of the experiment: the scripts and variable files that define it,
+the per-run results and metadata the testbed collected, and the generated
+plots.</p>
+<h2>Sections</h2>
+<table>
+<tr><th>Section</th><th>Files</th></tr>
+{{range .Sections}}<tr><td><code>{{.Name}}</code></td><td>{{.Count}}</td></tr>
+{{end}}</table>
+<h2>All artifacts</h2>
+<ul>
+{{range .Files}}<li><a href="{{.}}"><code>{{.}}</code></a></li>
+{{end}}</ul>
+</body></html>
+`))
+
+type section struct {
+	Name  string
+	Count int
+}
+
+// templateWebsite renders m through indexTmpl, its sections counted in a
+// map and sorted by name.
+func templateWebsite(t testing.TB, m Manifest) []byte {
+	counts := map[string]int{}
+	for _, f := range m.Files {
+		top := f
+		if i := strings.IndexByte(f, '/'); i >= 0 {
+			top = f[:i] + "/"
+		}
+		counts[top]++
+	}
+	var sections []section
+	for name, n := range counts {
+		sections = append(sections, section{Name: name, Count: n})
+	}
+	sort.Slice(sections, func(i, j int) bool { return sections[i].Name < sections[j].Name })
+	var b strings.Builder
+	err := indexTmpl.Execute(&b, struct {
+		Manifest
+		Sections []section
+	}{m, sections})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []byte(b.String())
+}
+
+// FuzzWebsite holds the hand-rendered page to html/template's, byte for
+// byte. Files arrive newline-separated and are sorted, as a manifest's are.
+// The seeds sit on the escapers' branches: the replaced characters, bytes
+// that are not UTF-8, unsafe and safe URL schemes, a colon before and after
+// the first slash, valid and broken percent escapes, characters the URL
+// normalizer encodes, the empty user, no files, a top-level file, and a
+// file whose name sorts beside a directory of the same stem.
+func FuzzWebsite(f *testing.F) {
+	for _, v := range []string{
+		"<>&'\"+", "a\x00b", "\xff\xfe\xc3", "line\u2028sep", "Überprüfung/ü", "日本/語",
+		"javascript:x", "JAVASCRIPT:x", "mailto:a", "MailTo:a", "http://h?a=b&c+d", "Http://h", "HTTPS://H/#frag",
+		"a:b/c", "a/b:c", "%zz", "%41", "%4", "a b", "'()", "x y/z 'q'(1)",
+	} {
+		f.Add("linux-router", "2020-10-12_11-20-32_230471", "user", 3, 1, v)
+		f.Add(v, v, v, 60, 0, "experiment/"+v+"\n"+v+"\nrun_0000/"+v)
+	}
+	f.Add("linux-router", "id", "", 0, 0, "run_0000/metadata.json")
+	f.Add("linux-router", "id", "user", 0, 0, "")
+	f.Add("exp", "id", "user", 1, 0, "index.html")
+	f.Add("exp", "id", "user", 2, 1, "run_0001.txt\nrun_0001/x\nrun_0001/y\nrun_0001-a\nrun_00010/z")
+	f.Fuzz(func(t *testing.T, experiment, id, user string, runs, failed int, files string) {
+		m := Manifest{Experiment: experiment, ID: id, User: user, Runs: runs, FailedRuns: failed}
+		if files != "" {
+			m.Files = strings.Split(files, "\n")
+			slices.Sort(m.Files)
+		}
+		got, want := Website(m), templateWebsite(t, m)
+		if !bytes.Equal(got, want) {
+			i := 0
+			for i < len(got) && i < len(want) && got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("page differs from html/template's at byte %d:\n got  …%q\n want …%q",
+				i, got[max(0, i-40):min(len(got), i+40)], want[max(0, i-40):min(len(want), i+40)])
+		}
+	})
+}
+
+// manifest241 is shaped like the bundle of the benchmark's 60-run result
+// set: four files per run and the page itself.
+func manifest241() Manifest {
+	m := Manifest{Experiment: "linux-router", User: "user", ID: "2020-10-12_11-20-32_230471", Runs: 60}
+	for run := 0; run < 60; run++ {
+		dir := fmt.Sprintf("run_%04d/", run)
+		m.Files = append(m.Files, dir+"dut/capture.out", dir+"loadgen/latency.csv", dir+"loadgen/moongen.log", dir+"metadata.json")
+	}
+	m.Files = append(m.Files, "index.html")
+	slices.Sort(m.Files)
+	return m
+}
+
+// websiteAllocBudget is the 1 object (the page) one page of manifest241
+// cost when the budget was set (go1.24, on top of 148afae); 15 % above it
+// rounds to the same. Rendered by html/template, as at 148afae, the same
+// page cost 8 577.
+const websiteAllocBudget = 1
+
+func TestWebsiteAllocations(t *testing.T) {
+	m := manifest241()
+	if len(m.Files) != 241 {
+		t.Fatalf("manifest has %d files, want 241", len(m.Files))
+	}
+	if !bytes.Equal(Website(m), templateWebsite(t, m)) {
+		t.Fatal("page differs from html/template's")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { Website(m) }); allocs > websiteAllocBudget {
+		t.Errorf("Website(241 files) = %.0f allocs, budget %d", allocs, websiteAllocBudget)
+	}
+}
+
+// archiveAllocBudget is 15 % above the 9.9 objects per archived file that
+// archiving sweepExperiment(t, 16, true) cost when the budget was set
+// (go1.24, on top of 148afae): about four are archive/tar's own, the rest
+// the path, the entry name and the gzip members. With a goroutine, channel,
+// os.FileInfo and os.ReadFile buffer per file, as at 148afae, it cost 18.1.
+const archiveAllocBudget = 11.4
+
+func TestArchiveAllocations(t *testing.T) {
+	exp := sweepExperiment(t, 16, true)
+	m, err := BuildManifest(exp, "", "sweep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := archive(exp.Dir(), m, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perFile := allocs / float64(len(m.Files)); perFile > archiveAllocBudget {
+		t.Errorf("archive = %.1f allocs per file (%d files), budget %.1f", perFile, len(m.Files), archiveAllocBudget)
+	}
+}
+
+// Two releases of one experiment write the same page and archive the same
+// entries: the first page already lists index.html, as every later one does.
+func TestReleaseTwiceSamePage(t *testing.T) {
+	exp := sampleExperiment(t)
+	var pages [2][]byte
+	var names [2][]string
+	for i := range pages {
+		dest := filepath.Join(t.TempDir(), "artifacts.tar.gz")
+		if _, err := Release(exp, "user", "linux-router", dest); err != nil {
+			t.Fatal(err)
+		}
+		page, err := exp.ReadExperimentArtifact("index.html")
+		if err != nil {
+			t.Fatal(err)
+		}
+		archive, err := os.ReadFile(dest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages[i] = page
+		names[i], _, _ = readArchive(t, archive)
+	}
+	if !bytes.Equal(pages[0], pages[1]) {
+		t.Errorf("second release rewrote index.html:\nfirst:\n%s\nsecond:\n%s", pages[0], pages[1])
+	}
+	if !slices.Equal(names[0], names[1]) {
+		t.Errorf("archive entries differ:\nfirst  %q\nsecond %q", names[0], names[1])
+	}
+	if !bytes.Contains(pages[0], []byte(`<a href="index.html">`)) {
+		t.Error("the first release's page does not list index.html")
 	}
 }
 
@@ -334,6 +521,33 @@ func TestRelease(t *testing.T) {
 	fi, err := os.Stat(dest)
 	if err != nil || fi.Size() == 0 {
 		t.Errorf("archive missing or empty: %v", err)
+	}
+}
+
+// Of several unreadable files, the archive reports the first in manifest
+// order, whichever goroutine met its error first: here a directory whose
+// read fails in a reader, ahead of a missing file the opener finds.
+func TestArchiveReportsFirstErrorInOrder(t *testing.T) {
+	exp := sweepExperiment(t, 16, false)
+	if err := exp.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	first := filepath.Join(exp.Dir(), "run_0002", "loadgen", "latency.csv")
+	if err := os.Remove(first); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(first, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(exp.Dir(), "run_0009", "loadgen", "moongen.log")); err != nil {
+		t.Fatal(err)
+	}
+	for range 5 {
+		_, err := Archive(exp, "sweep", io.Discard)
+		var pathErr *os.PathError
+		if !errors.As(err, &pathErr) || pathErr.Path != first {
+			t.Fatalf("Archive error = %v, want the read error of %s", err, first)
+		}
 	}
 }
 

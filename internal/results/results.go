@@ -415,6 +415,34 @@ type RunMeta struct {
 	Error string `json:"error,omitempty"`
 }
 
+// LoopKey returns the canonical form of a run's loop combination: its
+// "name=value" pairs sorted by name and joined by commas, as in
+// "pkt_rate=10000,pkt_sz=64". It is the one spelling of a combination that
+// run events, latency series and the publish checker share.
+func LoopKey(vars map[string]string) string {
+	var stack [8]string
+	keys := stack[:0]
+	for k := range vars {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	n := 0
+	for _, k := range keys {
+		n += len(k) + len(vars[k]) + 2
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for i, k := range keys {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(k)
+		b.WriteByte('=')
+		b.WriteString(vars[k])
+	}
+	return b.String()
+}
+
 // clone returns a defensive copy (the LoopVars map is shared state
 // otherwise — the manifest keeps its own copy).
 func (m RunMeta) clone() RunMeta {

@@ -294,3 +294,25 @@ func TestControlDir(t *testing.T) {
 		}
 	}
 }
+
+// TestLoopKey pins the one spelling of a loop combination: run events,
+// latency series and the publish checker all key by it.
+func TestLoopKey(t *testing.T) {
+	for _, tc := range []struct {
+		vars map[string]string
+		want string
+	}{
+		{nil, ""},
+		{map[string]string{}, ""},
+		{map[string]string{"pkt_sz": "64"}, "pkt_sz=64"},
+		{map[string]string{"pkt_sz": "64", "pkt_rate": "10000"}, "pkt_rate=10000,pkt_sz=64"},
+		{map[string]string{"b": "", "a": "x=y,z"}, "a=x=y,z,b="},
+		{map[string]string{"Z": "1", "a": "2", "_": "3"}, "Z=1,_=3,a=2"},
+		{map[string]string{"k0": "0", "k1": "1", "k2": "2", "k3": "3", "k4": "4", "k5": "5", "k6": "6", "k7": "7", "k8": "8"},
+			"k0=0,k1=1,k2=2,k3=3,k4=4,k5=5,k6=6,k7=7,k8=8"},
+	} {
+		if got := LoopKey(tc.vars); got != tc.want {
+			t.Errorf("LoopKey(%v) = %q, want %q", tc.vars, got, tc.want)
+		}
+	}
+}

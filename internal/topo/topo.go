@@ -227,8 +227,10 @@ func (d *device) checkPort(port string, line int) error {
 	case KindSink:
 		ok = port == "0"
 	case KindSwitch:
+		// Only the canonical spelling names a port: "03" or "+3" would pass
+		// the duplicate check beside "3" and then wire the same port twice.
 		idx, err := strconv.Atoi(port)
-		ok = err == nil && idx >= 0 && idx < d.ports
+		ok = err == nil && idx >= 0 && idx < d.ports && strconv.Itoa(idx) == port
 	}
 	if !ok {
 		return perr(line, "%s %s has no port %q", d.Kind, d.Name, port)

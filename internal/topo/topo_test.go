@@ -52,6 +52,7 @@ func TestParseErrors(t *testing.T) {
 		"bad router port":      "generator g\nrouter r\nlink g.tx r.7\n",
 		"bad sink port":        "generator g\nsink s\nlink g.tx s.1\n",
 		"bad switch port":      "generator g\nswitch sw ports=2\nlink g.tx sw.2\n",
+		"switch port alias":    "generator g\nswitch sw ports=7\nsink s\nlink g.tx sw.03\nlink sw.3 s.0\n",
 		"double wiring":        "generator g\nrouter r\nsink s\nlink g.tx r.0\nlink s.0 r.0\n",
 		"self link":            "router r\nlink r.0 r.0\n",
 		"bad param":            "router r extra\n",
