@@ -110,8 +110,11 @@ profile-dataplane:
 # html/template or text/template in internal/ or cmd/ outside tests, so the
 # published index page keeps its hand renderer and html/template stays its
 # oracle — no file writes in internal/timeline, so analysis stays a reader
-# of the experiment it explains — and no internal/ package that only tests
-# import: code nothing ships is deleted, not kept.
+# of the experiment it explains — no internal/ package that only tests
+# import: code nothing ships is deleted, not kept — and no package main but
+# cmd/posctl, so the paper runs one way: a figure is a campaign file under
+# experiments/campaigns, an API demonstration a package's Example (bench/ is
+# a module of its own and keeps its harness).
 .PHONY: lint
 lint:
 	go vet ./...
@@ -162,6 +165,11 @@ lint:
 	done); \
 	if [ -n "$$out" ]; then \
 		echo "internal/ packages with no non-test importer:"; \
+		echo "$$out"; exit 1; fi
+	@out=$$(grep -rlE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build \
+		'^package main$$' . | grep -v '^\./cmd/posctl/'; true); \
+	if [ -n "$$out" ]; then \
+		echo "package main outside cmd/posctl (posctl is the one launcher: ship a campaign file or an Example):"; \
 		echo "$$out"; exit 1; fi
 	@echo "lint clean"
 

@@ -809,13 +809,14 @@ func metaKey(meta results.RunMeta) string {
 	return c.Key()
 }
 
+// cmdPlot renders an experiment's throughput figure the way Fig. 3 draws it:
+// received over offered Mpps (the pkt_rate loop variable), one series per
+// frame size (pkt_sz).
 func cmdPlot(args []string) error {
 	fs := flag.NewFlagSet("plot", flag.ExitOnError)
 	ref := experimentFlags(fs)
 	node := fs.String("node", "vriga", "node whose MoonGen logs to parse")
 	artifact := fs.String("artifact", "moongen.log", "per-run artifact to parse")
-	groupBy := fs.String("group-by", "pkt_sz", "loop variable for series grouping")
-	xVar := fs.String("x", "pkt_rate", "loop variable for the x axis")
 	title := fs.String("title", "", "figure title (default: experiment name)")
 	fs.Parse(args)
 	_, exp, err := ref.openExperiment()
@@ -826,7 +827,7 @@ func cmdPlot(args []string) error {
 	if err != nil {
 		return err
 	}
-	series, err := eval.ThroughputSeries(runs, *groupBy, *xVar, 1e-6)
+	series, err := eval.ThroughputSeries(runs, "pkt_sz", "pkt_rate", 1e-6)
 	if err != nil {
 		return err
 	}

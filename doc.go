@@ -13,8 +13,10 @@
 //
 // Like the paper's pos, this is a methodology plus a command-line toolchain,
 // not a library: this package holds only this overview and the end-to-end
-// tests. The tool is cmd/posctl; cmd/reprod regenerates every table and
-// figure; examples/ holds complete programs that import the packages below.
+// tests. The tool is cmd/posctl. Every figure of the paper's evaluation is a
+// campaign file under experiments/campaigns that `posctl run -f` executes,
+// and TestShippedCampaigns checks the paper's claims against what they
+// record; the packages below carry runnable Examples of their APIs.
 //
 // # Architecture
 //
@@ -45,14 +47,11 @@
 //
 // # Quick start
 //
-//	topo, _ := casestudy.New(casestudy.BareMetal)
-//	defer topo.Close()
-//	store, _ := results.NewStore("results")
-//	sum, _ := topo.Testbed.Runner().Run(context.Background(),
-//	        topo.Experiment(casestudy.PaperSweep()), store)
-//	fmt.Println(sum.TotalRuns, "runs in", sum.ResultsDir)
+//	posctl run -f experiments/campaigns/fig3a-pos.yml -results R
+//	posctl plot -dir R -exp linux-router-pos
+//	posctl publish -dir R -exp linux-router-pos
 //
-// examples/quickstart is this program in full. See DESIGN.md for the system
-// inventory and EXPERIMENTS.md for the paper-vs-measured record of every
-// table and figure.
+// Example_workflow is a smaller run through the packages themselves. See
+// DESIGN.md for the system inventory and EXPERIMENTS.md for the
+// paper-vs-measured record of every table and figure.
 package pos

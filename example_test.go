@@ -9,8 +9,8 @@ import (
 	"pos/internal/results"
 )
 
-// Example_workflow runs a miniature experiment end to end — the programmatic
-// equivalent of the quickstart example.
+// Example_workflow runs a miniature experiment end to end through the
+// packages — what `posctl run -f` does for a campaign file.
 func Example_workflow() {
 	topo, err := casestudy.New(casestudy.BareMetal)
 	if err != nil {

@@ -214,7 +214,7 @@ func Write(w io.Writer) error {
 	for _, r := range Requirements {
 		header = append(header, fmt.Sprintf("%-14s", r.Label()))
 	}
-	if _, err := fmt.Fprintln(w, strings.Join(header, " ")); err != nil {
+	if _, err := fmt.Fprintln(w, strings.TrimRight(strings.Join(header, " "), " ")); err != nil {
 		return err
 	}
 	for _, row := range rows {
@@ -223,7 +223,7 @@ func Write(w io.Writer) error {
 		for _, r := range Requirements {
 			cells = append(cells, fmt.Sprintf("%-14s", row.Support[r].Symbol()))
 		}
-		if _, err := fmt.Fprintln(w, strings.Join(cells, " ")); err != nil {
+		if _, err := fmt.Fprintln(w, strings.TrimRight(strings.Join(cells, " "), " ")); err != nil {
 			return err
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"pos/internal/eventlog"
 	"pos/internal/jsonenc"
 )
 
@@ -312,10 +313,17 @@ func (e *Experiment) ensureIndexLocked() error {
 	if e.idx != nil {
 		return nil
 	}
+	var gen uint64
 	if data, err := os.ReadFile(e.indexPath()); err == nil {
-		if idx, derr := decodeIndex(data); derr == nil && e.indexMatchesTree(idx) {
+		idx, derr := decodeIndex(data)
+		if derr == nil && e.indexMatchesTree(idx) {
 			e.idx = idx
 			return nil
+		}
+		if derr == nil {
+			// Stale: the rebuild continues its generation, as RebuildIndex
+			// does, so warm eval cache entries keyed on it cannot re-validate.
+			gen = idx.gen + 1
 		}
 		// Corrupt or stale manifest: fall through to a rebuild.
 	}
@@ -323,6 +331,7 @@ func (e *Experiment) ensureIndexLocked() error {
 	if err != nil {
 		return err
 	}
+	idx.gen = gen
 	e.idx = idx
 	return nil
 }
@@ -334,7 +343,8 @@ func (e *Experiment) ensureIndexLocked() error {
 // consistent-but-old snapshot — typically missing whole runs — which this
 // catches at the cost of a single directory read instead of a tree walk.
 // Out-of-band edits inside an existing run directory are not detectable
-// this cheaply; RebuildIndex covers those.
+// this cheaply; RebuildIndex covers those. The event journal is not the
+// store's to list (see scanTree), so it is no sign of staleness.
 func (e *Experiment) indexMatchesTree(idx *index) bool {
 	entries, err := os.ReadDir(e.dir)
 	if err != nil {
@@ -343,6 +353,9 @@ func (e *Experiment) indexMatchesTree(idx *index) bool {
 	diskRuns := make(map[int]bool)
 	diskTops := make(map[string]bool)
 	for _, ent := range entries {
+		if ent.Name() == eventlog.JournalDir {
+			continue
+		}
 		if run, ok := parseRunDir(ent.Name()); ok && ent.IsDir() {
 			diskRuns[run] = true
 			continue
@@ -377,7 +390,9 @@ func (e *Experiment) indexMatchesTree(idx *index) bool {
 }
 
 // scanTree rebuilds a manifest from the on-disk layout — the legacy walk,
-// run once on reopen instead of on every enumeration.
+// run once on reopen instead of on every enumeration. The event journal
+// (eventlog.JournalDir) is skipped: eventlog writes it beside the store, the
+// live manifest never lists it, and publish.BuildManifest adds its segments.
 func scanTree(dir string) (*index, error) {
 	idx := newIndex()
 	entries, err := os.ReadDir(dir)
@@ -386,6 +401,9 @@ func scanTree(dir string) (*index, error) {
 	}
 	for _, ent := range entries {
 		name := ent.Name()
+		if name == eventlog.JournalDir {
+			continue
+		}
 		if run, ok := parseRunDir(name); ok && ent.IsDir() {
 			if err := scanRunDir(idx, filepath.Join(dir, name), run); err != nil {
 				return nil, err

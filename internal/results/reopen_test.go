@@ -2,13 +2,18 @@ package results_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 	"weak"
 
 	"pos/internal/eval"
+	"pos/internal/eventlog"
+	"pos/internal/publish"
 	"pos/internal/results"
 )
 
@@ -82,5 +87,100 @@ func TestCollectedHandleReloadsFromManifest(t *testing.T) {
 	}
 	if eval.Stats().Hits != hits+1 {
 		t.Error("warm eval entry missed after the handle was reloaded")
+	}
+}
+
+// An experiment's event journal is written by eventlog beside the store, not
+// through it, so the manifest never lists it. Reopened through a fresh store,
+// such an experiment must still load its manifest rather than rebuild one
+// from a tree scan: the same artifact paths as the live handle, a generation
+// that does not go down (it keys the eval cache), and a publication manifest
+// that lists the journal once.
+func TestReopenWithJournalKeepsManifest(t *testing.T) {
+	at := time.Date(2020, 10, 12, 11, 20, 32, 0, time.UTC)
+	root := t.TempDir()
+	s, err := results.NewStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := s.CreateExperiment("user", "journaled", at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := eventlog.OpenJournal(filepath.Join(e.Dir(), eventlog.JournalDir), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(eventlog.Event{Typ: "progress", Message: "run 1/2"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 2; run++ {
+		if err := e.WriteRunMeta(results.RunMeta{Run: run, StartedAt: at, FinishedAt: at}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.AddRunArtifact(run, "lg", "moongen.log", []byte(moongenLog)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.AddExperimentArtifact("figures/throughput.csv", []byte("series,x,y\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	gen, _ := e.Generation()
+	paths, _ := e.ArtifactPaths()
+
+	fresh, err := results.NewStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	re, err := fresh.OpenExperiment("user", "journaled", e.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err := re.ArtifactPaths(); err != nil || !reflect.DeepEqual(p, paths) {
+		t.Errorf("reopened paths = %v, %v, want %v", p, err, paths)
+	}
+	if g, ok := re.Generation(); !ok || g < gen {
+		t.Errorf("reopened generation = %d, %v, want >= %d", g, ok, gen)
+	}
+	m, err := publish.BuildManifest(re, "user", "journaled")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[string]bool)
+	for _, f := range m.Files {
+		if seen[f] {
+			t.Errorf("manifest lists %s twice", f)
+		}
+		seen[f] = true
+	}
+	if journal := eventlog.JournalDir + "/events-00000.jsonl"; !seen[journal] {
+		t.Errorf("manifest lacks %s: %v", journal, m.Files)
+	}
+
+	// A file the manifest does not know makes it stale: the reopen rebuilds
+	// from a scan, and the rebuilt manifest continues the generation.
+	if err := os.WriteFile(filepath.Join(e.Dir(), "notes.txt"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err = results.NewStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re, err = fresh.OpenExperiment("user", "journaled", e.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if g, ok := re.Generation(); !ok || g <= gen {
+		t.Errorf("rebuilt generation = %d, %v, want > %d", g, ok, gen)
+	}
+	want := append([]string{"notes.txt"}, paths...)
+	sort.Strings(want)
+	if p, err := re.ArtifactPaths(); err != nil || !reflect.DeepEqual(p, want) {
+		t.Errorf("rebuilt paths = %v, %v, want %v", p, err, want)
 	}
 }
