@@ -106,7 +106,9 @@ profile-dataplane:
 # engine and the topology builder — the scalar event-per-hop path is the
 # differential tests' oracle, reached only through Engine.SetBatching in a
 # test — no encoding/json in internal/shell outside tests, so the shell's
-# frames keep their hand codecs and encoding/json stays their oracle — no
+# frames keep their hand codecs and encoding/json stays their oracle, and
+# none in internal/timeline outside tests, so a campaign's spans.json and
+# metadata.json are read through jsonenc as they are written — no
 # html/template or text/template in internal/ or cmd/ outside tests, so the
 # published index page keeps its hand renderer and html/template stays its
 # oracle — no file writes in internal/timeline, so analysis stays a reader
@@ -148,6 +150,10 @@ lint:
 	@out=$$(grep -rn '"encoding/json"' internal/shell --include='*.go' | grep -v _test.go; true); \
 	if [ -n "$$out" ]; then \
 		echo "encoding/json imported in internal/shell (frames go through AppendJSON and DecodeJSON; encoding/json is the tests' oracle):"; \
+		echo "$$out"; exit 1; fi
+	@out=$$(grep -rn '"encoding/json"' internal/timeline --include='*.go' | grep -v _test.go; true); \
+	if [ -n "$$out" ]; then \
+		echo "encoding/json imported in internal/timeline (spans and run metadata go through jsonenc; encoding/json is the tests' oracle):"; \
 		echo "$$out"; exit 1; fi
 	@out=$$(grep -rnE '"(html|text)/template"' internal cmd --include='*.go' | grep -v _test.go; true); \
 	if [ -n "$$out" ]; then \

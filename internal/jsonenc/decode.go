@@ -4,6 +4,7 @@ import (
 	"encoding/base64"
 	"errors"
 	"strconv"
+	"time"
 	"unicode/utf16"
 	"unicode/utf8"
 )
@@ -29,8 +30,9 @@ const maxMembers = 16
 // it. What the Decoder accepts is a strict subset of what
 // encoding/json.Unmarshal accepts, and decodes to the same values: a key not
 // spelt exactly as the caller knows it, a key seen twice and a null member
-// are errors here, where encoding/json folds case, ignores unknown keys,
-// lets a repeat overwrite or merge, and skips a null.
+// the caller does not take with Null are errors here, where encoding/json
+// folds case, ignores unknown keys, lets a repeat overwrite or merge, and
+// skips a null.
 type Decoder struct {
 	data  []byte
 	pos   int
@@ -39,6 +41,7 @@ type Decoder struct {
 	key   []byte
 	seen  [maxMembers][]byte
 	n     int
+	strs  map[string]string
 }
 
 const (
@@ -114,6 +117,13 @@ func (d *Decoder) Next() bool {
 	return true
 }
 
+// Intern makes the strings this Decoder reads, map keys and values included,
+// come from strs: a string equal to one already there is that string, and
+// one that is not is added. A caller that reads many records with the same
+// names and labels shares one table among their Decoders, and pays for each
+// distinct string once.
+func (d *Decoder) Intern(strs map[string]string) { d.strs = strs }
+
 // Unknown rejects the current member: its key names no field.
 func (d *Decoder) Unknown() {
 	d.fail("unknown member " + strconv.Quote(string(d.key)))
@@ -126,10 +136,23 @@ func (d *Decoder) Unknown() {
 func (d *Decoder) ReadString() string {
 	raw, plain, ok := d.stringValue()
 	if !ok || plain {
-		return string(raw)
+		return d.str(raw)
 	}
 	var stack [256]byte
-	return string(unquote(stack[:0], raw))
+	return d.str(unquote(stack[:0], raw))
+}
+
+// str returns b as a string, from the intern table when there is one.
+func (d *Decoder) str(b []byte) string {
+	if d.strs == nil {
+		return string(b)
+	}
+	if s, ok := d.strs[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	d.strs[s] = s
+	return s
 }
 
 // ReadBytes reads the current member as encoding/json reads a []byte: a
@@ -211,6 +234,35 @@ func (d *Decoder) ReadBool() bool {
 		return false
 	}
 	d.fail("expected true or false")
+	return false
+}
+
+// ReadTime reads the current member as time.Time.UnmarshalJSON reads it:
+// the bytes between the quotes parsed as RFC 3339 by UnmarshalText, so a
+// time written with an escape is an error here as it is there.
+func (d *Decoder) ReadTime() time.Time {
+	raw, _, ok := d.stringValue()
+	if !ok {
+		return time.Time{}
+	}
+	var t time.Time
+	if err := t.UnmarshalText(raw); err != nil {
+		d.fail(err.Error())
+		return time.Time{}
+	}
+	return t
+}
+
+// Null takes the current member if it is null and reports whether it was.
+// encoding/json leaves a field as it was for null. A repeated key is an
+// error here, so that is the field's zero value, and a caller may read null
+// as zero where zero is what the field's encoder writes null for: a nil map
+// or slice. Every other null is an error of the Read method that meets it.
+func (d *Decoder) Null() bool {
+	if d.err == nil && len(d.data)-d.pos >= 4 && string(d.data[d.pos:d.pos+4]) == "null" {
+		d.pos += 4
+		return true
+	}
 	return false
 }
 

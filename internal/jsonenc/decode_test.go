@@ -1,10 +1,12 @@
 package jsonenc
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // record has one field of every kind Decoder reads. It has no methods, so
@@ -17,9 +19,12 @@ type record struct {
 	M map[string]string `json:"m,omitempty"`
 }
 
-func decodeRecord(data []byte) (record, error) {
+// decodeRecord decodes data into a record, its strings interned in strs
+// unless that is nil.
+func decodeRecord(data []byte, strs map[string]string) (record, error) {
 	var r record
 	d := NewDecoder(data)
+	d.Intern(strs)
 	for d.Next() {
 		switch string(d.Key()) {
 		case "s":
@@ -40,12 +45,16 @@ func decodeRecord(data []byte) (record, error) {
 }
 
 // checkSubset holds Decoder to encoding/json: what it accepts, Unmarshal
-// accepts too and decodes to the same value.
+// accepts too and decodes to the same value. Interning changes neither.
 func checkSubset(t *testing.T, data []byte) (accepted bool) {
 	t.Helper()
-	got, err := decodeRecord(data)
+	got, err := decodeRecord(data, nil)
+	interned, internErr := decodeRecord(data, map[string]string{"x": "x"})
 	var want record
 	jsonErr := json.Unmarshal(data, &want)
+	if (err == nil) != (internErr == nil) || !reflect.DeepEqual(got, interned) {
+		t.Fatalf("%q: Decoder read %#v (%v), interning %#v (%v)", data, got, err, interned, internErr)
+	}
 	if err != nil {
 		return false
 	}
@@ -97,7 +106,7 @@ func TestDecoderStricterThanUnmarshal(t *testing.T) {
 		if err := json.Unmarshal([]byte(in), &r); err != nil {
 			t.Fatalf("encoding/json rejects %s: %v", in, err)
 		}
-		if _, err := decodeRecord([]byte(in)); err == nil {
+		if _, err := decodeRecord([]byte(in), nil); err == nil {
 			t.Errorf("Decoder accepted %s", in)
 		}
 	}
@@ -137,12 +146,113 @@ func TestDecoderStringAllocations(t *testing.T) {
 	}
 }
 
+// checkTime holds ReadTime to time.Time.UnmarshalJSON on the same member
+// value: the same time, and one fails where the other does. A value that is
+// not one JSON string ReadTime refuses; null, which UnmarshalJSON takes as
+// no time, among them, as every Read method refuses a null.
+func checkTime(t *testing.T, value []byte) (accepted bool) {
+	t.Helper()
+	var got time.Time
+	d := NewDecoder(append(append([]byte(`{"tm":`), value...), '}'))
+	for d.Next() {
+		got = d.ReadTime()
+	}
+	err := d.Err()
+	value = bytes.Trim(value, " \t\r\n")
+	if !json.Valid(value) || value[0] != '"' {
+		if err == nil {
+			t.Fatalf("ReadTime accepted %q, which is not a JSON string", value)
+		}
+		return false
+	}
+	var want time.Time
+	wantErr := want.UnmarshalJSON(value)
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("%s: ReadTime err = %v, time.Time.UnmarshalJSON err = %v", value, err, wantErr)
+	}
+	if err == nil && !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: ReadTime read %v, UnmarshalJSON %v", value, got, want)
+	}
+	return err == nil
+}
+
+var timeCorpus = []string{
+	`"2021-10-12T11:20:32Z"`, `"2021-10-12T11:20:32.230471Z"`, `"2021-10-12T11:20:32.230471000Z"`,
+	`"2021-10-12T11:20:32.123456789123Z"`, `"2021-10-12T11:20:32.Z"`, ` "2021-10-12T11:20:32Z"` + "\n",
+	`"2021-10-12T11:20:32+02:00"`, `"2021-10-12T11:20:32.5-09:30"`, `"2021-10-12T11:20:32-00:00"`, `"2021-10-12T11:20:32+14:00"`,
+	`"2021-10-12T11:20:32+24:00"`, `"2021-10-12T11:20:32+0200"`, `"2021-10-12T11:20:32+02:60"`,
+	`"0999-01-01T00:00:00Z"`, `"0001-01-01T00:00:00Z"`, `"0000-01-01T00:00:00Z"`, `"9999-12-31T23:59:59.999999999Z"`,
+	`"10000-01-01T00:00:00Z"`, `"-001-01-01T00:00:00Z"`, `"999-01-01T00:00:00Z"`,
+	`"2021-10-12T11:20:3\u0032Z"`, `"\u0032021-10-12T11:20:32Z"`, `"2021-10-12T11:20:32\u005a"`,
+	`"2021-10-12T11:20:32z"`, `"2021-10-12t11:20:32Z"`, `"2021-10-12T11:20:32"`, `"2021-10-12 11:20:32Z"`,
+	`"2021-02-30T00:00:00Z"`, `"2021-10-12T25:00:00Z"`, `"2021-10-12T11:20:60Z"`, `"2021-10-12T11:20:32Z "`,
+	`null`, `1`, `""`, `"2021-10-12T11:20:32Z`, `{}`, `"2021-10-12T11:20:32Z",`, "\"\xff\"",
+}
+
+func TestReadTimeMatchesUnmarshalJSON(t *testing.T) {
+	accepted := 0
+	for _, in := range timeCorpus {
+		if checkTime(t, []byte(in)) {
+			accepted++
+		}
+	}
+	if accepted < 10 {
+		t.Errorf("ReadTime accepted %d of %d values: the corpus no longer reaches the parse", accepted, len(timeCorpus))
+	}
+}
+
+// Null takes a null member and nothing else; the members after it read on.
+func TestDecoderNull(t *testing.T) {
+	for _, c := range []struct {
+		in       string
+		null, ok bool
+	}{
+		{`{"m":null,"s":"x"}`, true, true},
+		{`{"m":{},"s":"x"}`, false, true},
+		{`{"m":nul,"s":"x"}`, false, false},
+		{`{"m":nullx}`, true, false},
+	} {
+		d := NewDecoder([]byte(c.in))
+		d.Next()
+		null := d.Null()
+		if !null {
+			d.ReadStringMap()
+		}
+		for d.Next() {
+			d.ReadString()
+		}
+		if null != c.null || (d.Err() == nil) != c.ok {
+			t.Errorf("%s: Null() = %v, Err() = %v; want %v, ok %v", c.in, null, d.Err(), c.null, c.ok)
+		}
+	}
+}
+
+// Interned strings are shared: a name read twice is made once.
+func TestDecoderInternAllocations(t *testing.T) {
+	data := []byte(`{"s":"exec:vtartu","m":{"phase":"measurement","exec:vtartu":"phase"}}`)
+	strs := make(map[string]string)
+	decodeRecord(data, strs)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := decodeRecord(data, strs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The map and its group: every string comes from the table.
+	if allocs != 2 {
+		t.Errorf("decoding interned strings: %v allocations, want 2", allocs)
+	}
+}
+
 func FuzzDecoder(f *testing.F) {
 	for _, in := range decodeCorpus {
+		f.Add([]byte(in))
+	}
+	for _, in := range timeCorpus {
 		f.Add([]byte(in))
 	}
 	f.Add([]byte(`{"s":"` + strings.Repeat(`\n`, 300) + `"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkSubset(t, data)
+		checkTime(t, data)
 	})
 }

@@ -5,7 +5,8 @@
 // and without allocating beyond dst's growth.
 //
 // It is also a reader: Decoder pulls the members of one flat JSON object —
-// strings, base64 bytes, integers, booleans and string maps — and decodes
+// strings, base64 bytes, integers, booleans, RFC 3339 times and string
+// maps — and decodes
 // them to the values encoding/json.Unmarshal gives, accepting a strict
 // subset of what Unmarshal accepts. encoding/json stays the oracle both
 // ways: the package's tests, and the tests of every caller, compare against

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -151,6 +152,86 @@ func TestMetadataFileMatchesEncoder(t *testing.T) {
 			t.Errorf("metadata.json differs:\n got %q\nwant %q", got.Bytes(), want.Bytes())
 		}
 	}
+}
+
+// FuzzMetadataFile holds metadata.json to json.MarshalIndent byte for byte,
+// with a newline, and one fails where the other does; what it writes
+// DecodeRunMeta reads back as json.Unmarshal does. vars picks the loop
+// variables: nil, empty, one or two.
+func FuzzMetadataFile(f *testing.F) {
+	f.Add(7, uint8(3), "pkt_sz", "64", "pkt_rate", "10000", false, "", when.UnixNano(), int64(1e9), int64(0))
+	f.Add(120, uint8(1), "", "", "", "", true, "exit 1: <moongen> \"died\"\n", when.UnixNano(), int64(0), int64(0))
+	f.Add(0, uint8(0), "", "", "", "", false, "", int64(0), int64(-5), int64(-7*3600))
+	f.Add(1, uint8(3), "a\xff", "\u2028", "", "&", false, "\x00", when.UnixNano(), int64(1), int64(5*3600+1800))
+	f.Add(-1, uint8(2), "k\"\\", "v<b>", "k", "v", true, "", int64(-1)<<62, int64(1)<<62, int64(24*3600))
+	f.Fuzz(func(t *testing.T, run int, vars uint8, k1, v1, k2, v2 string, failed bool, errText string, start, dur, zone int64) {
+		loc := time.FixedZone("", int(zone%(48*3600)))
+		meta := RunMeta{Run: run, StartedAt: time.Unix(0, start).In(loc), FinishedAt: time.Unix(0, start+dur).In(loc), Failed: failed, Error: errText}
+		switch vars % 4 {
+		case 1:
+			meta.LoopVars = map[string]string{}
+		case 2:
+			meta.LoopVars = map[string]string{k1: v1}
+		case 3:
+			meta.LoopVars = map[string]string{k1: v1, k2: v2}
+		}
+		var got bytes.Buffer
+		w := bufio.NewWriter(&got)
+		err := meta.writeFile(w)
+		w.Flush()
+		want, wantErr := json.MarshalIndent(meta, "", "  ")
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("writeFile err = %v, json.MarshalIndent err = %v", err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		if want = append(want, '\n'); !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("metadata.json differs:\n got %q\nwant %q", got.Bytes(), want)
+		}
+		checkDecodeRunMeta(t, want, true)
+	})
+}
+
+// checkDecodeRunMeta holds DecodeRunMeta to json.Unmarshal: what it accepts,
+// Unmarshal accepts too, into an equal RunMeta. must says it has to accept.
+func checkDecodeRunMeta(t *testing.T, data []byte, must bool) {
+	t.Helper()
+	got, err := DecodeRunMeta(data)
+	if err != nil {
+		if must {
+			t.Fatalf("DecodeRunMeta rejects %q: %v", data, err)
+		}
+		return
+	}
+	var want RunMeta
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("DecodeRunMeta accepted %q, json.Unmarshal rejects it: %v", data, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%q: DecodeRunMeta read %#v, json.Unmarshal %#v", data, got, want)
+	}
+}
+
+// FuzzDecodeRunMeta holds the one metadata.json decoder to json.Unmarshal,
+// which accepts more: a key in another case or unknown, a key given twice,
+// and a null member other than loop_vars.
+func FuzzDecodeRunMeta(f *testing.F) {
+	for _, in := range []string{
+		"{\n  \"run\": 3,\n  \"loop_vars\": {\n    \"pkt_rate\": \"20000\",\n    \"pkt_sz\": \"64\"\n  },\n  \"started_at\": \"2026-10-18T03:38:52.797134931Z\",\n  \"finished_at\": \"2026-10-18T03:38:52.797847369Z\"\n}\n",
+		`{"run":5,"loop_vars":{"pkt_sz":"1500"},"started_at":"2021-10-12T11:20:32+02:00","finished_at":"2021-10-12T11:20:34.5+02:00","failed":true,"error":"exit status 1: moongen \"died\"\u003c"}`,
+		`{"run":0,"loop_vars":{},"started_at":"0001-01-01T00:00:00Z","finished_at":"0001-01-01T00:00:00Z"}`,
+		`{"run":0,"loop_vars":null,"started_at":"0001-01-01T00:00:00Z","finished_at":"0001-01-01T00:00:00Z"}`,
+		`{"run":9,"started_at":"2021-10-12T11:20:32Z"}`,
+		`{"run":9,"failed":false,"error":""}`,
+		`{"run":1,"Run":2}`, `{"run":1,"run":2}`, `{"run":1,"extra":true}`, `{"run":null}`, `{"error":null}`,
+		`{"started_at":"2021-10-12T11:20:3\u0032Z"}`, `{"started_at":"2021-10-12"}`, `{"run":1.5}`, `null`, `{}`,
+	} {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecodeRunMeta(t, data, false)
+	})
 }
 
 func TestRunDirNameMatchesFmt(t *testing.T) {

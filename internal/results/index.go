@@ -212,7 +212,7 @@ func (entry *indexRun) encode() ([]byte, error) {
 	if entry.hasMeta {
 		var err error
 		frag = append(frag, `"meta":`...)
-		if frag, err = entry.meta.appendJSON(frag); err != nil {
+		if frag, err = entry.meta.appendJSON(frag, false); err != nil {
 			return nil, err
 		}
 	}
@@ -226,30 +226,78 @@ func (entry *indexRun) encode() ([]byte, error) {
 	return append(frag, '}'), nil
 }
 
-// appendJSON appends the metadata as compact JSON, field for field what
-// json.Marshal(RunMeta) writes.
-func (m *RunMeta) appendJSON(dst []byte) ([]byte, error) {
+// appendJSON appends the metadata as json.Marshal(RunMeta) writes it, or,
+// indented, as json.MarshalIndent(meta, "", "  ") writes it.
+func (m *RunMeta) appendJSON(dst []byte, indented bool) ([]byte, error) {
 	var err error
-	dst = append(dst, `{"run":`...)
+	dst = appendKey(dst, '{', "run", indented, 1)
 	dst = strconv.AppendInt(dst, int64(m.Run), 10)
-	dst = append(dst, `,"loop_vars":`...)
-	dst = jsonenc.AppendStringMap(dst, m.LoopVars)
-	dst = append(dst, `,"started_at":`...)
+	dst = appendKey(dst, ',', "loop_vars", indented, 1)
+	if indented && len(m.LoopVars) > 0 {
+		dst = appendIndentedMap(dst, m.LoopVars)
+	} else {
+		dst = jsonenc.AppendStringMap(dst, m.LoopVars)
+	}
+	dst = appendKey(dst, ',', "started_at", indented, 1)
 	if dst, err = jsonenc.AppendTime(dst, m.StartedAt); err != nil {
 		return dst, err
 	}
-	dst = append(dst, `,"finished_at":`...)
+	dst = appendKey(dst, ',', "finished_at", indented, 1)
 	if dst, err = jsonenc.AppendTime(dst, m.FinishedAt); err != nil {
 		return dst, err
 	}
 	if m.Failed {
-		dst = append(dst, `,"failed":true`...)
+		dst = appendKey(dst, ',', "failed", indented, 1)
+		dst = append(dst, "true"...)
 	}
 	if m.Error != "" {
-		dst = append(dst, `,"error":`...)
+		dst = appendKey(dst, ',', "error", indented, 1)
 		dst = jsonenc.AppendString(dst, m.Error)
 	}
+	dst = appendIndent(dst, indented, 0)
 	return append(dst, '}'), nil
+}
+
+// appendKey appends sep (the '{' that opens an object or the ',' that ends
+// the member before), the member's line break and indent at depth when
+// indented, and its key with the colon.
+func appendKey(dst []byte, sep byte, key string, indented bool, depth int) []byte {
+	dst = appendIndent(append(dst, sep), indented, depth)
+	dst = jsonenc.AppendString(dst, key)
+	if indented {
+		return append(dst, ':', ' ')
+	}
+	return append(dst, ':')
+}
+
+func appendIndent(dst []byte, indented bool, depth int) []byte {
+	if !indented {
+		return dst
+	}
+	dst = append(dst, '\n')
+	for range depth {
+		dst = append(dst, "  "...)
+	}
+	return dst
+}
+
+// appendIndentedMap appends a non-empty loop-variable map as a member one
+// level down, keys sorted, as json.MarshalIndent writes it.
+func appendIndentedMap(dst []byte, vars map[string]string) []byte {
+	var stack [8]string
+	keys := stack[:0]
+	for k := range vars {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	sep := byte('{')
+	for _, k := range keys {
+		dst = appendKey(dst, sep, k, true, 2)
+		dst = jsonenc.AppendString(dst, vars[k])
+		sep = ','
+	}
+	dst = appendIndent(dst, true, 1)
+	return append(dst, '}')
 }
 
 // appendSortedSet appends a non-empty path set as a sorted JSON array.
@@ -437,8 +485,8 @@ func scanRunDir(idx *index, base string, run int) error {
 			if err != nil {
 				return err
 			}
-			var meta RunMeta
-			if err := json.Unmarshal(data, &meta); err != nil {
+			meta, err := DecodeRunMeta(data)
+			if err != nil {
 				return fmt.Errorf("run %d metadata: %w", run, err)
 			}
 			entry.hasMeta = true

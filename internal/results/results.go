@@ -55,8 +55,6 @@ package results
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -67,6 +65,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"pos/internal/jsonenc"
 )
 
 // Store is the root of the results tree, the emulated
@@ -457,19 +457,49 @@ func (m RunMeta) clone() RunMeta {
 }
 
 // writeFile writes the metadata as its run's metadata.json: the manifest's
-// own encoding of it (appendJSON), indented by two spaces, and a newline.
+// own encoding of it (appendJSON), indented by two spaces, and a newline,
+// appended straight into w's buffer.
 func (m *RunMeta) writeFile(w *bufio.Writer) error {
-	compact, err := m.appendJSON(make([]byte, 0, 256))
+	b, err := m.appendJSON(w.AvailableBuffer(), true)
 	if err != nil {
 		return err
 	}
-	var out bytes.Buffer
-	if err := json.Indent(&out, compact, "", "  "); err != nil {
-		return err
-	}
-	out.WriteByte('\n')
-	_, err = w.Write(out.Bytes())
+	_, err = w.Write(append(b, '\n'))
 	return err
+}
+
+// DecodeRunMeta decodes the metadata of one run as metadata.json and the
+// manifest carry it. What it accepts json.Unmarshal into a RunMeta accepts
+// too, with the same value; it refuses a key not spelt as RunMeta's tags
+// spell it, a key given twice, and a null member but loop_vars (metadata
+// without loop variables is written with "loop_vars": null).
+func DecodeRunMeta(data []byte) (RunMeta, error) {
+	var m RunMeta
+	d := jsonenc.NewDecoder(data)
+	for d.Next() {
+		switch string(d.Key()) {
+		case "run":
+			m.Run = int(d.ReadInt())
+		case "loop_vars":
+			if !d.Null() {
+				m.LoopVars = d.ReadStringMap()
+			}
+		case "started_at":
+			m.StartedAt = d.ReadTime()
+		case "finished_at":
+			m.FinishedAt = d.ReadTime()
+		case "failed":
+			m.Failed = d.ReadBool()
+		case "error":
+			m.Error = d.ReadString()
+		default:
+			d.Unknown()
+		}
+	}
+	if err := d.Err(); err != nil {
+		return RunMeta{}, err
+	}
+	return m, nil
 }
 
 func runDirName(run int) string { return string(appendRunDir(nil, run)) }
@@ -576,8 +606,8 @@ func (e *Experiment) ReadRunMeta(run int) (RunMeta, error) {
 	if err != nil {
 		return RunMeta{}, fmt.Errorf("results: %w", err)
 	}
-	var meta RunMeta
-	if err := json.Unmarshal(data, &meta); err != nil {
+	meta, err := DecodeRunMeta(data)
+	if err != nil {
 		return RunMeta{}, fmt.Errorf("results: run %d metadata: %w", run, err)
 	}
 	return meta, nil

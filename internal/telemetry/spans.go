@@ -397,19 +397,40 @@ func (t *Trace) appendRecord(dst []byte, s *Span) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
-// ParseSpans decodes a spans.json artifact produced by RenderJSON. Spans are
-// stamped with the wall clock, so a clock stepped back mid-span can end one
-// before it starts: such a span is clamped to zero length, as an open span
-// is. An archive whose spans together cover more time than a time.Duration
-// holds (about 292 years) is rejected: no analysis could measure it.
+// ParseSpans decodes a spans.json artifact as RenderJSON writes it: one JSON
+// object per line, blank lines skipped. Spans are stamped with the wall
+// clock, so a clock stepped back mid-span can end one before it starts: such
+// a span is clamped to zero length, as an open span is. An archive whose
+// spans together cover more time than a time.Duration holds (about 292
+// years) is rejected: no analysis could measure it.
+//
+// Each line goes through jsonenc.Decoder, so what ParseSpans accepts a
+// json.Decoder reading the same bytes as a stream of SpanRecords accepts too,
+// and decodes to the same records. It is narrower than that stream on
+// purpose: a key not spelt as SpanRecord's tags spell it, a key given twice,
+// a null member, a line that holds no object or only part of one, two
+// objects on one line, and anything after the last object (json.Decoder.More
+// stops at a stray ']' and never reads on) are errors here.
 func ParseSpans(data []byte) ([]SpanRecord, error) {
-	var out []SpanRecord
+	out := make([]SpanRecord, 0, bytes.Count(data, []byte{'\n'})+1)
+	// The trace ID, process, host-named span names and attr keys repeat on
+	// every line, and each parent_span_id is an earlier line's span_id: one
+	// table shared by the lines' decoders makes each such string once.
+	strs := make(map[string]string, 2*cap(out))
 	var first, last time.Time
-	dec := json.NewDecoder(bytes.NewReader(data))
-	for dec.More() {
-		var rec SpanRecord
-		if err := dec.Decode(&rec); err != nil {
-			return nil, fmt.Errorf("telemetry: parse spans: %w", err)
+	for n, rest := 1, data; len(rest) > 0; n++ {
+		line := rest
+		if i := bytes.IndexByte(rest, '\n'); i >= 0 {
+			line, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = nil
+		}
+		if blank(line) {
+			continue
+		}
+		rec, err := parseSpan(line, strs)
+		if err != nil {
+			return nil, fmt.Errorf("telemetry: parse spans: line %d: %w", n, err)
 		}
 		if rec.End.Before(rec.Start) {
 			rec.End = rec.Start
@@ -426,6 +447,50 @@ func ParseSpans(data []byte) ([]SpanRecord, error) {
 		return nil, fmt.Errorf("telemetry: parse spans: spans cover %s to %s, more than a time.Duration holds", first, last)
 	}
 	return out, nil
+}
+
+// blank reports whether line holds nothing but JSON white space.
+func blank(line []byte) bool {
+	for _, c := range line {
+		if c != ' ' && c != '\t' && c != '\r' {
+			return false
+		}
+	}
+	return true
+}
+
+// parseSpan decodes one line of spans.json, its strings interned in strs.
+func parseSpan(line []byte, strs map[string]string) (SpanRecord, error) {
+	var rec SpanRecord
+	d := jsonenc.NewDecoder(line)
+	d.Intern(strs)
+	for d.Next() {
+		switch string(d.Key()) {
+		case "id":
+			rec.ID = int(d.ReadInt())
+		case "parent":
+			rec.Parent = int(d.ReadInt())
+		case "trace_id":
+			rec.TraceID = d.ReadString()
+		case "span_id":
+			rec.SpanID = d.ReadString()
+		case "parent_span_id":
+			rec.ParentSpanID = d.ReadString()
+		case "proc":
+			rec.Proc = d.ReadString()
+		case "name":
+			rec.Name = d.ReadString()
+		case "start":
+			rec.Start = d.ReadTime()
+		case "end":
+			rec.End = d.ReadTime()
+		case "attrs":
+			rec.Attrs = d.ReadStringMap()
+		default:
+			d.Unknown()
+		}
+	}
+	return rec, d.Err()
 }
 
 // ChromeEvent is one entry of the Chrome trace-event format ("X" complete

@@ -14,16 +14,19 @@
 package timeline
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
 	"pos/internal/eventlog"
+	"pos/internal/results"
 	"pos/internal/telemetry"
 )
 
@@ -149,73 +152,101 @@ func classify(name string) string {
 
 // node is one span in the reconstructed tree.
 type node struct {
-	rec      telemetry.SpanRecord
+	rec      *telemetry.SpanRecord
 	children []*node
 	retry    bool // a later attempt of an already-seen "run N" span
 }
 
 // buildTree reconstructs the span forest from records, preferring the hex
 // parent linkage (cross-process safe) and falling back to the int linkage
-// for archives predating trace identities. It returns the roots.
+// for archives predating trace identities. It returns the roots. The nodes
+// live in one slice, and their children lists in one shared backing slice.
 func buildTree(recs []telemetry.SpanRecord) []*node {
-	nodes := make([]*node, len(recs))
-	bySpanID := make(map[string]*node, len(recs))
-	for i, r := range recs {
-		nodes[i] = &node{rec: r}
-		if r.SpanID != "" {
-			bySpanID[r.SpanID] = nodes[i]
+	nodes := make([]node, len(recs))
+	bySpanID := make(map[string]int, len(recs))
+	legacy := false
+	for i := range recs {
+		nodes[i].rec = &recs[i]
+		if recs[i].SpanID != "" {
+			bySpanID[recs[i].SpanID] = i
+		} else {
+			legacy = true
 		}
 	}
-	// Legacy linkage is only unambiguous within one process's archive.
-	byIntID := make(map[string]map[int]*node)
-	for i, r := range recs {
-		m := byIntID[r.Proc]
-		if m == nil {
-			m = make(map[int]*node)
-			byIntID[r.Proc] = m
+	// Legacy linkage is only unambiguous within one process's archive, and
+	// only a span without a span_id follows it.
+	var byIntID map[string]map[int]int
+	if legacy {
+		byIntID = make(map[string]map[int]int)
+		for i, r := range recs {
+			m := byIntID[r.Proc]
+			if m == nil {
+				m = make(map[int]int)
+				byIntID[r.Proc] = m
+			}
+			m[r.ID] = i
 		}
-		m[r.ID] = nodes[i]
 	}
-	var roots []*node
+	// parent[i] is the index of node i's parent, or -1 for a root.
+	parent := make([]int, len(recs))
+	nkids := make([]int, len(recs))
+	nroots := 0
 	for i, r := range recs {
-		var parent *node
+		p, ok := 0, false
 		if r.ParentSpanID != "" {
-			parent = bySpanID[r.ParentSpanID]
+			p, ok = bySpanID[r.ParentSpanID]
 		}
-		if parent == nil && r.SpanID == "" && r.Parent != 0 {
-			parent = byIntID[r.Proc][r.Parent]
+		if !ok && r.SpanID == "" && r.Parent != 0 {
+			p, ok = byIntID[r.Proc][r.Parent]
 		}
-		if parent == nil || parent == nodes[i] {
-			roots = append(roots, nodes[i])
+		if !ok || p == i {
+			parent[i] = -1
+			nroots++
 			continue
 		}
-		parent.children = append(parent.children, nodes[i])
+		parent[i] = p
+		nkids[p]++
 	}
-	for _, n := range nodes {
-		sort.SliceStable(n.children, func(a, b int) bool {
-			return n.children[a].rec.Start.Before(n.children[b].rec.Start)
-		})
+	kids := make([]*node, len(recs)-nroots)
+	for i := range nodes {
+		nodes[i].children, kids = kids[:0:nkids[i]], kids[nkids[i]:]
+	}
+	roots := make([]*node, 0, nroots)
+	for i, p := range parent {
+		if p < 0 {
+			roots = append(roots, &nodes[i])
+			continue
+		}
+		nodes[p].children = append(nodes[p].children, &nodes[i])
+	}
+	for i := range nodes {
+		slices.SortStableFunc(nodes[i].children, byStart)
 	}
 	markRetries(nodes)
 	return roots
 }
 
+func byStart(a, b *node) int { return a.rec.Start.Compare(b.rec.Start) }
+
 // markRetries flags the second and later occurrences of each "run N" span
 // name as retries — the campaign opens one span per attempt, so duplicates
 // are exactly the re-dispatches.
-func markRetries(nodes []*node) {
-	byName := make(map[string][]*node)
-	for _, n := range nodes {
-		if strings.HasPrefix(n.rec.Name, "run ") {
-			byName[n.rec.Name] = append(byName[n.rec.Name], n)
+func markRetries(nodes []node) {
+	var runs []*node
+	for i := range nodes {
+		if strings.HasPrefix(nodes[i].rec.Name, "run ") {
+			runs = append(runs, &nodes[i])
 		}
 	}
-	for _, group := range byName {
-		sort.SliceStable(group, func(a, b int) bool {
-			return group[a].rec.Start.Before(group[b].rec.Start)
-		})
-		for _, n := range group[1:] {
-			n.retry = true
+	slices.SortStableFunc(runs, func(a, b *node) int {
+		if c := strings.Compare(a.rec.Name, b.rec.Name); c != 0 {
+			return c
+		}
+		return byStart(a, b)
+	})
+	for i := 1; i < len(runs); i++ {
+		if runs[i].rec.Name == runs[i-1].rec.Name {
+			runs[i].retry = true
 		}
 	}
 }
@@ -338,7 +369,11 @@ func subtreeEnd(n *node) time.Time {
 // Summarize computes the critical path and per-phase attribution from span
 // records alone, without the journal or the run directories.
 func Summarize(recs []telemetry.SpanRecord) *Summary {
-	roots := buildTree(recs)
+	return summarize(buildTree(recs))
+}
+
+// summarize is Summarize over the forest buildTree made of the records.
+func summarize(roots []*node) *Summary {
 	root := pickAnchor(roots)
 	if root == nil {
 		return &Summary{}
@@ -392,23 +427,14 @@ func ReadSpans(dir string) ([]telemetry.SpanRecord, error) {
 	return recs, nil
 }
 
-// runMeta is the slice of results.RunMeta the assembler needs; decoded
-// structurally so the timeline package does not depend on the results
-// store's locking machinery just to read finished artifacts.
-type runMeta struct {
-	Run        int       `json:"run"`
-	StartedAt  time.Time `json:"started_at"`
-	FinishedAt time.Time `json:"finished_at"`
-	Failed     bool      `json:"failed"`
-}
-
 // Assemble merges an experiment directory's archives into a Timeline.
 func Assemble(dir string) (*Timeline, error) {
 	recs, err := ReadSpans(dir)
 	if err != nil {
 		return nil, err
 	}
-	tl := &Timeline{Summary: *Summarize(recs), Spans: len(recs)}
+	roots := buildTree(recs)
+	tl := &Timeline{Summary: *summarize(roots), Spans: len(recs)}
 	procs := map[string]bool{}
 	for _, r := range recs {
 		if r.Proc != "" && !procs[r.Proc] {
@@ -432,7 +458,7 @@ func Assemble(dir string) (*Timeline, error) {
 	for i := range tl.Runs {
 		tl.Runs[i].Attempts = attempts[tl.Runs[i].Run]
 	}
-	tl.Replicas = replicaStats(recs)
+	tl.Replicas = replicaStats(roots)
 	tl.Stragglers = findStragglers(tl.Runs, tl.Replicas)
 	return tl, nil
 }
@@ -480,22 +506,30 @@ func readRuns(dir string, recs []telemetry.SpanRecord) []RunStat {
 	if err != nil {
 		return nil
 	}
-	var out []RunStat
+	out := make([]RunStat, 0, len(entries))
+	var buf bytes.Buffer // one buffer for every run's file
+	var name [24]byte    // "run N", the span a run's metadata belongs to
 	for _, ent := range entries {
 		if !ent.IsDir() || !strings.HasPrefix(ent.Name(), "run_") {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(dir, ent.Name(), "metadata.json"))
+		f, err := os.Open(filepath.Join(dir, ent.Name(), "metadata.json"))
 		if err != nil {
 			continue
 		}
-		var m runMeta
-		if json.Unmarshal(data, &m) != nil || m.FinishedAt.Before(m.StartedAt) {
+		buf.Reset()
+		_, err = buf.ReadFrom(f)
+		f.Close()
+		if err != nil {
+			continue
+		}
+		m, err := results.DecodeRunMeta(buf.Bytes())
+		if err != nil || m.FinishedAt.Before(m.StartedAt) {
 			continue
 		}
 		out = append(out, RunStat{
 			Run:     m.Run,
-			Replica: replicaOf[fmt.Sprintf("run %d", m.Run)],
+			Replica: replicaOf[string(strconv.AppendInt(append(name[:0], "run "...), int64(m.Run), 10))],
 			DurMS:   ms(m.FinishedAt.Sub(m.StartedAt)),
 			Failed:  m.Failed,
 		})
@@ -520,8 +554,7 @@ func runAttempts(events []eventlog.Event) map[int]int {
 
 // replicaStats computes per-lane busy/idle time from "replica:<name>" lane
 // spans: busy is the union of the lane's child intervals, idle the rest.
-func replicaStats(recs []telemetry.SpanRecord) []ReplicaStat {
-	roots := buildTree(recs)
+func replicaStats(roots []*node) []ReplicaStat {
 	var lanes []*node
 	var collect func(n *node)
 	collect = func(n *node) {
