@@ -34,7 +34,9 @@ bench-smoke:
 	go test -C bench ./...
 
 # Fuzz tier: every fuzz target in the tree, five seconds each. `go test`
-# alone runs only their seed corpora. Targets are found by grep, so a new one
+# alone runs only their seed corpora. A new input is minimized for at most a
+# second, not the default minute: a target with kilobyte seeds otherwise
+# spends its five seconds minimizing instead of fuzzing. Targets are found by grep, so a new one
 # cannot be forgotten; `go test -fuzz` takes one target of one package per
 # run, and -C keeps it working for a target under bench/ (its own module).
 .PHONY: fuzz-smoke
@@ -43,7 +45,7 @@ fuzz-smoke:
 	for file in $$(grep -rl --include='*_test.go' --exclude-dir=.bench_build '^func Fuzz' .); do \
 		for target in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$file); do \
 			echo "== $$target ($$(dirname $$file))"; \
-			go test -C $$(dirname $$file) -run '^$$' -fuzz "^$$target\$$" -fuzztime=5s .; \
+			go test -C $$(dirname $$file) -run '^$$' -fuzz "^$$target\$$" -fuzztime=5s -fuzzminimizetime=1s .; \
 		done; \
 	done
 
@@ -105,8 +107,9 @@ profile-dataplane:
 # attribution has exactly one owner, no engine-mode switch outside the
 # engine and the topology builder — the scalar event-per-hop path is the
 # differential tests' oracle, reached only through Engine.SetBatching in a
-# test — no encoding/json in internal/shell outside tests, so the shell's
-# frames keep their hand codecs and encoding/json stays their oracle, and
+# test — no encoding/json outside tests in internal/shell, internal/mgmt,
+# internal/wire or internal/eventlog, so the control frames and the event
+# journal keep their hand codecs and encoding/json stays their oracle, and
 # none in internal/timeline outside tests, so a campaign's spans.json and
 # metadata.json are read through jsonenc as they are written — no
 # html/template or text/template in internal/ or cmd/ outside tests, so the
@@ -147,9 +150,10 @@ lint:
 	if [ -n "$$out" ]; then \
 		echo "SetBatching outside internal/sim and internal/topo (the scalar engine is a test-only oracle):"; \
 		echo "$$out"; exit 1; fi
-	@out=$$(grep -rn '"encoding/json"' internal/shell --include='*.go' | grep -v _test.go; true); \
+	@out=$$(grep -rn '"encoding/json"' internal/shell internal/mgmt internal/wire internal/eventlog \
+		--include='*.go' | grep -v _test.go; true); \
 	if [ -n "$$out" ]; then \
-		echo "encoding/json imported in internal/shell (frames go through AppendJSON and DecodeJSON; encoding/json is the tests' oracle):"; \
+		echo "encoding/json imported in internal/shell, internal/mgmt, internal/wire or internal/eventlog (frames and events go through AppendJSON and DecodeJSON; encoding/json is the tests' oracle):"; \
 		echo "$$out"; exit 1; fi
 	@out=$$(grep -rn '"encoding/json"' internal/timeline --include='*.go' | grep -v _test.go; true); \
 	if [ -n "$$out" ]; then \

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -155,10 +154,16 @@ func cmdWatch(args []string) error {
 		return fmt.Errorf("watch: -last resumes a live stream; -dir replays the whole journal")
 	}
 	states := map[string]*replicaState{}
-	enc := json.NewEncoder(os.Stdout)
+	var line []byte
 	show := func(ev eventlog.Event) error {
 		if *jsonOut {
-			return enc.Encode(ev)
+			var err error
+			if line, err = ev.AppendJSON(line[:0]); err != nil {
+				return err
+			}
+			line = append(line, '\n')
+			_, err = os.Stdout.Write(line)
+			return err
 		}
 		applyEvent(states, ev)
 		fmt.Println(renderEvent(ev))

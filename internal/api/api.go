@@ -41,6 +41,7 @@ import (
 	"pos/internal/results"
 	"pos/internal/telemetry"
 	"pos/internal/testbed"
+	"pos/internal/wire"
 )
 
 // NodeStatus is one node's state as reported by the API.
@@ -238,9 +239,17 @@ func (s *Server) Close() error {
 	return s.Shutdown(ctx)
 }
 
+// writeJSON writes v as the response body, as json.Encoder writes it: the
+// JSON and a newline. A wire.Appender encodes itself.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
+	if a, ok := v.(wire.Appender); ok {
+		if body := a.AppendJSON(make([]byte, 0, 512)); len(body) > 0 {
+			w.Write(append(body, '\n'))
+		}
+		return
+	}
 	json.NewEncoder(w).Encode(v)
 }
 
@@ -248,11 +257,34 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
+// maxBodyBytes bounds a request or response body the API reads.
+const maxBodyBytes = 16 << 20
+
+// readJSON decodes the request body into v: through its DecodeJSON when v is
+// a wire.Decoder, which rejects unknown keys itself, and through
+// encoding/json with unknown fields disallowed otherwise.
 func readJSON(r *http.Request, v any) error {
 	defer r.Body.Close()
-	dec := json.NewDecoder(io.LimitReader(r.Body, 16<<20))
+	body := io.LimitReader(r.Body, maxBodyBytes)
+	if d, ok := v.(wire.Decoder); ok {
+		data, err := io.ReadAll(body)
+		if err != nil {
+			return err
+		}
+		return d.DecodeJSON(data)
+	}
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
+}
+
+// unmarshal decodes a response body into out, through its DecodeJSON when
+// out is a wire.Decoder.
+func unmarshal(data []byte, out any) error {
+	if d, ok := out.(wire.Decoder); ok {
+		return d.DecodeJSON(data)
+	}
+	return json.Unmarshal(data, out)
 }
 
 func (s *Server) handleOf(r *http.Request) (*testbed.Handle, error) {
@@ -534,7 +566,9 @@ func (c *Client) do(method, path string, body, out any) error {
 // HTTP layer never expires before the work it is waiting on.
 func (c *Client) doCtx(ctx context.Context, method, path string, body, out any, extra time.Duration) error {
 	var rd io.Reader
-	if body != nil {
+	if a, ok := body.(wire.Appender); ok {
+		rd = bytes.NewReader(a.AppendJSON(make([]byte, 0, 256)))
+	} else if body != nil {
 		data, err := json.Marshal(body)
 		if err != nil {
 			return fmt.Errorf("api: %w", err)
@@ -564,7 +598,7 @@ func (c *Client) doCtx(ctx context.Context, method, path string, body, out any, 
 		return fmt.Errorf("api: %w", err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
 	if err != nil {
 		return fmt.Errorf("api: %w", err)
 	}
@@ -573,7 +607,7 @@ func (c *Client) doCtx(ctx context.Context, method, path string, body, out any, 
 		if json.Unmarshal(data, &eb) == nil && eb.Error != "" {
 			// For exec, the body may carry output alongside the error.
 			if out != nil {
-				_ = json.Unmarshal(data, out)
+				_ = unmarshal(data, out)
 			}
 			return fmt.Errorf("api: %s %s: %s", method, path, eb.Error)
 		}
@@ -582,7 +616,7 @@ func (c *Client) doCtx(ctx context.Context, method, path string, body, out any, 
 	if out == nil {
 		return nil
 	}
-	if err := json.Unmarshal(data, out); err != nil {
+	if err := unmarshal(data, out); err != nil {
 		return fmt.Errorf("api: decoding response: %w", err)
 	}
 	return nil

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"pos/internal/jsonenc"
 	"pos/internal/queue"
 	"pos/internal/telemetry"
 )
@@ -40,6 +41,134 @@ type CampaignView struct {
 	Admitted     time.Time `json:"admitted"`
 	Finished     time.Time `json:"finished"`
 	Error        string    `json:"error,omitempty"`
+}
+
+// AppendJSON appends the request as one JSON object, byte for byte what
+// encoding/json writes for it (wire.Appender).
+func (r *CampaignRequest) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"user":`...)
+	dst = jsonenc.AppendString(dst, r.User)
+	dst = jsonenc.AppendOmitEmpty(dst, `,"name":`, r.Name)
+	dst = append(dst, `,"nodes":`...)
+	dst = jsonenc.AppendStrings(dst, r.Nodes)
+	dst = append(dst, `,"minutes":`...)
+	dst = strconv.AppendInt(dst, int64(r.Minutes), 10)
+	dst = jsonenc.AppendIntOmitEmpty(dst, `,"priority":`, int64(r.Priority))
+	dst = jsonenc.AppendOmitEmpty(dst, `,"exp_dir":`, r.ExpDir)
+	dst = jsonenc.AppendOmitEmpty(dst, `,"spec":`, r.Spec)
+	return append(dst, '}')
+}
+
+// DecodeJSON reads one request from data into r, replacing what r held:
+// the mirror of AppendJSON (wire.Decoder). It accepts a strict subset of
+// what encoding/json accepts, and decodes that to the same CampaignRequest:
+// keys spelt as AppendJSON spells them, each at most once, none null but
+// nodes.
+func (r *CampaignRequest) DecodeJSON(data []byte) error {
+	*r = CampaignRequest{}
+	d := jsonenc.NewDecoder(data)
+	for d.Next() {
+		switch string(d.Key()) {
+		case "user":
+			r.User = d.ReadString()
+		case "name":
+			r.Name = d.ReadString()
+		case "nodes":
+			if !d.Null() {
+				r.Nodes = d.ReadStrings()
+			}
+		case "minutes":
+			r.Minutes = int(d.ReadInt())
+		case "priority":
+			r.Priority = int(d.ReadInt())
+		case "exp_dir":
+			r.ExpDir = d.ReadString()
+		case "spec":
+			r.Spec = d.ReadString()
+		default:
+			d.Unknown()
+		}
+	}
+	return d.Err()
+}
+
+// AppendJSON appends the view as one JSON object, byte for byte what
+// encoding/json writes for it (wire.Appender). A view holding a time RFC 3339
+// cannot carry appends nothing, as json.Encoder writes nothing for it, and
+// the client's decode fails.
+func (v *CampaignView) AppendJSON(dst []byte) []byte {
+	n0 := len(dst)
+	dst = append(dst, `{"id":`...)
+	dst = strconv.AppendInt(dst, int64(v.ID), 10)
+	dst = append(dst, `,"user":`...)
+	dst = jsonenc.AppendString(dst, v.User)
+	dst = append(dst, `,"name":`...)
+	dst = jsonenc.AppendString(dst, v.Name)
+	dst = append(dst, `,"state":`...)
+	dst = jsonenc.AppendString(dst, v.State)
+	dst = append(dst, `,"nodes":`...)
+	dst = jsonenc.AppendStrings(dst, v.Nodes)
+	dst = append(dst, `,"minutes":`...)
+	dst = strconv.AppendInt(dst, int64(v.Minutes), 10)
+	dst = jsonenc.AppendIntOmitEmpty(dst, `,"priority":`, int64(v.Priority))
+	dst = jsonenc.AppendOmitEmpty(dst, `,"spec":`, v.Spec)
+	dst = jsonenc.AppendIntOmitEmpty(dst, `,"position":`, int64(v.Position))
+	dst = jsonenc.AppendIntOmitEmpty(dst, `,"allocation_id":`, int64(v.AllocationID))
+	dst = append(dst, `,"submitted":`...)
+	dst, errSubmitted := jsonenc.AppendTime(dst, v.Submitted)
+	dst = append(dst, `,"admitted":`...)
+	dst, errAdmitted := jsonenc.AppendTime(dst, v.Admitted)
+	dst = append(dst, `,"finished":`...)
+	dst, errFinished := jsonenc.AppendTime(dst, v.Finished)
+	if errSubmitted != nil || errAdmitted != nil || errFinished != nil {
+		return dst[:n0]
+	}
+	dst = jsonenc.AppendOmitEmpty(dst, `,"error":`, v.Error)
+	return append(dst, '}')
+}
+
+// DecodeJSON reads one view from data into v, the mirror of AppendJSON
+// (wire.Decoder), under the same rules as CampaignRequest.DecodeJSON.
+func (v *CampaignView) DecodeJSON(data []byte) error {
+	*v = CampaignView{}
+	d := jsonenc.NewDecoder(data)
+	for d.Next() {
+		switch string(d.Key()) {
+		case "id":
+			v.ID = int(d.ReadInt())
+		case "user":
+			v.User = d.ReadString()
+		case "name":
+			v.Name = d.ReadString()
+		case "state":
+			v.State = d.ReadString()
+		case "nodes":
+			if !d.Null() {
+				v.Nodes = d.ReadStrings()
+			}
+		case "minutes":
+			v.Minutes = int(d.ReadInt())
+		case "priority":
+			v.Priority = int(d.ReadInt())
+		case "spec":
+			v.Spec = d.ReadString()
+		case "position":
+			v.Position = int(d.ReadInt())
+		case "allocation_id":
+			v.AllocationID = int(d.ReadInt())
+		case "submitted":
+			v.Submitted = d.ReadTime()
+		case "admitted":
+			v.Admitted = d.ReadTime()
+		case "finished":
+			v.Finished = d.ReadTime()
+		case "error":
+			v.Error = d.ReadString()
+		default:
+			d.Unknown()
+		}
+	}
+	return d.Err()
 }
 
 // SetQueue attaches the campaign queue, enabling the campaign endpoints.
@@ -96,7 +225,8 @@ func (s *Server) submitCampaign(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, campaignView(st))
+	view := campaignView(st)
+	writeJSON(w, http.StatusCreated, &view)
 }
 
 func (s *Server) listCampaigns(w http.ResponseWriter, r *http.Request) {
@@ -127,7 +257,8 @@ func (s *Server) getCampaign(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, campaignView(st))
+	view := campaignView(st)
+	writeJSON(w, http.StatusOK, &view)
 }
 
 func (s *Server) cancelCampaign(w http.ResponseWriter, r *http.Request) {
@@ -154,7 +285,8 @@ func (s *Server) cancelCampaign(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, campaignView(st))
+	view := campaignView(st)
+	writeJSON(w, http.StatusOK, &view)
 }
 
 // SubmitCampaign queues a campaign and returns its assigned status.
@@ -168,7 +300,7 @@ func (c *Client) SubmitCampaign(req CampaignRequest) (CampaignView, error) {
 // and the campaign run all stitch under the submitter's trace.
 func (c *Client) SubmitCampaignContext(ctx context.Context, req CampaignRequest) (CampaignView, error) {
 	var out CampaignView
-	err := c.doCtx(ctx, http.MethodPost, "/api/v1/campaigns", req, &out, 0)
+	err := c.doCtx(ctx, http.MethodPost, "/api/v1/campaigns", &req, &out, 0)
 	return out, err
 }
 

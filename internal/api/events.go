@@ -2,14 +2,14 @@ package api
 
 import (
 	"bufio"
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 
 	"pos/internal/eventlog"
 )
@@ -74,23 +74,29 @@ func resumeCursor(r *http.Request) uint64 {
 	return n
 }
 
-func writeSSE(w http.ResponseWriter, ev eventlog.Event) error {
-	data, err := json.Marshal(ev)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "id: %d\ndata: %s\n\n", ev.Seq, data)
-	return err
+// sseWriter frames one SSE stream's events into one reused buffer.
+type sseWriter struct {
+	w   io.Writer
+	buf []byte
 }
 
-// writeSSEData writes an event without an id: line — used for synthetic
-// events (Seq 0) that must not regress the client's Last-Event-ID cursor.
-func writeSSEData(w http.ResponseWriter, ev eventlog.Event) error {
-	data, err := json.Marshal(ev)
+// write sends ev as one SSE message: an id: line, unless ev is synthetic
+// (Seq 0) and must not regress the client's Last-Event-ID cursor, then a
+// data: line holding the event's JSON.
+func (s *sseWriter) write(ev eventlog.Event, withID bool) error {
+	b := s.buf[:0]
+	if withID {
+		b = append(b, "id: "...)
+		b = strconv.AppendUint(b, ev.Seq, 10)
+		b = append(b, '\n')
+	}
+	b = append(b, "data: "...)
+	b, err := ev.AppendJSON(b)
 	if err != nil {
 		return err
 	}
-	_, err = fmt.Fprintf(w, "data: %s\n\n", data)
+	s.buf = append(b, "\n\n"...)
+	_, err = s.w.Write(s.buf)
 	return err
 }
 
@@ -128,6 +134,7 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
+	sse := sseWriter{w: w}
 
 	// Journal catch-up: everything the client missed, in order.
 	if history, err := p.ReplaySince(cursor); err == nil {
@@ -138,7 +145,7 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request) {
 			if !filter.match(ev) {
 				continue
 			}
-			if writeSSE(w, ev) != nil {
+			if sse.write(ev, true) != nil {
 				return
 			}
 		}
@@ -156,7 +163,7 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request) {
 		// have been filtered out, and the missing id: line keeps its resume
 		// cursor intact.
 		if ev.Typ == eventlog.TypeDropped {
-			if writeSSEData(w, ev) != nil {
+			if sse.write(ev, false) != nil {
 				return
 			}
 			fl.Flush()
@@ -166,7 +173,7 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		cursor = ev.Seq
-		if writeSSE(w, ev) != nil {
+		if sse.write(ev, true) != nil {
 			return
 		}
 		fl.Flush()
@@ -230,28 +237,27 @@ func (c *Client) StreamEvents(ctx context.Context, opts EventStreamOptions, fn f
 
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	var data string
+	var data []byte
 	for sc.Scan() {
-		line := sc.Text()
+		line := sc.Bytes()
 		switch {
-		case line == "":
-			if data == "" {
+		case len(line) == 0:
+			if len(data) == 0 {
 				continue
 			}
-			var ev eventlog.Event
-			ev.Run = eventlog.NoRun
-			if err := json.Unmarshal([]byte(data), &ev); err != nil {
+			ev, err := eventlog.Decode(data)
+			if err != nil {
 				return fmt.Errorf("api: decoding event: %w", err)
 			}
-			data = ""
+			data = data[:0]
 			if err := fn(ev); err != nil {
 				if errors.Is(err, ErrStopStream) {
 					return nil
 				}
 				return err
 			}
-		case strings.HasPrefix(line, "data:"):
-			data = strings.TrimSpace(strings.TrimPrefix(line, "data:"))
+		case bytes.HasPrefix(line, []byte("data:")):
+			data = append(data[:0], bytes.TrimSpace(line[len("data:"):])...)
 		default:
 			// id:/comment lines — the seq travels inside the JSON too.
 		}

@@ -14,9 +14,11 @@
 package eventlog
 
 import (
-	"encoding/json"
 	"fmt"
+	"strconv"
 	"time"
+
+	"pos/internal/jsonenc"
 )
 
 // Type classifies an event.
@@ -79,19 +81,85 @@ type Event struct {
 	Attrs map[string]string `json:"attrs,omitempty"`
 }
 
-// Encode renders the event as one JSONL line (trailing newline included).
-func (e Event) Encode() ([]byte, error) {
-	data, err := json.Marshal(e)
+// AppendJSON appends the event as one JSON object, byte for byte what
+// encoding/json.Marshal writes for it: a journal line without its newline.
+// Like Marshal it refuses a time that RFC 3339 cannot carry.
+func (e *Event) AppendJSON(dst []byte) ([]byte, error) {
+	dst = append(dst, `{"seq":`...)
+	dst = strconv.AppendUint(dst, e.Seq, 10)
+	dst = append(dst, `,"at":`...)
+	dst, err := jsonenc.AppendTime(dst, e.At)
 	if err != nil {
-		return nil, fmt.Errorf("eventlog: encode: %w", err)
+		return dst, fmt.Errorf("eventlog: encode: %w", err)
 	}
-	return append(data, '\n'), nil
+	dst = append(dst, `,"type":`...)
+	dst = jsonenc.AppendString(dst, string(e.Typ))
+	dst = jsonenc.AppendOmitEmpty(dst, `,"level":`, e.Level)
+	dst = jsonenc.AppendOmitEmpty(dst, `,"replica":`, e.Replica)
+	dst = jsonenc.AppendOmitEmpty(dst, `,"node":`, e.Node)
+	dst = jsonenc.AppendOmitEmpty(dst, `,"phase":`, e.Phase)
+	dst = append(dst, `,"run":`...)
+	dst = strconv.AppendInt(dst, int64(e.Run), 10)
+	dst = jsonenc.AppendIntOmitEmpty(dst, `,"total_runs":`, int64(e.TotalRuns))
+	dst = jsonenc.AppendIntOmitEmpty(dst, `,"attempt":`, int64(e.Attempt))
+	dst = jsonenc.AppendOmitEmpty(dst, `,"message":`, e.Message)
+	dst = jsonenc.AppendOmitEmpty(dst, `,"error":`, e.Error)
+	if len(e.Attrs) > 0 {
+		dst = append(dst, `,"attrs":`...)
+		dst = jsonenc.AppendStringMap(dst, e.Attrs)
+	}
+	return append(dst, '}'), nil
 }
 
-// Decode parses one JSONL line produced by Encode.
+// Decode parses one journal line, as AppendJSON writes it. It accepts a strict
+// subset of what encoding/json accepts, and decodes that to the same Event:
+// keys spelt as AppendJSON spells them, each at most once, none null but
+// attrs. An absent run is NoRun.
 func Decode(line []byte) (Event, error) {
+	return decode(line, nil)
+}
+
+// decode is Decode with its strings interned in strs (jsonenc.Decoder.Intern)
+// unless that is nil.
+func decode(line []byte, strs map[string]string) (Event, error) {
 	ev := Event{Run: NoRun}
-	if err := json.Unmarshal(line, &ev); err != nil {
+	d := jsonenc.NewDecoder(line)
+	d.Intern(strs)
+	for d.Next() {
+		switch string(d.Key()) {
+		case "seq":
+			ev.Seq = d.ReadUint()
+		case "at":
+			ev.At = d.ReadTime()
+		case "type":
+			ev.Typ = Type(d.ReadString())
+		case "level":
+			ev.Level = d.ReadString()
+		case "replica":
+			ev.Replica = d.ReadString()
+		case "node":
+			ev.Node = d.ReadString()
+		case "phase":
+			ev.Phase = d.ReadString()
+		case "run":
+			ev.Run = int(d.ReadInt())
+		case "total_runs":
+			ev.TotalRuns = int(d.ReadInt())
+		case "attempt":
+			ev.Attempt = int(d.ReadInt())
+		case "message":
+			ev.Message = d.ReadString()
+		case "error":
+			ev.Error = d.ReadString()
+		case "attrs":
+			if !d.Null() {
+				ev.Attrs = d.ReadStringMap()
+			}
+		default:
+			d.Unknown()
+		}
+	}
+	if err := d.Err(); err != nil {
 		return Event{}, fmt.Errorf("eventlog: decode: %w", err)
 	}
 	return ev, nil

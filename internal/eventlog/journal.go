@@ -2,9 +2,11 @@ package eventlog
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -32,6 +34,8 @@ type Journal struct {
 	size     int64
 	segIdx   int
 	lastSeq  uint64
+	// line is the buffer every Append encodes into, reused under mu.
+	line []byte
 }
 
 // OpenJournal opens (creating if needed) the journal rooted at dir. An
@@ -134,15 +138,17 @@ func (j *Journal) openSegment() error {
 // Append writes one event as a JSONL line, rotating to a fresh segment first
 // when the current one is at its size limit.
 func (j *Journal) Append(ev Event) error {
-	line, err := ev.Encode()
-	if err != nil {
-		return err
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return fmt.Errorf("eventlog: journal: closed")
 	}
+	line, err := ev.AppendJSON(j.line[:0])
+	if err != nil {
+		return err
+	}
+	line = append(line, '\n')
+	j.line = line
 	if j.size > 0 && j.size+int64(len(line)) > j.segLimit {
 		if err := j.f.Close(); err != nil {
 			return fmt.Errorf("eventlog: journal: %w", err)
@@ -201,13 +207,15 @@ func Replay(dir string) ([]Event, error) {
 
 // ReplaySince reads the events with Seq > after. It reads segment files
 // directly, so it works on live journals (appends are line-atomic within one
-// process) and on finished experiments alike.
+// process) and on finished experiments alike. The strings of one replay are
+// interned: the node, phase and type names every event repeats are shared.
 func ReplaySince(dir string, after uint64) ([]Event, error) {
 	idxs, err := segments(dir)
 	if err != nil {
 		return nil, err
 	}
 	var events []Event
+	strs := make(map[string]string)
 	for si, idx := range idxs {
 		data, err := os.ReadFile(filepath.Join(dir, segmentName(idx)))
 		if err != nil {
@@ -216,20 +224,26 @@ func ReplaySince(dir string, after uint64) ([]Event, error) {
 		if si == len(idxs)-1 {
 			data = data[:bytes.LastIndexByte(data, '\n')+1]
 		}
-		lines := bytes.Split(data, []byte{'\n'})
-		for li, line := range lines {
+		events = slices.Grow(events, bytes.Count(data, []byte{'\n'}))
+		for li := 1; len(data) > 0; li++ {
+			end := bytes.IndexByte(data, '\n')
+			if end < 0 {
+				end = len(data)
+			}
+			line := data[:end]
+			data = data[min(end+1, len(data)):]
 			if len(line) == 0 {
 				continue
 			}
-			ev, err := Decode(line)
+			ev, err := decode(line, strs)
 			if err != nil {
-				return nil, fmt.Errorf("eventlog: journal: segment %d line %d: %w", idx, li+1, err)
+				return nil, fmt.Errorf("eventlog: journal: segment %d line %d: %w", idx, li, err)
 			}
 			if ev.Seq > after {
 				events = append(events, ev)
 			}
 		}
 	}
-	sort.SliceStable(events, func(a, b int) bool { return events[a].Seq < events[b].Seq })
+	slices.SortStableFunc(events, func(a, b Event) int { return cmp.Compare(a.Seq, b.Seq) })
 	return events, nil
 }

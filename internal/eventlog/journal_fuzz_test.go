@@ -90,10 +90,10 @@ var canonicalSegment = regexp.MustCompile(`^events-(\d{5}|[1-9]\d{5,})\.jsonl$`)
 
 // encoded renders events as journal lines, for comparison.
 func encoded(evs []Event) string {
-	var b strings.Builder
+	var b []byte
 	for _, ev := range evs {
-		line, _ := ev.Encode()
-		b.Write(line)
+		b, _ = ev.AppendJSON(b)
+		b = append(b, '\n')
 	}
-	return b.String()
+	return string(b)
 }

@@ -3,6 +3,7 @@ package jsonenc
 import (
 	"encoding/base64"
 	"errors"
+	"math"
 	"strconv"
 	"time"
 	"unicode/utf16"
@@ -10,7 +11,8 @@ import (
 )
 
 // maxMembers bounds the members one Decoder reads: it is the size of the
-// table that catches a repeated key. The frames it reads have at most eight.
+// table that catches a repeated key. The objects it reads have at most
+// fourteen (a campaign view).
 const maxMembers = 16
 
 // Decoder reads one flat JSON object member by member, pull style:
@@ -132,14 +134,20 @@ func (d *Decoder) Unknown() {
 // ReadString reads the current member as a string, unquoted as
 // encoding/json unquotes it: escapes resolved, a lone or mismatched
 // surrogate and every byte of invalid UTF-8 replaced by U+FFFD. An escaped
-// string is unquoted on the stack, so a string costs one allocation.
+// string is unquoted on the stack, so a string costs one allocation; past
+// the stack's size, into one buffer as long as the quoted form, which
+// escapes only shorten, so it costs two.
 func (d *Decoder) ReadString() string {
 	raw, plain, ok := d.stringValue()
 	if !ok || plain {
 		return d.str(raw)
 	}
 	var stack [256]byte
-	return d.str(unquote(stack[:0], raw))
+	buf := stack[:0]
+	if len(raw) > len(stack) {
+		buf = make([]byte, 0, len(raw))
+	}
+	return d.str(unquote(buf, raw))
 }
 
 // str returns b as a string, from the intern table when there is one.
@@ -182,41 +190,49 @@ func (d *Decoder) ReadInt() int64 {
 	if !d.notNull() {
 		return 0
 	}
-	i := d.pos
-	neg := i < len(d.data) && d.data[i] == '-'
-	if neg {
-		i++
+	if d.peek() == '-' {
+		d.pos++
+		return -int64(d.digits(1<<63, "int64"))
 	}
-	start := i
-	const cutoff = 1 << 63
+	return int64(d.digits(1<<63-1, "int64"))
+}
+
+// ReadUint reads the current member as an integer that fits a uint64, under
+// ReadInt's rules; a minus sign, even on zero, is an error, as it is for
+// encoding/json into an unsigned field.
+func (d *Decoder) ReadUint() uint64 {
+	if !d.notNull() {
+		return 0
+	}
+	return d.digits(math.MaxUint64, "uint64")
+}
+
+// digits reads the unsigned decimal integer at the cursor, which must not
+// exceed limit.
+func (d *Decoder) digits(limit uint64, typ string) uint64 {
+	i := d.pos
 	var n uint64
 	for ; i < len(d.data) && '0' <= d.data[i] && d.data[i] <= '9'; i++ {
 		digit := uint64(d.data[i] - '0')
-		if n > (cutoff-digit)/10 {
-			d.fail("integer overflows int64")
+		if n > (limit-digit)/10 {
+			d.fail("integer overflows " + typ)
 			return 0
 		}
 		n = n*10 + digit
 	}
 	switch {
-	case i == start:
+	case i == d.pos:
 		d.fail("expected an integer")
 		return 0
-	case d.data[start] == '0' && i-start > 1:
+	case d.data[d.pos] == '0' && i-d.pos > 1:
 		d.fail("integer with a leading zero")
 		return 0
 	case i < len(d.data) && (d.data[i] == '.' || d.data[i] == 'e' || d.data[i] == 'E'):
 		d.fail("number is not an integer")
 		return 0
-	case !neg && n == cutoff:
-		d.fail("integer overflows int64")
-		return 0
 	}
 	d.pos = i
-	if neg {
-		return -int64(n)
-	}
-	return int64(n)
+	return n
 }
 
 // ReadBool reads the current member as true or false.
@@ -264,6 +280,38 @@ func (d *Decoder) Null() bool {
 		return true
 	}
 	return false
+}
+
+// ReadStrings reads the current member as an array of strings. "[]" is an
+// empty slice, not nil. The elements are gathered on the stack, so an array
+// of up to sixteen costs one allocation beside its strings.
+func (d *Decoder) ReadStrings() []string {
+	if !d.notNull() || !d.consume('[') {
+		return nil
+	}
+	d.skipSpace()
+	if d.peek() == ']' {
+		d.pos++
+		return []string{}
+	}
+	var stack [16]string
+	ss := stack[:0]
+	for {
+		d.skipSpace()
+		s := d.ReadString()
+		if d.err != nil {
+			return nil
+		}
+		ss = append(ss, s)
+		d.skipSpace()
+		if d.peek() == ']' {
+			d.pos++
+			return append([]string(nil), ss...)
+		}
+		if !d.consume(',') {
+			return nil
+		}
+	}
 }
 
 // ReadStringMap reads the current member as an object of strings. "{}" is

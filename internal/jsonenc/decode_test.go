@@ -15,7 +15,9 @@ type record struct {
 	S string            `json:"s,omitempty"`
 	B []byte            `json:"b,omitempty"`
 	I int64             `json:"i,omitempty"`
+	U uint64            `json:"u,omitempty"`
 	T bool              `json:"t,omitempty"`
+	L []string          `json:"l,omitempty"`
 	M map[string]string `json:"m,omitempty"`
 }
 
@@ -33,8 +35,12 @@ func decodeRecord(data []byte, strs map[string]string) (record, error) {
 			r.B = d.ReadBytes()
 		case "i":
 			r.I = d.ReadInt()
+		case "u":
+			r.U = d.ReadUint()
 		case "t":
 			r.T = d.ReadBool()
+		case "l":
+			r.L = d.ReadStrings()
 		case "m":
 			r.M = d.ReadStringMap()
 		default:
@@ -76,9 +82,13 @@ var decodeCorpus = []string{
 	`{"i":0}`, `{"i":-0}`, `{"i":9223372036854775807}`, `{"i":-9223372036854775808}`,
 	`{"i":9223372036854775808}`, `{"i":-9223372036854775809}`, `{"i":99999999999999999999}`,
 	`{"i":1e2}`, `{"i":1.0}`, `{"i":01}`, `{"i":-}`, `{"i":+1}`, `{"i":"1"}`,
+	`{"u":0}`, `{"u":18446744073709551615}`, `{"u":18446744073709551616}`, `{"u":99999999999999999999}`,
+	`{"u":-0}`, `{"u":-1}`, `{"u":1e2}`, `{"u":1.0}`, `{"u":01}`, `{"u":+1}`, `{"u":"1"}`,
 	`{"t":true}`, `{"t":false}`, `{"t":tru}`, `{"t":truex}`, `{"t":1}`,
 	`{"m":{}}`, `{"m":{"a":"1","b":"2"}}`, `{"m":{"a":"1","a":"2"}}`, `{"m":{"é":"\ud800"}}`, `{"m":{"a":1}}`, `{"m":{"a":null}}`,
 	`{"m":{"a":"1",}}`, `{"m":{"a"}}`,
+	`{"l":[]}`, `{"l":["n1","n2"]}`, ` {"l" : [ "a" ,"\u00e9\ud800", "" ] } `, `{"l":["a"],"l":["b"]}`, `{"l":[1]}`, `{"l":[null]}`,
+	`{"l":["a",]}`, `{"l":["a" "b"]}`, `{"l":[}`, `{"l":["a"}`, `{"l":{}}`, `{"l":"a"}`, `{"l":null}`,
 	`{"s":"x","s":"y"}`, `{"S":"x"}`, `{"\u0073":"x"}`, `{"x":1}`, `{"s":null}`, `null`, `[]`, `"s"`, ``, `{`, `{"s":"x"`,
 	`{"s":"x"}x`, `{"s":"x"}{}`, `{"s":"x",}`, `{,"s":"x"}`, `{"s" "x"}`, `{"s":"unterminated}`, "{\"s\":\"tab\there\"}",
 	`{"s":"\x"}`, `{"s":"\u12"}`, `{"s":"\u12G4"}`, `{"s":"end\`,
@@ -100,7 +110,7 @@ func TestDecoderIsSubsetOfUnmarshal(t *testing.T) {
 func TestDecoderStricterThanUnmarshal(t *testing.T) {
 	for _, in := range []string{
 		`{"s":"x","s":"y"}`, `{"S":"x"}`, `{"\u0073":"x"}`, `{"x":1}`, `{"s":null}`, `{"m":null}`,
-		`{"m":{"a":null}}`, `null`,
+		`{"m":{"a":null}}`, `{"l":null}`, `{"l":[null]}`, `null`,
 	} {
 		var r record
 		if err := json.Unmarshal([]byte(in), &r); err != nil {
@@ -116,8 +126,8 @@ func TestDecoderReadsWhatMarshalWrites(t *testing.T) {
 	for _, s := range stringCorpus {
 		for _, r := range []record{
 			{S: s},
-			{B: []byte(s), I: -42, T: true, M: map[string]string{s: s, "": "e", "k": ""}},
-			{S: s, B: []byte{}, M: map[string]string{}},
+			{B: []byte(s), I: -42, U: 1<<64 - 1, T: true, L: []string{s, "", s}, M: map[string]string{s: s, "": "e", "k": ""}},
+			{S: s, B: []byte{}, L: []string{}, M: map[string]string{}},
 		} {
 			data := marshal(t, r)
 			if !checkSubset(t, data) {
@@ -243,6 +253,21 @@ func TestDecoderInternAllocations(t *testing.T) {
 	}
 }
 
+// An array of interned strings costs its slice alone.
+func TestReadStringsAllocations(t *testing.T) {
+	data := []byte(`{"l":["n1","n2","n3","n4"]}`)
+	strs := make(map[string]string)
+	decodeRecord(data, strs)
+	allocs := testing.AllocsPerRun(100, func() {
+		if r, err := decodeRecord(data, strs); err != nil || len(r.L) != 4 {
+			t.Fatal(r, err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("decoding four interned strings: %v allocations, want 1", allocs)
+	}
+}
+
 func FuzzDecoder(f *testing.F) {
 	for _, in := range decodeCorpus {
 		f.Add([]byte(in))
@@ -252,7 +277,13 @@ func FuzzDecoder(f *testing.F) {
 	}
 	f.Add([]byte(`{"s":"` + strings.Repeat(`\n`, 300) + `"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkSubset(t, data)
+		if checkSubset(t, data) {
+			// What ReadStrings read, AppendStrings writes as Marshal does.
+			r, _ := decodeRecord(data, nil)
+			if got, want := AppendStrings(nil, r.L), marshal(t, r.L); !bytes.Equal(got, want) {
+				t.Fatalf("AppendStrings(%q) = %s, want %s", r.L, got, want)
+			}
+		}
 		checkTime(t, data)
 	})
 }

@@ -1,16 +1,16 @@
 // Package jsonenc holds append-style encoders for the handful of JSON
-// scalars the per-run hot paths emit — strings, timestamps, floats, byte
-// slices. Each produces exactly the bytes encoding/json.Marshal produces for
-// the same value (HTML escaping on, as Marshal has it), without reflection
-// and without allocating beyond dst's growth.
+// values the per-run hot paths emit — strings, timestamps, floats, byte
+// slices, string arrays and maps. Each produces exactly the bytes
+// encoding/json.Marshal produces for the same value (HTML escaping on, as
+// Marshal has it), without reflection and without allocating beyond dst's
+// growth.
 //
 // It is also a reader: Decoder pulls the members of one flat JSON object —
-// strings, base64 bytes, integers, booleans, RFC 3339 times and string
-// maps — and decodes
-// them to the values encoding/json.Unmarshal gives, accepting a strict
-// subset of what Unmarshal accepts. encoding/json stays the oracle both
-// ways: the package's tests, and the tests of every caller, compare against
-// it.
+// strings, base64 bytes, integers, booleans, RFC 3339 times, string arrays
+// and string maps — and decodes them to the values encoding/json.Unmarshal
+// gives, accepting a strict subset of what Unmarshal accepts. encoding/json
+// stays the oracle both ways: the package's tests, and the tests of every
+// caller, compare against it.
 package jsonenc
 
 import (
@@ -75,6 +75,25 @@ func AppendString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
+// AppendOmitEmpty appends a string member tagged omitempty: key, which
+// carries the member's comma, quotes and colon (`,"name":`), then s as
+// AppendString writes it, or nothing at all for an empty s.
+func AppendOmitEmpty(dst []byte, key, s string) []byte {
+	if s == "" {
+		return dst
+	}
+	return AppendString(append(dst, key...), s)
+}
+
+// AppendIntOmitEmpty appends an integer member tagged omitempty: key as
+// AppendOmitEmpty takes it, then n, or nothing at all for a zero n.
+func AppendIntOmitEmpty(dst []byte, key string, n int64) []byte {
+	if n == 0 {
+		return dst
+	}
+	return strconv.AppendInt(append(dst, key...), n, 10)
+}
+
 // AppendStringMap appends m as a JSON object with its keys sorted, or null
 // for a nil map.
 func AppendStringMap(dst []byte, m map[string]string) []byte {
@@ -97,6 +116,22 @@ func AppendStringMap(dst []byte, m map[string]string) []byte {
 		dst = AppendString(dst, m[k])
 	}
 	return append(dst, '}')
+}
+
+// AppendStrings appends ss as a JSON array of strings, or null for a nil
+// slice.
+func AppendStrings(dst []byte, ss []string) []byte {
+	if ss == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, s := range ss {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = AppendString(dst, s)
+	}
+	return append(dst, ']')
 }
 
 // AppendBytes appends b as encoding/json encodes a []byte: a base64 string,

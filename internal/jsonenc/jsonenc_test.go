@@ -57,6 +57,14 @@ func TestAppendStringMapMatchesMarshal(t *testing.T) {
 	}
 }
 
+func TestAppendStringsMatchesMarshal(t *testing.T) {
+	for _, ss := range [][]string{nil, {}, {""}, {"n1", "n2", "n3", "n4"}, stringCorpus} {
+		if got, want := AppendStrings(nil, ss), marshal(t, ss); !bytes.Equal(got, want) {
+			t.Errorf("AppendStrings(%q) = %s, want %s", ss, got, want)
+		}
+	}
+}
+
 func TestAppendBytesMatchesMarshal(t *testing.T) {
 	for _, b := range [][]byte{nil, {}, {0}, []byte("ab"), []byte("abc"), bytes.Repeat([]byte{0xfb, 0xff}, 100)} {
 		if got, want := AppendBytes(nil, b), marshal(t, b); !bytes.Equal(got, want) {

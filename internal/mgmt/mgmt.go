@@ -7,10 +7,11 @@
 package mgmt
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
+	"strconv"
 
+	"pos/internal/jsonenc"
 	"pos/internal/node"
 	"pos/internal/wire"
 )
@@ -41,6 +42,74 @@ type Response struct {
 	Boots int    `json:"boots,omitempty"`
 }
 
+// AppendJSON appends the request as one JSON object, byte for byte what
+// encoding/json writes for it (wire.Appender).
+func (r *Request) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"op":`...)
+	dst = jsonenc.AppendString(dst, r.Op)
+	dst = jsonenc.AppendOmitEmpty(dst, `,"image":`, r.Image)
+	if len(r.Params) > 0 {
+		dst = append(dst, `,"params":`...)
+		dst = jsonenc.AppendStringMap(dst, r.Params)
+	}
+	return append(dst, '}')
+}
+
+// AppendJSON appends the response as one JSON object, byte for byte what
+// encoding/json writes for it (wire.Appender).
+func (r *Response) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"ok":`...)
+	dst = strconv.AppendBool(dst, r.OK)
+	dst = jsonenc.AppendOmitEmpty(dst, `,"error":`, r.Error)
+	dst = jsonenc.AppendOmitEmpty(dst, `,"state":`, r.State)
+	dst = jsonenc.AppendIntOmitEmpty(dst, `,"boots":`, int64(r.Boots))
+	return append(dst, '}')
+}
+
+// DecodeJSON reads one request from frame into r, replacing what r held:
+// the mirror of AppendJSON (wire.Decoder). It accepts a strict subset of
+// what encoding/json accepts, and decodes that to the same Request: keys
+// spelt as AppendJSON spells them, each at most once, none null.
+func (r *Request) DecodeJSON(frame []byte) error {
+	*r = Request{}
+	d := jsonenc.NewDecoder(frame)
+	for d.Next() {
+		switch string(d.Key()) {
+		case "op":
+			r.Op = d.ReadString()
+		case "image":
+			r.Image = d.ReadString()
+		case "params":
+			r.Params = d.ReadStringMap()
+		default:
+			d.Unknown()
+		}
+	}
+	return d.Err()
+}
+
+// DecodeJSON reads one response from frame, the mirror of AppendJSON
+// (wire.Decoder), under the same rules as Request.DecodeJSON.
+func (r *Response) DecodeJSON(frame []byte) error {
+	*r = Response{}
+	d := jsonenc.NewDecoder(frame)
+	for d.Next() {
+		switch string(d.Key()) {
+		case "ok":
+			r.OK = d.ReadBool()
+		case "error":
+			r.Error = d.ReadString()
+		case "state":
+			r.State = d.ReadString()
+		case "boots":
+			r.Boots = int(d.ReadInt())
+		default:
+			d.Unknown()
+		}
+	}
+	return d.Err()
+}
+
 // Server is an emulated baseboard management controller for one node.
 type Server struct {
 	node *node.Node
@@ -65,10 +134,10 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Close stops the BMC.
 func (s *Server) Close() error { return s.ln.Close() }
 
-func (s *Server) handle(frame []byte) any {
+func (s *Server) handle(frame []byte) wire.Appender {
 	var req Request
-	if err := json.Unmarshal(frame, &req); err != nil {
-		return Response{Error: "bad request: " + err.Error()}
+	if err := req.DecodeJSON(frame); err != nil {
+		return &Response{Error: "bad request: " + err.Error()}
 	}
 	resp := Response{OK: true}
 	switch req.Op {
@@ -93,7 +162,7 @@ func (s *Server) handle(frame []byte) any {
 	}
 	resp.State = string(s.node.State())
 	resp.Boots = s.node.BootCount()
-	return resp
+	return &resp
 }
 
 // Client talks to one node's BMC.
@@ -115,7 +184,7 @@ func (c *Client) Close() error { return c.conn.Close() }
 
 func (c *Client) call(req Request) (Response, error) {
 	var resp Response
-	if err := c.conn.Call(req, &resp); err != nil {
+	if err := c.conn.Call(&req, &resp); err != nil {
 		return Response{}, err
 	}
 	if !resp.OK {

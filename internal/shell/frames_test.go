@@ -248,7 +248,7 @@ func TestBadResponseLeavesClientUsable(t *testing.T) {
 	defer ln.Close()
 	replies := []wire.Appender{rawFrame(`{"ok":true,"exit_code":0,"exit_code":1}`), &Response{OK: true, Output: "fine"}}
 	calls := 0 // only the one connection's goroutine touches it
-	go wire.Serve(ln, func([]byte) any {
+	go wire.Serve(ln, func([]byte) wire.Appender {
 		calls++
 		return replies[(calls-1)%len(replies)]
 	})

@@ -62,34 +62,19 @@ type Response struct {
 func (r *Request) AppendJSON(dst []byte) []byte {
 	dst = append(dst, `{"op":`...)
 	dst = jsonenc.AppendString(dst, r.Op)
-	if r.Script != "" {
-		dst = append(dst, `,"script":`...)
-		dst = jsonenc.AppendString(dst, r.Script)
-	}
+	dst = jsonenc.AppendOmitEmpty(dst, `,"script":`, r.Script)
 	if len(r.Env) > 0 {
 		dst = append(dst, `,"env":`...)
 		dst = jsonenc.AppendStringMap(dst, r.Env)
 	}
-	if r.TimeoutMS != 0 {
-		dst = append(dst, `,"timeout_ms":`...)
-		dst = strconv.AppendInt(dst, r.TimeoutMS, 10)
-	}
-	if r.Path != "" {
-		dst = append(dst, `,"path":`...)
-		dst = jsonenc.AppendString(dst, r.Path)
-	}
+	dst = jsonenc.AppendIntOmitEmpty(dst, `,"timeout_ms":`, r.TimeoutMS)
+	dst = jsonenc.AppendOmitEmpty(dst, `,"path":`, r.Path)
 	if len(r.Data) > 0 {
 		dst = append(dst, `,"data":`...)
 		dst = jsonenc.AppendBytes(dst, r.Data)
 	}
-	if r.Key != "" {
-		dst = append(dst, `,"key":`...)
-		dst = jsonenc.AppendString(dst, r.Key)
-	}
-	if r.Value != "" {
-		dst = append(dst, `,"value":`...)
-		dst = jsonenc.AppendString(dst, r.Value)
-	}
+	dst = jsonenc.AppendOmitEmpty(dst, `,"key":`, r.Key)
+	dst = jsonenc.AppendOmitEmpty(dst, `,"value":`, r.Value)
 	return append(dst, '}')
 }
 
@@ -98,14 +83,8 @@ func (r *Request) AppendJSON(dst []byte) []byte {
 func (r *Response) AppendJSON(dst []byte) []byte {
 	dst = append(dst, `{"ok":`...)
 	dst = strconv.AppendBool(dst, r.OK)
-	if r.Error != "" {
-		dst = append(dst, `,"error":`...)
-		dst = jsonenc.AppendString(dst, r.Error)
-	}
-	if r.Output != "" {
-		dst = append(dst, `,"output":`...)
-		dst = jsonenc.AppendString(dst, r.Output)
-	}
+	dst = jsonenc.AppendOmitEmpty(dst, `,"error":`, r.Error)
+	dst = jsonenc.AppendOmitEmpty(dst, `,"output":`, r.Output)
 	dst = append(dst, `,"exit_code":`...)
 	dst = strconv.AppendInt(dst, int64(r.ExitCode), 10)
 	if len(r.Data) > 0 {
@@ -194,7 +173,7 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Close stops the daemon.
 func (s *Server) Close() error { return s.ln.Close() }
 
-func (s *Server) handle(frame []byte) any {
+func (s *Server) handle(frame []byte) wire.Appender {
 	var req Request
 	if err := req.DecodeJSON(frame); err != nil {
 		return &Response{Error: "bad request: " + err.Error(), ExitCode: -1}

@@ -4,24 +4,23 @@
 // One JSON object per line, request/response in lockstep on a single TCP
 // connection.
 //
-// Both directions have two codecs. A message may encode itself (Appender)
-// or go through encoding/json, and may decode itself (Decoder) or go
-// through encoding/json. A hand decoder reads a strict subset of what
-// encoding/json reads, into the same value; the shell's frames take the
-// hand codecs both ways, the mgmt interface's few frames take
-// encoding/json.
+// Every message has one codec, its own: it encodes itself (Appender) and
+// decodes itself (Decoder), without reflection, so a message without both
+// methods does not compile against a Conn. Its encoder writes what
+// encoding/json writes for it, and its decoder reads a strict subset of what
+// encoding/json reads, into the same value; encoding/json stays the oracle
+// of each message's tests.
 //
 // Two rules for code on either side of a connection. Frames handed to a
 // Handler or a Decoder are borrowed: the bytes are the connection's read
 // buffer, valid until the call returns, so a daemon decodes what it needs
-// and keeps nothing. And the bytes on the socket are not an oracle: key
-// order and escaping may differ between the two encoders, and only the
-// decoded values are the protocol.
+// and keeps nothing. And the bytes on the socket are not an oracle: a peer
+// may order keys or escape strings its own way, and only the decoded values
+// are the protocol.
 package wire
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -57,7 +56,8 @@ func putFrame(buf *[]byte, frame []byte) {
 }
 
 // Appender is a message that writes its own JSON encoding — what
-// encoding/json would decode to the same value — without reflection.
+// encoding/json would decode to the same value — without reflection. The api
+// package's request and response bodies take the same interface.
 type Appender interface {
 	AppendJSON(dst []byte) []byte
 }
@@ -118,22 +118,12 @@ func (c *Conn) err() error {
 }
 
 // Send encodes v and writes one frame.
-func (c *Conn) Send(v any) error {
+func (c *Conn) Send(v Appender) error {
 	if err := c.err(); err != nil {
 		return err
 	}
 	buf := framePool.Get().(*[]byte)
-	frame := *buf
-	if a, ok := v.(Appender); ok {
-		frame = a.AppendJSON(frame)
-	} else {
-		data, err := json.Marshal(v)
-		if err != nil {
-			putFrame(buf, frame)
-			return fmt.Errorf("wire: marshal: %w", err)
-		}
-		frame = append(frame, data...)
-	}
+	frame := v.AppendJSON(*buf)
 	defer func() { putFrame(buf, frame) }()
 	// Nothing is on the socket yet: refusing the frame leaves it in step.
 	if len(frame) > MaxMessageBytes {
@@ -148,17 +138,10 @@ func (c *Conn) Send(v any) error {
 	return nil
 }
 
-// Recv reads one frame into v, through its DecodeJSON when v is a Decoder
-// and through encoding/json otherwise.
-func (c *Conn) Recv(v any) error {
+// Recv reads one frame into v.
+func (c *Conn) Recv(v Decoder) error {
 	return c.recv(func(frame []byte) error {
-		var err error
-		if d, ok := v.(Decoder); ok {
-			err = d.DecodeJSON(frame)
-		} else {
-			err = json.Unmarshal(frame, v)
-		}
-		if err != nil {
+		if err := v.DecodeJSON(frame); err != nil {
 			return fmt.Errorf("wire: unmarshal: %w", err)
 		}
 		return nil
@@ -204,7 +187,7 @@ func (c *Conn) recv(use func(frame []byte) error) error {
 }
 
 // Call performs one request/response round trip.
-func (c *Conn) Call(req, resp any) error {
+func (c *Conn) Call(req Appender, resp Decoder) error {
 	c.callMu.Lock()
 	defer c.callMu.Unlock()
 	if err := c.Send(req); err != nil {
@@ -213,9 +196,9 @@ func (c *Conn) Call(req, resp any) error {
 	return c.Recv(resp)
 }
 
-// Handler processes one request frame and returns the response object. The
-// frame is borrowed: it is valid until the handler returns.
-type Handler func(frame []byte) (resp any)
+// Handler processes one request frame and returns the response, which must
+// not be nil. The frame is borrowed: it is valid until the handler returns.
+type Handler func(frame []byte) (resp Appender)
 
 // Serve accepts connections on l and runs each through loop until the
 // listener closes. It returns when Accept fails (listener closed).
@@ -233,7 +216,7 @@ func serveConn(nc net.Conn, h Handler) {
 	c := NewConn(nc)
 	defer c.Close()
 	for {
-		var resp any
+		var resp Appender
 		if err := c.recv(func(frame []byte) error { resp = h(frame); return nil }); err != nil {
 			return
 		}

@@ -3,21 +3,48 @@ package wire
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"pos/internal/jsonenc"
 	"pos/internal/telemetry"
 )
 
 type echoMsg struct {
 	N int    `json:"n"`
 	S string `json:"s"`
+}
+
+// AppendJSON and DecodeJSON are echoMsg's codecs: a Conn carries no message
+// without its own.
+func (m *echoMsg) AppendJSON(dst []byte) []byte {
+	dst = append(dst, `{"n":`...)
+	dst = strconv.AppendInt(dst, int64(m.N), 10)
+	dst = append(dst, `,"s":`...)
+	dst = jsonenc.AppendString(dst, m.S)
+	return append(dst, '}')
+}
+
+func (m *echoMsg) DecodeJSON(frame []byte) error {
+	*m = echoMsg{}
+	d := jsonenc.NewDecoder(frame)
+	for d.Next() {
+		switch string(d.Key()) {
+		case "n":
+			m.N = int(d.ReadInt())
+		case "s":
+			m.S = d.ReadString()
+		default:
+			d.Unknown()
+		}
+	}
+	return d.Err()
 }
 
 func startEcho(t *testing.T) string {
@@ -27,10 +54,10 @@ func startEcho(t *testing.T) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	go Serve(ln, func(frame []byte) any {
-		var m echoMsg
-		if err := json.Unmarshal(frame, &m); err != nil {
-			return echoMsg{N: -1}
+	go Serve(ln, func(frame []byte) Appender {
+		m := new(echoMsg)
+		if err := m.DecodeJSON(frame); err != nil {
+			return &echoMsg{N: -1}
 		}
 		m.N++
 		return m
@@ -51,7 +78,7 @@ func dial(t *testing.T, addr string) *Conn {
 func TestCallRoundTrip(t *testing.T) {
 	c := dial(t, startEcho(t))
 	var resp echoMsg
-	if err := c.Call(echoMsg{N: 41, S: "hello"}, &resp); err != nil {
+	if err := c.Call(&echoMsg{N: 41, S: "hello"}, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.N != 42 || resp.S != "hello" {
@@ -63,7 +90,7 @@ func TestMultipleCallsOneConnection(t *testing.T) {
 	c := dial(t, startEcho(t))
 	for i := 0; i < 50; i++ {
 		var resp echoMsg
-		if err := c.Call(echoMsg{N: i}, &resp); err != nil {
+		if err := c.Call(&echoMsg{N: i}, &resp); err != nil {
 			t.Fatal(err)
 		}
 		if resp.N != i+1 {
@@ -81,12 +108,12 @@ func TestConcurrentCallers(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			var resp echoMsg
-			if err := c.Call(echoMsg{N: i}, &resp); err != nil {
+			if err := c.Call(&echoMsg{N: i}, &resp); err != nil {
 				errs <- err
 				return
 			}
 			if resp.N != i+1 {
-				errs <- &json.UnsupportedValueError{}
+				errs <- fmt.Errorf("call %d: resp.N = %d", i, resp.N)
 			}
 		}(i)
 	}
@@ -101,7 +128,7 @@ func TestLargeMessage(t *testing.T) {
 	c := dial(t, startEcho(t))
 	big := strings.Repeat("x", 1<<20)
 	var resp echoMsg
-	if err := c.Call(echoMsg{S: big}, &resp); err != nil {
+	if err := c.Call(&echoMsg{S: big}, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.S != big {
@@ -112,7 +139,7 @@ func TestLargeMessage(t *testing.T) {
 func TestOversizedMessageRejected(t *testing.T) {
 	c := dial(t, startEcho(t))
 	big := strings.Repeat("x", MaxMessageBytes+1)
-	if err := c.Send(echoMsg{S: big}); err != ErrMessageTooLarge {
+	if err := c.Send(&echoMsg{S: big}); err != ErrMessageTooLarge {
 		t.Errorf("err = %v, want ErrMessageTooLarge", err)
 	}
 }
@@ -172,12 +199,12 @@ func TestOversizedResponseBreaksConnection(t *testing.T) {
 	}()
 	c := dial(t, ln.Addr().String())
 	var resp echoMsg
-	if err := c.Call(echoMsg{N: 1}, &resp); !errors.Is(err, ErrMessageTooLarge) {
+	if err := c.Call(&echoMsg{N: 1}, &resp); !errors.Is(err, ErrMessageTooLarge) {
 		t.Fatalf("first call: err = %v, want ErrMessageTooLarge", err)
 	}
 	for i := 0; i < 2; i++ {
 		resp = echoMsg{}
-		if err := c.Call(echoMsg{N: 2}, &resp); !errors.Is(err, ErrMessageTooLarge) {
+		if err := c.Call(&echoMsg{N: 2}, &resp); !errors.Is(err, ErrMessageTooLarge) {
 			t.Fatalf("call on the broken connection: resp = %+v, err = %v, want ErrMessageTooLarge again", resp, err)
 		}
 	}
@@ -195,7 +222,7 @@ func TestTruncatedFrameBreaksConnection(t *testing.T) {
 	if err := conn.Recv(&v); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
 	}
-	if err := conn.Send(echoMsg{}); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if err := conn.Send(&echoMsg{}); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("Send after the break: err = %v, want the first error", err)
 	}
 }
@@ -272,10 +299,10 @@ func FuzzServeConn(f *testing.F) {
 			rest = rest[i+1:]
 		}
 		var got [][]byte
-		serveConn(streamConn{r: bytes.NewReader(input)}, func(frame []byte) any {
+		serveConn(streamConn{r: bytes.NewReader(input)}, func(frame []byte) Appender {
 			got = append(got, bytes.Clone(frame))
-			var m echoMsg
-			json.Unmarshal(frame, &m)
+			m := new(echoMsg)
+			m.DecodeJSON(frame)
 			return m
 		})
 		if len(got) != len(want) {
@@ -306,7 +333,7 @@ func TestConnAllocationBudget(t *testing.T) {
 		}
 		defer nc.Close()
 		var resp echoMsg
-		if err := NewConn(nc).Call(echoMsg{N: 1, S: "hello"}, &resp); err != nil || resp.N != 2 {
+		if err := NewConn(nc).Call(&echoMsg{N: 1, S: "hello"}, &resp); err != nil || resp.N != 2 {
 			t.Fatalf("resp = %+v, err = %v", resp, err)
 		}
 	}
@@ -339,7 +366,7 @@ func TestServeStopsOnListenerClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- Serve(ln, func([]byte) any { return nil }) }()
+	go func() { done <- Serve(ln, func([]byte) Appender { return nil }) }()
 	ln.Close()
 	if err := <-done; err == nil {
 		t.Error("Serve returned nil after listener close")
