@@ -29,14 +29,16 @@ func (h *uploadingHost) Exec(_ context.Context, script string, _ map[string]stri
 	return "done\n", nil
 }
 
-// runOneAllocBudget is 15 % above the 224 objects one recorded run allocated
-// when the budget was last set (go1.24, on top of 7e9ddda; two in-memory
+// runOneAllocBudget is 15 % above the 157 objects one recorded run allocated
+// when the budget was last set (go1.24, on top of adc6bfd; two in-memory
 // hosts, telemetry on: a span, two runtime samples, resources.json,
-// metadata.json, four small artifacts, the manifest commit). The per-run
-// path encodes its records by hand: with the manifest marshalled whole by
-// reflection on every commit, as it once was, the same run costs 690, and
-// with spans keyed by hex string ids and attribute maps, as at 7e9ddda, 236.
-const runOneAllocBudget = 258
+// metadata.json, four small artifacts, the run's commit as one directory and
+// the manifest commit). The per-run path encodes its records by hand: with
+// the manifest marshalled whole by reflection on every commit, as it once
+// was, the same run costs 690; with spans keyed by hex string ids and
+// attribute maps, as at 7e9ddda, 236; with every file written through its
+// own temp file and rename, as at adc6bfd, 224.
+const runOneAllocBudget = 181
 
 func TestRunOneAllocationBudget(t *testing.T) {
 	if !telemetry.Default.Enabled() {

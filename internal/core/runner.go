@@ -525,8 +525,8 @@ func (s *Session) RunOne(ctx context.Context, runIdx, total, attempt int, combo 
 		if err := r.rebootAndResetup(ctx, s.e, s.hosts); err != nil {
 			rec.Failed, rec.Error = true, err.Error()
 			rec.Duration = r.now().Sub(runStart)
-			s.writeMeta(runIdx, combo, runStart, rec)
 			s.writeResources(runIdx, startRes)
+			s.writeMeta(runIdx, combo, runStart, rec)
 			return rec, err
 		}
 	}
@@ -573,13 +573,15 @@ func (s *Session) RunOne(ctx context.Context, runIdx, total, attempt int, combo 
 		rec.Failed, rec.Error = true, runErr.Error()
 	}
 	rec.Duration = r.now().Sub(runStart)
+	// resources.json before metadata.json: the metadata commits the run's
+	// directory, and a file written after it is a rewrite of its own.
+	s.writeResources(runIdx, startRes)
 	if err := s.writeMeta(runIdx, combo, runStart, rec); err != nil {
 		if runErr == nil {
 			rec.Failed, rec.Error = true, err.Error()
 			runErr = err
 		}
 	}
-	s.writeResources(runIdx, startRes)
 	measurementSeconds.Observe(rec.Duration.Seconds())
 	if runErr != nil {
 		runsFailed.Inc()

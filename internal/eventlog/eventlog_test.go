@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -84,6 +85,11 @@ func TestJournalRotation(t *testing.T) {
 	got, err := Replay(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The journal's own replay reads the segments it rotated through
+	// without listing them, and reads the same events.
+	if live, err := j.ReplaySince(0); err != nil || !reflect.DeepEqual(live, got) {
+		t.Fatalf("Journal.ReplaySince = %d events, %v; Replay read %d", len(live), err, len(got))
 	}
 	if len(got) != total {
 		t.Fatalf("replayed %d events across %d segments, want %d", len(got), len(segs), total)

@@ -33,7 +33,11 @@ type Journal struct {
 	f        *os.File
 	size     int64
 	segIdx   int
-	lastSeq  uint64
+	// segs are the segment indices the journal holds, ascending: those
+	// found at open, then each one it rotates to. Replays read them instead
+	// of listing the directory.
+	segs    []int
+	lastSeq uint64
 	// line is the buffer every Append encodes into, reused under mu.
 	line []byte
 }
@@ -59,7 +63,10 @@ func OpenJournal(dir string, segLimit int64) (*Journal, error) {
 		if err := j.recoverTail(j.segPath(j.segIdx)); err != nil {
 			return nil, err
 		}
+	} else {
+		segs = []int{0}
 	}
+	j.segs = segs
 	if err := j.openSegment(); err != nil {
 		return nil, err
 	}
@@ -157,6 +164,7 @@ func (j *Journal) Append(ev Event) error {
 		if err := j.openSegment(); err != nil {
 			return err
 		}
+		j.segs = append(j.segs, j.segIdx)
 		journalRotations.Inc()
 	}
 	if _, err := j.f.Write(line); err != nil {
@@ -205,15 +213,31 @@ func Replay(dir string) ([]Event, error) {
 	return ReplaySince(dir, 0)
 }
 
-// ReplaySince reads the events with Seq > after. It reads segment files
-// directly, so it works on live journals (appends are line-atomic within one
-// process) and on finished experiments alike. The strings of one replay are
-// interned: the node, phase and type names every event repeats are shared.
+// ReplaySince reads the events with Seq > after from the journal under dir,
+// listing its segments first: the replay of a finished experiment's journal.
 func ReplaySince(dir string, after uint64) ([]Event, error) {
 	idxs, err := segments(dir)
 	if err != nil {
 		return nil, err
 	}
+	return replay(dir, idxs, after)
+}
+
+// ReplaySince reads the events with Seq > after from the segments the open
+// journal holds, without listing its directory.
+func (j *Journal) ReplaySince(after uint64) ([]Event, error) {
+	j.mu.Lock()
+	segs := j.segs[:len(j.segs):len(j.segs)] // a later rotation appends beyond it
+	j.mu.Unlock()
+	return replay(j.dir, segs, after)
+}
+
+// replay reads the events with Seq > after from the segments idxs of the
+// journal under dir. It reads segment files directly, so it works on live
+// journals (appends are line-atomic within one process) and on finished
+// experiments alike. The strings of one replay are interned: the node, phase
+// and type names every event repeats are shared.
+func replay(dir string, idxs []int, after uint64) ([]Event, error) {
 	var events []Event
 	strs := make(map[string]string)
 	for si, idx := range idxs {

@@ -134,5 +134,5 @@ func (p *Pipeline) ReplaySince(after uint64) ([]Event, error) {
 	if j == nil {
 		return nil, nil
 	}
-	return ReplaySince(j.Dir(), after)
+	return j.ReplaySince(after)
 }

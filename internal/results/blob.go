@@ -32,72 +32,78 @@ func (s *Store) blobPath(sum [sha256.Size]byte) string {
 // fills with inodes that reclaim no meaningful space.
 const dedupMinBytes = 4096
 
+// intoPool gives blob its first link through link, making the fan-out
+// directory on demand. A concurrent writer may have published the same blob
+// (EEXIST): either link is the same content. A pool that cannot take the
+// link costs only the dedup; the artifact itself lands regardless.
+func intoPool(blob string, link func() error) {
+	if err := link(); os.IsNotExist(err) && os.MkdirAll(filepath.Dir(blob), 0o755) == nil {
+		link()
+	}
+}
+
 // writeFileDedup stores data at path, deduplicating against the blob pool.
 func (s *Store) writeFileDedup(path string, data []byte) error {
 	if len(data) < dedupMinBytes {
-		return s.writeFileAtomic(path, data)
+		return s.writeFileAtomic(path, data, "")
 	}
 	sum := sha256.Sum256(data)
 	blob := s.blobPath(sum)
 
 	// Fast path: the content already exists — link it into place without
 	// writing a byte.
-	if err := s.linkInto(blob, path); err == nil {
+	err := s.linkInto(blob, path)
+	switch {
+	case err == nil:
 		dedupHits.Inc()
 		dedupBytesSaved.Add(float64(len(data)))
 		return nil
-	} else if !os.IsNotExist(err) {
+	case !os.IsNotExist(err):
 		// The blob exists but cannot be linked (EXDEV, EMLINK, EPERM,
 		// …): fall back to a plain write.
-		return s.writeFileAtomic(path, data)
+		return s.writeFileAtomic(path, data, "")
 	}
-
-	// Slow path: write the content once, publish it as the blob, then
-	// move it into place. The blob gains its first link from the temp
-	// file, so the data hits the disk exactly once.
+	// Slow path: write the content once, publish it as the blob, then move
+	// it into place.
 	dedupMisses.Inc()
-	tmp, err := createTmp(filepath.Dir(path))
-	if err != nil {
-		return fmt.Errorf("results: %w", err)
+	return s.writeFileAtomic(path, data, blob)
+}
+
+// placeBlob puts data, an artifact of dedupMinBytes or more, as the new file
+// rel of a run's staging directory d, at path: a hard link to its blob on a
+// hit, else written there and linked into the pool. The staging directory is
+// the run's own, so no temp name is needed.
+func (s *Store) placeBlob(d dirFile, rel, path string, data []byte) error {
+	sum := sha256.Sum256(data)
+	blob := s.blobPath(sum)
+	err := link(blob, path)
+	if err == nil {
+		dedupHits.Inc()
+		dedupBytesSaved.Add(float64(len(data)))
+		return nil
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("results: %w", err)
+	if cerr := d.create(rel, data, s.durable); cerr != nil {
+		os.Remove(path)
+		return fmt.Errorf("results: %w", cerr)
 	}
-	if s.durable {
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			os.Remove(tmpName)
-			return fmt.Errorf("results: %w", err)
-		}
+	if os.IsNotExist(err) {
+		dedupMisses.Inc()
+		intoPool(blob, func() error { return link(path, blob) })
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("results: %w", err)
-	}
-	if err := os.MkdirAll(filepath.Dir(blob), 0o755); err == nil {
-		// A concurrent writer may have published the same blob; either
-		// link is the same content, so EEXIST is success.
-		if err := os.Link(tmpName, blob); err != nil && !os.IsExist(err) {
-			// Link unsupported: the artifact itself still lands below.
-		}
-	}
-	return s.publish(tmpName, path)
+	return nil
 }
 
 // linkInto atomically places a hardlink to blob at path. The common ingest
 // case — path does not exist yet — is a single link syscall; an existing
 // file is replaced through a staged name so readers never see a torn file.
 func (s *Store) linkInto(blob, path string) error {
-	err := os.Link(blob, path)
+	err := link(blob, path)
 	if err == nil || !os.IsExist(err) {
 		return err
 	}
 	// Staged under tmpPrefix, so the orphan sweeper reclaims it after a crash.
 	staged := filepath.Join(filepath.Dir(path), fmt.Sprintf("%slnk-%d", tmpPrefix, tmpSeq.Add(1)))
-	if err := os.Link(blob, staged); err != nil {
+	if err := link(blob, staged); err != nil {
 		return err
 	}
 	return s.publish(staged, path)

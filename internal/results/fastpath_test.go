@@ -1,7 +1,6 @@
 package results
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -137,19 +136,18 @@ func TestMetadataFileMatchesEncoder(t *testing.T) {
 		{Run: 120, LoopVars: map[string]string{}, Failed: true, Error: "exit 1: <moongen> \"died\"\n"},
 		{Run: 1, LoopVars: map[string]string{"a\xff": "\u2028", "": "&"}, StartedAt: when.In(time.FixedZone("", -7*3600))},
 	} {
-		var got, want bytes.Buffer
-		w := bufio.NewWriter(&got)
-		if err := meta.writeFile(w); err != nil {
+		var want bytes.Buffer
+		got, err := meta.appendFile(nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		w.Flush()
 		enc := json.NewEncoder(&want)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(meta); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("metadata.json differs:\n got %q\nwant %q", got.Bytes(), want.Bytes())
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("metadata.json differs:\n got %q\nwant %q", got, want.Bytes())
 		}
 	}
 }
@@ -175,19 +173,16 @@ func FuzzMetadataFile(f *testing.F) {
 		case 3:
 			meta.LoopVars = map[string]string{k1: v1, k2: v2}
 		}
-		var got bytes.Buffer
-		w := bufio.NewWriter(&got)
-		err := meta.writeFile(w)
-		w.Flush()
+		got, err := meta.appendFile(nil)
 		want, wantErr := json.MarshalIndent(meta, "", "  ")
 		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("writeFile err = %v, json.MarshalIndent err = %v", err, wantErr)
+			t.Fatalf("appendFile err = %v, json.MarshalIndent err = %v", err, wantErr)
 		}
 		if err != nil {
 			return
 		}
-		if want = append(want, '\n'); !bytes.Equal(got.Bytes(), want) {
-			t.Fatalf("metadata.json differs:\n got %q\nwant %q", got.Bytes(), want)
+		if want = append(want, '\n'); !bytes.Equal(got, want) {
+			t.Fatalf("metadata.json differs:\n got %q\nwant %q", got, want)
 		}
 		checkDecodeRunMeta(t, want, true)
 	})
@@ -253,18 +248,35 @@ func TestRunDirNameMatchesFmt(t *testing.T) {
 	}
 }
 
-// countLstats installs the write path's Lstat hook for the test.
+// countLstats installs the fault hook for the test to record the paths the
+// write path asks the disk about.
 func countLstats(t *testing.T) *[]string {
 	t.Helper()
 	var asked []string
-	lstatHook = func(path string) { asked = append(asked, path) }
-	t.Cleanup(func() { lstatHook = nil })
+	setFSHook(t, func(op, path string) error {
+		if op == "lstat" {
+			asked = append(asked, path)
+		}
+		return nil
+	})
 	return &asked
 }
 
-// A campaign into an experiment the store created never asks the disk
-// whether a file exists: every directory is its own, the manifest knows.
-func TestFreshExperimentIngestIssuesNoLstat(t *testing.T) {
+// raceEnabled is set under the race detector, whose sync.Pool drops what is
+// put back at random.
+var raceEnabled bool
+
+// setFSHook installs fn as the store's fault hook for the test.
+func setFSHook(t *testing.T, fn func(op, path string) error) {
+	t.Helper()
+	fsHook = fn
+	t.Cleanup(func() { fsHook = nil })
+}
+
+// A campaign into an experiment the store created asks the disk once per
+// run whether its directory is there (an out-of-band run_NNNN takes the
+// per-file path), and never about a file: the staged run is the handle's.
+func TestFreshExperimentIngestLstatsOncePerRun(t *testing.T) {
 	asked := countLstats(t)
 	_, e := newExp(t)
 	if err := e.AddExperimentArtifact("spans.json", []byte("{}")); err != nil {
@@ -282,18 +294,23 @@ func TestFreshExperimentIngestIssuesNoLstat(t *testing.T) {
 		if err := e.AddRunArtifact(run, "vriga", "moongen.log", bytes.Repeat([]byte("x"), dedupMinBytes)); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.WriteRunMeta(RunMeta{Run: run}); err != nil {
+		if err := e.WriteRunResources(run, []byte("{}\n")); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.WriteRunResources(run, []byte("{}\n")); err != nil {
+		if err := e.WriteRunMeta(RunMeta{Run: run}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := e.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if len(*asked) != 0 {
-		t.Errorf("%d Lstats on a handle-created tree, first %q", len(*asked), (*asked)[0])
+	if len(*asked) != 60 {
+		t.Errorf("%d Lstats for 60 runs", len(*asked))
+	}
+	for run, path := range *asked {
+		if want := filepath.Join(e.dir, runDirName(run)); path != want {
+			t.Fatalf("Lstat %d of %q, want the run directory %q", run, path, want)
+		}
 	}
 	paths, err := e.ArtifactPaths()
 	if err != nil || len(paths) != 2+60*5 {
@@ -306,9 +323,9 @@ func TestFreshExperimentIngestIssuesNoLstat(t *testing.T) {
 	}
 }
 
-// In a run directory that was there before the handle, the disk is still
-// asked: a file placed out-of-band is overwritten synchronously, never
-// queued behind the flusher.
+// A run directory that was there before the handle wrote to the run is the
+// disk's, not the handle's: the run takes the per-file path, and a file
+// placed out-of-band is overwritten synchronously. The disk is asked once.
 func TestOutOfBandFileInPreexistingDirOverwrittenSynchronously(t *testing.T) {
 	asked := countLstats(t)
 	_, e := newExp(t)
@@ -327,25 +344,23 @@ func TestOutOfBandFileInPreexistingDirOverwrittenSynchronously(t *testing.T) {
 	if got, _ := os.ReadFile(squatter); string(got) != "recorded" {
 		t.Errorf("file = %q right after the write, want the recorded bytes", got)
 	}
-	if len(*asked) != 1 || (*asked)[0] != squatter {
-		t.Errorf("Lstats = %q, want exactly the squatted path", *asked)
+	if len(*asked) != 1 || (*asked)[0] != filepath.Dir(dir) {
+		t.Errorf("Lstats = %q, want exactly the squatted run directory", *asked)
 	}
-	// A new file in the same directory is still deferred — and still asked
-	// about, every time: the directory is not the handle's.
+	// A new file in the same run is written at once too, without asking again.
 	if err := e.AddRunArtifact(0, "vriga", "other.out", []byte("new")); err != nil {
 		t.Fatal(err)
 	}
-	if len(*asked) != 2 {
-		t.Errorf("Lstats = %d after a second write into the foreign directory, want 2", len(*asked))
+	if got, _ := os.ReadFile(filepath.Join(dir, "other.out")); string(got) != "new" {
+		t.Errorf("other.out = %q right after the write", got)
 	}
-	if got, err := e.ReadRunArtifact(0, "vriga", "other.out"); err != nil || string(got) != "new" {
-		t.Errorf("other.out = %q, %v", got, err)
+	if len(*asked) != 1 {
+		t.Errorf("Lstats = %d after a second write into the foreign run, want 1", len(*asked))
 	}
 }
 
-// In a directory the handle created, rewriting a flushed artifact is
-// synchronous on the manifest's word alone, and a reader never sees the old
-// bytes once the rewrite has returned.
+// A run committed already is rewritten synchronously, file by file, and a
+// reader never sees the old bytes once the rewrite has returned.
 func TestRewriteAfterSyncIsSynchronous(t *testing.T) {
 	asked := countLstats(t)
 	_, e := newExp(t)
@@ -364,13 +379,13 @@ func TestRewriteAfterSyncIsSynchronous(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.mu.Lock()
-		queued := len(e.ops)
+		staged := len(e.staged) + len(e.commits)
 		e.mu.Unlock()
-		if queued != 0 {
-			t.Fatalf("rewrite %d of a flushed file was queued", i)
+		if staged != 0 {
+			t.Fatalf("rewrite %d of a committed run was staged", i)
 		}
-		if got, err := e.ReadRunArtifact(0, "vriga", "measurement.out"); err != nil || string(got) != want {
-			t.Fatalf("read after rewrite %d = %q, %v", i, got, err)
+		if got, err := os.ReadFile(filepath.Join(e.dir, "run_0000", "vriga", "measurement.out")); err != nil || string(got) != want {
+			t.Fatalf("file after rewrite %d = %q, %v", i, got, err)
 		}
 	}
 	if err := e.WriteRunMeta(RunMeta{Run: 0, Failed: true, Error: "second"}); err != nil {
@@ -380,87 +395,47 @@ func TestRewriteAfterSyncIsSynchronous(t *testing.T) {
 	if err != nil || !strings.Contains(string(data), "second") {
 		t.Errorf("metadata.json right after its rewrite = %q, %v", data, err)
 	}
-	if len(*asked) != 0 {
-		t.Errorf("Lstats = %q in a handle-created directory", *asked)
+	if len(*asked) != 1 {
+		t.Errorf("Lstats = %q, want the one of run 0's first write", *asked)
 	}
 }
 
-// Re-queueing a path whose write is still queued replaces the queued write:
-// the last one wins, and only one write of the path reaches the disk.
-func TestRequeueStillQueuedPathLastWriteWins(t *testing.T) {
-	_, e := newExp(t)
-	// Hold the flusher in its first drain so the writes below stay queued.
-	release := make(chan struct{})
-	if _, err := e.mutateOp("gate", func() error { <-release; return nil }, entry{rel: "gate", exp: true}, false); err != nil {
-		t.Fatal(err)
-	}
-	e.mu.Lock()
-	e.cutWindowLocked()
-	e.mu.Unlock()
-	for e.drainingPaths() == 0 {
-		time.Sleep(50 * time.Microsecond)
-	}
-	for i := 0; i < 5; i++ {
-		if err := e.AddRunArtifact(0, "vriga", "measurement.out", []byte(fmt.Sprintf("write %d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.mu.Lock()
-	queued := len(e.ops)
-	e.mu.Unlock()
-	if queued != 1 {
-		t.Errorf("%d ops queued for one path, want 1", queued)
-	}
-	close(release)
-	if got, err := e.ReadRunArtifact(0, "vriga", "measurement.out"); err != nil || string(got) != "write 4" {
-		t.Errorf("artifact = %q, %v, want the last write", got, err)
-	}
-}
-
-func (e *Experiment) drainingPaths() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.draining)
-}
-
-// A rewrite that arrives while the flusher is writing the path's earlier
-// bytes must not be written synchronously beside it — the flusher's rename
-// could land second and leave the old bytes. It queues behind the drain.
+// A write that reaches a run while the flusher commits it waits the commit
+// out and lands as a rewrite: the commit's rename can never come second and
+// bring the old bytes back.
 func TestRewriteDuringDrainStaysOrdered(t *testing.T) {
 	_, e := newExp(t)
-	_, path := e.runFile(0, "vriga/measurement.out")
-	if _, err := e.ensureDir(filepath.Dir(path)); err != nil {
+	started, release := make(chan struct{}), make(chan struct{})
+	runDir := filepath.Join(e.dir, "run_0000")
+	setFSHook(t, func(op, path string) error {
+		if op == "rename" && path == runDir {
+			close(started)
+			<-release
+		}
+		return nil
+	})
+	if err := e.AddRunArtifact(0, "vriga", "measurement.out", []byte("old")); err != nil {
 		t.Fatal(err)
 	}
-	en := entry{run: 0, rel: "vriga/measurement.out"}
-	started, release := make(chan struct{}), make(chan struct{})
-	slow := func() error {
-		close(started)
-		<-release
-		return e.store.writeFileAtomic(path, []byte("old"))
-	}
-	if queued, err := e.mutateOp(path, slow, en, true); err != nil || !queued {
-		t.Fatalf("queued = %v, %v", queued, err)
+	if err := e.WriteRunMeta(RunMeta{Run: 0}); err != nil {
+		t.Fatal(err)
 	}
 	e.mu.Lock()
 	e.cutWindowLocked()
 	e.mu.Unlock()
 	<-started
-	if err := e.AddRunArtifact(0, "vriga", "measurement.out", []byte("new")); err != nil {
+	done := make(chan error)
+	go func() { done <- e.AddRunArtifact(0, "vriga", "measurement.out", []byte("new")) }()
+	time.Sleep(time.Millisecond) // the rewrite is waiting by now, or will be
+	close(release)
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	e.mu.Lock()
-	queued := len(e.ops)
-	e.mu.Unlock()
-	if queued != 1 {
-		t.Fatalf("rewrite during the drain: %d ops queued, want 1", queued)
-	}
-	close(release)
 	if err := e.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := os.ReadFile(path); string(got) != "new" {
-		t.Errorf("file = %q after the drain, want the rewrite", got)
+	if got, _ := os.ReadFile(filepath.Join(runDir, "vriga", "measurement.out")); string(got) != "new" {
+		t.Errorf("file = %q after the commit, want the rewrite", got)
 	}
 }
 
@@ -484,8 +459,8 @@ func TestIdleFlusherHoldsNoFragments(t *testing.T) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.flushing || e.draining != nil || e.opIdx != nil {
-		t.Fatalf("flusher not idle after Sync: flushing=%v draining=%v opIdx=%v", e.flushing, e.draining, e.opIdx)
+	if e.flushing || len(e.commits) != 0 || len(e.staged) != 0 {
+		t.Fatalf("flusher not idle after Sync: flushing=%v commits=%v staged=%v", e.flushing, e.commits, e.staged)
 	}
 	if e.idx.expFrag != nil {
 		t.Error("experiment_artifacts fragment held at rest")

@@ -1,15 +1,17 @@
 package results
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
+	"syscall"
 	"time"
 
 	"pos/internal/eventlog"
@@ -56,6 +58,7 @@ type index struct {
 
 type indexRun struct {
 	key       string // the run number as the manifest's object key
+	staged    bool   // not committed yet: a manifest written now leaves it out
 	hasMeta   bool
 	meta      RunMeta
 	artifacts map[string]struct{} // "<node>/<artifact>" slash paths
@@ -110,43 +113,6 @@ func (idx *index) dropFragments() {
 	}
 }
 
-// entry names one manifest record — a run's metadata, a run artifact or an
-// experiment artifact — so the write path can both record it and ask whether
-// it is recorded already.
-type entry struct {
-	run  int      // the run; unused for experiment artifacts
-	rel  string   // "<node>/<artifact>" or the experiment artifact's path
-	meta *RunMeta // non-nil: the record is run's metadata.json
-	exp  bool     // rel is an experiment artifact
-}
-
-func (en entry) record(idx *index) {
-	switch {
-	case en.meta != nil:
-		idx.setMeta(*en.meta)
-	case en.exp:
-		idx.addExperimentArtifact(en.rel)
-	default:
-		idx.addRunArtifact(en.run, en.rel)
-	}
-}
-
-func (en entry) recorded(idx *index) bool {
-	if en.exp {
-		_, ok := idx.exp[en.rel]
-		return ok
-	}
-	run := idx.runs[en.run]
-	if run == nil {
-		return false
-	}
-	if en.meta != nil {
-		return run.hasMeta
-	}
-	_, ok := run.artifacts[en.rel]
-	return ok
-}
-
 // manifestFile is the persisted form. Non-test code only decodes through it:
 // encode writes the same bytes json.Marshal(manifestFile) would, member by
 // member, and a test holds it to that.
@@ -166,7 +132,8 @@ const manifestVersion = 1
 
 // encode appends the manifest file to dst: header, the cached
 // experiment_artifacts member, then the runs' cached fragments in the order
-// encoding/json sorts object keys (as strings, so "10" precedes "2").
+// encoding/json sorts object keys (as strings, so "10" precedes "2"). Runs
+// still staged are left out: their files are not on disk.
 func (idx *index) encode(dst []byte) ([]byte, error) {
 	dst = append(dst, `{"version":`...)
 	dst = strconv.AppendInt(dst, manifestVersion, 10)
@@ -178,11 +145,13 @@ func (idx *index) encode(dst []byte) ([]byte, error) {
 		}
 		dst = append(dst, idx.expFrag...)
 	}
-	if len(idx.runs) > 0 {
-		order := make([]*indexRun, 0, len(idx.runs))
-		for _, entry := range idx.runs {
+	order := make([]*indexRun, 0, len(idx.runs))
+	for _, entry := range idx.runs {
+		if !entry.staged {
 			order = append(order, entry)
 		}
+	}
+	if len(order) > 0 {
 		slices.SortFunc(order, func(a, b *indexRun) int { return strings.Compare(a.key, b.key) })
 		dst = append(dst, `,"runs":{`...)
 		for i, entry := range order {
@@ -392,7 +361,8 @@ func (e *Experiment) ensureIndexLocked() error {
 // catches at the cost of a single directory read instead of a tree walk.
 // Out-of-band edits inside an existing run directory are not detectable
 // this cheaply; RebuildIndex covers those. The event journal is not the
-// store's to list (see scanTree), so it is no sign of staleness.
+// store's to list (see scanTree), so it is no sign of staleness, and neither
+// is a temp file or staging directory in flight.
 func (e *Experiment) indexMatchesTree(idx *index) bool {
 	entries, err := os.ReadDir(e.dir)
 	if err != nil {
@@ -401,7 +371,7 @@ func (e *Experiment) indexMatchesTree(idx *index) bool {
 	diskRuns := make(map[int]bool)
 	diskTops := make(map[string]bool)
 	for _, ent := range entries {
-		if ent.Name() == eventlog.JournalDir {
+		if ent.Name() == eventlog.JournalDir || strings.HasPrefix(ent.Name(), tmpPrefix) {
 			continue
 		}
 		if run, ok := parseRunDir(ent.Name()); ok && ent.IsDir() {
@@ -441,6 +411,8 @@ func (e *Experiment) indexMatchesTree(idx *index) bool {
 // run once on reopen instead of on every enumeration. The event journal
 // (eventlog.JournalDir) is skipped: eventlog writes it beside the store, the
 // live manifest never lists it, and publish.BuildManifest adds its segments.
+// So is every temp file and staging directory, at any depth: neither is a
+// result yet.
 func scanTree(dir string) (*index, error) {
 	idx := newIndex()
 	entries, err := os.ReadDir(dir)
@@ -449,7 +421,7 @@ func scanTree(dir string) (*index, error) {
 	}
 	for _, ent := range entries {
 		name := ent.Name()
-		if name == eventlog.JournalDir {
+		if name == eventlog.JournalDir || strings.HasPrefix(name, tmpPrefix) {
 			continue
 		}
 		if run, ok := parseRunDir(name); ok && ent.IsDir() {
@@ -468,13 +440,7 @@ func scanTree(dir string) (*index, error) {
 
 func scanRunDir(idx *index, base string, run int) error {
 	entry := idx.run(run)
-	err := filepath.Walk(base, func(path string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		if info.IsDir() {
-			return nil
-		}
+	err := walkFiles(base, func(path string) error {
 		rel, err := filepath.Rel(base, path)
 		if err != nil {
 			return err
@@ -503,13 +469,7 @@ func scanRunDir(idx *index, base string, run int) error {
 }
 
 func scanExperimentArtifacts(idx *index, dir, path string) error {
-	err := filepath.Walk(path, func(p string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		if info.IsDir() {
-			return nil
-		}
+	err := walkFiles(path, func(p string) error {
 		rel, err := filepath.Rel(dir, p)
 		if err != nil {
 			return err
@@ -523,68 +483,57 @@ func scanExperimentArtifacts(idx *index, dir, path string) error {
 	return nil
 }
 
-// mutate records one manifest entry and schedules a write-behind flush.
-func (e *Experiment) mutate(en entry) error {
-	_, err := e.mutateOp("", nil, en, false)
-	return err
+// walkFiles calls fn for every file below root but temp files and staging
+// directories.
+func walkFiles(root string, fn func(path string) error) error {
+	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case strings.HasPrefix(d.Name(), tmpPrefix) && d.IsDir():
+			return filepath.SkipDir
+		case strings.HasPrefix(d.Name(), tmpPrefix) || d.IsDir():
+			return nil
+		}
+		return fn(path)
+	})
 }
 
-// mutateOp is mutate with an optional deferred disk write riding the same
-// queue: the flusher executes op before committing the manifest snapshot
-// that records it, so a crash leaves a stale-but-consistent manifest rather
-// than one listing files that were never written. Re-queueing a path still
-// in the queue replaces its op (last write wins), which also guarantees
-// every queued op targets a distinct path — the invariant that lets the
-// flusher drain them in parallel.
-//
-// authoritative says the manifest alone knows what is in path's directory
-// (this handle created it): then an entry already recorded whose write is
-// neither queued nor being drained is on disk, and overwriting it must not
-// wait for the next drain — a reader would be served the old bytes until
-// then. mutateOp reports false and changes nothing; the caller writes
-// synchronously and records with mutate.
-func (e *Experiment) mutateOp(path string, op func() error, en entry, authoritative bool) (queued bool, err error) {
+// mutate records one manifest entry, a file written through the per-file
+// path, and schedules a write-behind flush.
+func (e *Experiment) mutate(record func(*index)) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.ensureIndexLocked(); err != nil {
-		return false, err
+		return err
 	}
-	// Backpressure: bound the unflushed mutation count.
+	record(e.idx)
+	e.idx.gen++
+	e.pendingLocked()
+	return nil
+}
+
+// pendingLocked counts one manifest mutation, first waiting while the queue
+// is at its bound (backpressure), and makes sure a flusher will commit it.
+// Caller holds e.mu.
+func (e *Experiment) pendingLocked() {
 	for e.pending >= maxPendingMutations {
 		e.cutWindowLocked()
 		e.cond.Wait()
 	}
-	slot, requeue := e.opIdx[path]
-	if op != nil && authoritative && !requeue {
-		if _, draining := e.draining[path]; !draining && en.recorded(e.idx) {
-			return false, nil
-		}
-	}
-	en.record(e.idx)
-	e.idx.gen++
 	e.pending++
 	manifestPending.Inc()
-	if op != nil {
-		if requeue {
-			e.ops[slot] = op
-		} else {
-			if e.opIdx == nil {
-				e.opIdx = make(map[string]int)
-			}
-			e.opIdx[path] = len(e.ops)
-			e.ops = append(e.ops, op)
-		}
-	}
 	if !e.flushing {
 		e.flushing = true
 		go e.flushLoop()
 	}
-	return true, nil
 }
 
-// flushLoop group-commits the manifest: every iteration snapshots the
-// current state and writes it once, covering all mutations that accumulated
-// while the previous write was in flight. It exits, releasing the encode
+// flushLoop group-commits the manifest: every iteration commits the staged
+// runs queued since the last, then writes the manifest once, covering all
+// mutations that accumulated while the previous write was in flight. The
+// manifest is encoded before the commits and written after them, so it never
+// names a file that is not on disk. It exits, releasing the encode
 // buffer and the cached fragments, once a whole window has passed with
 // nothing to commit — or at once when a Sync is waiting for exactly that. A
 // campaign's runs arrive closer together than a window, so its flusher, and
@@ -605,35 +554,35 @@ func (e *Experiment) flushLoop() {
 		if e.syncWaiters == 0 && e.pending < maxPendingMutations {
 			e.waitWindowLocked()
 		}
-		if e.pending == 0 && len(e.ops) == 0 {
+		if e.pending == 0 && len(e.commits) == 0 {
 			break
 		}
-		ops := e.ops
-		e.ops = nil
-		e.draining, e.opIdx = e.opIdx, nil
+		commits := e.commits
+		e.commits = nil
+		for _, st := range commits {
+			st.committing = true
+		}
 		data, err := e.idx.encode(buf[:0])
 		buf = data
 		manifestPending.Add(-float64(e.pending))
 		e.pending = 0
 		e.cond.Broadcast() // wake writers blocked on backpressure
 		e.mu.Unlock()
-		if len(ops) > 0 {
-			// Skip deferred writes when the experiment tree is gone (pruned,
-			// or a test tearing it down) — same guard as writeManifest.
-			if _, statErr := os.Stat(e.dir); statErr == nil {
-				if opErr := drainOps(ops); opErr != nil && err == nil {
-					err = opErr
-				}
-			}
+		// An experiment that has been removed (pruned, or a test tearing its
+		// tree down) gets neither its runs nor a manifest: writing them
+		// would resurrect deleted directories.
+		var sys syscall.Stat_t
+		gone := syscall.Stat(e.dir, &sys) != nil
+		if cerr := e.commitRuns(commits, gone); cerr != nil && err == nil {
+			err = cerr
 		}
-		if err == nil {
+		if err == nil && !gone {
 			err = e.writeManifest(data)
 			if err == nil {
 				manifestFlushes.Inc()
 			}
 		}
 		e.mu.Lock()
-		e.draining = nil
 		if err != nil && e.flushErr == nil {
 			e.flushErr = err
 		}
@@ -670,55 +619,46 @@ func (e *Experiment) cutWindowLocked() {
 	}
 }
 
-// drainOps executes one group commit's deferred writes. Every op targets a
-// distinct path (mutateOp replaces re-queued paths in place), so a few
-// workers can drain them in parallel; the first error wins.
-func drainOps(ops []func() error) error {
-	workers := 4
-	if len(ops) < workers {
-		workers = len(ops)
+// commitRuns commits the runs one group commit took; the first error wins.
+// A run that fails to commit, or has nothing to commit (its every write
+// failed), leaves no directory behind and is dropped from the manifest:
+// nothing may name files that are not on disk. The runs of an experiment
+// whose tree is gone are dropped unwritten.
+func (e *Experiment) commitRuns(runs []*stagedRun, gone bool) (first error) {
+	for _, st := range runs {
+		var err error
+		empty := len(st.files) == 0 && st.meta == nil
+		if !gone && !empty {
+			err = e.commit(st)
+		}
+		if (err != nil || empty) && st.dir != "" {
+			os.RemoveAll(st.dir)
+		}
+		e.mu.Lock()
+		delete(e.staged, st.run)
+		if err != nil || empty {
+			delete(e.idx.runs, st.run)
+			e.idx.gen++
+			first = cmp.Or(first, err)
+		}
+		e.cond.Broadcast() // wake writers and readers waiting out the commit
+		e.mu.Unlock()
 	}
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		first error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(ops); i += workers {
-				if err := ops[i](); err != nil {
-					mu.Lock()
-					if first == nil {
-						first = err
-					}
-					mu.Unlock()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
 	return first
 }
 
 func (e *Experiment) writeManifest(data []byte) error {
-	// An experiment that has been removed (pruned, or a test tearing its
-	// tree down) needs no manifest; dropping the write keeps the flusher
-	// from resurrecting deleted directories.
-	if _, err := os.Stat(e.dir); err != nil {
-		return nil
-	}
 	path := e.indexPath()
-	if _, err := e.ensureDir(filepath.Dir(path)); err != nil {
+	if err := mkdirAll(filepath.Dir(path)); err != nil {
 		return fmt.Errorf("results: %w", err)
 	}
-	return e.store.writeFileAtomic(path, data)
+	return e.store.writeFileAtomic(path, data, "")
 }
 
-// Sync blocks until every pending manifest mutation has been flushed and
-// returns the first flush error, if any. Runners call it when an experiment
-// execution completes; it is cheap when the manifest is already clean.
+// Sync commits every run still staged, blocks until every pending manifest
+// mutation has been flushed and returns the first flush error, if any.
+// Runners call it when an experiment execution completes; it is cheap when
+// the manifest is already clean.
 func (e *Experiment) Sync() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -726,13 +666,19 @@ func (e *Experiment) Sync() error {
 	return e.flushErr
 }
 
-// waitIdleLocked blocks until the flusher has committed everything and
-// exited. A waiter ends the flusher's current window, accumulating or
-// trailing: it has nothing to gain from either. Caller holds e.mu.
+// waitIdleLocked queues the commit of every run still staged and blocks until
+// the flusher has committed everything and exited. A waiter ends the
+// flusher's current window, accumulating or trailing: it has nothing to gain
+// from either. Caller holds e.mu.
 func (e *Experiment) waitIdleLocked() {
+	for _, st := range e.staged {
+		if !st.queued {
+			e.queueCommitLocked(st)
+		}
+	}
 	e.syncWaiters++
 	e.cutWindowLocked()
-	for e.flushing || e.pending > 0 || len(e.ops) > 0 {
+	for e.flushing || e.pending > 0 || len(e.commits) > 0 {
 		e.cond.Wait()
 	}
 	e.syncWaiters--
@@ -782,10 +728,11 @@ func (idx *index) paths() []string {
 	return out
 }
 
-// RebuildIndex discards the manifest and rebuilds it from the on-disk tree,
-// then flushes it synchronously. Use after out-of-band modifications to an
-// experiment directory.
+// RebuildIndex commits what the handle has staged, then discards the manifest
+// and rebuilds it from the on-disk tree and flushes it synchronously. Use
+// after out-of-band modifications to an experiment directory.
 func (e *Experiment) RebuildIndex() error {
+	e.Sync() // a flush error stays for the next Sync to report
 	idx, err := scanTree(e.dir)
 	if err != nil {
 		return err
@@ -802,6 +749,9 @@ func (e *Experiment) RebuildIndex() error {
 		oldGen = e.idx.gen
 	}
 	idx.gen = oldGen + 1
+	for run := range e.staged { // staged during the scan, not on disk yet
+		idx.runs[run] = e.idx.runs[run]
+	}
 	e.idx = idx
 	data, err := idx.encode(nil)
 	idx.dropFragments()

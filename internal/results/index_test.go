@@ -314,7 +314,10 @@ func TestDedupHardlinksIdenticalContent(t *testing.T) {
 			t.Fatalf("run %d content mismatch: %v", run, err)
 		}
 	}
-	// All copies share one inode with the blob.
+	// All copies share one inode with the blob, once committed.
+	if err := e.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	first, err := os.Stat(filepath.Join(e.Dir(), "run_0000", "lg", "setup.sh"))
 	if err != nil {
 		t.Fatal(err)
@@ -346,6 +349,9 @@ func TestDedupOverwriteDoesNotCorruptSiblings(t *testing.T) {
 	if err := e.AddRunArtifact(0, "n", "a", rewritten); err != nil {
 		t.Fatal(err)
 	}
+	if err := e.Sync(); err != nil {
+		t.Fatal(err)
+	}
 	if data, _ := e.ReadRunArtifact(0, "n", "a"); !bytes.Equal(data, rewritten) {
 		t.Errorf("run 0 = %.20q...", data)
 	}
@@ -361,6 +367,9 @@ func TestBlobStatsAndGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := e.AddRunArtifact(0, "n", "drop", []byte(strings.Repeat("about to be orphaned\n", 512))); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := s.BlobStats()
@@ -478,13 +487,19 @@ func TestTmpSweepOnOpen(t *testing.T) {
 	if err := e.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a crashed writer: orphaned temp files at several depths.
+	// Simulate a crashed writer: orphaned temp files and staging directories
+	// at several depths.
 	orphans := []string{
 		filepath.Join(s.Root(), ".tmp-rootcrash"),
+		filepath.Join(s.Root(), ".tmp-rootdir", "x"),
 		filepath.Join(e.Dir(), ".tmp-123"),
+		filepath.Join(e.Dir(), ".tmp-124", "lg", "moongen.log"),
 		filepath.Join(e.Dir(), "run_0000", ".tmp-456"),
 	}
 	for _, p := range orphans {
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
 		if err := os.WriteFile(p, []byte("junk"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -499,7 +514,7 @@ func TestTmpSweepOnOpen(t *testing.T) {
 	if _, err := s2.OpenExperiment("user", "default", e.ID()); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range orphans {
+	for _, p := range append(orphans, filepath.Join(s.Root(), ".tmp-rootdir"), filepath.Join(e.Dir(), ".tmp-124")) {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Errorf("orphan %s survived the sweep", p)
 		}
@@ -565,16 +580,21 @@ func TestDotUserRejected(t *testing.T) {
 }
 
 // A Sync that arrives while the flusher waits out its group-commit window
-// must end the window, not sit through the rest of it. The deferred write
-// stamps the moment the flusher starts its commit, so the disk's speed stays
+// must end the window, not sit through the rest of it. The fault hook stamps
+// the moment the flusher starts the run's commit, so the disk's speed stays
 // out of the measurement.
 func TestSyncCutsFlushWindowShort(t *testing.T) {
 	_, e := newExp(t)
+	var committing time.Time
+	setFSHook(t, func(op, path string) error {
+		if op == "mkdir" && strings.HasPrefix(filepath.Base(path), tmpPrefix) {
+			committing = time.Now()
+		}
+		return nil
+	})
 	waits := make([]time.Duration, 50)
 	for i := range waits {
-		var committing time.Time
-		stamp := func() error { committing = time.Now(); return nil }
-		if _, err := e.mutateOp("probe", stamp, entry{rel: "probe", exp: true}, false); err != nil {
+		if err := e.WriteRunMeta(RunMeta{Run: i}); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(flushWindow / 10) // the flusher is in its window by now

@@ -10,15 +10,17 @@
 //   - a per-experiment run manifest (see index.go) kept in memory by the
 //     experiment's handle and flushed write-behind, so enumerating runs and
 //     artifacts never walks the tree again;
+//   - runs committed whole (see stage.go): a run's files are staged until
+//     its metadata is written, then its directory appears by one rename;
 //   - content-addressed blob storage (see blob.go) that deduplicates
 //     identical artifacts — a 60-run sweep writes each repeated script or
 //     variable file once and hardlinks it into every run;
 //   - a generation counter per experiment that downstream caches (eval)
 //     use for invalidation.
 //
-// Both live outside the experiment directories (<root>/.posindex,
-// <root>/.posblob), so the on-disk experiment layout stays byte-identical
-// to the paper's artifacts.
+// The manifest and the pool live outside the experiment directories
+// (<root>/.posindex, <root>/.posblob), so the on-disk experiment layout stays
+// byte-identical to the paper's artifacts.
 //
 // Three invariants hold it together.
 //
@@ -31,31 +33,25 @@
 // manifest and all, and the next open reloads it from .posindex. A store that
 // runs for months holds the experiments in use, not its history.
 //
-// The fresh-directory invariant: a directory this handle created holds only
-// what this handle wrote; elsewhere the disk is asked. Small files are
-// written behind the manifest flusher, but an overwrite of a file already on
-// disk must be synchronous, or readers would be served the old bytes until
-// the next drain. Whether a path is on disk is answered from the manifest
-// entry and the flusher's queue when the handle made the directory itself (a
-// Mkdir that succeeded — nothing else can have put a file there), and by an
-// Lstat when the directory was found there, which is what keeps files placed
-// out-of-band, and squatters on a reserved name, honest. A campaign into a
-// fresh experiment therefore records its runs without a single stat. The memo
-// of directories made lives and dies with the handle: a reopened handle knows
-// nothing, so it asks the disk.
+// The fresh-directory invariant: a directory the handle made (a Mkdir that
+// succeeded) holds only what the handle wrote. So the handle stages the runs
+// of an experiment it created, asking the disk once per run whether its
+// run_NNNN is there. A run directory found there, a run committed already
+// and every run of an experiment it opened take the per-file path instead:
+// a temp file renamed over the final name before the call returns, so a
+// reader never gets bytes older than the last write. A handle dropped with
+// runs still staged loses them, as a crash would.
 //
-// The crash invariant, which the above does not change: deferred writes land
-// before the manifest that lists them. Every group commit first drains the
-// queued file writes (each a temp file renamed into place, so no reader or
-// crash ever sees a torn file) and only then renames the new manifest over
-// the old, so a crash leaves a manifest that is stale but consistent — never
-// one naming a file that was not written — and reopening detects staleness
-// and rebuilds from the tree.
+// The crash invariant: a run_NNNN/ is absent or holds every file recorded
+// for it when it committed, and no manifest names a file that is not on
+// disk. Each group commit encodes the manifest without the runs still
+// staged, commits the runs queued with it, and only then renames it over the
+// old one. A crash leaves a manifest that is stale but consistent, which
+// reopening detects and rebuilds from the tree, and staging directories and
+// temp files, which opening sweeps.
 package results
 
 import (
-	"bufio"
-	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -87,116 +83,16 @@ type Option func(*Store)
 // Off by default (and in tests).
 func Durable() Option { return func(s *Store) { s.durable = true } }
 
-// ensureDir creates dir unless this handle already has, and reports whether
-// this handle is the one that created it (a Mkdir that succeeded, not one
-// that found the directory there). Unlike os.MkdirAll it never stat-walks the
-// path: it tries a bare Mkdir and only recurses to the parent on ENOENT, so
-// the per-artifact cost is zero syscalls for a memoized directory and one for
-// a fresh leaf under an existing parent.
-func (e *Experiment) ensureDir(dir string) (created bool, err error) {
-	e.dirMu.Lock()
-	defer e.dirMu.Unlock()
-	return e.ensureDirLocked(dir)
-}
-
-func (e *Experiment) ensureDirLocked(dir string) (created bool, err error) {
-	if created, ok := e.dirs[dir]; ok {
-		return created, nil
-	}
-	err = os.Mkdir(dir, 0o755)
-	if os.IsNotExist(err) {
-		if _, perr := e.ensureDirLocked(filepath.Dir(dir)); perr != nil {
-			return false, perr
-		}
-		err = os.Mkdir(dir, 0o755)
-	}
-	if err != nil && !os.IsExist(err) {
-		return false, err
-	}
-	if e.dirs == nil {
-		e.dirs = make(map[string]bool)
-	}
-	e.dirs[dir] = err == nil // else found there: by someone else
-	return err == nil, nil
-}
-
-// forgetTree drops memoized directories at or below dir after the tree was
-// removed, so a later write recreates them instead of failing.
-func (e *Experiment) forgetTree(dir string) {
-	prefix := dir + string(filepath.Separator)
-	e.dirMu.Lock()
-	defer e.dirMu.Unlock()
-	for d := range e.dirs {
-		if d == dir || strings.HasPrefix(d, prefix) {
-			delete(e.dirs, d)
-		}
-	}
-}
-
-// lstatHook, when a test sets it, sees every path deferWrite asks the disk
-// about.
-var lstatHook func(path string)
-
-// deferWrite queues op, the write of a file too small to deduplicate, behind
-// the manifest flusher, overlapped with foreground payload writes, and
-// records en. It reports false, having done neither, when path may be on disk
-// already: overwrites of flushed files stay synchronous, because such a file
-// must never serve stale bytes to readers between the rewrite and the next
-// queue drain. (Re-queueing a path still in the queue is fine — mutateOp
-// replaces the queued op, so the last write wins.) Whether path is on disk is
-// the manifest's call in a directory this handle created, since nothing else
-// writes there; in a directory that was already there the disk is asked.
-func (e *Experiment) deferWrite(dir, path string, op func() error, en entry) (queued bool, err error) {
-	created, err := e.ensureDir(dir)
-	if err != nil {
-		return false, fmt.Errorf("results: %w", err)
-	}
-	if !created {
-		if lstatHook != nil {
-			lstatHook(path)
-		}
-		if _, err := os.Lstat(path); err == nil || !errors.Is(err, fs.ErrNotExist) {
-			return false, nil
-		}
-	}
-	return e.mutateOp(path, op, en, created)
-}
-
-// putArtifact stores data at path, a file in dir, and records en:
-// write-behind when the artifact is too small to deduplicate (the bytes are
-// copied — the caller may reuse its buffer — and the queue's memory footprint
-// stays bounded by backpressure × dedupMinBytes), else synchronously through
-// the blob pool.
-func (e *Experiment) putArtifact(dir, path string, data []byte, en entry) error {
-	if len(data) < dedupMinBytes {
-		buf := append([]byte(nil), data...)
-		op := func() error { return e.store.writeFileAtomic(path, buf) }
-		if queued, err := e.deferWrite(dir, path, op, en); queued || err != nil {
-			return err
-		}
-	}
-	err := e.writeInDir(dir, func() error { return e.store.writeFileDedup(path, data) })
-	if err != nil {
-		return err
-	}
-	return e.mutate(en)
-}
-
-// writeInDir runs one artifact write inside dir, creating dir on demand. If
-// the memoized directory turns out to have been removed out-of-band, the
-// memo is dropped and the write retried once against a fresh directory.
-func (e *Experiment) writeInDir(dir string, write func() error) error {
-	if _, err := e.ensureDir(dir); err != nil {
+// putFile stores data at path, a file in dir, synchronously through the
+// blob pool, and records it in the manifest.
+func (e *Experiment) putFile(dir, path string, data []byte, record func(*index)) error {
+	if err := mkdirAll(dir); err != nil {
 		return fmt.Errorf("results: %w", err)
 	}
-	err := write()
-	if err != nil && errors.Is(err, fs.ErrNotExist) {
-		e.forgetTree(dir)
-		if mkErr := os.MkdirAll(dir, 0o755); mkErr == nil {
-			err = write()
-		}
+	if err := e.store.writeFileDedup(path, data); err != nil {
+		return err
 	}
-	return err
+	return e.mutate(record)
 }
 
 // NewStore opens (creating if needed) a results tree rooted at dir. Orphaned
@@ -246,8 +142,8 @@ const (
 // writer of its manifest; handles are safe for concurrent use by multiple
 // goroutines (replica testbeds of a campaign share one).
 type Experiment struct {
-	// mu guards the manifest (idx), the write-behind flusher state, and
-	// the generation counter. File writes happen outside the lock; the
+	// mu guards the manifest (idx), the staged runs, the flusher state and
+	// the generation counter. Per-file writes happen outside the lock; the
 	// index mutation that records them happens under it.
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -257,22 +153,18 @@ type Experiment struct {
 	user  string
 	name  string
 	id    string
+	// fresh says this handle made the experiment directory: its runs are
+	// staged and committed whole (see stage.go).
+	fresh bool
 
 	idx         *index
-	pending     int            // manifest mutations not yet flushed to disk
-	ops         []func() error // deferred small-file writes, drained by the flusher
-	opIdx       map[string]int // queued op per target path; re-queue replaces (last wins)
-	draining    map[string]int // opIdx of the batch the flusher is writing right now
-	flushing    bool           // a flusher goroutine is active
-	flushErr    error          // first flush failure, surfaced by Sync
-	syncWaiters int            // Sync callers blocked; makes the flusher skip its window
-	window      chan struct{}  // open while the flusher waits out a window; closing it ends the wait
-
-	// dirs memoizes the directories this handle has asked for, and whether it
-	// made them. Artifact ingest otherwise pays an os.MkdirAll stat-walk for
-	// every single file.
-	dirMu sync.Mutex
-	dirs  map[string]bool
+	pending     int                // manifest mutations not yet flushed to disk
+	staged      map[int]*stagedRun // runs not yet committed
+	commits     []*stagedRun       // staged runs queued for the flusher
+	flushing    bool               // a flusher goroutine is active
+	flushErr    error              // first flush failure, surfaced by Sync
+	syncWaiters int                // Sync callers blocked; makes the flusher skip its window
+	window      chan struct{}      // open while the flusher waits out a window; closing it ends the wait
 }
 
 func (s *Store) newExperiment(dir, user, name, id string) *Experiment {
@@ -304,15 +196,17 @@ func (s *Store) CreateExperiment(user, name string, at time.Time) (*Experiment, 
 	}
 	id := at.Format("2006-01-02_15-04-05") + fmt.Sprintf("_%06d", at.Nanosecond()/1000)
 	dir := filepath.Join(s.root, user, name, id)
-	if err := os.MkdirAll(filepath.Dir(dir), 0o755); err != nil {
+	err := mkdirAll(filepath.Dir(dir))
+	if err == nil {
+		// The leaf alone, so the handle knows whether it made the
+		// experiment's directory itself.
+		err = mkdir(dir)
+	}
+	if err != nil && !os.IsExist(err) {
 		return nil, fmt.Errorf("results: %w", err)
 	}
-	// The leaf through ensureDir, so the handle knows whether it made the
-	// experiment's directory itself.
 	e := s.newExperiment(dir, user, name, id)
-	if _, err := e.ensureDir(dir); err != nil {
-		return nil, fmt.Errorf("results: %w", err)
-	}
+	e.fresh = err == nil && stagingSupported
 	e.idx = newIndex()
 	s.register(handleKey(user, name, id), e, true)
 	return e, nil
@@ -388,9 +282,7 @@ func (s *Store) Prune(user, name string, keep int) ([]string, error) {
 		if err := os.RemoveAll(dir); err != nil {
 			return nil, fmt.Errorf("results: pruning %s: %w", id, err)
 		}
-		if live := s.dropHandle(key); live != nil {
-			live.forgetTree(dir)
-		}
+		s.dropHandle(key)
 		os.Remove(s.indexPath(user, name, id))
 	}
 	return append([]string(nil), victims...), nil
@@ -456,16 +348,11 @@ func (m RunMeta) clone() RunMeta {
 	return m
 }
 
-// writeFile writes the metadata as its run's metadata.json: the manifest's
-// own encoding of it (appendJSON), indented by two spaces, and a newline,
-// appended straight into w's buffer.
-func (m *RunMeta) writeFile(w *bufio.Writer) error {
-	b, err := m.appendJSON(w.AvailableBuffer(), true)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(b, '\n'))
-	return err
+// appendFile appends the metadata as its run's metadata.json: the manifest's
+// own encoding of it (appendJSON), indented by two spaces, and a newline.
+func (m *RunMeta) appendFile(dst []byte) ([]byte, error) {
+	b, err := m.appendJSON(dst, true)
+	return append(b, '\n'), err
 }
 
 // DecodeRunMeta decodes the metadata of one run as metadata.json and the
@@ -517,18 +404,19 @@ func appendRunDir(dst []byte, run int) []byte {
 	return strconv.AppendInt(dst, int64(run), 10)
 }
 
-// runFile returns the path of a file of one run, rel being its slash path
-// below the run directory, and the directory that holds it. rel has passed
-// validateArtifactName (or is a reserved name), so joining needs no cleaning.
-func (e *Experiment) runFile(run int, rel string) (dir, path string) {
+// runDir returns the path of run's directory.
+func (e *Experiment) runDir(run int) string {
 	var stack [192]byte
 	buf := append(stack[:0], e.dir...)
 	buf = append(buf, filepath.Separator)
-	buf = appendRunDir(buf, run)
-	buf = append(buf, filepath.Separator)
-	buf = append(buf, filepath.FromSlash(rel)...)
-	path = string(buf)
-	return path[:len(path)-len(filepath.Base(path))-1], path
+	return string(appendRunDir(buf, run))
+}
+
+// runFile returns the path of a file of one run, rel being its slash path
+// below the run directory, and the directory that holds it.
+func (e *Experiment) runFile(run int, rel string) (dir, path string) {
+	path = filepath.Join(e.runDir(run), filepath.FromSlash(rel))
+	return filepath.Dir(path), path
 }
 
 // parseRunDir strictly parses a run directory name. Only names that
@@ -577,23 +465,21 @@ func validateArtifactName(name string, flat bool) error {
 	return nil
 }
 
-// WriteRunMeta stores the metadata file of one run. The write is atomic on
-// disk and recorded in the manifest write-behind; rewriting a run's metadata
-// bumps the experiment generation, invalidating warm eval caches.
+// WriteRunMeta stores the metadata file of one run and, for a staged run,
+// queues its commit: the run's directory appears with every file recorded
+// for it. Rewriting a run's metadata bumps the experiment generation,
+// invalidating warm eval caches.
 func (e *Experiment) WriteRunMeta(meta RunMeta) error {
-	dir, path := e.runFile(meta.Run, "metadata.json")
 	stored := meta.clone()
-	writeMeta := func() error { return e.store.writeFileStream(path, stored.writeFile) }
-	// The metadata is authoritative in the manifest the moment
-	// deferWrite returns; the small disk file rides the write-behind queue.
-	en := entry{run: meta.Run, meta: &stored}
-	if queued, err := e.deferWrite(dir, path, writeMeta, en); queued || err != nil {
+	if staged, err := e.stage(meta.Run, "", nil, &stored); staged || err != nil {
 		return err
 	}
-	if err := e.writeInDir(dir, writeMeta); err != nil {
-		return err
+	data, err := stored.appendFile(nil)
+	if err != nil {
+		return fmt.Errorf("results: %w", err)
 	}
-	return e.mutate(en)
+	dir, path := e.runFile(meta.Run, "metadata.json")
+	return e.putFile(dir, path, data, func(idx *index) { idx.setMeta(stored) })
 }
 
 // ReadRunMeta loads one run's metadata, served from the manifest when the
@@ -637,9 +523,16 @@ func (e *Experiment) AddRunArtifact(run int, nodeName, artifact string, data []b
 	if err := validateArtifactName(artifact, true); err != nil {
 		return err
 	}
-	rel := nodeName + "/" + artifact
+	return e.putRunFile(run, nodeName+"/"+artifact, data)
+}
+
+// putRunFile stages a file of run, or writes it through the per-file path.
+func (e *Experiment) putRunFile(run int, rel string, data []byte) error {
+	if staged, err := e.stage(run, rel, data, nil); staged || err != nil {
+		return err
+	}
 	dir, path := e.runFile(run, rel)
-	return e.putArtifact(dir, path, data, entry{run: run, rel: rel})
+	return e.putFile(dir, path, data, func(idx *index) { idx.addRunArtifact(run, rel) })
 }
 
 // resourcesName is the run-level host-conditions record (telemetry
@@ -649,32 +542,23 @@ func (e *Experiment) AddRunArtifact(run int, nodeName, artifact string, data []b
 const resourcesName = "resources.json"
 
 // WriteRunResources stores one run's host-conditions record (resources.json)
-// next to its metadata. The write rides the manifest write-behind like any
-// small artifact.
+// next to its metadata. The runner writes it before the metadata, so it
+// commits with the run.
 func (e *Experiment) WriteRunResources(run int, data []byte) error {
-	dir, path := e.runFile(run, resourcesName)
-	return e.putArtifact(dir, path, data, entry{run: run, rel: resourcesName})
+	return e.putRunFile(run, resourcesName, data)
 }
 
-// ReadRunArtifact loads one artifact back.
+// ReadRunArtifact loads one artifact back. A handle reads its own writes: a
+// file of a run still staged comes from memory or the staging directory.
 func (e *Experiment) ReadRunArtifact(run int, nodeName, artifact string) ([]byte, error) {
-	data, err := e.readBack(filepath.Join(e.dir, runDirName(run), nodeName, artifact))
+	data, staged, err := e.readStaged(run, nodeName, artifact)
+	if !staged {
+		data, err = os.ReadFile(filepath.Join(e.dir, runDirName(run), nodeName, artifact))
+	}
 	if err != nil {
 		return nil, fmt.Errorf("results: %w", err)
 	}
 	return data, nil
-}
-
-// readBack reads an artifact file, draining the write-behind queue once when
-// the file is not there yet — a handle must always see its own writes.
-func (e *Experiment) readBack(path string) ([]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil && errors.Is(err, fs.ErrNotExist) {
-		if serr := e.Sync(); serr == nil {
-			data, err = os.ReadFile(path)
-		}
-	}
-	return data, err
 }
 
 // AddExperimentArtifact stores an experiment-wide artifact (the experiment
@@ -685,12 +569,12 @@ func (e *Experiment) AddExperimentArtifact(artifact string, data []byte) error {
 		return err
 	}
 	path := filepath.Join(e.dir, filepath.FromSlash(artifact))
-	return e.putArtifact(filepath.Dir(path), path, data, entry{rel: artifact, exp: true})
+	return e.putFile(filepath.Dir(path), path, data, func(idx *index) { idx.addExperimentArtifact(artifact) })
 }
 
 // ReadExperimentArtifact loads an experiment-wide artifact.
 func (e *Experiment) ReadExperimentArtifact(artifact string) ([]byte, error) {
-	data, err := e.readBack(filepath.Join(e.dir, artifact))
+	data, err := os.ReadFile(filepath.Join(e.dir, artifact))
 	if err != nil {
 		return nil, fmt.Errorf("results: %w", err)
 	}

@@ -215,17 +215,28 @@ func TestPathSegmentsStayInsideRoot(t *testing.T) {
 	}
 }
 
+// A file written again before its run commits is replaced, whether it is
+// held in memory or in the staging directory: the last write wins, and only
+// it reaches the disk.
 func TestAtomicOverwrite(t *testing.T) {
 	_, e := newExp(t)
-	if err := e.AddRunArtifact(0, "n", "a.log", []byte("v1")); err != nil {
+	big := strings.Repeat("v", 4096)
+	for _, v := range []string{"v1", big + "2", big + "3", "v4", "v5"} {
+		if err := e.AddRunArtifact(0, "n", "a.log", []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		data, err := e.ReadRunArtifact(0, "n", "a.log")
+		if err != nil || string(data) != v {
+			t.Errorf("artifact = %.10q, %v, want %.10q", data, err, v)
+		}
+	}
+	if err := e.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.AddRunArtifact(0, "n", "a.log", []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	data, err := e.ReadRunArtifact(0, "n", "a.log")
-	if err != nil || string(data) != "v2" {
-		t.Errorf("artifact = %q, %v", data, err)
+	entries, _ := os.ReadDir(filepath.Join(e.Dir(), "run_0000", "n"))
+	data, err := os.ReadFile(filepath.Join(e.Dir(), "run_0000", "n", "a.log"))
+	if len(entries) != 1 || err != nil || string(data) != "v5" {
+		t.Errorf("on disk: %d entries, a.log = %q, %v; want the last write alone", len(entries), data, err)
 	}
 }
 
