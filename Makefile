@@ -176,6 +176,11 @@ lint:
 	if [ -n "$$out" ]; then \
 		echo "internal/ packages with no non-test importer:"; \
 		echo "$$out"; exit 1; fi
+	@out=$$(grep -rn --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build \
+		'"net/http"' . | grep -v _test.go | grep -v '^\./internal/api/'; true); \
+	if [ -n "$$out" ]; then \
+		echo "net/http imported outside internal/api (the controller API is the one HTTP surface: add a route to internal/api):"; \
+		echo "$$out"; exit 1; fi
 	@out=$$(grep -rlE --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build \
 		'^package main$$' . | grep -v '^\./cmd/posctl/'; true); \
 	if [ -n "$$out" ]; then \

@@ -53,7 +53,6 @@ import (
 	"pos/internal/telemetry"
 	"pos/internal/testbed"
 	"pos/internal/topo"
-	"pos/internal/vpos"
 )
 
 func main() {
@@ -100,8 +99,6 @@ func main() {
 		err = cmdQueue(os.Args[2:])
 	case "cancel":
 		err = cmdCancel(os.Args[2:])
-	case "vposd":
-		err = cmdVposd(os.Args[2:])
 	case "metrics":
 		err = cmdMetrics(os.Args[2:])
 	case "top":
@@ -136,7 +133,6 @@ commands:
   submit     queue a campaign on a serving controller
   queue      show a controller's campaign queue (live state)
   cancel     cancel a queued campaign or preempt a running one
-  vposd      run the virtual-testbed-as-a-service endpoint
   metrics    scrape a controller's telemetry once (/metrics or JSON snapshot)
   top        live terminal dashboard: health probes, key metrics, event tail
   watch      stream a controller's live events (-addr, SSE) or replay a
@@ -418,30 +414,6 @@ func awaitShutdown(shutdown func(context.Context) error) error {
 	sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	return shutdown(sctx)
-}
-
-func cmdVposd(args []string) error {
-	fs := flag.NewFlagSet("vposd", flag.ExitOnError)
-	dir := fs.String("dir", "", "instance results root (default: temp dir)")
-	fs.Parse(args)
-	root := *dir
-	if root == "" {
-		var err error
-		if root, err = os.MkdirTemp("", "vposd-*"); err != nil {
-			return err
-		}
-	}
-	mgr, err := vpos.NewManager(root)
-	if err != nil {
-		return err
-	}
-	srv, err := vpos.Serve(mgr)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("virtual testbed service on http://%s/instances (results under %s)\n", srv.Addr(), root)
-	fmt.Println("POST /instances to create a vpos instance; press Ctrl-C to stop")
-	return awaitShutdown(srv.Shutdown)
 }
 
 func cmdServe(args []string) error {

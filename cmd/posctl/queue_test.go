@@ -1,7 +1,9 @@
 package main
 
 import (
+	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,6 +11,9 @@ import (
 
 	"pos/internal/api"
 	"pos/internal/casestudy"
+	"pos/internal/eval"
+	"pos/internal/eventlog"
+	"pos/internal/publish"
 	"pos/internal/queue"
 	"pos/internal/results"
 	"pos/internal/testbed"
@@ -149,5 +154,103 @@ func TestSubmittedSpecIsArchived(t *testing.T) {
 	}
 	if runs, err := exp.Runs(); err != nil || len(runs) != 2 {
 		t.Errorf("runs = %v, %v", runs, err)
+	}
+}
+
+// TestServedVposCampaign walks Appendix A.1 on vpos through the one
+// controller: posctl submit -f queues a flavor: vpos campaign on a serving
+// controller, and the experiment it files in the served store evaluates,
+// checks and publishes like a hardware testbed's, its events/ journal
+// beside the results.
+func TestServedVposCampaign(t *testing.T) {
+	addr, store := queueStack(t)
+	c := api.NewClient(addr)
+	file := writeSpec(t, "flavor: vpos\nseed: 1\nsizes: [64, 1500]\nrates: [10000, 40000, 150000, 300000]\nruntime: 1\n")
+	if out, err := captureStdout(t, func() error {
+		return cmdSubmit([]string{"-addr", addr, "-user", "user", "-name", "linux-router-vpos",
+			"-nodes", "vriga,vtartu", "-f", file})
+	}); err != nil {
+		t.Fatalf("posctl submit: %v\n%s", err, out)
+	}
+	views, err := c.Campaigns()
+	if err != nil || len(views) != 1 {
+		t.Fatalf("campaigns = %v, %v", views, err)
+	}
+	if v := waitFinished(t, c, views[0].ID); v.State != string(queue.StateDone) {
+		t.Fatalf("campaign %s: %s", v.State, v.Error)
+	}
+	ids, err := store.ListExperiments("user", "linux-router-vpos")
+	if err != nil || len(ids) != 1 {
+		t.Fatalf("experiments = %v, %v", ids, err)
+	}
+	exp, err := store.OpenExperiment("user", "linux-router-vpos", ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	runs, err := eval.LoadRuns(exp, "vriga", "moongen.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := 0
+	for _, r := range runs {
+		if r.Failed {
+			failed++
+		}
+	}
+	if len(runs) != 8 || failed != 0 {
+		t.Errorf("%d runs, %d failed, want 8 and 0", len(runs), failed)
+	}
+	series, err := eval.ThroughputSeries(runs, "pkt_sz", "pkt_rate", 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, s := range series {
+		fmt.Fprintf(&got, "%4s B:", s.Name)
+		for _, p := range s.Points {
+			fmt.Fprintf(&got, "  %.3f→%.3f", p.X, p.Y)
+		}
+		got.WriteString("\n")
+	}
+	const want = "1500 B:  0.010→0.010  0.040→0.040  0.150→0.051  0.300→0.052\n" +
+		"  64 B:  0.010→0.010  0.040→0.040  0.150→0.063  0.300→0.060\n"
+	if got.String() != want {
+		t.Errorf("throughput series:\n%s\nwant:\n%s", got.String(), want)
+	}
+
+	check, err := publish.Check(exp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := string(check.Render()); r != "artifact check: 8 runs inspected, 0 findings\nresult: PUBLISHABLE\n" {
+		t.Errorf("publish check:\n%s", r)
+	}
+	m, err := publish.Release(exp, "user", "linux-router-vpos", filepath.Join(t.TempDir(), "release.tar.gz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 8 runs × 6 files, 14 files beside them and the page. One of the 14
+	// is the experiment/campaign.yml every launch archives.
+	if len(m.Files) != 63 {
+		t.Errorf("published %d files, want 63: %v", len(m.Files), m.Files)
+	}
+
+	events, err := eventlog.Replay(filepath.Join(exp.Dir(), eventlog.JournalDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var booted, measured int
+	for _, ev := range events {
+		switch {
+		case ev.Typ != eventlog.TypeProgress:
+		case ev.Message == "booting hosts":
+			booted++
+		case ev.Phase == "measurement":
+			measured++
+		}
+	}
+	if booted != 1 || measured != 8 {
+		t.Errorf("journal: %d boot and %d measurement events of %d, want 1 and 8", booted, measured, len(events))
 	}
 }

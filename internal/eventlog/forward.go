@@ -37,10 +37,10 @@ func (p *Pipeline) Watch(buffer int, fn func(Event)) (stop func()) {
 // its own sequence numbers (the forwarded copy keeps its original timestamp),
 // so a destination stream stays monotonic even when several sources feed it.
 //
-// The campaign queue and the vpos service use this to give each execution a
-// private pipeline — journaled under the execution's own experiment
-// directory — while a live observer on the shared stream still sees every
-// event. The returned stop function is Watch's.
+// The campaign queue uses this to give each execution a private pipeline —
+// journaled under the execution's own experiment directory — while a live
+// observer on the shared stream still sees every event. The returned stop
+// function is Watch's.
 func (p *Pipeline) ForwardTo(dst *Pipeline, decorate func(Event) Event) (stop func()) {
 	return p.Watch(forwardBuffer, func(ev Event) {
 		if decorate != nil {

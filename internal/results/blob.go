@@ -10,13 +10,15 @@ import (
 	"syscall"
 )
 
-// Content-addressed blob storage. Every artifact's content is published
-// once under <root>/.posblob/sha256/<aa>/<hash> and hardlinked into the
-// experiment tree, so a 60-run cross product that records the same script,
-// variable file, or loop-var binding in every run writes the bytes exactly
-// once. The experiment layout stays byte-identical — a hardlink is a
-// regular file to every reader — and overwrites stay safe because the store
-// only ever replaces files by rename, never in place.
+// Content-addressed blob storage. An artifact of dedupMinBytes (4 KiB) or
+// more is published once under <root>/.posblob/sha256/<aa>/<hash> and
+// hardlinked into the experiment tree, so a per-run artifact whose bytes
+// repeat across runs is written once; smaller files (scripts, variable
+// files, loop-var bindings) never reach the pool. Where that pays is
+// publish: it writes the repeats as tar hardlinks. The experiment layout
+// stays byte-identical — a hardlink is a regular file to every reader — and
+// overwrites stay safe because the store only ever replaces files by
+// rename, never in place.
 //
 // On filesystems without hardlink support the store transparently falls
 // back to full writes.

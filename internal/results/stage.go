@@ -153,6 +153,7 @@ func (e *Experiment) putInDir(st *stagedRun, f *stagedFile, data []byte) error {
 		return err
 	}
 	if err := e.store.placeBlob(d, f.rel, path, data); err != nil {
+		st.dropNode(f.rel)
 		return err
 	}
 	f.inDir = true
@@ -184,6 +185,16 @@ func (st *stagedRun) mkNode(d dirFile, rel string) error {
 	}
 	st.nodes = append(st.nodes, node)
 	return nil
+}
+
+// dropNode removes the node directory of rel, a file that failed to place,
+// when no file is left in it: a run never commits an empty node directory.
+// A small file of the node makes it again at commit.
+func (st *stagedRun) dropNode(rel string) {
+	node, _, _ := strings.Cut(rel, "/")
+	if i := slices.Index(st.nodes, node); i >= 0 && os.Remove(st.dir+string(os.PathSeparator)+node) == nil {
+		st.nodes = slices.Delete(st.nodes, i, i+1)
+	}
 }
 
 // queueCommitLocked hands st to the flusher. Caller holds e.mu.

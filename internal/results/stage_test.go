@@ -7,17 +7,19 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// crashIngest is the crash test's workload: three runs of small files, run 1
-// with a file past the dedup floor too, each closed by its metadata, then,
-// once Sync has reported them committed, a rewrite of one. It carries on
-// past a failed write, as a runner does, and notes every write attempted (tried) and which files of a run were
-// recorded before its metadata (kept).
+// crashIngest is the crash test's workload: crashRuns runs of small files,
+// runs 1 and 3 with a file past the dedup floor too (in run 3 the only file
+// of its node directory), each closed by its metadata, then, once Sync has
+// reported them committed, a rewrite of one. It carries on past a failed
+// write, as a runner does, and notes every write attempted (tried) and which
+// files of a run were recorded before its metadata (kept).
 type crashIngest struct {
 	tried map[string][]string // "run_NNNN/rel" → every content written
 	kept  map[int][]string    // run → rels whose write returned nil
@@ -35,11 +37,13 @@ func (c *crashIngest) run(s *Store) {
 			c.kept[run] = append(c.kept[run], rel)
 		}
 	}
-	for run := 0; run < 3; run++ {
-		put(run, "lg", "a.out", fmt.Sprintf("a%d", run))
+	for run := 0; run < crashRuns; run++ {
+		if run != 3 {
+			put(run, "lg", "a.out", fmt.Sprintf("a%d", run))
+		}
 		put(run, "dut", "b.out", fmt.Sprintf("b%d", run))
-		if run == 1 {
-			put(run, "lg", "big.log", strings.Repeat("big\n", dedupMinBytes/2))
+		if run%2 == 1 {
+			put(run, "lg", "big.log", strings.Repeat(fmt.Sprintf("big%d\n", run), dedupMinBytes/2))
 		}
 		meta := RunMeta{Run: run, LoopVars: map[string]string{"run": fmt.Sprint(run)}, StartedAt: when, FinishedAt: when}
 		b, _ := meta.appendJSON(nil, true)
@@ -53,12 +57,15 @@ func (c *crashIngest) run(s *Store) {
 	e.Sync()
 }
 
+const crashRuns = 4
+
 var errInjected = errors.New("injected fault")
 
 // Every file system call of an ingest fails in turn — the k-th alone, and the
 // k-th and all after it, as a crash at that call leaves the disk. Reopened
 // through a new store, the tree holds each run whole or not at all, no temp
-// entry, and a manifest that names only what is on disk. The calls counted
+// entry, no node directory without a recorded file, and a manifest that
+// names only what is on disk. The calls counted
 // on the clean pass show one rename per committed run.
 func TestCrashPointsLeaveRunsWholeOrAbsent(t *testing.T) {
 	root := memDir(t)
@@ -87,8 +94,8 @@ func TestCrashPointsLeaveRunsWholeOrAbsent(t *testing.T) {
 		t.Fatal(err)
 	}
 	clean.run(s)
-	if len(runRenames) != 3 || len(fileRenames) != 1 {
-		t.Fatalf("renames: %d of run directories (want 3, one per run), %d of files in runs (want 1, the rewrite)", len(runRenames), len(fileRenames))
+	if len(runRenames) != crashRuns || len(fileRenames) != 1 {
+		t.Fatalf("renames: %d of run directories (want %d, one per run), %d of files in runs (want 1, the rewrite)", len(runRenames), crashRuns, len(fileRenames))
 	}
 	checkRecovered(t, "clean", s.Root(), clean)
 	total := int(calls.Load())
@@ -140,7 +147,7 @@ func checkRecovered(t *testing.T, name, root string, in *crashIngest) {
 		}
 		return nil
 	})
-	for run := 0; run < 3; run++ {
+	for run := 0; run < crashRuns; run++ {
 		dir := filepath.Join(e.Dir(), runDirName(run))
 		if _, err := os.Stat(dir); err != nil {
 			continue // absent is fine
@@ -155,6 +162,16 @@ func checkRecovered(t *testing.T, name, root string, in *crashIngest) {
 		if !sameSet(got, want) {
 			t.Errorf("%s: %s holds %v, want %v", name, runDirName(run), got, want)
 		}
+		filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() || path == dir {
+				return nil
+			}
+			rel, _ := filepath.Rel(dir, path)
+			if !slices.ContainsFunc(want, func(f string) bool { return strings.HasPrefix(f, filepath.ToSlash(rel)+"/") }) {
+				t.Errorf("%s: %s/%s holds no recorded file", name, runDirName(run), rel)
+			}
+			return nil
+		})
 		for _, rel := range got {
 			data, _ := os.ReadFile(filepath.Join(dir, rel))
 			if key := runDirName(run) + "/" + rel; !contains(in.tried[key], string(data)) {
