@@ -116,10 +116,12 @@ profile-dataplane:
 # published index page keeps its hand renderer and html/template stays its
 # oracle — no file writes in internal/timeline, so analysis stays a reader
 # of the experiment it explains — no internal/ package that only tests
-# import: code nothing ships is deleted, not kept — and no package main but
+# import: code nothing ships is deleted, not kept — no package main but
 # cmd/posctl, so the paper runs one way: a figure is a campaign file under
 # experiments/campaigns, an API demonstration a package's Example (bench/ is
-# a module of its own and keeps its harness).
+# a module of its own and keeps its harness) — and no O_APPEND outside tests
+# but in internal/eventlog, so there is one append-only log with one crash
+# invariant: the queue and the experiments both append to an eventlog.Journal.
 .PHONY: lint
 lint:
 	go vet ./...
@@ -185,6 +187,11 @@ lint:
 		'^package main$$' . | grep -v '^\./cmd/posctl/'; true); \
 	if [ -n "$$out" ]; then \
 		echo "package main outside cmd/posctl (posctl is the one launcher: ship a campaign file or an Example):"; \
+		echo "$$out"; exit 1; fi
+	@out=$$(grep -rn --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build \
+		'O_APPEND' . | grep -v _test.go | grep -v '^\./internal/eventlog/'; true); \
+	if [ -n "$$out" ]; then \
+		echo "O_APPEND outside internal/eventlog (the event journal is the one append-only log: append events to an eventlog.Journal):"; \
 		echo "$$out"; exit 1; fi
 	@echo "lint clean"
 

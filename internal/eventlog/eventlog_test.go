@@ -109,6 +109,48 @@ func TestJournalRotation(t *testing.T) {
 	}
 }
 
+// TestJournalEmptyNewestSegment: a crash between a rotation's create and its
+// first write leaves the newest segment empty. Reopening continues the
+// stream after the last seq of the segment before, so later appends replay
+// after everything already journaled.
+func TestJournalEmptyNewestSegment(t *testing.T) {
+	dir := t.TempDir()
+	j, err := OpenJournal(dir, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 10; i++ {
+		if err := j.Append(Event{Seq: uint64(i), At: time.Unix(int64(i), 0).UTC(), Typ: TypeLog, Run: NoRun, Message: "padding to rotate"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := segments(dir)
+	if err != nil || len(segs) < 2 {
+		t.Fatalf("segments %v, %v: want a rotated journal", segs, err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, segmentName(segs[len(segs)-1]+1)), []byte(`{"seq":11,"at":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err = OpenJournal(dir, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := j.LastSeq(); last != 10 {
+		t.Fatalf("LastSeq over an empty newest segment = %d, want 10", last)
+	}
+	if err := j.Append(Event{Seq: j.LastSeq() + 1, At: time.Unix(11, 0).UTC(), Typ: TypeLog, Run: NoRun}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	got, err := Replay(dir)
+	if err != nil || len(got) != 11 || got[10].Seq != 11 {
+		t.Fatalf("replayed %d events (%v), want seqs 1..11 in order", len(got), err)
+	}
+}
+
 func TestJournalTornTailRecovery(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "events")
 	j, err := OpenJournal(dir, 0)

@@ -1,9 +1,12 @@
 package eventlog
 
 import (
+	"bufio"
 	"bytes"
 	"cmp"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -22,10 +25,11 @@ const (
 )
 
 // Journal is the append-only on-disk form of the event stream: one directory
-// per experiment holding JSONL segment files (events-00000.jsonl, ...) that
-// rotate at a size limit. Appends are whole lines written in one syscall;
-// a crash can at worst tear the final line, which Open truncates away and
-// Replay tolerates — everything before it replays exactly.
+// per experiment, and the controller's queue directory, holding JSONL
+// segment files (events-00000.jsonl, ...) that rotate at a size limit.
+// Appends are whole lines written in one syscall; a crash can at worst tear
+// the final line, which Open truncates away and Replay tolerates —
+// everything before it replays exactly.
 type Journal struct {
 	mu       sync.Mutex
 	dir      string
@@ -58,14 +62,17 @@ func OpenJournal(dir string, segLimit int64) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(segs) > 0 {
-		j.segIdx = segs[len(segs)-1]
-		if err := j.recoverTail(j.segPath(j.segIdx)); err != nil {
+	// The newest segment is continued once its torn tail is cut; if it holds
+	// no whole line (a crash mid-rotation), the last seq is in an older one.
+	for i := len(segs) - 1; i >= 0 && j.lastSeq == 0; i-- {
+		if err := j.recoverTail(j.segPath(segs[i])); err != nil {
 			return nil, err
 		}
-	} else {
+	}
+	if len(segs) == 0 {
 		segs = []int{0}
 	}
+	j.segIdx = segs[len(segs)-1]
 	j.segs = segs
 	if err := j.openSegment(); err != nil {
 		return nil, err
@@ -103,28 +110,56 @@ func segments(dir string) ([]int, error) {
 
 // recoverTail truncates a torn trailing line (no final newline) left by a
 // crash mid-append and records the last sequence number seen, so appends
-// after reopen continue the stream without overlapping replay.
+// after reopen continue the stream without overlapping replay. It reads a
+// line at a time: the replay that usually follows reads the segment whole.
 func (j *Journal) recoverTail(path string) error {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("eventlog: journal: %w", err)
 	}
-	if n := len(data); n > 0 && data[n-1] != '\n' {
-		cut := bytes.LastIndexByte(data, '\n') + 1
-		if err := os.Truncate(path, int64(cut)); err != nil {
-			return fmt.Errorf("eventlog: journal: truncate torn tail: %w", err)
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 64<<10), math.MaxInt)
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		n := bytes.IndexByte(data, '\n') + 1
+		if n == 0 && atEOF {
+			n = len(data)
 		}
-		data = data[:cut]
+		if n == 0 {
+			return 0, nil, nil
+		}
+		return n, data[:n], nil
+	})
+	var whole int64 // up to the end of the last whole line
+	for sc.Scan() {
+		line := sc.Bytes()
+		if line[len(line)-1] != '\n' {
+			if err := os.Truncate(path, whole); err != nil {
+				return fmt.Errorf("eventlog: journal: truncate torn tail: %w", err)
+			}
+			break
+		}
+		whole += int64(len(line))
+		if seq, ok := lineSeq(line[:len(line)-1]); ok && seq > j.lastSeq {
+			j.lastSeq = seq
+		}
 	}
-	for _, line := range bytes.Split(data, []byte{'\n'}) {
-		if len(line) == 0 {
-			continue
-		}
-		if ev, err := Decode(line); err == nil && ev.Seq > j.lastSeq {
-			j.lastSeq = ev.Seq
-		}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("eventlog: journal: %w", err)
 	}
 	return nil
+}
+
+// lineSeq reads the Seq of one journal line. AppendJSON writes it first, so
+// only a line that does not start with it is decoded whole.
+func lineSeq(line []byte) (uint64, bool) {
+	rest, found := bytes.CutPrefix(line, []byte(`{"seq":`))
+	digits, _, _ := bytes.Cut(rest, []byte(","))
+	if seq, err := strconv.ParseUint(string(digits), 10, 64); found && err == nil {
+		return seq, true
+	}
+	ev, err := Decode(line)
+	return ev.Seq, err == nil
 }
 
 // openSegment opens the current segment index for append.
@@ -157,7 +192,8 @@ func (j *Journal) Append(ev Event) error {
 	line = append(line, '\n')
 	j.line = line
 	if j.size > 0 && j.size+int64(len(line)) > j.segLimit {
-		if err := j.f.Close(); err != nil {
+		// Sync covers the active segment only: this one is made durable now.
+		if err := errors.Join(j.f.Sync(), j.f.Close()); err != nil {
 			return fmt.Errorf("eventlog: journal: %w", err)
 		}
 		j.segIdx++
@@ -186,8 +222,15 @@ func (j *Journal) LastSeq() uint64 {
 	return j.lastSeq
 }
 
-// Dir returns the journal's root directory.
-func (j *Journal) Dir() string { return j.dir }
+// Sync flushes the active segment to stable storage.
+func (j *Journal) Sync() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.f == nil {
+		return fmt.Errorf("eventlog: journal: closed")
+	}
+	return j.f.Sync()
+}
 
 // Close closes the active segment. Further appends fail.
 func (j *Journal) Close() error {

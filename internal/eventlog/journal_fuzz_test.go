@@ -24,7 +24,8 @@ import (
 //     what a reader saw before it.
 //
 // The corpus under testdata/fuzz holds a clean segment, a torn tail, a
-// corrupt middle line, and both stray names that once broke replay.
+// corrupt middle line, both stray names that once broke replay, and a
+// campaign queue's transitions (internal/queue) ending in a torn tail.
 func FuzzJournalReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, stray string) {
 		if stray == "." || stray == ".." || strings.ContainsAny(stray, "/\\\x00") || len(stray) > 64 {

@@ -1,11 +1,8 @@
 package queue
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
@@ -18,25 +15,20 @@ import (
 // tenants, submit + admit + done each.
 func writeHistory(tb testing.TB, dir string, n int) {
 	tb.Helper()
-	f, err := os.Create(journalPath(dir))
+	jl, err := eventlog.OpenJournal(dir, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	w := bufio.NewWriter(f)
-	enc := json.NewEncoder(w)
 	at := time.Date(2021, 10, 12, 11, 20, 32, 0, time.UTC)
 	for id := 1; id <= n; id++ {
 		sub := Submission{ID: id, User: fmt.Sprintf("tenant%d", id%2), Name: "past", Nodes: []string{"n1"}, Minutes: 1, Submitted: at}
-		for _, r := range []record{{At: at, Op: opSubmit, Sub: &sub}, {At: at, Op: opAdmit, ID: id}, {At: at, Op: opDone, ID: id}} {
-			if err := enc.Encode(r); err != nil {
+		for _, ev := range []eventlog.Event{submitEvent(sub), transition(id, StateRunning, at, ""), transition(id, StateDone, at, "")} {
+			if err := appendNext(jl, ev); err != nil {
 				tb.Fatal(err)
 			}
 		}
 	}
-	if err := w.Flush(); err != nil {
-		tb.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := jl.Close(); err != nil {
 		tb.Fatal(err)
 	}
 }

@@ -6,19 +6,20 @@
 // releases it on completion, failure, or cancel. Admission is
 // FIFO-within-priority with fair-share round-robin across users, so one
 // tenant flooding the queue cannot starve the others — the GPLMT/LabWiki
-// lesson from PAPERS.md. Every state transition is journaled as JSONL under
-// the results store, so a controller restart rebuilds the queue and resumes
-// still-owed submissions without losing a single one.
+// lesson from PAPERS.md. Every state transition is a queue event on an
+// eventlog.Journal under the results store, and a submission or a queued
+// cancel is synced before it is acknowledged, so a controller restart
+// rebuilds the queue and resumes still-owed submissions without losing a
+// single one.
 package queue
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"slices"
-	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -42,11 +43,6 @@ const (
 	// StateCancelled: withdrawn by its user, queued or mid-run.
 	StateCancelled State = "cancelled"
 )
-
-// terminal reports whether no further transitions can happen.
-func (s State) terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCancelled
-}
 
 // Submission is one tenant's request to run a campaign.
 type Submission struct {
@@ -96,8 +92,9 @@ type Launch func(ctx context.Context, sub Submission, events *eventlog.Pipeline)
 
 // Config wires a Controller.
 type Config struct {
-	// Dir holds the queue journal (queue.jsonl). Typically the results
-	// store's control dir (Store.ControlDir("queue")).
+	// Dir holds the queue's event journal (events-NNNNN.jsonl segments, and
+	// an older controller's queue.jsonl once imported). Typically the
+	// results store's control dir (Store.ControlDir("queue")).
 	Dir string
 	// Calendar grants admission; required.
 	Calendar *calendar.Calendar
@@ -141,7 +138,7 @@ type entry struct {
 // fair-share admission against the calendar, and launch supervision.
 type Controller struct {
 	cfg Config
-	jl  *journal
+	jl  *eventlog.Journal
 
 	mu      sync.Mutex
 	entries map[int]*entry
@@ -180,13 +177,8 @@ func Open(cfg Config) (*Controller, error) {
 	if cfg.SweepInterval <= 0 {
 		cfg.SweepInterval = time.Second
 	}
-	jl, recs, err := openJournal(journalPath(cfg.Dir))
-	if err != nil {
-		return nil, err
-	}
 	c := &Controller{
 		cfg:       cfg,
-		jl:        jl,
 		entries:   make(map[int]*entry),
 		nextID:    1,
 		lastAdmit: make(map[string]uint64),
@@ -194,83 +186,125 @@ func Open(cfg Config) (*Controller, error) {
 		stop:      make(chan struct{}),
 		loopDone:  make(chan struct{}),
 	}
-	if err := c.recover(recs); err != nil {
-		jl.Close()
+	if err := importLegacy(cfg.Dir, c.now()); err != nil {
+		return nil, err
+	}
+	var err error
+	if c.jl, err = eventlog.OpenJournal(cfg.Dir, 0); err != nil {
+		return nil, err
+	}
+	evs, err := c.jl.ReplaySince(0)
+	if err == nil {
+		err = c.recover(evs)
+	}
+	if err != nil {
+		c.jl.Close()
 		return nil, err
 	}
 	go c.loop()
 	return c, nil
 }
 
-// journalPath is the queue journal location under a control dir.
-func journalPath(dir string) string { return filepath.Join(dir, "queue.jsonl") }
+// transition is the journal event of campaign id entering st at at: the
+// campaign and state keys of the events the controller publishes, and a
+// failure's reason in Error.
+func transition(id int, st State, at time.Time, errText string) eventlog.Event {
+	return eventlog.Event{Typ: eventlog.TypeQueue, Run: eventlog.NoRun, At: at, Error: errText,
+		Attrs: map[string]string{"campaign": strconv.Itoa(id), "state": string(st)}}
+}
 
-// errLegacySpec fails a still-owed submission journaled with a key=value
-// spec map by an older controller: no launcher reads that form any more.
-var errLegacySpec = errors.New("queue: submitted with a key=value spec map by an older controller; resubmit it with a spec file")
+// submitEvent is the journal event of a submission: its queued transition
+// stamped at Submitted, carrying every other field in Attrs. The nodes are
+// one attr, a comma-separated list of Go-quoted names, so a name may hold
+// any character, a comma included. Fields most submissions leave empty are
+// left out, which keeps a typical submission's attrs a small map to decode.
+func submitEvent(sub Submission) eventlog.Event {
+	ev := transition(sub.ID, StateQueued, sub.Submitted, "")
+	a := ev.Attrs
+	var nodes []byte
+	for i, n := range sub.Nodes {
+		if i > 0 {
+			nodes = append(nodes, ',')
+		}
+		nodes = strconv.AppendQuote(nodes, n)
+	}
+	a["user"], a["name"], a["minutes"], a["nodes"] = sub.User, sub.Name, strconv.Itoa(sub.Minutes), string(nodes)
+	if sub.Priority != 0 {
+		a["priority"] = strconv.Itoa(sub.Priority)
+	}
+	for _, kv := range [...][2]string{{"exp_dir", sub.ExpDir}, {"spec", sub.Spec}, {"traceparent", sub.TraceParent}} {
+		if kv[1] != "" {
+			a[kv[0]] = kv[1]
+		}
+	}
+	return ev
+}
 
-// recover rebuilds in-memory state from journal records and re-queues
+// submission reads back the Submission of a submitEvent.
+func submission(ev eventlog.Event) (Submission, error) {
+	a := ev.Attrs
+	sub := Submission{User: a["user"], Name: a["name"], ExpDir: a["exp_dir"], Spec: a["spec"],
+		TraceParent: a["traceparent"], Submitted: ev.At}
+	var errs [4]error
+	for s := a["nodes"]; s != "" && errs[3] == nil; {
+		var q string
+		if q, errs[3] = strconv.QuotedPrefix(s); errs[3] == nil {
+			n, _ := strconv.Unquote(q)
+			sub.Nodes = append(sub.Nodes, n)
+			s = strings.TrimPrefix(s[len(q):], ",")
+		}
+	}
+	sub.ID, errs[0] = strconv.Atoi(a["campaign"])
+	sub.Minutes, errs[1] = strconv.Atoi(a["minutes"])
+	if p, ok := a["priority"]; ok {
+		sub.Priority, errs[2] = strconv.Atoi(p)
+	}
+	return sub, errors.Join(errs[:]...)
+}
+
+// appendNext appends ev to jl as the event after its last one. The
+// controller calls it with c.mu held (or before it is shared), which keeps
+// the journal's seqs in transition order.
+func appendNext(jl *eventlog.Journal, ev eventlog.Event) error {
+	ev.Seq = jl.LastSeq() + 1
+	return jl.Append(ev)
+}
+
+// recover rebuilds in-memory state from the journal's events and re-queues
 // submissions the previous controller had admitted but never finished.
-func (c *Controller) recover(recs []record) error {
-	legacy := make(map[int]bool)
-	for _, r := range recs {
-		switch r.Op {
-		case opSubmit:
-			if r.Sub == nil {
-				return fmt.Errorf("queue: submit record without submission")
-			}
-			sub := *r.Sub
-			if r.legacySpec {
-				legacy[sub.ID] = true
+func (c *Controller) recover(evs []eventlog.Event) error {
+	for _, ev := range evs {
+		if _, ok := ev.Attrs["minutes"]; ok { // a submit; a requeue has no submission
+			sub, err := submission(ev)
+			if err != nil {
+				return fmt.Errorf("queue: journal event %d: %w", ev.Seq, err)
 			}
 			c.entries[sub.ID] = &entry{sub: sub, state: StateQueued}
 			c.order = append(c.order, sub.ID)
-			if sub.ID >= c.nextID {
-				c.nextID = sub.ID + 1
-			}
-		case opAdmit:
-			if e := c.entries[r.ID]; e != nil {
-				e.state = StateRunning
-				e.admitted = r.At
-			}
-		case opRequeue:
-			if e := c.entries[r.ID]; e != nil {
-				e.state = StateQueued
-				e.admitted = time.Time{}
-			}
-		case opDone, opFail, opCancel:
-			if e := c.entries[r.ID]; e != nil {
-				switch r.Op {
-				case opDone:
-					e.state = StateDone
-				case opFail:
-					e.state = StateFailed
-					e.err = r.Error
-				case opCancel:
-					e.state = StateCancelled
-				}
-				e.finished = r.At
-			}
+			c.nextID = max(c.nextID, sub.ID+1)
+			continue
+		}
+		id, _ := strconv.Atoi(ev.Attrs["campaign"])
+		e := c.entries[id]
+		if e == nil {
+			continue
+		}
+		switch st := State(ev.Attrs["state"]); st {
+		case StateQueued:
+			e.state, e.admitted = st, time.Time{}
+		case StateRunning:
+			e.state, e.admitted = st, ev.At
+		case StateDone, StateFailed, StateCancelled:
+			e.state, e.finished, e.err = st, ev.At, ev.Error
 		}
 	}
 	// Admitted-but-unfinished submissions: the campaign died with its
 	// controller. Journal the requeue so the next recovery agrees.
 	for _, id := range c.order {
 		e := c.entries[id]
-		if legacy[id] && !e.state.terminal() {
-			now := c.now()
-			if err := c.jl.append(record{At: now, Op: opFail, ID: id, Error: errLegacySpec.Error()}); err != nil {
-				return err
-			}
-			e.state, e.err, e.finished = StateFailed, errLegacySpec.Error(), now
-			completions("failed").Inc()
-			c.event(e.sub, StateFailed, "failed at recovery", e.err)
-			continue
-		}
 		if e.state == StateRunning {
-			e.state = StateQueued
-			e.admitted = time.Time{}
-			if err := c.jl.append(record{At: c.now(), Op: opRequeue, ID: id}); err != nil {
+			e.state, e.admitted = StateQueued, time.Time{}
+			if err := appendNext(c.jl, transition(id, StateQueued, c.now(), "")); err != nil {
 				return err
 			}
 			requeuesTotal.Inc()
@@ -338,7 +372,7 @@ func (c *Controller) Submit(sub Submission) (Status, error) {
 	c.nextID++
 	sub.Submitted = c.now()
 	e := &entry{sub: sub, state: StateQueued}
-	if err := c.jl.append(record{At: sub.Submitted, Op: opSubmit, Sub: &sub}); err != nil {
+	if err := errors.Join(appendNext(c.jl, submitEvent(sub)), c.jl.Sync()); err != nil {
 		c.mu.Unlock()
 		return Status{}, err
 	}
@@ -372,12 +406,11 @@ func (c *Controller) Cancel(user string, id int) (Status, error) {
 	switch e.state {
 	case StateQueued:
 		now := c.now()
-		if err := c.jl.append(record{At: now, Op: opCancel, ID: id}); err != nil {
+		if err := errors.Join(appendNext(c.jl, transition(id, StateCancelled, now, "")), c.jl.Sync()); err != nil {
 			c.mu.Unlock()
 			return Status{}, err
 		}
-		e.state = StateCancelled
-		e.finished = now
+		e.state, e.finished = StateCancelled, now
 		c.dequeueLocked(e)
 		completions("cancelled").Inc()
 		st := c.statusLocked(e)
@@ -544,22 +577,18 @@ func (c *Controller) admitLocked(e *entry, blocked map[string]bool, now time.Tim
 	}
 	if err != nil {
 		// Unknown node, duplicate request, ... — retrying cannot help.
-		e.state = StateFailed
-		e.err = err.Error()
-		e.finished = now
-		c.jl.append(record{At: now, Op: opFail, ID: sub.ID, Error: e.err})
+		e.state, e.err, e.finished = StateFailed, err.Error(), now
+		appendNext(c.jl, transition(sub.ID, StateFailed, now, e.err))
 		c.dequeueLocked(e)
 		admissions("rejected").Inc()
 		c.event(sub, StateFailed, "admission rejected", e.err)
 		return false
 	}
 
-	e.state = StateRunning
-	e.allocID = alloc.ID
-	e.admitted = now
+	e.state, e.allocID, e.admitted = StateRunning, alloc.ID, now
 	c.admitSeq++
 	c.lastAdmit[sub.User] = c.admitSeq
-	c.jl.append(record{At: now, Op: opAdmit, ID: sub.ID})
+	appendNext(c.jl, transition(sub.ID, StateRunning, now, ""))
 	c.dequeueLocked(e)
 	c.running++
 	admissions("admitted").Inc()
@@ -572,8 +601,10 @@ func (c *Controller) admitLocked(e *entry, blocked map[string]bool, now time.Tim
 	go func() {
 		defer c.runs.Done()
 		defer cancel()
+		nodes := slices.Clone(sub.Nodes)
+		slices.Sort(nodes)
 		c.event(sub, StateRunning, fmt.Sprintf("admitted on %s (allocation #%d)",
-			joinNodes(sub.Nodes), alloc.ID), "")
+			strings.Join(nodes, ","), alloc.ID), "")
 		c.run(ctx, e)
 	}()
 	return true
@@ -637,43 +668,27 @@ func (c *Controller) finish(e *entry, ctx context.Context, err error) {
 	c.running--
 	runningPerUser(e.sub.User).Dec()
 	if c.closing && !e.userCancel && ctx.Err() != nil {
-		// Preempted by shutdown: still owed. Leave the admit record as the
-		// journal tail so recovery re-queues the submission.
+		// Preempted by shutdown: still owed. Leave its running transition
+		// the last one journaled, so recovery re-queues the submission.
 		c.mu.Unlock()
 		return
 	}
-	cancelled := e.userCancel || (ctx.Err() != nil && errors.Is(err, context.Canceled))
 	sub := e.sub
-	var st State
+	st, errText := StateDone, ""
 	switch {
-	case cancelled:
-		e.state = StateCancelled
-		c.jl.append(record{At: now, Op: opCancel, ID: sub.ID})
-		completions("cancelled").Inc()
+	case e.userCancel || (ctx.Err() != nil && errors.Is(err, context.Canceled)):
 		st = StateCancelled
 	case err != nil:
-		e.state = StateFailed
-		e.err = err.Error()
-		c.jl.append(record{At: now, Op: opFail, ID: sub.ID, Error: e.err})
-		completions("failed").Inc()
-		st = StateFailed
-	default:
-		e.state = StateDone
-		c.jl.append(record{At: now, Op: opDone, ID: sub.ID})
-		completions("done").Inc()
-		st = StateDone
+		st, e.err, errText = StateFailed, err.Error(), err.Error()
 	}
-	e.finished = now
-	e.cancel = nil
+	appendNext(c.jl, transition(sub.ID, st, now, errText))
+	completions(string(st)).Inc()
+	e.state, e.finished, e.cancel = st, now, nil
 	c.mu.Unlock()
 
 	msg := "finished"
 	if st != StateDone {
 		msg = string(st)
-	}
-	var errText string
-	if err != nil && st == StateFailed {
-		errText = err.Error()
 	}
 	c.event(sub, st, msg, errText)
 	c.kick()
@@ -707,11 +722,7 @@ func (c *Controller) Close() error {
 	c.mu.Lock()
 	queueDepth.Add(-float64(len(c.queued)))
 	c.mu.Unlock()
-	if err := c.jl.Sync(); err != nil {
-		c.jl.Close()
-		return err
-	}
-	return c.jl.Close()
+	return errors.Join(c.jl.Sync(), c.jl.Close())
 }
 
 // event publishes one queue lifecycle event on the shared pipeline.
@@ -730,17 +741,4 @@ func (c *Controller) event(sub Submission, st State, msg, errText string) {
 			"state":    string(st),
 		},
 	})
-}
-
-func joinNodes(nodes []string) string {
-	sorted := append([]string(nil), nodes...)
-	sort.Strings(sorted)
-	out := ""
-	for i, n := range sorted {
-		if i > 0 {
-			out += ","
-		}
-		out += n
-	}
-	return out
 }

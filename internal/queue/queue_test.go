@@ -451,7 +451,7 @@ func TestJournalTornTailRecovered(t *testing.T) {
 	}
 
 	// Crash mid-append: a torn half-record at the tail.
-	path := journalPath(dir)
+	path := filepath.Join(dir, "events-00000.jsonl")
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -545,7 +545,7 @@ func TestJournalSurvivesInDir(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "queue.jsonl")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "events-00000.jsonl")); err != nil {
 		t.Fatalf("journal file: %v", err)
 	}
 }
