@@ -193,6 +193,11 @@ lint:
 	if [ -n "$$out" ]; then \
 		echo "O_APPEND outside internal/eventlog (the event journal is the one append-only log: append events to an eventlog.Journal):"; \
 		echo "$$out"; exit 1; fi
+	@out=$$(grep -rnE --include='*.go' '(^[[:space:]]*|[{;][[:space:]]*)go [[:alnum:]_(]|time\.(NewTimer|AfterFunc|NewTicker)|sync\.(New)?Cond' \
+		internal/results | grep -v _test.go; true); \
+	if [ -n "$$out" ]; then \
+		echo "go statement, timer or sync.Cond in internal/results (the store writes on its callers' goroutines: commit in WriteRunMeta, write the manifest in Sync):"; \
+		echo "$$out"; exit 1; fi
 	@echo "lint clean"
 
 # fuzz-smoke is not part of all: like bench-smoke it guards code `go test

@@ -375,6 +375,8 @@ func cmdNDR(args []string) error {
 	return nil
 }
 
+// cmdRepeat launches the spec -n times, as posctl run does, and compares
+// the executions' MoonGen logs run by run.
 func cmdRepeat(args []string) error {
 	fs := flag.NewFlagSet("repeat", flag.ExitOnError)
 	spec := specFlag(fs)
@@ -384,17 +386,17 @@ func cmdRepeat(args []string) error {
 	if err != nil {
 		return fmt.Errorf("repeat: %w", err)
 	}
-	topo, err := s.Build()
-	if err != nil {
-		return err
+	// A store per execution: under a pinned epoch, two executions in one
+	// store would record into one directory.
+	execute := func(ctx context.Context) (*core.Summary, error) {
+		store, err := openStore("", "posctl-repeat-*")
+		if err != nil {
+			return nil, err
+		}
+		return casestudy.Launch(ctx, s, nil, store, nil)
 	}
-	defer topo.Close()
-	store, err := openStore("", "posctl-repeat-*")
-	if err != nil {
-		return err
-	}
-	rep, err := repeat.Verify(context.Background(), topo.Runner(), s.Experiment(), store,
-		repeat.Config{Repetitions: *reps, Node: topo.LoadGen, Artifact: "moongen.log"})
+	rep, err := repeat.Verify(context.Background(), execute,
+		repeat.Config{Repetitions: *reps, Node: casestudy.LoadGenNode, Artifact: "moongen.log"})
 	if err != nil {
 		return err
 	}
@@ -787,7 +789,7 @@ func metaKey(meta results.RunMeta) string {
 func cmdPlot(args []string) error {
 	fs := flag.NewFlagSet("plot", flag.ExitOnError)
 	ref := experimentFlags(fs)
-	node := fs.String("node", "vriga", "node whose MoonGen logs to parse")
+	node := fs.String("node", casestudy.LoadGenNode, "node whose MoonGen logs to parse")
 	artifact := fs.String("artifact", "moongen.log", "per-run artifact to parse")
 	title := fs.String("title", "", "figure title (default: experiment name)")
 	fs.Parse(args)

@@ -212,8 +212,9 @@ func path(hops []string, params func(i int) map[string]string) []topo.LinkSpec {
 }
 
 // The rig's two pos nodes, named after the paper's virtual testbed.
+// LoadGenNode, every rig's load generator, is where its MoonGen logs are.
 const (
-	loadGenNode = "vriga"
+	LoadGenNode = "vriga"
 	dutNode     = "vtartu"
 )
 
@@ -241,7 +242,7 @@ func newRig(flavor Flavor, o options, spec topo.Spec, chain bool) (t *Topology, 
 	if err := tb.Images.Add(image.DefaultDebianBuster()); err != nil {
 		return nil, err
 	}
-	lgHandle, err := tb.AddNode(loadGenNode)
+	lgHandle, err := tb.AddNode(LoadGenNode)
 	if err != nil {
 		return nil, err
 	}
@@ -259,7 +260,7 @@ func newRig(flavor Flavor, o options, spec topo.Spec, chain bool) (t *Topology, 
 		Engine:   dp.Engine,
 		Gen:      dp.Generators[genName],
 		Routers:  make([]*router.Router, 0, len(dp.Routers)),
-		LoadGen:  loadGenNode,
+		LoadGen:  LoadGenNode,
 		DuT:      dutNode,
 		template: defaultTemplate,
 		expName:  experimentName(flavor, chain),

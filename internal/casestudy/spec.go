@@ -281,7 +281,7 @@ func (s Spec) Build() (*Topology, error) {
 // Experiment is the case-study sweep the spec describes, bound to the rig's
 // nodes — what Launch runs when it is handed no experiment.
 func (s Spec) Experiment() *core.Experiment {
-	return sweepExperiment(experimentName(s.Flavor, s.Chain > 0), s.Flavor, loadGenNode, dutNode,
+	return sweepExperiment(experimentName(s.Flavor, s.Chain > 0), s.Flavor, LoadGenNode, dutNode,
 		SweepConfig{Sizes: s.Sizes, RatesPPS: s.Rates, RuntimeSec: s.Runtime})
 }
 

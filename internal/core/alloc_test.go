@@ -29,16 +29,17 @@ func (h *uploadingHost) Exec(_ context.Context, script string, _ map[string]stri
 	return "done\n", nil
 }
 
-// runOneAllocBudget is 15 % above the 157 objects one recorded run allocated
-// when the budget was last set (go1.24, on top of adc6bfd; two in-memory
+// runOneAllocBudget is 15 % above the 78 objects one recorded run allocated
+// when the budget was last set (go1.24, on top of 73e89cb; two in-memory
 // hosts, telemetry on: a span, two runtime samples, resources.json,
 // metadata.json, four small artifacts, the run's commit as one directory and
-// the manifest commit). The per-run path encodes its records by hand: with
-// the manifest marshalled whole by reflection on every commit, as it once
-// was, the same run costs 690; with spans keyed by hex string ids and
-// attribute maps, as at 7e9ddda, 236; with every file written through its
-// own temp file and rename, as at adc6bfd, 224.
-const runOneAllocBudget = 181
+// the manifest write of the Sync after it). The per-run path encodes its
+// records by hand: with the manifest marshalled whole by reflection on every
+// commit, as it once was, the same run costs 690; with spans keyed by hex
+// string ids and attribute maps, as at 7e9ddda, 236; with every file written
+// through its own temp file and rename, as at adc6bfd, 224; with the
+// manifest written by a background group-commit flusher, as at 73e89cb, 157.
+const runOneAllocBudget = 90
 
 func TestRunOneAllocationBudget(t *testing.T) {
 	if !telemetry.Default.Enabled() {
@@ -69,9 +70,8 @@ func TestRunOneAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Appendix A's 60 runs. Each is flushed before the next starts, so the
-	// count includes the manifest commit a run causes — deterministically,
-	// where the flusher's own 2 ms window would group a varying number.
+	// Appendix A's 60 runs, each synced before the next starts, so the
+	// count includes one manifest write per run.
 	const runs = 60
 	run := 0
 	perRun := testing.AllocsPerRun(runs-1, func() {

@@ -244,7 +244,7 @@ func (r *Runner) Run(ctx context.Context, e *Experiment, store *results.Store) (
 		}
 	}
 	sum.Finished = r.now()
-	// Flush the experiment's write-behind manifest: by the time Run
+	// Commit what is still staged and write the manifest: by the time Run
 	// returns, the results directory must be complete and reopenable.
 	if err := sess.Results().Sync(); err != nil {
 		return sum, err
@@ -464,8 +464,8 @@ func (s *Session) Results() *results.Experiment { return s.exp }
 func (s *Session) Replica() string { return s.replica }
 
 // Close releases the calendar allocation, detaches the session's nodes,
-// and drains the results manifest flusher (best effort — Run reports sync
-// errors on its success path). It is idempotent.
+// and syncs the results experiment (best effort — Run reports sync errors
+// on its success path). It is idempotent.
 func (s *Session) Close() {
 	s.once.Do(func() {
 		s.scope.Close()

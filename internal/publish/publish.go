@@ -44,8 +44,8 @@ type Manifest struct {
 // sorted, walk-parity by construction — so no directory tree traversal or
 // stat storm happens here.
 func BuildManifest(exp *results.Experiment, user, name string) (Manifest, error) {
-	// The archive streams file contents straight from disk, so any
-	// write-behind artifacts still in the store's queue must land first.
+	// The archive streams file contents straight from disk, so any run
+	// still staged in the handle must commit first.
 	if err := exp.Sync(); err != nil {
 		return Manifest{}, fmt.Errorf("publish: %w", err)
 	}
@@ -347,7 +347,7 @@ func Release(exp *results.Experiment, user, name, destPath string) (Manifest, er
 	if err := exp.AddExperimentArtifact("index.html", Website(m)); err != nil {
 		return m, err
 	}
-	// The page is a write-behind artifact: it must land before it is read.
+	// The page is recorded in the manifest, which Sync writes.
 	if err := exp.Sync(); err != nil {
 		return m, fmt.Errorf("publish: %w", err)
 	}

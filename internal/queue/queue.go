@@ -347,7 +347,10 @@ func (c *Controller) kick() {
 }
 
 // Submit validates, journals, and enqueues one submission, returning its
-// assigned ID and queue position.
+// assigned ID and queue position once the journal holds it on disk. The
+// fsync runs outside c.mu, so readers and the admission pass never wait
+// behind it. A failed fsync is returned, and the submission stays queued:
+// the journal has its record, and a restart replays it.
 func (c *Controller) Submit(sub Submission) (Status, error) {
 	if sub.User == "" {
 		return Status{}, errors.New("queue: submission needs a user")
@@ -372,7 +375,7 @@ func (c *Controller) Submit(sub Submission) (Status, error) {
 	c.nextID++
 	sub.Submitted = c.now()
 	e := &entry{sub: sub, state: StateQueued}
-	if err := errors.Join(appendNext(c.jl, submitEvent(sub)), c.jl.Sync()); err != nil {
+	if err := appendNext(c.jl, submitEvent(sub)); err != nil {
 		c.mu.Unlock()
 		return Status{}, err
 	}
@@ -381,6 +384,9 @@ func (c *Controller) Submit(sub Submission) (Status, error) {
 	c.enqueueLocked(e)
 	st := c.statusLocked(e)
 	c.mu.Unlock()
+	if err := c.jl.Sync(); err != nil {
+		return Status{}, err
+	}
 
 	submissionsTotal.Inc()
 	c.event(sub, StateQueued, "submitted", "")
@@ -406,7 +412,7 @@ func (c *Controller) Cancel(user string, id int) (Status, error) {
 	switch e.state {
 	case StateQueued:
 		now := c.now()
-		if err := errors.Join(appendNext(c.jl, transition(id, StateCancelled, now, "")), c.jl.Sync()); err != nil {
+		if err := appendNext(c.jl, transition(id, StateCancelled, now, "")); err != nil {
 			c.mu.Unlock()
 			return Status{}, err
 		}
@@ -416,6 +422,10 @@ func (c *Controller) Cancel(user string, id int) (Status, error) {
 		st := c.statusLocked(e)
 		sub := e.sub
 		c.mu.Unlock()
+		// Acknowledged once on disk, as Submit is; the fsync holds no lock.
+		if err := c.jl.Sync(); err != nil {
+			return Status{}, err
+		}
 		c.event(sub, StateCancelled, "cancelled while queued", "")
 		c.kick()
 		return st, nil

@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"path/filepath"
 	"sort"
 	"strings"
 
@@ -54,8 +55,11 @@ type Report struct {
 	Identical bool
 }
 
-// Verify runs the experiment cfg.Repetitions times and compares results.
-func Verify(ctx context.Context, runner *core.Runner, exp *core.Experiment, store *results.Store, cfg Config) (*Report, error) {
+// Verify runs execute cfg.Repetitions times and compares the results each
+// execution recorded, read back from its summary's ResultsDir. execute runs
+// the experiment once, into a directory of its own: a campaign file through
+// casestudy.Launch, or a Runner.Run.
+func Verify(ctx context.Context, execute func(context.Context) (*core.Summary, error), cfg Config) (*Report, error) {
 	if cfg.Repetitions < 2 {
 		return nil, fmt.Errorf("repeat: need at least 2 repetitions, got %d", cfg.Repetitions)
 	}
@@ -73,19 +77,17 @@ func Verify(ctx context.Context, runner *core.Runner, exp *core.Experiment, stor
 	}
 
 	// Execute the repetitions, collecting combo -> value per execution.
+	rep := &Report{Repetitions: cfg.Repetitions, Identical: true}
 	perExec := make([]map[string]float64, 0, cfg.Repetitions)
 	for i := 0; i < cfg.Repetitions; i++ {
-		sum, err := runner.Run(ctx, exp, store)
+		sum, err := execute(ctx)
 		if err != nil {
 			return nil, fmt.Errorf("repeat: execution %d: %w", i, err)
 		}
-		ids, err := store.ListExperiments(exp.User, exp.Name)
-		if err != nil || len(ids) == 0 {
-			return nil, fmt.Errorf("repeat: execution %d: results missing (%v)", i, err)
-		}
-		rec, err := store.OpenExperiment(exp.User, exp.Name, ids[len(ids)-1])
+		rep.Experiment = sum.Experiment
+		rec, err := openResults(sum.ResultsDir)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("repeat: execution %d: %w", i, err)
 		}
 		runs, err := eval.LoadRuns(rec, cfg.Node, cfg.Artifact)
 		if err != nil {
@@ -104,7 +106,6 @@ func Verify(ctx context.Context, runner *core.Runner, exp *core.Experiment, stor
 	}
 
 	// Pair by combination.
-	rep := &Report{Experiment: exp.Name, Repetitions: cfg.Repetitions, Identical: true}
 	var keys []string
 	for k := range perExec[0] {
 		keys = append(keys, k)
@@ -150,6 +151,19 @@ func Verify(ctx context.Context, runner *core.Runner, exp *core.Experiment, stor
 		rep.Deviations = append(rep.Deviations, d)
 	}
 	return rep, nil
+}
+
+// openResults opens the experiment recorded at dir, a store's
+// <root>/<user>/<experiment>/<id>.
+func openResults(dir string) (*results.Experiment, error) {
+	id, rest := filepath.Base(dir), filepath.Dir(dir)
+	name, rest := filepath.Base(rest), filepath.Dir(rest)
+	user, root := filepath.Base(rest), filepath.Dir(rest)
+	store, err := results.NewStore(root)
+	if err != nil {
+		return nil, err
+	}
+	return store.OpenExperiment(user, name, id)
 }
 
 // Render writes the report as a publishable text artifact.

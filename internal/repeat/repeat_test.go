@@ -2,6 +2,8 @@ package repeat
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -19,6 +21,11 @@ func smallSweep() casestudy.SweepConfig {
 	}
 }
 
+// runs executes exp on topo into store, one new directory per execution.
+func runs(topo *casestudy.Topology, exp *core.Experiment, store *results.Store) func(context.Context) (*core.Summary, error) {
+	return func(ctx context.Context) (*core.Summary, error) { return topo.Testbed.Runner().Run(ctx, exp, store) }
+}
+
 func TestBareMetalIsIdenticallyRepeatable(t *testing.T) {
 	topo, err := casestudy.New(casestudy.BareMetal)
 	if err != nil {
@@ -29,7 +36,7 @@ func TestBareMetalIsIdenticallyRepeatable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Verify(context.Background(), topo.Testbed.Runner(), topo.Experiment(smallSweep()), store,
+	rep, err := Verify(context.Background(), runs(topo, topo.Experiment(smallSweep()), store),
 		Config{Repetitions: 3, Node: topo.LoadGen, Artifact: "moongen.log"})
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +70,7 @@ func TestOverloadedVirtualDeviates(t *testing.T) {
 		t.Fatal(err)
 	}
 	sweep := casestudy.SweepConfig{Sizes: []int{64}, RatesPPS: []int{250_000}, RuntimeSec: 1}
-	rep, err := Verify(context.Background(), topo.Testbed.Runner(), topo.Experiment(sweep), store,
+	rep, err := Verify(context.Background(), runs(topo, topo.Experiment(sweep), store),
 		Config{Repetitions: 3, Node: topo.LoadGen, Artifact: "moongen.log"})
 	if err != nil {
 		t.Fatal(err)
@@ -86,16 +93,15 @@ func TestVerifyValidation(t *testing.T) {
 	}
 	defer topo.Close()
 	store, _ := results.NewStore(t.TempDir())
-	runner := topo.Testbed.Runner()
-	exp := topo.Experiment(smallSweep())
-	if _, err := Verify(context.Background(), runner, exp, store, Config{Repetitions: 1, Node: "a", Artifact: "b"}); err == nil {
+	execute := runs(topo, topo.Experiment(smallSweep()), store)
+	if _, err := Verify(context.Background(), execute, Config{Repetitions: 1, Node: "a", Artifact: "b"}); err == nil {
 		t.Error("accepted one repetition")
 	}
-	if _, err := Verify(context.Background(), runner, exp, store, Config{Repetitions: 2}); err == nil {
+	if _, err := Verify(context.Background(), execute, Config{Repetitions: 2}); err == nil {
 		t.Error("accepted empty node/artifact")
 	}
 	// Wrong artifact name: no comparable runs.
-	if _, err := Verify(context.Background(), runner, exp, store, Config{Repetitions: 2, Node: topo.LoadGen, Artifact: "nope.log"}); err == nil {
+	if _, err := Verify(context.Background(), execute, Config{Repetitions: 2, Node: topo.LoadGen, Artifact: "nope.log"}); err == nil {
 		t.Error("accepted missing artifact")
 	}
 }
@@ -108,7 +114,7 @@ func TestCustomMetric(t *testing.T) {
 	defer topo.Close()
 	store, _ := results.NewStore(t.TempDir())
 	// Compare TX instead of RX.
-	rep, err := Verify(context.Background(), topo.Testbed.Runner(), topo.Experiment(smallSweep()), store,
+	rep, err := Verify(context.Background(), runs(topo, topo.Experiment(smallSweep()), store),
 		Config{
 			Repetitions: 2, Node: topo.LoadGen, Artifact: "moongen.log",
 			Metric: func(r eval.RunData) (float64, bool) {
@@ -135,7 +141,7 @@ func TestFailedRunsExcluded(t *testing.T) {
 	}
 	defer topo.Close()
 	store, _ := results.NewStore(t.TempDir())
-	_, err = Verify(context.Background(), topo.Testbed.Runner(), topo.Experiment(smallSweep()), store,
+	_, err = Verify(context.Background(), runs(topo, topo.Experiment(smallSweep()), store),
 		Config{
 			Repetitions: 2, Node: topo.LoadGen, Artifact: "moongen.log",
 			Metric: func(eval.RunData) (float64, bool) { return 0, false },
@@ -143,5 +149,49 @@ func TestFailedRunsExcluded(t *testing.T) {
 	if err == nil {
 		t.Error("no-comparable-runs execution accepted")
 	}
-	_ = core.NumRuns(nil)
+}
+
+// A campaign file repeats as posctl run runs it, into a store per
+// execution: its replicas, and a pinned epoch, which names every execution's
+// directory the same.
+func TestVerifyLaunchesSpec(t *testing.T) {
+	for _, tc := range []struct{ spec, want string }{
+		{"replicas: 2\n", "experiment/campaign.json"}, // written by a campaign of replicas only
+		{"epoch: 2021-10-12T11:20:32Z\n", "experiment/campaign.yml"},
+	} {
+		spec, err := casestudy.ParseSpec([]byte(tc.spec + "sizes: [64]\nrates: [10000, 100000]\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dirs []string
+		execute := func(ctx context.Context) (*core.Summary, error) {
+			store, err := results.NewStore(t.TempDir())
+			if err != nil {
+				return nil, err
+			}
+			sum, err := casestudy.Launch(ctx, spec, nil, store, nil)
+			if err == nil {
+				dirs = append(dirs, sum.ResultsDir)
+			}
+			return sum, err
+		}
+		rep, err := Verify(context.Background(), execute, Config{Repetitions: 2, Node: casestudy.LoadGenNode, Artifact: "moongen.log"})
+		if err != nil {
+			t.Fatalf("%q: %v", tc.spec, err)
+		}
+		if !rep.Identical || len(rep.Deviations) != 2 || rep.Experiment != "linux-router-pos" {
+			t.Errorf("%q: report = %+v", tc.spec, rep)
+		}
+		if len(dirs) != 2 {
+			t.Fatalf("%q: %d executions recorded, want 2", tc.spec, len(dirs))
+		}
+		for _, dir := range dirs {
+			if _, err := os.Stat(filepath.Join(dir, filepath.FromSlash(tc.want))); err != nil {
+				t.Errorf("%q: %v", tc.spec, err)
+			}
+		}
+		if pinned := spec.Epoch != ""; pinned != (filepath.Base(dirs[0]) == filepath.Base(dirs[1])) {
+			t.Errorf("%q: executions recorded as %s and %s", tc.spec, filepath.Base(dirs[0]), filepath.Base(dirs[1]))
+		}
+	}
 }

@@ -152,7 +152,7 @@ func (s *Store) BlobStats() (BlobStats, error) {
 }
 
 // GCBlobs removes blobs whose only remaining link is the pool's own — the
-// content was pruned from every experiment. Returns the number of blobs
+// content was deleted from every experiment. Returns the number of blobs
 // reclaimed.
 func (s *Store) GCBlobs() (int, error) {
 	removed := 0

@@ -11,21 +11,16 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"syscall"
-	"time"
 
 	"pos/internal/eventlog"
 	"pos/internal/jsonenc"
 )
 
 // The run manifest is the experiment's index: which runs exist, each run's
-// metadata, and every artifact path recorded. It is maintained in memory by
-// the experiment handle and flushed write-behind: mutations are applied
-// immediately (so readers on the same handle are never stale), marked
-// pending, and a background flusher group-commits the accumulated state in
-// one atomic file write. Backpressure bounds the number of unflushed
-// mutations, so a wedged disk slows writers down instead of growing an
-// unbounded queue.
+// metadata, and every artifact path recorded. The experiment handle keeps it
+// in memory, so readers on the same handle are never stale; a write marks it
+// dirty, and Sync writes it in one atomic file write, on the caller's
+// goroutine, after committing every run still staged.
 //
 // The manifest lives at <root>/.posindex/<user>/<experiment>/<id>.json —
 // outside the experiment directory, so the published layout stays
@@ -33,45 +28,18 @@ import (
 // a missing or corrupt manifest is rebuilt from a tree scan (the slow path
 // the manifest exists to avoid).
 
-// maxPendingMutations bounds the write-behind queue. A writer that gets
-// this far ahead of the flusher blocks until a group commit completes.
-const maxPendingMutations = 512
-
-// flushWindow is how long the flusher waits before each group commit so
-// back-to-back writers accumulate into one manifest write. Skipped when a
-// Sync is waiting or the queue is saturated, and cut short when either
-// happens while it runs.
-const flushWindow = 2 * time.Millisecond
-
 // index is the in-memory manifest.
 type index struct {
 	gen  uint64
 	runs map[int]*indexRun
 	exp  map[string]struct{} // experiment-level artifacts, slash paths
-
-	// expFrag caches the encoded experiment_artifacts member the way
-	// indexRun.frag caches a run's; fragEncodes counts run fragments built,
-	// which is what a test holds against the number of runs touched.
-	expFrag     []byte
-	fragEncodes int
 }
 
 type indexRun struct {
 	key       string // the run number as the manifest's object key
-	staged    bool   // not committed yet: a manifest written now leaves it out
 	hasMeta   bool
 	meta      RunMeta
 	artifacts map[string]struct{} // "<node>/<artifact>" slash paths
-
-	// frag caches this run's encoded member of the manifest's "runs" object
-	// (`"<key>":{...}`). A group commit re-encodes only the runs mutated since
-	// the last one and assembles the file by concatenation, so the flusher
-	// holds the experiment lock for a copy, not a walk over every run recorded
-	// so far. setMeta and addRunArtifact invalidate it; dropFragments releases
-	// all of them when the flusher goes idle, so a handle that outlives its
-	// campaign — held by a reader, or pinned in the store's recent ring —
-	// holds the manifest once, not once more as encoded bytes.
-	frag []byte
 }
 
 func newIndex() *index {
@@ -91,26 +59,14 @@ func (idx *index) setMeta(meta RunMeta) {
 	entry := idx.run(meta.Run)
 	entry.hasMeta = true
 	entry.meta = meta
-	entry.frag = nil
 }
 
 func (idx *index) addRunArtifact(run int, rel string) {
-	entry := idx.run(run)
-	entry.artifacts[rel] = struct{}{}
-	entry.frag = nil
+	idx.run(run).artifacts[rel] = struct{}{}
 }
 
 func (idx *index) addExperimentArtifact(rel string) {
 	idx.exp[rel] = struct{}{}
-	idx.expFrag = nil
-}
-
-// dropFragments releases every cached fragment.
-func (idx *index) dropFragments() {
-	idx.expFrag = nil
-	for _, entry := range idx.runs {
-		entry.frag = nil
-	}
 }
 
 // manifestFile is the persisted form. Non-test code only decodes through it:
@@ -130,69 +86,58 @@ type manifestRun struct {
 
 const manifestVersion = 1
 
-// encode appends the manifest file to dst: header, the cached
-// experiment_artifacts member, then the runs' cached fragments in the order
-// encoding/json sorts object keys (as strings, so "10" precedes "2"). Runs
-// still staged are left out: their files are not on disk.
+// encode appends the manifest file to dst: header, experiment_artifacts,
+// then the runs in the order encoding/json sorts object keys (as strings, so
+// "10" precedes "2").
 func (idx *index) encode(dst []byte) ([]byte, error) {
 	dst = append(dst, `{"version":`...)
 	dst = strconv.AppendInt(dst, manifestVersion, 10)
 	dst = append(dst, `,"generation":`...)
 	dst = strconv.AppendUint(dst, idx.gen, 10)
 	if len(idx.exp) > 0 {
-		if idx.expFrag == nil {
-			idx.expFrag = appendSortedSet(append([]byte(nil), `,"experiment_artifacts":`...), idx.exp)
-		}
-		dst = append(dst, idx.expFrag...)
+		dst = append(dst, `,"experiment_artifacts":`...)
+		dst = appendSortedSet(dst, idx.exp)
 	}
-	order := make([]*indexRun, 0, len(idx.runs))
-	for _, entry := range idx.runs {
-		if !entry.staged {
+	if len(idx.runs) > 0 {
+		order := make([]*indexRun, 0, len(idx.runs))
+		for _, entry := range idx.runs {
 			order = append(order, entry)
 		}
-	}
-	if len(order) > 0 {
 		slices.SortFunc(order, func(a, b *indexRun) int { return strings.Compare(a.key, b.key) })
 		dst = append(dst, `,"runs":{`...)
 		for i, entry := range order {
-			if entry.frag == nil {
-				frag, err := entry.encode()
-				if err != nil {
-					return dst, fmt.Errorf("manifest run %s: %w", entry.key, err)
-				}
-				entry.frag = frag
-				idx.fragEncodes++
-			}
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = append(dst, entry.frag...)
+			var err error
+			if dst, err = entry.appendJSON(dst); err != nil {
+				return dst, fmt.Errorf("manifest run %s: %w", entry.key, err)
+			}
 		}
 		dst = append(dst, '}')
 	}
 	return append(dst, '}'), nil
 }
 
-// encode builds the run's member of the "runs" object.
-func (entry *indexRun) encode() ([]byte, error) {
-	frag := make([]byte, 0, 256)
-	frag = jsonenc.AppendString(frag, entry.key)
-	frag = append(frag, ':', '{')
+// appendJSON appends the run's member of the "runs" object.
+func (entry *indexRun) appendJSON(dst []byte) ([]byte, error) {
+	dst = jsonenc.AppendString(dst, entry.key)
+	dst = append(dst, ':', '{')
 	if entry.hasMeta {
 		var err error
-		frag = append(frag, `"meta":`...)
-		if frag, err = entry.meta.appendJSON(frag, false); err != nil {
-			return nil, err
+		dst = append(dst, `"meta":`...)
+		if dst, err = entry.meta.appendJSON(dst, false); err != nil {
+			return dst, err
 		}
 	}
 	if len(entry.artifacts) > 0 {
 		if entry.hasMeta {
-			frag = append(frag, ',')
+			dst = append(dst, ',')
 		}
-		frag = append(frag, `"artifacts":`...)
-		frag = appendSortedSet(frag, entry.artifacts)
+		dst = append(dst, `"artifacts":`...)
+		dst = appendSortedSet(dst, entry.artifacts)
 	}
-	return append(frag, '}'), nil
+	return append(dst, '}'), nil
 }
 
 // appendJSON appends the metadata as json.Marshal(RunMeta) writes it, or,
@@ -356,7 +301,7 @@ func (e *Experiment) ensureIndexLocked() error {
 // indexMatchesTree is the shallow staleness probe run when a manifest is
 // loaded from disk: one readdir of the experiment root, comparing the run
 // directory set and the top-level entry set against the manifest. A writer
-// that crashed before its final flush leaves a manifest that is a
+// that crashed before its final Sync leaves a manifest that is a
 // consistent-but-old snapshot — typically missing whole runs — which this
 // catches at the cost of a single directory read instead of a tree walk.
 // Out-of-band edits inside an existing run directory are not detectable
@@ -500,7 +445,7 @@ func walkFiles(root string, fn func(path string) error) error {
 }
 
 // mutate records one manifest entry, a file written through the per-file
-// path, and schedules a write-behind flush.
+// path, and marks the manifest dirty.
 func (e *Experiment) mutate(record func(*index)) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -509,142 +454,17 @@ func (e *Experiment) mutate(record func(*index)) error {
 	}
 	record(e.idx)
 	e.idx.gen++
-	e.pendingLocked()
+	e.dirtyLocked()
 	return nil
 }
 
-// pendingLocked counts one manifest mutation, first waiting while the queue
-// is at its bound (backpressure), and makes sure a flusher will commit it.
-// Caller holds e.mu.
-func (e *Experiment) pendingLocked() {
-	for e.pending >= maxPendingMutations {
-		e.cutWindowLocked()
-		e.cond.Wait()
+// dirtyLocked marks the manifest as changed since it was last written, and
+// has the store hold the handle until Sync writes it. Caller holds e.mu.
+func (e *Experiment) dirtyLocked() {
+	if !e.dirty {
+		e.dirty = true
+		e.store.handles.hold(e, true)
 	}
-	e.pending++
-	manifestPending.Inc()
-	if !e.flushing {
-		e.flushing = true
-		go e.flushLoop()
-	}
-}
-
-// flushLoop group-commits the manifest: every iteration commits the staged
-// runs queued since the last, then writes the manifest once, covering all
-// mutations that accumulated while the previous write was in flight. The
-// manifest is encoded before the commits and written after them, so it never
-// names a file that is not on disk. It exits, releasing the encode
-// buffer and the cached fragments, once a whole window has passed with
-// nothing to commit — or at once when a Sync is waiting for exactly that. A
-// campaign's runs arrive closer together than a window, so its flusher, and
-// with it the fragment cache, lives for the campaign.
-//
-// The goroutine is also what keeps a handle its writer has dropped alive, and
-// so registered (see registry.go), while it still owes the disk anything: the
-// collector can take the handle only after this function has returned, which
-// it does with the manifest clean on disk — exactly what the next open of the
-// experiment needs to find.
-func (e *Experiment) flushLoop() {
-	// One encode buffer for the flusher's lifetime: the manifest is encoded
-	// under the lock and written outside it, and the next encode cannot start
-	// before that write returns.
-	var buf []byte
-	e.mu.Lock()
-	for {
-		if e.syncWaiters == 0 && e.pending < maxPendingMutations {
-			e.waitWindowLocked()
-		}
-		if e.pending == 0 && len(e.commits) == 0 {
-			break
-		}
-		commits := e.commits
-		e.commits = nil
-		for _, st := range commits {
-			st.committing = true
-		}
-		data, err := e.idx.encode(buf[:0])
-		buf = data
-		manifestPending.Add(-float64(e.pending))
-		e.pending = 0
-		e.cond.Broadcast() // wake writers blocked on backpressure
-		e.mu.Unlock()
-		// An experiment that has been removed (pruned, or a test tearing its
-		// tree down) gets neither its runs nor a manifest: writing them
-		// would resurrect deleted directories.
-		var sys syscall.Stat_t
-		gone := syscall.Stat(e.dir, &sys) != nil
-		if cerr := e.commitRuns(commits, gone); cerr != nil && err == nil {
-			err = cerr
-		}
-		if err == nil && !gone {
-			err = e.writeManifest(data)
-			if err == nil {
-				manifestFlushes.Inc()
-			}
-		}
-		e.mu.Lock()
-		if err != nil && e.flushErr == nil {
-			e.flushErr = err
-		}
-	}
-	e.flushing = false
-	e.idx.dropFragments()
-	e.cond.Broadcast() // wake Sync waiters
-	e.mu.Unlock()
-}
-
-// waitWindowLocked releases e.mu for one flushWindow, or until
-// cutWindowLocked ends it. Caller holds e.mu and is the flusher.
-func (e *Experiment) waitWindowLocked() {
-	window := make(chan struct{})
-	e.window = window
-	e.mu.Unlock()
-	timer := time.NewTimer(flushWindow)
-	select {
-	case <-timer.C:
-	case <-window:
-		timer.Stop()
-	}
-	e.mu.Lock()
-	e.window = nil
-}
-
-// cutWindowLocked ends the flusher's current window, if it is in one: whoever
-// is about to block on the flush has nothing to gain from more accumulation.
-// Caller holds e.mu.
-func (e *Experiment) cutWindowLocked() {
-	if e.window != nil {
-		close(e.window)
-		e.window = nil
-	}
-}
-
-// commitRuns commits the runs one group commit took; the first error wins.
-// A run that fails to commit, or has nothing to commit (its every write
-// failed), leaves no directory behind and is dropped from the manifest:
-// nothing may name files that are not on disk. The runs of an experiment
-// whose tree is gone are dropped unwritten.
-func (e *Experiment) commitRuns(runs []*stagedRun, gone bool) (first error) {
-	for _, st := range runs {
-		var err error
-		empty := len(st.files) == 0 && st.meta == nil
-		if !gone && !empty {
-			err = e.commit(st)
-		}
-		if (err != nil || empty) && st.dir != "" {
-			os.RemoveAll(st.dir)
-		}
-		e.mu.Lock()
-		delete(e.staged, st.run)
-		if err != nil || empty {
-			delete(e.idx.runs, st.run)
-			e.idx.gen++
-			first = cmp.Or(first, err)
-		}
-		e.cond.Broadcast() // wake writers and readers waiting out the commit
-		e.mu.Unlock()
-	}
-	return first
 }
 
 func (e *Experiment) writeManifest(data []byte) error {
@@ -655,33 +475,36 @@ func (e *Experiment) writeManifest(data []byte) error {
 	return e.store.writeFileAtomic(path, data, "")
 }
 
-// Sync commits every run still staged, blocks until every pending manifest
-// mutation has been flushed and returns the first flush error, if any.
-// Runners call it when an experiment execution completes; it is cheap when
-// the manifest is already clean.
+// Sync commits every run still staged, then writes the manifest if anything
+// changed since it was last written, and returns the first error. Runners
+// call it when an experiment execution completes; it is cheap when the
+// manifest is already clean.
 func (e *Experiment) Sync() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.waitIdleLocked()
-	return e.flushErr
+	return e.syncLocked()
 }
 
-// waitIdleLocked queues the commit of every run still staged and blocks until
-// the flusher has committed everything and exited. A waiter ends the
-// flusher's current window, accumulating or trailing: it has nothing to gain
-// from either. Caller holds e.mu.
-func (e *Experiment) waitIdleLocked() {
-	for _, st := range e.staged {
-		if !st.queued {
-			e.queueCommitLocked(st)
-		}
+// syncLocked is Sync. The runs commit before the manifest is encoded, so it
+// never names a file that is not on disk. Caller holds e.mu.
+func (e *Experiment) syncLocked() error {
+	first := e.commitStagedLocked()
+	if !e.dirty {
+		return first
 	}
-	e.syncWaiters++
-	e.cutWindowLocked()
-	for e.flushing || e.pending > 0 || len(e.commits) > 0 {
-		e.cond.Wait()
+	data, err := e.idx.encode(make([]byte, 0, 256*len(e.idx.runs)+512))
+	if err != nil {
+		err = fmt.Errorf("results: %w", err)
+	} else {
+		err = e.writeManifest(data)
 	}
-	e.syncWaiters--
+	if err != nil {
+		return cmp.Or(first, err)
+	}
+	manifestFlushes.Inc()
+	e.dirty = false
+	e.store.handles.hold(e, false)
+	return first
 }
 
 // Generation returns the experiment's manifest generation counter. It bumps
@@ -729,37 +552,27 @@ func (idx *index) paths() []string {
 }
 
 // RebuildIndex commits what the handle has staged, then discards the manifest
-// and rebuilds it from the on-disk tree and flushes it synchronously. Use
-// after out-of-band modifications to an experiment directory.
+// and rebuilds it from the on-disk tree and writes it. Use after out-of-band
+// modifications to an experiment directory.
 func (e *Experiment) RebuildIndex() error {
-	e.Sync() // a flush error stays for the next Sync to report
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	first := e.commitStagedLocked()
 	idx, err := scanTree(e.dir)
 	if err != nil {
 		return err
 	}
-	e.mu.Lock()
-	e.waitIdleLocked()
 	// Continue the persisted generation sequence — a rebuild must never
 	// regress the counter, or stale cache entries would re-validate.
 	if e.idx == nil {
 		e.ensureIndexLocked()
 	}
-	oldGen := uint64(0)
 	if e.idx != nil {
-		oldGen = e.idx.gen
-	}
-	idx.gen = oldGen + 1
-	for run := range e.staged { // staged during the scan, not on disk yet
-		idx.runs[run] = e.idx.runs[run]
+		idx.gen = e.idx.gen + 1
 	}
 	e.idx = idx
-	data, err := idx.encode(nil)
-	idx.dropFragments()
-	e.mu.Unlock()
-	if err != nil {
-		return fmt.Errorf("results: %w", err)
-	}
-	return e.writeManifest(data)
+	e.dirtyLocked()
+	return cmp.Or(e.syncLocked(), first)
 }
 
 // IndexInfo summarizes the manifest for inspection tooling.

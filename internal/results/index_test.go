@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestStrictRunDirParsing(t *testing.T) {
@@ -166,7 +164,7 @@ func TestManifestPersistsAndServesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(e.indexPath()); err != nil {
-		t.Fatalf("manifest not flushed: %v", err)
+		t.Fatalf("manifest not written: %v", err)
 	}
 
 	// Reopen through a fresh store — the original would hand back the live
@@ -405,7 +403,7 @@ func TestSharedStoreServesLiveHandle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A reader opened through the same store must see the writer's
-	// in-memory state even while the write-behind queue is still draining.
+	// in-memory state even before the writer syncs.
 	re, err := s.OpenExperiment("user", "default", e.ID())
 	if err != nil {
 		t.Fatal(err)
@@ -525,50 +523,6 @@ func TestTmpSweepOnOpen(t *testing.T) {
 	}
 }
 
-func TestBackpressureBoundsPendingMutations(t *testing.T) {
-	_, e := newExp(t)
-	// Many more mutations than the queue bound; writers must block on the
-	// flusher rather than grow state unboundedly, and everything must be
-	// visible after Sync.
-	for i := 0; i < maxPendingMutations*2+10; i++ {
-		if err := e.WriteRunMeta(RunMeta{Run: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	e.mu.Lock()
-	pending := e.pending
-	e.mu.Unlock()
-	if pending != 0 {
-		t.Errorf("pending after Sync = %d", pending)
-	}
-	runs, err := e.Runs()
-	if err != nil || len(runs) != maxPendingMutations*2+10 {
-		t.Errorf("runs = %d, %v", len(runs), err)
-	}
-}
-
-func TestPruneRemovesManifest(t *testing.T) {
-	s, e := newExp(t)
-	if err := e.WriteRunMeta(RunMeta{Run: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.CreateExperiment("user", "default", when.Add(time.Hour)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Prune("user", "default", 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(e.indexPath()); !os.IsNotExist(err) {
-		t.Error("pruned experiment's manifest survived")
-	}
-}
-
 func TestDotUserRejected(t *testing.T) {
 	s, _ := newExp(t)
 	if _, err := s.CreateExperiment(".posindex", "x", when); err == nil {
@@ -576,36 +530,5 @@ func TestDotUserRejected(t *testing.T) {
 	}
 	if _, err := s.CreateExperiment("u", ".hidden", when); err == nil {
 		t.Error("accepted a dot experiment name")
-	}
-}
-
-// A Sync that arrives while the flusher waits out its group-commit window
-// must end the window, not sit through the rest of it. The fault hook stamps
-// the moment the flusher starts the run's commit, so the disk's speed stays
-// out of the measurement.
-func TestSyncCutsFlushWindowShort(t *testing.T) {
-	_, e := newExp(t)
-	var committing time.Time
-	setFSHook(t, func(op, path string) error {
-		if op == "mkdir" && strings.HasPrefix(filepath.Base(path), tmpPrefix) {
-			committing = time.Now()
-		}
-		return nil
-	})
-	waits := make([]time.Duration, 50)
-	for i := range waits {
-		if err := e.WriteRunMeta(RunMeta{Run: i}); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(flushWindow / 10) // the flusher is in its window by now
-		called := time.Now()
-		if err := e.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		waits[i] = committing.Sub(called)
-	}
-	sort.Slice(waits, func(i, j int) bool { return waits[i] < waits[j] })
-	if median := waits[len(waits)/2]; median >= flushWindow/2 {
-		t.Errorf("median wait from Sync to commit = %v, want < %v (window %v)", median, flushWindow/2, flushWindow)
 	}
 }

@@ -6,11 +6,9 @@ import "pos/internal/telemetry"
 // experiment handle in the process — exactly what a controller scrape wants.
 var (
 	manifestFlushes = telemetry.Default.Counter("pos_results_manifest_flushes_total",
-		"Manifest group commits written by the write-behind flusher.")
-	manifestPending = telemetry.Default.Gauge("pos_results_manifest_pending",
-		"Manifest mutations applied in memory but not yet flushed to disk.")
+		"Manifest writes: one per Sync or RebuildIndex that found the manifest changed.")
 	openHandles = telemetry.Default.Gauge("pos_results_open_handles",
-		"Experiment handles alive in the process: held by a caller, a flusher or a store's recent ring.")
+		"Experiment handles alive in the process: held by a caller, by their store until synced, or by a store's recent ring.")
 	dedupHits = telemetry.Default.Counter("pos_results_dedup_hits_total",
 		"Artifact writes satisfied by linking an existing content blob.")
 	dedupMisses = telemetry.Default.Counter("pos_results_dedup_misses_total",

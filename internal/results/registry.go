@@ -18,21 +18,40 @@ const recentHandles = 64
 // registry is a store's table of live experiment handles by "user/name/id".
 // It is what makes one handle the single writer of its manifest: every
 // consumer sharing the store gets the same *Experiment, so a reader opened
-// while a writer's queue is still draining sees the writer's in-memory state,
+// while a writer still has runs staged sees the writer's in-memory state,
 // not a stale disk scan.
 //
 // The table holds handles weakly. A handle stays registered exactly as long
-// as something can still use it — a caller holding the pointer, its flusher
-// goroutine (which runs until the manifest is clean on disk), or the recent
-// ring below — and a cleanup drops its key once the collector has taken it. A
-// later open then loads the manifest the flusher left under .posindex. So the
-// store's memory follows the experiments in use, not every experiment it has
-// ever seen.
+// as something can still use it — a caller holding the pointer, the unsynced
+// set (a handle with writes Sync has not yet put on disk), or the recent ring
+// below — and a cleanup drops its key once the collector has taken it. A
+// later open then loads the manifest the last Sync left under .posindex. So
+// the store's memory follows the experiments in use, not every experiment it
+// has ever seen.
 type registry struct {
 	mu     sync.Mutex
 	live   map[string]weak.Pointer[Experiment]
 	recent [recentHandles]*Experiment // strong; overwritten round-robin
 	next   int
+	// unsynced holds every handle with staged runs or a dirty manifest,
+	// strongly: dropped, it would take them with it, and the next open
+	// would find a manifest older than the handle's writes — one the
+	// one-readdir staleness probe cannot always tell from a current one.
+	unsynced map[*Experiment]struct{}
+}
+
+// hold adds e to the unsynced set, or, with held false, takes it out.
+func (r *registry) hold(e *Experiment, held bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !held {
+		delete(r.unsynced, e)
+		return
+	}
+	if r.unsynced == nil {
+		r.unsynced = make(map[*Experiment]struct{})
+	}
+	r.unsynced[e] = struct{}{}
 }
 
 // handleKey is an experiment's key in the registry.
@@ -110,18 +129,4 @@ func unregister(c collected) {
 	if r.live[c.key] == c.handle {
 		delete(r.live, c.key)
 	}
-}
-
-// dropHandle removes key from the registry and the recent ring, returning the
-// handle it named if that is still live.
-func (s *Store) dropHandle(key string) *Experiment {
-	r := &s.handles
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e := r.live[key].Value()
-	delete(r.live, key)
-	if i := slices.Index(r.recent[:], e); e != nil && i >= 0 {
-		r.recent[i] = nil
-	}
-	return e
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -221,62 +222,71 @@ func TestConcurrentOpenWhileCollecting(t *testing.T) {
 	collector.Wait()
 }
 
-// Prune leaves neither a registry key nor a directory the flusher brought
-// back, whatever state the victim's handle is in.
-func TestPruneDropsHandle(t *testing.T) {
-	gone := func(t *testing.T, s *Store, dir, id string) {
-		t.Helper()
-		if n := s.registered(); n != 0 {
-			t.Errorf("%d keys registered after prune", n)
-		}
-		if _, err := os.Stat(dir); !os.IsNotExist(err) {
-			t.Errorf("experiment directory after prune: %v", err)
-		}
-		if _, err := os.Stat(s.indexPath("user", "victim", id)); !os.IsNotExist(err) {
-			t.Errorf("manifest after prune: %v", err)
-		}
-		if _, err := s.OpenExperiment("user", "victim", id); err == nil {
-			t.Error("pruned experiment still opens")
-		}
+// A handle dropped before Sync stays registered: its store holds it while it
+// has runs staged or a manifest not yet written, so a reopen gets the handle,
+// not the older manifest on disk. The last write here adds an experiment
+// artifact under a top-level directory that manifest lists already, which the
+// one-readdir staleness probe cannot tell apart. Once synced, the handle is
+// the collector's again, and a reopen through a new store reads the same.
+func TestUnsyncedHandleSurvivesDrop(t *testing.T) {
+	s, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	prune := func(t *testing.T, s *Store) {
-		t.Helper()
-		if removed, err := s.Prune("user", "victim", 0); err != nil || len(removed) != 1 {
-			t.Fatalf("prune = %v, %v", removed, err)
-		}
-	}
-
-	t.Run("live", func(t *testing.T) {
-		s, _ := NewStore(t.TempDir())
-		e := recordCampaign(t, s, "victim", 0, 2)
-		prune(t, s)
-		gone(t, s, e.Dir(), e.ID())
-	})
-	t.Run("collected", func(t *testing.T) {
-		s, _ := NewStore(t.TempDir())
-		e := recordCampaign(t, s, "victim", 0, 2)
-		dir, id := e.Dir(), e.ID()
-		e = nil
-		s.unpinRecent()
-		collectUntil(t, "handle still registered", func() bool { return s.registered() == 0 })
-		prune(t, s)
-		gone(t, s, dir, id)
-	})
-	t.Run("mid-flush", func(t *testing.T) {
-		s, _ := NewStore(t.TempDir())
-		e, err := s.CreateExperiment("user", "victim", when)
+	id, paths, gen := func() (string, []string, uint64) {
+		e, err := s.CreateExperiment("user", "dropped", when)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for run := 0; run < 100; run++ { // queued behind the flusher, not synced
-			if err := e.AddRunArtifact(run, "n", "a", []byte("tiny")); err != nil {
+		if err := e.AddExperimentArtifact("experiment/setup.sh", []byte("true\n")); err != nil {
+			t.Fatal(err)
+		}
+		for run := 0; run < 3; run++ {
+			if run == 2 { // the manifest on disk lists runs 0 and 1
+				if err := e.Sync(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e.AddRunArtifact(run, "lg", "a.out", []byte("out")); err != nil {
 				t.Fatal(err)
 			}
+			if run < 2 {
+				if err := e.WriteRunMeta(RunMeta{Run: run}); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-		prune(t, s)
-		if err := e.Sync(); err != nil {
-			t.Errorf("sync after prune: %v", err)
+		if err := e.AddExperimentArtifact("experiment/vars.yml", []byte("a: 1\n")); err != nil {
+			t.Fatal(err)
 		}
-		gone(t, s, e.Dir(), e.ID())
-	})
+		paths, _ := e.ArtifactPaths()
+		gen, _ := e.Generation()
+		return e.ID(), paths, gen
+	}()
+	s.unpinRecent()
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+	}
+	reopen := func(s *Store, what string) *Experiment {
+		t.Helper()
+		e, err := s.OpenExperiment("user", "dropped", id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := e.ArtifactPaths()
+		if g, _ := e.Generation(); g != gen || !slices.Equal(got, paths) {
+			t.Errorf("%s: generation %d, paths %q; want %d, %q", what, g, got, gen, paths)
+		}
+		return e
+	}
+	if err := reopen(s, "reopened unsynced").Sync(); err != nil {
+		t.Fatal(err)
+	}
+	s.unpinRecent()
+	collectUntil(t, "the synced handle is still registered", func() bool { return s.registered() == 0 })
+	fresh, err := NewStore(s.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopen(fresh, "reopened from disk")
 }

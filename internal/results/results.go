@@ -8,7 +8,7 @@
 // On top of the paper layout the store maintains a fast path:
 //
 //   - a per-experiment run manifest (see index.go) kept in memory by the
-//     experiment's handle and flushed write-behind, so enumerating runs and
+//     experiment's handle and written by Sync, so enumerating runs and
 //     artifacts never walks the tree again;
 //   - runs committed whole (see stage.go): a run's files are staged until
 //     its metadata is written, then its directory appears by one rename;
@@ -28,7 +28,7 @@
 // handle, every open of that experiment through the same store returns that
 // handle, so a manifest has one writer and readers see its in-memory state.
 // The store registers handles weakly (see registry.go): a handle is pinned by
-// whoever holds it, by its flusher until the manifest is clean on disk, and by
+// whoever holds it, by its store while it has writes not yet synced, and by
 // the store's fixed ring of recently used handles; past that it is garbage,
 // manifest and all, and the next open reloads it from .posindex. A store that
 // runs for months holds the experiments in use, not its history.
@@ -39,16 +39,17 @@
 // run_NNNN is there. A run directory found there, a run committed already
 // and every run of an experiment it opened take the per-file path instead:
 // a temp file renamed over the final name before the call returns, so a
-// reader never gets bytes older than the last write. A handle dropped with
-// runs still staged loses them, as a crash would.
+// reader never gets bytes older than the last write. A handle with runs still
+// staged is held by its store until Sync commits them; a process that dies
+// first loses them, as any crash does.
 //
 // The crash invariant: a run_NNNN/ is absent or holds every file recorded
 // for it when it committed, and no manifest names a file that is not on
-// disk. Each group commit encodes the manifest without the runs still
-// staged, commits the runs queued with it, and only then renames it over the
-// old one. A crash leaves a manifest that is stale but consistent, which
-// reopening detects and rebuilds from the tree, and staging directories and
-// temp files, which opening sweeps.
+// disk. A run commits in the WriteRunMeta that closes it, on the caller's
+// goroutine; Sync commits the runs still staged, and only then encodes the
+// manifest and renames it over the old one. A crash leaves a manifest that
+// is stale but consistent, which reopening detects and rebuilds from the
+// tree, and staging directories and temp files, which opening sweeps.
 package results
 
 import (
@@ -142,11 +143,10 @@ const (
 // writer of its manifest; handles are safe for concurrent use by multiple
 // goroutines (replica testbeds of a campaign share one).
 type Experiment struct {
-	// mu guards the manifest (idx), the staged runs, the flusher state and
+	// mu guards the manifest (idx), the staged runs and their commits, and
 	// the generation counter. Per-file writes happen outside the lock; the
 	// index mutation that records them happens under it.
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu sync.Mutex
 
 	store *Store
 	dir   string
@@ -157,20 +157,13 @@ type Experiment struct {
 	// staged and committed whole (see stage.go).
 	fresh bool
 
-	idx         *index
-	pending     int                // manifest mutations not yet flushed to disk
-	staged      map[int]*stagedRun // runs not yet committed
-	commits     []*stagedRun       // staged runs queued for the flusher
-	flushing    bool               // a flusher goroutine is active
-	flushErr    error              // first flush failure, surfaced by Sync
-	syncWaiters int                // Sync callers blocked; makes the flusher skip its window
-	window      chan struct{}      // open while the flusher waits out a window; closing it ends the wait
+	idx    *index
+	dirty  bool               // the manifest changed since Sync last wrote it
+	staged map[int]*stagedRun // runs not yet committed
 }
 
 func (s *Store) newExperiment(dir, user, name, id string) *Experiment {
-	e := &Experiment{store: s, dir: dir, user: user, name: name, id: id}
-	e.cond = sync.NewCond(&e.mu)
-	return e
+	return &Experiment{store: s, dir: dir, user: user, name: name, id: id}
 }
 
 // checkSegments vets the user, experiment name and id that address an
@@ -252,40 +245,6 @@ func (s *Store) ListExperiments(user, name string) ([]string, error) {
 	}
 	sort.Strings(ids)
 	return ids, nil
-}
-
-// Prune deletes all but the newest keep executions of user/name, returning
-// the removed ids. Retention by count matches how shared testbeds manage
-// their result volumes; the newest executions (lexically greatest ids —
-// timestamps sort chronologically) survive. Deduplicated blobs that lose
-// their last reference are reclaimed by GCBlobs.
-func (s *Store) Prune(user, name string, keep int) ([]string, error) {
-	if keep < 0 {
-		return nil, fmt.Errorf("results: keep must be >= 0")
-	}
-	ids, err := s.ListExperiments(user, name)
-	if err != nil {
-		return nil, err
-	}
-	if len(ids) <= keep {
-		return nil, nil
-	}
-	victims := ids[:len(ids)-keep]
-	for _, id := range victims {
-		dir := filepath.Join(s.root, user, name, id)
-		key := handleKey(user, name, id)
-		// A live handle first drains what it still owes the tree, so nothing
-		// is written, or a manifest published, behind the removal.
-		if live := s.liveHandle(key); live != nil {
-			_ = live.Sync() // a failed flush leaves nothing worth keeping here
-		}
-		if err := os.RemoveAll(dir); err != nil {
-			return nil, fmt.Errorf("results: pruning %s: %w", id, err)
-		}
-		s.dropHandle(key)
-		os.Remove(s.indexPath(user, name, id))
-	}
-	return append([]string(nil), victims...), nil
 }
 
 // Dir returns the experiment's directory.
@@ -466,8 +425,9 @@ func validateArtifactName(name string, flat bool) error {
 }
 
 // WriteRunMeta stores the metadata file of one run and, for a staged run,
-// queues its commit: the run's directory appears with every file recorded
-// for it. Rewriting a run's metadata bumps the experiment generation,
+// commits it before it returns: the run's directory appears with every file
+// recorded for it, or, when the commit fails, not at all, and the error is
+// this call's. Rewriting a run's metadata bumps the experiment generation,
 // invalidating warm eval caches.
 func (e *Experiment) WriteRunMeta(meta RunMeta) error {
 	stored := meta.clone()

@@ -22,8 +22,6 @@ func newExp(t *testing.T) (*Store, *Experiment) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Drain the write-behind flusher before the TempDir is torn down.
-	t.Cleanup(func() { e.Sync() })
 	return s, e
 }
 
@@ -200,7 +198,6 @@ func TestPathSegmentsStayInsideRoot(t *testing.T) {
 		_, calls["ListExperiments name"] = s.ListExperiments("outside", seg)
 		_, calls["OpenExperiment user"] = s.OpenExperiment(seg, "exp", "id1")
 		_, calls["OpenExperiment id"] = s.OpenExperiment("u", "exp", seg)
-		_, calls["Prune user"] = s.Prune(seg, "exp", 0)
 		for call, err := range calls {
 			if !errors.Is(err, fs.ErrInvalid) {
 				t.Errorf("%s %q: err = %v, want fs.ErrInvalid", call, seg, err)
@@ -237,46 +234,6 @@ func TestAtomicOverwrite(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join(e.Dir(), "run_0000", "n", "a.log"))
 	if len(entries) != 1 || err != nil || string(data) != "v5" {
 		t.Errorf("on disk: %d entries, a.log = %q, %v; want the last write alone", len(entries), data, err)
-	}
-}
-
-func TestPruneKeepsNewest(t *testing.T) {
-	s, _ := newExp(t)
-	// Two more executions after the fixture's one.
-	e2, err := s.CreateExperiment("user", "default", when.Add(time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e3, err := s.CreateExperiment("user", "default", when.Add(2*time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	removed, err := s.Prune("user", "default", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(removed) != 1 || removed[0] != "2020-10-12_11-20-32_230471" {
-		t.Errorf("removed = %v", removed)
-	}
-	ids, _ := s.ListExperiments("user", "default")
-	if len(ids) != 2 || ids[0] != e2.ID() || ids[1] != e3.ID() {
-		t.Errorf("ids = %v", ids)
-	}
-	// Pruning again is a no-op.
-	removed, err = s.Prune("user", "default", 2)
-	if err != nil || removed != nil {
-		t.Errorf("second prune = %v, %v", removed, err)
-	}
-	// keep=0 removes everything.
-	if _, err := s.Prune("user", "default", 0); err != nil {
-		t.Fatal(err)
-	}
-	ids, _ = s.ListExperiments("user", "default")
-	if len(ids) != 0 {
-		t.Errorf("ids after full prune = %v", ids)
-	}
-	if _, err := s.Prune("user", "default", -1); err == nil {
-		t.Error("negative keep accepted")
 	}
 }
 

@@ -1,6 +1,7 @@
 package results
 
 import (
+	"cmp"
 	"errors"
 	"io/fs"
 	"os"
@@ -12,22 +13,19 @@ import (
 // stagedRun is one run of a fresh experiment between its first file and its
 // commit: files under dedupMinBytes in memory on the handle, larger ones at
 // once in the run's staging directory <exp>/.tmp-N/<node>/. WriteRunMeta
-// queues the commit behind the manifest flusher, which writes the buffered
-// files and metadata.json into the staging directory and renames it to
-// run_NNNN. Its fields are guarded by the handle's mu until the flusher
-// takes it (committing); then the flusher alone reads them.
+// commits it before it returns: it writes the buffered files and
+// metadata.json into the staging directory and renames it to run_NNNN. Its
+// fields are guarded by the handle's mu, which the commit holds too.
 type stagedRun struct {
-	run        int
-	runDir     string // <exp>/run_NNNN
-	dir        string // the staging directory; "" until a large file or the commit makes it
-	queued     bool   // handed to the flusher
-	committing bool   // taken by the flusher: later writes wait for the commit
-	meta       *RunMeta
-	files      []stagedFile
-	buf        []byte   // the small files' bytes, end to end
-	nodes      []string // node directories made in dir
-	fileBuf    [8]stagedFile
-	nodeBuf    [4]string
+	run     int
+	runDir  string // <exp>/run_NNNN
+	dir     string // the staging directory; "" until a large file or the commit makes it
+	meta    *RunMeta
+	files   []stagedFile
+	buf     []byte   // the small files' bytes, end to end
+	nodes   []string // node directories made in dir
+	fileBuf [8]stagedFile
+	nodeBuf [4]string
 }
 
 type stagedFile struct {
@@ -36,23 +34,12 @@ type stagedFile struct {
 	inDir  bool // the file is in the staging directory instead
 }
 
-// stagedLocked returns run's staged state once no commit of it is in
-// flight, or nil. Caller holds e.mu.
-func (e *Experiment) stagedLocked(run int) *stagedRun {
-	st := e.staged[run]
-	for st != nil && st.committing {
-		e.cond.Wait()
-		st = e.staged[run]
-	}
-	return st
-}
-
 // stageLocked returns the staged run a write to run joins, staging the run
 // on its first write, or nil when the write takes the per-file path: the run
 // was written already (a rewrite), or run_NNNN is there without the handle
 // having made it. Caller holds e.mu.
 func (e *Experiment) stageLocked(run int) *stagedRun {
-	if st := e.stagedLocked(run); st != nil {
+	if st := e.staged[run]; st != nil {
 		return st
 	}
 	if _, seen := e.idx.runs[run]; seen {
@@ -69,13 +56,13 @@ func (e *Experiment) stageLocked(run int) *stagedRun {
 		e.staged = make(map[int]*stagedRun)
 	}
 	e.staged[run] = st
-	e.idx.run(run).staged = true
+	e.idx.run(run)
 	return st
 }
 
-// stage records a file of run (rel and data) or its metadata (meta) in the
-// run's staging, reporting false when the write takes the per-file path:
-// always, in an experiment the handle did not create.
+// stage records a file of run (rel and data) in the run's staging, or its
+// metadata (meta) and commits the run, reporting false when the write takes
+// the per-file path: always, in an experiment the handle did not create.
 func (e *Experiment) stage(run int, rel string, data []byte, meta *RunMeta) (bool, error) {
 	if !e.fresh {
 		return false, nil
@@ -93,10 +80,9 @@ func (e *Experiment) stage(run int, rel string, data []byte, meta *RunMeta) (boo
 		return true, err
 	}
 	e.idx.gen++
-	if st.queued {
-		e.pendingLocked()
-	} else if meta != nil {
-		e.queueCommitLocked(st)
+	e.dirtyLocked()
+	if meta != nil {
+		return true, e.commitLocked(st)
 	}
 	return true, nil
 }
@@ -197,12 +183,39 @@ func (st *stagedRun) dropNode(rel string) {
 	}
 }
 
-// queueCommitLocked hands st to the flusher. Caller holds e.mu.
-func (e *Experiment) queueCommitLocked(st *stagedRun) {
-	st.queued = true
-	e.idx.runs[st.run].staged = false // never encoded while staged: no fragment to drop
-	e.commits = append(e.commits, st)
-	e.pendingLocked()
+// commitStagedLocked commits every run still staged, in run order, and
+// returns the first error. Caller holds e.mu.
+func (e *Experiment) commitStagedLocked() (first error) {
+	runs := make([]int, 0, len(e.staged))
+	for run := range e.staged {
+		runs = append(runs, run)
+	}
+	slices.Sort(runs)
+	for _, run := range runs {
+		first = cmp.Or(first, e.commitLocked(e.staged[run]))
+	}
+	return first
+}
+
+// commitLocked commits st and forgets it as staged. A run that fails to
+// commit, or has nothing to commit (its every write failed), leaves no
+// directory behind and is dropped from the manifest: nothing may name files
+// that are not on disk. Caller holds e.mu.
+func (e *Experiment) commitLocked(st *stagedRun) error {
+	var err error
+	empty := len(st.files) == 0 && st.meta == nil
+	if !empty {
+		err = e.commit(st)
+	}
+	if (err != nil || empty) && st.dir != "" {
+		os.RemoveAll(st.dir)
+	}
+	delete(e.staged, st.run)
+	if err != nil || empty {
+		delete(e.idx.runs, st.run)
+		e.idx.gen++
+	}
+	return err
 }
 
 // commit writes the staged run to disk as run_NNNN: the buffered files and
@@ -249,12 +262,12 @@ func (e *Experiment) commit(st *stagedRun) error {
 }
 
 // readStaged serves a read of a file of run while the run is staged, from
-// memory or the staging directory. staged is false when the run is not (a
-// commit in flight is waited out): the disk has the answer.
+// memory or the staging directory. staged is false when the run is not: the
+// disk has the answer.
 func (e *Experiment) readStaged(run int, node, artifact string) (data []byte, staged bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st := e.stagedLocked(run)
+	st := e.staged[run]
 	if st == nil {
 		return nil, false, nil
 	}

@@ -16,10 +16,11 @@ import (
 
 // crashIngest is the crash test's workload: crashRuns runs of small files,
 // runs 1 and 3 with a file past the dedup floor too (in run 3 the only file
-// of its node directory), each closed by its metadata, then, once Sync has
-// reported them committed, a rewrite of one. It carries on past a failed
-// write, as a runner does, and notes every write attempted (tried) and which
-// files of a run were recorded before its metadata (kept).
+// of its node directory), each closed by its metadata, then, once every
+// WriteRunMeta and Sync has reported them committed, a rewrite of one. It
+// carries on past a failed write, as a runner does, and notes every write
+// attempted (tried) and which files of a run were recorded before its
+// metadata (kept).
 type crashIngest struct {
 	tried map[string][]string // "run_NNNN/rel" → every content written
 	kept  map[int][]string    // run → rels whose write returned nil
@@ -37,6 +38,7 @@ func (c *crashIngest) run(s *Store) {
 			c.kept[run] = append(c.kept[run], rel)
 		}
 	}
+	var failed error
 	for run := 0; run < crashRuns; run++ {
 		if run != 3 {
 			put(run, "lg", "a.out", fmt.Sprintf("a%d", run))
@@ -48,9 +50,11 @@ func (c *crashIngest) run(s *Store) {
 		meta := RunMeta{Run: run, LoopVars: map[string]string{"run": fmt.Sprint(run)}, StartedAt: when, FinishedAt: when}
 		b, _ := meta.appendJSON(nil, true)
 		c.tried[runDirName(run)+"/metadata.json"] = []string{string(b) + "\n"}
-		e.WriteRunMeta(meta)
+		if err := e.WriteRunMeta(meta); err != nil {
+			failed = err
+		}
 	}
-	if e.Sync() != nil {
+	if e.Sync() != nil || failed != nil {
 		return // a runner stops at a failed commit
 	}
 	put(0, "lg", "a.out", "rewritten")
@@ -337,12 +341,13 @@ func TestRebuildIndexSkipsTempEntries(t *testing.T) {
 	}
 }
 
-// runCommitAllocBudget is 15 % above the 114 objects one staged 6-file run
-// cost when the budget was set (go1.24, on top of adc6bfd; four small node
+// runCommitAllocBudget is 15 % above the 39 objects one staged 6-file run
+// cost when the budget was set (go1.24, on top of 73e89cb; four small node
 // files, resources.json and metadata.json, the run's commit and the manifest
-// write it causes). Written file by file through temp files, as at adc6bfd,
-// the same run cost 177.
-const runCommitAllocBudget = 131
+// write of the Sync after it). Committed by a background group-commit
+// flusher, as at 73e89cb, the same run cost 114; written file by file
+// through temp files, as at adc6bfd, 177.
+const runCommitAllocBudget = 45
 
 // TestRunCommitAllocations holds what recording one run into a fresh
 // experiment allocates, from its first file to its directory on disk.

@@ -539,8 +539,8 @@ func (c *Campaign) Run(ctx context.Context, store *results.Store) (*core.Summary
 	if err := exp.AddExperimentArtifact("experiment/campaign.json", append(m, '\n')); err != nil {
 		return sum, err
 	}
-	// Drain the write-behind manifest: the campaign's results directory
-	// must be complete and reopenable once Run returns.
+	// Commit what is still staged and write the manifest: the campaign's
+	// results directory must be complete and reopenable once Run returns.
 	if err := exp.Sync(); err != nil {
 		return sum, err
 	}
