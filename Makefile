@@ -122,6 +122,11 @@ profile-dataplane:
 # a module of its own and keeps its harness) — and no O_APPEND outside tests
 # but in internal/eventlog, so there is one append-only log with one crash
 # invariant: the queue and the experiments both append to an eventlog.Journal.
+# And no metric without a reader: every "pos_…" name a non-test internal/
+# file registers as a Counter, Gauge, Histogram or *Vec is named again in a
+# _test.go file, in bench/, in cmd/posctl/ (posctl top) or in
+# internal/health/probe.go (the watchdog), so no counter restates a record
+# that nobody reads.
 .PHONY: lint
 lint:
 	go vet ./...
@@ -197,6 +202,16 @@ lint:
 		internal/results | grep -v _test.go; true); \
 	if [ -n "$$out" ]; then \
 		echo "go statement, timer or sync.Cond in internal/results (the store writes on its callers' goroutines: commit in WriteRunMeta, write the manifest in Sync):"; \
+		echo "$$out"; exit 1; fi
+	@out=$$(for name in $$(grep -rhozE --include='*.go' --exclude='*_test.go' \
+		'\.(Counter|Gauge|Histogram)(Vec)?\([[:space:]]*"pos_[[:alnum:]_]+"' internal \
+		| tr '\0' '\n' | grep -oE 'pos_[[:alnum:]_]+' | sort -u); do \
+		grep -rqw --include='*_test.go' --exclude-dir=.bench_build "$$name" . \
+			|| grep -rqw "$$name" bench cmd/posctl internal/health/probe.go \
+			|| echo "$$name"; \
+	done); \
+	if [ -n "$$out" ]; then \
+		echo "metrics registered in internal/ with no reader (name each in a test, bench/, posctl top or a health probe, or delete it):"; \
 		echo "$$out"; exit 1; fi
 	@echo "lint clean"
 

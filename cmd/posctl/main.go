@@ -387,9 +387,16 @@ func cmdRepeat(args []string) error {
 		return fmt.Errorf("repeat: %w", err)
 	}
 	// A store per execution: under a pinned epoch, two executions in one
-	// store would record into one directory.
+	// store would record into one directory. The report is all repeat
+	// keeps: each store goes once Verify has compared it.
+	var roots []string
 	execute := func(ctx context.Context) (*core.Summary, error) {
-		store, err := openStore("", "posctl-repeat-*")
+		root, err := os.MkdirTemp("", "posctl-repeat-*")
+		if err != nil {
+			return nil, err
+		}
+		roots = append(roots, root)
+		store, err := results.NewStore(root)
 		if err != nil {
 			return nil, err
 		}
@@ -397,6 +404,9 @@ func cmdRepeat(args []string) error {
 	}
 	rep, err := repeat.Verify(context.Background(), execute,
 		repeat.Config{Repetitions: *reps, Node: casestudy.LoadGenNode, Artifact: "moongen.log"})
+	for _, root := range roots {
+		err = errors.Join(err, os.RemoveAll(root))
+	}
 	if err != nil {
 		return err
 	}

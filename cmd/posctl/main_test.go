@@ -160,3 +160,19 @@ func TestOpenExperimentReportsStoreError(t *testing.T) {
 		t.Errorf("openExperiment = %v, want the store's fs.ErrInvalid", err)
 	}
 }
+
+// TestRepeatRemovesItsStores: posctl repeat records each execution into a
+// store of its own under $TMPDIR and keeps only the report it prints.
+func TestRepeatRemovesItsStores(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	out, err := captureStdout(t, func() error {
+		return cmdRepeat([]string{"-f", writeSpec(t, pinnedSpec), "-n", "2"})
+	})
+	if err != nil || !strings.Contains(out, "IDENTICAL") {
+		t.Fatalf("posctl repeat: %v\n%s", err, out)
+	}
+	if left, _ := filepath.Glob(filepath.Join(tmp, "posctl-repeat-*")); len(left) != 0 {
+		t.Errorf("posctl repeat left %q behind", left)
+	}
+}

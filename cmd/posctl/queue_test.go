@@ -157,12 +157,11 @@ func TestSubmittedSpecIsArchived(t *testing.T) {
 	}
 }
 
-// TestServedVposCampaign walks Appendix A.1 on vpos through the one
-// controller: posctl submit -f queues a flavor: vpos campaign on a serving
-// controller, and the experiment it files in the served store evaluates,
-// checks and publishes like a hardware testbed's, its events/ journal
-// beside the results.
-func TestServedVposCampaign(t *testing.T) {
+// servedVposCampaign queues Appendix A.1's flavor: vpos campaign with posctl
+// submit -f on a serving controller, waits for it to finish, and returns the
+// controller's address and the experiment the campaign filed.
+func servedVposCampaign(t *testing.T) (string, *results.Experiment) {
+	t.Helper()
 	addr, store := queueStack(t)
 	c := api.NewClient(addr)
 	file := writeSpec(t, "flavor: vpos\nseed: 1\nsizes: [64, 1500]\nrates: [10000, 40000, 150000, 300000]\nruntime: 1\n")
@@ -187,7 +186,15 @@ func TestServedVposCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return addr, exp
+}
 
+// TestServedVposCampaign walks Appendix A.1 on vpos through the one
+// controller: the experiment a served campaign files evaluates, checks and
+// publishes like a hardware testbed's, its events/ journal beside the
+// results.
+func TestServedVposCampaign(t *testing.T) {
+	_, exp := servedVposCampaign(t)
 	runs, err := eval.LoadRuns(exp, "vriga", "moongen.log")
 	if err != nil {
 		t.Fatal(err)

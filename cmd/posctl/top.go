@@ -63,12 +63,14 @@ var topGauges = []string{
 	"pos_health_flight_records_total",
 }
 
-// topHistograms get a quantile line each when present.
-var topHistograms = []string{
-	"pos_run_measurement_seconds",
-	"pos_api_request_seconds",
-	"pos_runtime_gc_pause_seconds",
-	"pos_runtime_sched_latency_seconds",
+// topHistograms get a quantile line each when present. An entry with a
+// label shows the child that label selects; without one, the child with the
+// most observations stands for the family.
+var topHistograms = []struct{ name, label, value string }{
+	{"pos_runner_phase_seconds", "phase", "measurement"},
+	{"pos_api_request_seconds", "", ""},
+	{"pos_runtime_gc_pause_seconds", "", ""},
+	{"pos_runtime_sched_latency_seconds", "", ""},
 }
 
 // cmdTop renders a live terminal dashboard for one controller: watchdog
@@ -175,24 +177,23 @@ func render(c *api.Client, st *topState, addr string) {
 			for _, v := range m.Values {
 				total += v.Value
 			}
-			fmt.Fprintf(&b, "  %-36s %g\n", name, total)
+			fmt.Fprintf(&b, "  %-44s %g\n", name, total)
 		}
-		for _, name := range topHistograms {
-			m, ok := byName[name]
-			if !ok || len(m.Values) == 0 {
-				continue
-			}
-			// Aggregate across children (labelled series) by largest count.
-			v := m.Values[0]
-			for _, cand := range m.Values[1:] {
-				if cand.Count > v.Count {
+		for _, h := range topHistograms {
+			var v telemetry.ValueSnapshot
+			for _, cand := range byName[h.name].Values {
+				if (h.label == "" || cand.Labels[h.label] == h.value) && cand.Count > v.Count {
 					v = cand
 				}
 			}
 			if v.Count == 0 {
 				continue
 			}
-			fmt.Fprintf(&b, "  %-36s count %-8d p50 %-10.4g p90 %-10.4g p99 %.4g\n",
+			name := h.name
+			if h.label != "" {
+				name += "{" + h.label + "=" + h.value + "}"
+			}
+			fmt.Fprintf(&b, "  %-44s count %-8d p50 %-10.4g p90 %-10.4g p99 %.4g\n",
 				name, v.Count, v.Quantiles["p50"], v.Quantiles["p90"], v.Quantiles["p99"])
 		}
 	} else {

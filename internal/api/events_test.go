@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"pos/internal/eventlog"
+	"pos/internal/telemetry"
 	"pos/internal/testbed"
 )
 
@@ -27,13 +28,17 @@ func setupEvents(t *testing.T) (*Server, *Client, *eventlog.Pipeline) {
 
 // waitSubscribers blocks until the SSE subscriber gauge reaches n — the
 // only way to know a streaming client's subscription is attached before
-// publishing events it must see.
+// publishing events it must see. The gauge is read by its exported name.
 func waitSubscribers(t *testing.T, n float64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for eventSubscribers.Value() < n {
+	for {
+		got, _ := telemetry.Default.Total("pos_api_event_subscribers")
+		if got >= n {
+			return
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("subscribers = %v, want %v", eventSubscribers.Value(), n)
+			t.Fatalf("subscribers = %v, want %v", got, n)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"pos/internal/telemetry"
 )
 
 func testClock() func() time.Time {
@@ -305,6 +307,42 @@ func TestPipelinePublishJournalsAndBroadcasts(t *testing.T) {
 	// Replay through the pipeline after detach: no journal, no history.
 	if evs, err := p.ReplaySince(0); err != nil || evs != nil {
 		t.Fatalf("ReplaySince on journal-less pipeline = %v, %v", evs, err)
+	}
+}
+
+// Publish and RecordUnder swallow journal failures, so observability never
+// fails the experiment it observes; pos_events_journal_errors_total is the
+// only trace of the events the journal lost. A journal that cannot be opened
+// and an append to a closed one each count once, and the live subscriber
+// still gets the event.
+func TestJournalFailuresCounted(t *testing.T) {
+	failures := func() float64 {
+		v, _ := telemetry.Default.Total("pos_events_journal_errors_total")
+		return v
+	}
+	before := failures()
+	expDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(expDir, JournalDir), nil, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	p := NewPipeline()
+	p.RecordUnder(expDir)() // events/ is a file: no journal
+	j, err := OpenJournal(filepath.Join(t.TempDir(), JournalDir), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.AttachJournal(j)
+	j.Close()
+	sub := p.Subscribe(1)
+	defer sub.Close()
+	p.Publish(Event{Typ: TypeLog, Run: NoRun, Message: "lost to the journal"})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if ev, ok := sub.Next(ctx); !ok || ev.Message != "lost to the journal" {
+		t.Fatalf("subscriber got %+v, %v", ev, ok)
+	}
+	if got := failures() - before; got != 2 {
+		t.Errorf("pos_events_journal_errors_total rose by %v, want 2", got)
 	}
 }
 

@@ -201,7 +201,6 @@ func (j *Journal) Append(ev Event) error {
 			return err
 		}
 		j.segs = append(j.segs, j.segIdx)
-		journalRotations.Inc()
 	}
 	if _, err := j.f.Write(line); err != nil {
 		return fmt.Errorf("eventlog: journal: %w", err)
@@ -210,7 +209,6 @@ func (j *Journal) Append(ev Event) error {
 	if ev.Seq > j.lastSeq {
 		j.lastSeq = ev.Seq
 	}
-	journalBytes.Add(float64(len(line)))
 	return nil
 }
 

@@ -2,16 +2,8 @@ package health
 
 import "pos/internal/telemetry"
 
-// Health-layer telemetry: watchdog verdicts and flight-record activity,
-// exposed at /metrics through the process-wide registry so a scraper can
-// alert on trips without tailing the event stream.
-var (
-	trips = telemetry.Default.CounterVec("pos_health_trips_total",
-		"Watchdog probe trips (healthy-to-unhealthy transitions), by probe.", "probe")
-	probesBad = telemetry.Default.Gauge("pos_health_probes_bad",
-		"Watchdog probes currently in the unhealthy state.")
-	flightRecords = telemetry.Default.Counter("pos_health_flight_records_total",
-		"Flight records captured (watchdog trips, campaign failures, SIGQUIT).")
-)
-
-func tripCounter(probe string) *telemetry.Counter { return trips.With(probe) }
+// Health-layer telemetry: flight-record activity, exposed at /metrics
+// through the process-wide registry. Probe states and trip counts are not
+// metrics: /api/v1/health serves them, and every trip is a health event.
+var flightRecords = telemetry.Default.Counter("pos_health_flight_records_total",
+	"Flight records captured (watchdog trips, campaign failures, SIGQUIT).")

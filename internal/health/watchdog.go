@@ -99,7 +99,6 @@ func (w *Watchdog) Tick() {
 	w.mu.Unlock()
 
 	var trips, recoveries []ProbeState
-	bad := 0
 	for _, e := range entries {
 		ok, detail := e.probe.Check(now)
 		w.mu.Lock()
@@ -109,9 +108,6 @@ func (w *Watchdog) Tick() {
 			e.state.Since = now
 		}
 		e.state.OK = ok
-		if !ok {
-			bad++
-		}
 		if !ok && prevOK {
 			e.state.Trips++
 			e.state.LastTrip = now
@@ -127,10 +123,8 @@ func (w *Watchdog) Tick() {
 	onTrip := w.onTrip
 	w.lastRun = now
 	w.mu.Unlock()
-	probesBad.Set(float64(bad))
 
 	for _, st := range trips {
-		tripCounter(st.Name).Inc()
 		if events != nil {
 			events.Publish(eventlog.Event{
 				Typ: eventlog.TypeHealth, Level: "ERROR", Run: eventlog.NoRun,

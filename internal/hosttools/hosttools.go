@@ -335,9 +335,6 @@ func (s *Service) await(ctx context.Context, name string, parties int, abort <-c
 	start := time.Now()
 	err := b.wait(ctx, abort)
 	barrierWaitSeconds.Observe(time.Since(start).Seconds())
-	if err == ErrBarrierTimeout {
-		barrierTimeouts.Inc()
-	}
 	return err
 }
 

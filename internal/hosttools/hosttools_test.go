@@ -11,6 +11,7 @@ import (
 
 	"pos/internal/image"
 	"pos/internal/node"
+	"pos/internal/telemetry"
 )
 
 type memUploads struct {
@@ -300,6 +301,42 @@ func TestUploadHookScreensUploads(t *testing.T) {
 	svc.SetUploadHook(nil)
 	if err := svc.Upload("n1", "b.log", []byte("z")); err != nil {
 		t.Fatalf("after hook removal: %v", err)
+	}
+}
+
+// A refused upload fails only the call that made it. For a straggler, a node
+// whose run scope has closed, that is no run at all, so
+// pos_hosttools_uploads_refused_total is the refusal's only trace. Each way
+// of refusing counts once: a closed scope, a hook veto, an uploader error.
+func TestRefusedUploadsCounted(t *testing.T) {
+	refused := func() float64 {
+		v, _ := telemetry.Default.Total("pos_hosttools_uploads_refused_total")
+		return v
+	}
+	before := refused()
+	svc := NewService(nil)
+	sc := svc.NewScope("run1", &memUploads{})
+	sc.Bind("n1")
+	if err := svc.Upload("n1", "a.log", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	sc.Close()
+	if err := svc.Upload("n1", "a.log", []byte("late")); err == nil {
+		t.Fatal("straggler upload accepted after its scope closed")
+	}
+	svc.SetUploadHook(func(string, string) error { return errors.New("veto") })
+	if err := svc.Upload("n1", "b.log", nil); err == nil {
+		t.Fatal("vetoed upload accepted")
+	}
+	svc.SetUploadHook(nil)
+	svc.NewScope("run2", UploaderFunc(func(string, string, []byte) error {
+		return errors.New("disk full")
+	})).Bind("n1")
+	if err := svc.Upload("n1", "c.log", nil); err == nil {
+		t.Fatal("failed upload reported as accepted")
+	}
+	if got := refused() - before; got != 3 {
+		t.Errorf("pos_hosttools_uploads_refused_total rose by %v, want 3", got)
 	}
 }
 

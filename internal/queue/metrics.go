@@ -2,30 +2,18 @@ package queue
 
 import "pos/internal/telemetry"
 
-// Campaign-queue telemetry: tenant-visible queue pressure, admission
-// outcomes, and per-user concurrency. Gauges aggregate across controllers in
-// one process (tests open several; production runs one).
+// Campaign-queue telemetry: tenant-visible queue pressure and admission
+// outcomes. Submissions, requeues, completions and submit-to-admit waits are
+// not counted here: each is a `queue` event in the journal, which carries the
+// submit and admit times. Gauges aggregate across controllers in one process
+// (tests open several; production runs one).
 var (
 	queueDepth = telemetry.Default.Gauge("pos_queue_depth",
 		"Submissions waiting for the calendar to grant their node set.")
-	submissionsTotal = telemetry.Default.Counter("pos_queue_submissions_total",
-		"Campaign submissions accepted into the queue.")
-	requeuesTotal = telemetry.Default.Counter("pos_queue_requeues_total",
-		"Admitted-but-unfinished submissions re-queued by controller recovery.")
-	expiredTotal = telemetry.Default.Counter("pos_queue_allocations_expired_total",
-		"Ended calendar allocations retired by the controller's janitor sweep.")
 	starvedPasses = telemetry.Default.Counter("pos_queue_starved_passes_total",
 		"Admission passes that admitted nothing while submissions were queued and no campaign held an allocation — the health watchdog's starvation signal.")
-	waitSeconds = telemetry.Default.Histogram("pos_queue_wait_seconds",
-		"Submit-to-admit latency.", telemetry.DurationBuckets())
 	admissionsTotal = telemetry.Default.CounterVec("pos_queue_admissions_total",
 		"Admission decisions, by outcome (admitted, rejected).", "outcome")
-	completionsTotal = telemetry.Default.CounterVec("pos_queue_completions_total",
-		"Campaign completions, by outcome (done, failed, cancelled).", "outcome")
-	runningCampaigns = telemetry.Default.GaugeVec("pos_queue_running_campaigns",
-		"Campaigns currently holding an allocation, by user.", "user")
 )
 
-func admissions(outcome string) *telemetry.Counter  { return admissionsTotal.With(outcome) }
-func completions(outcome string) *telemetry.Counter { return completionsTotal.With(outcome) }
-func runningPerUser(user string) *telemetry.Gauge   { return runningCampaigns.With(user) }
+func admissions(outcome string) *telemetry.Counter { return admissionsTotal.With(outcome) }

@@ -307,7 +307,6 @@ func (c *Controller) recover(evs []eventlog.Event) error {
 			if err := appendNext(c.jl, transition(id, StateQueued, c.now(), "")); err != nil {
 				return err
 			}
-			requeuesTotal.Inc()
 		}
 		if e.state == StateQueued {
 			c.enqueueLocked(e)
@@ -388,7 +387,6 @@ func (c *Controller) Submit(sub Submission) (Status, error) {
 		return Status{}, err
 	}
 
-	submissionsTotal.Inc()
 	c.event(sub, StateQueued, "submitted", "")
 	c.kick()
 	return st, nil
@@ -418,7 +416,6 @@ func (c *Controller) Cancel(user string, id int) (Status, error) {
 		}
 		e.state, e.finished = StateCancelled, now
 		c.dequeueLocked(e)
-		completions("cancelled").Inc()
 		st := c.statusLocked(e)
 		sub := e.sub
 		c.mu.Unlock()
@@ -507,9 +504,7 @@ func (c *Controller) loop() {
 // calendar will currently grant, fair-share order.
 func (c *Controller) pass() {
 	now := c.now()
-	if n := c.cfg.Calendar.Expire(now); n > 0 {
-		expiredTotal.Add(float64(n))
-	}
+	c.cfg.Calendar.Expire(now)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -602,8 +597,6 @@ func (c *Controller) admitLocked(e *entry, blocked map[string]bool, now time.Tim
 	c.dequeueLocked(e)
 	c.running++
 	admissions("admitted").Inc()
-	waitSeconds.Observe(now.Sub(sub.Submitted).Seconds())
-	runningPerUser(sub.User).Inc()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	e.cancel = cancel
@@ -676,7 +669,6 @@ func (c *Controller) finish(e *entry, ctx context.Context, err error) {
 		e.allocID = 0
 	}
 	c.running--
-	runningPerUser(e.sub.User).Dec()
 	if c.closing && !e.userCancel && ctx.Err() != nil {
 		// Preempted by shutdown: still owed. Leave its running transition
 		// the last one journaled, so recovery re-queues the submission.
@@ -692,7 +684,6 @@ func (c *Controller) finish(e *entry, ctx context.Context, err error) {
 		st, e.err, errText = StateFailed, err.Error(), err.Error()
 	}
 	appendNext(c.jl, transition(sub.ID, st, now, errText))
-	completions(string(st)).Inc()
 	e.state, e.finished, e.cancel = st, now, nil
 	c.mu.Unlock()
 

@@ -161,6 +161,43 @@ func TestHeldHandleSurvivesCollection(t *testing.T) {
 	runtime.KeepAlive(e)
 }
 
+// pos_results_open_handles is the one sign outside this package that the
+// registry lets go of handles: it rises with each registered handle and falls
+// back once the collector has taken them. The gauge is process-wide, so the
+// handles earlier tests dropped are let go first; any the settling misses can
+// only lower it, so the checks are bounds.
+func TestOpenHandlesGaugeFollowsCollection(t *testing.T) {
+	const n = 8
+	handles := func() float64 {
+		v, _ := telemetry.Default.Total("pos_results_open_handles")
+		return v
+	}
+	s, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, still := handles(), 0
+	collectUntil(t, "pos_results_open_handles never holds still", func() bool {
+		if v := handles(); v != before {
+			before, still = v, 0
+		} else {
+			still++
+		}
+		return still >= 3
+	})
+	for i := 0; i < n; i++ {
+		recordCampaign(t, s, "gauged", i, 1)
+	}
+	if got := handles(); got <= before || got > before+n {
+		t.Errorf("%d new handles moved pos_results_open_handles from %v to %v", n, before, got)
+	}
+	s.unpinRecent()
+	collectUntil(t, "the dropped handles are still registered", func() bool { return s.registered() == 0 })
+	if got := handles(); got > before {
+		t.Errorf("pos_results_open_handles reads %v with every new handle collected, want <= %v", got, before)
+	}
+}
+
 // Openers racing each other and the collector all get one handle: whenever
 // several are held at once they are the same pointer.
 func TestConcurrentOpenWhileCollecting(t *testing.T) {

@@ -2,9 +2,9 @@ package sched
 
 import "pos/internal/telemetry"
 
-// Campaign scheduler telemetry: queue pressure, concurrency, and the
-// fault-tolerance machinery (retries, quarantines). Gauges aggregate across
-// concurrent campaigns in one process.
+// Campaign scheduler telemetry: queue pressure, concurrency, and retries.
+// Quarantines and replica liveness are sched and heartbeat events, not
+// metrics. Gauges aggregate across concurrent campaigns in one process.
 var (
 	queueDepth = telemetry.Default.Gauge("pos_sched_queue_depth",
 		"Dispatches waiting in campaign work queues.")
@@ -12,13 +12,9 @@ var (
 		"Measurement runs currently executing across replicas.")
 	retriesTotal = telemetry.Default.Counter("pos_sched_retries_total",
 		"Failed dispatches re-enqueued for another attempt.")
-	quarantinesTotal = telemetry.Default.Counter("pos_sched_quarantines_total",
-		"Replicas drained after consecutive failed dispatches.")
 	dispatchesTotal = telemetry.Default.CounterVec("pos_sched_dispatches_total",
 		"Work-item dispatches, by outcome.", "outcome")
 	dispatchesOK        = dispatchesTotal.With("ok")
 	dispatchesFailed    = dispatchesTotal.With("failed")
 	dispatchesCancelled = dispatchesTotal.With("cancelled")
-	replicaUp           = telemetry.Default.GaugeVec("pos_replica_up",
-		"1 while a replica's campaign worker is pulling work, 0 once it finished or was quarantined.", "replica")
 )

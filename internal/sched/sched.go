@@ -84,8 +84,7 @@ type Campaign struct {
 	// to this campaign; without one, the campaign journals a private one.
 	Events *eventlog.Pipeline
 	// HeartbeatInterval is the period of per-replica liveness events on
-	// the Events pipeline (and the pos_replica_up gauge). Zero disables
-	// heartbeat probes; the gauge still tracks worker start/exit.
+	// the Events pipeline. Zero disables heartbeat probes.
 	HeartbeatInterval time.Duration
 }
 
@@ -119,10 +118,8 @@ func (c *Campaign) wireReplicas() func() {
 }
 
 // heartbeat publishes periodic liveness events for one replica until ctx
-// ends, then a final down event. The pos_replica_up gauge itself follows the
-// worker lifecycle (see worker), so a hung worker shows up as a stale
-// heartbeat while the gauge still reads 1 — exactly the signal that
-// distinguishes "slow" from "gone".
+// ends, then a final down event. The up/down events are the replica's
+// liveness record; a quarantine is its own sched event.
 func (c *Campaign) heartbeat(ctx context.Context, name string) {
 	t := time.NewTicker(c.HeartbeatInterval)
 	defer t.Stop()
@@ -596,11 +593,6 @@ func (c *Campaign) worker(runCtx context.Context, cancel context.CancelFunc, wi 
 	// flamegraph row per replica in the Chrome trace rendering.
 	runCtx, lane := telemetry.StartSpan(runCtx, "replica:"+name, "replica", name)
 	defer lane.End()
-	// The up gauge follows the worker: a quarantined or finished replica
-	// reads 0 even while its heartbeat goroutine keeps ticking.
-	up := replicaUp.With(name)
-	up.Set(1)
-	defer up.Set(0)
 	dirty := false // a failed run leaves the replica's state suspect
 	consec := 0
 	for {
@@ -669,7 +661,6 @@ func (c *Campaign) worker(runCtx context.Context, cancel context.CancelFunc, wi 
 		if c.QuarantineAfter > 0 && consec >= c.QuarantineAfter {
 			c.event(core.PhaseMeasurement, name, item, len(combos),
 				fmt.Sprintf("replica quarantined after %d consecutive failures", consec), rec.Error)
-			quarantinesTotal.Inc()
 			lane.SetAttr("quarantined", "true")
 			st.mu.Lock()
 			st.quarantined = append(st.quarantined, name)

@@ -224,12 +224,6 @@ type CounterVec struct{ f *family }
 // With returns the counter for the given label values (created on first use).
 func (v *CounterVec) With(values ...string) *Counter { return &Counter{c: v.f.child(values)} }
 
-// GaugeVec is a gauge family keyed by label values.
-type GaugeVec struct{ f *family }
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge { return &Gauge{c: v.f.child(values)} }
-
 // HistogramVec is a histogram family keyed by label values.
 type HistogramVec struct{ f *family }
 
@@ -249,11 +243,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 // Gauge registers (or returns the existing) unlabelled gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	return &Gauge{c: r.register(name, help, TypeGauge, nil, nil).child(nil)}
-}
-
-// GaugeVec registers a labelled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{f: r.register(name, help, TypeGauge, labels, nil)}
 }
 
 // Histogram registers an unlabelled histogram with the given bucket upper

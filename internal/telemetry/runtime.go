@@ -331,7 +331,6 @@ type RuntimeSampler struct {
 	heapBytes  *Gauge
 	goroutines *Gauge
 	allocBytes *Counter
-	gcCycles   *Counter
 	samples    *Counter
 	gcPause    *Histogram
 	schedLat   *Histogram
@@ -361,8 +360,6 @@ func NewRuntimeSampler(reg *Registry, interval time.Duration) *RuntimeSampler {
 			"Goroutines at the last runtime sample."),
 		allocBytes: reg.Counter("pos_runtime_alloc_bytes_total",
 			"Heap bytes allocated since sampling started."),
-		gcCycles: reg.Counter("pos_runtime_gc_cycles_total",
-			"GC cycles completed since sampling started."),
 		samples: reg.Counter("pos_runtime_samples_total",
 			"Runtime samples taken."),
 		gcPause: reg.Histogram("pos_runtime_gc_pause_seconds",
@@ -390,9 +387,6 @@ func (s *RuntimeSampler) Sample() {
 	}
 	if cur.AllocBytes >= prev.AllocBytes {
 		s.allocBytes.Add(float64(cur.AllocBytes - prev.AllocBytes))
-	}
-	if cur.GCCycles >= prev.GCCycles {
-		s.gcCycles.Add(float64(cur.GCCycles - prev.GCCycles))
 	}
 	observeHist(s.gcPause, cur.GCPauses.sub(prev.GCPauses))
 	observeHist(s.schedLat, cur.SchedLat.sub(prev.SchedLat))
