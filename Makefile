@@ -8,8 +8,9 @@ verify:
 # hand-picked subset — every package that starts a goroutine is covered the
 # day it does. The scheduler tests deliberately hold >=2 runs in flight, the
 # fault-injection, replica-sweep and publish paths all synchronize across
-# goroutines, and the root-package differential tests hold the parallel
-# replica sweep to its sequential twin, byte for byte, while racing.
+# goroutines, and the root-package differential tests sweep replicas
+# concurrently and hold each to its sequential twin, point for point, while
+# racing.
 .PHONY: verify-race
 verify-race:
 	go build ./...

@@ -127,9 +127,6 @@ func printTimeline(tl *timeline.Timeline) {
 	if tl.TraceID != "" {
 		fmt.Printf("trace:    %s\n", tl.TraceID)
 	}
-	if len(tl.Procs) > 0 {
-		fmt.Printf("procs:    %s (%d spans, %d events)\n", strings.Join(tl.Procs, ", "), tl.Spans, tl.Events)
-	}
 	fmt.Printf("wall:     %s", fmtMS(tl.WallMS))
 	if tl.QueueWaitMS > 0 {
 		fmt.Printf(" (incl. %s queue wait", fmtMS(tl.QueueWaitMS))

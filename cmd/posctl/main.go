@@ -2,7 +2,6 @@
 //
 //	posctl images                         list the built-in live images
 //	posctl table                          print Table 1 (testbed comparison)
-//	posctl expand -vars "a=1,2;b=x,y"     show the cross-product of loop vars
 //	posctl run -f campaign.yml            run a campaign spec end to end
 //	posctl submit -addr HOST:PORT -f FILE queue a campaign on a controller
 //	posctl queue -addr HOST:PORT          show a controller's campaign queue
@@ -67,8 +66,6 @@ func main() {
 		err = cmdImages()
 	case "table":
 		err = compare.Write(os.Stdout)
-	case "expand":
-		err = cmdExpand(os.Args[2:])
 	case "run":
 		err = cmdRun(os.Args[2:])
 	case "results":
@@ -124,7 +121,6 @@ func usage() {
 commands:
   images     list the built-in live images
   table      print Table 1 (testbed/methodology comparison)
-  expand     show the measurement runs a loop-variable spec expands into
   run        execute a campaign spec (-f campaign.yml) end to end
   runfile    execute an experiment loaded from a directory (published layout)
   ndr        binary-search the device's non-drop rate (RFC 2544 style)
@@ -157,40 +153,6 @@ func cmdImages() error {
 		fmt.Printf("    %-24s %s\n", name, ver)
 	}
 	return nil
-}
-
-func cmdExpand(args []string) error {
-	fs := flag.NewFlagSet("expand", flag.ExitOnError)
-	spec := fs.String("vars", "", `loop variables, e.g. "pkt_sz=64,1500;pkt_rate=10000,20000"`)
-	fs.Parse(args)
-	if *spec == "" {
-		return fmt.Errorf("expand: -vars required")
-	}
-	vars, err := parseLoopVars(*spec)
-	if err != nil {
-		return err
-	}
-	combos, err := core.CrossProduct(vars)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%d measurement runs:\n", len(combos))
-	for i, c := range combos {
-		fmt.Printf("  run %3d: %s\n", i, c.Key())
-	}
-	return nil
-}
-
-func parseLoopVars(spec string) ([]core.LoopVar, error) {
-	var vars []core.LoopVar
-	for _, part := range strings.Split(spec, ";") {
-		name, vals, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return nil, fmt.Errorf("bad loop variable %q (want name=v1,v2)", part)
-		}
-		vars = append(vars, core.LoopVar{Name: name, Values: strings.Split(vals, ",")})
-	}
-	return vars, nil
 }
 
 func cmdRun(args []string) error {

@@ -1,12 +1,11 @@
 package pos_test
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
-	"runtime/pprof"
-	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -337,10 +336,12 @@ func TestRigPinnedDigests(t *testing.T) {
 	}
 }
 
-// TestShardedSweepMatchesSequential runs the same sweep once through the
-// parallel executor and once sequentially on identically built replicas,
+// TestShardedSweepMatchesSequential deals the same sweep round-robin over
+// three replicas and runs it twice: once with one goroutine per replica, as a
+// sharded sweep would, and once sequentially on identically built replicas,
 // asserting point-for-point equality in campaign order. Eight points over
-// three replicas: the deal does not come out even.
+// three replicas: the deal does not come out even. Under -race this holds
+// that replicas share no state their engines write.
 func TestShardedSweepMatchesSequential(t *testing.T) {
 	cfg := casestudy.SweepConfig{
 		Sizes:      []int{64, 1500},
@@ -348,6 +349,26 @@ func TestShardedSweepMatchesSequential(t *testing.T) {
 		RuntimeSec: 1,
 	}
 	const n = 3
+	var pts [][2]float64
+	for _, size := range cfg.Sizes {
+		for _, rate := range cfg.RatesPPS {
+			pts = append(pts, [2]float64{float64(size), float64(rate)})
+		}
+	}
+	if len(pts)%n == 0 {
+		t.Fatalf("%d points divide evenly over %d replicas; the test wants a remainder", len(pts), n)
+	}
+	// sweep runs replica i's round-robin share of the points on topo.
+	sweep := func(i int, topo *casestudy.Topology, out []casestudy.RunPoint) error {
+		for p := i; p < len(pts); p += n {
+			pt, err := topo.DirectRun(int(pts[p][0]), pts[p][1], cfg.RuntimeSec)
+			if err != nil {
+				return err
+			}
+			out[p] = pt
+		}
+		return nil
+	}
 	build := func() []*casestudy.Topology {
 		topos, err := casestudy.NewReplicas(casestudy.Virtual, n, casestudy.WithSeed(11))
 		if err != nil {
@@ -360,77 +381,30 @@ func TestShardedSweepMatchesSequential(t *testing.T) {
 		})
 		return topos
 	}
-	got, err := casestudy.ShardedSweep(build(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	// Sequential oracle: each replica runs its round-robin subsequence of
-	// the campaign-order point list, exactly as ShardedSweep deals it.
-	var pts [][2]float64
-	for _, size := range cfg.Sizes {
-		for _, rate := range cfg.RatesPPS {
-			pts = append(pts, [2]float64{float64(size), float64(rate)})
-		}
+	got := make([]casestudy.RunPoint, len(pts))
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i, topo := range build() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = sweep(i, topo, got)
+		}()
 	}
-	if len(pts)%n == 0 {
-		t.Fatalf("%d points divide evenly over %d replicas; the test wants a remainder", len(pts), n)
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
 	}
 	want := make([]casestudy.RunPoint, len(pts))
 	for i, topo := range build() {
-		for p := i; p < len(pts); p += n {
-			pt, err := topo.DirectRun(int(pts[p][0]), pts[p][1], cfg.RuntimeSec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[p] = pt
+		if err := sweep(i, topo, want); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("point counts differ: %d vs %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("point %d differs: sharded %+v != sequential %+v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestShardedSweepReportsInvalidPoint: a sweep holding a frame size no
-// template can build (20 B is below the headers) comes back as that error —
-// no hang, no panic, and every replica goroutine gone by the time
-// ShardedSweep returns.
-func TestShardedSweepReportsInvalidPoint(t *testing.T) {
-	topos, err := casestudy.NewReplicas(casestudy.Virtual, 2, casestudy.WithSeed(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, topo := range topos {
-			topo.Close()
-		}
-	}()
-	points, err := casestudy.ShardedSweep(topos, casestudy.SweepConfig{
-		Sizes:      []int{64, 20},
-		RatesPPS:   []int{20_000, 120_000, 250_000},
-		RuntimeSec: 1,
-	})
-	if err == nil || !strings.Contains(err.Error(), "frame size 20") {
-		t.Fatalf("sweep with a 20 B frame returned %d points, err %v", len(points), err)
-	}
-	// The replica goroutines have all passed wg.Done; give their exit a
-	// moment to show in the profile.
-	var stacks bytes.Buffer
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		stacks.Reset()
-		if err := pprof.Lookup("goroutine").WriteTo(&stacks, 1); err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(stacks.String(), "casestudy.ShardedSweep") {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("a sweep goroutine outlived ShardedSweep:\n%s", stacks.String())
 		}
 	}
 }

@@ -98,7 +98,7 @@ func TestTraceParentRoundTrip(t *testing.T) {
 // TestTraceParentEchoedOnResponse: the wire-level contract.
 func TestTraceParentEchoedOnResponse(t *testing.T) {
 	_, c := traceSetup(t)
-	tp := telemetry.FormatTraceParent(telemetry.NewTraceID(), telemetry.NewSpanID())
+	tp := telemetry.NewTrace("posctl:submit").Root().TraceParent()
 	req, err := http.NewRequest(http.MethodGet, c.base+"/api/v1/nodes", nil)
 	if err != nil {
 		t.Fatal(err)

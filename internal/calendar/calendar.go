@@ -145,25 +145,6 @@ func (c *Calendar) Release(user string, id int) error {
 	return nil
 }
 
-// Free reports whether every listed node is unallocated across [start, end).
-func (c *Calendar) Free(nodes []string, start, end time.Time) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, a := range c.allocs {
-		if !a.Overlaps(start, end) {
-			continue
-		}
-		for _, n := range nodes {
-			for _, held := range a.Nodes {
-				if n == held {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
 // Active returns allocations overlapping the instant at, sorted by ID.
 func (c *Calendar) Active(at time.Time) []Allocation {
 	c.mu.Lock()
@@ -187,17 +168,13 @@ func (c *Calendar) Size() int {
 	return len(c.allocs)
 }
 
-// Expire drops allocations that ended at or before now and returns how many
-// were removed.
-func (c *Calendar) Expire(now time.Time) int {
+// Expire drops allocations that ended at or before now.
+func (c *Calendar) Expire(now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	removed := 0
 	for id, a := range c.allocs {
 		if !a.End.After(now) {
 			delete(c.allocs, id)
-			removed++
 		}
 	}
-	return removed
 }

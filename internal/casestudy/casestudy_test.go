@@ -62,7 +62,7 @@ func TestFullWorkflowBareMetal(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
-		rep, err := moonparse.Parse(bytes.NewReader(logData))
+		rep, err := moonparse.ParseBytes(logData)
 		if err != nil {
 			t.Fatalf("run %d: parse: %v\n%s", run, err, logData)
 		}
@@ -173,7 +173,7 @@ func TestTwoReplicaCampaign(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
-		if _, err := moonparse.Parse(bytes.NewReader(logData)); err != nil {
+		if _, err := moonparse.ParseBytes(logData); err != nil {
 			t.Errorf("run %d: parse: %v", run, err)
 		}
 		// Per-run metadata byte-identical to the sequential sweep.
@@ -222,7 +222,7 @@ func TestFullWorkflowVirtualHasNoLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := moonparse.Parse(bytes.NewReader(logData))
+	rep, err := moonparse.ParseBytes(logData)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -763,7 +763,7 @@ func TestCampaignSurvivesFaultyReplica(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
-		if _, err := moonparse.Parse(bytes.NewReader(logData)); err != nil {
+		if _, err := moonparse.ParseBytes(logData); err != nil {
 			t.Errorf("run %d: parse: %v", run, err)
 		}
 	}

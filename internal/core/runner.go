@@ -37,7 +37,6 @@ type Host interface {
 const (
 	PhaseSetup       = "setup"
 	PhaseMeasurement = "measurement"
-	PhaseEvaluation  = "evaluation"
 )
 
 // RunRecord summarizes one measurement run.
@@ -178,7 +177,6 @@ func (r *Runner) ensureTrace(ctx context.Context, name string) (context.Context,
 		return ctx, nil
 	}
 	tr := telemetry.NewLinkedTrace(name, telemetry.PendingTraceParent(ctx))
-	tr.SetProcess("runner")
 	tr.SetClock(r.now)
 	return telemetry.ContextWithTrace(ctx, tr), tr
 }
@@ -459,9 +457,6 @@ func (r *Runner) prepare(ctx context.Context, e *Experiment, exp *results.Experi
 
 // Results exposes the results experiment the session records into.
 func (s *Session) Results() *results.Experiment { return s.exp }
-
-// Replica returns the session's replica name ("" outside campaigns).
-func (s *Session) Replica() string { return s.replica }
 
 // Close releases the calendar allocation, detaches the session's nodes,
 // and syncs the results experiment (best effort — Run reports sync errors

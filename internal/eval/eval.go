@@ -158,12 +158,9 @@ func forEachRun(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// Point is one (x, y) sample of a series. YErr, when non-zero, is the
-// symmetric error (one standard deviation) attached by aggregation across
-// repeated experiments.
+// Point is one (x, y) sample of a series.
 type Point struct {
 	X, Y float64
-	YErr float64
 }
 
 // Series is a named sequence of points, sorted by X.
@@ -311,52 +308,6 @@ func LoadLatency(exp *results.Experiment, nodeName, artifact string) (map[string
 		if now, ok := cacheGeneration(exp); ok && now == gen {
 			cacheStore(key, &cacheEntry{gen: gen, latency: out})
 			return copyLatency(out), nil
-		}
-	}
-	return out, nil
-}
-
-// AggregateSeries merges repeated measurements of the same series set into
-// mean ± stddev series: each repetition contributes one []Series (same
-// names, same x grid), the result has one point per (name, x) with Y = mean
-// and YErr = sample standard deviation. Repetitions with diverging names or
-// grids are rejected — aggregation across different experiments is a bug,
-// not a feature.
-func AggregateSeries(repetitions [][]Series) ([]Series, error) {
-	if len(repetitions) == 0 {
-		return nil, fmt.Errorf("eval: nothing to aggregate")
-	}
-	first := repetitions[0]
-	for rep := 1; rep < len(repetitions); rep++ {
-		cur := repetitions[rep]
-		if len(cur) != len(first) {
-			return nil, fmt.Errorf("eval: repetition %d has %d series, want %d", rep, len(cur), len(first))
-		}
-		for i := range cur {
-			if cur[i].Name != first[i].Name {
-				return nil, fmt.Errorf("eval: repetition %d series %q, want %q", rep, cur[i].Name, first[i].Name)
-			}
-			if len(cur[i].Points) != len(first[i].Points) {
-				return nil, fmt.Errorf("eval: repetition %d series %q has %d points, want %d",
-					rep, cur[i].Name, len(cur[i].Points), len(first[i].Points))
-			}
-			for j := range cur[i].Points {
-				if cur[i].Points[j].X != first[i].Points[j].X {
-					return nil, fmt.Errorf("eval: repetition %d series %q x grid differs at %d", rep, cur[i].Name, j)
-				}
-			}
-		}
-	}
-	out := make([]Series, len(first))
-	for i := range first {
-		out[i] = Series{Name: first[i].Name, Points: make([]Point, len(first[i].Points))}
-		for j := range first[i].Points {
-			ys := make([]float64, len(repetitions))
-			for rep := range repetitions {
-				ys[rep] = repetitions[rep][i].Points[j].Y
-			}
-			s := Summarize(ys)
-			out[i].Points[j] = Point{X: first[i].Points[j].X, Y: s.Mean, YErr: s.StdDev}
 		}
 	}
 	return out, nil
@@ -541,16 +492,4 @@ func ViolinStats(xs []float64, bins int) Violin {
 		}
 	}
 	return v
-}
-
-// StabilityIndex quantifies how unstable a run's throughput was: the
-// coefficient of variation of its per-second RX samples. The paper's Fig. 3b
-// overload region shows exactly this instability.
-func StabilityIndex(rep *moonparse.Report) float64 {
-	samples := rep.SampleSeries(moonparse.RX)
-	s := Summarize(samples)
-	if s.Mean == 0 {
-		return 0
-	}
-	return s.StdDev / s.Mean
 }

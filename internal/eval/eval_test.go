@@ -12,7 +12,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"pos/internal/moonparse"
 	"pos/internal/results"
 )
 
@@ -280,72 +279,6 @@ func TestThroughputSeriesErrorOnBadXVar(t *testing.T) {
 	}
 	if _, err := ThroughputSeries(runs, "pkt_sz", "pkt_rate", 1); err == nil {
 		t.Error("bad x var accepted")
-	}
-}
-
-func TestAggregateSeries(t *testing.T) {
-	rep := func(y1, y2 float64) []Series {
-		return []Series{{Name: "64", Points: []Point{{X: 1, Y: y1}, {X: 2, Y: y2}}}}
-	}
-	agg, err := AggregateSeries([][]Series{rep(10, 20), rep(12, 20), rep(14, 20)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(agg) != 1 || len(agg[0].Points) != 2 {
-		t.Fatalf("agg = %+v", agg)
-	}
-	p0 := agg[0].Points[0]
-	if p0.Y != 12 || p0.YErr != 2 {
-		t.Errorf("point 0 = %+v, want mean 12 sd 2", p0)
-	}
-	// Identical values: zero error.
-	if p1 := agg[0].Points[1]; p1.Y != 20 || p1.YErr != 0 {
-		t.Errorf("point 1 = %+v", p1)
-	}
-}
-
-func TestAggregateSeriesValidation(t *testing.T) {
-	a := []Series{{Name: "64", Points: []Point{{X: 1, Y: 1}}}}
-	if _, err := AggregateSeries(nil); err == nil {
-		t.Error("accepted empty aggregation")
-	}
-	b := []Series{{Name: "1500", Points: []Point{{X: 1, Y: 1}}}}
-	if _, err := AggregateSeries([][]Series{a, b}); err == nil {
-		t.Error("accepted diverging names")
-	}
-	c := []Series{{Name: "64", Points: []Point{{X: 9, Y: 1}}}}
-	if _, err := AggregateSeries([][]Series{a, c}); err == nil {
-		t.Error("accepted diverging x grids")
-	}
-	d := []Series{{Name: "64", Points: []Point{{X: 1, Y: 1}, {X: 2, Y: 2}}}}
-	if _, err := AggregateSeries([][]Series{a, d}); err == nil {
-		t.Error("accepted diverging lengths")
-	}
-	e := [][]Series{a, {a[0], a[0]}}
-	if _, err := AggregateSeries(e); err == nil {
-		t.Error("accepted diverging series counts")
-	}
-}
-
-func TestStabilityIndex(t *testing.T) {
-	stable := &moonparse.Report{Samples: []moonparse.Sample{
-		{Direction: moonparse.RX, Mpps: 0.02},
-		{Direction: moonparse.RX, Mpps: 0.02},
-		{Direction: moonparse.RX, Mpps: 0.02},
-	}}
-	if got := StabilityIndex(stable); got != 0 {
-		t.Errorf("stable index = %v", got)
-	}
-	unstable := &moonparse.Report{Samples: []moonparse.Sample{
-		{Direction: moonparse.RX, Mpps: 0.05},
-		{Direction: moonparse.RX, Mpps: 0.07},
-		{Direction: moonparse.RX, Mpps: 0.06},
-	}}
-	if got := StabilityIndex(unstable); got <= 0 || got > 1 {
-		t.Errorf("unstable index = %v", got)
-	}
-	if got := StabilityIndex(&moonparse.Report{}); got != 0 {
-		t.Errorf("empty index = %v", got)
 	}
 }
 

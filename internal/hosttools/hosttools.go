@@ -125,17 +125,6 @@ func (sc *Scope) SetVar(key, value string) {
 	sc.loop[key] = value
 }
 
-// LoopVars snapshots the scope's loop variables.
-func (sc *Scope) LoopVars() map[string]string {
-	sc.svc.mu.Lock()
-	defer sc.svc.mu.Unlock()
-	out := make(map[string]string, len(sc.loop))
-	for k, v := range sc.loop {
-		out[k] = v
-	}
-	return out
-}
-
 // Bind attaches nodes to the scope, displacing any previous binding.
 func (sc *Scope) Bind(nodes ...string) {
 	sc.svc.mu.Lock()
@@ -208,17 +197,6 @@ func (s *Service) GetVar(scope, key string) (string, bool) {
 	defer s.mu.Unlock()
 	v, ok := s.vars[scope][key]
 	return v, ok
-}
-
-// Vars snapshots one scope.
-func (s *Service) Vars(scope string) map[string]string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]string, len(s.vars[scope]))
-	for k, v := range s.vars[scope] {
-		out[k] = v
-	}
-	return out
 }
 
 // ClearScope drops every variable in a scope (used between measurement runs

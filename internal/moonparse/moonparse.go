@@ -12,7 +12,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"strconv"
 )
 
@@ -91,18 +90,6 @@ func ParseBytes(data []byte) (*Report, error) {
 }
 
 var newline = []byte{'\n'}
-
-// Parse reads a MoonGen log from r to its end and parses it with ParseBytes.
-func Parse(r io.Reader) (*Report, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("moonparse: read: %w", err)
-	}
-	return ParseBytes(data)
-}
-
-// ParseString is ParseBytes over a log held as a string.
-func ParseString(s string) (*Report, error) { return ParseBytes([]byte(s)) }
 
 // scanLine dispatches one trimmed line. Totals and samples share the head
 // "[Device: id=N] DIR: X Mpps"; what follows — " (StdDev" vs ", " — is
@@ -315,17 +302,6 @@ func (r *Report) TxMpps() float64 {
 		return 0
 	}
 	return t.Mpps
-}
-
-// SampleSeries extracts the per-second Mpps series for one direction.
-func (r *Report) SampleSeries(dir Direction) []float64 {
-	var out []float64
-	for _, s := range r.Samples {
-		if s.Direction == dir {
-			out = append(out, s.Mpps)
-		}
-	}
-	return out
 }
 
 // The conversions drop strconv's error on purpose: the grammar admits

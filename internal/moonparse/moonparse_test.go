@@ -9,7 +9,6 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-	"testing/iotest"
 	"testing/quick"
 
 	"pos/internal/loadgen"
@@ -31,7 +30,7 @@ done
 `
 
 func TestParseFullLog(t *testing.T) {
-	rep, err := ParseString(sampleLog)
+	rep, err := ParseBytes([]byte(sampleLog))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,25 +63,37 @@ func TestParseFullLog(t *testing.T) {
 }
 
 func TestSampleSeries(t *testing.T) {
-	rep, err := ParseString(sampleLog)
+	rep, err := ParseBytes([]byte(sampleLog))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rx := rep.SampleSeries(RX)
+	rx := sampleSeries(rep, RX)
 	if len(rx) != 2 || rx[0] != 0.099 || rx[1] != 0.1 {
 		t.Errorf("RX series = %v", rx)
 	}
-	tx := rep.SampleSeries(TX)
+	tx := sampleSeries(rep, TX)
 	if len(tx) != 2 {
 		t.Errorf("TX series = %v", tx)
 	}
+}
+
+// sampleSeries is the per-second Mpps series the log holds for one
+// direction, in log order.
+func sampleSeries(rep *Report, dir Direction) []float64 {
+	var out []float64
+	for _, s := range rep.Samples {
+		if s.Direction == dir {
+			out = append(out, s.Mpps)
+		}
+	}
+	return out
 }
 
 func TestParseNoLatencyLine(t *testing.T) {
 	log := `[Device: id=0] TX: 0.0400 Mpps (StdDev 0.0100), total 40000 packets, 2560000 bytes
 [Device: id=1] RX: 0.0390 Mpps (StdDev 0.0120), total 39000 packets, 2496000 bytes
 `
-	rep, err := ParseString(log)
+	rep, err := ParseBytes([]byte(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,13 +103,13 @@ func TestParseNoLatencyLine(t *testing.T) {
 }
 
 func TestParseGarbageFails(t *testing.T) {
-	if _, err := ParseString("this is not\na moongen log\n"); err != ErrNoTotals {
+	if _, err := ParseBytes([]byte("this is not\na moongen log\n")); err != ErrNoTotals {
 		t.Errorf("err = %v, want ErrNoTotals", err)
 	}
 }
 
 func TestParseEmptyFails(t *testing.T) {
-	if _, err := ParseString(""); err == nil {
+	if _, err := ParseBytes(nil); err == nil {
 		t.Error("accepted empty log")
 	}
 }
@@ -107,7 +118,7 @@ func TestTotalFallbackDevice(t *testing.T) {
 	// RX reported on an unconventional device id still resolves.
 	log := `[Device: id=3] RX: 0.5000 Mpps (StdDev 0.0000), total 500000 packets, 32000000 bytes
 `
-	rep, err := ParseString(log)
+	rep, err := ParseBytes([]byte(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +151,7 @@ func TestRoundTripWithLoadgen(t *testing.T) {
 	if err := res.WriteReport(&buf); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Parse(&buf)
+	rep, err := ParseBytes(buf.Bytes())
 	if err != nil {
 		t.Fatalf("parse loadgen report: %v\n%s", err, buf.String())
 	}
@@ -155,7 +166,7 @@ func TestRoundTripWithLoadgen(t *testing.T) {
 	if rep.Latency == nil {
 		t.Error("latency line missing from loadgen report on a timestamped path")
 	}
-	if len(rep.SampleSeries(TX)) < 2 {
+	if len(sampleSeries(rep, TX)) < 2 {
 		t.Error("per-second samples missing")
 	}
 }
@@ -163,15 +174,8 @@ func TestRoundTripWithLoadgen(t *testing.T) {
 func TestParseLongLinesDoNotBreakScanner(t *testing.T) {
 	long := strings.Repeat("x", 200_000)
 	log := long + "\n[Device: id=0] TX: 1.0000 Mpps (StdDev 0.0000), total 1 packets, 64 bytes\n"
-	if _, err := ParseString(log); err != nil {
+	if _, err := ParseBytes([]byte(log)); err != nil {
 		t.Errorf("long line broke parser: %v", err)
-	}
-}
-
-func TestParseReportsReadError(t *testing.T) {
-	boom := errors.New("boom")
-	if _, err := Parse(iotest.ErrReader(boom)); !errors.Is(err, boom) {
-		t.Errorf("err = %v, want it to wrap %v", err, boom)
 	}
 }
 
@@ -244,33 +248,21 @@ func parseRegexp(r io.Reader) (*Report, error) {
 	return rep, nil
 }
 
-// matchesRegexp holds every entry point equal to the regexp reference on one
+// matchesRegexp holds ParseBytes equal to the regexp reference on one
 // input — report, error text and error identity — and checks the in-place
 // contract: the report survives the caller scribbling over the log.
 func matchesRegexp(input string) error {
 	want, werr := parseRegexp(strings.NewReader(input))
 	data := []byte(input)
-	entries := []struct {
-		name string
-		run  func() (*Report, error)
-	}{
-		{"ParseBytes", func() (*Report, error) { return ParseBytes(data) }},
-		{"ParseString", func() (*Report, error) { return ParseString(input) }},
-		{"Parse", func() (*Report, error) { return Parse(iotest.OneByteReader(strings.NewReader(input))) }},
+	got, gerr := ParseBytes(data)
+	if fmt.Sprint(gerr) != fmt.Sprint(werr) || errors.Is(gerr, bufio.ErrTooLong) != errors.Is(werr, bufio.ErrTooLong) {
+		return fmt.Errorf("ParseBytes err %v, regexp err %v", gerr, werr)
 	}
-	for _, e := range entries {
-		got, gerr := e.run()
-		if fmt.Sprint(gerr) != fmt.Sprint(werr) || errors.Is(gerr, bufio.ErrTooLong) != errors.Is(werr, bufio.ErrTooLong) {
-			return fmt.Errorf("%s err %v, regexp err %v", e.name, gerr, werr)
-		}
-		if e.name == "ParseBytes" {
-			for i := range data {
-				data[i] = 'x'
-			}
-		}
-		if !reportsEqual(got, want) {
-			return fmt.Errorf("%s: %+v\nregexp: %+v", e.name, got, want)
-		}
+	for i := range data {
+		data[i] = 'x'
+	}
+	if !reportsEqual(got, want) {
+		return fmt.Errorf("ParseBytes: %+v\nregexp: %+v", got, want)
 	}
 	return nil
 }
@@ -403,7 +395,7 @@ func TestParseNeverPanicsProperty(t *testing.T) {
 				ok = false
 			}
 		}()
-		rep, err := ParseString(input)
+		rep, err := ParseBytes([]byte(input))
 		if err != nil {
 			return err == ErrNoTotals || rep == nil
 		}

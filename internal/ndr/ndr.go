@@ -7,10 +7,7 @@
 // publishable artifact.
 package ndr
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Measurer performs one trial at the given offered rate and reports the
 // observed loss ratio (0..1).
@@ -122,13 +119,4 @@ func (r Result) Summary() string {
 		state = "saturated (true NDR above bracket)"
 	}
 	return fmt.Sprintf("NDR %.0f pps after %d trials (%s)", r.NDRPPS, len(r.Trials), state)
-}
-
-// Efficiency reports how close the NDR search got to a known reference, as
-// |ndr - ref| / ref — used by calibration tests.
-func (r Result) Efficiency(refPPS float64) float64 {
-	if refPPS == 0 {
-		return math.Inf(1)
-	}
-	return math.Abs(r.NDRPPS-refPPS) / refPPS
 }

@@ -2,6 +2,7 @@ package ndr
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -24,8 +25,8 @@ func TestSearchConvergesToCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Efficiency(1_750_000) > 0.005 {
-		t.Errorf("NDR = %.0f, want ~1.75M (err %.4f)", res.NDRPPS, res.Efficiency(1_750_000))
+	if e := math.Abs(res.NDRPPS-1_750_000) / 1_750_000; e > 0.005 {
+		t.Errorf("NDR = %.0f, want ~1.75M (err %.4f)", res.NDRPPS, e)
 	}
 	if res.Saturated {
 		t.Error("marked saturated despite loss at max")

@@ -95,14 +95,6 @@ func (p *Port) DropRx(n int64) { p.stats.RxDropped += n }
 // Connected reports whether the port is wired to a link.
 func (p *Port) Connected() bool { return p.link != nil }
 
-// Peer returns the port at the far end of the wire, or nil.
-func (p *Port) Peer() *Port {
-	if p.link == nil {
-		return nil
-	}
-	return p.link.ports[1-p.side]
-}
-
 // Send transmits a batch out of this port. Packets that do not fit in the
 // link's queue are dropped and accounted as TxDropped.
 func (p *Port) Send(now sim.Time, b Batch) {
@@ -206,15 +198,6 @@ func Wire(e *sim.Engine, a, b *Port, cfg LinkConfig) *Link {
 	a.link, a.side = l, 0
 	b.link, b.side = l, 1
 	return l
-}
-
-// Unwire disconnects the link from both ports.
-func (l *Link) Unwire() {
-	for _, p := range l.ports {
-		if p != nil {
-			p.link = nil
-		}
-	}
 }
 
 // transmit applies the fluid egress model for one direction and schedules

@@ -150,23 +150,6 @@ func TestDoubleWirePanics(t *testing.T) {
 	Wire(e, a, c, LinkConfig{})
 }
 
-func TestUnwireAllowsRewire(t *testing.T) {
-	e := sim.NewEngine()
-	a, b, c := NewPort("a", nil), NewPort("b", nil), NewPort("c", nil)
-	l := Wire(e, a, b, LinkConfig{})
-	if a.Peer() != b {
-		t.Error("Peer mismatch")
-	}
-	l.Unwire()
-	if a.Connected() || b.Connected() {
-		t.Error("ports still connected after Unwire")
-	}
-	Wire(e, a, c, LinkConfig{})
-	if a.Peer() != c {
-		t.Error("rewire failed")
-	}
-}
-
 func TestTimestampedFlagClearedBySoftNIC(t *testing.T) {
 	e := sim.NewEngine()
 	sink := NewSink("rx")

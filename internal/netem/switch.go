@@ -57,9 +57,6 @@ func portSuffix(i int) string {
 // Port returns the i-th switch port.
 func (s *Switch) Port(i int) *Port { return s.ports[i] }
 
-// NumPorts reports the port count.
-func (s *Switch) NumPorts() int { return len(s.ports) }
-
 // HandleBatch implements Device: learn the source MAC, then forward to the
 // learned destination port or flood.
 func (s *Switch) HandleBatch(now sim.Time, in Batch, rx *Port) {

@@ -367,32 +367,6 @@ func (p *Packet) Has(t LayerType) bool {
 	return false
 }
 
-// Flow identifies a unidirectional UDP/IPv4 flow. It is comparable and
-// usable as a map key.
-type Flow struct {
-	Src, Dst         IPv4Addr
-	SrcPort, DstPort uint16
-}
-
-// Flow extracts the packet's flow tuple. It returns the zero Flow if the
-// packet does not carry UDP over IPv4.
-func (p *Packet) Flow() Flow {
-	if !p.Has(LayerTypeUDP) {
-		return Flow{}
-	}
-	return Flow{Src: p.IP.Src, Dst: p.IP.Dst, SrcPort: p.UDP.SrcPort, DstPort: p.UDP.DstPort}
-}
-
-// Reverse returns the flow with source and destination swapped.
-func (f Flow) Reverse() Flow {
-	return Flow{Src: f.Dst, Dst: f.Src, SrcPort: f.DstPort, DstPort: f.SrcPort}
-}
-
-// String formats the flow as "src:port > dst:port".
-func (f Flow) String() string {
-	return fmt.Sprintf("%s:%d > %s:%d", f.Src, f.SrcPort, f.Dst, f.DstPort)
-}
-
 // WireOverheadBytes is the per-frame overhead on the physical medium that is
 // not part of the Ethernet frame itself: 7 B preamble, 1 B SFD, 12 B
 // inter-frame gap. It determines the line-rate packet ceiling: a 10 Gbit/s

@@ -2,7 +2,6 @@ package packet
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -142,28 +141,6 @@ func TestDecodeIntoReusesStorage(t *testing.T) {
 	}
 	if p.IP.TotalLength != 128-EthernetHeaderLen {
 		t.Errorf("TotalLength = %d", p.IP.TotalLength)
-	}
-}
-
-func TestFlowExtractionAndReverse(t *testing.T) {
-	data, _ := sampleTemplate(64).Build()
-	p, _ := Decode(data)
-	f := p.Flow()
-	want := Flow{Src: IPv4Addr{10, 0, 0, 1}, Dst: IPv4Addr{10, 0, 1, 1}, SrcPort: 1234, DstPort: 4321}
-	if f != want {
-		t.Errorf("flow = %v, want %v", f, want)
-	}
-	if f.Reverse().Reverse() != f {
-		t.Error("double Reverse is not identity")
-	}
-	if s := f.String(); !strings.Contains(s, "10.0.0.1:1234") {
-		t.Errorf("String = %q", s)
-	}
-	// Non-UDP packet yields the zero flow.
-	arp, _ := Serialize(&Ethernet{EtherType: EtherTypeARP})
-	q, _ := Decode(arp)
-	if q.Flow() != (Flow{}) {
-		t.Error("non-UDP packet produced a non-zero flow")
 	}
 }
 

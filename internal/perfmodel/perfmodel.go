@@ -179,14 +179,3 @@ func NewVirtual(seed uint64) *CycleModel {
 	m.Seed(seed)
 	return m
 }
-
-// MaxDropFreePPS returns the worst-case (jitter floor) capacity for the given
-// frame size: the highest offered rate guaranteed to be forwarded without
-// loss.
-func MaxDropFreePPS(m *CycleModel, frameSize int) float64 {
-	pps := m.nominalPPS(frameSize)
-	if m.JitterInterval > 0 && m.JitterHigh > m.JitterLow {
-		pps *= m.JitterLow
-	}
-	return pps
-}

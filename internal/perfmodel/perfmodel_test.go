@@ -31,7 +31,7 @@ func TestBareMetalIsDeterministic(t *testing.T) {
 func TestVirtualDropFreeRegionMatchesPaper(t *testing.T) {
 	m := NewVirtual(1)
 	for _, size := range []int{64, 1500} {
-		floor := MaxDropFreePPS(m, size)
+		floor := maxDropFreePPS(m, size)
 		if floor < 40e3 {
 			t.Errorf("drop-free floor for %dB = %.0f pps, want >= 40k (Fig. 3b)", size, floor)
 		}
@@ -46,7 +46,7 @@ func TestVirtualBareMetalGapFactor(t *testing.T) {
 	// to 44" — bare-metal max vs VM drop-free max.
 	bm := NewBareMetal()
 	vm := NewVirtual(1)
-	ratio := bm.CapacityPPS(0, 64) / MaxDropFreePPS(vm, 1500)
+	ratio := bm.CapacityPPS(0, 64) / maxDropFreePPS(vm, 1500)
 	if ratio < 30 || ratio > 55 {
 		t.Errorf("bare-metal/VM ratio = %.1f, want ~44", ratio)
 	}
@@ -187,4 +187,15 @@ func TestModelNames(t *testing.T) {
 	if NewVirtual(0).Name() != "vm" {
 		t.Error("vm name")
 	}
+}
+
+// maxDropFreePPS is the worst-case (jitter floor) capacity for the given
+// frame size: the highest offered rate guaranteed to be forwarded without
+// loss.
+func maxDropFreePPS(m *CycleModel, frameSize int) float64 {
+	pps := m.nominalPPS(frameSize)
+	if m.JitterInterval > 0 && m.JitterHigh > m.JitterLow {
+		pps *= m.JitterLow
+	}
+	return pps
 }

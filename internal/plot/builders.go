@@ -88,7 +88,7 @@ func LatencyViolin(title string, samplesNs map[string][]float64) *Figure {
 	for name := range samplesNs {
 		names = append(names, name)
 	}
-	sortStrings(names)
+	sort.Strings(names)
 	for _, name := range names {
 		xs := samplesNs[name]
 		scaled := make([]float64, len(xs))
@@ -102,34 +102,6 @@ func LatencyViolin(title string, samplesNs map[string][]float64) *Figure {
 
 func sortSeries(ss []eval.Series) {
 	sort.Slice(ss, func(i, j int) bool { return ss[i].Name < ss[j].Name })
-}
-
-func sortStrings(ss []string) { sort.Strings(ss) }
-
-// Stability plots per-second received-rate samples over time — the
-// visualization of the run-to-run instability Fig. 3b shows for the
-// overloaded vpos router. Keys label the runs (e.g. loop combinations);
-// values are per-second Mpps samples.
-func Stability(title string, perSecond map[string][]float64) *Figure {
-	f := &Figure{
-		Title:  title,
-		XLabel: "time [s]",
-		YLabel: "received rate [Mpps]",
-		Kind:   Line,
-	}
-	var names []string
-	for name := range perSecond {
-		names = append(names, name)
-	}
-	sortStrings(names)
-	for _, name := range names {
-		pts := make([]eval.Point, len(perSecond[name]))
-		for i, v := range perSecond[name] {
-			pts[i] = eval.Point{X: float64(i), Y: v}
-		}
-		f.Series = append(f.Series, eval.Series{Name: name, Points: pts})
-	}
-	return f
 }
 
 // Export renders a figure into every supported format, keyed by file

@@ -7,7 +7,6 @@ package plot
 
 import (
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -78,8 +77,7 @@ func (f *Figure) bounds() (xmin, xmax, ymin, ymax float64) {
 	}
 	for _, s := range f.Series {
 		for _, p := range s.Points {
-			add(p.X, p.Y-p.YErr)
-			add(p.X, p.Y+p.YErr)
+			add(p.X, p.Y)
 		}
 	}
 	for i, v := range f.Violins {
@@ -198,19 +196,7 @@ func (f *Figure) points() int {
 	return n
 }
 
-// hasYErr reports whether any point of s carries aggregation error.
-func hasYErr(s eval.Series) bool {
-	for _, p := range s.Points {
-		if p.YErr > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// SVG renders the figure as a standalone SVG document.
-func (f *Figure) SVG() string { return string(f.svg()) }
-
+// svg renders the figure as a standalone SVG document.
 func (f *Figure) svg() []byte {
 	w, h := f.dims()
 	xmin, xmax, ymin, ymax := f.bounds()
@@ -276,12 +262,6 @@ func (f *Figure) svg() []byte {
 	return b
 }
 
-// line appends one stroked segment in the series color.
-func (d *doc) line(x1, y1, x2, y2 float64, color string) {
-	d.str(`<line x1="`).px(x1).str(`" y1="`).px(y1).str(`" x2="`).px(x2).str(`" y2="`).px(y2).
-		str(`" stroke="`).str(color).str(`" stroke-width="1.2"/>` + "\n")
-}
-
 func (f *Figure) renderLines(b *doc, xpos, ypos func(float64) float64) {
 	for i, s := range f.Series {
 		color := Palette[i%len(Palette)]
@@ -296,15 +276,7 @@ func (f *Figure) renderLines(b *doc, xpos, ypos func(float64) float64) {
 		}
 		b.str(`" fill="none" stroke="`).str(color).str(`" stroke-width="1.8"/>` + "\n")
 		for _, p := range s.Points {
-			x, y := xpos(p.X), ypos(p.Y)
-			// Error bars from aggregated repetitions.
-			if p.YErr > 0 {
-				lo, hi := ypos(p.Y-p.YErr), ypos(p.Y+p.YErr)
-				b.line(x, lo, x, hi, color)
-				b.line(x-3, lo, x+3, lo, color)
-				b.line(x-3, hi, x+3, hi, color)
-			}
-			b.str(`<circle cx="`).px(x).str(`" cy="`).px(y).str(`" r="2.4" fill="`).str(color).str(`"/>` + "\n")
+			b.str(`<circle cx="`).px(xpos(p.X)).str(`" cy="`).px(ypos(p.Y)).str(`" r="2.4" fill="`).str(color).str(`"/>` + "\n")
 		}
 	}
 }
@@ -356,30 +328,18 @@ func (f *Figure) renderViolins(b *doc, xpos, ypos func(float64) float64) {
 	}
 }
 
-// CSV renders the figure's data as comma-separated values: one row per
-// point, with a series column. A yerr column appears when any point carries
-// aggregation error.
-func (f *Figure) CSV() string { return string(f.csv()) }
-
+// csv renders the figure's data as comma-separated values: one row per
+// point, with a series column.
 func (f *Figure) csv() []byte {
-	hasErr, size := false, 32+160*len(f.Violins)
+	size := 32 + 160*len(f.Violins)
 	for _, s := range f.Series {
-		hasErr = hasErr || hasYErr(s)
 		size += len(s.Points) * (len(s.Name) + 20)
 	}
 	b := make(doc, 0, size)
-	if hasErr {
-		b.str("series,x,y,yerr\n")
-	} else {
-		b.str("series,x,y\n")
-	}
+	b.str("series,x,y\n")
 	for _, s := range f.Series {
 		for _, p := range s.Points {
-			b.str(s.Name).str(",").num(p.X).str(",").num(p.Y)
-			if hasErr {
-				b.str(",").num(p.YErr)
-			}
-			b.str("\n")
+			b.str(s.Name).str(",").num(p.X).str(",").num(p.Y).str("\n")
 		}
 	}
 	for _, nv := range f.Violins {
@@ -393,46 +353,27 @@ func (f *Figure) csv() []byte {
 	return b
 }
 
-// TeX renders the figure as a pgfplots axis environment.
-func (f *Figure) TeX() string { return string(f.tex()) }
-
+// tex renders the figure as a pgfplots axis environment.
 func (f *Figure) tex() []byte {
 	b := make(doc, 0, 512+24*f.points())
 	b.str("\\begin{tikzpicture}\n\\begin{axis}[\n")
 	b.str("  title={").texEsc(f.Title).str("},\n  xlabel={").texEsc(f.XLabel).str("},\n  ylabel={").texEsc(f.YLabel).str("},\n")
 	b.str("  legend pos=north west,\n]\n")
 	for _, s := range f.Series {
-		hasErr := hasYErr(s)
-		switch {
-		case f.Kind == HistoKind:
+		switch f.Kind {
+		case HistoKind:
 			b.str("\\addplot+[ybar] coordinates {\n")
-		case f.Kind == CDFKind:
+		case CDFKind:
 			b.str("\\addplot+[const plot] coordinates {\n")
-		case hasErr:
-			b.str("\\addplot+[mark=*, error bars/.cd, y dir=both, y explicit] coordinates {\n")
 		default:
 			b.str("\\addplot+[mark=*] coordinates {\n")
 		}
 		for _, p := range s.Points {
-			b.str("  (").num(p.X).str(", ").num(p.Y).str(")")
-			if hasErr {
-				b.str(" +- (0, ").num(p.YErr).str(")")
-			}
-			b.str("\n")
+			b.str("  (").num(p.X).str(", ").num(p.Y).str(")\n")
 		}
 		b.str("};\n")
 		b.str("\\addlegendentry{").texEsc(s.Name).str("}\n")
 	}
 	b.str("\\end{axis}\n\\end{tikzpicture}\n")
 	return b
-}
-
-// Sorted returns series names in render order, for tests and manifests.
-func (f *Figure) Sorted() []string {
-	names := make([]string, len(f.Series))
-	for i, s := range f.Series {
-		names[i] = s.Name
-	}
-	sort.Strings(names)
-	return names
 }

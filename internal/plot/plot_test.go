@@ -21,7 +21,7 @@ func sampleSeries() []eval.Series {
 
 func TestThroughputFigureSVGWellFormed(t *testing.T) {
 	f := Throughput("Fig 3a", sampleSeries())
-	svg := f.SVG()
+	svg := string(Export(f)["svg"])
 	// Structural checks.
 	for _, want := range []string{"<svg", "</svg>", "Fig 3a", "offered rate [Mpps]", "received rate [Mpps]", "64 B", "1500 B", "<path", "<circle"} {
 		if !strings.Contains(svg, want) {
@@ -36,7 +36,7 @@ func TestThroughputFigureSVGWellFormed(t *testing.T) {
 
 func TestSVGEscapesLabels(t *testing.T) {
 	f := &Figure{Title: `a<b & "c"`, Kind: Line, Series: sampleSeries()}
-	svg := f.SVG()
+	svg := string(Export(f)["svg"])
 	if strings.Contains(svg, `a<b`) {
 		t.Error("unescaped < in SVG")
 	}
@@ -47,7 +47,7 @@ func TestSVGEscapesLabels(t *testing.T) {
 
 func TestEmptyFigureStillRenders(t *testing.T) {
 	f := &Figure{Title: "empty", Kind: Line}
-	svg := f.SVG()
+	svg := string(Export(f)["svg"])
 	if !strings.Contains(svg, "</svg>") {
 		t.Error("empty figure did not render")
 	}
@@ -58,7 +58,7 @@ func TestEmptyFigureStillRenders(t *testing.T) {
 
 func TestCSVFormat(t *testing.T) {
 	f := Throughput("t", sampleSeries())
-	csv := f.CSV()
+	csv := string(Export(f)["csv"])
 	lines := strings.Split(strings.TrimSpace(csv), "\n")
 	if lines[0] != "series,x,y" {
 		t.Errorf("header = %q", lines[0])
@@ -73,7 +73,7 @@ func TestCSVFormat(t *testing.T) {
 
 func TestTeXFormat(t *testing.T) {
 	f := Throughput("fig_3a", sampleSeries())
-	tex := f.TeX()
+	tex := string(Export(f)["tex"])
 	for _, want := range []string{"\\begin{tikzpicture}", "\\begin{axis}", "\\addplot", "\\addlegendentry{64 B}", "(0.01, 0.01)", "fig\\_3a", "\\end{axis}"} {
 		if !strings.Contains(tex, want) {
 			t.Errorf("TeX missing %q:\n%s", want, tex)
@@ -92,7 +92,7 @@ func TestCDFFigure(t *testing.T) {
 	if got := f.Series[0].Points[0].X; got != 10 {
 		t.Errorf("first point X = %v, want 10µs", got)
 	}
-	tex := f.TeX()
+	tex := string(Export(f)["tex"])
 	if !strings.Contains(tex, "const plot") {
 		t.Error("CDF TeX missing step-plot style")
 	}
@@ -100,11 +100,11 @@ func TestCDFFigure(t *testing.T) {
 
 func TestHistogramFigure(t *testing.T) {
 	f := LatencyHistogram("hist", []float64{1000, 2000, 2000, 3000}, 3)
-	svg := f.SVG()
+	svg := string(Export(f)["svg"])
 	if !strings.Contains(svg, "<rect") {
 		t.Error("histogram has no bars")
 	}
-	if !strings.Contains(f.TeX(), "ybar") {
+	if !strings.Contains(string(Export(f)["tex"]), "ybar") {
 		t.Error("histogram TeX missing ybar")
 	}
 }
@@ -138,14 +138,14 @@ func TestViolinFigure(t *testing.T) {
 	if f.Violins[0].Name != "pos" || f.Violins[1].Name != "vpos" {
 		t.Errorf("order = %s/%s", f.Violins[0].Name, f.Violins[1].Name)
 	}
-	svg := f.SVG()
+	svg := string(Export(f)["svg"])
 	if !strings.Contains(svg, "fill-opacity") {
 		t.Error("violin bodies missing")
 	}
 	if err := xml.Unmarshal([]byte(svg), new(any)); err != nil {
 		t.Errorf("violin SVG invalid: %v", err)
 	}
-	csv := f.CSV()
+	csv := string(Export(f)["csv"])
 	for _, want := range []string{"pos,median,", "vpos,q1,", "vpos,max,"} {
 		if !strings.Contains(csv, want) {
 			t.Errorf("violin CSV missing %q", want)
@@ -191,68 +191,15 @@ func TestFmtTick(t *testing.T) {
 	}
 }
 
-func TestSortedNames(t *testing.T) {
-	f := Throughput("t", sampleSeries())
-	names := f.Sorted()
-	if names[0] != "1500 B" || names[1] != "64 B" {
-		t.Errorf("sorted = %v", names)
-	}
-}
-
-func TestErrorBarsRendered(t *testing.T) {
-	f := &Figure{
-		Title: "agg", Kind: Line,
-		Series: []eval.Series{{Name: "64", Points: []eval.Point{
-			{X: 1, Y: 10, YErr: 2},
-			{X: 2, Y: 20},
-		}}},
-	}
-	svg := f.SVG()
-	// Error bar = 3 extra line elements for the errored point.
-	if strings.Count(svg, "<line") < 3 {
-		t.Errorf("no error bars in SVG:\n%s", svg)
-	}
-	csv := f.CSV()
-	if !strings.HasPrefix(csv, "series,x,y,yerr\n") || !strings.Contains(csv, "64,1,10,2") {
+// TestNoErrColumnWithoutErrors: a point is an (x, y) pair, so the CSV has
+// three columns and the TeX plot carries marks, never error bars.
+func TestNoErrColumnWithoutErrors(t *testing.T) {
+	files := Export(Throughput("t", sampleSeries()))
+	if csv := string(files["csv"]); !strings.HasPrefix(csv, "series,x,y\n") || strings.Contains(csv, "yerr") {
 		t.Errorf("csv = %q", csv)
 	}
-	tex := f.TeX()
-	if !strings.Contains(tex, "error bars") || !strings.Contains(tex, "+- (0, 2)") {
+	if tex := string(files["tex"]); strings.Contains(tex, "error bars") || !strings.Contains(tex, "\\addplot+[mark=*]") {
 		t.Errorf("tex = %q", tex)
-	}
-	// Bounds include Y+YErr: the top error bar is inside the plot area.
-	if err := xml.Unmarshal([]byte(svg), new(any)); err != nil {
-		t.Errorf("SVG invalid: %v", err)
-	}
-}
-
-func TestNoErrColumnWithoutErrors(t *testing.T) {
-	f := Throughput("t", sampleSeries())
-	if strings.Contains(f.CSV(), "yerr") {
-		t.Error("yerr column present without errors")
-	}
-	if strings.Contains(f.TeX(), "error bars") {
-		t.Error("TeX error bars without errors")
-	}
-}
-
-func TestStabilityFigure(t *testing.T) {
-	f := Stability("vpos instability", map[string][]float64{
-		"stable":   {0.02, 0.02, 0.02},
-		"unstable": {0.06, 0.05, 0.066},
-	})
-	if len(f.Series) != 2 || f.Series[0].Name != "stable" {
-		t.Fatalf("series = %+v", f.Series)
-	}
-	if f.Series[1].Points[2].X != 2 || f.Series[1].Points[2].Y != 0.066 {
-		t.Errorf("point = %+v", f.Series[1].Points[2])
-	}
-	svg := f.SVG()
-	if !strings.Contains(svg, "time [s]") {
-		t.Error("x label missing")
-	}
-	if err := xml.Unmarshal([]byte(svg), new(any)); err != nil {
-		t.Errorf("SVG invalid: %v", err)
 	}
 }
 
@@ -268,23 +215,15 @@ func oracleFigures() map[string]*Figure {
 		}
 		return xs
 	}
-	series := func(withErr bool) []eval.Series {
+	series := func() []eval.Series {
 		var out []eval.Series
 		for _, name := range []string{"64", "a<b&\"c\"_%#"} {
 			var pts []eval.Point
 			for i, y := range nasty {
-				p := eval.Point{X: float64(i) / 3, Y: y}
-				if withErr {
-					p.YErr = nasty[(i+5)%len(nasty)]
-				}
-				pts = append(pts, p)
+				pts = append(pts, eval.Point{X: float64(i) / 3, Y: y})
 			}
 			for i := 0; i < 40; i++ {
-				p := eval.Point{X: rng.Float64() * 14.88, Y: rng.Float64() * 14.88}
-				if withErr && i%2 == 0 {
-					p.YErr = rng.Float64()
-				}
-				pts = append(pts, p)
+				pts = append(pts, eval.Point{X: rng.Float64() * 14.88, Y: rng.Float64() * 14.88})
 			}
 			out = append(out, eval.Series{Name: name, Points: pts})
 		}
@@ -299,16 +238,15 @@ func oracleFigures() map[string]*Figure {
 	}
 	finite := map[string][]float64{"pos": samples(1000), "vpos": samples(37), "flat": {7, 7, 7}}
 	figs := map[string]*Figure{
-		"throughput":      Throughput("Fig. 3a <&>", series(false)),
-		"throughput-yerr": Throughput("fig_3b 100%", series(true)),
-		"cdf":             LatencyCDF("latency", dists),
-		"histogram":       LatencyHistogram("hist", samples(1000), 24),
-		"histogram-nasty": LatencyHistogram("hist", nasty, 5),
-		"hdr":             LatencyHDR("hdr", dists),
-		"violin":          LatencyViolin("violin", finite),
-		"violin-nasty":    LatencyViolin("violin", dists),
-		"stability":       Stability("stability", dists),
-		"empty":           {Title: "empty", Kind: Line},
+		"throughput":       Throughput("Fig. 3a <&>", series()),
+		"throughput-nasty": Throughput("fig_3b 100%", series()),
+		"cdf":              LatencyCDF("latency", dists),
+		"histogram":        LatencyHistogram("hist", samples(1000), 24),
+		"histogram-nasty":  LatencyHistogram("hist", nasty, 5),
+		"hdr":              LatencyHDR("hdr", dists),
+		"violin":           LatencyViolin("violin", finite),
+		"violin-nasty":     LatencyViolin("violin", dists),
+		"empty":            {Title: "empty", Kind: Line},
 	}
 	figs["cdf-sized"] = LatencyCDF("sized", finite)
 	figs["cdf-sized"].Width, figs["cdf-sized"].Height = 1280, 333
@@ -326,9 +264,6 @@ func TestRenderersMatchFmtOracle(t *testing.T) {
 			if string(got[ext]) != w {
 				t.Errorf("%s.%s differs from the fmt oracle:\n%s", name, ext, firstDiff(string(got[ext]), w))
 			}
-		}
-		if f.SVG() != want["svg"] || f.TeX() != want["tex"] || f.CSV() != want["csv"] {
-			t.Errorf("%s: SVG/TeX/CSV differ from Export", name)
 		}
 	}
 	for _, v := range []float64{0, math.Copysign(0, -1), 0.5, 1, 2.5, 999999.994, 999999.996, 1e6, 1e7, -3.14159, 1e-7, 1e21, math.NaN(), math.Inf(1), math.Inf(-1)} {
@@ -496,13 +431,6 @@ func refRenderLines(f *Figure, b *strings.Builder, xpos, ypos func(float64) floa
 		}
 		fmt.Fprintf(b, `<path d="%s" fill="none" stroke="%s" stroke-width="1.8"/>`+"\n", strings.TrimSpace(path.String()), color)
 		for _, p := range s.Points {
-			// Error bars from aggregated repetitions.
-			if p.YErr > 0 {
-				x, lo, hi := xpos(p.X), ypos(p.Y-p.YErr), ypos(p.Y+p.YErr)
-				fmt.Fprintf(b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="1.2"/>`+"\n", x, lo, x, hi, color)
-				fmt.Fprintf(b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="1.2"/>`+"\n", x-3, lo, x+3, lo, color)
-				fmt.Fprintf(b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="1.2"/>`+"\n", x-3, hi, x+3, hi, color)
-			}
 			fmt.Fprintf(b, `<circle cx="%.1f" cy="%.1f" r="2.4" fill="%s"/>`+"\n", xpos(p.X), ypos(p.Y), color)
 		}
 	}
@@ -555,27 +483,11 @@ func refRenderViolins(f *Figure, b *strings.Builder, xpos, ypos func(float64) fl
 }
 
 func refCSV(f *Figure) string {
-	hasErr := false
-	for _, s := range f.Series {
-		for _, p := range s.Points {
-			if p.YErr > 0 {
-				hasErr = true
-			}
-		}
-	}
 	var b strings.Builder
-	if hasErr {
-		b.WriteString("series,x,y,yerr\n")
-	} else {
-		b.WriteString("series,x,y\n")
-	}
+	b.WriteString("series,x,y\n")
 	for _, s := range f.Series {
 		for _, p := range s.Points {
-			if hasErr {
-				fmt.Fprintf(&b, "%s,%g,%g,%g\n", s.Name, p.X, p.Y, p.YErr)
-			} else {
-				fmt.Fprintf(&b, "%s,%g,%g\n", s.Name, p.X, p.Y)
-			}
+			fmt.Fprintf(&b, "%s,%g,%g\n", s.Name, p.X, p.Y)
 		}
 	}
 	for _, nv := range f.Violins {
@@ -595,28 +507,16 @@ func refTeX(f *Figure) string {
 	fmt.Fprintf(&b, "  title={%s},\n  xlabel={%s},\n  ylabel={%s},\n", refTexEsc(f.Title), refTexEsc(f.XLabel), refTexEsc(f.YLabel))
 	b.WriteString("  legend pos=north west,\n]\n")
 	for _, s := range f.Series {
-		hasErr := false
-		for _, p := range s.Points {
-			if p.YErr > 0 {
-				hasErr = true
-			}
-		}
-		switch {
-		case f.Kind == HistoKind:
+		switch f.Kind {
+		case HistoKind:
 			b.WriteString("\\addplot+[ybar] coordinates {\n")
-		case f.Kind == CDFKind:
+		case CDFKind:
 			b.WriteString("\\addplot+[const plot] coordinates {\n")
-		case hasErr:
-			b.WriteString("\\addplot+[mark=*, error bars/.cd, y dir=both, y explicit] coordinates {\n")
 		default:
 			b.WriteString("\\addplot+[mark=*] coordinates {\n")
 		}
 		for _, p := range s.Points {
-			if hasErr {
-				fmt.Fprintf(&b, "  (%g, %g) +- (0, %g)\n", p.X, p.Y, p.YErr)
-			} else {
-				fmt.Fprintf(&b, "  (%g, %g)\n", p.X, p.Y)
-			}
+			fmt.Fprintf(&b, "  (%g, %g)\n", p.X, p.Y)
 		}
 		b.WriteString("};\n")
 		fmt.Fprintf(&b, "\\addlegendentry{%s}\n", refTexEsc(s.Name))

@@ -328,7 +328,6 @@ func (c *Campaign) Run(ctx context.Context, store *results.Store) (*core.Summary
 	var tr *telemetry.Trace
 	if telemetry.SpanFromContext(ctx) == nil && telemetry.Default.Enabled() {
 		tr = telemetry.NewLinkedTrace("campaign:"+logical.Name, telemetry.PendingTraceParent(ctx))
-		tr.SetProcess("controller")
 		tr.SetClock(c.now)
 		ctx = telemetry.ContextWithTrace(ctx, tr)
 	}

@@ -50,12 +50,3 @@ func (r *Rand) NormFloat64() float64 {
 	u2 := r.Float64()
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
-
-// ExpFloat64 returns an exponentially distributed value with rate 1.
-func (r *Rand) ExpFloat64() float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u)
-}

@@ -322,19 +322,6 @@ func TestRandNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestRandExpFloat64Mean(t *testing.T) {
-	r := NewRand(123)
-	const n = 100000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.ExpFloat64()
-	}
-	mean := sum / n
-	if mean < 0.97 || mean > 1.03 {
-		t.Errorf("mean = %v, want ~1", mean)
-	}
-}
-
 func BenchmarkEngineScheduleAndRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := NewEngine()

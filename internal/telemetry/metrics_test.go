@@ -109,7 +109,7 @@ var (
 func TestPrometheusExpositionFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("pos_runs_total", "Total runs.").Add(42)
-	r.Gauge("pos_queue_depth", "Depth.").Set(3)
+	r.Gauge("pos_sample_depth", "Depth.").Set(3)
 	rv := r.CounterVec("pos_req_total", "Requests.", "endpoint", "code")
 	rv.With("exec", "200").Add(7)
 	rv.With(`we"ird`, "5\n00").Inc() // label values needing escaping

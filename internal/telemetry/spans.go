@@ -27,7 +27,6 @@ type Trace struct {
 	root         *Span
 	traceID      string
 	remoteParent string // span ID of the remote parent of the root ("" for a fresh root)
-	proc         string // process lane for stitched Chrome rendering
 }
 
 // Span is one timed region of a trace (campaign → run → phase → exec). All
@@ -58,7 +57,6 @@ type SpanRecord struct {
 	TraceID      string            `json:"trace_id,omitempty"`
 	SpanID       string            `json:"span_id,omitempty"`
 	ParentSpanID string            `json:"parent_span_id,omitempty"`
-	Proc         string            `json:"proc,omitempty"`
 	Name         string            `json:"name"`
 	Start        time.Time         `json:"start"`
 	End          time.Time         `json:"end"`
@@ -93,15 +91,6 @@ func (t *Trace) ID() string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.traceID
-}
-
-// SetProcess labels every span record of this trace with a process lane
-// ("controller", "runner", ...). The stitched Chrome rendering maps each
-// distinct process to its own pid row.
-func (t *Trace) SetProcess(proc string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.proc = proc
 }
 
 // SetClock overrides the timestamp source (tests, simulated time). Call
@@ -158,15 +147,6 @@ func (t *Trace) Finish() {
 	}
 }
 
-// StartChild opens a child span directly on a parent span, for call sites
-// that don't thread a context. Nil-safe.
-func (s *Span) StartChild(name string, attrs ...string) *Span {
-	if s == nil {
-		return nil
-	}
-	return s.tr.start(s.id, name, attrs)
-}
-
 // End closes the span. Nil-safe; ending twice keeps the first end time.
 func (s *Span) End() {
 	if s == nil {
@@ -195,16 +175,6 @@ func (s *Span) SetError(err error) {
 		return
 	}
 	s.SetAttr("error", err.Error())
-}
-
-// TraceID returns the span's 32-hex trace ID ("" on a nil span).
-func (s *Span) TraceID() string {
-	if s == nil {
-		return ""
-	}
-	s.tr.mu.Lock()
-	defer s.tr.mu.Unlock()
-	return s.tr.traceID
 }
 
 // SpanID returns the span's 16-hex span ID ("" on a nil span).
@@ -253,14 +223,6 @@ func SpanFromContext(ctx context.Context) *Span {
 	return s
 }
 
-// TraceFromContext returns the trace the context's span belongs to, if any.
-func TraceFromContext(ctx context.Context) *Trace {
-	if s := SpanFromContext(ctx); s != nil {
-		return s.tr
-	}
-	return nil
-}
-
 // StartSpan opens a child of the context's current span and returns a context
 // carrying the child. On an untraced context it returns (ctx, nil) — the nil
 // span's methods are no-ops, so instrumented code needs no branches.
@@ -276,17 +238,6 @@ func StartSpan(ctx context.Context, name string, attrs ...string) (context.Conte
 // Records returns the trace's spans as serializable records, ordered by id
 // (creation order). Open spans report their start time as end.
 func (t *Trace) Records() []SpanRecord {
-	return t.records(time.Time{})
-}
-
-// RecordsAt snapshots the trace with still-open spans closed at now — a
-// live view of an unfinished trace. The spans themselves are not mutated; a
-// later Finish still stamps the real end times.
-func (t *Trace) RecordsAt(now time.Time) []SpanRecord {
-	return t.records(now)
-}
-
-func (t *Trace) records(openEnd time.Time) []SpanRecord {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]SpanRecord, 0, len(t.spans))
@@ -305,23 +256,19 @@ func (t *Trace) records(openEnd time.Time) []SpanRecord {
 		out = append(out, SpanRecord{
 			ID: s.id, Parent: s.parent, Name: s.name,
 			TraceID: t.traceID, SpanID: hex.EncodeToString(s.spanID[:]), ParentSpanID: parentSpan,
-			Proc:  t.proc,
-			Start: s.start, End: s.endAt(openEnd), Attrs: attrs,
+			Start: s.start, End: s.endAt(), Attrs: attrs,
 		})
 	}
 	return out
 }
 
-// endAt is the end a record reports: an open span ends at openEnd when that
-// is after its start, else at its start. The caller holds tr.mu.
-func (s *Span) endAt(openEnd time.Time) time.Time {
-	switch {
-	case !s.end.IsZero():
-		return s.end
-	case !openEnd.IsZero() && openEnd.After(s.start):
-		return openEnd
+// endAt is the end a record reports: an open span ends at its start. The
+// caller holds tr.mu.
+func (s *Span) endAt() time.Time {
+	if s.end.IsZero() {
+		return s.start
 	}
-	return s.start
+	return s.end
 }
 
 // RenderJSON serializes the trace for the spans.json artifact: one JSON
@@ -367,10 +314,6 @@ func (t *Trace) appendRecord(dst []byte, s *Span) ([]byte, error) {
 		dst = append(dst, `,"parent_span_id":`...)
 		dst = jsonenc.AppendString(dst, t.remoteParent)
 	}
-	if t.proc != "" {
-		dst = append(dst, `,"proc":`...)
-		dst = jsonenc.AppendString(dst, t.proc)
-	}
 	dst = append(dst, `,"name":`...)
 	dst = jsonenc.AppendString(dst, s.name)
 	dst = append(dst, `,"start":`...)
@@ -379,7 +322,7 @@ func (t *Trace) appendRecord(dst []byte, s *Span) ([]byte, error) {
 		return dst, err
 	}
 	dst = append(dst, `,"end":`...)
-	if dst, err = jsonenc.AppendTime(dst, s.endAt(time.Time{})); err != nil {
+	if dst, err = jsonenc.AppendTime(dst, s.endAt()); err != nil {
 		return dst, err
 	}
 	if len(s.attrs) > 0 {
@@ -413,7 +356,7 @@ func (t *Trace) appendRecord(dst []byte, s *Span) ([]byte, error) {
 // stops at a stray ']' and never reads on) are errors here.
 func ParseSpans(data []byte) ([]SpanRecord, error) {
 	out := make([]SpanRecord, 0, bytes.Count(data, []byte{'\n'})+1)
-	// The trace ID, process, host-named span names and attr keys repeat on
+	// The trace ID, host-named span names and attr keys repeat on
 	// every line, and each parent_span_id is an earlier line's span_id: one
 	// table shared by the lines' decoders makes each such string once.
 	strs := make(map[string]string, 2*cap(out))
@@ -477,7 +420,9 @@ func parseSpan(line []byte, strs map[string]string) (SpanRecord, error) {
 		case "parent_span_id":
 			rec.ParentSpanID = d.ReadString()
 		case "proc":
-			rec.Proc = d.ReadString()
+			// Archives from builds whose traces named their process carry
+			// a lane label on every line; read past it.
+			d.ReadString()
 		case "name":
 			rec.Name = d.ReadString()
 		case "start":
@@ -505,56 +450,40 @@ type ChromeEvent struct {
 	Args map[string]string `json:"args,omitempty"`
 }
 
-// ChromeTrace converts span records to a Chrome trace-event JSON array.
-// Lanes (tid) are assigned per depth-1 subtree — each replica or top-level
-// phase gets its own row in the flamegraph; the root is lane 0. Stitched
-// records spanning multiple processes get one pid per distinct Proc (the int
-// span IDs only identify spans within one process's archive, so lanes are
-// computed per process group).
+// ChromeTrace converts span records to a Chrome trace-event JSON array, all
+// under pid 1. Lanes (tid) are assigned per depth-1 subtree — each replica or
+// top-level phase gets its own row in the flamegraph; the root is lane 0.
 func ChromeTrace(recs []SpanRecord) ([]byte, error) {
 	if len(recs) == 0 {
 		return []byte("[]"), nil
 	}
-	type laneKey struct {
-		proc string
-		id   int
-	}
-	byID := make(map[laneKey]SpanRecord, len(recs))
+	byID := make(map[int]SpanRecord, len(recs))
 	for _, r := range recs {
-		byID[laneKey{r.Proc, r.ID}] = r
+		byID[r.ID] = r
 	}
-	// lane(proc, id): 0 for the process root, else the id of the span's
-	// ancestor that is a direct child of that root — one flamegraph row per
-	// replica / phase, scoped to the process. A visited set bounds the walk:
-	// a corrupt archive whose int Parent fields form a cycle (never reaching
-	// Parent==0) must not hang the converter, so a cycling span becomes its
-	// own lane.
-	lane := func(proc string, id int) int {
+	// lane(id): 0 for the root, else the id of the span's ancestor that is a
+	// direct child of the root — one flamegraph row per replica / phase. A
+	// visited set bounds the walk: a corrupt archive whose int Parent fields
+	// form a cycle (never reaching Parent==0) must not hang the converter, so
+	// a cycling span becomes its own lane.
+	lane := func(id int) int {
 		seen := make(map[int]bool)
 		for {
 			if seen[id] {
 				return id
 			}
 			seen[id] = true
-			r, ok := byID[laneKey{proc, id}]
+			r, ok := byID[id]
 			if !ok {
 				return id
 			}
 			if r.Parent == 0 {
 				return 0
 			}
-			if p, ok := byID[laneKey{proc, r.Parent}]; !ok || p.Parent == 0 {
+			if p, ok := byID[r.Parent]; !ok || p.Parent == 0 {
 				return id
 			}
 			id = r.Parent
-		}
-	}
-	// One pid per distinct process label, in order of first appearance; a
-	// single-process trace keeps the historical pid 1.
-	pids := map[string]int{}
-	for _, r := range recs {
-		if _, ok := pids[r.Proc]; !ok {
-			pids[r.Proc] = 1 + len(pids)
 		}
 	}
 	epoch := recs[0].Start
@@ -565,22 +494,14 @@ func ChromeTrace(recs []SpanRecord) ([]byte, error) {
 	}
 	events := make([]ChromeEvent, 0, len(recs))
 	for _, r := range recs {
-		args := r.Attrs
-		if r.Proc != "" {
-			args = make(map[string]string, len(r.Attrs)+1)
-			for k, v := range r.Attrs {
-				args[k] = v
-			}
-			args["proc"] = r.Proc
-		}
 		events = append(events, ChromeEvent{
 			Name: r.Name,
 			Ph:   "X",
 			Ts:   float64(r.Start.Sub(epoch)) / float64(time.Microsecond),
 			Dur:  float64(r.End.Sub(r.Start)) / float64(time.Microsecond),
-			Pid:  pids[r.Proc],
-			Tid:  lane(r.Proc, r.ID),
-			Args: args,
+			Pid:  1,
+			Tid:  lane(r.ID),
+			Args: r.Attrs,
 		})
 	}
 	sort.SliceStable(events, func(i, j int) bool { return events[i].Ts < events[j].Ts })

@@ -2,6 +2,7 @@ package telemetry_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"os"
@@ -123,16 +124,15 @@ func TestParseSpansNarrowerThanDecoder(t *testing.T) {
 // and reads it as json.Decoder does. The trace has a root and n children
 // under it, every third one left open, each with two attrs.
 func FuzzParseRenderedSpans(f *testing.F) {
-	f.Add("run 0", "combo", "pkt_rate=10000,pkt_sz=64", "runner", int64(0), int64(137e3), uint8(5), false)
-	f.Add("exec:\xff<b>", "k\u2028", "\"quoted\"\n", "", int64(-(9*3600 + 30*60)), int64(-1), uint8(9), true)
-	f.Add("", "", "", "controller", int64(5*3600), int64(1), uint8(0), true)
-	f.Fuzz(func(t *testing.T, name, key, value, proc string, zone, step int64, n uint8, linked bool) {
+	f.Add("run 0", "combo", "pkt_rate=10000,pkt_sz=64", int64(0), int64(137e3), uint8(5), false)
+	f.Add("exec:\xff<b>", "k\u2028", "\"quoted\"\n", int64(-(9*3600 + 30*60)), int64(-1), uint8(9), true)
+	f.Add("", "", "", int64(5*3600), int64(1), uint8(0), true)
+	f.Fuzz(func(t *testing.T, name, key, value string, zone, step int64, n uint8, linked bool) {
 		traceparent := ""
 		if linked {
 			traceparent = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
 		}
 		tr := telemetry.NewLinkedTrace(name, traceparent)
-		tr.SetProcess(proc)
 		// An hour's steps at most: a 256-span trace stays well inside a
 		// time.Duration, which ParseSpans requires of an archive.
 		now := time.Date(2021, 10, 12, 11, 20, 32, 230471000, time.FixedZone("", int(zone%(48*3600))))
@@ -141,7 +141,7 @@ func FuzzParseRenderedSpans(f *testing.F) {
 			return now
 		})
 		for i := 0; i < int(n); i++ {
-			child := tr.Root().StartChild(name, key, value, "i", strconv.Itoa(i))
+			child := startChild(tr.Root(), name, key, value, "i", strconv.Itoa(i))
 			if i%3 != 2 {
 				child.End()
 			}
@@ -170,18 +170,17 @@ func FuzzParseRenderedSpans(f *testing.F) {
 // child (with attrs, some given twice), sets or overwrites an attr, or ends
 // a span, on the span it picks.
 func FuzzRenderSpans(f *testing.F) {
-	f.Add("campaign:appendix", "combo", "size=64", "phase", "measurement", "", []byte{0, 5, 1, 10, 2, 3, 7}, int64(0), int64(10e6), false, true)
-	f.Add("<b>&amp;</b>", "k\xff", "  ", "<", ">&", "controller", []byte{0, 0, 4, 1, 3, 2}, int64(2*3600), int64(1), true, true)
-	f.Add("\xff\xfe name", "dup", "first", "dup", "second", "runner", []byte{0, 4, 9, 1, 6}, int64(-(9*3600 + 30*60)), int64(3e9), false, false)
-	f.Add("open", "a", "1", "b", "2", "", []byte{0, 0, 0, 5, 10}, int64(0), int64(0), false, false)
-	f.Add("far", "a", "1", "b", "2", "", []byte{0, 2}, int64(24*3600), int64(1e18), true, true)
-	f.Fuzz(func(t *testing.T, name, k1, v1, k2, v2, proc string, script []byte, zone, step int64, linked, finish bool) {
+	f.Add("campaign:appendix", "combo", "size=64", "phase", "measurement", []byte{0, 5, 1, 10, 2, 3, 7}, int64(0), int64(10e6), false, true)
+	f.Add("<b>&amp;</b>", "k\xff", "  ", "<", ">&", []byte{0, 0, 4, 1, 3, 2}, int64(2*3600), int64(1), true, true)
+	f.Add("\xff\xfe name", "dup", "first", "dup", "second", []byte{0, 4, 9, 1, 6}, int64(-(9*3600 + 30*60)), int64(3e9), false, false)
+	f.Add("open", "a", "1", "b", "2", []byte{0, 0, 0, 5, 10}, int64(0), int64(0), false, false)
+	f.Add("far", "a", "1", "b", "2", []byte{0, 2}, int64(24*3600), int64(1e18), true, true)
+	f.Fuzz(func(t *testing.T, name, k1, v1, k2, v2 string, script []byte, zone, step int64, linked, finish bool) {
 		traceparent := ""
 		if linked {
 			traceparent = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
 		}
 		tr := telemetry.NewLinkedTrace(name, traceparent)
-		tr.SetProcess(proc)
 		loc := time.FixedZone("", int(zone%(48*3600)))
 		now := time.Date(2021, 10, 12, 11, 20, 32, 230471000, loc)
 		tr.SetClock(func() time.Time {
@@ -193,7 +192,7 @@ func FuzzRenderSpans(f *testing.F) {
 			s := spans[int(b/5)%len(spans)]
 			switch b % 5 {
 			case 0:
-				spans = append(spans, s.StartChild(name+" child", k1, v1, k2, v2))
+				spans = append(spans, startChild(s, name+" child", k1, v1, k2, v2))
 			case 1:
 				s.SetAttr(k1, v1+" again")
 			case 2:
@@ -201,7 +200,7 @@ func FuzzRenderSpans(f *testing.F) {
 			case 3:
 				s.SetAttr(k2, v2)
 			case 4:
-				spans = append(spans, s.StartChild(name, k1, v1, k1, v2, "odd"))
+				spans = append(spans, startChild(s, name, k1, v1, k1, v2, "odd"))
 			}
 		}
 		if finish {
@@ -225,4 +224,10 @@ func FuzzRenderSpans(f *testing.F) {
 			t.Fatalf("RenderJSON differs from json.Marshal of Records:\n got %s\nwant %s", got, want)
 		}
 	})
+}
+
+// startChild opens a child span of parent through a context carrying it.
+func startChild(parent *telemetry.Span, name string, attrs ...string) *telemetry.Span {
+	_, child := telemetry.StartSpan(telemetry.ContextWithSpan(context.Background(), parent), name, attrs...)
+	return child
 }

@@ -62,10 +62,7 @@ func TestUntracedContextIsFree(t *testing.T) {
 	s.End()
 	s.SetAttr("k", "v")
 	s.SetError(fmt.Errorf("boom"))
-	if c := s.StartChild("x"); c != nil {
-		t.Error("nil span spawned a child")
-	}
-	if SpanFromContext(ctx) != nil || TraceFromContext(ctx) != nil {
+	if SpanFromContext(ctx) != nil {
 		t.Error("untraced context reports a span")
 	}
 }
@@ -137,6 +134,58 @@ func TestParseSpansClampsBackwardSpan(t *testing.T) {
 	}
 	if !recs[0].End.Equal(time.Date(2021, 10, 12, 11, 20, 42, 0, time.UTC)) {
 		t.Errorf("forward span end = %v, want it untouched", recs[0].End)
+	}
+}
+
+// TestChromeTraceOneProcess: an archive written when traces named their
+// process still renders every span under pid 1, with the lane label dropped
+// rather than copied into the span's args.
+func TestChromeTraceOneProcess(t *testing.T) {
+	data := []byte(`{"id":1,"proc":"controller","name":"campaign:x","start":"2021-10-12T11:20:32Z","end":"2021-10-12T11:20:42Z"}
+{"id":2,"parent":1,"proc":"runner","name":"run 0","start":"2021-10-12T11:20:33Z","end":"2021-10-12T11:20:35Z","attrs":{"combo":"pkt_sz=64"}}
+`)
+	recs, err := ParseSpans(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chrome, err := ChromeTrace(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []ChromeEvent
+	if err := json.Unmarshal(chrome, &events); err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 2 {
+		t.Fatalf("chrome events = %d, want 2", len(events))
+	}
+	for _, ev := range events {
+		if ev.Pid != 1 {
+			t.Errorf("event %q pid = %d, want 1", ev.Name, ev.Pid)
+		}
+		if _, ok := ev.Args["proc"]; ok {
+			t.Errorf("event %q args carry a process lane: %v", ev.Name, ev.Args)
+		}
+	}
+}
+
+// TestRecordsEndOpenSpansAtStart: a span still open when the trace is read
+// reports its start as its end; once ended, it reports the real end.
+func TestRecordsEndOpenSpansAtStart(t *testing.T) {
+	tr := NewTrace("campaign:x")
+	tr.SetClock(testClock())
+	child := startChild(tr.Root(), "run 1")
+	for _, r := range tr.Records() {
+		if !r.End.Equal(r.Start) {
+			t.Errorf("open span %q ends at %v, want its start %v", r.Name, r.End, r.Start)
+		}
+	}
+	child.End()
+	tr.Finish()
+	for _, r := range tr.Records() {
+		if !r.End.After(r.Start) {
+			t.Errorf("ended span %q ends at %v, want after its start %v", r.Name, r.End, r.Start)
+		}
 	}
 }
 
@@ -223,7 +272,7 @@ func TestSpanAllocations(t *testing.T) {
 	// Grow the span slice past the runs measured, so its doubling is not
 	// counted against a span.
 	for i := 0; i < 512; i++ {
-		tr.Root().StartChild("warm").End()
+		startChild(tr.Root(), "warm").End()
 	}
 	startEnd := testing.AllocsPerRun(100, func() {
 		_, run := StartSpan(ctx, "run", "combo", "pkt_sz=64")
@@ -237,7 +286,6 @@ func TestSpanAllocations(t *testing.T) {
 	// An Appendix-A campaign: root, 2 replicas, 60 runs with a setup and a
 	// measurement exec each, and a few phase spans.
 	camp := NewTrace("campaign:appendix")
-	camp.SetProcess("controller")
 	camp.SetClock(testClock())
 	cctx := ContextWithTrace(context.Background(), camp)
 	for r := 0; r < 2; r++ {
@@ -254,7 +302,7 @@ func TestSpanAllocations(t *testing.T) {
 		replica.End()
 	}
 	for len(camp.Records()) < 187 {
-		camp.Root().StartChild("phase", "phase", "setup").End()
+		startChild(camp.Root(), "phase", "phase", "setup").End()
 	}
 	camp.Finish()
 	render := testing.AllocsPerRun(20, func() {
@@ -266,4 +314,10 @@ func TestSpanAllocations(t *testing.T) {
 	if render > renderJSONAllocBudget {
 		t.Errorf("RenderJSON allocates %.0f objects, budget %d", render, renderJSONAllocBudget)
 	}
+}
+
+// startChild opens a child span directly on parent, as StartSpan does on a
+// context carrying it.
+func startChild(parent *Span, name string, attrs ...string) *Span {
+	return parent.tr.start(parent.id, name, attrs)
 }

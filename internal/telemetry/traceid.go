@@ -12,9 +12,9 @@ import (
 // This file gives spans real distributed identities: a 16-byte trace ID
 // shared by every span of one causal tree (across processes), an 8-byte span
 // ID per span, and the W3C traceparent wire form that carries both across
-// the HTTP API boundary. Stitching happens at analysis time — each process
-// archives its own spans.json, and internal/timeline merges them by trace ID
-// exactly like a distributed tracing backend would.
+// the HTTP API boundary. A submitted campaign's trace adopts the submitter's
+// trace ID and parents its root under the submitter's span, so the one
+// spans.json the controller archives names the request that caused it.
 
 // idRand is the span/trace ID source. math/rand/v2's global functions are
 // safe for concurrent use, but a dedicated ChaCha8 stream keeps ID draws from
@@ -61,14 +61,8 @@ func NewTraceID() string {
 	}
 }
 
-// NewSpanID returns a fresh 16-hex-digit span ID (never all-zero).
-func NewSpanID() string {
-	id := newSpanID()
-	return hex.EncodeToString(id[:])
-}
-
-// newSpanID draws a span ID as randHex(8) would, kept in binary until it is
-// encoded or asked for.
+// newSpanID draws a fresh span ID (never all-zero), kept in binary until it
+// is encoded.
 func newSpanID() [8]byte {
 	var id [8]byte
 	for id == [8]byte{} {

@@ -1,6 +1,7 @@
 package timeline
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -33,7 +34,6 @@ func writeAppendixArchive(t testing.TB, dir string) []byte {
 	t.Helper()
 	now := time.Date(2021, 10, 12, 11, 20, 32, 230471000, time.UTC)
 	tr := telemetry.NewTrace("experiment:linux-router-pos")
-	tr.SetProcess("runner")
 	tr.SetClock(func() time.Time {
 		now = now.Add(137 * time.Microsecond)
 		return now
@@ -41,9 +41,9 @@ func writeAppendixArchive(t testing.TB, dir string) []byte {
 	hosts := []string{"vtartu", "vriga"}
 	root := tr.Root()
 	for _, phase := range []string{"boot", "setup"} {
-		span := root.StartChild(phase, "replica", "")
+		span := startChild(root, phase, "replica", "")
 		for _, host := range hosts {
-			span.StartChild(phase + ":" + host).End()
+			startChild(span, phase+":"+host).End()
 		}
 		span.End()
 	}
@@ -52,10 +52,10 @@ func writeAppendixArchive(t testing.TB, dir string) []byte {
 			"pkt_rate": strconv.Itoa(10000 * (run%30 + 1)),
 			"pkt_sz":   []string{"64", "1500"}[run/30],
 		}
-		span := root.StartChild(fmt.Sprintf("run %d", run), "combo", results.LoopKey(vars), "replica", "")
+		span := startChild(root, fmt.Sprintf("run %d", run), "combo", results.LoopKey(vars), "replica", "")
 		started := now
 		for _, host := range hosts {
-			span.StartChild("exec:"+host, "phase", "measurement").End()
+			startChild(span, "exec:"+host, "phase", "measurement").End()
 		}
 		span.End()
 		meta, err := json.MarshalIndent(results.RunMeta{Run: run, LoopVars: vars, StartedAt: started, FinishedAt: now}, "", "  ")
@@ -120,4 +120,10 @@ func TestParseSpansAllocations(t *testing.T) {
 	if perSpan > parseSpansPerSpanBudget {
 		t.Errorf("ParseSpans allocates %.2f objects a span, budget %.1f", perSpan, parseSpansPerSpanBudget)
 	}
+}
+
+// startChild opens a child span of parent through a context carrying it.
+func startChild(parent *telemetry.Span, name string, attrs ...string) *telemetry.Span {
+	_, child := telemetry.StartSpan(telemetry.ContextWithSpan(context.Background(), parent), name, attrs...)
+	return child
 }

@@ -56,7 +56,6 @@ var phaseOrder = []string{
 type Segment struct {
 	Span    string  `json:"span"`
 	Phase   string  `json:"phase"`
-	Proc    string  `json:"proc,omitempty"`
 	StartMS float64 `json:"start_ms"`
 	DurMS   float64 `json:"dur_ms"`
 }
@@ -115,7 +114,6 @@ type Timeline struct {
 	Summary
 	QueueWaitMS float64       `json:"queue_wait_ms,omitempty"`
 	QueueUser   string        `json:"queue_user,omitempty"`
-	Procs       []string      `json:"procs,omitempty"`
 	Spans       int           `json:"spans"`
 	Events      int           `json:"events"`
 	Runs        []RunStat     `json:"runs,omitempty"`
@@ -158,7 +156,7 @@ type node struct {
 }
 
 // buildTree reconstructs the span forest from records, preferring the hex
-// parent linkage (cross-process safe) and falling back to the int linkage
+// parent linkage and falling back to the int linkage
 // for archives predating trace identities. It returns the roots. The nodes
 // live in one slice, and their children lists in one shared backing slice.
 func buildTree(recs []telemetry.SpanRecord) []*node {
@@ -173,18 +171,12 @@ func buildTree(recs []telemetry.SpanRecord) []*node {
 			legacy = true
 		}
 	}
-	// Legacy linkage is only unambiguous within one process's archive, and
-	// only a span without a span_id follows it.
-	var byIntID map[string]map[int]int
+	// Only a span without a span_id follows the legacy linkage.
+	var byIntID map[int]int
 	if legacy {
-		byIntID = make(map[string]map[int]int)
+		byIntID = make(map[int]int, len(recs))
 		for i, r := range recs {
-			m := byIntID[r.Proc]
-			if m == nil {
-				m = make(map[int]int)
-				byIntID[r.Proc] = m
-			}
-			m[r.ID] = i
+			byIntID[r.ID] = i
 		}
 	}
 	// parent[i] is the index of node i's parent, or -1 for a root.
@@ -197,7 +189,7 @@ func buildTree(recs []telemetry.SpanRecord) []*node {
 			p, ok = bySpanID[r.ParentSpanID]
 		}
 		if !ok && r.SpanID == "" && r.Parent != 0 {
-			p, ok = byIntID[r.Proc][r.Parent]
+			p, ok = byIntID[r.Parent]
 		}
 		if !ok || p == i {
 			parent[i] = -1
@@ -270,7 +262,6 @@ func cover(n *node, from, to time.Time, out []Segment, epoch time.Time) []Segmen
 		return append(out, Segment{
 			Span:    n.rec.Name,
 			Phase:   phaseOf(n),
-			Proc:    n.rec.Proc,
 			StartMS: ms(a.Sub(epoch)),
 			DurMS:   ms(b.Sub(a)),
 		})
@@ -435,14 +426,6 @@ func Assemble(dir string) (*Timeline, error) {
 	}
 	roots := buildTree(recs)
 	tl := &Timeline{Summary: *summarize(roots), Spans: len(recs)}
-	procs := map[string]bool{}
-	for _, r := range recs {
-		if r.Proc != "" && !procs[r.Proc] {
-			procs[r.Proc] = true
-			tl.Procs = append(tl.Procs, r.Proc)
-		}
-	}
-	sort.Strings(tl.Procs)
 
 	// Journal: campaign event count, the queue admission record that
 	// extends the timeline leftward to submission time, and the attempts.

@@ -1,11 +1,13 @@
 package timeline
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -15,14 +17,13 @@ import (
 
 var epoch = time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 
-// rec builds a synthetic stitched span record; offsets are seconds from epoch.
-func rec(id int, spanID, parentSpanID, proc, name string, from, to float64) telemetry.SpanRecord {
+// rec builds a synthetic span record; offsets are seconds from epoch.
+func rec(id int, spanID, parentSpanID, name string, from, to float64) telemetry.SpanRecord {
 	return telemetry.SpanRecord{
 		ID:           id,
 		TraceID:      "4bf92f3577b34da6a3ce929d0e0e4736",
 		SpanID:       spanID,
 		ParentSpanID: parentSpanID,
-		Proc:         proc,
 		Name:         name,
 		Start:        epoch.Add(time.Duration(from * float64(time.Second))),
 		End:          epoch.Add(time.Duration(to * float64(time.Second))),
@@ -34,16 +35,16 @@ func rec(id int, spanID, parentSpanID, proc, name string, from, to float64) tele
 // (one retried), eval and publish.
 func campaignRecords() []telemetry.SpanRecord {
 	return []telemetry.SpanRecord{
-		rec(1, "aaaaaaaaaaaaaaa1", "", "controller", "campaign:x", 0, 100),
-		rec(2, "aaaaaaaaaaaaaaa2", "aaaaaaaaaaaaaaa1", "controller", "boot", 0, 10),
-		rec(3, "aaaaaaaaaaaaaaa3", "aaaaaaaaaaaaaaa1", "controller", "replica:a", 10, 90),
-		rec(4, "aaaaaaaaaaaaaaa4", "aaaaaaaaaaaaaaa3", "controller", "setup", 10, 20),
-		rec(5, "aaaaaaaaaaaaaaa5", "aaaaaaaaaaaaaaa3", "controller", "run 1", 20, 45),
-		rec(6, "aaaaaaaaaaaaaaa6", "aaaaaaaaaaaaaaa3", "controller", "run 2", 50, 70),
+		rec(1, "aaaaaaaaaaaaaaa1", "", "campaign:x", 0, 100),
+		rec(2, "aaaaaaaaaaaaaaa2", "aaaaaaaaaaaaaaa1", "boot", 0, 10),
+		rec(3, "aaaaaaaaaaaaaaa3", "aaaaaaaaaaaaaaa1", "replica:a", 10, 90),
+		rec(4, "aaaaaaaaaaaaaaa4", "aaaaaaaaaaaaaaa3", "setup", 10, 20),
+		rec(5, "aaaaaaaaaaaaaaa5", "aaaaaaaaaaaaaaa3", "run 1", 20, 45),
+		rec(6, "aaaaaaaaaaaaaaa6", "aaaaaaaaaaaaaaa3", "run 2", 50, 70),
 		// Second attempt of run 2: a retry on the same lane.
-		rec(7, "aaaaaaaaaaaaaaa7", "aaaaaaaaaaaaaaa3", "controller", "run 2", 72, 90),
-		rec(8, "aaaaaaaaaaaaaaa8", "aaaaaaaaaaaaaaa1", "controller", "eval", 90, 96),
-		rec(9, "aaaaaaaaaaaaaaa9", "aaaaaaaaaaaaaaa1", "controller", "publish", 96, 100),
+		rec(7, "aaaaaaaaaaaaaaa7", "aaaaaaaaaaaaaaa3", "run 2", 72, 90),
+		rec(8, "aaaaaaaaaaaaaaa8", "aaaaaaaaaaaaaaa1", "eval", 90, 96),
+		rec(9, "aaaaaaaaaaaaaaa9", "aaaaaaaaaaaaaaa1", "publish", 96, 100),
 	}
 }
 
@@ -116,7 +117,7 @@ func TestPhaseAttribution(t *testing.T) {
 func TestAnchorBelowSubmitRoot(t *testing.T) {
 	recs := []telemetry.SpanRecord{
 		// posctl's lane: submitted at -20s, the RPC took 100ms.
-		rec(1, "bbbbbbbbbbbbbbb1", "", "posctl", "posctl:submit", -20, -19.9),
+		rec(1, "bbbbbbbbbbbbbbb1", "", "posctl:submit", -20, -19.9),
 	}
 	for _, r := range campaignRecords() {
 		if r.ParentSpanID == "" {
@@ -145,8 +146,8 @@ func TestAnchorBelowSubmitRoot(t *testing.T) {
 // discarded.
 func TestSubtreeEndExtendsTruncatedAnchor(t *testing.T) {
 	recs := []telemetry.SpanRecord{
-		rec(1, "aaaaaaaaaaaaaaa1", "", "controller", "campaign:x", 0, 50),
-		rec(2, "aaaaaaaaaaaaaaa2", "aaaaaaaaaaaaaaa1", "controller", "run 1", 10, 80),
+		rec(1, "aaaaaaaaaaaaaaa1", "", "campaign:x", 0, 50),
+		rec(2, "aaaaaaaaaaaaaaa2", "aaaaaaaaaaaaaaa1", "run 1", 10, 80),
 	}
 	sum := Summarize(recs)
 	if sum.WallMS != 80_000 {
@@ -180,7 +181,7 @@ func TestAdmissionScanSkipsBadEvents(t *testing.T) {
 }
 
 // TestLegacyIntLinkage: archives predating trace identities still assemble
-// via the per-process int parent linkage.
+// via the int parent linkage.
 func TestLegacyIntLinkage(t *testing.T) {
 	recs := []telemetry.SpanRecord{
 		{ID: 1, Name: "experiment:x", Start: epoch, End: epoch.Add(10 * time.Second)},
@@ -240,9 +241,6 @@ func TestAssembleMergesArchives(t *testing.T) {
 	if tl.Spans != 9 {
 		t.Errorf("spans = %d, want 9", tl.Spans)
 	}
-	if len(tl.Procs) != 1 || tl.Procs[0] != "controller" {
-		t.Errorf("procs = %v, want [controller]", tl.Procs)
-	}
 
 	// Admission folded in: timeline extends leftward, still partitions exactly.
 	if tl.QueueWaitMS != 20_000 || tl.QueueUser != "alice" {
@@ -288,6 +286,37 @@ func writeSpanArchive(t *testing.T, path string, recs []telemetry.SpanRecord) {
 	}
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestProcLaneArchiveAssemblesAsWithout: a spans.json written before every
+// trace came from one process carries "proc":"controller" on every line.
+// It assembles into the same timeline, critical path included, as the same
+// lines without the key.
+func TestProcLaneArchiveAssemblesAsWithout(t *testing.T) {
+	without, with := t.TempDir(), t.TempDir()
+	writeSpanArchive(t, filepath.Join(without, "spans.json"), campaignRecords())
+	data, err := os.ReadFile(filepath.Join(without, "spans.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.ReplaceAll(data, []byte(`,"name":`), []byte(`,"proc":"controller","name":`))
+	if bytes.Count(old, []byte(`"proc":"controller"`)) != len(campaignRecords()) {
+		t.Fatalf("not every line carries the process lane:\n%s", old)
+	}
+	if err := os.WriteFile(filepath.Join(with, "spans.json"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, err := Assemble(without)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Assemble(with)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.CriticalPath) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("with proc lanes:\n%+v\nwithout:\n%+v", got, want)
 	}
 }
 

@@ -198,8 +198,8 @@ link sw.1 s.0
 	if loss < 0.08 || loss > 0.12 {
 		t.Errorf("loss = %.4f, want ~0.10", loss)
 	}
-	if n.Switches["sw"].NumPorts() != 2 {
-		t.Error("switch ports wrong")
+	if sw := n.Switches["sw"]; !sw.Port(0).Connected() || !sw.Port(1).Connected() {
+		t.Error("switch ports not wired")
 	}
 }
 

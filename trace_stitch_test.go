@@ -8,7 +8,9 @@ package pos_test
 // quiet against a re-assembly of the same archive.
 
 import (
+	"bytes"
 	"context"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -56,7 +58,6 @@ func TestQueueSubmittedCampaignStitchesOneTrace(t *testing.T) {
 	// as soon as the submit RPC returns — BEFORE the campaign runs. Only its
 	// traceparent and the admission stamp reach the campaign's record.
 	submit := telemetry.NewTrace("posctl:submit")
-	submit.SetProcess("posctl")
 	tp := submit.Root().TraceParent()
 	submit.Finish()
 	submitted := time.Now().Add(-15 * time.Second)
@@ -85,7 +86,7 @@ func TestQueueSubmittedCampaignStitchesOneTrace(t *testing.T) {
 	lanes := map[string]bool{}
 	for _, r := range recs {
 		if r.TraceID != submit.ID() {
-			t.Errorf("span %q (proc %s) trace = %q, want %q", r.Name, r.Proc, r.TraceID, submit.ID())
+			t.Errorf("span %q trace = %q, want %q", r.Name, r.TraceID, submit.ID())
 		}
 		lanes[r.Name] = true
 	}
@@ -94,8 +95,13 @@ func TestQueueSubmittedCampaignStitchesOneTrace(t *testing.T) {
 			t.Errorf("stitched archive missing span %q", want)
 		}
 	}
-	if len(tl.Procs) != 1 || tl.Procs[0] != "controller" {
-		t.Errorf("procs = %v, want [controller]", tl.Procs)
+	// One process wrote the archive: its lines name no process lane.
+	raw, err := os.ReadFile(filepath.Join(expdir, "spans.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(raw, []byte(`"proc"`)) {
+		t.Errorf("spans.json carries a process lane:\n%s", raw)
 	}
 
 	// Attribution that adds up: phase totals within 2% of wall clock (they
